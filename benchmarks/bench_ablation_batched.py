@@ -86,8 +86,9 @@ def test_batched_wall_clock_never_regresses(xmark_store, record_result, plan):
         wall_off=walls["off"],
         speedup=walls["off"] / walls["on"],
     )
-    # hard gate only on "not slower": machine-noise tolerant (25%), the
-    # actual >= 2x speedup claim is tracked by perf_smoke's baseline
+    # hard gate only on "not slower": machine-noise tolerant (25%); the
+    # wall-clock trajectory itself is tracked by the perf ledger
+    # (benchmarks/ledger, `host_ops_per_s` per workload)
     assert walls["on"] <= walls["off"] * 1.25, walls
 
 

@@ -85,7 +85,6 @@ class Operator:
                 if item is None:
                     return
                 yield item
-            return
         it = self._iter
         clock = ctx.clock
         cost = ctx._cost_call

@@ -18,9 +18,10 @@ from repro.storage.page import Segment
 class ExecutionBudget:
     """Hard limits on what one query execution may consume.
 
-    Enforced in the operator ``next()`` loops (via
-    :meth:`EvalContext.charge_call`), so a runaway query is stopped
-    between result tuples, never mid-I/O.
+    Enforced at every operator ``next()`` crossing (via
+    :meth:`EvalContext.charge_call`, which the path kernel also goes
+    through for the crossings it replays), so a runaway query is
+    stopped between result tuples, never mid-I/O.
 
     Attributes
     ----------
@@ -155,15 +156,17 @@ class EvalOptions:
         summary.  Disable with CLI ``--no-pathsummary``.
     batched:
         Run the intra-cluster datapath batch-at-a-time over columnar
-        cluster views (:class:`~repro.storage.colview.ColumnView`): XStep
-        discovers a whole extension's candidate array charge-free, tests
-        it with one vectorised ``match_batch``, and replays the scalar
-        charge sequence in a flat emit loop; XScan/XSchedule/shared scans
-        enumerate speculative entry borders from the view's precomputed
-        lists.  Pure CPU-dispatch optimisation: results, ``Stats`` and
-        simulated timings are bit-identical with the flag off (CLI
+        cluster views (:class:`~repro.storage.colview.ColumnView`):
+        cost-sensitive plans run the whole XStep chain and XAssembly's
+        intake as one kernel per path (``XAssembly._produce``), which
+        discovers each extension's candidate array charge-free, tests it
+        with one vectorised ``match_batch`` and replays the scalar
+        chain's charge sequence; XScan/XSchedule/shared scans enumerate
+        speculative entry borders from the view's precomputed lists.
+        Pure CPU-dispatch optimisation: results, ``Stats`` and simulated
+        timings are bit-identical with the flag off (CLI
         ``--no-batched``), which falls back to one-record-at-a-time
-        navigation over record objects.
+        navigation over record objects, one XStep generator per step.
     calibration:
         Let :class:`~repro.exec.session.QuerySession` feed *measured*
         plan outcomes back into the AUTO chooser: observed per-shape

@@ -10,9 +10,10 @@ instead of three times.
 Mechanics: the driver performs XScan's physical work (sequential page
 loads, current-cluster pinning).  For every cluster it feeds each path
 its context instances and its speculative left-incomplete instances
-through a per-cluster XStep chain into that path's persistent XAssembly
-(whose R and S state spans the whole scan — re-opening an XAssembly over
-a new producer preserves its execution state by design).
+through that path's step pipeline (XAssembly's fused kernel, or the
+scalar XStep chain below it) into its persistent XAssembly, whose R and
+S state spans the whole scan — re-opening an XAssembly over a new
+batch preserves its execution state by design.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from repro.algebra.base import Operator
 from repro.algebra.context import EvalContext
 from repro.algebra.pathinstance import PathInstance
 from repro.algebra.xassembly import XAssembly
-from repro.algebra.xstep import XStep
 from repro.errors import BudgetExceededError, PlanError
 from repro.storage.nav import speculative_entries
 from repro.storage.nodeid import NodeID, make_nodeid, page_of, slot_of
@@ -47,29 +47,27 @@ class _Replay(Operator):
 class _PathState:
     """Per-path machinery persisting across clusters."""
 
-    __slots__ = ("steps", "assembly", "results", "postings")
+    __slots__ = ("steps", "source", "assembly", "results", "postings")
 
     def __init__(
         self, ctx: EvalContext, steps, descendant_root_opt: bool, postings=None
     ) -> None:
         self.steps = steps
         self.postings = postings
-        # the producer is swapped per cluster; XAssembly's R/S survive
+        # built once; each cluster swaps the replayed batch and re-opens
+        # the pipeline, and XAssembly's R/S survive the re-opening
+        self.source = _Replay(ctx, [])
         self.assembly = XAssembly(
             ctx,
-            producer=_Replay(ctx, []),
-            path_len=len(steps),
-            schedule=None,
+            self.source,
+            len(steps),
             descendant_root_opt=descendant_root_opt,
+            steps=steps,
         )
         self.results: list[NodeID] = []
 
-    def feed(self, ctx: EvalContext, batch: list[PathInstance]) -> None:
-        source: Operator = _Replay(ctx, batch)
-        top = source
-        for index, step in enumerate(self.steps, start=1):
-            top = XStep(ctx, top, index, step)
-        self.assembly.producer = top
+    def feed(self, batch: list[PathInstance]) -> None:
+        self.source.items = batch
         self.assembly.open()
         while True:
             item = self.assembly.next()
@@ -153,10 +151,9 @@ def shared_scan(
 
     try:
         for page_no in page_nos:
-            if not ctx.buffer.is_resident(page_no):
-                pass  # synchronous sequential read below (O_DIRECT semantics)
             frame = ctx.buffer.try_fix_resident(page_no)
             if frame is None:
+                # synchronous sequential read (O_DIRECT semantics)
                 frame = ctx.buffer.fix(page_no)
             ctx.set_current_frame(frame)
             ctx.stats.clusters_visited += 1
@@ -220,7 +217,7 @@ def shared_scan(
                                 page_no=page_no,
                             )
                         )
-                state.feed(ctx, batch)
+                state.feed(batch)
     except BudgetExceededError as exc:
         # a "partial" budget stops the scan; each path keeps what it has
         if not exc.partial:

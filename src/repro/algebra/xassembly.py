@@ -36,26 +36,21 @@ R survives as the duplicate filter.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.algebra.base import Operator
 from repro.algebra.context import EvalContext
 from repro.algebra.pathinstance import PathInstance
+from repro.algebra.steps import CompiledStep
+from repro.algebra.xstep import XStep, extend_full, pinned_page
 from repro.errors import PlanError
-from repro.storage.nodeid import NodeID, make_nodeid, page_of, slot_of
-from repro.storage.record import BorderRecord
+from repro.storage.nodeid import SLOT_BITS, NodeID, make_nodeid, page_of, slot_of
 
 
-class _Stored:
-    """An S-resident instance: right end normalized to NodeIDs."""
-
-    __slots__ = ("s_r", "right", "incomplete")
-
-    def __init__(self, s_r: int, right: NodeID, incomplete: bool) -> None:
-        self.s_r = s_r
-        #: junction NodeID (incomplete) or result-node NodeID (complete)
-        self.right = right
-        self.incomplete = incomplete
+#: An S-resident instance, right end normalized to NodeIDs:
+#: ``(s_r, right, incomplete)`` — ``right`` is the junction NodeID of an
+#: incomplete instance, the result node's NodeID of a complete one.
+_Stored = tuple[int, NodeID, bool]
 
 
 class XAssembly(Operator):
@@ -66,6 +61,7 @@ class XAssembly(Operator):
         "path_len",
         "schedule",
         "descendant_root_opt",
+        "steps",
         "_r",
         "_s",
         "_s_size",
@@ -79,16 +75,27 @@ class XAssembly(Operator):
         path_len: int,
         schedule=None,
         descendant_root_opt: bool = False,
+        steps: Sequence[CompiledStep] = (),
     ) -> None:
         super().__init__(ctx)
+        if steps and not ctx.options.batched:
+            # the scalar datapath: one XStep operator per step below us
+            for index, step in enumerate(steps, start=1):
+                producer = XStep(ctx, producer, index, step)
+            steps = ()
+        if any(step.predicates for step in steps):
+            raise PlanError("the path kernel does not evaluate nested predicates")
         self.producer = producer
+        #: the location steps the kernel runs itself over the I/O operator
+        #: ``producer``; empty over a scalar XStep chain
+        self.steps = steps
         self.path_len = path_len
         #: the associated XSchedule, or None when the input is an XScan
         self.schedule = schedule
         #: step-1 keys are implicitly reachable (``//`` prefix + scan input)
         self.descendant_root_opt = descendant_root_opt and path_len > 1
         self._r: set[tuple[int, NodeID]] = set()
-        self._s: dict[tuple[int, NodeID], list[_Stored]] = {}
+        self._s: dict[tuple[int, NodeID | None], list[_Stored]] = {}
         self._s_size = 0
         self._ready: deque[_Stored] = deque()
 
@@ -123,19 +130,270 @@ class XAssembly(Operator):
     # -------------------------------------------------------------- pipeline
 
     def _produce(self) -> Iterator[PathInstance]:
+        """The path kernel: the XStep chain and this operator's intake, fused.
+
+        One generator runs every step over the pinned page's
+        :class:`~repro.storage.colview.ColumnView` and files what reaches
+        the top into R/S.  It replays the stacked chain (a scalar
+        :class:`XStep` per step, each pulled through ``Operator.next``)
+        charge for charge: ``top`` is the highest step holding an
+        extension, the suspended ones below it sit on ``stack``, and a
+        pull first adds the ``iterator_call`` of every level it would
+        have crossed.  The clock lives in float locals (same additions,
+        same order), written back before anything else can read or
+        advance it; counter deltas are posted before every yield and on
+        exit.  Flush points and charge order: docs/algebra.md.  With no
+        ``steps`` (a scalar chain below) only the intake runs.
+        """
         ctx = self.ctx
-        while True:
-            while self._ready:
-                stored = self._ready.popleft()
-                result = self._activate(stored)
+        steps = self.steps
+        n = len(steps)
+        clock = ctx.clock
+        stats = ctx.stats
+        tracer = ctx.tracer
+        cost_hop = ctx._cost_hop
+        cost_test = ctx._cost_test
+        cost_instance = ctx._cost_instance
+        cost_set = ctx._cost_set
+        cost_call = ctx._cost_call
+        limit = ctx.options.memory_limit
+        r = self._r
+        s = self._s
+        ready = self._ready
+        droot = self.descendant_root_opt
+        source = iter(self.producer)  # charges its own crossing per pull
+        stack: list = []
+        top = 0
+        it = flags = page = p = None
+        free_head = 0
+        starting = False
+        d_hops = d_tests = d_instances = d_deferred = d_calls = d_out = 0
+        t0 = now = clock.now
+        cpu = clock.cpu_time
+        try:
+            while True:
+                result = None
+                if ready:
+                    clock.now, clock.cpu_time = now, cpu
+                    result = self._activate(ready.popleft())
+                    now, cpu = clock.now, clock.cpu_time
+                else:
+                    # the pull crosses levels n..top: the idle ones and the one it resumes
+                    calls = n - top + 1 if top else n
+                    while True:
+                        if calls:
+                            d_calls += calls
+                            if ctx._budget is None:
+                                for _ in range(calls):
+                                    now += cost_call
+                                    cpu += cost_call
+                            else:  # checked after every single crossing
+                                clock.now, clock.cpu_time = now, cpu
+                                for _ in range(calls):
+                                    ctx.charge_call()
+                                now, cpu = clock.now, clock.cpu_time
+                            calls = 0
+                        if top == 0:
+                            clock.now, clock.cpu_time = now, cpu
+                            p = next(source, None)
+                            if p is None:
+                                return
+                            now, cpu = clock.now, clock.cpu_time
+                            s_l = p.s_l
+                            n_l = p.n_l
+                            left_open = p.left_open
+                            left_key = (s_l, n_l)
+                            implied = droot and s_l == 1
+                            slot = p.slot
+                            s_r = p.s_r
+                            paused = p.is_border
+                            if s_r >= n or (paused and not p.resumed):
+                                # no level applies: all n hand it up as it is
+                                d_out += n
+                                if paused:
+                                    right = ctx.segment.page(p.page_no).record(slot).target()
+                                elif left_open or s_r == self.path_len:
+                                    right = make_nodeid(p.page_no, slot)
+                                else:
+                                    raise PlanError(
+                                        f"XAssembly received a complete non-full instance (s_r={s_r})"
+                                    )
+                                break
+                            top = s_r + 1
+                            d_out += s_r
+                            resumed = p.resumed
+                            starting = True
+                        if starting:
+                            # level `top` starts extending p, or the match at `slot`
+                            starting = False
+                            step = steps[top - 1]
+                            if ctx.fallback:
+                                if p is None:
+                                    p = PathInstance(
+                                        s_l, n_l, left_open, top - 1, slot, False, page_no=page_no
+                                    )
+                                it = extend_full(ctx, step, top, p)
+                                flags = None
+                            else:
+                                if p is not None and pinned_page(ctx, top, p) is not page:
+                                    # fresh from the I/O operator, on a new cluster
+                                    page = ctx.current_frame.page
+                                    view = page.colview()
+                                    kinds = view.kinds
+                                    records = page.records
+                                    page_no = page.page_no
+                                    page_base = page_no << SLOT_BITS
+                                    memos = [None] * n
+                                memo = memos[top - 1]
+                                if memo is None:
+                                    memo = memos[top - 1] = view.step_memo(step.test, step.axis)
+                                batch = memo.get(slot << 1 | resumed)
+                                if batch is None:
+                                    batch = memo[slot << 1 | resumed] = view.extension(
+                                        step.match_batch, slot, step.axis, resumed
+                                    )
+                                upfront, free_head, cands, flags = batch
+                                if tracer is not None and cands:
+                                    span = {"step": top, "batch_size": len(cands)}
+                                    tracer.event(now, "op", "xstep-batch", page=page_no, args=span)
+                                if upfront:
+                                    now += cost_hop
+                                    cpu += cost_hop
+                                    d_hops += upfront
+                                it = enumerate(cands)
+                            p = None
+                        if flags is None:
+                            # a fallback level (Sec. 5.4.6): scalar full
+                            # navigation, charging the clock itself
+                            clock.now, clock.cpu_time = now, cpu
+                            p = next(it, None)
+                            now, cpu = clock.now, clock.cpu_time
+                            if p is not None:
+                                d_out += 1
+                                if top < n:
+                                    stack.append((it, flags, free_head))
+                                    top += 1
+                                    starting = True
+                                    continue
+                                s_r = n
+                                right = make_nodeid(p.page_no, p.slot)
+                                paused = False
+                                p = None
+                                break
+                            it = ()  # spent: pop below
+                        for i, slot in it:
+                            if i >= free_head:
+                                now += cost_hop
+                                cpu += cost_hop
+                                d_hops += 1
+                            if kinds[slot] < 0:
+                                # a border pauses the instance here: the
+                                # levels above hand it up as it is
+                                now += cost_instance
+                                cpu += cost_instance
+                                d_deferred += 1
+                                d_instances += 1
+                                d_out += n - top + 1
+                                s_r = top - 1
+                                right = records[slot].target()
+                                paused = True
+                                break
+                            now += cost_test
+                            cpu += cost_test
+                            d_tests += 1
+                            if flags[i]:
+                                now += cost_instance
+                                cpu += cost_instance
+                                d_instances += 1
+                                d_out += 1
+                                if top == n:
+                                    s_r = n
+                                    right = page_base | slot
+                                    paused = False
+                                    break
+                                # the next level extends the match in
+                                # place: no instance object, no crossing
+                                stack.append((it, flags, free_head))
+                                top += 1
+                                resumed = False
+                                starting = True
+                                break
+                        else:
+                            # level `top` is spent: the pull goes on to the level
+                            # below, or through every idle one to the I/O operator
+                            if stack:
+                                it, flags, free_head = stack.pop()
+                                top -= 1
+                                calls = 1
+                            else:
+                                calls = top - 1
+                                top = 0
+                            continue
+                        if not starting:
+                            break
+                    # intake (Sec. 5.4.5): an instance ending at (s_r, right) reached the top
+                    if not left_open:
+                        clock.now, clock.cpu_time = now, cpu
+                        if paused:
+                            self._prove(s_r, right, origin=(s_l, n_l))
+                        else:
+                            result = self._final(right)
+                        now, cpu = clock.now, clock.cpu_time
+                    elif not ctx.fallback:  # (whose re-evaluation covers all speculation)
+                        now += cost_set
+                        cpu += cost_set
+                        if implied or left_key in r:
+                            stats.merges += 1
+                            if tracer is not None:
+                                tracer.count("merges")
+                            clock.now, clock.cpu_time = now, cpu
+                            result = self._activate((s_r, right, paused))
+                            now, cpu = clock.now, clock.cpu_time
+                        else:
+                            now += cost_set
+                            cpu += cost_set
+                            parked = s.get(left_key)
+                            if parked is None:
+                                s[left_key] = [(s_r, right, paused)]
+                            else:
+                                parked.append((s_r, right, paused))
+                            self._s_size += 1
+                            if limit is not None and self._s_size > limit:
+                                clock.now, clock.cpu_time = now, cpu
+                                self._enter_fallback()
+                                now, cpu = clock.now, clock.cpu_time
                 if result is not None:
+                    clock.now, clock.cpu_time = now, cpu
+                    self._post(d_hops, d_tests, d_instances, d_deferred)
+                    d_hops = d_tests = d_instances = d_deferred = 0
                     yield self._result_instance(result)
-            y = self.producer.next()
-            if y is None:
-                return
-            result = self._intake(y)
-            if result is not None:
-                yield self._result_instance(result)
+                    now, cpu = clock.now, clock.cpu_time
+        finally:
+            self._post(d_hops, d_tests, d_instances, d_deferred)
+            if tracer is not None and n:
+                tracer.op_call("XStep", d_out, d_calls)
+                tracer.op_span("XStep", t0, clock.now, d_out)
+
+    def _post(self, hops: int, tests: int, instances: int, deferred: int) -> None:
+        """Book the kernel's pending counter deltas (guarded mirrors)."""
+        stats = self.ctx.stats
+        tracer = self.ctx.tracer
+        if hops:
+            stats.intra_hops += hops
+            if tracer is not None:
+                tracer.count("intra_hops", hops)
+        if tests:
+            stats.node_tests += tests
+            if tracer is not None:
+                tracer.count("node_tests", tests)
+        if instances:
+            stats.instances_created += instances
+            if tracer is not None:
+                tracer.count("instances_created", instances)
+        if deferred:
+            stats.border_crossings_deferred += deferred
+            if tracer is not None:
+                tracer.count("border_crossings_deferred", deferred)
 
     def _result_instance(self, nid: NodeID) -> PathInstance:
         self.ctx.charge_instance()
@@ -149,59 +407,18 @@ class XAssembly(Operator):
             page_no=page_of(nid),
         )
 
-    # ---------------------------------------------------------------- intake
-
-    def _intake(self, y: PathInstance) -> NodeID | None:
-        ctx = self.ctx
-        assert y.page_no is not None
-        if y.is_border:
-            border = ctx.segment.page(y.page_no).record(y.slot)
-            assert isinstance(border, BorderRecord)
-            junction = border.target()
-            if y.left_open:
-                return self._store(y, _Stored(y.s_r, junction, incomplete=True))
-            self._prove(y.s_r, junction, origin=(y.s_l, y.n_l))
-            return None
-        nid = make_nodeid(y.page_no, y.slot)
-        if y.left_open:
-            return self._store(y, _Stored(y.s_r, nid, incomplete=False))
-        if y.s_r != self.path_len:
-            raise PlanError(
-                f"XAssembly received a complete non-full instance (s_r={y.s_r})"
-            )
-        return self._final(nid)
-
-    def _store(self, y: PathInstance, stored: _Stored) -> NodeID | None:
-        """Handle a left-incomplete instance: activate now or park in S."""
-        if self.ctx.fallback:
-            # complete re-evaluation covers all speculative results
-            return None
-        assert y.n_l is not None
-        left_key = (y.s_l, y.n_l)
-        if self._r_contains(left_key):
-            self.ctx.stats.merges += 1
-            if self.ctx.tracer is not None:
-                self.ctx.tracer.count("merges")
-            return self._activate(stored)
-        self.ctx.charge_set_op()
-        self._s.setdefault(left_key, []).append(stored)
-        self._s_size += 1
-        limit = self.ctx.options.memory_limit
-        if limit is not None and self._s_size > limit:
-            self._enter_fallback()
-        return None
-
     # ------------------------------------------------------------ activation
 
     def _activate(self, stored: _Stored) -> NodeID | None:
         """Process an instance whose left end is known reachable."""
-        if stored.incomplete:
-            self._prove(stored.s_r, stored.right, origin=(0, None))
+        s_r, right, incomplete = stored
+        if incomplete:
+            self._prove(s_r, right, origin=(0, None))
             return None
-        if stored.s_r == self.path_len:
-            return self._final(stored.right)
+        if s_r == self.path_len:
+            return self._final(right)
         raise PlanError(
-            f"complete non-full instance in S (s_r={stored.s_r}, len={self.path_len})"
+            f"complete non-full instance in S (s_r={s_r}, len={self.path_len})"
         )
 
     def _final(self, nid: NodeID) -> NodeID | None:

@@ -205,8 +205,8 @@ class XScan(Operator):
 
         if ctx.fallback:
             # restart the producer, behave as the identity operator: the
-            # fallback XStep chain fully re-evaluates every context
-            ctx.stats.fallbacks += 0  # counted by XAssembly; kept for clarity
+            # fallback step chain fully re-evaluates every context (the
+            # trip itself was counted by ``EvalContext.trip_fallback``)
             for y in all_contexts:
                 ctx.charge_instance()
                 yield y

@@ -8,6 +8,10 @@ instances pass through unchanged.
 
 In fallback mode (Sec. 5.4.6) XStep behaves as a plain Unnest-Map,
 crossing borders eagerly with full-tree navigation.
+
+This operator is the *scalar* datapath (``EvalOptions.batched`` off);
+batched plans run the step chain inside XAssembly's fused kernel, which
+replays this chain's charges exactly and shares :func:`extend_full`.
 """
 
 from __future__ import annotations
@@ -24,18 +28,9 @@ from repro.storage.nav import iter_axis, iter_resume
 
 
 class XStep(Operator):
-    """Extend path instances by step ``step_index`` without leaving the cluster.
+    """Extend path instances by step ``step_index`` without leaving the cluster."""
 
-    Two intra-cluster kernels are available, selected once at
-    construction by ``EvalOptions.batched``: the scalar kernel walks nav
-    generators one record at a time; the batched kernel
-    (:meth:`_produce_batched`) evaluates each extension against the
-    page's :class:`~repro.storage.colview.ColumnView` — whole candidate
-    array first, charges replayed after — with bit-identical results,
-    ``Stats`` and simulated timings.
-    """
-
-    __slots__ = ("producer", "step_index", "step", "_batched")
+    __slots__ = ("producer", "step_index", "step")
 
     def __init__(
         self,
@@ -53,7 +48,6 @@ class XStep(Operator):
         self.producer = producer
         self.step_index = step_index
         self.step = step
-        self._batched = ctx.options.batched
 
     def open(self) -> None:
         self.producer.open()
@@ -73,167 +67,18 @@ class XStep(Operator):
         return not p.is_border or p.resumed
 
     def _produce(self) -> Iterator[PathInstance]:
-        if self._batched:
-            return self._produce_batched()
-        return self._produce_scalar()
-
-    def _produce_scalar(self) -> Iterator[PathInstance]:
         for p in self.producer:
             if not self._applicable(p):
                 yield p
                 continue
             if self.ctx.fallback:
-                yield from self._extend_full(p)
+                yield from extend_full(self.ctx, self.step, self.step_index, p)
             else:
                 yield from self._extend_intra(p)
 
-    def _produce_batched(self) -> Iterator[PathInstance]:
-        """Batch-at-a-time pipeline over the pinned page's columnar view.
-
-        Candidate discovery charges nothing (pure page reads, and the
-        page stays pinned for the whole extension), so the full candidate
-        array of each (instance, step) extension is computed eagerly from
-        the :class:`~repro.storage.colview.ColumnView` and node-tested
-        with one ``match_batch`` call.  The simulated charges are then
-        replayed candidate-for-candidate in the flat emit loop below, in
-        exactly the order :meth:`_extend_intra` fires them.  Clock values
-        accumulate in locals and stats/tracer increments in integer
-        deltas; both flush *before every yield* and at batch end, and the
-        clock locals reload after each yield (the consumer advances the
-        clock between pulls).  Charges between two consecutive yields are
-        atomic with respect to the consumer in both kernels, so the
-        observable timeline — results, ``Stats``, simulated time — is
-        bit-identical, without the per-candidate generator traffic,
-        method calls and record-object access of the scalar path.
-        """
-        ctx = self.ctx
-        step = self.step
-        axis = step.axis
-        test = step.test
-        match_batch = step.match_batch
-        step_index = self.step_index
-        prev_index = step_index - 1
-        clock = ctx.clock
-        stats = ctx.stats
-        tracer = ctx.tracer
-        cost_hop = ctx._cost_hop
-        cost_test = ctx._cost_test
-        cost_instance = ctx._cost_instance
-        for p in self.producer:
-            if p.s_r != prev_index or (p.is_border and not p.resumed):
-                yield p
-                continue
-            if ctx.fallback:
-                yield from self._extend_full(p)
-                continue
-            page = self._pinned_page(p)
-            view = page._colview
-            if view is None:
-                view = page.colview()
-            upfront, free_head, cands, flags = view.extension_batch(
-                test, match_batch, p.slot, axis, p.resumed
-            )
-            kinds = view.kinds
-            page_no = page.page_no
-            s_l = p.s_l
-            n_l = p.n_l
-            left_open = p.left_open
-            if tracer is not None and cands:
-                tracer.event(
-                    clock.now,
-                    "op",
-                    "xstep-batch",
-                    page=page_no,
-                    args={"step": step_index, "batch_size": len(cands)},
-                )
-            now = clock.now
-            cpu = clock.cpu_time
-            d_hops = d_tests = 0
-            if upfront:
-                now += cost_hop
-                cpu += cost_hop
-                d_hops = upfront
-            for i, slot in enumerate(cands):
-                if i >= free_head:
-                    now += cost_hop
-                    cpu += cost_hop
-                    d_hops += 1
-                if kinds[slot] < 0:
-                    now += cost_instance
-                    cpu += cost_instance
-                    clock.now = now
-                    clock.cpu_time = cpu
-                    stats.intra_hops += d_hops
-                    stats.node_tests += d_tests
-                    stats.border_crossings_deferred += 1
-                    stats.instances_created += 1
-                    if tracer is not None:
-                        if d_hops:
-                            tracer.count("intra_hops", d_hops)
-                        if d_tests:
-                            tracer.count("node_tests", d_tests)
-                        tracer.count("border_crossings_deferred")
-                        tracer.count("instances_created")
-                    d_hops = d_tests = 0
-                    yield PathInstance(
-                        s_l=s_l,
-                        n_l=n_l,
-                        left_open=left_open,
-                        s_r=prev_index,
-                        slot=slot,
-                        is_border=True,
-                        page_no=page_no,
-                    )
-                    now = clock.now
-                    cpu = clock.cpu_time
-                elif flags[i]:
-                    now += cost_test
-                    cpu += cost_test
-                    d_tests += 1
-                    now += cost_instance
-                    cpu += cost_instance
-                    clock.now = now
-                    clock.cpu_time = cpu
-                    stats.intra_hops += d_hops
-                    stats.node_tests += d_tests
-                    stats.instances_created += 1
-                    if tracer is not None:
-                        if d_hops:
-                            tracer.count("intra_hops", d_hops)
-                        tracer.count("node_tests", d_tests)
-                        tracer.count("instances_created")
-                    d_hops = d_tests = 0
-                    yield PathInstance(
-                        s_l=s_l,
-                        n_l=n_l,
-                        left_open=left_open,
-                        s_r=step_index,
-                        slot=slot,
-                        is_border=False,
-                        page_no=page_no,
-                    )
-                    now = clock.now
-                    cpu = clock.cpu_time
-                else:
-                    now += cost_test
-                    cpu += cost_test
-                    d_tests += 1
-            clock.now = now
-            clock.cpu_time = cpu
-            # only hop/test deltas can be pending here: instance charges
-            # always flush at their yield
-            if d_hops:
-                stats.intra_hops += d_hops
-                if tracer is not None:
-                    tracer.count("intra_hops", d_hops)
-            if d_tests:
-                stats.node_tests += d_tests
-                if tracer is not None:
-                    tracer.count("node_tests", d_tests)
-
     def _extend_intra(self, p: PathInstance) -> Iterator[PathInstance]:
         ctx = self.ctx
-        page = self._pinned_page(p)
+        page = pinned_page(ctx, self.step_index, p)
         if p.resumed:
             nav = iter_resume(page, p.slot, self.step.axis, ctx.charge_hop)
         else:
@@ -292,33 +137,36 @@ class XStep(Operator):
                         page_no=page_no,
                     )
 
-    def _extend_full(self, p: PathInstance) -> Iterator[PathInstance]:
-        """Fallback: unrestricted navigation, as an Unnest-Map would do."""
-        ctx = self.ctx
-        assert p.page_no is not None
-        test = self.step.match
-        for page_no, slot in full_axis(ctx, p.page_no, p.slot, self.step.axis, resumed=p.resumed):
-            record = ctx.segment.page(page_no).record(slot)
-            ctx.charge_test()
-            if test(int(record.kind), record.tag):
-                ctx.charge_instance()
-                yield PathInstance(
-                    s_l=p.s_l,
-                    n_l=p.n_l,
-                    left_open=p.left_open,
-                    s_r=self.step_index,
-                    slot=slot,
-                    is_border=False,
-                    page_no=page_no,
-                )
 
-    def _pinned_page(self, p: PathInstance):
-        """The current cluster's page; instances in flight must live on it."""
-        frame = self.ctx.current_frame
-        if frame is None or (p.page_no is not None and p.page_no != frame.page.page_no):
-            raise PlanError(
-                f"XStep {self.step_index}: instance references page {p.page_no}, "
-                f"current cluster is "
-                f"{frame.page.page_no if frame else None}"
+def pinned_page(ctx: EvalContext, step_index: int, p: PathInstance):
+    """The current cluster's page; instances in flight must live on it."""
+    frame = ctx.current_frame
+    if frame is None or (p.page_no is not None and p.page_no != frame.page.page_no):
+        raise PlanError(
+            f"XStep {step_index}: instance references page {p.page_no}, "
+            f"current cluster is "
+            f"{frame.page.page_no if frame else None}"
+        )
+    return frame.page
+
+
+def extend_full(
+    ctx: EvalContext, step: CompiledStep, step_index: int, p: PathInstance
+) -> Iterator[PathInstance]:
+    """Fallback: unrestricted navigation, as an Unnest-Map would do."""
+    assert p.page_no is not None
+    test = step.match
+    for page_no, slot in full_axis(ctx, p.page_no, p.slot, step.axis, resumed=p.resumed):
+        record = ctx.segment.page(page_no).record(slot)
+        ctx.charge_test()
+        if test(int(record.kind), record.tag):
+            ctx.charge_instance()
+            yield PathInstance(
+                s_l=p.s_l,
+                n_l=p.n_l,
+                left_open=p.left_open,
+                s_r=step_index,
+                slot=slot,
+                is_border=False,
+                page_no=page_no,
             )
-        return frame.page

@@ -2,8 +2,8 @@
 
 Per-tuple and per-page objects (path instances, records, frames, disk
 requests) are allocated millions of times per query; ``__slots__`` cuts
-both their footprint and attribute-access cost, which the perf-smoke
-baseline depends on.  The rule demands an explicit ``__slots__`` (or
+both their footprint and attribute-access cost, which the perf
+ledger's host metrics depend on.  The rule demands an explicit ``__slots__`` (or
 ``@dataclass(slots=True)``) on every class in the configured hot
 modules, and rejects class attributes that would shadow a declared slot
 (a latent ``ValueError`` at class-creation time).

@@ -142,8 +142,9 @@ class Tracer:
         heat = self.cluster_reads
         heat[page] = heat.get(page, 0) + 1
 
-    def op_call(self, name: str, produced: bool) -> None:
-        """One ``next()`` crossing of operator class ``name``."""
+    def op_call(self, name: str, produced: int, calls: int = 1) -> None:
+        """``calls`` ``next()`` crossings of operator class ``name``,
+        ``produced`` of them returning an instance."""
         ops = self.operators.get(name)
         if ops is None:
             ops = self.operators[name] = {
@@ -152,9 +153,8 @@ class Tracer:
                 "out": 0,
                 "busy": 0.0,
             }
-        ops["calls"] += 1
-        if produced:
-            ops["out"] += 1
+        ops["calls"] += calls
+        ops["out"] += produced
 
     def op_span(self, name: str, t0: float, t1: float, out: int) -> None:
         """One open→close lifetime of an operator instance."""

@@ -150,28 +150,43 @@ class ColumnView:
 
     # ------------------------------------------------------ extension batch
 
-    def extension_batch(self, test, match_batch, slot: int, axis: Axis, resumed: bool):
-        """One whole step extension, memoized: ``(upfront_hops, free_head,
-        candidate slots, match flags)``.
+    def extension(self, match_batch, slot: int, axis: Axis, resumed: bool):
+        """One whole step extension: ``(upfront_hops, free_head, candidate
+        slots, match flags)``.
 
-        ``test`` (a hashable :class:`~repro.algebra.steps.CompiledNodeTest`)
-        keys the cache so different steps sharing a view never cross;
-        ``match_batch`` is its compiled batch closure, only invoked on a
-        miss.  Both discovery and node-testing are charge-free, so the
-        cache cannot perturb simulated timings — the kernels replay
+        ``match_batch`` is the step's compiled batch closure.  Both
+        discovery and node-testing are charge-free, so memoizing the
+        result cannot perturb simulated timings — the kernels replay
         hop/test charges from the shape regardless.  The returned lists
         are shared — do not mutate.
         """
+        if resumed:
+            upfront, free_head, cands = self.resume_candidates(slot, axis)
+        else:
+            upfront, free_head, cands = self.axis_candidates(slot, axis)
+        return upfront, free_head, cands, match_batch(self.kinds, self.tags, cands)
+
+    def extension_batch(self, test, match_batch, slot: int, axis: Axis, resumed: bool):
+        """:meth:`extension`, memoized by value: ``test`` (a hashable
+        :class:`~repro.algebra.steps.CompiledNodeTest`) keys the cache so
+        different steps sharing a view never cross."""
         key = (test, slot, axis, resumed)
         cached = self._flag_cache.get(key)
         if cached is None:
-            if resumed:
-                upfront, free_head, cands = self.resume_candidates(slot, axis)
-            else:
-                upfront, free_head, cands = self.axis_candidates(slot, axis)
-            flags = match_batch(self.kinds, self.tags, cands)
-            cached = self._flag_cache[key] = (upfront, free_head, cands, flags)
+            cached = self._flag_cache[key] = self.extension(match_batch, slot, axis, resumed)
         return cached
+
+    def step_memo(self, test, axis: Axis) -> dict:
+        """:meth:`extension`'s memo for one step, filled by the caller under
+        ``slot << 1 | resumed``.  A kernel resolves it once per (cluster,
+        step) and so spares every extension the hash of the frozen
+        ``test`` and of the enum member — and, across compilations, the
+        ``__eq__`` of equal but distinct tests — which cost more than the
+        extension itself."""
+        memo = self._flag_cache.get((test, axis))
+        if memo is None:
+            memo = self._flag_cache[(test, axis)] = {}
+        return memo
 
     # ----------------------------------------------------------- axis batch
 

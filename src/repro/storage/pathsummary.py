@@ -156,10 +156,39 @@ class PathSummary:
 
     def patched(self, fresh: PageRows) -> "PathSummary":
         """A new summary with ``fresh`` page rows replacing (or extending)
-        this one's — the incremental-repair constructor."""
-        pages = dict(self._pages)
-        pages.update(fresh)
-        return PathSummary(pages)
+        this one's — the incremental-repair constructor.  Reads only the
+        old and fresh rows of those pages: the derived tables are copied
+        (one entry per distinct path) and adjusted by the difference.
+        Equal to ``PathSummary(patched rows)``, child-key order aside
+        (every consumer folds child keys into sets and integer sums).
+        """
+        new = PathSummary.__new__(PathSummary)
+        new._pages = pages = dict(self._pages)
+        new._counts = counts = dict(self._counts)
+        new._postings = postings = dict(self._postings)
+        new._children = children = dict(self._children)
+        shrunk: Set[PathKey] = set()
+        for page_no, row in fresh.items():
+            bit = 1 << page_no
+            for key, count in pages.get(page_no, {}).items():
+                counts[key] -= count
+                postings[key] &= ~bit
+                shrunk.add(key)
+            for key, count in row.items():
+                if key not in counts:
+                    counts[key] = postings[key] = 0
+                    children[key[0][:-1]] = children.get(key[0][:-1], []) + [key]
+                counts[key] += count
+                postings[key] |= bit
+            pages[page_no] = row
+        for key in sorted(shrunk):
+            if not counts[key]:
+                del counts[key], postings[key]
+                siblings = [k for k in children.pop(key[0][:-1]) if k != key]
+                if siblings:
+                    children[key[0][:-1]] = siblings
+        new._n_nodes = sum(counts.values())
+        return new
 
     # -- trie accessors ------------------------------------------------
 
@@ -338,7 +367,14 @@ class PathSummary:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PathSummary):
             return NotImplemented
-        return self._pages == other._pages
+        # the derived tables too: `patched` maintains them incrementally,
+        # and equality with a full recollect is what proves it right
+        return (
+            (self._pages, self._counts, self._postings, self._n_nodes)
+            == (other._pages, other._counts, other._postings, other._n_nodes)
+            and {c: sorted(k) for c, k in self._children.items()}
+            == {c: sorted(k) for c, k in other._children.items()}
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -8,14 +8,33 @@ query — ``batched=True`` must return the same results, the same
 ``Stats`` tick-for-tick and the same simulated time as
 ``batched=False``.  A tracer attached to a batched run must still
 reconcile counter-for-counter against ``Stats``.
+
+For cost-sensitive plans ``batched=True`` is the fused path kernel
+(``XAssembly._produce`` over the I/O operator) and ``batched=False`` the
+stacked scalar ``XStep`` chain it replays, so the matrix also pins the
+places where the fusion could drift: memory-limit fallback tripping
+under a stack of live extensions, a budget blowing inside a replayed
+``iterator_call`` crossing, the shared scan re-opening the kernel per
+cluster, and the operator roll-up of a traced run.
 """
 
 import dataclasses
+import traceback
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import PROFILES, Database, EvalOptions, ImportOptions, Tracer
+from repro import (
+    PROFILES,
+    BudgetExceededError,
+    Database,
+    EvalOptions,
+    ExecutionBudget,
+    ImportOptions,
+    Tracer,
+)
+from repro.algebra.xassembly import XAssembly
 from repro.xmark import PAPER_QUERIES, generate_xmark
 from tests.conftest import make_random_tree
 
@@ -85,6 +104,7 @@ def _assert_identical(on, off, context):
     assert _outcome(on) == _outcome(off), context
     assert on.stats.as_dict() == off.stats.as_dict(), context
     assert on.total_time == off.total_time, context
+    assert on.cpu_time == off.cpu_time, context
 
 
 @settings(max_examples=60, deadline=None)
@@ -93,16 +113,21 @@ def _assert_identical(on, off, context):
     fragmentation=st.sampled_from([0.0, 0.7, 1.0]),
     plan=st.sampled_from(PLANS),
     speculative=st.booleans(),
+    memory_limit=st.sampled_from([None, None, 0, 1, 3, 8, 30]),
     path=location_paths(),
 )
-def test_batched_run_is_bit_identical(seed, fragmentation, plan, speculative, path):
+def test_batched_run_is_bit_identical(
+    seed, fragmentation, plan, speculative, memory_limit, path
+):
     store = _store(seed, fragmentation)
     results = {}
     for batched in (True, False):
         db = Database(page_size=512, buffer_pages=48, store=store)
-        options = EvalOptions(speculative=speculative, batched=batched)
+        options = EvalOptions(
+            speculative=speculative, memory_limit=memory_limit, batched=batched
+        )
         results[batched] = db.execute(path, doc="d", plan=plan, options=options)
-    _assert_identical(results[True], results[False], (plan, path))
+    _assert_identical(results[True], results[False], (plan, memory_limit, path))
 
 
 @settings(max_examples=8, deadline=None)
@@ -159,10 +184,126 @@ def test_batched_trace_reconciles_and_does_not_perturb(seed, plan, path):
     vanilla = Database(page_size=512, buffer_pages=48, store=store).execute(
         path, doc="d", plan=plan, options=EvalOptions(batched=True)
     )
+    tracer = Tracer()
     traced = Database(
-        page_size=512, buffer_pages=48, store=store, tracer=Tracer()
+        page_size=512, buffer_pages=48, store=store, tracer=tracer
     ).execute(path, doc="d", plan=plan, options=EvalOptions(batched=True))
     _assert_identical(traced, vanilla, (plan, path))
     assert traced.trace_summary is not None
     mismatches = traced.trace_summary.reconcile(traced.stats)
     assert mismatches == {}, (plan, path, mismatches)
+    # against the traced scalar run: the same counters (no key the other
+    # lacks), and the same crossings per operator — the kernel reports
+    # one XStep call per iterator_call charge it replays, which is what
+    # the scalar chain's XStep.next() calls count
+    scalar = Database(
+        page_size=512, buffer_pages=48, store=store, tracer=Tracer()
+    ).execute(path, doc="d", plan=plan, options=EvalOptions(batched=False))
+    assert traced.trace_summary.counters == scalar.trace_summary.counters
+    crossings = {
+        name: (roll["calls"], roll["out"])
+        for name, roll in traced.trace_summary.operators.items()
+    }
+    assert crossings == {
+        name: (roll["calls"], roll["out"])
+        for name, roll in scalar.trace_summary.operators.items()
+    }, (plan, path)
+    if plan in ("xschedule", "xscan") and traced.stats.node_tests:
+        assert any(e.name == "xstep-batch" for e in tracer.events), (plan, path)
+
+
+# ---------------------------------------------- where the fusion could drift
+
+DEEP_PATH = "/descendant-or-self::node()/child::*/child::*/child::*"
+
+
+@pytest.mark.parametrize("plan,speculative", [("xscan", False), ("xschedule", True)])
+def test_fallback_under_a_stack_of_live_extensions(monkeypatch, plan, speculative):
+    """The memory limit trips while several levels of the kernel hold an
+    extension: those finish intra-cluster, every extension started after
+    the trip navigates the full tree, exactly as in the stacked chain."""
+    live_levels = []
+    enter_fallback = XAssembly._enter_fallback
+
+    def spy(self):
+        # the kernel's suspended levels, plus the one that was running
+        live_levels.append(len(self._iter.gi_frame.f_locals["stack"]) + 1)
+        enter_fallback(self)
+
+    monkeypatch.setattr(XAssembly, "_enter_fallback", spy)
+    store = _store(3, 0.7)
+    deepest = 0
+    for limit in (0, 1, 2, 3, 5, 8, 13):
+        results = {}
+        for batched in (True, False):
+            live_levels.clear()
+            db = Database(page_size=512, buffer_pages=48, store=store)
+            options = EvalOptions(
+                memory_limit=limit, speculative=speculative, batched=batched
+            )
+            results[batched] = db.execute(DEEP_PATH, doc="d", plan=plan, options=options)
+            if batched:
+                deepest = max(deepest, *live_levels)
+        assert results[True].stats.fallbacks == 1
+        _assert_identical(results[True], results[False], (plan, limit))
+    assert deepest >= 2, "no trip happened under a stack of live extensions"
+
+
+@pytest.mark.parametrize("plan", ["xscan", "xschedule"])
+def test_budget_blows_inside_a_replayed_crossing(plan):
+    """Sweep ``max_seconds`` across the run: wherever the clock crosses
+    the limit — including between two of the iterator_call charges the
+    kernel replays for idle levels — both datapaths stop at the same
+    simulated instant with the same partial result."""
+    store = _store(3, 0.7)
+
+    def run(batched, budget):
+        db = Database(page_size=512, buffer_pages=48, store=store)
+        options = EvalOptions(speculative=True, batched=batched, budget=budget)
+        return db.execute(DEEP_PATH, doc="d", plan=plan, options=options)
+
+    # most of the run is ordering the result, past the last budget
+    # check: sweep the head, where the plan itself runs
+    total = run(True, None).total_time
+    in_replayed_crossing = 0
+    for i in range(1, 60):
+        limit = total * i / 400
+        cut = {
+            batched: run(batched, ExecutionBudget(max_seconds=limit, on_exceeded="partial"))
+            for batched in (True, False)
+        }
+        _assert_identical(cut[True], cut[False], (plan, limit))
+        assert cut[True].partial == cut[False].partial
+        if not cut[True].partial:
+            continue
+        errors = {}
+        for batched in (True, False):
+            with pytest.raises(BudgetExceededError) as err:
+                run(batched, ExecutionBudget(max_seconds=limit))
+            errors[batched] = err
+        assert errors[True].value.spent == errors[False].value.spent
+        frames = [f.name for f in traceback.extract_tb(errors[True].tb)]
+        # raised by a charge the kernel itself replayed, not by the
+        # consumer's or the I/O operator's own next()
+        in_replayed_crossing += frames[-4:-2] == ["_produce", "charge_call"]
+    assert in_replayed_crossing, "no limit fell inside a replayed crossing"
+
+
+def test_shared_scan_reopens_one_kernel_per_cluster():
+    """Two paths of different length over one physical pass: each path's
+    kernel is re-opened for every cluster while its R and S carry over
+    (losing them would lose every result that crosses a border)."""
+    store = _store(3, 0.7)
+    query = "count(//a/b)+count(//b//c/*/a)"
+    results = {}
+    for batched in (True, False):
+        db = Database(page_size=512, buffer_pages=48, store=store)
+        results[batched] = db.execute(
+            query, doc="d", plan="xscan-shared", options=EvalOptions(batched=batched)
+        )
+    _assert_identical(results[True], results[False], query)
+    separate = Database(page_size=512, buffer_pages=48, store=store).execute(
+        query, doc="d", plan="xscan"
+    )
+    assert results[True].value == separate.value
+    assert results[True].stats.merges > 0

@@ -109,6 +109,38 @@ def test_repair_after_updates_equals_full_recollect(tmp_path):
     assert doc.pathsummary == PathSummary.collect(db.store.segment, doc.page_nos)
 
 
+def test_patched_adjusts_derived_tables_like_a_rebuild():
+    """``patched`` never re-reads untouched pages, so its counts,
+    postings and trie must come out as the constructor's over the
+    patched rows — for paths that vanish, appear, move between pages and
+    vanish-then-reappear within one patch.  ``==`` covers all of them."""
+    db, _ = small_database(seed=5)
+    summary = db.document("d").pathsummary
+    rows = summary.page_rows()
+    first, second, third = sorted(rows)[:3]
+    new_key = ((0, 9_999), int(Kind.ELEMENT))
+    only_on_first = next(k for k in rows[first] if summary.postings(k) == 1 << first)
+    fresh = {
+        first: {k: c for k, c in rows[first].items() if k != only_on_first},
+        second: {**rows[second], only_on_first: 2, new_key: 1},
+        third: {},
+        max(rows) + 1: {new_key: 4},
+    }
+    patched = summary.patched(fresh)
+    rebuilt = PathSummary({**rows, **fresh})
+    assert patched == rebuilt
+    assert patched.count(new_key) == 5
+    assert patched.postings(only_on_first) == 1 << second
+    assert new_key in patched.child_keys((0,))
+    assert patched.n_nodes == rebuilt.n_nodes
+    # the base summary is a value: patching must not have touched it
+    assert summary == PathSummary(rows)
+    # and patching back restores it, dropping the paths that died again
+    restored = patched.patched({**{p: rows[p] for p in (first, second, third)}, max(rows) + 1: {}})
+    assert restored.count(new_key) == 0 and new_key not in restored.child_keys((0,))
+    assert restored.page_rows() == {**rows, max(rows) + 1: {}}
+
+
 def test_repair_from_none_recollects_everything():
     db, _ = small_database(seed=2)
     doc = db.document("d")
