@@ -35,6 +35,7 @@ from repro.exec import (
 from repro.obs import TraceEvent, TraceSummary, Tracer, format_metrics
 from repro.errors import (
     BudgetExceededError,
+    ClockHorizonError,
     DiskProgressError,
     IOError_,
     PageReadError,
@@ -127,5 +128,6 @@ __all__ = [
     "RequestLostError",
     "DiskProgressError",
     "BudgetExceededError",
+    "ClockHorizonError",
     "__version__",
 ]

@@ -160,11 +160,12 @@ class EvalOptions:
         cost-sensitive plans run the whole XStep chain and XAssembly's
         intake as one kernel per path (``XAssembly._produce``), which
         discovers each extension's candidate array charge-free, tests it
-        with one vectorised ``match_batch`` and replays the scalar
-        chain's charge sequence; XScan/XSchedule/shared scans enumerate
+        with one vectorised ``match_batch`` and charges what the scalar
+        chain would, a run of candidates at a time; XScan/XSchedule/shared scans enumerate
         speculative entry borders from the view's precomputed lists.
         Pure CPU-dispatch optimisation: results, ``Stats`` and simulated
-        timings are bit-identical with the flag off (CLI
+        timings are equal (``==``; time is on a grid, sums are exact)
+        with the flag off (CLI
         ``--no-batched``), which falls back to one-record-at-a-time
         navigation over record objects, one XStep generator per step.
     calibration:

@@ -5,13 +5,14 @@ extends them by one step using *full-tree* navigation — every border
 crossing pays a swizzle and, on a miss, synchronous I/O immediately.
 This is the baseline the cost-sensitive plans are measured against.
 
-Like :class:`~repro.algebra.xstep.XStep`, the operator carries two
-kernels selected once by ``EvalOptions.batched``: the scalar kernel
-drives :func:`~repro.algebra.fullnav.full_axis` one record at a time;
-the batched kernel replays the identical traversal — same candidate
-orders, same hop/test charges, same buffer fix/unfix sequence and
-therefore the same simulated I/O timeline — over per-page
-:class:`~repro.storage.colview.ColumnView` candidate arrays.  Steps with
+The operator carries two kernels selected once by
+``EvalOptions.batched``: the scalar kernel drives
+:func:`~repro.algebra.fullnav.full_axis` one record at a time; the
+batched kernel makes the identical traversal — same matches and border
+crossings in the same order, same hop/test charges, same buffer
+fix/unfix sequence and therefore the same simulated I/O timeline — over
+per-page :class:`~repro.storage.colview.ColumnView` extensions, stopping
+only at their events.  Steps with
 predicates always take the scalar kernel (predicate evaluation is
 recursive full-tree navigation).
 """
@@ -87,22 +88,23 @@ class UnnestMap(Operator):
                 )
 
     def _produce_batched(self) -> Iterator[PathInstance]:
-        """Full-tree traversal over columnar candidate batches.
+        """Full-tree traversal over columnar, event-indexed extensions.
 
-        Replays :func:`~repro.algebra.fullnav.full_axis` exactly: an
-        explicit stack of per-page candidate streams, each stream a
-        memoized :class:`~repro.storage.colview.ColumnView` batch with
-        its charge shape, node tests precomputed by one ``match_batch``
-        call per stream.  A border candidate crosses eagerly — the
-        stream's position is saved, the buffer unfixes/fixes exactly as
-        the scalar walk does, and a resume stream is pushed.
+        Charges what :func:`~repro.algebra.fullnav.full_axis` would
+        without visiting every candidate: the current page's extension
+        (a memoized :meth:`ColumnView.extension_batch
+        <repro.storage.colview.ColumnView.extension_batch>`) is walked
+        event by event, the hops and node tests of the candidates skipped
+        since the previous event charged in one multiply.  A match is
+        yielded; a border crosses eagerly — the stream is suspended on
+        ``stack``, the buffer unfixes/fixes exactly as the scalar walk
+        does, and the target's resume extension becomes the stream.
 
-        Clock values accumulate in locals and stats/tracer counters in
-        integer deltas, flushed before every yield and before every
-        buffer call (``fix``/``unfix`` advance the clock and stamp tracer
-        events with it), then reloaded; the per-charge float additions
-        happen in scalar order, so results, ``Stats`` and simulated time
-        are bit-identical to :meth:`_produce_scalar`.
+        Charges collect in ``pending`` and counters in integer deltas,
+        put on the books before every yield and before every buffer call
+        (``fix``/``unfix`` advance the clock and stamp tracer events with
+        it).  Time is on a grid, so the sums are exact: results,
+        ``Stats`` and simulated time equal :meth:`_produce_scalar`'s.
         """
         ctx = self.ctx
         step = self.step
@@ -121,133 +123,84 @@ class UnnestMap(Operator):
             assert p.page_no is not None and not p.is_border
             s_l = p.s_l
             n_l = p.n_l
-            frame = buffer.fix(p.page_no)
+            page_no = p.page_no
+            frame = buffer.fix(page_no)
             try:
                 page = frame.page
-                view = page._colview
-                if view is None:
-                    view = page.colview()
-                upfront, free_head, cands, flags = view.extension_batch(
+                upfront, size, ev_slots, ev_hops, ev_tests, tail = page.colview().extension_batch(
                     test, match_batch, p.slot, axis, False
                 )
-                if tracer is not None and cands:
+                if tracer is not None and size:
                     tracer.event(
                         clock.now,
                         "op",
                         "unnest-batch",
-                        page=p.page_no,
-                        args={"step": step_index, "batch_size": len(cands)},
+                        page=page_no,
+                        args={"step": step_index, "batch_size": size},
                     )
-                # stream: [page_no, page, view, cands, flags, index, end,
-                #          free_head, upfront_pending]
-                stack = [
-                    [p.page_no, page, view, cands, flags, 0, len(cands), free_head, upfront]
-                ]
-                now = clock.now
-                cpu = clock.cpu_time
-                d_hops = d_tests = 0
-                while stack:
-                    top = stack[-1]
-                    page_no = top[0]
-                    page = top[1]
-                    view = top[2]
-                    cands = top[3]
-                    flags = top[4]
-                    index = top[5]
-                    end = top[6]
-                    free_head = top[7]
-                    if top[8]:
-                        # the stream's upfront hops fire on its first
-                        # advance, before any candidate (and even when
-                        # the stream is empty)
-                        now += cost_hop
-                        cpu += cost_hop
-                        d_hops += top[8]
-                        top[8] = 0
-                    kinds = view.kinds
-                    crossed = False
-                    while index < end:
-                        slot = cands[index]
-                        if index >= free_head:
-                            now += cost_hop
-                            cpu += cost_hop
-                            d_hops += 1
-                        index += 1
-                        if kinds[slot] < 0:
+                it = zip(ev_slots, ev_hops, ev_tests)
+                stack = []  # suspended streams: (page_no, it, tail)
+                pending = upfront * cost_hop
+                d_hops = upfront
+                d_tests = 0
+                while True:
+                    for slot, hops, tests in it:
+                        pending += hops * cost_hop + tests * cost_test
+                        d_hops += hops
+                        d_tests += tests
+                        if slot < 0:
                             # border: cross eagerly, exactly as full_axis
-                            top[5] = index
-                            target = page.records[slot].target()
-                            target_page = page_of(target)
-                            clock.now = now
-                            clock.cpu_time = cpu
+                            target = page.records[~slot].target()
+                            stack.append((page_no, it, tail))
+                            page_no = page_of(target)
+                            clock.work(pending)
                             buffer.unfix(frame)
-                            frame = buffer.fix(target_page)
-                            now = clock.now
-                            cpu = clock.cpu_time
+                            frame = buffer.fix(page_no)
                             page = frame.page
-                            view = page._colview
-                            if view is None:
-                                view = page.colview()
-                            r_up, r_free, r_cands, r_flags = view.extension_batch(
-                                test, match_batch, slot_of(target), axis, True
+                            upfront, _, ev_slots, ev_hops, ev_tests, tail = (
+                                page.colview().extension_batch(
+                                    test, match_batch, slot_of(target), axis, True
+                                )
                             )
-                            stack.append(
-                                [
-                                    target_page,
-                                    page,
-                                    view,
-                                    r_cands,
-                                    r_flags,
-                                    0,
-                                    len(r_cands),
-                                    r_free,
-                                    r_up,
-                                ]
-                            )
-                            crossed = True
+                            it = zip(ev_slots, ev_hops, ev_tests)
+                            pending = upfront * cost_hop
+                            d_hops += upfront
                             break
-                        now += cost_test
-                        cpu += cost_test
-                        d_tests += 1
-                        if flags[index - 1]:
-                            now += cost_instance
-                            cpu += cost_instance
-                            clock.now = now
-                            clock.cpu_time = cpu
-                            stats.intra_hops += d_hops
-                            stats.node_tests += d_tests
-                            stats.instances_created += 1
-                            if tracer is not None:
-                                if d_hops:
-                                    tracer.count("intra_hops", d_hops)
-                                tracer.count("node_tests", d_tests)
-                                tracer.count("instances_created")
-                            d_hops = d_tests = 0
-                            yield PathInstance(
-                                s_l=s_l,
-                                n_l=n_l,
-                                left_open=False,
-                                s_r=step_index,
-                                slot=slot,
-                                is_border=False,
-                                page_no=page_no,
-                            )
-                            now = clock.now
-                            cpu = clock.cpu_time
-                    if crossed:
-                        continue
-                    # stream exhausted: pop back to the previous page
-                    stack.pop()
-                    clock.now = now
-                    clock.cpu_time = cpu
-                    buffer.unfix(frame)
-                    frame = None
-                    if stack:
-                        frame = buffer.fix(stack[-1][0])
-                    now = clock.now
-                    cpu = clock.cpu_time
-                clock.now = now
-                clock.cpu_time = cpu
+                        clock.work(pending + cost_instance)
+                        pending = 0.0
+                        stats.intra_hops += d_hops
+                        stats.node_tests += d_tests
+                        stats.instances_created += 1
+                        if tracer is not None:
+                            if d_hops:
+                                tracer.count("intra_hops", d_hops)
+                            tracer.count("node_tests", d_tests)
+                            tracer.count("instances_created")
+                        d_hops = d_tests = 0
+                        yield PathInstance(
+                            s_l=s_l,
+                            n_l=n_l,
+                            left_open=False,
+                            s_r=step_index,
+                            slot=slot,
+                            is_border=False,
+                            page_no=page_no,
+                        )
+                    else:
+                        # stream spent: charge what follows its last
+                        # event, pop back to the previous page
+                        hops, tests = tail
+                        clock.work(pending + hops * cost_hop + tests * cost_test)
+                        pending = 0.0
+                        d_hops += hops
+                        d_tests += tests
+                        buffer.unfix(frame)
+                        frame = None
+                        if not stack:
+                            break
+                        page_no, it, tail = stack.pop()
+                        frame = buffer.fix(page_no)
+                        page = frame.page
                 # only hop/test deltas can be pending here: instance
                 # charges always flush at their yield
                 if d_hops:

@@ -134,16 +134,20 @@ class XAssembly(Operator):
 
         One generator runs every step over the pinned page's
         :class:`~repro.storage.colview.ColumnView` and files what reaches
-        the top into R/S.  It replays the stacked chain (a scalar
-        :class:`XStep` per step, each pulled through ``Operator.next``)
-        charge for charge: ``top`` is the highest step holding an
-        extension, the suspended ones below it sit on ``stack``, and a
-        pull first adds the ``iterator_call`` of every level it would
-        have crossed.  The clock lives in float locals (same additions,
-        same order), written back before anything else can read or
-        advance it; counter deltas are posted before every yield and on
-        exit.  Flush points and charge order: docs/algebra.md.  With no
-        ``steps`` (a scalar chain below) only the intake runs.
+        the top into R/S.  It charges what the stacked chain would (a
+        scalar :class:`XStep` per step, each pulled through
+        ``Operator.next``) without visiting every candidate: an
+        extension is walked event by event — a match or a border, with
+        the hops and node tests of the candidates skipped since the
+        previous one charged in one multiply — and a pull first adds the
+        ``iterator_call`` of every level it would have crossed.  ``top``
+        is the highest step holding an extension, the suspended ones
+        below it sit on ``stack``.  Charges collect in ``pending`` (time
+        is on a grid, so the sum is exact in any order) and go onto the
+        clock before anything else can read or advance it; counter deltas
+        are posted before every yield and on exit.  Flush points:
+        docs/algebra.md.  With no ``steps`` (a scalar chain below) only
+        the intake runs.
         """
         ctx = self.ctx
         steps = self.steps
@@ -164,19 +168,18 @@ class XAssembly(Operator):
         source = iter(self.producer)  # charges its own crossing per pull
         stack: list = []
         top = 0
-        it = flags = page = p = None
-        free_head = 0
+        it = tail = page = p = None
         starting = False
         d_hops = d_tests = d_instances = d_deferred = d_calls = d_out = 0
-        t0 = now = clock.now
-        cpu = clock.cpu_time
+        t0 = clock.now
+        pending = 0.0  # CPU seconds charged here, not yet on the clock
         try:
             while True:
                 result = None
                 if ready:
-                    clock.now, clock.cpu_time = now, cpu
+                    clock.work(pending)
+                    pending = 0.0
                     result = self._activate(ready.popleft())
-                    now, cpu = clock.now, clock.cpu_time
                 else:
                     # the pull crosses levels n..top: the idle ones and the one it resumes
                     calls = n - top + 1 if top else n
@@ -184,21 +187,19 @@ class XAssembly(Operator):
                         if calls:
                             d_calls += calls
                             if ctx._budget is None:
-                                for _ in range(calls):
-                                    now += cost_call
-                                    cpu += cost_call
+                                pending += calls * cost_call
                             else:  # checked after every single crossing
-                                clock.now, clock.cpu_time = now, cpu
+                                clock.work(pending)
+                                pending = 0.0
                                 for _ in range(calls):
                                     ctx.charge_call()
-                                now, cpu = clock.now, clock.cpu_time
                             calls = 0
                         if top == 0:
-                            clock.now, clock.cpu_time = now, cpu
+                            clock.work(pending)
+                            pending = 0.0
                             p = next(source, None)
                             if p is None:
                                 return
-                            now, cpu = clock.now, clock.cpu_time
                             s_l = p.s_l
                             n_l = p.n_l
                             left_open = p.left_open
@@ -233,13 +234,12 @@ class XAssembly(Operator):
                                         s_l, n_l, left_open, top - 1, slot, False, page_no=page_no
                                     )
                                 it = extend_full(ctx, step, top, p)
-                                flags = None
+                                tail = None
                             else:
                                 if p is not None and pinned_page(ctx, top, p) is not page:
                                     # fresh from the I/O operator, on a new cluster
                                     page = ctx.current_frame.page
                                     view = page.colview()
-                                    kinds = view.kinds
                                     records = page.records
                                     page_no = page.page_no
                                     page_base = page_no << SLOT_BITS
@@ -252,26 +252,26 @@ class XAssembly(Operator):
                                     batch = memo[slot << 1 | resumed] = view.extension(
                                         step.match_batch, slot, step.axis, resumed
                                     )
-                                upfront, free_head, cands, flags = batch
-                                if tracer is not None and cands:
-                                    span = {"step": top, "batch_size": len(cands)}
-                                    tracer.event(now, "op", "xstep-batch", page=page_no, args=span)
-                                if upfront:
-                                    now += cost_hop
-                                    cpu += cost_hop
-                                    d_hops += upfront
-                                it = enumerate(cands)
+                                upfront, size, ev_slots, ev_hops, ev_tests, tail = batch
+                                if tracer is not None and size:
+                                    span = {"step": top, "batch_size": size}
+                                    tracer.event(
+                                        clock.now + pending, "op", "xstep-batch", page=page_no, args=span
+                                    )
+                                pending += upfront * cost_hop
+                                d_hops += upfront
+                                it = zip(ev_slots, ev_hops, ev_tests)
                             p = None
-                        if flags is None:
+                        if tail is None:
                             # a fallback level (Sec. 5.4.6): scalar full
                             # navigation, charging the clock itself
-                            clock.now, clock.cpu_time = now, cpu
+                            clock.work(pending)
+                            pending = 0.0
                             p = next(it, None)
-                            now, cpu = clock.now, clock.cpu_time
                             if p is not None:
                                 d_out += 1
                                 if top < n:
-                                    stack.append((it, flags, free_head))
+                                    stack.append((it, tail))
                                     top += 1
                                     starting = True
                                     continue
@@ -281,48 +281,46 @@ class XAssembly(Operator):
                                 p = None
                                 break
                             it = ()  # spent: pop below
-                        for i, slot in it:
-                            if i >= free_head:
-                                now += cost_hop
-                                cpu += cost_hop
-                                d_hops += 1
-                            if kinds[slot] < 0:
+                            tail = (0, 0)
+                        for slot, hops, tests in it:
+                            # the next event of level `top`, and every
+                            # candidate skipped on the way to it
+                            pending += hops * cost_hop + tests * cost_test + cost_instance
+                            d_hops += hops
+                            d_tests += tests
+                            d_instances += 1
+                            if slot < 0:
                                 # a border pauses the instance here: the
                                 # levels above hand it up as it is
-                                now += cost_instance
-                                cpu += cost_instance
                                 d_deferred += 1
-                                d_instances += 1
                                 d_out += n - top + 1
                                 s_r = top - 1
-                                right = records[slot].target()
+                                right = records[~slot].target()
                                 paused = True
-                                break
-                            now += cost_test
-                            cpu += cost_test
-                            d_tests += 1
-                            if flags[i]:
-                                now += cost_instance
-                                cpu += cost_instance
-                                d_instances += 1
+                            elif top == n:
                                 d_out += 1
-                                if top == n:
-                                    s_r = n
-                                    right = page_base | slot
-                                    paused = False
-                                    break
+                                s_r = n
+                                right = page_base | slot
+                                paused = False
+                            else:
                                 # the next level extends the match in
                                 # place: no instance object, no crossing
-                                stack.append((it, flags, free_head))
+                                d_out += 1
+                                stack.append((it, tail))
                                 top += 1
                                 resumed = False
                                 starting = True
-                                break
+                            break
                         else:
-                            # level `top` is spent: the pull goes on to the level
-                            # below, or through every idle one to the I/O operator
+                            # level `top` is spent: what follows its last event is
+                            # charged, and the pull goes on to the level below, or
+                            # through every idle one to the I/O operator
+                            hops, tests = tail
+                            pending += hops * cost_hop + tests * cost_test
+                            d_hops += hops
+                            d_tests += tests
                             if stack:
-                                it, flags, free_head = stack.pop()
+                                it, tail = stack.pop()
                                 top -= 1
                                 calls = 1
                             else:
@@ -333,25 +331,23 @@ class XAssembly(Operator):
                             break
                     # intake (Sec. 5.4.5): an instance ending at (s_r, right) reached the top
                     if not left_open:
-                        clock.now, clock.cpu_time = now, cpu
+                        clock.work(pending)
+                        pending = 0.0
                         if paused:
                             self._prove(s_r, right, origin=(s_l, n_l))
                         else:
                             result = self._final(right)
-                        now, cpu = clock.now, clock.cpu_time
                     elif not ctx.fallback:  # (whose re-evaluation covers all speculation)
-                        now += cost_set
-                        cpu += cost_set
+                        pending += cost_set
                         if implied or left_key in r:
                             stats.merges += 1
                             if tracer is not None:
                                 tracer.count("merges")
-                            clock.now, clock.cpu_time = now, cpu
+                            clock.work(pending)
+                            pending = 0.0
                             result = self._activate((s_r, right, paused))
-                            now, cpu = clock.now, clock.cpu_time
                         else:
-                            now += cost_set
-                            cpu += cost_set
+                            pending += cost_set
                             parked = s.get(left_key)
                             if parked is None:
                                 s[left_key] = [(s_r, right, paused)]
@@ -359,15 +355,15 @@ class XAssembly(Operator):
                                 parked.append((s_r, right, paused))
                             self._s_size += 1
                             if limit is not None and self._s_size > limit:
-                                clock.now, clock.cpu_time = now, cpu
+                                clock.work(pending)
+                                pending = 0.0
                                 self._enter_fallback()
-                                now, cpu = clock.now, clock.cpu_time
                 if result is not None:
-                    clock.now, clock.cpu_time = now, cpu
+                    clock.work(pending)
+                    pending = 0.0
                     self._post(d_hops, d_tests, d_instances, d_deferred)
                     d_hops = d_tests = d_instances = d_deferred = 0
                     yield self._result_instance(result)
-                    now, cpu = clock.now, clock.cpu_time
         finally:
             self._post(d_hops, d_tests, d_instances, d_deferred)
             if tracer is not None and n:

@@ -11,10 +11,11 @@ mirroring (or mirrors a different amount, or charges twice through a
 layered call — the PR 3 bug class) makes the books disagree at the very
 next yield, which pins the divergence to within one operator call.
 
-The clock is checked against its own internal invariant: ``now`` is
-monotone and always equals ``cpu_time + io_wait`` (the paper's
-``total = CPU + I/O wait`` identity), compared with :func:`math.isclose`
-because the buckets are float sums accumulated in different orders.
+The clock is checked against its own internal invariants: ``now`` is
+monotone, is a whole number of ticks (:data:`~repro.sim.clock.TICK`), and
+equals ``cpu_time + io_wait`` (the paper's ``total = CPU + I/O wait``
+identity) with ``==`` — sums of on-grid durations are exact, so the
+first duration created off the grid shows up here.
 
 When the environment has no user tracer, ``fresh_context`` installs a
 *shadow* tracer (``Tracer(shadow=True)``) so the mirrors have somewhere
@@ -29,6 +30,7 @@ from math import isclose
 from typing import Any
 
 from repro.analysis.sanitize import fail
+from repro.sim.clock import HORIZON, TICK
 from repro.sim.stats import Stats
 
 #: exact-agreement counters (everything except the one float field)
@@ -64,13 +66,22 @@ class ChargeSanitizer:
                 f"simulated clock moved backwards: {self._last_now!r} -> {now!r}",
             )
         self._last_now = now
-        if not isclose(now, clock.cpu_time + clock.io_wait, rel_tol=1e-9, abs_tol=1e-9):
-            fail(
-                "charge",
-                f"clock identity broken: now={now!r} but cpu_time + io_wait = "
-                f"{clock.cpu_time + clock.io_wait!r} "
-                f"(cpu={clock.cpu_time!r}, io_wait={clock.io_wait!r})",
-            )
+        # exact below the horizon; past it only the request in flight
+        # finishes (SimClock.checkpoint refuses the next)
+        if now < HORIZON:
+            if now != clock.cpu_time + clock.io_wait:
+                fail(
+                    "charge",
+                    f"clock identity broken: now={now!r} but cpu_time + io_wait = "
+                    f"{clock.cpu_time + clock.io_wait!r} "
+                    f"(cpu={clock.cpu_time!r}, io_wait={clock.io_wait!r})",
+                )
+            if not (now / TICK).is_integer():
+                fail(
+                    "charge",
+                    f"simulated clock left the time grid: now={now!r} is "
+                    f"{now / TICK!r} ticks — some duration was created without on_grid()",
+                )
         stats = self._stats
         counters = self._tracer.counters
         base = self._base

@@ -137,6 +137,23 @@ class DiskProgressError(IOError_):
         self.sim_time = sim_time
 
 
+class ClockHorizonError(ReproError):
+    """A simulated clock ran past the horizon of exact time arithmetic.
+
+    Simulated time is kept on a grid (:data:`repro.sim.clock.TICK`) so
+    that every sum is exact; that holds below
+    :data:`repro.sim.clock.HORIZON`.  Raised when a request starts on a
+    clock beyond it — start a fresh runtime (``QuerySession.cool()``).
+    """
+
+    def __init__(self, sim_time: float) -> None:
+        super().__init__(
+            f"simulated clock at t={sim_time:.6f}s is past the horizon of exact "
+            "time arithmetic; start a fresh runtime"
+        )
+        self.sim_time = sim_time
+
+
 class BudgetExceededError(ReproError):
     """An execution budget limit was reached mid-query.
 

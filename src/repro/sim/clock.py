@@ -14,9 +14,27 @@ buckets that together always sum to ``now``:
 
 These are exactly the "total" and "CPU" columns of Table 3 in the paper
 (``total = cpu_time + io_wait``).
+
+Simulated time lives on a grid: every duration is snapped to a whole
+number of ticks (:data:`TICK`) where it is created (:func:`on_grid`), and sums,
+maxima and differences of on-grid values below :data:`HORIZON` are exact
+in a double.  So the identity above holds with ``==``, and the order in
+which charges are added cannot change a total (docs/simulation.md).
 """
 
 from __future__ import annotations
+
+from repro.errors import ClockHorizonError
+
+#: the grid of simulated time: 2**-36 s (14.6 ps)
+TICK = 2.0**-36
+#: on-grid values below 2**17 s (36 simulated hours) add exactly in a double
+HORIZON = 2.0**17
+
+
+def on_grid(seconds: float) -> float:
+    """``seconds`` rounded to the nearest whole number of ticks."""
+    return round(seconds / TICK) * TICK
 
 
 class SimClock:
@@ -47,7 +65,13 @@ class SimClock:
             self.now = t
 
     def checkpoint(self) -> tuple[float, float, float]:
-        """Return ``(now, cpu_time, io_wait)`` for differential measurement."""
+        """Return ``(now, cpu_time, io_wait)`` for differential measurement.
+
+        Every request starts with one, which makes this the place a clock
+        past :data:`HORIZON` is refused — between requests, never mid-query.
+        """
+        if self.now >= HORIZON:
+            raise ClockHorizonError(self.now)
         return (self.now, self.cpu_time, self.io_wait)
 
     def since(self, mark: tuple[float, float, float]) -> tuple[float, float, float]:

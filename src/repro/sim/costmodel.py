@@ -12,8 +12,10 @@ All values are in seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
+
+from repro.sim.clock import on_grid
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,6 +49,10 @@ class CostModel:
         bookkeeping + record directory decoding), charged once per miss.
     io_submit:
         CPU cost of issuing one I/O request to the kernel/controller.
+
+    Every constant is snapped to the time grid at construction
+    (:func:`~repro.sim.clock.on_grid`), so ``count * constant`` and any
+    sum of charges is exact.
     """
 
     swizzle: float = 15.0e-6
@@ -59,6 +65,10 @@ class CostModel:
     iterator_call: float = 2.0e-6
     page_register: float = 100e-6
     io_submit: float = 8e-6
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name, on_grid(getattr(self, f.name)))
 
     def scaled(self, factor: float) -> "CostModel":
         """Return a copy with every constant multiplied by ``factor``.

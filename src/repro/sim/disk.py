@@ -27,6 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.errors import DiskProgressError
+from repro.sim.clock import on_grid
 from repro.sim.faults import FaultPlan, Outcome
 from repro.sim.stats import Stats
 
@@ -290,6 +291,7 @@ class DiskDevice:
                 self.stats.slow_services += 1
                 if tracer is not None:
                     tracer.count("slow_services")
+        duration = on_grid(duration)
         req.start_time = start
         req.done_time = start + duration
         self.head = req.page + 1

@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 from typing import BinaryIO
 
 from repro.errors import ReproError, SimulatedCrashError
+from repro.sim.clock import on_grid
 
 
 def _unit(seed: int, page: int, n: int, salt: str) -> float:
@@ -322,7 +323,7 @@ class RetryPolicy:
         base = min(
             self.backoff_cap, self.backoff_base * self.backoff_factor ** (attempt - 1)
         )
-        return base * (1.0 + self.jitter * _unit(0, page, attempt, "jitter"))
+        return on_grid(base * (1.0 + self.jitter * _unit(0, page, attempt, "jitter")))
 
 
 #: Shipped fault workloads.  All of them are *recoverable*: burst caps

@@ -27,7 +27,7 @@ this layer is also the recovery machinery:
 from __future__ import annotations
 
 from repro.errors import PageReadError, RequestLostError
-from repro.sim.clock import SimClock
+from repro.sim.clock import SimClock, on_grid
 from repro.sim.costmodel import CostModel
 from repro.sim.disk import DiskDevice, Request
 from repro.sim.faults import RetryPolicy
@@ -250,7 +250,7 @@ class AsyncIOSystem:
                 self._requested.pop(page, None)
                 self._attempts.pop(page, None)
                 raise RequestLostError(page, attempts, self.clock.now)
-            deadline = first_submit + attempts * self.retry.request_timeout
+            deadline = first_submit + on_grid(attempts * self.retry.request_timeout)
             self.stats.retries += 1
             self._attempts[page] = attempts + 1
             if self.tracer is not None:

@@ -12,7 +12,9 @@ Operators therefore pass swizzled :class:`Frame` references between
 adjacent XStep operators (free) and only go through :meth:`fix` when a
 NodeID from the main-memory structures (R, S, Q) must be dereferenced.
 
-Replacement is LRU over unpinned frames.  Reads only — the engine is a
+Replacement is LRU over unpinned frames: the frame table is kept in
+recency order (a touched frame moves to the end), so the victim is the
+first unpinned frame met.  Reads only — the engine is a
 query processor, so no dirty-page handling is needed.
 """
 
@@ -29,12 +31,11 @@ from repro.storage.page import Page, Segment
 class Frame:
     """A buffered page with a pin count."""
 
-    __slots__ = ("page", "pins", "lru_tick")
+    __slots__ = ("page", "pins")
 
     def __init__(self, page: Page) -> None:
         self.page = page
         self.pins = 0
-        self.lru_tick = 0
 
     @property
     def page_no(self) -> int:
@@ -56,7 +57,6 @@ class BufferManager:
         "stats",
         "tracer",
         "_frames",
-        "_tick",
     )
 
     def __init__(
@@ -78,8 +78,8 @@ class BufferManager:
         self.capacity = capacity
         self.stats = stats
         self.tracer = tracer
+        #: page_no -> frame, least recently used first
         self._frames: dict[int, Frame] = {}
-        self._tick = 0
 
     # ------------------------------------------------------------------ fix
 
@@ -168,16 +168,11 @@ class BufferManager:
         if len(self._frames) >= self.capacity:
             self._evict()
         self.clock.work(self.costs.page_register)
-        frame = Frame(self.segment.page(page_no))
-        self._frames[page_no] = frame
-        self._touch(frame)
+        frame = self._frames[page_no] = Frame(self.segment.page(page_no))
         return frame
 
     def _evict(self) -> None:
-        victim: Frame | None = None
-        for frame in self._frames.values():
-            if frame.pins == 0 and (victim is None or frame.lru_tick < victim.lru_tick):
-                victim = frame
+        victim = next((f for f in self._frames.values() if f.pins == 0), None)
         if victim is None:
             raise BufferError_(
                 f"buffer of {self.capacity} pages exhausted with all frames pinned"
@@ -189,5 +184,6 @@ class BufferManager:
             self.tracer.event(self.clock.now, "buffer", "evict", page=victim.page_no)
 
     def _touch(self, frame: Frame) -> None:
-        self._tick += 1
-        frame.lru_tick = self._tick
+        """Move ``frame`` to the most-recently-used end of the table."""
+        page_no = frame.page.page_no
+        self._frames[page_no] = self._frames.pop(page_no)

@@ -18,9 +18,10 @@ Candidate discovery here is the charge-free half of the batched kernel:
 :meth:`ColumnView.axis_candidates` / :meth:`ColumnView.resume_candidates`
 return the *complete* candidate slot array of one ``iter_axis`` /
 ``iter_resume`` enumeration (same order, same corrupt-store exceptions),
-plus the charge shape ``(upfront_hops, free_head)`` that lets
-``XStep`` replay the scalar path's ``intra_hop`` charges
-candidate-for-candidate.  The charge-shape contract:
+plus the charge shape ``(upfront_hops, free_head)`` from which
+:meth:`ColumnView.extension` counts the scalar path's ``intra_hop``
+charges between the candidates that matter (its *events*).  The
+charge-shape contract:
 
 * ``upfront_hops`` hop charges fire before the first candidate (and even
   when the candidate array is empty) — the sibling axes' holder lookup;
@@ -35,6 +36,8 @@ equivalence property test enforces this bit-for-bit).
 
 from __future__ import annotations
 
+from array import array
+
 from repro.axes import Axis
 from repro.errors import StorageError, StoreCorruptError
 
@@ -45,6 +48,9 @@ KIND_TOMBSTONE = -2
 
 #: Shared empty candidate array (never mutated by callers).
 _EMPTY: list[int] = []
+
+#: The one event triple shared by every extension without an event.
+_NO_EVENTS = array("i")
 
 #: A candidate batch: (upfront_hops, free_head, candidate slots).
 CandidateBatch = tuple[int, int, "list[int]"]
@@ -151,20 +157,42 @@ class ColumnView:
     # ------------------------------------------------------ extension batch
 
     def extension(self, match_batch, slot: int, axis: Axis, resumed: bool):
-        """One whole step extension: ``(upfront_hops, free_head, candidate
-        slots, match flags)``.
+        """One whole step extension, indexed by event: ``(upfront_hops,
+        size, ev_slots, ev_hops, ev_tests, tail)``.
 
-        ``match_batch`` is the step's compiled batch closure.  Both
-        discovery and node-testing are charge-free, so memoizing the
-        result cannot perturb simulated timings — the kernels replay
-        hop/test charges from the shape regardless.  The returned lists
-        are shared — do not mutate.
+        An *event* is a candidate the kernels must act on: a match
+        (``ev_slots`` holds its slot) or a border (``~slot``), in
+        candidate order.  ``ev_hops``/``ev_tests`` hold the hop and
+        node-test charges of the candidates since the previous event, the
+        event's own included (a border is not tested); ``tail`` is the
+        ``(hops, tests)`` of the candidates after the last event, and
+        ``size`` the candidate count.  ``match_batch`` is the step's
+        compiled batch closure.  Discovery and node-testing are
+        charge-free, so memoizing the result cannot perturb simulated
+        timings.  The arrays are shared — do not mutate.
         """
         if resumed:
             upfront, free_head, cands = self.resume_candidates(slot, axis)
         else:
             upfront, free_head, cands = self.axis_candidates(slot, axis)
-        return upfront, free_head, cands, match_batch(self.kinds, self.tags, cands)
+        kinds = self.kinds
+        flags = match_batch(kinds, self.tags, cands)
+        size = len(cands)
+        at = [i for i, s in enumerate(cands) if flags[i] or kinds[s] < 0]
+        # the run of candidates an event accounts for starts after the
+        # previous event: those at or past free_head hop, all but a
+        # border event are tested
+        starts = [0] + [i + 1 for i in at]
+        rest = starts[-1]
+        tail = (max(0, size - max(free_head, rest)), size - rest)
+        if not at:
+            return upfront, size, _NO_EVENTS, _NO_EVENTS, _NO_EVENTS, tail
+        ev_slots = array("i", [cands[i] if flags[i] else ~cands[i] for i in at])
+        ev_hops = array(
+            "i", [max(0, i + 1 - max(free_head, a)) for i, a in zip(at, starts)]
+        )
+        ev_tests = array("i", [i + (e >= 0) - a for i, a, e in zip(at, starts, ev_slots)])
+        return upfront, size, ev_slots, ev_hops, ev_tests, tail
 
     def extension_batch(self, test, match_batch, slot: int, axis: Axis, resumed: bool):
         """:meth:`extension`, memoized by value: ``test`` (a hashable

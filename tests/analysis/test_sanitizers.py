@@ -19,7 +19,7 @@ from repro.algebra.context import EvalContext, EvalOptions
 from repro.analysis.sanitize import ALL_MODES, SanitizerError, modes
 from repro.model.tree import Kind
 from repro.obs.tracer import Tracer
-from repro.sim.clock import SimClock
+from repro.sim.clock import TICK, SimClock
 from repro.storage.nodeid import page_of, slot_of
 from repro.storage.record import CoreRecord
 from repro.storage.update import update_value
@@ -145,6 +145,22 @@ def test_charge_sanitizer_catches_clock_identity_breach(monkeypatch):
     monkeypatch.setattr(EvalContext, "charge_hop", untracked_time)
     db, _ = small_database()
     with pytest.raises(SanitizerError, match="clock identity"):
+        db.execute("//a/b", doc="d", plan="xscan", options=SCALAR)
+
+
+def test_charge_sanitizer_catches_a_duration_created_off_the_grid(monkeypatch):
+    """Both buckets move together, so the identity holds — but the clock
+    is no longer a whole number of ticks, and exact sums are forfeit."""
+    monkeypatch.setenv("REPRO_SAN", "charge")
+    original = EvalContext.charge_hop
+
+    def off_grid_hop(self):  # seeded bug: a cost that skipped on_grid()
+        original(self)
+        self.clock.work(1.25 * TICK)
+
+    monkeypatch.setattr(EvalContext, "charge_hop", off_grid_hop)
+    db, _ = small_database()
+    with pytest.raises(SanitizerError, match="left the time grid"):
         db.execute("//a/b", doc="d", plan="xscan", options=SCALAR)
 
 

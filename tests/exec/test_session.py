@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import EvalOptions
+from repro import ClockHorizonError, EvalOptions
+from repro.sim.clock import HORIZON, on_grid
 from repro.sim.stats import Stats
 
 from tests.conftest import small_database
@@ -157,6 +158,31 @@ def test_cool_discards_warm_runtime():
     again = warm.execute("count(//b)", doc="d", plan="simple")
     assert again.total_time == pytest.approx(first.total_time)
     assert again.stats.pages_read == first.stats.pages_read
+
+
+def test_clock_past_the_horizon_is_refused_at_the_next_execute_not_mid_query():
+    """A warm runtime whose clock leaves the range of exact time
+    arithmetic finishes the query it is running; the next request —
+    execute, batch, or an explicit context — gets the typed error, and a
+    cooled session starts over at zero."""
+    db, _ = small_database(seed=3)
+    warm = db.session(warm=True)
+    first = warm.execute("count(//b)", doc="d", plan="simple")
+    clock = warm.context().clock
+    clock.work(HORIZON - clock.now - on_grid(1e-5))
+    crossing = warm.execute("count(//b)", doc="d", plan="xscan")  # crosses mid-query
+    assert crossing.value == first.value
+    assert clock.now > HORIZON
+    for request in (
+        lambda: warm.execute("count(//b)", doc="d", plan="simple"),
+        lambda: warm.run_batch(["//a", "//b"], doc="d"),
+        lambda: db.execute("//a", doc="d", context=warm.context()),
+    ):
+        with pytest.raises(ClockHorizonError) as err:
+            request()
+        assert err.value.sim_time == clock.now
+    warm.cool()
+    assert warm.execute("count(//b)", doc="d", plan="simple").total_time == first.total_time
 
 
 # ------------------------------------------------------------ aggregation

@@ -35,6 +35,7 @@ from repro import (
     Tracer,
 )
 from repro.algebra.xassembly import XAssembly
+from repro.sim.clock import TICK
 from repro.xmark import PAPER_QUERIES, generate_xmark
 from tests.conftest import make_random_tree
 
@@ -51,6 +52,7 @@ AXES = [
 ]
 TESTS = ["a", "b", "c", "nosuchtag", "*", "node()", "text()"]
 PLANS = ["simple", "xschedule", "xscan", "xscan-shared"]
+DEEP_PATH = "/descendant-or-self::node()/child::*/child::*/child::*"
 
 
 @st.composite
@@ -170,6 +172,41 @@ def test_batched_is_bit_identical_under_faults(plan, profile_name, fault_seed, p
     _assert_identical(results[True], results[False], (plan, profile_name, path))
 
 
+@pytest.mark.parametrize(
+    "profile_name,recovered_by",
+    [
+        ("transient-errors", ("retries", "backoff_wait")),
+        ("latency-spikes", ("slow_services",)),
+        ("lost-requests", ("timeouts", "retries")),
+        ("mixed", ("retries", "backoff_wait", "slow_services", "timeouts")),
+    ],
+)
+def test_every_recovery_duration_is_on_the_time_grid(profile_name, recovered_by):
+    """Whatever hypothesis draws above, each recovery mechanism runs here
+    on every plan: a backoff delay, a spiked service or a resubmission
+    deadline created off the time grid would make the sums depend on
+    their order, and the kernel (one multiply per event) would part from
+    the scalar chain (one addition per candidate)."""
+    store = _store(3, 0.7)
+    fired = dict.fromkeys(recovered_by, 0)
+    for plan in PLANS:
+        for fault_seed in (1, 2, 3):
+            profile = dataclasses.replace(PROFILES[profile_name], seed=fault_seed)
+            results = {}
+            for batched in (True, False):
+                db = Database(page_size=512, buffer_pages=48, store=store, faults=profile)
+                results[batched] = db.execute(
+                    DEEP_PATH, doc="d", plan=plan, options=EvalOptions(batched=batched)
+                )
+            on = results[True]
+            _assert_identical(on, results[False], (plan, profile_name, fault_seed))
+            assert on.total_time == on.cpu_time + on.io_wait
+            assert (on.total_time / TICK).is_integer()
+            for counter in recovered_by:
+                fired[counter] += getattr(on.stats, counter)
+    assert all(fired.values()), fired
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=3),
@@ -213,9 +250,6 @@ def test_batched_trace_reconciles_and_does_not_perturb(seed, plan, path):
 
 
 # ---------------------------------------------- where the fusion could drift
-
-DEEP_PATH = "/descendant-or-self::node()/child::*/child::*/child::*"
-
 
 @pytest.mark.parametrize("plan,speculative", [("xscan", False), ("xschedule", True)])
 def test_fallback_under_a_stack_of_live_extensions(monkeypatch, plan, speculative):

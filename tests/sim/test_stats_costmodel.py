@@ -1,7 +1,10 @@
 """Tests for Stats and CostModel."""
 
+import dataclasses
+
 import pytest
 
+from repro.sim.clock import TICK
 from repro.sim.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.sim.stats import Stats
 
@@ -36,6 +39,16 @@ def test_cost_model_scaled():
     assert doubled.swizzle == pytest.approx(base.swizzle * 2)
     assert doubled.intra_hop == pytest.approx(base.intra_hop * 2)
     assert doubled.page_register == pytest.approx(base.page_register * 2)
+
+
+def test_cost_model_lives_on_the_time_grid():
+    """Every constant is a whole number of ticks — also after scaling by
+    an awkward factor — and snapping again changes nothing."""
+    for model in (CostModel(), CostModel().scaled(0.37), CostModel(intra_hop=1e-7 / 3)):
+        values = dataclasses.asdict(model)
+        assert all((value / TICK).is_integer() for value in values.values()), values
+        assert CostModel(**values) == model
+    assert CostModel().scaled(0.37).node_test == pytest.approx(0.37 * 1.2e-6, rel=1e-4)
 
 
 def test_cost_model_swizzle_asymmetry():

@@ -18,6 +18,12 @@ Two layers of guarantees:
 import pytest
 
 from repro import Database, EvalOptions, ImportOptions
+from repro.algebra.steps import (
+    CompiledNodeTest,
+    _never_batch,
+    compile_match,
+    compile_match_batch,
+)
 from repro.axes import Axis
 from repro.model.tree import Kind
 from repro.storage.colview import KIND_BORDER, KIND_TOMBSTONE, ColumnView
@@ -102,12 +108,9 @@ def _normalize(pairs):
     return [(("degenerate", s) if s < 0 else (flag, s)) for flag, s in pairs]
 
 
-@pytest.mark.parametrize("fragmentation", [0.0, 1.0])
-def test_axis_and_resume_parity_everywhere(fragmentation):
-    """Every (slot, axis) batch mirrors nav candidate-for-candidate."""
-    db = build_db(fragmentation=fragmentation)
+def every_extension(db):
+    """Every (page, view, slot, axis, resumed) a plan could extend from."""
     doc = db.document("d")
-    checked_core = checked_border = 0
     for page_no in doc.page_nos:
         page = db.store.segment.page(page_no)
         view = page.colview()
@@ -135,12 +138,99 @@ def test_axis_and_resume_parity_everywhere(fragmentation):
             else:
                 axes = AXES
             for axis in axes:
-                want = scalar_enumeration(page, slot, axis, resumed)
-                got = batch_enumeration(view, slot, axis, resumed)
-                assert got == want, (page_no, slot, axis, resumed)
-            checked_core += not resumed
-            checked_border += resumed
-    assert checked_core > 50 and checked_border > 5
+                yield page, view, slot, axis, resumed
+
+
+@pytest.mark.parametrize("fragmentation", [0.0, 1.0])
+def test_axis_and_resume_parity_everywhere(fragmentation):
+    """Every (slot, axis) batch mirrors nav candidate-for-candidate."""
+    db = build_db(fragmentation=fragmentation)
+    checked = {False: set(), True: set()}
+    for page, view, slot, axis, resumed in every_extension(db):
+        want = scalar_enumeration(page, slot, axis, resumed)
+        got = batch_enumeration(view, slot, axis, resumed)
+        assert got == want, (page.page_no, slot, axis, resumed)
+        checked[resumed].add((page.page_no, slot))
+    assert len(checked[False]) > 50 and len(checked[True]) > 5
+
+
+def scalar_events(page, slot, axis, resumed, match):
+    """What a scalar XStep does between the candidates that matter:
+    ``([(slot | ~border_slot, hops, tests)...], (hops, tests) after the
+    last)``, the hops as ``nav`` charges them, one test per core
+    candidate.  ``None`` for enumerations real plans never reach."""
+    hops = tests = 0
+
+    def charge():
+        nonlocal hops
+        hops += 1
+
+    events = []
+    try:
+        nav = (
+            iter_resume(page, slot, axis, charge)
+            if resumed
+            else iter_axis(page, slot, axis, charge)
+        )
+        for is_border, cand in nav:
+            if cand < 0:
+                return None
+            if not is_border:
+                tests += 1
+                record = page.records[cand]
+                if not match(record.kind, record.tag):
+                    continue
+            events.append((~cand if is_border else cand, hops, tests))
+            hops = tests = 0
+    except Exception:
+        return None
+    return events, (hops, tests)
+
+
+@pytest.mark.parametrize("fragmentation", [0.0, 1.0])
+def test_extension_events_charge_what_nav_charges(fragmentation):
+    """Indexed by event, an extension still accounts for every candidate:
+    matches and borders (``~slot``) in candidate order, each carrying the
+    hops and tests since the previous one, the rest in the tail; the
+    upfront hops come before the first."""
+    db = build_db(fragmentation=fragmentation)
+    tests = [
+        CompiledNodeTest.compile("wildcard", Axis.CHILD, None),
+        CompiledNodeTest.compile("name", Axis.CHILD, db.tags.lookup("a")),
+        CompiledNodeTest.compile("name", Axis.CHILD, None),
+        CompiledNodeTest.compile("text", Axis.CHILD, None),
+        CompiledNodeTest.compile("node", Axis.CHILD, None),
+    ]
+    checked = with_events = shared_empty = 0
+    for page, view, slot, axis, resumed in every_extension(db):
+        for test in tests:
+            want = scalar_events(page, slot, axis, resumed, compile_match(test))
+            if want is None:
+                continue
+            upfront, size, ev_slots, ev_hops, ev_tests, tail = view.extension(
+                compile_match_batch(test), slot, axis, resumed
+            )
+            got = list(zip(ev_slots, ev_hops, ev_tests))
+            context = (page.page_no, slot, axis, resumed, test)
+            # nav charges the upfront hops before the first candidate
+            if got:
+                got[0] = (got[0][0], got[0][1] + upfront, got[0][2])
+            else:
+                tail = (tail[0] + upfront, tail[1])
+            assert (got, tail) == want, context
+            candidates = (view.resume_candidates if resumed else view.axis_candidates)(
+                slot, axis
+            )[2]
+            assert size == len(candidates), context
+            checked += 1
+            if got:
+                with_events += 1
+            else:
+                # one shared triple for every event-free extension
+                assert ev_slots is ev_hops is ev_tests, context
+                assert ev_slots is view.extension(_never_batch, slot, axis, resumed)[2]
+                shared_empty += 1
+    assert checked > 500 and with_events > 100 and shared_empty > 100
 
 
 def test_entry_slots_match_speculative_entries():
