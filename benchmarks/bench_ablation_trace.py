@@ -1,4 +1,4 @@
-"""Ablation: execution tracing — overhead and exactness.
+"""Ablation: execution tracing — overhead and non-perturbation.
 
 Three claims (the observability layer's contract, docs/observability.md):
 
@@ -6,9 +6,8 @@ Three claims (the observability layer's contract, docs/observability.md):
   query on the same store produces bit-identical simulated timings and
   counters, so the paper figures (9-11) are unaffected by this layer;
 * with a tracer installed the *simulated* physics are still identical
-  (the tracer reads the clock, never charges it), and the metrics
-  rollup reconciles counter-for-counter with ``Stats`` for the paper
-  queries under every physical plan;
+  (the tracer reads the clock, never charges it) for the paper queries
+  under every physical plan;
 * the Chrome trace export is well-formed trace-viewer JSON.
 """
 
@@ -57,10 +56,10 @@ def test_tracing_off_is_free(benchmark, xmark_store, record_result):
 
 @pytest.mark.parametrize("plan", PLANS)
 @pytest.mark.parametrize("exp_id", ("q6", "q7", "q15"))
-def test_tracing_on_is_non_perturbing_and_exact(
+def test_tracing_on_is_non_perturbing(
     benchmark, xmark_store, record_result, exp_id, plan
 ):
-    """Tracing on: same simulated time, rollup == Stats, field for field."""
+    """Tracing on: same simulated time, same counters, to the last tick."""
     base = xmark_store(SCALE)
     baseline = run_query(base, QUERY_BY_EXP[exp_id], plan)
     tracer = Tracer()
@@ -81,8 +80,6 @@ def test_tracing_on_is_non_perturbing_and_exact(
     assert result.total_time == baseline.total_time  # bit-identical clock
     assert result.stats.as_dict() == baseline.stats.as_dict()
     assert result.trace_summary is not None
-    mismatches = result.trace_summary.reconcile(result.stats)
-    assert mismatches == {}, f"trace/stats drift: {mismatches}"
     assert tracer.events_recorded > 0
 
 

@@ -50,8 +50,8 @@ class Operator:
             self._trace_out += produced
             tracer.op_call(type(self).__name__, produced)
         if (san := self.ctx.san) is not None:
-            # the charge sanitizer verifies its shadow books between
-            # result tuples, pinning a divergence to one operator call
+            # the charge sanitizer audits the clock between result
+            # tuples, pinning a divergence to one operator call
             san.check()
         return item
 

@@ -331,8 +331,6 @@ class EvalContext:
         clock.now += cost
         clock.cpu_time += cost
         self.stats.intra_hops += 1
-        if (tracer := self.tracer) is not None:
-            tracer.count("intra_hops")
 
     def charge_test(self) -> None:
         """One node-test evaluation."""
@@ -341,8 +339,6 @@ class EvalContext:
         clock.now += cost
         clock.cpu_time += cost
         self.stats.node_tests += 1
-        if (tracer := self.tracer) is not None:
-            tracer.count("node_tests")
 
     def charge_instance(self) -> None:
         """Creation/copy of one path-instance tuple."""
@@ -351,8 +347,6 @@ class EvalContext:
         clock.now += cost
         clock.cpu_time += cost
         self.stats.instances_created += 1
-        if (tracer := self.tracer) is not None:
-            tracer.count("instances_created")
 
     def charge_set_op(self) -> None:
         """One R/S/duplicate-hash operation."""
@@ -479,8 +473,6 @@ class EvalContext:
             return
         self.fallback = True
         self.stats.fallbacks += 1
-        if (tracer := self.tracer) is not None:
-            tracer.count("fallbacks")
         self.note_degradation(reason, page=page, detail=detail or "fell back to Simple-method evaluation")
         for hook in list(self.fallback_hooks):
             hook()

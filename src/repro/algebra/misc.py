@@ -68,8 +68,6 @@ class DuplicateElimination(Operator):
             self.ctx.charge_set_op()
             if nid in seen:
                 self.ctx.stats.duplicates_suppressed += 1
-                if self.ctx.tracer is not None:
-                    self.ctx.tracer.count("duplicates_suppressed")
                 continue
             seen.add(nid)
             yield instance

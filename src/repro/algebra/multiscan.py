@@ -116,8 +116,6 @@ def shared_scan(
         skips = cost_effective_skips(page_nos, prunable, ctx.iosys.disk.geometry)
         if skips:
             ctx.stats.synopsis_clusters_pruned += len(skips)
-            if ctx.tracer is not None:
-                ctx.tracer.count("synopsis_clusters_pruned", len(skips))
         if any(state.postings is not None for state in states):
             # widen the prunable vector with each path's cluster postings
             # (a page is skippable only when *every* path rules it out;
@@ -143,8 +141,6 @@ def shared_scan(
             )
             if extra:
                 ctx.stats.pathsummary_clusters_pruned += len(extra)
-                if ctx.tracer is not None:
-                    ctx.tracer.count("pathsummary_clusters_pruned", len(extra))
                 skips = skips | extra
         if skips:
             page_nos = [p for p in page_nos if p not in skips]
@@ -157,8 +153,6 @@ def shared_scan(
                 frame = ctx.buffer.fix(page_no)
             ctx.set_current_frame(frame)
             ctx.stats.clusters_visited += 1
-            if ctx.tracer is not None:
-                ctx.tracer.count("clusters_visited")
             page = frame.page
             for state in states:
                 batch: list[PathInstance] = []
@@ -180,8 +174,6 @@ def shared_scan(
                         page_no, step
                     ):
                         ctx.stats.synopsis_entries_pruned += 1
-                        if ctx.tracer is not None:
-                            ctx.tracer.count("synopsis_entries_pruned")
                         continue
                     if (
                         synopsis is not None
@@ -192,8 +184,6 @@ def shared_scan(
                     ):
                         # the postings place this step's path set elsewhere
                         ctx.stats.pathsummary_entries_pruned += 1
-                        if ctx.tracer is not None:
-                            ctx.tracer.count("pathsummary_entries_pruned")
                         continue
                     entries = (
                         page.colview().entry_slots(step.axis)
@@ -203,8 +193,6 @@ def shared_scan(
                     for border_slot in entries:
                         ctx.charge_instance()
                         ctx.stats.speculative_instances += 1
-                        if ctx.tracer is not None:
-                            ctx.tracer.count("speculative_instances")
                         batch.append(
                             PathInstance(
                                 s_l=step_index,

@@ -171,11 +171,6 @@ class UnnestMap(Operator):
                         stats.intra_hops += d_hops
                         stats.node_tests += d_tests
                         stats.instances_created += 1
-                        if tracer is not None:
-                            if d_hops:
-                                tracer.count("intra_hops", d_hops)
-                            tracer.count("node_tests", d_tests)
-                            tracer.count("instances_created")
                         d_hops = d_tests = 0
                         yield PathInstance(
                             s_l=s_l,
@@ -203,14 +198,8 @@ class UnnestMap(Operator):
                         page = frame.page
                 # only hop/test deltas can be pending here: instance
                 # charges always flush at their yield
-                if d_hops:
-                    stats.intra_hops += d_hops
-                    if tracer is not None:
-                        tracer.count("intra_hops", d_hops)
-                if d_tests:
-                    stats.node_tests += d_tests
-                    if tracer is not None:
-                        tracer.count("node_tests", d_tests)
+                stats.intra_hops += d_hops
+                stats.node_tests += d_tests
             finally:
                 if frame is not None:
                     buffer.unfix(frame)

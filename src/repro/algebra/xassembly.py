@@ -341,8 +341,6 @@ class XAssembly(Operator):
                         pending += cost_set
                         if implied or left_key in r:
                             stats.merges += 1
-                            if tracer is not None:
-                                tracer.count("merges")
                             clock.work(pending)
                             pending = 0.0
                             result = self._activate((s_r, right, paused))
@@ -371,25 +369,12 @@ class XAssembly(Operator):
                 tracer.op_span("XStep", t0, clock.now, d_out)
 
     def _post(self, hops: int, tests: int, instances: int, deferred: int) -> None:
-        """Book the kernel's pending counter deltas (guarded mirrors)."""
+        """Book the kernel's pending counter deltas."""
         stats = self.ctx.stats
-        tracer = self.ctx.tracer
-        if hops:
-            stats.intra_hops += hops
-            if tracer is not None:
-                tracer.count("intra_hops", hops)
-        if tests:
-            stats.node_tests += tests
-            if tracer is not None:
-                tracer.count("node_tests", tests)
-        if instances:
-            stats.instances_created += instances
-            if tracer is not None:
-                tracer.count("instances_created", instances)
-        if deferred:
-            stats.border_crossings_deferred += deferred
-            if tracer is not None:
-                tracer.count("border_crossings_deferred", deferred)
+        stats.intra_hops += hops
+        stats.node_tests += tests
+        stats.instances_created += instances
+        stats.border_crossings_deferred += deferred
 
     def _result_instance(self, nid: NodeID) -> PathInstance:
         self.ctx.charge_instance()
@@ -422,8 +407,6 @@ class XAssembly(Operator):
         key = (self.path_len, nid)
         if self._r_contains(key):
             self.ctx.stats.duplicates_suppressed += 1
-            if self.ctx.tracer is not None:
-                self.ctx.tracer.count("duplicates_suppressed")
             return None
         self._r_add(key)
         return nid
@@ -438,8 +421,6 @@ class XAssembly(Operator):
         key = (step, junction)
         if self._r_contains(key):
             self.ctx.stats.duplicates_suppressed += 1
-            if self.ctx.tracer is not None:
-                self.ctx.tracer.count("duplicates_suppressed")
             return
         self._r_add(key)
         if self.schedule is not None:
@@ -453,8 +434,6 @@ class XAssembly(Operator):
         pending = self._s.pop(key, None)
         if pending:
             self.ctx.stats.merges += len(pending)
-            if self.ctx.tracer is not None:
-                self.ctx.tracer.count("merges", len(pending))
             self._s_size -= len(pending)
             self._ready.extend(pending)
 

@@ -95,8 +95,6 @@ class XScan(Operator):
             )
             if skips:
                 ctx.stats.synopsis_clusters_pruned += len(skips)
-                if ctx.tracer is not None:
-                    ctx.tracer.count("synopsis_clusters_pruned", len(skips))
             if postings is not None:
                 # Cluster postings widen the prunable vector (any page the
                 # postings prove irrelevant is as safely skippable as a
@@ -120,10 +118,6 @@ class XScan(Operator):
                 )
                 if extra:
                     ctx.stats.pathsummary_clusters_pruned += len(extra)
-                    if ctx.tracer is not None:
-                        ctx.tracer.count(
-                            "pathsummary_clusters_pruned", len(extra)
-                        )
                     skips = skips | extra
             if skips:
                 page_nos = [p for p in page_nos if p not in skips]
@@ -152,8 +146,6 @@ class XScan(Operator):
                 frame = ctx.buffer.fix(page_no)
             ctx.set_current_frame(frame)
             ctx.stats.clusters_visited += 1
-            if ctx.tracer is not None:
-                ctx.tracer.count("clusters_visited")
 
             for y in by_cluster.pop(page_no, ()):  # contexts first (paper)
                 ctx.charge_instance()
@@ -167,8 +159,6 @@ class XScan(Operator):
                     # no entry of this cluster can extend this step: the
                     # speculative instances would all come up empty
                     ctx.stats.synopsis_entries_pruned += 1
-                    if ctx.tracer is not None:
-                        ctx.tracer.count("synopsis_entries_pruned")
                     continue
                 if postings is not None and not postings.can_contribute(
                     synopsis, page_no, step_index
@@ -177,8 +167,6 @@ class XScan(Operator):
                     # postings prove no node of this step's path set lives
                     # here and no transit residue remains either
                     ctx.stats.pathsummary_entries_pruned += 1
-                    if ctx.tracer is not None:
-                        ctx.tracer.count("pathsummary_entries_pruned")
                     continue
                 # the columnar view's precomputed border lists replace the
                 # record scan; enumeration charges nothing in either mode
@@ -190,8 +178,6 @@ class XScan(Operator):
                 for border_slot in entries:
                     ctx.charge_instance()
                     ctx.stats.speculative_instances += 1
-                    if ctx.tracer is not None:
-                        ctx.tracer.count("speculative_instances")
                     yield PathInstance(
                         s_l=step_index,
                         n_l=make_nodeid(page_no, border_slot),

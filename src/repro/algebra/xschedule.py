@@ -163,8 +163,6 @@ class XSchedule(Operator):
             # step nor transit onward: dropping the request is lossless
             # (consulting the synopsis is planning metadata — free)
             ctx.stats.synopsis_entries_pruned += 1
-            if ctx.tracer is not None:
-                ctx.tracer.count("synopsis_entries_pruned")
             return
         if (
             self.postings is not None
@@ -177,8 +175,6 @@ class XSchedule(Operator):
             # postings prove the target cluster holds no node of the
             # resumed step's path set and no transit residue onward
             ctx.stats.pathsummary_entries_pruned += 1
-            if ctx.tracer is not None:
-                ctx.tracer.count("pathsummary_entries_pruned")
             return
         if (
             entry.resumed
@@ -244,8 +240,6 @@ class XSchedule(Operator):
             ctx.set_current_frame(frame)
             if cluster != self._current:
                 ctx.stats.clusters_visited += 1
-                if ctx.tracer is not None:
-                    ctx.tracer.count("clusters_visited")
             self._current = cluster
 
             first_visit = cluster not in self._visited
@@ -313,13 +307,9 @@ class XSchedule(Operator):
         if slo is None or ctx.iosys.last_latency <= slo:
             return
         ctx.stats.slo_violations += 1
-        if ctx.tracer is not None:
-            ctx.tracer.count("slo_violations")
         if page not in self._sidelined:
             self._sidelined.add(page)
             ctx.stats.sidelined_clusters += 1
-            if ctx.tracer is not None:
-                ctx.tracer.count("sidelined_clusters")
             ctx.note_degradation(
                 "latency-slo",
                 page=page,
@@ -341,8 +331,6 @@ class XSchedule(Operator):
         if page is not None and page not in self._sidelined:
             self._sidelined.add(page)
             ctx.stats.sidelined_clusters += 1
-            if ctx.tracer is not None:
-                ctx.tracer.count("sidelined_clusters")
         self._note_dead(page, str(exc))
 
     def _on_unreadable(self, cluster: int, entry: _QEntry, exc: IOError_) -> None:
@@ -391,16 +379,12 @@ class XSchedule(Operator):
             if synopsis is not None and not synopsis.can_contribute(page_no, step):
                 # no entry of this cluster can extend this step
                 ctx.stats.synopsis_entries_pruned += 1
-                if ctx.tracer is not None:
-                    ctx.tracer.count("synopsis_entries_pruned")
                 continue
             if postings is not None and not postings.can_contribute(
                 synopsis, page_no, step_index
             ):
                 # the postings place this step's whole path set elsewhere
                 ctx.stats.pathsummary_entries_pruned += 1
-                if ctx.tracer is not None:
-                    ctx.tracer.count("pathsummary_entries_pruned")
                 continue
             entries = (
                 page.colview().entry_slots(step.axis)
@@ -410,8 +394,6 @@ class XSchedule(Operator):
             for border_slot in entries:
                 ctx.charge_instance()
                 ctx.stats.speculative_instances += 1
-                if ctx.tracer is not None:
-                    ctx.tracer.count("speculative_instances")
                 yield PathInstance(
                     s_l=step_index,
                     n_l=make_nodeid(page_no, border_slot),

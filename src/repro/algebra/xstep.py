@@ -91,7 +91,6 @@ class XStep(Operator):
         page_no = page.page_no
         clock = ctx.clock
         stats = ctx.stats
-        tracer = ctx.tracer
         cost_test = ctx._cost_test
         cost_instance = ctx._cost_instance
         s_l, n_l, left_open = p.s_l, p.n_l, p.left_open
@@ -102,9 +101,6 @@ class XStep(Operator):
                 stats.instances_created += 1
                 clock.now += cost_instance
                 clock.cpu_time += cost_instance
-                if tracer is not None:
-                    tracer.count("border_crossings_deferred")
-                    tracer.count("instances_created")
                 yield PathInstance(
                     s_l=s_l,
                     n_l=n_l,
@@ -119,14 +115,10 @@ class XStep(Operator):
                 clock.now += cost_test
                 clock.cpu_time += cost_test
                 stats.node_tests += 1
-                if tracer is not None:
-                    tracer.count("node_tests")
                 if test(record.kind, record.tag):
                     clock.now += cost_instance
                     clock.cpu_time += cost_instance
                     stats.instances_created += 1
-                    if tracer is not None:
-                        tracer.count("instances_created")
                     yield PathInstance(
                         s_l=s_l,
                         n_l=n_l,

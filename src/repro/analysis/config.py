@@ -15,9 +15,9 @@ from pathlib import Path
 def _stats_field_names() -> frozenset[str]:
     """Field names of :class:`repro.sim.stats.Stats`, read from the source.
 
-    The tracer-mirror rule needs to know which attribute names are Stats
-    counters.  Importing the dataclass keeps the rule in lock-step with
-    the engine: adding a counter automatically extends the rule.
+    The charge rules need to know which attribute names are Stats
+    counters.  Importing the dataclass keeps them in lock-step with
+    the engine: adding a counter automatically extends the rules.
     """
     from repro.sim.stats import Stats
 
@@ -44,8 +44,6 @@ DEFAULT_SCOPES: dict[str, tuple[str, ...]] = {
         "storage/wal.py",
         "sim/disk.py",
     ),
-    # every Stats increment needs a guarded Tracer.count mirror
-    "tracer-mirror": ("sim/", "algebra/", "storage/"),
     # hot per-tuple / per-page classes must declare __slots__
     "slots": (
         "algebra/",
@@ -58,23 +56,14 @@ DEFAULT_SCOPES: dict[str, tuple[str, ...]] = {
     "feature-gate": ("sim/", "algebra/", "storage/"),
     # dedup sets must not leak their iteration order into results
     "set-iteration": ("algebra/", "sim/", "storage/"),
-    # interprocedural: I/O paths charge Stats/clock exactly once
+    # interprocedural: I/O paths charge Stats/clock exactly once, and
+    # every Stats field is charged somewhere
     "charge-accounting": ("sim/", "storage/", "algebra/"),
     # interprocedural: possibly-None feature slots never cross into
     # helpers that require them non-None (findings anchor at call sites)
     "gate-coherence": ("sim/", "storage/", "algebra/", "exec/", "xpath/", "engine.py"),
     # interprocedural: unordered iteration order can't flow through calls
     "determinism-taint": ("sim/", "algebra/", "storage/", "xmark/"),
-    # interprocedural: Stats fields / tracer mirrors / rollups reconcile
-    "summary-drift": (
-        "sim/",
-        "algebra/",
-        "storage/",
-        "exec/",
-        "xpath/",
-        "obs/",
-        "engine.py",
-    ),
 }
 
 
@@ -90,7 +79,7 @@ class ReplintConfig:
     #: convention (never data validation), exempt from runtime-assert
     assert_exempt_functions: frozenset[str] = frozenset({"check"})
     #: attribute/parameter names treated as optional feature slots by the
-    #: feature-gate and tracer-mirror rules
+    #: feature-gate and gate-coherence rules
     feature_names: frozenset[str] = frozenset(
         {
             "tracer",
@@ -103,7 +92,7 @@ class ReplintConfig:
             "pathsummary",
         }
     )
-    #: Stats counter names the tracer-mirror rule watches
+    #: Stats counter names the charge rules watch
     stats_fields: frozenset[str] = field(default_factory=_stats_field_names)
 
     def scope_for(self, rule_id: str) -> tuple[str, ...]:

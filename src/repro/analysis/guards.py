@@ -6,7 +6,7 @@ bound to an attribute or local, and every use sits behind one of a small
 set of guard shapes::
 
     if tracer is not None:
-        tracer.count(...)               # guarded body
+        tracer.event(...)               # guarded body
 
     if x.synopsis is not None and x.synopsis.can_extend(...):  # and-chain
         ...
@@ -20,7 +20,7 @@ set of guard shapes::
     x = feature.f() if feature is not None else None   # conditional expr
 
     if (t := self.tracer) is not None:   # walrus guard: proves t AND
-        t.count(...)                     # self.tracer in the body
+        t.event(...)                     # self.tracer in the body
 
     while (frame := buffer.victim()) is not None:      # while-condition
         frame.page ...                   # guard holds for the loop body

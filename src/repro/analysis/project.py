@@ -2,11 +2,10 @@
 
 The per-file rules see one ``ast.Module`` at a time; the invariants
 added with the interprocedural rules — charge-once accounting, gate
-coherence across helper calls, taint that flows through return values,
-project-wide summary reconciliation — need to see *every* linted file at
-once.  :class:`ProjectIndex` is that view: every function definition in
-the linted tree, what it charges (``Stats`` fields, the simulated
-clock), what it mirrors into the tracer, which feature-slot parameters
+coherence across helper calls, taint that flows through return values —
+need to see *every* linted file at once.  :class:`ProjectIndex` is that
+view: every function definition in the linted tree, what it charges
+(``Stats`` fields, the simulated clock), which feature-slot parameters
 it dereferences, and which other indexed functions it calls.
 
 Call resolution is deliberately nominal, matching the engine's style
@@ -82,8 +81,6 @@ class FunctionInfo:
     #: direct simulated-clock charges (``clock.work(...)``,
     #: ``clock.now += ...``); presence means "this function moves time"
     clock_charges: list[ast.AST] = field(default_factory=list)
-    #: direct ``tracer.count("<field>", ...)`` mirrors, by field name
-    mirrors: dict[str, list[ast.Call]] = field(default_factory=dict)
     #: resolved + unresolved call sites, in source order
     calls: list[CallSite] = field(default_factory=list)
     #: parameters named like feature slots that the body dereferences
@@ -138,7 +135,7 @@ class ProjectIndex:
         # pass 1: declarations (classes, functions, imports)
         for src in index.sources:
             index._collect_declarations(src)
-        # pass 2: per-function bodies (charges, mirrors, call sites)
+        # pass 2: per-function bodies (charges, call sites)
         for src in index.sources:
             index._collect_bodies(src, config)
         return index
@@ -205,14 +202,6 @@ class ProjectIndex:
                     base_name = terminal_name(func.value)
                     if func.attr in _CLOCK_METHODS and base_name == "clock":
                         info.clock_charges.append(sub)
-                    if (
-                        func.attr == "count"
-                        and base_name == "tracer"
-                        and sub.args
-                        and isinstance(sub.args[0], ast.Constant)
-                        and isinstance(sub.args[0].value, str)
-                    ):
-                        info.mirrors.setdefault(sub.args[0].value, []).append(sub)
                 callee = self._resolve_call(sub, info, src)
                 info.calls.append(
                     CallSite(node=sub, callee=callee, text=_callee_text(func))

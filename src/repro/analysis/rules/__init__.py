@@ -11,13 +11,10 @@ from repro.analysis.rules.nondeterminism import NondeterminismRule
 from repro.analysis.rules.runtime_assert import RuntimeAssertRule
 from repro.analysis.rules.set_iteration import SetIterationRule
 from repro.analysis.rules.slots import SlotsRule
-from repro.analysis.rules.summary_drift import SummaryDriftRule
-from repro.analysis.rules.tracer_mirror import TracerMirrorRule
 
 _RULE_CLASSES: tuple[type[Rule], ...] = (
     NondeterminismRule,
     RuntimeAssertRule,
-    TracerMirrorRule,
     SlotsRule,
     FeatureGateRule,
     SetIterationRule,
@@ -25,7 +22,6 @@ _RULE_CLASSES: tuple[type[Rule], ...] = (
     ChargeAccountingRule,
     GateCoherenceRule,
     DeterminismTaintRule,
-    SummaryDriftRule,
 )
 
 

@@ -8,7 +8,7 @@ crosses — and the layered entry points (``AsyncIOSystem.request`` /
 charging their contracted counters on *some* path, or the budget meter
 silently under-counts.
 
-Three interprocedural checks over the project call graph:
+Four interprocedural checks over the project call graph:
 
 * **double charge** — a function that charges a *charge-once* field
   ``F`` directly must not also reach a callee that charges ``F``: the
@@ -19,17 +19,25 @@ Three interprocedural checks over the project call graph:
   ``instances_created``...) are charged per occurrence at many sites by
   design — the batched kernels replay the scalar charge sequence while
   their exclusive fallback branches charge through the ``charge_*``
-  helpers — so they are exempt here and policed by ``tracer-mirror``
-  and the runtime charge sanitizer instead.
+  helpers — so they are exempt here; that the kernels and the scalar
+  chain book the same totals is asserted with ``==`` by
+  ``tests/property/test_batched_prop.py``.
 * **missed charge** (entry-point completeness) — the contracted entry
   points must charge their counter sets directly or transitively.
 * **charge pairing** — a direct ``buffer_misses`` charge implies a
   reachable ``pages_requested`` charge (a miss that never requests the
   page is an accounting hole), and a direct ``pages_requested`` charge
   implies simulated-clock movement (a logical read is never free).
+* **dead field** — every ``Stats`` field must be charged somewhere in
+  the linted tree: a counter nothing increments is dead weight every
+  result still faithfully reports as zero (usually a refactor left it
+  behind).  Only fires when the linted tree actually contains charge
+  sites (linting a lone file must not declare every field dead).
 """
 
 from __future__ import annotations
+
+import ast
 
 from repro.analysis.config import ReplintConfig
 from repro.analysis.core import Finding, ProjectRule
@@ -89,10 +97,12 @@ class ChargeAccountingRule(ProjectRule):
         self, index: ProjectIndex, config: ReplintConfig
     ) -> list[Finding]:
         findings: list[Finding] = []
+        charged_anywhere: set[str] = set()
         for qualname in sorted(index.functions):
             info = index.functions[qualname]
             if not info.charges:
                 continue
+            charged_anywhere.update(info.charges)
             transitive = index.transitive_charges(qualname)
             for field_name in sorted(info.charges):
                 if field_name not in CHARGE_ONCE_FIELDS:
@@ -154,4 +164,36 @@ class ChargeAccountingRule(ProjectRule):
                         f"charges {missing_list} on any path (missed charge)",
                     )
                 )
+        if charged_anywhere:
+            findings.extend(self._dead_fields(index, config, charged_anywhere))
+        return findings
+
+    def _dead_fields(
+        self, index: ProjectIndex, config: ReplintConfig, charged: set[str]
+    ) -> list[Finding]:
+        stats_src = next(
+            (src for src in index.sources if src.relpath == "sim/stats.py"), None
+        )
+        if stats_src is None:
+            return []
+        findings: list[Finding] = []
+        for node in ast.walk(stats_src.tree):
+            if not isinstance(node, ast.ClassDef) or node.name != "Stats":
+                continue
+            for item in node.body:
+                if (
+                    isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)
+                    and item.target.id in config.stats_fields
+                    and item.target.id not in charged
+                ):
+                    findings.append(
+                        self.finding(
+                            stats_src,
+                            item,
+                            f"Stats.{item.target.id} is never charged anywhere "
+                            "in the linted tree; remove the dead counter or "
+                            "restore its charge site",
+                        )
+                    )
         return findings

@@ -5,7 +5,7 @@ subsystems: when disabled, their slots hold ``None`` and the engine must
 pay nothing beyond one pointer test — that is what the ablation
 benchmarks prove dynamically (off-path is bit-identical and free).  The
 static half: any attribute access *through* such a slot
-(``ctx.tracer.count(...)``, ``synopsis.can_extend(...)``,
+(``ctx.tracer.event(...)``, ``synopsis.can_extend(...)``,
 ``self.faults.service(...)``) must sit inside one of the engine's
 blessed guard shapes (see :mod:`repro.analysis.guards`), otherwise the
 off-path would raise ``AttributeError`` — or worse, the guard got lost

@@ -1,16 +1,15 @@
 """reprosan: runtime sanitizers for the engine's accounting invariants.
 
-Static analysis (:mod:`repro.analysis`) proves invariant *shapes* — every
-Stats increment has a tracer mirror, gated state stays behind its gate.
-The sanitizers prove the *values* at runtime: they re-derive the books
+Static analysis (:mod:`repro.analysis`) proves invariant *shapes* — each
+charge lands once, gated state stays behind its gate.
+The sanitizers prove the *values* at runtime: they re-derive them
 from independent evidence while the engine runs and fail loudly on the
 first disagreement.  Three sanitizers:
 
-* **charge** — shadow accounting: every ``Stats`` counter delta must
-  equal its tracer-mirror delta at every operator yield, and the
-  simulated clock must stay monotonic with ``now == cpu_time + io_wait``.
-  Catches the PR 3 bug class (a layer double- or under-charging) at the
-  exact yield where the books first diverge.
+* **charge** — at every operator yield the simulated clock must be
+  monotonic, on the time grid, and satisfy ``now == cpu_time + io_wait``.
+  Catches a duration charged to one sum and not the other, or created
+  off the grid, at the exact yield where it first shows.
 * **determinism** — double execution: every cold :meth:`Database.execute
   <repro.engine.Database.execute>` is re-run on a private shadow runtime
   and diffed — value, nodes, every counter, the clock, and the trace
@@ -89,7 +88,7 @@ def fail(sanitizer: str, message: str, details: dict[str, Any] | None = None) ->
     raise SanitizerError(f"[reprosan:{sanitizer}] {message}")
 
 
-def install(ctx: Any, active: frozenset[str] | None = None) -> None:
+def install(ctx: Any) -> None:
     """Attach the per-context sanitizers to a freshly built runtime.
 
     Called by :meth:`ExecutionEnvironment.fresh_context
@@ -99,8 +98,7 @@ def install(ctx: Any, active: frozenset[str] | None = None) -> None:
     determinism and mutation sanitizers hook their own sites and consult
     :func:`enabled` there.
     """
-    active = modes() if active is None else active
-    if "charge" in active:
+    if "charge" in modes():
         from repro.analysis.sanitize.charge import ChargeSanitizer
 
         ctx.san = ChargeSanitizer(ctx)

@@ -7,8 +7,8 @@ common sources (set iteration, ``id()`` keys, wall clocks), but cannot
 prove the property.  This sanitizer measures it: after each cold
 :meth:`Database.execute <repro.engine.Database.execute>`, the compiled
 plan is re-executed on a private shadow runtime (same wiring, fresh
-clock/buffer/fault plan, its own shadow tracer) and the two runs are
-diffed.
+clock/buffer/fault plan, its own tracer when the primary run had one)
+and the two runs are diffed.
 
 The shadow runtime is built through
 :meth:`~repro.exec.environment.ExecutionEnvironment.shadow_context`, so
@@ -16,8 +16,7 @@ it does not count towards ``contexts_built``, never installs sanitizers
 of its own, and never touches the user's tracer — the primary run's
 observable outcome is byte-identical with the sanitizer on or off.
 
-When the primary run was traced (always under ``REPRO_SAN=1``, via the
-charge sanitizer's shadow tracer), the event streams are compared tick
+When the primary run was traced, the event streams are compared tick
 for tick: same length, and each event agrees on timestamp, category,
 name, page and duration.  Event comparison is skipped only if the
 primary tracer's bounded ring already dropped part of the run.
@@ -48,8 +47,10 @@ def recheck(
     (the context was cold, so its totals are the run's totals);
     ``tracer``/``events_start`` locate the primary run's event slice.
     """
-    shadow_tracer = Tracer(shadow=True)
-    ctx = env.shadow_context(options, tracer=shadow_tracer)
+    # traced like the primary run, on a private tracer
+    ctx = env.shadow_context(
+        options, tracer=Tracer() if tracer is not None else None
+    )
     value2, nodes2 = compiled.execute(ctx)
 
     if value2 != value:
@@ -80,7 +81,7 @@ def recheck(
             f"(now, cpu, io_wait) = {clock!r} vs {clock2!r}",
         )
     if tracer is not None:
-        _diff_events(tracer, events_start, shadow_tracer)
+        _diff_events(tracer, events_start, ctx.tracer)
 
 
 def _diff_events(tracer: Tracer, events_start: int, shadow_tracer: Tracer) -> None:

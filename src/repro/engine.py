@@ -61,8 +61,8 @@ class Result:
     #: clusters, budget cuts.  ``None`` for a full-fidelity run.
     degradation: DegradationReport | None = None
     #: trace-derived rollups for this run (``None`` unless the database
-    #: was built with a :class:`~repro.obs.tracer.Tracer`); the mirrored
-    #: counters reconcile exactly with ``stats``
+    #: was built with a :class:`~repro.obs.tracer.Tracer`); its
+    #: ``counters`` are ``stats.as_dict()``
     trace_summary: TraceSummary | None = None
 
     @property
@@ -88,14 +88,16 @@ class Result:
         stats: Stats | None = None,
         shared_io_queries: int = 1,
         degradation: DegradationReport | None = None,
-        trace_summary: TraceSummary | None = None,
     ) -> "Result":
         """Bundle the timing since ``mark`` and ``ctx``'s counters.
 
-        ``stats`` overrides the context's bundle (warm sessions pass a
-        per-run delta; batches pass the shared batch bundle).
+        ``stats`` overrides the context's bundle (runs on a reused
+        runtime pass their per-run delta).  A traced context's summary
+        is built over the same bundle.
         """
         total, cpu, io_wait = ctx.clock.since(mark)
+        if stats is None:
+            stats = ctx.stats
         return cls(
             query=query,
             doc=doc,
@@ -105,10 +107,12 @@ class Result:
             total_time=total,
             cpu_time=cpu,
             io_wait=io_wait,
-            stats=ctx.stats if stats is None else stats,
+            stats=stats,
             shared_io_queries=shared_io_queries,
             degradation=degradation,
-            trace_summary=trace_summary,
+            trace_summary=(
+                ctx.tracer.summary(stats) if ctx.tracer is not None else None
+            ),
         )
 
     @property
@@ -254,8 +258,10 @@ class Database:
         ctx = context or self.env.fresh_context(options)
         events_mark = len(ctx.degradation_events)
         mark = ctx.clock.checkpoint()
+        # a cold context's totals are the run's totals; a reused one is
+        # reported as the delta since here
+        before = ctx.stats.snapshot() if context is not None else None
         tracer = ctx.tracer
-        trace_mark = tracer.mark() if tracer is not None else None
         events_start = tracer.events_recorded if tracer is not None else 0
         value, nodes = compiled.execute(ctx)
         # a "partial" budget records its cut as a degradation event and
@@ -267,7 +273,6 @@ class Database:
             from repro.analysis import sanitize
 
             if "determinism" in sanitize.modes():
-                # cold run: the context's totals are the run's totals
                 from repro.analysis.sanitize.determinism import recheck
 
                 recheck(
@@ -289,12 +294,8 @@ class Database:
             plan_kinds=compiled.plan_kinds,
             value=value,
             nodes=nodes,
+            stats=None if before is None else ctx.stats.diff(before),
             degradation=ctx.report_since(events_mark, partial=partial),
-            trace_summary=(
-                tracer.summary(since=trace_mark)
-                if tracer is not None and not tracer.shadow
-                else None
-            ),
         )
 
     def session(
@@ -488,8 +489,6 @@ class Database:
         document = self.store.document(doc)
         ctx = self.env.fresh_context(options)
         mark = ctx.clock.checkpoint()
-        tracer = ctx.tracer
-        trace_mark = tracer.mark() if tracer is not None else None
         if method == "scan":
             text = export_scan(ctx, document)
         elif method == "navigate":
@@ -502,11 +501,6 @@ class Database:
             query=f"export[{method}]",
             doc=doc,
             plan_kinds=[],
-            trace_summary=(
-                tracer.summary(since=trace_mark)
-                if tracer is not None and not tracer.shadow
-                else None
-            ),
         )
         return text, result
 

@@ -309,8 +309,6 @@ def run_batch(
     shared = session.context(session.options)
     mark = shared.clock.checkpoint()
     before = shared.stats.snapshot()
-    tracer = shared.tracer
-    trace_mark = tracer.mark() if tracer is not None else None
 
     n = len(raw)
     #: per request: (value, nodes, clock checkpoint, degradation report)
@@ -344,11 +342,8 @@ def run_batch(
     # ---- per-request results with shared-I/O attribution
     batch_stats = shared.stats.diff(before)
     total, cpu, io_wait = shared.clock.since(mark)
-    batch_summary = (
-        tracer.summary(since=trace_mark)
-        if tracer is not None and not tracer.shadow
-        else None
-    )
+    tracer = shared.tracer
+    batch_summary = tracer.summary(batch_stats) if tracer is not None else None
     results: list[Result] = []
     for position in range(n):
         value, nodes, checkpoint, degradation = outcomes[position]

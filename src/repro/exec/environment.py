@@ -92,29 +92,16 @@ class ExecutionEnvironment:
         """A cold runtime: new clock, parked disk head, empty buffer.
 
         When ``REPRO_SAN`` requests runtime sanitizers
-        (:mod:`repro.analysis.sanitize`), they are installed here — with
-        a *shadow* tracer when the environment has none, so the charge
-        sanitizer's mirror counters have somewhere to land without
-        surfacing in results.  The variable is consulted only when set,
-        keeping the ordinary path free of sanitizer work.
+        (:mod:`repro.analysis.sanitize`), they are installed here.  The
+        variable is consulted only when set, keeping the ordinary path
+        free of sanitizer work.
         """
-        opts = options or self.options
-        tracer = self.tracer
-        active: frozenset[str] = frozenset()
+        ctx = self._build_context(options or self.options, self.tracer)
+        self.contexts_built += 1
         if os.environ.get("REPRO_SAN"):
             from repro.analysis import sanitize
 
-            active = sanitize.modes()
-            if "charge" in active and tracer is None:
-                from repro.obs.tracer import Tracer
-
-                tracer = Tracer(shadow=True)
-        ctx = self._build_context(opts, tracer)
-        self.contexts_built += 1
-        if active:
-            from repro.analysis import sanitize
-
-            sanitize.install(ctx, active)
+            sanitize.install(ctx)
         return ctx
 
     def shadow_context(
@@ -179,7 +166,6 @@ class ExecutionEnvironment:
             tags=shared.tags,
             tracer=shared.tracer,
         )
-        # the charge sanitizer audits the *shared* stats/clock/tracer, so
-        # views participate in the same shadow books
+        # the charge sanitizer audits the *shared* clock
         ctx.san = shared.san
         return ctx

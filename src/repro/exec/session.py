@@ -187,8 +187,6 @@ class QuerySession:
         events_mark = len(ctx.degradation_events)
         mark = ctx.clock.checkpoint()
         before = ctx.stats.snapshot()
-        tracer = ctx.tracer
-        trace_mark = tracer.mark() if tracer is not None else None
         value, nodes = compiled.execute(ctx)
         partial = any(
             e.reason == "budget" for e in ctx.degradation_events[events_mark:]
@@ -203,11 +201,6 @@ class QuerySession:
             nodes=nodes,
             stats=ctx.stats.diff(before),
             degradation=ctx.report_since(events_mark, partial=partial),
-            trace_summary=(
-                tracer.summary(since=trace_mark)
-                if tracer is not None and not tracer.shadow
-                else None
-            ),
         )
         self._account(result)
         self.observe_run(compiled, doc, result.total_time, options)

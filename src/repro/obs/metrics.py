@@ -1,33 +1,26 @@
-"""Derived metrics: rollups over a trace, reconcilable against Stats.
+"""Derived metrics: a run's counters beside the rollups of its trace.
 
-A :class:`TraceSummary` is the queryable face of a trace — the mirrored
+A :class:`TraceSummary` is the queryable face of a trace — the run's
 counters, per-operator rollups, the cluster-access heatmap and the retry
 histogram — detached from the tracer that produced it (summaries are
 plain data, safe to keep on :class:`~repro.engine.Result`).
 
-The reconciliation contract: the tracer mirrors every ``Stats`` counter
-increment independently, so for any execution slice
-``summary.reconcile(result.stats)`` must return an empty dict.  A
-non-empty return means an instrumentation site is missing or double
-counted — this is the drift detector the test suite leans on whenever a
-new counter is added to :class:`~repro.sim.stats.Stats`.
+There is one book of account: ``counters`` is ``result.stats.as_dict()``
+for the same execution slice, not a second tally, so the two cannot
+disagree.  The rollups are the independent source — they are built from
+events, and e.g. the heatmap total must equal ``pages_read``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from repro.sim.stats import Stats
+from dataclasses import dataclass, field
 
 
 @dataclass
 class TraceSummary:
-    """Rollups derived from one tracer (optionally since a mark).
+    """One run's ``Stats`` slice plus the rollups of one tracer.
 
-    ``counters`` is the per-slice delta (matching the result's ``Stats``
+    ``counters`` is per slice (it *is* the result's ``Stats``
     attribution); the operator/cluster/retry rollups are cumulative over
     the tracer's lifetime, like the tracer's plan-cache and batch tallies.
     """
@@ -41,35 +34,6 @@ class TraceSummary:
     plan_choices: dict[str, int] = field(default_factory=dict)
     events_recorded: int = 0
     events_dropped: int = 0
-
-    def counter(self, name: str) -> float:
-        """The mirrored value of one ``Stats`` counter (0 if never hit)."""
-        return self.counters.get(name, 0)
-
-    def reconcile(self, stats: "Stats") -> dict[str, tuple[float, float]]:
-        """Compare the mirrored counters against a ``Stats`` bundle.
-
-        Returns ``{field: (traced, stats)}`` for every field that
-        disagrees — empty when the trace reconciles.  Driven by
-        ``dataclasses.fields(Stats)``, so a counter added to ``Stats``
-        without a matching tracer mirror shows up here the moment it is
-        exercised.
-
-        Integer counters must match exactly.  Float counters (only
-        ``backoff_wait`` today) are compared to within float round-off:
-        per-slice attribution subtracts cumulative totals on both sides,
-        and ``(a + b) - a`` is not bit-equal to ``b`` for floats.
-        """
-        mismatches: dict[str, tuple[float, float]] = {}
-        for f in fields(type(stats)):
-            expected = getattr(stats, f.name)
-            traced = self.counters.get(f.name, 0)
-            if isinstance(expected, float):
-                if not math.isclose(traced, expected, rel_tol=1e-9, abs_tol=1e-12):
-                    mismatches[f.name] = (traced, expected)
-            elif traced != expected:
-                mismatches[f.name] = (traced, expected)
-        return mismatches
 
     def hottest_clusters(self, n: int = 10) -> list[tuple[int, int]]:
         """The ``n`` most-serviced pages, hottest first."""

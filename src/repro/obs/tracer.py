@@ -1,27 +1,31 @@
-"""The Tracer: a bounded event ring plus an online metrics registry.
+"""The Tracer: a bounded event ring plus online event roll-ups.
 
 One :class:`Tracer` instance is installed on an
 :class:`~repro.exec.environment.ExecutionEnvironment` and shared by every
 context built from it (cold contexts, warm sessions, batch views alike),
 so a whole workload lands in one trace.  Instrumentation sites throughout
-the stack call :meth:`Tracer.count` (a counter mirror of a ``Stats``
-increment) and :meth:`Tracer.event` (a structured record in the ring).
+the stack call :meth:`Tracer.event` (a structured record in the ring)
+and the roll-up recorders built on it.
 
-Two invariants the rest of the system relies on:
+The tracer records only what a counter cannot say — request lifecycles,
+operator spans, which page, which attempt.  It keeps no counters of its
+own: :class:`~repro.sim.stats.Stats` is the only counter store, and
+:meth:`Tracer.summary` is handed the run's ``Stats`` slice to report
+beside the roll-ups.
 
-* the tracer never charges the simulated clock — timestamps are *read*
-  from it, so traced runs are bit-identical in simulated time;
-* every ``Stats`` counter increment in the engine has a matching
-  ``count`` call with the same name and amount, which is what makes
-  :meth:`repro.obs.metrics.TraceSummary.reconcile` exact.
+The tracer never charges the simulated clock — timestamps are *read*
+from it, so traced runs are bit-identical in simulated time.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.obs.metrics import TraceSummary
+
+if TYPE_CHECKING:
+    from repro.sim.stats import Stats
 
 
 class TraceEvent:
@@ -69,27 +73,19 @@ class TraceEvent:
 class Tracer:
     """Record structured execution events and derive rollups.
 
-    The ring buffer holds the most recent ``capacity`` events; metric
-    counters, operator rollups, the cluster heatmap and the retry
-    histogram are maintained *online* at record time, so they stay exact
-    even after the ring has wrapped (``dropped`` tells you by how much).
+    The ring buffer holds the most recent ``capacity`` events; operator
+    rollups, the cluster heatmap and the retry histogram are maintained
+    *online* at record time, so they stay exact even after the ring has
+    wrapped (``dropped`` tells you by how much).
     """
 
-    def __init__(self, capacity: int = 65536, shadow: bool = False) -> None:
+    def __init__(self, capacity: int = 65536) -> None:
         if capacity < 1:
             raise ValueError(f"tracer capacity must be positive, got {capacity}")
         self.capacity = capacity
-        #: True for a sanitizer-installed shadow tracer
-        #: (:mod:`repro.analysis.sanitize`): it exists only to feed the
-        #: shadow accounting, so reporting sites skip it and
-        #: ``Result.trace_summary`` stays ``None`` exactly as if no
-        #: tracer were attached
-        self.shadow = shadow
         self.events: deque[TraceEvent] = deque(maxlen=capacity)
         #: total events recorded (including any the ring has dropped)
         self.events_recorded = 0
-        #: mirror of every Stats counter increment, by field name
-        self.counters: dict[str, float] = {}
         #: per-operator rollups: class name -> opens/calls/out/busy
         self.operators: dict[str, dict[str, float]] = {}
         #: cluster-access heatmap: page -> physical service count
@@ -111,11 +107,6 @@ class Tracer:
         return self.events_recorded - len(self.events)
 
     # ------------------------------------------------------------ recording
-
-    def count(self, name: str, amount: float = 1) -> None:
-        """Mirror one ``Stats`` counter increment (``stats.name += amount``)."""
-        counters = self.counters
-        counters[name] = counters.get(name, 0) + amount
 
     def event(
         self,
@@ -248,26 +239,11 @@ class Tracer:
 
     # ----------------------------------------------------------- summaries
 
-    def mark(self) -> dict[str, float]:
-        """Counter snapshot; pass to :meth:`summary` for a per-run delta.
-
-        The same discipline as ``Stats.snapshot``/``diff``: warm sessions
-        and batches mark before a run and summarise since the mark, so
-        the per-run summary reconciles with the per-run stats delta.
-        """
-        return dict(self.counters)
-
-    def summary(self, since: dict[str, float] | None = None) -> TraceSummary:
-        """Derive the current rollups (counters diffed against ``since``)."""
-        if since is None:
-            counters = dict(self.counters)
-        else:
-            counters = {
-                name: value - since.get(name, 0)
-                for name, value in self.counters.items()
-            }
+    def summary(self, stats: "Stats") -> TraceSummary:
+        """The current rollups beside ``stats``, the run's counter slice
+        (the same bundle the run's ``Result.stats`` carries)."""
         return TraceSummary(
-            counters=counters,
+            counters=stats.as_dict(),
             operators={name: dict(roll) for name, roll in self.operators.items()},
             cluster_reads=dict(self.cluster_reads),
             retry_histogram=dict(self.retry_histogram),
@@ -338,7 +314,4 @@ class Tracer:
         return len(self.events)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Tracer({self.events_recorded} events, {self.dropped} dropped, "
-            f"{len(self.counters)} counters)"
-        )
+        return f"Tracer({self.events_recorded} events, {self.dropped} dropped)"

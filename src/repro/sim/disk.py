@@ -153,7 +153,6 @@ class DiskDevice:
         self._pending.append(req)
         self.stats.io_requests += 1
         if self.tracer is not None:
-            self.tracer.count("io_requests")
             self.tracer.event(now, "disk", "enqueue", page=page)
         return req
 
@@ -234,7 +233,6 @@ class DiskDevice:
                         # the caller only finds out via its request timeout
                         self.stats.lost_requests += 1
                         if self.tracer is not None:
-                            self.tracer.count("lost_requests")
                             self.tracer.event(
                                 self._in_flight.done_time,
                                 "disk",
@@ -258,14 +256,11 @@ class DiskDevice:
 
     def _start_service(self, req: Request, start: float, queue_depth: int) -> None:
         geo = self.geometry
-        tracer = self.tracer
         distance = abs(req.page - self.head)
         if distance == 0:
             # head already positioned: streaming read, transfer only
             duration = geo.transfer_time
             self.stats.sequential_reads += 1
-            if tracer is not None:
-                tracer.count("sequential_reads")
         else:
             rotational = geo.rotational_latency
             if self.policy is not SchedulingPolicy.FIFO and queue_depth > 1:
@@ -280,25 +275,19 @@ class DiskDevice:
             duration = geo.seek_time(distance) + rotational + geo.transfer_time
             self.stats.seeks += 1
             self.stats.seek_distance += distance
-            if tracer is not None:
-                tracer.count("seeks")
-                tracer.count("seek_distance", distance)
         if self.faults is not None:
             verdict = self.faults.service(req.page)
             req.outcome = verdict.outcome
             if verdict.slow_factor != 1.0:
                 duration *= verdict.slow_factor
                 self.stats.slow_services += 1
-                if tracer is not None:
-                    tracer.count("slow_services")
         duration = on_grid(duration)
         req.start_time = start
         req.done_time = start + duration
         self.head = req.page + 1
         self.busy_until = req.done_time
         self.stats.pages_read += 1
-        if tracer is not None:
-            tracer.count("pages_read")
+        if (tracer := self.tracer) is not None:
             tracer.cluster_read(req.page)
             tracer.event(
                 start,

@@ -94,8 +94,6 @@ class AsyncIOSystem:
         self.stats.async_requests += 1
         self.stats.pages_requested += 1
         if self.tracer is not None:
-            self.tracer.count("async_requests")
-            self.tracer.count("pages_requested")
             self.tracer.event(self.clock.now, "io", "request", page=page)
         return True
 
@@ -163,8 +161,6 @@ class AsyncIOSystem:
         blocks until that earlier request delivers it.
         """
         self.stats.sync_requests += 1
-        if self.tracer is not None:
-            self.tracer.count("sync_requests")
         if page not in self._requested:
             self.clock.work(self.costs.io_submit)
             self.disk.submit(page, self.clock.now)
@@ -172,7 +168,6 @@ class AsyncIOSystem:
             self._attempts[page] = 1
             self.stats.pages_requested += 1
             if self.tracer is not None:
-                self.tracer.count("pages_requested")
                 self.tracer.event(self.clock.now, "io", "sync-read", page=page)
         # Drain completions until our page arrives; completions for other
         # pages are re-surfaced to the caller via the pending set, but with
@@ -200,8 +195,6 @@ class AsyncIOSystem:
     def _retry_failed(self, page: int, blocking: bool) -> None:
         """Handle a failed completion: backoff + resubmit, or escalate."""
         self.stats.io_errors += 1
-        if self.tracer is not None:
-            self.tracer.count("io_errors")
         attempts = self._attempts.get(page, 1)
         if attempts > self.retry.max_retries:
             self._requested.pop(page, None)
@@ -212,8 +205,6 @@ class AsyncIOSystem:
         self.stats.retries += 1
         self._attempts[page] = attempts + 1
         if self.tracer is not None:
-            self.tracer.count("backoff_wait", delay)
-            self.tracer.count("retries")
             self.tracer.io_retry(attempts)
             self.tracer.event(
                 self.clock.now,
@@ -244,8 +235,6 @@ class AsyncIOSystem:
             first_submit = self._requested[page]
             attempts = self._attempts.get(page, 1)
             self.stats.timeouts += 1
-            if self.tracer is not None:
-                self.tracer.count("timeouts")
             if attempts > self.retry.max_retries:
                 self._requested.pop(page, None)
                 self._attempts.pop(page, None)
@@ -254,7 +243,6 @@ class AsyncIOSystem:
             self.stats.retries += 1
             self._attempts[page] = attempts + 1
             if self.tracer is not None:
-                self.tracer.count("retries")
                 self.tracer.io_retry(attempts)
                 self.tracer.event(
                     self.clock.now,

@@ -93,13 +93,10 @@ class BufferManager:
         self.clock.work(self.costs.swizzle)
         self.stats.swizzles += 1
         tracer = self.tracer
-        if tracer is not None:
-            tracer.count("swizzles")
         frame = self._frames.get(page_no)
         if frame is None:
             self.stats.buffer_misses += 1
             if tracer is not None:
-                tracer.count("buffer_misses")
                 tracer.event(self.clock.now, "buffer", "miss", page=page_no)
             self.iosys.read_sync(page_no)
             frame = self._admit(page_no)
@@ -109,7 +106,6 @@ class BufferManager:
         else:
             self.stats.buffer_hits += 1
             if tracer is not None:
-                tracer.count("buffer_hits")
                 tracer.event(self.clock.now, "buffer", "hit", page=page_no)
         frame.pins += 1
         self._touch(frame)
@@ -119,16 +115,12 @@ class BufferManager:
         """Swizzle only if the page is already buffered (no I/O)."""
         self.clock.work(self.costs.swizzle)
         self.stats.swizzles += 1
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.count("swizzles")
         frame = self._frames.get(page_no)
         if frame is None:
             return None
         self.stats.buffer_hits += 1
-        if tracer is not None:
-            tracer.count("buffer_hits")
-            tracer.event(self.clock.now, "buffer", "hit", page=page_no)
+        if self.tracer is not None:
+            self.tracer.event(self.clock.now, "buffer", "hit", page=page_no)
         frame.pins += 1
         self._touch(frame)
         return frame
@@ -139,8 +131,6 @@ class BufferManager:
             raise BufferError_(f"unfix of unpinned frame {frame.page_no}")
         frame.pins -= 1
         self.stats.unswizzles += 1
-        if self.tracer is not None:
-            self.tracer.count("unswizzles")
         self.clock.work(self.costs.unswizzle)
 
     def admit_completed(self, page_no: int) -> Frame:
@@ -180,7 +170,6 @@ class BufferManager:
         del self._frames[victim.page_no]
         self.stats.evictions += 1
         if self.tracer is not None:
-            self.tracer.count("evictions")
             self.tracer.event(self.clock.now, "buffer", "evict", page=victim.page_no)
 
     def _touch(self, frame: Frame) -> None:

@@ -118,8 +118,6 @@ def export_scan(ctx: EvalContext, document: StoredDocument) -> str:
             frame = ctx.buffer.fix(page_no)  # sequential: streaming cost
         ctx.set_current_frame(frame)
         ctx.stats.clusters_visited += 1
-        if ctx.tracer is not None:
-            ctx.tracer.count("clusters_visited")
         page = frame.page
         for slot, record in enumerate(page.records):
             entry_key: NodeID | None = None

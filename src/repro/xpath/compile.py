@@ -266,8 +266,6 @@ class CompiledPathPlan:
 
     def _note_refuted(self, ctx: EvalContext) -> None:
         ctx.stats.paths_refuted += 1
-        if ctx.tracer is not None:
-            ctx.tracer.count("paths_refuted")
 
     def run_count(self, ctx: EvalContext) -> int:
         if self.refuted:

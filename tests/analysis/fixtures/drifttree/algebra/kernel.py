@@ -1,7 +1,5 @@
-"""Drift fixture: charges (and mirrors) merges; node_tests is left dead."""
+"""Drift fixture: charges merges; node_tests is left dead."""
 
 
-def merge_step(stats, tracer):
+def merge_step(stats):
     stats.merges += 1
-    if tracer is not None:
-        tracer.count("merges", 1)

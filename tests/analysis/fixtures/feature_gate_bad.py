@@ -3,7 +3,7 @@
 
 class Device:
     def submit(self, page):
-        self.tracer.count("io_requests")
+        self.tracer.cluster_read(1)
 
     def prune(self, page):
         return self.synopsis.can_skip(page)

@@ -8,7 +8,7 @@ def build_synopsis():
 class Device:
     def submit(self, page):
         if self.tracer is not None:
-            self.tracer.count("io_requests")
+            self.tracer.cluster_read(1)
 
     def prune(self, page):
         # and-chain: left operand proves the right one safe

@@ -15,7 +15,7 @@ class WalrusGuards:
 
     def drain(self):
         while (tracer := self.tracer) is not None:
-            tracer.count("pages_read", 1)
+            tracer.cluster_read(1)
             self.tracer = tracer.successor()
         # outside the loop the condition is known false, not non-None
-        tracer.count("pages_read", 1)
+        tracer.cluster_read(1)

@@ -11,16 +11,16 @@ class WalrusGuards:
     def emit(self):
         # the walrus proves both the bound local and the source slot
         if (tracer := self.tracer) is not None:
-            tracer.count("pages_read", 1)
-            self.tracer.count("pages_read", 1)
+            tracer.cluster_read(1)
+            self.tracer.cluster_read(1)
 
     def emit_truthy(self):
         # truthiness of the walrus implies non-None just the same
         if (tracer := self.tracer):
-            tracer.count("pages_read", 1)
+            tracer.cluster_read(1)
 
     def drain(self):
         # the while condition guards the loop body on every iteration
         while (tracer := self.tracer) is not None:
-            tracer.count("pages_read", 1)
+            tracer.cluster_read(1)
             self.tracer = tracer.successor()

@@ -9,7 +9,7 @@ class Emitter:
 
     def _emit(self, tracer: Tracer) -> None:  # noqa: F821 - lint fixture
         # locally fine: the parameter is declared non-optional
-        tracer.count("pages_read", 1)
+        tracer.cluster_read(1)
 
     def run(self):
         # the slot may hold None; the helper dereferences it unguarded

@@ -8,11 +8,11 @@ class Emitter:
         self.tracer = tracer
 
     def _emit(self, tracer: Tracer) -> None:  # noqa: F821 - lint fixture
-        tracer.count("pages_read", 1)
+        tracer.cluster_read(1)
 
     def _emit_optional(self, tracer: Tracer | None) -> None:  # noqa: F821
         if tracer is not None:
-            tracer.count("pages_read", 1)
+            tracer.cluster_read(1)
 
     def run(self):
         # the call sits inside the guard, so the requirement is met

@@ -1,16 +1,12 @@
 """Scope fixture: the same bug, silenced by a line suppression."""
 
 
-def backing_read(stats, clock, tracer):
+def backing_read(stats, clock):
     stats.pages_requested += 1
     clock.work(0.001)
-    if tracer is not None:
-        tracer.count("pages_requested", 1)
 
 
-def layered_read(stats, clock, tracer):
+def layered_read(stats, clock):
     stats.pages_requested += 1  # replint: disable=charge-accounting
     clock.work(0.001)
-    if tracer is not None:
-        tracer.count("pages_requested", 1)
-    backing_read(stats, clock, tracer)
+    backing_read(stats, clock)

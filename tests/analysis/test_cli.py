@@ -107,5 +107,5 @@ def test_list_rules(capsys):
     code = main(["--list-rules"])
     out = capsys.readouterr().out
     assert code == 0
-    for rule_id in ("nondeterminism", "runtime-assert", "tracer-mirror"):
+    for rule_id in ("nondeterminism", "runtime-assert", "charge-accounting"):
         assert rule_id in out

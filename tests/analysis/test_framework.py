@@ -84,14 +84,12 @@ def test_rule_catalogue_is_complete_and_described():
     assert set(catalogue) == {
         "nondeterminism",
         "runtime-assert",
-        "tracer-mirror",
         "slots",
         "feature-gate",
         "set-iteration",
         "charge-accounting",
         "gate-coherence",
         "determinism-taint",
-        "summary-drift",
     }
     for rule_class in catalogue.values():
         assert rule_class.id

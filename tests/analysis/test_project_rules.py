@@ -53,6 +53,16 @@ def test_charge_accounting_entry_point_completeness():
     assert findings[0].path.endswith("iosys.py")
 
 
+def test_charge_accounting_reports_dead_fields():
+    # drifttree stages a miniature sim/stats.py whose node_tests counter
+    # nothing in the tree charges
+    findings = run_rule("charge-accounting", "drifttree", config=ReplintConfig())
+    assert len(findings) == 1
+    assert "node_tests" in findings[0].message
+    assert "never charged" in findings[0].message
+    assert findings[0].path.endswith("stats.py")
+
+
 # ------------------------------------------------------------- gate-coherence
 
 
@@ -82,31 +92,6 @@ def test_determinism_taint_fires_on_bad_fixture():
 
 def test_determinism_taint_passes_good_fixture():
     assert run_rule("determinism-taint", "determinism_taint_good.py") == []
-
-
-# -------------------------------------------------------------- summary-drift
-
-
-def test_summary_drift_fires_on_bad_fixture():
-    findings = run_rule("summary-drift", "summary_drift_bad.py")
-    messages = [f.message for f in findings]
-    assert len(findings) == 2
-    assert any("names no Stats field" in m for m in messages)
-    assert any("mirrored nowhere" in m for m in messages)
-
-
-def test_summary_drift_passes_good_fixture():
-    assert run_rule("summary-drift", "summary_drift_good.py") == []
-
-
-def test_summary_drift_reports_dead_fields():
-    # drifttree stages a miniature sim/stats.py whose node_tests counter
-    # nothing in the tree charges
-    findings = run_rule("summary-drift", "drifttree", config=ReplintConfig())
-    assert len(findings) == 1
-    assert "node_tests" in findings[0].message
-    assert "never charged" in findings[0].message
-    assert findings[0].path.endswith("stats.py")
 
 
 # ------------------------------------------------- scope pruning, suppressions

@@ -47,22 +47,6 @@ def test_runtime_assert_passes_good_fixture():
     assert run_rule("runtime-assert", "runtime_assert_good.py") == []
 
 
-# ------------------------------------------------------------- tracer-mirror
-
-
-def test_tracer_mirror_fires_on_bad_fixture():
-    findings = run_rule("tracer-mirror", "tracer_mirror_bad.py")
-    messages = [f.message for f in findings]
-    assert len(findings) == 3
-    assert any("no tracer.count" in m for m in messages)
-    assert any("not behind an `is not None` guard" in m for m in messages)
-    assert any("amounts must match" in m for m in messages)
-
-
-def test_tracer_mirror_passes_good_fixture():
-    assert run_rule("tracer-mirror", "tracer_mirror_good.py") == []
-
-
 # --------------------------------------------------------------------- slots
 
 

@@ -229,10 +229,9 @@ def test_plan_choice_events_traced():
     tree = tree_from_nested(("a", [("b",), ("b",)]), db.tags)
     db.add_tree(tree, "d", ImportOptions(page_size=512))
     session = db.session()
-    session.execute("//b", "d")
+    result = session.execute("//b", "d")
     assert tracer.plan_choices.get("estimator", 0) >= 1
-    summary = tracer.summary()
-    assert summary.plan_choices.get("estimator", 0) >= 1
+    assert result.trace_summary.plan_choices.get("estimator", 0) >= 1
     events = [e for e in tracer.events if e.name == "plan-choice"]
     assert events and events[-1].args["chosen"] in ("xscan", "xschedule")
     assert events[-1].args["source"] == "estimator"

@@ -34,7 +34,7 @@ def _visited_pages(db):
     tracer = Tracer()
     traced = _twin(db, tracer=tracer)
     result = traced.execute(QUERY, doc="d", plan="xschedule")
-    return result, sorted(tracer.summary().cluster_reads)
+    return result, sorted(tracer.cluster_reads)
 
 
 def test_recovered_dead_page_charged_and_reported_once():

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro import Database, EvalOptions, ImportOptions, ReproError
+from repro import Database, EvalOptions, ImportOptions, ReproError, Tracer
 from repro.sim.disk import DiskGeometry, SchedulingPolicy
 from repro.xpath.compile import PlanKind
 
 
-def make_db():
-    db = Database(page_size=512, buffer_pages=32)
+def make_db(tracer=None):
+    db = Database(page_size=512, buffer_pages=32, tracer=tracer)
     db.load_xml(
         "<site><a><b>one</b><b>two</b></a><a><b>three</b></a><c/></site>", "d"
     )
@@ -64,13 +64,22 @@ def test_empty_result():
 
 
 def test_warm_context_reuses_buffer():
-    db = make_db()
-    ctx = db.make_context()
-    first = db.execute("count(//b)", doc="d", plan="simple", context=ctx)
-    second = db.execute("count(//b)", doc="d", plan="simple", context=ctx)
-    assert second.value == first.value
-    assert second.io_wait < first.io_wait or second.io_wait == 0.0
-    assert second.total_time < first.total_time
+    for tracer in (None, Tracer()):
+        db = make_db(tracer)
+        ctx = db.make_context()
+        first = db.execute("count(//b)", doc="d", plan="simple", context=ctx)
+        first_stats = first.stats.as_dict()
+        second = db.execute("count(//b)", doc="d", plan="simple", context=ctx)
+        assert second.value == first.value
+        assert second.io_wait < first.io_wait or second.io_wait == 0.0
+        assert second.total_time < first.total_time
+        # each result carries its own per-run slice of the reused context
+        assert first.stats.as_dict() == first_stats
+        assert second.stats is not first.stats
+        assert second.stats.buffer_misses == 0 < first.stats.buffer_misses
+        assert second.stats.node_tests == first.stats.node_tests
+        if tracer is not None:
+            assert second.trace_summary.counters == second.stats.as_dict()
 
 
 def test_cold_runs_are_deterministic():

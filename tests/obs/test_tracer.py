@@ -1,5 +1,6 @@
 """Unit tests for the tracer: ring semantics, rollups, exports."""
 
+import dataclasses
 import json
 
 import pytest
@@ -12,12 +13,12 @@ def test_ring_is_bounded_but_counters_survive_overflow():
     tracer = Tracer(capacity=4)
     for i in range(10):
         tracer.event(float(i), "io", "request", page=i)
-        tracer.count("io_requests")
+        tracer.cluster_read(i % 2)
     assert len(tracer.events) == 4
     assert tracer.events_recorded == 10
     assert tracer.dropped == 6
-    # the online registry is exact even though 6 events fell off the ring
-    assert tracer.counters["io_requests"] == 10
+    # the online rollups are exact even though 6 events fell off the ring
+    assert tracer.cluster_reads == {0: 5, 1: 5}
     assert [e.page for e in tracer.events] == [6, 7, 8, 9]
 
 
@@ -26,30 +27,22 @@ def test_capacity_must_be_positive():
         Tracer(capacity=0)
 
 
-def test_mark_and_summary_diff_like_stats_snapshot():
-    tracer = Tracer()
-    tracer.count("pages_read", 3)
-    mark = tracer.mark()
-    tracer.count("pages_read", 2)
-    tracer.count("seeks")
-    summary = tracer.summary(since=mark)
-    assert summary.counter("pages_read") == 2
-    assert summary.counter("seeks") == 1
-    assert summary.counter("never_touched") == 0
-    # cumulative summary still sees everything
-    assert tracer.summary().counter("pages_read") == 5
-
-
-def test_reconcile_is_exact_and_catches_tampering():
-    tracer = Tracer()
-    stats = Stats()
-    stats.pages_read = 4
-    stats.seeks = 2
-    tracer.count("pages_read", 4)
-    tracer.count("seeks", 2)
-    assert tracer.summary().reconcile(stats) == {}
-    stats.seeks += 1  # an unmirrored increment must surface
-    assert tracer.summary().reconcile(stats) == {"seeks": (2, 3)}
+def test_summary_counters_are_the_stats_slice_it_is_handed():
+    """One book: a counter added to Stats shows up in the summary with
+    no second site to keep in step, and the summary is detached data."""
+    ExtendedStats = dataclasses.make_dataclass(
+        "ExtendedStats",
+        [("shiny_new", int, dataclasses.field(default=0))],
+        bases=(Stats,),
+    )
+    stats = ExtendedStats()
+    stats.pages_read = 2
+    stats.shiny_new = 3
+    summary = Tracer().summary(stats)
+    assert summary.counters == stats.as_dict()
+    assert summary.counters["shiny_new"] == 3
+    stats.pages_read += 1  # later activity belongs to a later slice
+    assert summary.counters["pages_read"] == 2
 
 
 def test_operator_rollups():
@@ -57,7 +50,7 @@ def test_operator_rollups():
     tracer.op_call("XStep", produced=True)
     tracer.op_call("XStep", produced=False)
     tracer.op_span("XStep", t0=1.0, t1=3.5, out=1)
-    roll = tracer.summary().operators["XStep"]
+    roll = tracer.summary(Stats()).operators["XStep"]
     assert roll["calls"] == 2
     assert roll["out"] == 1
     assert roll["opens"] == 1
@@ -71,7 +64,7 @@ def test_cluster_heatmap_and_retry_histogram():
     tracer.io_retry(1)
     tracer.io_retry(1)
     tracer.io_retry(2)
-    summary = tracer.summary()
+    summary = tracer.summary(Stats())
     assert summary.hottest_clusters(1) == [(7, 3)]
     assert summary.retry_histogram == {1: 2, 2: 1}
 
@@ -109,10 +102,9 @@ def test_chrome_export_shape(tmp_path):
 
 def test_format_metrics_renders_the_live_sections():
     tracer = Tracer()
-    tracer.count("pages_read", 3)
     tracer.cluster_read(5)
     tracer.plan_cache_event(False, "//a", "d", "xscan")
-    text = format_metrics(tracer.summary())
+    text = format_metrics(tracer.summary(Stats(pages_read=3)))
     assert "pages_read" in text
     assert "hottest clusters" in text
     assert "plan cache: 0 hits, 1 misses" in text

@@ -2,14 +2,11 @@
 
 Every aggregate method must be ``dataclasses.fields()``-driven — adding a
 counter to :class:`~repro.sim.stats.Stats` must never require touching
-``merge``/``snapshot``/``diff``/``as_dict``/``reset`` — and a new counter
-without a matching tracer mirror must be caught by reconciliation, not
-silently drift.
+``merge``/``snapshot``/``diff``/``as_dict``/``reset``.
 """
 
 import dataclasses
 
-from repro.obs import TraceSummary
 from repro.sim.stats import Stats
 
 
@@ -43,25 +40,10 @@ def test_every_field_flows_through_all_aggregate_methods():
     assert all(value == 0 for value in merged.as_dict().values())
 
 
-def test_reconcile_flags_an_unmirrored_new_field():
-    """The drift detector: a counter added to Stats whose increments are
-    not mirrored into the tracer shows up the moment it is exercised."""
-    ExtendedStats = dataclasses.make_dataclass(
-        "ExtendedStats",
-        [("shiny_new", int, dataclasses.field(default=0))],
-        bases=(Stats,),
-    )
-    stats = ExtendedStats()
-    stats.pages_read = 2
-    stats.shiny_new = 3
-    summary = TraceSummary(counters={"pages_read": 2})
-    assert summary.reconcile(stats) == {"shiny_new": (0, 3)}
-
-
 def test_logical_vs_physical_page_counters_exist():
     """The budget meters logical reads (``pages_requested``); the disk
     bills physical attempts (``pages_read``).  Both must stay fields so
-    the aggregate machinery and the tracer mirrors carry them."""
+    the aggregate machinery and the trace summaries carry them."""
     names = {f.name for f in dataclasses.fields(Stats)}
     assert "pages_requested" in names
     assert "pages_read" in names
