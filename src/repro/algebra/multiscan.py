@@ -22,25 +22,24 @@ from typing import Iterator, Sequence
 
 from repro.algebra.base import Operator
 from repro.algebra.context import EvalContext
-from repro.algebra.pathinstance import PathInstance
+from repro.algebra.pathinstance import EntryRun, PathInstance
 from repro.algebra.xassembly import XAssembly
+from repro.algebra.xscan import plan_scan, speculate
 from repro.errors import BudgetExceededError, PlanError
-from repro.storage.nav import speculative_entries
 from repro.storage.nodeid import NodeID, make_nodeid, page_of, slot_of
 from repro.storage.store import StoredDocument
-from repro.storage.synopsis import cost_effective_skips
 
 
 class _Replay(Operator):
-    """Producer replaying a fixed batch of instances (one cluster's feed)."""
+    """Producer replaying a fixed batch (one cluster's feed)."""
 
     __slots__ = ("items",)
 
-    def __init__(self, ctx: EvalContext, items: list[PathInstance]) -> None:
+    def __init__(self, ctx: EvalContext, items: list[PathInstance | EntryRun]) -> None:
         super().__init__(ctx)
         self.items = items
 
-    def _produce(self) -> Iterator[PathInstance]:
+    def _produce(self) -> Iterator[PathInstance | EntryRun]:
         yield from self.items
 
 
@@ -66,16 +65,20 @@ class _PathState:
         )
         self.results: list[NodeID] = []
 
-    def feed(self, batch: list[PathInstance]) -> None:
+    def feed(self, batch: list[PathInstance | EntryRun]) -> None:
         self.source.items = batch
         self.assembly.open()
-        while True:
-            item = self.assembly.next()
-            if item is None:
-                break
-            assert item.page_no is not None
-            self.results.append(make_nodeid(item.page_no, item.slot))
-        self.assembly.close()
+        try:
+            while True:
+                item = self.assembly.next()
+                if item is None:
+                    break
+                assert item.page_no is not None
+                self.results.append(make_nodeid(item.page_no, item.slot))
+        finally:
+            # also on a budget blow or a typed I/O error: the fallback
+            # hook is unregistered and the kernel posts its counters
+            self.assembly.close()
 
 
 def shared_scan(
@@ -98,53 +101,15 @@ def shared_scan(
     ]
     root = document.root
     context_cluster = page_of(root)
-    batched = ctx.options.batched
-    synopsis = document.synopsis if ctx.options.synopsis else None
-    page_nos = document.page_nos
-    if synopsis is not None:
-        # skip clusters no path can draw a candidate or transit from
-        # (the context cluster always stays in); only runs long enough
-        # to beat the seek their gap induces are actually dropped
-        prunable = [
-            page_no != context_cluster
-            and all(
-                synopsis.prunable_for_scan(page_no, state.steps)
-                for state in states
-            )
-            for page_no in page_nos
-        ]
-        skips = cost_effective_skips(page_nos, prunable, ctx.iosys.disk.geometry)
-        if skips:
-            ctx.stats.synopsis_clusters_pruned += len(skips)
-        if any(state.postings is not None for state in states):
-            # widen the prunable vector with each path's cluster postings
-            # (a page is skippable only when *every* path rules it out;
-            # paths without postings keep their synopsis-only verdict);
-            # the synopsis-only skips above are a pointwise subset, so the
-            # union attributes only the extra skips to the path summary
-            def ruled_out(state: _PathState, page_no: int) -> bool:
-                if state.postings is not None:
-                    return state.postings.prunable_for_scan(synopsis, page_no)
-                return synopsis.prunable_for_scan(page_no, state.steps)
-
-            combined = [
-                flag
-                or (
-                    page_no != context_cluster
-                    and all(ruled_out(state, page_no) for state in states)
-                )
-                for flag, page_no in zip(prunable, page_nos)
-            ]
-            extra = (
-                cost_effective_skips(page_nos, combined, ctx.iosys.disk.geometry)
-                - skips
-            )
-            if extra:
-                ctx.stats.pathsummary_clusters_pruned += len(extra)
-                skips = skips | extra
-        if skips:
-            page_nos = [p for p in page_nos if p not in skips]
-
+    # skip clusters no path can draw a candidate or transit from (the
+    # context cluster always stays in)
+    page_nos, verdicts = plan_scan(
+        ctx,
+        document,
+        [(state.steps, state.postings) for state in states],
+        (context_cluster,),
+    )
+    cost_instance = ctx.costs.instance_op
     try:
         for page_no in page_nos:
             frame = ctx.buffer.try_fix_resident(page_no)
@@ -153,9 +118,8 @@ def shared_scan(
                 frame = ctx.buffer.fix(page_no)
             ctx.set_current_frame(frame)
             ctx.stats.clusters_visited += 1
-            page = frame.page
-            for state in states:
-                batch: list[PathInstance] = []
+            for state, reached in zip(states, verdicts):
+                batch: list[PathInstance | EntryRun] = []
                 if page_no == context_cluster:
                     ctx.charge_instance()
                     batch.append(
@@ -169,47 +133,22 @@ def shared_scan(
                             page_no=page_no,
                         )
                     )
-                for step_index, step in enumerate(state.steps):
-                    if synopsis is not None and not synopsis.can_contribute(
-                        page_no, step
-                    ):
-                        ctx.stats.synopsis_entries_pruned += 1
-                        continue
-                    if (
-                        synopsis is not None
-                        and state.postings is not None
-                        and not state.postings.can_contribute(
-                            synopsis, page_no, step_index
-                        )
-                    ):
-                        # the postings place this step's path set elsewhere
-                        ctx.stats.pathsummary_entries_pruned += 1
-                        continue
-                    entries = (
-                        page.colview().entry_slots(step.axis)
-                        if batched
-                        else speculative_entries(page, step.axis)
-                    )
-                    for border_slot in entries:
-                        ctx.charge_instance()
-                        ctx.stats.speculative_instances += 1
-                        batch.append(
-                            PathInstance(
-                                s_l=step_index,
-                                n_l=make_nodeid(page_no, border_slot),
-                                left_open=True,
-                                s_r=step_index,
-                                slot=border_slot,
-                                is_border=True,
-                                resumed=True,
-                                page_no=page_no,
-                            )
-                        )
+                for run in speculate(
+                    ctx, frame.page, state.steps, reached.get(page_no)
+                ):
+                    # a cluster's batch is charged while it is built,
+                    # ahead of the feed
+                    entries = len(run.slots)
+                    ctx.clock.work(entries * cost_instance)
+                    ctx.stats.instances_created += entries
+                    ctx.stats.speculative_instances += entries
+                    run.prepaid = True
+                    batch.extend(run.feed(ctx))
                 state.feed(batch)
     except BudgetExceededError as exc:
         # a "partial" budget stops the scan; each path keeps what it has
         if not exc.partial:
-            ctx.release()
             raise
-    ctx.release()
+    finally:
+        ctx.release()
     return [state.results for state in states]

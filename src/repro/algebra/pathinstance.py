@@ -22,11 +22,19 @@ the bookkeeping the operators need:
 
 Instances parked in the main-memory structures R, S and Q are stored
 unswizzled (plain NodeIDs), mirroring Sec. 3.6.
+
+An I/O operator that speculates (Sec. 5.4.3) does not build its
+left-incomplete instances one by one: it hands on one
+:class:`EntryRun` per (cluster, step), which the path kernel walks in
+place and only the scalar chain expands.
 """
 
 from __future__ import annotations
 
-from repro.storage.nodeid import NodeID
+from typing import Iterable, Iterator, Sequence
+
+from repro.algebra.context import EvalContext
+from repro.storage.nodeid import NodeID, make_nodeid
 
 
 class PathInstance:
@@ -63,3 +71,39 @@ class PathInstance:
         right = f"{'page ' + str(self.page_no) + ' ' if self.page_no is not None else ''}slot {self.slot}"
         flags = ("B" if self.is_border else "") + ("R" if self.resumed else "")
         return f"PathInstance([{self.s_l}]{left} -> [{self.s_r}]{right}{flags})"
+
+
+class EntryRun:
+    """The speculative instances of one (cluster, step), unexpanded.
+
+    Each entry border ``slot`` of ``slots`` (ascending) stands for the
+    left-incomplete instance that resumes step ``step + 1`` there:
+    ``s_l = s_r = step``, ``n_l`` the border's NodeID, paused and
+    resumed.  ``prepaid`` says the producer has already charged the
+    run's ``instance_op``s (the shared scan charges a cluster's batch
+    while building it); otherwise they are charged entry by entry, by
+    whoever walks the run.
+    """
+
+    __slots__ = ("step", "page_no", "slots", "prepaid")
+
+    def __init__(self, step: int, page_no: int, slots: Sequence[int]) -> None:
+        self.step = step
+        self.page_no = page_no
+        self.slots = slots
+        self.prepaid = False
+
+    def feed(self, ctx: EvalContext) -> Iterable[PathInstance | EntryRun]:
+        """What the I/O operator passes on: the run itself for the path
+        kernel, one instance per entry for the scalar chain."""
+        return (self,) if ctx.options.batched else self._instances(ctx)
+
+    def _instances(self, ctx: EvalContext) -> Iterator[PathInstance]:
+        step, page_no = self.step, self.page_no
+        for slot in self.slots:
+            if not self.prepaid:
+                ctx.charge_instance()
+                ctx.stats.speculative_instances += 1
+            yield PathInstance(
+                step, make_nodeid(page_no, slot), True, step, slot, True, True, page_no
+            )

@@ -40,7 +40,7 @@ from typing import Iterator, Sequence
 
 from repro.algebra.base import Operator
 from repro.algebra.context import EvalContext
-from repro.algebra.pathinstance import PathInstance
+from repro.algebra.pathinstance import EntryRun, PathInstance
 from repro.algebra.steps import CompiledStep
 from repro.algebra.xstep import XStep, extend_full, pinned_page
 from repro.errors import PlanError
@@ -168,9 +168,10 @@ class XAssembly(Operator):
         source = iter(self.producer)  # charges its own crossing per pull
         stack: list = []
         top = 0
-        it = tail = page = p = None
+        it = tail = page = p = entries = None
         starting = False
         d_hops = d_tests = d_instances = d_deferred = d_calls = d_out = 0
+        d_speculative = d_replayed = 0
         t0 = clock.now
         pending = 0.0  # CPU seconds charged here, not yet on the clock
         try:
@@ -194,45 +195,83 @@ class XAssembly(Operator):
                                 for _ in range(calls):
                                     ctx.charge_call()
                             calls = 0
-                        if top == 0:
+                        if top == 0 and entries is not None:
+                            # inside an entry run: the scalar chain pulls
+                            # the I/O operator once more per entry
+                            slot = next(entries, None)
+                            if slot is None:
+                                entries = None
+                            else:
+                                d_replayed += 1
+                                if ctx._budget is None:
+                                    pending += cost_call
+                                else:
+                                    clock.work(pending)
+                                    pending = 0.0
+                                    ctx.charge_call()
+                        if top == 0 and entries is None:
                             clock.work(pending)
                             pending = 0.0
                             p = next(source, None)
                             if p is None:
                                 return
-                            s_l = p.s_l
-                            n_l = p.n_l
-                            left_open = p.left_open
+                            if type(p) is EntryRun:
+                                # every entry border of one (cluster, step): as
+                                # many left-open instances resuming step s_l + 1
+                                entries = iter(p.slots)
+                                slot = next(entries)
+                                s_l = p.step
+                                left_open = True
+                                implied = droot and s_l == 1
+                                page_no = p.page_no
+                                page_base = page_no << SLOT_BITS
+                                unpaid = not p.prepaid
+                            else:
+                                s_l = p.s_l
+                                n_l = p.n_l
+                                left_open = p.left_open
+                                left_key = (s_l, n_l)
+                                implied = droot and s_l == 1
+                                slot = p.slot
+                                s_r = p.s_r
+                                paused = p.is_border
+                                if s_r >= n or (paused and not p.resumed):
+                                    # no level applies: all n hand it up as it is
+                                    d_out += n
+                                    if paused:
+                                        right = ctx.segment.page(p.page_no).record(slot).target()
+                                    elif left_open or s_r == self.path_len:
+                                        right = make_nodeid(p.page_no, slot)
+                                    else:
+                                        raise PlanError(
+                                            f"XAssembly received a complete non-full instance (s_r={s_r})"
+                                        )
+                                    break
+                                top = s_r + 1
+                                d_out += s_r
+                                resumed = p.resumed
+                                starting = True
+                        if top == 0:
+                            # the run's next entry, in place: what XScan charges
+                            # for the instance it stands for, and no instance
+                            pending += unpaid * cost_instance
+                            d_speculative += unpaid
+                            n_l = page_base | slot
                             left_key = (s_l, n_l)
-                            implied = droot and s_l == 1
-                            slot = p.slot
-                            s_r = p.s_r
-                            paused = p.is_border
-                            if s_r >= n or (paused and not p.resumed):
-                                # no level applies: all n hand it up as it is
-                                d_out += n
-                                if paused:
-                                    right = ctx.segment.page(p.page_no).record(slot).target()
-                                elif left_open or s_r == self.path_len:
-                                    right = make_nodeid(p.page_no, slot)
-                                else:
-                                    raise PlanError(
-                                        f"XAssembly received a complete non-full instance (s_r={s_r})"
-                                    )
-                                break
-                            top = s_r + 1
-                            d_out += s_r
-                            resumed = p.resumed
-                            starting = True
+                            top = s_l + 1
+                            d_out += s_l
+                            resumed = starting = True
                         if starting:
                             # level `top` starts extending p, or the match at `slot`
                             starting = False
                             step = steps[top - 1]
                             if ctx.fallback:
-                                if p is None:
+                                if type(p) is not PathInstance:
+                                    # a match found in place, or a run's entry
                                     p = PathInstance(
-                                        s_l, n_l, left_open, top - 1, slot, False, page_no=page_no
+                                        s_l, n_l, left_open, top - 1, slot, resumed, resumed
                                     )
+                                    p.page_no = page_no
                                 it = extend_full(ctx, step, top, p)
                                 tail = None
                             else:
@@ -359,21 +398,27 @@ class XAssembly(Operator):
                 if result is not None:
                     clock.work(pending)
                     pending = 0.0
-                    self._post(d_hops, d_tests, d_instances, d_deferred)
-                    d_hops = d_tests = d_instances = d_deferred = 0
+                    self._post(d_hops, d_tests, d_instances, d_deferred, d_speculative)
+                    d_hops = d_tests = d_instances = d_deferred = d_speculative = 0
                     yield self._result_instance(result)
         finally:
-            self._post(d_hops, d_tests, d_instances, d_deferred)
+            self._post(d_hops, d_tests, d_instances, d_deferred, d_speculative)
             if tracer is not None and n:
                 tracer.op_call("XStep", d_out, d_calls)
                 tracer.op_span("XStep", t0, clock.now, d_out)
+                # the crossings replayed inside runs are the I/O operator's
+                self.producer._trace_out += d_replayed
+                tracer.op_call(type(self.producer).__name__, d_replayed, d_replayed)
 
-    def _post(self, hops: int, tests: int, instances: int, deferred: int) -> None:
+    def _post(
+        self, hops: int, tests: int, instances: int, deferred: int, speculative: int
+    ) -> None:
         """Book the kernel's pending counter deltas."""
         stats = self.ctx.stats
         stats.intra_hops += hops
         stats.node_tests += tests
-        stats.instances_created += instances
+        stats.instances_created += instances + speculative
+        stats.speculative_instances += speculative
         stats.border_crossings_deferred += deferred
 
     def _result_instance(self, nid: NodeID) -> PathInstance:

@@ -17,17 +17,110 @@ prevents duplicate results.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Container, Iterator, Sequence
 
 from repro.algebra.base import Operator
 from repro.algebra.context import EvalContext
-from repro.algebra.pathinstance import PathInstance
+from repro.algebra.pathinstance import EntryRun, PathInstance
 from repro.algebra.steps import CompiledStep
 from repro.storage.nav import speculative_entries
-from repro.storage.nodeid import make_nodeid
+from repro.storage.page import Page
 from repro.storage.pathsummary import PathPostings
 from repro.storage.store import StoredDocument
-from repro.storage.synopsis import cost_effective_skips
+from repro.storage.synopsis import (
+    POSTINGS_REFUSE,
+    SYNOPSIS_REFUSES,
+    cost_effective_skips,
+)
+
+#: what a scan knows of one location path: its steps and their postings
+ScanPath = tuple[Sequence[CompiledStep], PathPostings | None]
+
+
+def plan_scan(
+    ctx: EvalContext,
+    document: StoredDocument,
+    paths: Sequence[ScanPath],
+    keep: Container[int],
+) -> tuple[list[int], list[dict[int, list[int]]]]:
+    """The clusters a sequential scan for ``paths`` reads, in scan order.
+
+    A cluster is dropped when it holds no context (``keep``) and no step
+    of any path can contribute from it — no speculative resume can yield
+    a candidate or a transit (conservative, so results are bit-identical
+    to the unpruned scan).  Consulting the synopsis is planning metadata:
+    no simulated time is charged.  Only runs of prunable pages long enough
+    to beat the seek their gap induces are dropped: skipping an isolated
+    page in a streaming read costs more than transferring it.
+
+    Also returns, per path, the ``scan_verdicts`` of every cluster (none
+    without a synopsis: the postings refine it, never replace it — the
+    transit residues live in its rows); :func:`speculate` reads the same
+    verdicts when the scan gets to the cluster.
+    """
+    page_nos = document.page_nos
+    synopsis = document.synopsis if ctx.options.synopsis else None
+    if synopsis is None:
+        return page_nos, [{} for _ in paths]
+    verdicts = [
+        {p: synopsis.scan_verdicts(p, steps, postings) for p in page_nos}
+        for steps, postings in paths
+    ]
+
+    def skips_when(refuser: int) -> set[int]:
+        prunable = [
+            page_no not in keep
+            and all(v & refuser for by_page in verdicts for v in by_page[page_no])
+            for page_no in page_nos
+        ]
+        return cost_effective_skips(page_nos, prunable, ctx.iosys.disk.geometry)
+
+    skips = skips_when(SYNOPSIS_REFUSES)
+    ctx.stats.synopsis_clusters_pruned += len(skips)
+    # Postings widen the prunable vector (a page every path's postings
+    # rule out is as safely skippable as a synopsis-pruned one; a path
+    # without postings keeps its synopsis verdict).  Taking the union
+    # keeps the synopsis counter identical to a postings-free run and
+    # attributes only the extra skips to the path summary.
+    if any(postings is not None for _, postings in paths):
+        extra = skips_when(POSTINGS_REFUSE) - skips
+        ctx.stats.pathsummary_clusters_pruned += len(extra)
+        skips |= extra
+    return [p for p in page_nos if p not in skips], verdicts
+
+
+def speculate(
+    ctx: EvalContext,
+    page: Page,
+    steps: Sequence[CompiledStep],
+    verdicts: list[int] | None,
+) -> Iterator[EntryRun]:
+    """Left-incomplete instances for every entry border of ``page``: one
+    :class:`EntryRun` per step that is not pruned and has an entry.
+
+    ``verdicts`` are the cluster's ``scan_verdicts`` (``None``: nothing is
+    pruned).  Enumeration charges nothing: the columnar view's
+    precomputed border lists replace the record scan.
+    """
+    batched = ctx.options.batched
+    for index, step in enumerate(steps):
+        if verdicts is not None and verdicts[index]:
+            # no entry of this cluster can extend this step — by the
+            # synopsis, or (it could not rule the cluster out) by the
+            # postings: no node of the step's path set lives here and
+            # no transit residue remains either
+            if verdicts[index] & SYNOPSIS_REFUSES:
+                ctx.stats.synopsis_entries_pruned += 1
+            else:
+                ctx.stats.pathsummary_entries_pruned += 1
+            continue
+        slots = (
+            page.colview().entry_slots(step.axis)
+            if batched
+            else list(speculative_entries(page, step.axis))
+        )
+        if slots:
+            yield EntryRun(index, page.page_no, slots)
 
 
 class XScan(Operator):
@@ -57,7 +150,7 @@ class XScan(Operator):
         super().close()
         self.producer.close()
 
-    def _produce(self) -> Iterator[PathInstance]:
+    def _produce(self) -> Iterator[PathInstance | EntryRun]:
         ctx = self.ctx
         # The paper requires the context input sorted by cluster id; we
         # group the (typically single) context instances per cluster.
@@ -69,60 +162,11 @@ class XScan(Operator):
             by_cluster.setdefault(y.page_no, []).append(y)
             all_contexts.append(y)
 
-        page_nos = self.document.page_nos
-        synopsis = self.document.synopsis if ctx.options.synopsis else None
-        # The path-summary postings refine the synopsis, never replace
-        # it: transit residues live in the synopsis rows, so the filter
-        # is only sound with the synopsis alongside.
-        postings = self.postings if synopsis is not None else None
-        if synopsis is not None:
-            # Skip clusters that provably cannot contribute: no pending
-            # context lives there and no step's speculative resume can
-            # yield a candidate or a transit (conservative, so results
-            # are bit-identical to the unpruned scan).  Consulting the
-            # synopsis is planning metadata — no simulated time charged.
-            # Only runs of prunable pages long enough to beat the seek
-            # their gap induces are dropped: skipping an isolated page in
-            # a streaming read costs more than transferring it.
-            steps = self.steps
-            prunable = [
-                page_no not in by_cluster
-                and synopsis.prunable_for_scan(page_no, steps)
-                for page_no in page_nos
-            ]
-            skips = cost_effective_skips(
-                page_nos, prunable, ctx.iosys.disk.geometry
-            )
-            if skips:
-                ctx.stats.synopsis_clusters_pruned += len(skips)
-            if postings is not None:
-                # Cluster postings widen the prunable vector (any page the
-                # postings prove irrelevant is as safely skippable as a
-                # synopsis-pruned one); the synopsis-only skip set above
-                # is a pointwise subset, so taking the union keeps the
-                # synopsis counter identical to a postings-free run and
-                # attributes only the extra skips to the path summary.
-                combined = [
-                    flag
-                    or (
-                        page_no not in by_cluster
-                        and postings.prunable_for_scan(synopsis, page_no)
-                    )
-                    for flag, page_no in zip(prunable, page_nos)
-                ]
-                extra = (
-                    cost_effective_skips(
-                        page_nos, combined, ctx.iosys.disk.geometry
-                    )
-                    - skips
-                )
-                if extra:
-                    ctx.stats.pathsummary_clusters_pruned += len(extra)
-                    skips = skips | extra
-            if skips:
-                page_nos = [p for p in page_nos if p not in skips]
+        steps = self.steps
+        page_nos, (verdicts,) = plan_scan(
+            ctx, self.document, [(steps, self.postings)], by_cluster
+        )
         readahead = ctx.options.scan_readahead
-        batched = ctx.options.batched
         issued = 0
         for index, page_no in enumerate(page_nos):
             if ctx.fallback:
@@ -150,44 +194,10 @@ class XScan(Operator):
             for y in by_cluster.pop(page_no, ()):  # contexts first (paper)
                 ctx.charge_instance()
                 yield y
-            for step_index, step in enumerate(self.steps):
-                if ctx.fallback:
-                    break
-                if synopsis is not None and not synopsis.can_contribute(
-                    page_no, step
-                ):
-                    # no entry of this cluster can extend this step: the
-                    # speculative instances would all come up empty
-                    ctx.stats.synopsis_entries_pruned += 1
-                    continue
-                if postings is not None and not postings.can_contribute(
-                    synopsis, page_no, step_index
-                ):
-                    # the synopsis could not rule the cluster out, but the
-                    # postings prove no node of this step's path set lives
-                    # here and no transit residue remains either
-                    ctx.stats.pathsummary_entries_pruned += 1
-                    continue
-                # the columnar view's precomputed border lists replace the
-                # record scan; enumeration charges nothing in either mode
-                entries = (
-                    frame.page.colview().entry_slots(step.axis)
-                    if batched
-                    else speculative_entries(frame.page, step.axis)
-                )
-                for border_slot in entries:
-                    ctx.charge_instance()
-                    ctx.stats.speculative_instances += 1
-                    yield PathInstance(
-                        s_l=step_index,
-                        n_l=make_nodeid(page_no, border_slot),
-                        left_open=True,
-                        s_r=step_index,
-                        slot=border_slot,
-                        is_border=True,
-                        resumed=True,
-                        page_no=page_no,
-                    )
+            runs = speculate(ctx, frame.page, steps, verdicts.get(page_no))
+            # a trip stops the speculation between two steps, not inside a run
+            while not ctx.fallback and (run := next(runs, None)) is not None:
+                yield from run.feed(ctx)
 
         if ctx.fallback:
             # restart the producer, behave as the identity operator: the

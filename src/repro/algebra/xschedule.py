@@ -30,10 +30,10 @@ from typing import Iterator
 
 from repro.algebra.base import Operator
 from repro.algebra.context import EvalContext
-from repro.algebra.pathinstance import PathInstance
+from repro.algebra.pathinstance import EntryRun, PathInstance
 from repro.algebra.steps import CompiledStep
+from repro.algebra.xscan import speculate
 from repro.errors import IOError_
-from repro.storage.nav import speculative_entries
 from repro.storage.nodeid import NodeID, make_nodeid, page_of, slot_of
 from repro.storage.pathsummary import PathPostings
 from repro.storage.store import StoredDocument
@@ -194,7 +194,7 @@ class XSchedule(Operator):
 
     # -------------------------------------------------------------- pipeline
 
-    def _produce(self) -> Iterator[PathInstance]:
+    def _produce(self) -> Iterator[PathInstance | EntryRun]:
         ctx = self.ctx
         exhausted = False
         while True:
@@ -245,7 +245,13 @@ class XSchedule(Operator):
             first_visit = cluster not in self._visited
             self._visited.add(cluster)
             if first_visit and self.speculative and not ctx.fallback:
-                yield from self._speculate(frame.page)
+                verdicts = None
+                if self.synopsis is not None:
+                    verdicts = self.synopsis.scan_verdicts(
+                        cluster, self.steps, self.postings
+                    )
+                for run in speculate(ctx, frame.page, self.steps, verdicts):
+                    yield from run.feed(ctx)
 
             ctx.charge_instance()
             yield PathInstance(
@@ -367,40 +373,3 @@ class XSchedule(Operator):
             ctx.trip_fallback("dead-page", page=page, detail=detail)
         elif not already:
             ctx.note_degradation("dead-page", page=page, detail=detail)
-
-    def _speculate(self, page) -> Iterator[PathInstance]:
-        """Left-incomplete instances for every entry border of ``page``."""
-        ctx = self.ctx
-        page_no = page.page_no
-        synopsis = self.synopsis
-        postings = self.postings
-        batched = ctx.options.batched
-        for step_index, step in enumerate(self.steps):
-            if synopsis is not None and not synopsis.can_contribute(page_no, step):
-                # no entry of this cluster can extend this step
-                ctx.stats.synopsis_entries_pruned += 1
-                continue
-            if postings is not None and not postings.can_contribute(
-                synopsis, page_no, step_index
-            ):
-                # the postings place this step's whole path set elsewhere
-                ctx.stats.pathsummary_entries_pruned += 1
-                continue
-            entries = (
-                page.colview().entry_slots(step.axis)
-                if batched
-                else speculative_entries(page, step.axis)
-            )
-            for border_slot in entries:
-                ctx.charge_instance()
-                ctx.stats.speculative_instances += 1
-                yield PathInstance(
-                    s_l=step_index,
-                    n_l=make_nodeid(page_no, border_slot),
-                    left_open=True,
-                    s_r=step_index,
-                    slot=border_slot,
-                    is_border=True,
-                    resumed=True,
-                    page_no=page_no,
-                )

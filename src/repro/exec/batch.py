@@ -105,7 +105,7 @@ def _normalize(request, doc: str, plan) -> tuple[str, str, PlanKind]:
         query = parts[0]
         rdoc = parts[1] if len(parts) > 1 else doc
         rplan = parts[2] if len(parts) > 2 else plan
-    kind = rplan if isinstance(rplan, PlanKind) else PlanKind(rplan)
+    kind = PlanKind.coerce(rplan)
     return query, rdoc, kind
 
 
@@ -306,7 +306,7 @@ def run_batch(
     if not raw:
         raise PlanError("run_batch needs at least one request")
 
-    shared = session.context(session.options)
+    shared = session.context()
     mark = shared.clock.checkpoint()
     before = shared.stats.snapshot()
 

@@ -94,7 +94,7 @@ class QuerySession:
         dropped and the query recompiles — compilation is off the
         simulated clock, so the replan is free in simulated time.
         """
-        kind = plan if isinstance(plan, PlanKind) else PlanKind(plan)
+        kind = PlanKind.coerce(plan)
         opts = options or self.options
         key = (query, doc, kind.value, opts)
         tracer = self.env.tracer
@@ -157,13 +157,18 @@ class QuerySession:
         """The runtime the next run executes on.
 
         Cold sessions build a fresh one per call; warm sessions build one
-        on first use and keep it (buffer contents, clock and disk-head
-        position all persist).
+        on first use, from the session's options, and keep it (buffer
+        contents, clock and disk-head position all persist).  A call that
+        brings its own ``options`` runs on a private view of the warm
+        runtime, so its budget, memory limit and pruning gates are its
+        own and end with it.
         """
         if not self.warm:
             return self.env.fresh_context(options or self.options)
         if self._warm_ctx is None:
-            self._warm_ctx = self.env.fresh_context(options or self.options)
+            self._warm_ctx = self.env.fresh_context(self.options)
+        if options is not None:
+            return self.env.view(self._warm_ctx, options)
         return self._warm_ctx
 
     def cool(self) -> None:

@@ -543,14 +543,6 @@ class PathPostings:
             page_no, self._axes[step_index]
         )
 
-    def prunable_for_scan(self, synopsis: "ClusterSynopsis", page_no: int) -> bool:
-        """True if *no* step can contribute from this cluster under the
-        refined verdict: the scan may skip reading it."""
-        return not any(
-            self.can_contribute(synopsis, page_no, index)
-            for index in range(len(self._axes))
-        )
-
     def relevant_pages(self) -> int:
         """Distinct clusters posted for any step (the pricing cap)."""
         union = 0

@@ -39,6 +39,7 @@ from repro.axes import Axis
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.algebra.steps import CompiledNodeTest, CompiledStep
     from repro.storage.page import Page
+    from repro.storage.pathsummary import PathPostings
 
 #: Sentinel tag id for a name absent from the document (mirrors
 #: ``repro.algebra.steps.UNKNOWN_TAG`` without importing the algebra).
@@ -59,6 +60,11 @@ CHILD_TRANSIT = 4
 #: Bits of the two pseudo-tags (``#document`` = bit 0, ``#text`` = bit 1).
 _DOCUMENT_BIT = 1
 _TEXT_BIT = 2
+
+#: Bits of a :meth:`ClusterSynopsis.scan_verdicts` entry: who proves that
+#: a step cannot contribute from a cluster.
+SYNOPSIS_REFUSES = 1
+POSTINGS_REFUSE = 2
 
 #: One synopsis row: (tag_bits, entry_bits, flags, occupancy).
 Row = Tuple[int, int, int, int]
@@ -207,7 +213,31 @@ class ClusterSynopsis:
         """True if *no* step of the path can contribute from this cluster:
         XScan may skip reading it (context clusters are the caller's
         responsibility)."""
-        return not any(self.can_contribute(page_no, step) for step in steps)
+        return all(self.scan_verdicts(page_no, steps))
+
+    def scan_verdicts(
+        self,
+        page_no: int,
+        steps: Iterable["CompiledStep"],
+        postings: "PathPostings | None" = None,
+    ) -> list[int]:
+        """One pruning verdict per step, reached once per scan and read by
+        both the skip-set pass and the speculation of the cluster: 0 when
+        the step may contribute, else :data:`SYNOPSIS_REFUSES` (this
+        synopsis proves it cannot) and/or :data:`POSTINGS_REFUSE` (the
+        path's postings do; without postings, the synopsis speaks for
+        them).  A cluster is prunable when one of the two refuses every
+        step; a refused step is attributed to the synopsis first."""
+        verdicts = []
+        for index, step in enumerate(steps):
+            ours = not self.can_contribute(page_no, step)
+            theirs = (
+                ours
+                if postings is None
+                else not postings.can_contribute(self, page_no, index)
+            )
+            verdicts.append(ours * SYNOPSIS_REFUSES | theirs * POSTINGS_REFUSE)
+        return verdicts
 
     def can_extend(self, page_no: int, step: "CompiledStep") -> bool:
         """Could a *targeted* resume of ``step`` at a border junction in

@@ -76,6 +76,17 @@ class PlanKind(enum.Enum):
     XSCAN_SHARED = "xscan-shared"
     AUTO = "auto"
 
+    @classmethod
+    def coerce(cls, plan: "PlanKind | str") -> "PlanKind":
+        """``plan`` as a member; an unknown name is the caller's typed error."""
+        try:
+            return cls(plan)
+        except ValueError:
+            names = ", ".join(repr(kind.value) for kind in cls)
+            raise UnsupportedQueryError(
+                f"unknown plan {plan!r}: expected one of {names}"
+            ) from None
+
 
 # -------------------------------------------------------------- step binding
 
@@ -524,7 +535,7 @@ def compile_query(
     only — the compiled plan is the same object either way.
     """
     expr = parse_query(query) if isinstance(query, str) else query
-    kind = PlanKind(plan) if not isinstance(plan, PlanKind) else plan
+    kind = PlanKind.coerce(plan)
     opts = options or EvalOptions()
     geo = geometry or DiskGeometry()
     kinds: list[PlanKind] = []

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import BudgetExceededError, EvalOptions, ExecutionBudget
 from repro.xmark import Q7
 
 from tests.conftest import small_database
@@ -66,3 +67,37 @@ def test_shared_scan_plan_kind_reported(db_tree):
     db, _ = db_tree
     shared = db.execute("count(//a)+count(//b)", doc="d", plan="xscan-shared")
     assert all(k.value == "xscan-shared" for k in shared.plan_kinds)
+
+
+@pytest.mark.parametrize("on_exceeded", ["partial", "raise"])
+def test_budget_blow_closes_every_path_kernel(db_tree, on_exceeded):
+    """A blow inside the shared scan closes the XAssembly it interrupts:
+    no fallback hook stays registered on the (possibly warm) runtime and
+    the kernel's counters are on the books at once, not when the
+    generator happens to be finalised."""
+    db, _ = db_tree
+    query = "count(//a)+count(//b//c)"
+    full = db.execute(query, doc="d", plan="xscan-shared")
+    booked = {}
+    for batched in (True, False):
+        options = EvalOptions(
+            batched=batched,
+            budget=ExecutionBudget(
+                max_seconds=full.total_time / 3, on_exceeded=on_exceeded
+            ),
+        )
+        ctx = db.env.fresh_context(options)
+        held = None
+        try:
+            result = db.execute(
+                query, doc="d", plan="xscan-shared", options=options, context=ctx
+            )
+            assert result.partial
+        except BudgetExceededError as exc:
+            held = exc  # its traceback keeps the scan's frames alive
+        assert (held is not None) == (on_exceeded == "raise")
+        assert ctx.fallback_hooks == []
+        assert ctx.current_frame is None
+        booked[batched] = ctx.stats.as_dict()
+    assert booked[True] == booked[False]
+    assert 0 < booked[True]["node_tests"] < full.stats.node_tests

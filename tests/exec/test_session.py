@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro import ClockHorizonError, EvalOptions
+from repro import (
+    BudgetExceededError,
+    ClockHorizonError,
+    EvalOptions,
+    ExecutionBudget,
+    UnsupportedQueryError,
+    run_batch,
+)
 from repro.sim.clock import HORIZON, on_grid
 from repro.sim.stats import Stats
 
@@ -148,6 +155,48 @@ def test_warm_session_buffer_survives_across_queries():
     second = warm.execute("//a/b", doc="d", plan="simple")
     cold = db.session().execute("//a/b", doc="d", plan="simple")
     assert second.total_time < cold.total_time
+
+
+def test_warm_session_runs_each_call_on_its_own_options():
+    """Options passed to one call govern that call and no other: the warm
+    runtime is the session's, a call's own options get a view of it."""
+    db, _ = small_database(seed=5, buffer_pages=1024)
+    session = db.session(warm=True)
+    query = "//a/b//c"
+
+    def budget(on_exceeded):
+        return EvalOptions(
+            budget=ExecutionBudget(max_seconds=1e-4, on_exceeded=on_exceeded)
+        )
+
+    cut = session.execute(query, doc="d", plan="xscan", options=budget("partial"))
+    assert cut.partial
+    with pytest.raises(BudgetExceededError):
+        session.execute(query, doc="d", plan="xscan", options=budget("raise"))
+    full = session.execute(query, doc="d", plan="xscan")
+    assert not full.degraded and len(full.nodes) > len(cut.nodes)
+    tripped = session.execute(
+        query, doc="d", plan="xscan", options=EvalOptions(memory_limit=0)
+    )
+    assert tripped.stats.fallbacks == 1 and tripped.nodes == full.nodes
+    # the view shares the warm buffer, and leaves nothing of itself behind
+    assert tripped.stats.buffer_misses == 0
+    again = session.execute(query, doc="d", plan="xscan")
+    assert again.stats.fallbacks == 0 and again.nodes == full.nodes
+
+
+def test_unknown_plan_name_is_a_typed_error_at_every_entry_point():
+    db, _ = small_database(seed=5)
+    session = db.session()
+    calls = [
+        lambda: db.execute("//a", doc="d", plan="xscan_shared"),
+        lambda: session.execute("//a", doc="d", plan="xscan_shared"),
+        lambda: run_batch(session, [("//a", "d", "xscan_shared")]),
+        lambda: run_batch(session, ["//a"], doc="d", plan="xscan_shared"),
+    ]
+    for call in calls:
+        with pytest.raises(UnsupportedQueryError, match="'xscan-shared'"):
+            call()
 
 
 def test_cool_discards_warm_runtime():
