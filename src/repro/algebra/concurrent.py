@@ -16,7 +16,14 @@ clock, disk, buffer and asynchronous I/O subsystem:
   (request coalescing happens in the I/O subsystem).
 
 Each query keeps its own :class:`EvalContext` view (own current-cluster
-pin, own fallback flag) around the shared components.
+pin, own fallback flag, own armed budget) around the shared components.
+
+Only the *leaves* of a query are interleaved: its location paths are
+drained cooperatively, one result tuple per turn, and the expression
+over them is then evaluated by :meth:`CompiledQuery.evaluate
+<repro.xpath.compile.CompiledQuery.evaluate>`, the walk every other
+entry point uses — so a concurrent query may be any expression
+``execute`` accepts, and answers as it does.
 """
 
 from __future__ import annotations
@@ -24,8 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.algebra.context import EvalContext, EvalOptions
-from repro.algebra.misc import order_results
-from repro.errors import PlanError
+from repro.errors import BudgetExceededError, PlanError
 from repro.sim.stats import Stats
 from repro.storage.nodeid import NodeID, make_nodeid
 from repro.xpath.compile import CompiledPathPlan, CompiledQuery, PlanKind
@@ -57,65 +63,56 @@ class ConcurrentOutcome:
         return self.total_time
 
 
-def _drive_count(plan: CompiledPathPlan, ctx: EvalContext):
+def _drain(plan: CompiledPathPlan, ctx: EvalContext, counted: bool):
+    """Run one leaf path, yielding after every result tuple; returns its
+    unordered node set.
+
+    Charges what direct execution does: a tuple of a ``counted`` path
+    pays one ``set_op``.  A refuted path is constant-empty and builds no
+    plan; a ``"partial"`` budget ends the drain with what it has.
+    """
+    nids: list[NodeID] = []
+    if plan.refuted:
+        ctx.stats.paths_refuted += 1
+        return nids
     top = plan.build(ctx)
     top.open()
     try:
-        count = 0
-        while True:
-            item = top.next()
-            if item is None:
-                return count
-            ctx.charge_set_op()
-            count += 1
-            yield
-    finally:
-        top.close()
-        ctx.release()
-        ctx.fallback = False
-
-
-def _drive_nodes(plan: CompiledPathPlan, ctx: EvalContext):
-    top = plan.build(ctx)
-    top.open()
-    try:
-        nids: list[NodeID] = []
-        while True:
-            item = top.next()
-            if item is None:
-                break
+        while (item := top.next()) is not None:
+            if counted:
+                ctx.charge_set_op()
             assert item.page_no is not None
             nids.append(make_nodeid(item.page_no, item.slot))
             yield
+    except BudgetExceededError as exc:
+        if not exc.partial:
+            raise
     finally:
         top.close()
         ctx.release()
         ctx.fallback = False
-    return order_results(ctx, nids)
-
-
-def _drive_number(node, ctx: EvalContext):
-    if isinstance(node, float):
-        return node
-    op, left, right = node
-    if op == "count":
-        return (yield from _drive_count(left, ctx))
-    left_value = yield from _drive_number(left, ctx)
-    right_value = yield from _drive_number(right, ctx)
-    return left_value + right_value if op == "+" else left_value - right_value
+    return nids
 
 
 def _drive_query(compiled: CompiledQuery, ctx: EvalContext):
     """Generator evaluating a compiled query with cooperative yields.
 
-    Yields after every result tuple so the scheduler can interleave
-    queries; returns ``(value, nodes)``.
+    Drains the query's leaf paths in evaluation order under its armed
+    budget, yielding after every result tuple so the scheduler can
+    interleave queries, then evaluates the expression over the finished
+    leaves; returns ``(value, nodes)``.
     """
-    if isinstance(compiled.expr, CompiledPathPlan):
-        nodes = yield from _drive_nodes(compiled.expr, ctx)
-        return (None, nodes)
-    value = yield from _drive_number(compiled.expr, ctx)
-    return (value, None)
+    armed = ctx.arm_budget(ctx.options.budget)
+    try:
+        finished = {}
+        for plan, counted in compiled.leaves:
+            finished[plan] = yield from _drain(plan, ctx, counted)
+        return compiled.evaluate(
+            ctx, finished.__getitem__, lambda plan: len(finished[plan])
+        )
+    finally:
+        if armed:
+            ctx.disarm_budget()
 
 
 def interleave(
@@ -130,20 +127,24 @@ def interleave(
     reads share one buffer pool.  Returns, in job order,
     ``(value, nodes, clock_checkpoint_at_completion)``.
     """
-    drivers = [
-        (compiled, ctx, _drive_query(compiled, ctx)) for compiled, ctx in jobs
-    ]
+    drivers = [(ctx, _drive_query(compiled, ctx)) for compiled, ctx in jobs]
     outcomes: list[tuple | None] = [None] * len(drivers)
     active = list(range(len(drivers)))
-    while active:
-        for index in list(active):
-            compiled, ctx, generator = drivers[index]
-            try:
-                next(generator)
-            except StopIteration as done:
-                value, nodes = done.value
-                outcomes[index] = (value, nodes, ctx.clock.checkpoint())
-                active.remove(index)
+    try:
+        while active:
+            for index in list(active):
+                ctx, generator = drivers[index]
+                try:
+                    next(generator)
+                except StopIteration as done:
+                    value, nodes = done.value
+                    outcomes[index] = (value, nodes, ctx.clock.checkpoint())
+                    active.remove(index)
+    finally:
+        # a budget that raises in one query unwinds the others too: each
+        # closes its plan and drops its pin now, not at collection
+        for _, generator in drivers:
+            generator.close()
     return outcomes  # type: ignore[return-value]
 
 

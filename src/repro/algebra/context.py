@@ -451,16 +451,20 @@ class EvalContext:
                 args={"detail": detail} if detail else None,
             )
 
-    def report_since(self, start_index: int, partial: bool = False) -> DegradationReport | None:
+    def report_since(self, start_index: int) -> DegradationReport | None:
         """Degradation report for events recorded after ``start_index``.
 
-        Returns None for a clean (non-degraded, non-partial) run so
-        results stay cheap to inspect.
+        A ``"partial"`` budget records its cut as a ``"budget"`` event
+        and returns normally (a ``"raise"`` budget propagates instead),
+        so the slice says whether the result is partial.  Returns None
+        for a clean run so results stay cheap to inspect.
         """
         events = self.degradation_events[start_index:]
-        if not events and not partial:
+        if not events:
             return None
-        return DegradationReport(events=list(events), partial=partial)
+        return DegradationReport(
+            events=events, partial=any(e.reason == "budget" for e in events)
+        )
 
     def trip_fallback(self, reason: str, page: int | None = None, detail: str = "") -> None:
         """Degrade the plan to the Simple method's behaviour (Sec. 5.4.6).

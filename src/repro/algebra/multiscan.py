@@ -7,66 +7,77 @@ pass over the document drives the XStep chains and XAssembly instances
 of *all* paths — Q7's three descendant counts read the document once
 instead of three times.
 
-Mechanics: the driver performs XScan's physical work (sequential page
-loads, current-cluster pinning).  For every cluster it feeds each path
-its context instances and its speculative left-incomplete instances
+Mechanics: the pass is :func:`repro.algebra.xscan.scan`, the one XScan
+consumes for a single path — skip planning over all paths, the
+``scan_readahead`` window, current-cluster pinning, the stop on a
+fallback trip.  For every cluster it yields, each path is fed its
+context instance (in the root's cluster) and its speculative entry runs
 through that path's step pipeline (XAssembly's fused kernel, or the
 scalar XStep chain below it) into its persistent XAssembly, whose R and
-S state spans the whole scan — re-opening an XAssembly over a new
-batch preserves its execution state by design.
+S state spans the whole scan — re-opening an XAssembly over a new feed
+preserves its execution state by design.  When a path's S outgrows
+``memory_limit`` the pass stops and every path gets its context
+re-delivered, exactly XScan's fallback protocol (Sec. 5.4.6).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.algebra.base import Operator
 from repro.algebra.context import EvalContext
 from repro.algebra.pathinstance import EntryRun, PathInstance
 from repro.algebra.xassembly import XAssembly
-from repro.algebra.xscan import plan_scan, speculate
+from repro.algebra.xscan import scan
 from repro.errors import BudgetExceededError, PlanError
 from repro.storage.nodeid import NodeID, make_nodeid, page_of, slot_of
 from repro.storage.store import StoredDocument
 
+if TYPE_CHECKING:  # compile.py imports this module lazily
+    from repro.xpath.compile import CompiledPathPlan
+
 
 class _Replay(Operator):
-    """Producer replaying a fixed batch (one cluster's feed)."""
+    """Producer handing on one cluster's feed: the path's context, if
+    the cluster holds it, then its entry runs, drawn as they are pulled."""
 
-    __slots__ = ("items",)
+    __slots__ = ("context", "runs")
 
-    def __init__(self, ctx: EvalContext, items: list[PathInstance | EntryRun]) -> None:
+    def __init__(self, ctx: EvalContext) -> None:
         super().__init__(ctx)
-        self.items = items
+        self.context: PathInstance | None = None
+        self.runs: Iterable[EntryRun] = ()
 
     def _produce(self) -> Iterator[PathInstance | EntryRun]:
-        yield from self.items
+        ctx = self.ctx
+        if self.context is not None:
+            ctx.charge_instance()
+            yield self.context
+        for run in self.runs:
+            yield from run.feed(ctx)
 
 
 class _PathState:
     """Per-path machinery persisting across clusters."""
 
-    __slots__ = ("steps", "source", "assembly", "results", "postings")
+    __slots__ = ("source", "assembly", "results")
 
-    def __init__(
-        self, ctx: EvalContext, steps, descendant_root_opt: bool, postings=None
-    ) -> None:
-        self.steps = steps
-        self.postings = postings
-        # built once; each cluster swaps the replayed batch and re-opens
+    def __init__(self, ctx: EvalContext, plan: CompiledPathPlan) -> None:
+        # built once; each cluster swaps the replayed feed and re-opens
         # the pipeline, and XAssembly's R/S survive the re-opening
-        self.source = _Replay(ctx, [])
+        self.source = _Replay(ctx)
         self.assembly = XAssembly(
             ctx,
             self.source,
-            len(steps),
-            descendant_root_opt=descendant_root_opt,
-            steps=steps,
+            len(plan.steps),
+            descendant_root_opt=plan.descendant_root_opt,
+            steps=plan.steps,
         )
         self.results: list[NodeID] = []
 
-    def feed(self, batch: list[PathInstance | EntryRun]) -> None:
-        self.source.items = batch
+    def feed(self, context: PathInstance | None, runs: Iterable[EntryRun] = ()) -> None:
+        self.source.context = context
+        self.source.runs = runs
         self.assembly.open()
         try:
             while True:
@@ -84,71 +95,47 @@ class _PathState:
 def shared_scan(
     ctx: EvalContext,
     document: StoredDocument,
-    paths: Sequence,  # CompiledPathPlan-like: .steps, .descendant_root_opt
+    paths: Sequence[CompiledPathPlan],
 ) -> list[list[NodeID]]:
     """Evaluate several paths with one sequential scan; returns result
     NodeIDs per path (unordered)."""
     if not paths:
         raise PlanError("shared_scan needs at least one path")
-    states = [
-        _PathState(
-            ctx,
-            plan.steps,
-            getattr(plan, "descendant_root_opt", False),
-            postings=getattr(plan, "postings", None),
-        )
-        for plan in paths
-    ]
+    states = [_PathState(ctx, plan) for plan in paths]
     root = document.root
-    context_cluster = page_of(root)
-    # skip clusters no path can draw a candidate or transit from (the
-    # context cluster always stays in)
-    page_nos, verdicts = plan_scan(
-        ctx,
-        document,
-        [(state.steps, state.postings) for state in states],
-        (context_cluster,),
+    context = PathInstance(
+        s_l=0,
+        n_l=root,
+        left_open=False,
+        s_r=0,
+        slot=slot_of(root),
+        is_border=False,
+        page_no=page_of(root),
     )
-    cost_instance = ctx.costs.instance_op
     try:
-        for page_no in page_nos:
-            frame = ctx.buffer.try_fix_resident(page_no)
-            if frame is None:
-                # synchronous sequential read (O_DIRECT semantics)
-                frame = ctx.buffer.fix(page_no)
-            ctx.set_current_frame(frame)
-            ctx.stats.clusters_visited += 1
-            for state, reached in zip(states, verdicts):
-                batch: list[PathInstance | EntryRun] = []
-                if page_no == context_cluster:
-                    ctx.charge_instance()
-                    batch.append(
-                        PathInstance(
-                            s_l=0,
-                            n_l=root,
-                            left_open=False,
-                            s_r=0,
-                            slot=slot_of(root),
-                            is_border=False,
-                            page_no=page_no,
-                        )
-                    )
-                for run in speculate(
-                    ctx, frame.page, state.steps, reached.get(page_no)
-                ):
-                    # a cluster's batch is charged while it is built,
-                    # ahead of the feed
-                    entries = len(run.slots)
-                    ctx.clock.work(entries * cost_instance)
-                    ctx.stats.instances_created += entries
-                    ctx.stats.speculative_instances += entries
-                    run.prepaid = True
-                    batch.extend(run.feed(ctx))
-                state.feed(batch)
+        # the context cluster always stays in the scan
+        for page_no, runs_by_path in scan(
+            ctx,
+            document,
+            [(plan.steps, plan.postings) for plan in paths],
+            (context.page_no,),
+        ):
+            here = context if page_no == context.page_no else None
+            for state, runs in zip(states, runs_by_path):
+                if ctx.fallback:
+                    break  # tripped by the path before: all start over below
+                state.feed(here, runs)
+        if ctx.fallback:
+            # XScan's protocol (Sec. 5.4.6), once per path: the context is
+            # re-delivered, the unrestricted step chain re-evaluates the
+            # whole path and each path's R filters what it already has
+            for state in states:
+                state.feed(context)
     except BudgetExceededError as exc:
         # a "partial" budget stops the scan; each path keeps what it has
         if not exc.partial:
             raise
     finally:
         ctx.release()
+        ctx.fallback = False
     return [state.results for state in states]

@@ -79,19 +79,16 @@ class EntryRun:
     Each entry border ``slot`` of ``slots`` (ascending) stands for the
     left-incomplete instance that resumes step ``step + 1`` there:
     ``s_l = s_r = step``, ``n_l`` the border's NodeID, paused and
-    resumed.  ``prepaid`` says the producer has already charged the
-    run's ``instance_op``s (the shared scan charges a cluster's batch
-    while building it); otherwise they are charged entry by entry, by
-    whoever walks the run.
+    resumed.  Its ``instance_op`` is charged entry by entry, by whoever
+    walks the run.
     """
 
-    __slots__ = ("step", "page_no", "slots", "prepaid")
+    __slots__ = ("step", "page_no", "slots")
 
     def __init__(self, step: int, page_no: int, slots: Sequence[int]) -> None:
         self.step = step
         self.page_no = page_no
         self.slots = slots
-        self.prepaid = False
 
     def feed(self, ctx: EvalContext) -> Iterable[PathInstance | EntryRun]:
         """What the I/O operator passes on: the run itself for the path
@@ -101,9 +98,8 @@ class EntryRun:
     def _instances(self, ctx: EvalContext) -> Iterator[PathInstance]:
         step, page_no = self.step, self.page_no
         for slot in self.slots:
-            if not self.prepaid:
-                ctx.charge_instance()
-                ctx.stats.speculative_instances += 1
+            ctx.charge_instance()
+            ctx.stats.speculative_instances += 1
             yield PathInstance(
                 step, make_nodeid(page_no, slot), True, step, slot, True, True, page_no
             )

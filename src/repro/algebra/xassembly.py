@@ -225,7 +225,6 @@ class XAssembly(Operator):
                                 implied = droot and s_l == 1
                                 page_no = p.page_no
                                 page_base = page_no << SLOT_BITS
-                                unpaid = not p.prepaid
                             else:
                                 s_l = p.s_l
                                 n_l = p.n_l
@@ -254,8 +253,8 @@ class XAssembly(Operator):
                         if top == 0:
                             # the run's next entry, in place: what XScan charges
                             # for the instance it stands for, and no instance
-                            pending += unpaid * cost_instance
-                            d_speculative += unpaid
+                            pending += cost_instance
+                            d_speculative += 1
                             n_l = page_base | slot
                             left_key = (s_l, n_l)
                             top = s_l + 1

@@ -13,6 +13,13 @@ Fallback (Sec. 5.4.6): XScan restarts its producer and degrades to the
 identity operator — every context is re-delivered and the (now
 unrestricted) XStep chain re-evaluates the whole path; R in XAssembly
 prevents duplicate results.
+
+The pass itself is not XScan's: :func:`scan` (skip planning, per-path
+speculation, the stop on a fallback trip) over :func:`scan_pages`
+(readahead window, fix or synchronous read, pin hand-over) is the one
+sequential pass of the engine.  XScan is its one-path consumer, the
+shared scan (:mod:`repro.algebra.multiscan`) its N-path consumer, and
+document export runs the page loop alone.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from repro.algebra.base import Operator
 from repro.algebra.context import EvalContext
 from repro.algebra.pathinstance import EntryRun, PathInstance
 from repro.algebra.steps import CompiledStep
+from repro.storage.buffer import Frame
 from repro.storage.nav import speculative_entries
 from repro.storage.page import Page
 from repro.storage.pathsummary import PathPostings
@@ -123,8 +131,78 @@ def speculate(
             yield EntryRun(index, page.page_no, slots)
 
 
+def scan_pages(ctx: EvalContext, page_nos: Sequence[int]) -> Iterator[Frame]:
+    """Fix ``page_nos`` one after the other, in the order given: the
+    page-level loop of every sequential pass.
+
+    It owns the ``scan_readahead`` window, the choice between a resident
+    fix and a synchronous read, the hand-over of the current-cluster pin
+    and ``clusters_visited``; it stops when the plan trips into fallback
+    mode.  The pin on the last page read stays for the caller to release.
+    """
+    readahead = ctx.options.scan_readahead
+    issued = 0
+    for index, page_no in enumerate(page_nos):
+        if ctx.fallback:
+            return
+        if readahead > 0:
+            # asynchronous prefetch: keep a window of reads in flight
+            while issued < len(page_nos) and issued <= index + readahead:
+                if not ctx.buffer.is_resident(page_nos[issued]):
+                    ctx.iosys.request(page_nos[issued])
+                issued += 1
+            while not ctx.buffer.is_resident(page_no):
+                done = ctx.iosys.get_completion()
+                if done is None:
+                    break
+                ctx.buffer.admit_completed(done)
+        frame = ctx.buffer.try_fix_resident(page_no)
+        if frame is None:
+            # synchronous sequential read (O_DIRECT semantics): the
+            # disk detects the ascending pattern, so only transfer
+            # time is paid, but it is serial with the CPU work
+            frame = ctx.buffer.fix(page_no)
+        ctx.set_current_frame(frame)
+        ctx.stats.clusters_visited += 1
+        yield frame
+
+
+def _until_fallback(ctx: EvalContext, runs: Iterator[EntryRun]) -> Iterator[EntryRun]:
+    # a trip stops the speculation between two steps, not inside a run
+    while not ctx.fallback and (run := next(runs, None)) is not None:
+        yield run
+
+
+def scan(
+    ctx: EvalContext,
+    document: StoredDocument,
+    paths: Sequence[ScanPath],
+    keep: Container[int],
+) -> Iterator[tuple[int, list[Iterator[EntryRun]]]]:
+    """The one sequential pass: every cluster of ``document`` that
+    :func:`plan_scan` keeps for ``paths``, pinned in physical order by
+    :func:`scan_pages`, with each path's speculation over it (lazy: a
+    path's pruning counters move as its runs are drawn).
+
+    A trip into fallback mode (Sec. 5.4.6) ends the runs of the cluster
+    between two steps and the pass before the next cluster; the consumer
+    then re-delivers its contexts, which the unrestricted step chain
+    re-evaluates in full while R filters the duplicates.
+    """
+    page_nos, verdicts = plan_scan(ctx, document, paths, keep)
+    for frame in scan_pages(ctx, page_nos):
+        page = frame.page
+        yield page.page_no, [
+            _until_fallback(
+                ctx, speculate(ctx, page, steps, by_page.get(page.page_no))
+            )
+            for (steps, _), by_page in zip(paths, verdicts)
+        ]
+
+
 class XScan(Operator):
-    """The I/O-performing operator based on a single sequential scan."""
+    """The I/O-performing operator based on a single sequential scan:
+    the one-path consumer of :func:`scan`."""
 
     __slots__ = ("producer", "steps", "document", "postings")
 
@@ -162,41 +240,12 @@ class XScan(Operator):
             by_cluster.setdefault(y.page_no, []).append(y)
             all_contexts.append(y)
 
-        steps = self.steps
-        page_nos, (verdicts,) = plan_scan(
-            ctx, self.document, [(steps, self.postings)], by_cluster
-        )
-        readahead = ctx.options.scan_readahead
-        issued = 0
-        for index, page_no in enumerate(page_nos):
-            if ctx.fallback:
-                break
-            if readahead > 0:
-                # asynchronous prefetch: keep a window of reads in flight
-                while issued < len(page_nos) and issued <= index + readahead:
-                    if not ctx.buffer.is_resident(page_nos[issued]):
-                        ctx.iosys.request(page_nos[issued])
-                    issued += 1
-                while not ctx.buffer.is_resident(page_no):
-                    done = ctx.iosys.get_completion()
-                    if done is None:
-                        break
-                    ctx.buffer.admit_completed(done)
-            frame = ctx.buffer.try_fix_resident(page_no)
-            if frame is None:
-                # synchronous sequential read (O_DIRECT semantics): the
-                # disk detects the ascending pattern, so only transfer
-                # time is paid, but it is serial with the CPU work
-                frame = ctx.buffer.fix(page_no)
-            ctx.set_current_frame(frame)
-            ctx.stats.clusters_visited += 1
-
+        paths = [(self.steps, self.postings)]
+        for page_no, (runs,) in scan(ctx, self.document, paths, by_cluster):
             for y in by_cluster.pop(page_no, ()):  # contexts first (paper)
                 ctx.charge_instance()
                 yield y
-            runs = speculate(ctx, frame.page, steps, verdicts.get(page_no))
-            # a trip stops the speculation between two steps, not inside a run
-            while not ctx.fallback and (run := next(runs, None)) is not None:
+            for run in runs:
                 yield from run.feed(ctx)
 
         if ctx.fallback:

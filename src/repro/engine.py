@@ -264,11 +264,6 @@ class Database:
         tracer = ctx.tracer
         events_start = tracer.events_recorded if tracer is not None else 0
         value, nodes = compiled.execute(ctx)
-        # a "partial" budget records its cut as a degradation event and
-        # returns normally; a "raise" budget propagates out of execute()
-        partial = any(
-            e.reason == "budget" for e in ctx.degradation_events[events_mark:]
-        )
         if context is None and os.environ.get("REPRO_SAN"):
             from repro.analysis import sanitize
 
@@ -295,7 +290,7 @@ class Database:
             value=value,
             nodes=nodes,
             stats=None if before is None else ctx.stats.diff(before),
-            degradation=ctx.report_since(events_mark, partial=partial),
+            degradation=ctx.report_since(events_mark),
         )
 
     def session(

@@ -31,13 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.algebra.concurrent import interleave
-from repro.algebra.multiscan import shared_scan
 from repro.engine import Result
 from repro.errors import PlanError, UnsupportedQueryError
 from repro.model.tree import Kind
 from repro.sim.stats import Stats
 from repro.storage.nodeid import NodeID
-from repro.xpath.compile import CompiledQuery, PlanKind
+from repro.xpath.compile import CompiledQuery, PlanKind, shared_scan_results
 
 
 @dataclass(frozen=True)
@@ -186,32 +185,21 @@ def _run_queries(
             shared.clock.now, len(indices), scan_members, len(queue_members)
         )
 
-    def _report(view):
-        partial = any(e.reason == "budget" for e in view.degradation_events)
-        return view.report_since(0, partial=partial)
-
     # ---- phase 1: one sequential scan per document feeds all its paths
     for doc_key in scan_groups:
         members = sorted(scan_groups[doc_key])
         view = session.env.view(shared, session.options)
         armed = view.arm_budget(view.options.budget)
-        plans: list = []
-        seen: set[int] = set()
-        for index in members:
-            for path_plan in compiled[index].path_plans():
-                if id(path_plan) not in seen:  # duplicate queries share one entry
-                    seen.add(id(path_plan))
-                    plans.append(path_plan)
         try:
-            result_sets = shared_scan(view, plans[0].document, plans)
-            by_plan = {id(p): nids for p, nids in zip(plans, result_sets)}
+            # duplicate queries share one compiled plan: scanned once
+            by_plan = shared_scan_results(view, [compiled[i] for i in members])
             for index in members:
                 value, nodes = compiled[index].resolve_with_results(view, by_plan)
                 outcomes[index] = (
                     value,
                     nodes,
                     shared.clock.checkpoint(),
-                    _report(view),
+                    view.report_since(0),
                 )
         finally:
             if armed:
@@ -226,7 +214,7 @@ def _run_queries(
         for index, (_, view), outcome in zip(
             queue_members, jobs, interleave(jobs)
         ):
-            outcomes[index] = outcome + (_report(view),)
+            outcomes[index] = outcome + (view.report_since(0),)
 
     for index in indices:
         plan_kinds_by[index] = compiled[index].plan_kinds

@@ -193,9 +193,6 @@ class QuerySession:
         mark = ctx.clock.checkpoint()
         before = ctx.stats.snapshot()
         value, nodes = compiled.execute(ctx)
-        partial = any(
-            e.reason == "budget" for e in ctx.degradation_events[events_mark:]
-        )
         result = Result.from_context(
             ctx,
             mark,
@@ -205,7 +202,7 @@ class QuerySession:
             value=value,
             nodes=nodes,
             stats=ctx.stats.diff(before),
-            degradation=ctx.report_since(events_mark, partial=partial),
+            degradation=ctx.report_since(events_mark),
         )
         self._account(result)
         self.observe_run(compiled, doc, result.total_time, options)

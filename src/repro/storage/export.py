@@ -24,6 +24,7 @@ each other.
 from __future__ import annotations
 
 from repro.algebra.context import EvalContext
+from repro.algebra.xscan import scan_pages
 from repro.errors import StorageError, StoreCorruptError
 from repro.model.tree import Kind
 from repro.storage.nodeid import NodeID, make_nodeid, page_of, slot_of
@@ -112,13 +113,10 @@ def export_scan(ctx: EvalContext, document: StoredDocument) -> str:
     """Export via one sequential scan with fragment stitching."""
     fragments: dict[NodeID, tuple[list[str], list[NodeID]]] = {}
     root_key = document.root
-    for page_no in document.page_nos:
-        frame = ctx.buffer.try_fix_resident(page_no)
-        if frame is None:
-            frame = ctx.buffer.fix(page_no)  # sequential: streaming cost
-        ctx.set_current_frame(frame)
-        ctx.stats.clusters_visited += 1
+    # every page, skipping none: the scan's page loop without its planning
+    for frame in scan_pages(ctx, document.page_nos):
         page = frame.page
+        page_no = page.page_no
         for slot, record in enumerate(page.records):
             entry_key: NodeID | None = None
             entry_slot = slot

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Any, Callable, Sequence
 
 from repro.axes import Axis
 from repro.algebra.context import EvalContext, EvalOptions
@@ -227,7 +228,7 @@ def resolve_auto(
 # ---------------------------------------------------------------- path plans
 
 
-@dataclass
+@dataclass(eq=False)  # compared and hashed by identity: plans key result maps
 class CompiledPathPlan:
     """A location path bound to a document, ready to instantiate."""
 
@@ -275,42 +276,28 @@ class CompiledPathPlan:
             )
         raise UnsupportedQueryError(f"unresolved plan kind {self.kind}")
 
-    def _note_refuted(self, ctx: EvalContext) -> None:
-        ctx.stats.paths_refuted += 1
-
-    def run_count(self, ctx: EvalContext) -> int:
+    def _run(self, ctx: EvalContext, drain: Callable[[Operator], Any], empty: Any) -> Any:
+        """``drain`` one execution of the plan (``empty`` when refuted)."""
         if self.refuted:
-            self._note_refuted(ctx)
-            return 0
+            ctx.stats.paths_refuted += 1
+            return empty
         # idempotent: a no-op when CompiledQuery.execute armed it already
         armed = ctx.arm_budget(ctx.options.budget)
         top = self.build(ctx)
         try:
-            return count_results(top, ctx)
+            return drain(top)
         finally:
             if armed:
                 ctx.disarm_budget()
             ctx.release()
             ctx.fallback = False
 
-    def run_nodes(self, ctx: EvalContext, ordered: bool = True) -> list[NodeID]:
-        if self.refuted:
-            self._note_refuted(ctx)
-            return []
-        armed = ctx.arm_budget(ctx.options.budget)
-        try:
-            top = self.build(ctx)
-            try:
-                nids = result_nodeids(top)
-            finally:
-                ctx.release()
-                ctx.fallback = False
-            if ordered:
-                nids = order_results(ctx, nids)
-            return nids
-        finally:
-            if armed:
-                ctx.disarm_budget()
+    def run_count(self, ctx: EvalContext) -> int:
+        return self._run(ctx, lambda top: count_results(top, ctx), 0)
+
+    def run_nodes(self, ctx: EvalContext) -> list[NodeID]:
+        """The path's result nodes, unordered."""
+        return self._run(ctx, result_nodeids, [])
 
 
 # ------------------------------------------------------------- query plans
@@ -323,6 +310,9 @@ class CompiledQuery:
     expr: object  #: mirrored AST with CompiledPathPlan leaves
     query: str
     plan_kinds: list[PlanKind]
+    #: the leaf paths in evaluation order, each with whether the
+    #: expression counts it (a ``count(path)``) or takes its node set
+    leaves: list[tuple[CompiledPathPlan, bool]]
     shared_scan: bool = False  #: evaluate all paths in one physical scan
     #: AUTO resolutions made during compilation (empty for forced plans);
     #: the session plan cache revalidates these against the feedback store
@@ -338,25 +328,61 @@ class CompiledQuery:
         armed = ctx.arm_budget(ctx.options.budget)
         try:
             if self.shared_scan:
-                return self._execute_shared(ctx)
-            if isinstance(self.expr, CompiledPathPlan):
-                return None, self.expr.run_nodes(ctx, ordered=True)
-            if isinstance(self.expr, tuple) and self.expr[0] == "union":
-                from repro.algebra.misc import order_results
-
-                return None, order_results(ctx, self._union_nodes(self.expr, ctx))
-            return self._number(self.expr, ctx), None
+                return self.resolve_with_results(ctx, shared_scan_results(ctx, [self]))
+            return self.evaluate(
+                ctx, lambda plan: plan.run_nodes(ctx), lambda plan: plan.run_count(ctx)
+            )
         finally:
             if armed:
                 ctx.disarm_budget()
 
-    def _union_nodes(self, node: tuple, ctx: EvalContext) -> list[NodeID]:
-        """Node-set union with duplicate elimination (unordered)."""
-        merged: set[NodeID] = set()
-        for plan in node[1]:
-            merged.update(plan.run_nodes(ctx, ordered=False))
-            ctx.charge_set_op()
-        return list(merged)
+    def evaluate(
+        self,
+        ctx: EvalContext,
+        nodes_of: Callable[[CompiledPathPlan], list[NodeID]],
+        count_of: Callable[[CompiledPathPlan], float] | None = None,
+    ) -> tuple[float | None, list[NodeID] | None]:
+        """The one walk over the expression tree: count, union, count of
+        a union, arithmetic, comparison, document order.
+
+        Every way of running a query ends here; they differ in how a leaf
+        path's node set (``nodes_of``, unordered) or cardinality
+        (``count_of``) is obtained.  With ``count_of`` the leaves are
+        plans being run: a counted path is drained by its own plan, which
+        pays one ``set_op`` per tuple, and a union pays one per member it
+        merges.  Without, they are finished result sets (a shared
+        scan's): merging them is free and a count pays one ``set_op``.
+        """
+
+        def nodes(node: object) -> list[NodeID]:
+            if isinstance(node, CompiledPathPlan):
+                return nodes_of(node)
+            merged: set[NodeID] = set()
+            for plan in node[1]:  # type: ignore[index]
+                merged.update(nodes_of(plan))
+                if count_of is not None:
+                    ctx.charge_set_op()
+            return list(merged)
+
+        def value(node: object) -> float:
+            if isinstance(node, float):
+                return node
+            op, left, right = node  # type: ignore[misc]
+            if op == "count":
+                if count_of is None:
+                    ctx.charge_set_op()
+                elif isinstance(left, CompiledPathPlan):
+                    return float(count_of(left))
+                return float(len(nodes(left)))
+            lv = value(left)
+            rv = value(right)
+            if op in ("=", "!="):
+                return float(lv == rv if op == "=" else lv != rv)
+            return lv + rv if op == "+" else lv - rv
+
+        if _is_node_set(self.expr):
+            return None, order_results(ctx, nodes(self.expr))
+        return value(self.expr), None
 
     # ----------------------------------------------------------- explain
 
@@ -416,105 +442,40 @@ class CompiledQuery:
 
     # ------------------------------------------------------- shared scan
 
-    def _collect_plans(self, node: object, out: list["CompiledPathPlan"]) -> None:
-        if isinstance(node, CompiledPathPlan):
-            out.append(node)
-        elif isinstance(node, list):
-            for item in node:
-                self._collect_plans(item, out)
-        elif isinstance(node, tuple):
-            _, left, right = node
-            self._collect_plans(left, out)
-            if right is not None:
-                self._collect_plans(right, out)
-
     def path_plans(self) -> list["CompiledPathPlan"]:
-        """All location-path plans at the leaves of this query."""
-        plans: list[CompiledPathPlan] = []
-        self._collect_plans(self.expr, plans)
-        return plans
+        """All location-path plans at the leaves, in evaluation order."""
+        return [plan for plan, _ in self.leaves]
 
     def resolve_with_results(
-        self, ctx: EvalContext, by_plan: dict[int, list[NodeID]]
+        self, ctx: EvalContext, by_plan: dict[CompiledPathPlan, list[NodeID]]
     ) -> tuple[float | None, list[NodeID] | None]:
-        """Finish evaluation given each leaf path's (unordered) node set.
+        """Finish evaluation given each leaf path's (unordered) node set,
+        as :func:`shared_scan_results` returns them: one physical scan
+        feeds every path of a query, or of a batch of queries."""
+        return self.evaluate(ctx, by_plan.__getitem__)
 
-        ``by_plan`` maps ``id(plan) -> NodeIDs`` for every plan in
-        :meth:`path_plans`; the expression tree above the leaves (counts,
-        unions, arithmetic, ordering) is evaluated here.  Used by the
-        shared-scan execution path and by batched multi-query execution,
-        where one physical scan feeds many queries.
-        """
-        from repro.algebra.misc import order_results
 
-        def nodes_of(node: object) -> list:
-            if isinstance(node, CompiledPathPlan):
-                return by_plan[id(node)]
-            assert isinstance(node, tuple) and node[0] == "union"
-            merged = set()
-            for plan in node[1]:
-                merged.update(by_plan[id(plan)])
-            return list(merged)
+def shared_scan_results(
+    ctx: EvalContext, queries: Sequence[CompiledQuery]
+) -> dict[CompiledPathPlan, list[NodeID]]:
+    """One shared scan for every leaf path of ``queries`` (all over one
+    document): the (unordered) node set of each, for
+    :meth:`CompiledQuery.resolve_with_results`.
 
-        def value_of(node: object) -> float:
-            if isinstance(node, float):
-                return node
-            op, left, right = node  # type: ignore[misc]
-            if op == "count":
-                ctx.charge_set_op()
-                return float(len(nodes_of(left)))
-            if op in ("=", "!="):
-                equal = value_of(left) == value_of(right)
-                return float(equal if op == "=" else not equal)
-            lv = value_of(left)
-            rv = value_of(right)
-            return lv + rv if op == "+" else lv - rv
+    A plan several queries hold is scanned once.  Refuted paths
+    contribute constant-empty result sets and stay out of the physical
+    scan; queries of only refuted paths never touch the store at all.
+    """
+    from repro.algebra.multiscan import shared_scan
 
-        if isinstance(self.expr, CompiledPathPlan):
-            return None, order_results(ctx, by_plan[id(self.expr)])
-        if isinstance(self.expr, tuple) and self.expr[0] == "union":
-            return None, order_results(ctx, nodes_of(self.expr))
-        return value_of(self.expr), None
-
-    def _execute_shared(self, ctx: EvalContext) -> tuple[float | None, list[NodeID] | None]:
-        from repro.algebra.multiscan import shared_scan
-
-        plans = self.path_plans()
-        document = plans[0].document
-        if any(plan.document is not document for plan in plans):
-            raise UnsupportedQueryError("shared scan requires a single document")
-        # refuted paths contribute constant-empty result sets and stay
-        # out of the physical scan; a query of only refuted paths never
-        # touches the store at all
-        live = [plan for plan in plans if not plan.refuted]
-        by_plan: dict[int, list[NodeID]] = {}
-        for plan in plans:
-            if plan.refuted:
-                plan._note_refuted(ctx)
-                by_plan[id(plan)] = []
-        if live:
-            result_sets = shared_scan(ctx, document, live)
-            for plan, nids in zip(live, result_sets):
-                by_plan[id(plan)] = nids
-        return self.resolve_with_results(ctx, by_plan)
-
-    def _number(self, node: object, ctx: EvalContext) -> float:
-        if isinstance(node, float):
-            return node
-        op, left, right = node  # type: ignore[misc]
-        if op == "count":
-            if isinstance(left, CompiledPathPlan):
-                return float(left.run_count(ctx))
-            assert isinstance(left, tuple) and left[0] == "union"
-            return float(len(self._union_nodes(left, ctx)))
-        if op in ("=", "!="):
-            lv = self._number(left, ctx)
-            rv = self._number(right, ctx)
-            equal = lv == rv
-            return float(equal if op == "=" else not equal)
-        lv = self._number(left, ctx)
-        rv = self._number(right, ctx)
-        return lv + rv if op == "+" else lv - rv
+    by_plan: dict[CompiledPathPlan, list[NodeID]] = {
+        plan: [] for query in queries for plan in query.path_plans()
+    }
+    live = [plan for plan in by_plan if not plan.refuted]
+    ctx.stats.paths_refuted += len(by_plan) - len(live)
+    if live:
+        by_plan.update(zip(live, shared_scan(ctx, live[0].document, live)))
+    return by_plan
 
 
 def compile_query(
@@ -540,6 +501,12 @@ def compile_query(
     geo = geometry or DiskGeometry()
     kinds: list[PlanKind] = []
     auto_choices: list[AutoChoice] = []
+    leaves: list[tuple[CompiledPathPlan, bool]] = []
+
+    def leaf(path: LocationPath, counted: bool = False) -> CompiledPathPlan:
+        plan = compile_path(path)
+        leaves.append((plan, counted))
+        return plan
 
     def compile_path(path: LocationPath) -> CompiledPathPlan:
         if not path.absolute:
@@ -635,13 +602,13 @@ def compile_query(
                 "string literals are only supported inside predicates"
             )
         if isinstance(node, PathExpr):
-            return compile_path(node.path)
+            return leaf(node.path)
         if isinstance(node, UnionExpr):
-            return ("union", [compile_path(p) for p in node.paths], None)
+            return ("union", [leaf(p) for p in node.paths], None)
         if isinstance(node, CountCall):
             if isinstance(node.path, UnionExpr):
-                return ("count", ("union", [compile_path(p) for p in node.path.paths], None), None)
-            return ("count", compile_path(node.path), None)
+                return ("count", walk(node.path), None)
+            return ("count", leaf(node.path, counted=True), None)
         if isinstance(node, (BinaryOp, Comparison)):
             left = walk(node.left)
             right = walk(node.right)
@@ -657,6 +624,7 @@ def compile_query(
         expr=compiled,
         query=str(expr),
         plan_kinds=kinds,
+        leaves=leaves,
         shared_scan=kind is PlanKind.XSCAN_SHARED,
         auto_choices=auto_choices,
     )

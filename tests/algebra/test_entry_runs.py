@@ -128,8 +128,8 @@ def _instants_of_replayed_crossings(store, query, plan, monkeypatch):
 def test_budget_blows_inside_a_run(store, plan, monkeypatch):
     """Wherever ``max_seconds`` falls — between two entries of one run
     included — both datapaths stop at the same instant with the same
-    partial result.  The shared scan charges a cluster's instances while
-    building the batch, the other two as they hand them on."""
+    partial result.  All three producers charge an entry's instance as
+    they hand it on (the shared scan draws a cluster's runs lazily)."""
     query = PATHS[0]
     instants = _instants_of_replayed_crossings(store, query, plan, monkeypatch)
     assert len(instants) > 100

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import run_batch
+from repro import BudgetExceededError, EvalOptions, ExecutionBudget, run_batch
 from repro.errors import PlanError
 from repro.xmark import Q6_PRIME, Q7
 
@@ -122,3 +122,80 @@ def test_module_level_run_batch_entry_point():
     db, _ = small_database(seed=5)
     outcome = run_batch(db.session(), ["//a"], doc="d")
     assert outcome.results[0].nodes == db.execute("//a", doc="d").nodes
+
+
+# ------------------------------------------------- one evaluator, three doors
+
+#: comparison, union, count of a union, a path the summary refutes
+EXPRESSIONS = [
+    "count(//item) = count(//item)",
+    "count(//item) != count(//item)",
+    "count(//item) = 3",
+    "//item/name | //person/name",
+    "count(//item | //person)",
+    "count(/site/people/person/bidder)",
+]
+
+
+def _answer(result):
+    return result.value if result.nodes is None else result.nodes
+
+
+@pytest.mark.parametrize("query", EXPRESSIONS)
+def test_interleaved_member_evaluates_like_execute(xmark_small, query):
+    """An interleaved batch member is evaluated by the walk that
+    ``Database.execute`` uses, whatever expression it is."""
+    db, _ = xmark_small
+    alone = db.execute(query, doc="xmark", plan="xschedule")
+    outcome = db.run_batch([query, "count(//person)"], doc="xmark", plan="xschedule")
+    assert outcome.interleaved == 2
+    assert _answer(outcome.results[0]) == _answer(alone)
+    assert outcome.stats.paths_refuted == alone.stats.paths_refuted
+    assert outcome.stats.paths_refuted == ("bidder" in query)
+
+
+def test_interleaved_refuted_path_builds_no_plan(xmark_small):
+    db, _ = xmark_small
+    beside = "count(//person)"
+    without = db.run_batch([beside], doc="xmark", plan="xschedule")
+    outcome = db.run_batch([EXPRESSIONS[-1], beside], doc="xmark", plan="xschedule")
+    assert outcome.results[0].value == 0.0
+    assert outcome.stats.as_dict() == {**without.stats.as_dict(), "paths_refuted": 1}
+
+
+@pytest.mark.parametrize("plan", ["xschedule", "xscan"])
+def test_batch_members_run_under_their_budget(xmark_small, plan):
+    """Both phases arm the budget: ``partial`` truncates and says so,
+    ``raise`` raises — as a lone execute does."""
+    db, _ = xmark_small
+    requests = ["count(//item)", "count(//person)"]
+    full = db.run_batch(requests, doc="xmark", plan=plan)
+    cut = db.run_batch(
+        requests,
+        doc="xmark",
+        plan=plan,
+        options=EvalOptions(budget=ExecutionBudget(max_pages=3, on_exceeded="partial")),
+    )
+    assert all(r.partial for r in cut.results)
+    assert [r.value for r in cut.results] < [r.value for r in full.results]
+    assert cut.stats.pages_read < 10 < full.stats.pages_read
+    with pytest.raises(BudgetExceededError):
+        db.run_batch(
+            requests,
+            doc="xmark",
+            plan=plan,
+            options=EvalOptions(budget=ExecutionBudget(max_pages=3)),
+        )
+
+
+def test_scan_group_keeps_a_refuted_path_out_of_the_scan(xmark_small):
+    db, _ = xmark_small
+    group = [("count(//item)", "xmark", "xscan"), ("//person/name", "xmark", "xscan")]
+    refuted = ("count(/site/people/person/bidder)", "xmark", "xscan")
+    without = db.run_batch(group)
+    outcome = db.run_batch(group + [refuted])
+    assert outcome.scan_shared == 3
+    assert outcome.results[2].value == 0.0
+    assert outcome.stats.paths_refuted == 1
+    assert outcome.stats.speculative_instances == without.stats.speculative_instances
+    assert outcome.stats.pages_read == without.stats.pages_read

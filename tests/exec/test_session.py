@@ -199,6 +199,27 @@ def test_unknown_plan_name_is_a_typed_error_at_every_entry_point():
             call()
 
 
+def test_shared_scan_trip_does_not_leak_into_the_next_warm_run(xmark_small):
+    """A shared scan that tripped into fallback resets the warm context's
+    flag like every other plan: the next query starts speculating, trips
+    on its own and says so."""
+    db, _ = xmark_small
+    session = db.session(warm=True, options=EvalOptions(memory_limit=5))
+    first = session.execute(
+        "count(//description)+count(//annotation)+count(//emailaddress)",
+        doc="xmark",
+        plan="xscan-shared",
+    )
+    assert first.stats.fallbacks == 1
+    assert session.context().fallback is False
+    second = session.execute("count(/site/regions//item)", doc="xmark", plan="xscan")
+    assert second.value == db.execute("count(/site/regions//item)", doc="xmark").value
+    assert second.stats.speculative_instances > 0
+    assert second.stats.fallbacks == 1
+    assert second.degraded is True
+    assert second.degradation.reasons == ["memory-limit"]
+
+
 def test_cool_discards_warm_runtime():
     db, _ = small_database(seed=3)
     warm = db.session(warm=True)
