@@ -162,7 +162,12 @@ class EvalOptions:
         discovers each extension's candidate array charge-free, tests it
         with one vectorised ``match_batch`` and charges what the scalar
         chain would, a run of candidates at a time; XScan/XSchedule/shared scans enumerate
-        speculative entry borders from the view's precomputed lists.
+        speculative entry borders from the view's precomputed lists and
+        hand them on a cluster at a time, and the kernel walks such a
+        run once per (cluster, path, step): afterwards it takes the run
+        in from a memoised tape, charged in one sum, unless a tracer, an
+        armed budget, fallback mode or a tight ``memory_limit`` could
+        observe the clock inside it (docs/algebra.md, "Run tapes").
         Pure CPU-dispatch optimisation: results, ``Stats`` and simulated
         timings are equal (``==``; time is on a grid, sums are exact)
         with the flag off (CLI

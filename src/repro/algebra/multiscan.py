@@ -72,6 +72,7 @@ class _PathState:
             len(plan.steps),
             descendant_root_opt=plan.descendant_root_opt,
             steps=plan.steps,
+            document=plan.document,
         )
         self.results: list[NodeID] = []
 

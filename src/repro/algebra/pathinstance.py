@@ -80,7 +80,9 @@ class EntryRun:
     left-incomplete instance that resumes step ``step + 1`` there:
     ``s_l = s_r = step``, ``n_l`` the border's NodeID, paused and
     resumed.  Its ``instance_op`` is charged entry by entry, by whoever
-    walks the run.
+    walks the run.  ``slots`` is every entry the step's axis has on the
+    cluster (``ColumnView.entry_slots``), never a selection of them: the
+    path kernel memoises its walk of a run per (cluster, path, step).
     """
 
     __slots__ = ("step", "page_no", "slots")

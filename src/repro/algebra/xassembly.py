@@ -35,8 +35,9 @@ R survives as the duplicate filter.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from repro.algebra.base import Operator
 from repro.algebra.context import EvalContext
@@ -53,6 +54,89 @@ from repro.storage.nodeid import SLOT_BITS, NodeID, make_nodeid, page_of, slot_o
 _Stored = tuple[int, NodeID, bool]
 
 
+class RunTape(NamedTuple):
+    """What the kernel's walk of one entry run comes to (:func:`build_tape`)."""
+
+    owner: object  #: the document that numbered the path
+    steps: Sequence[CompiledStep]  #: the path, and
+    index: int  #: the run's step: what the tape was built for
+    #: the run's ``(hops, tests, events, crossings, deferred, entries)``:
+    #: what the walk charges as ``intra_hop``, ``node_test``,
+    #: ``instance_op`` (events and entries) and ``iterator_call``
+    totals: tuple[int, int, int, int, int, int]
+    parked: int  #: outcomes in all: what the run can add to S
+    #: for the entries that reach the top only, ``(left key, outcomes,
+    #: ordinal, marks)``: the tuple of ``(s_r, right, paused)`` S may
+    #: come to share, the entry's position in the run and, five per
+    #: outcome, the first five totals as they stand at its intake
+    walked: tuple
+
+
+def build_tape(owner, view, records: list, steps: Sequence[CompiledStep], index: int) -> RunTape:
+    """The *run tape* of one (cluster, path, step): a charge-free
+    transcription of the walk :meth:`XAssembly._produce` makes, level by
+    level, over the entry run of step ``index`` on the cluster ``view``
+    mirrors (``records`` are its page's, read for the junctions).  A
+    function of the page's records alone; docs/algebra.md, "Run tapes".
+    """
+    n = len(steps)
+    base = view.page_no << SLOT_BITS
+    hops = tests = events = calls = deferred = parked = 0
+    walked = []
+    memo: dict = {}  # an inner extension is started once per match above it
+    first = steps[index]
+    slots = view.entry_slots(first.axis)
+    outcomes: list[_Stored] = []
+    marks = array("q")
+    stack: list = []  # empty again whenever an entry is spent
+    for ordinal, entry in enumerate(slots, start=1):
+        calls += ordinal > 1  # the pull of the I/O operator replayed per entry
+        top = index + 1
+        batch = view.extension(first.match_batch, entry, first.axis, True)
+        while True:
+            if batch is not None:
+                # level `top` starts extending the entry, or a match
+                upfront, _, ev_slots, ev_hops, ev_tests, tail = batch
+                hops += upfront
+                it = zip(ev_slots, ev_hops, ev_tests)
+                batch = None
+            for slot, ev_hop, ev_test in it:
+                hops += ev_hop
+                tests += ev_test
+                events += 1
+                if slot < 0:
+                    deferred += 1
+                    outcomes.append((top - 1, records[~slot].target(), True))
+                elif top == n:
+                    outcomes.append((n, base | slot, False))
+                else:
+                    stack.append((it, tail))
+                    top += 1
+                    key = top << SLOT_BITS | slot
+                    batch = memo.get(key)
+                    if batch is None:
+                        step = steps[top - 1]
+                        batch = memo[key] = view.extension(step.match_batch, slot, step.axis, False)
+                    break
+                marks.extend((hops, tests, events, calls, deferred))
+                calls += n - top + 1  # the next pull crosses levels n..top
+            else:
+                hops += tail[0]
+                tests += tail[1]
+                if not stack:
+                    calls += index  # through every idle level to the I/O operator
+                    break
+                it, tail = stack.pop()
+                top -= 1
+                calls += 1
+        if outcomes:
+            parked += len(outcomes)
+            walked.append(((index, base | entry), tuple(outcomes), ordinal, marks))
+            outcomes, marks = [], array("q")
+    totals = (hops, tests, events, calls, deferred, len(slots))
+    return RunTape(owner, steps, index, totals, parked, tuple(walked))
+
+
 class XAssembly(Operator):
     """Topmost operator of a cost-sensitive path plan."""
 
@@ -62,6 +146,8 @@ class XAssembly(Operator):
         "schedule",
         "descendant_root_opt",
         "steps",
+        "document",
+        "_path",
         "_r",
         "_s",
         "_s_size",
@@ -76,6 +162,7 @@ class XAssembly(Operator):
         schedule=None,
         descendant_root_opt: bool = False,
         steps: Sequence[CompiledStep] = (),
+        document=None,
     ) -> None:
         super().__init__(ctx)
         if steps and not ctx.options.batched:
@@ -89,13 +176,20 @@ class XAssembly(Operator):
         #: the location steps the kernel runs itself over the I/O operator
         #: ``producer``; empty over a scalar XStep chain
         self.steps = steps
+        #: the :class:`~repro.storage.store.StoredDocument` the path runs
+        #: over and the integer it knows the path by: what run tapes are
+        #: kept under (None: every run is walked level by level)
+        self.document = document
+        self._path = document.path_id(steps) if document is not None and steps else None
         self.path_len = path_len
         #: the associated XSchedule, or None when the input is an XScan
         self.schedule = schedule
         #: step-1 keys are implicitly reachable (``//`` prefix + scan input)
         self.descendant_root_opt = descendant_root_opt and path_len > 1
         self._r: set[tuple[int, NodeID]] = set()
-        self._s: dict[tuple[int, NodeID | None], list[_Stored]] = {}
+        #: an entry taken in from a run tape is the tape's own tuple: an
+        #: S entry is grown by replacing it, never in place
+        self._s: dict[tuple[int, NodeID | None], Sequence[_Stored]] = {}
         self._s_size = 0
         self._ready: deque[_Stored] = deque()
 
@@ -146,8 +240,11 @@ class XAssembly(Operator):
         is on a grid, so the sum is exact in any order) and go onto the
         clock before anything else can read or advance it; counter deltas
         are posted before every yield and on exit.  Flush points:
-        docs/algebra.md.  With no ``steps`` (a scalar chain below) only
-        the intake runs.
+        docs/algebra.md.  An :class:`EntryRun` is not walked at all when
+        nothing can read the clock inside it: it is taken in from its
+        memoised tape (:meth:`_replay`), and this loop stays the
+        reference that tape transcribes.  With no ``steps`` (a scalar
+        chain below) only the intake runs.
         """
         ctx = self.ctx
         steps = self.steps
@@ -216,6 +313,17 @@ class XAssembly(Operator):
                             if p is None:
                                 return
                             if type(p) is EntryRun:
+                                tape = self._tape(p)
+                                if tape is not None:
+                                    if d_hops or d_tests or d_instances or d_speculative:
+                                        # the intake may yield: nothing stays unposted
+                                        self._post(
+                                            d_hops, d_tests, d_instances, d_deferred, d_speculative
+                                        )
+                                        d_hops = d_tests = d_instances = d_deferred = 0
+                                        d_speculative = 0
+                                    yield from self._replay(tape, droot and p.step == 1)
+                                    continue
                                 # every entry border of one (cluster, step): as
                                 # many left-open instances resuming step s_l + 1
                                 entries = iter(p.slots)
@@ -385,10 +493,10 @@ class XAssembly(Operator):
                         else:
                             pending += cost_set
                             parked = s.get(left_key)
-                            if parked is None:
-                                s[left_key] = [(s_r, right, paused)]
-                            else:
+                            if type(parked) is list:
                                 parked.append((s_r, right, paused))
+                            else:  # none yet, or a tape's own tuple
+                                s[left_key] = [*(parked or ()), (s_r, right, paused)]
                             self._s_size += 1
                             if limit is not None and self._s_size > limit:
                                 clock.work(pending)
@@ -408,6 +516,100 @@ class XAssembly(Operator):
                 # the crossings replayed inside runs are the I/O operator's
                 self.producer._trace_out += d_replayed
                 tracer.op_call(type(self.producer).__name__, d_replayed, d_replayed)
+
+    def _tape(self, run: EntryRun) -> RunTape | None:
+        """The tape to take ``run`` in from, memoised on the pinned
+        page's view — or None: the run is walked level by level.  That
+        is the case whenever something could observe the clock between
+        two of its outcomes — a tracer, an armed budget, fallback mode,
+        a ``memory_limit`` S may not have room under for the whole run —
+        and when building the tape raises (a corrupt page; a plan built
+        without its document has no path id to keep one under): the
+        walk then raises it where the scalar chain does, and nothing is
+        memoised."""
+        ctx = self.ctx
+        frame = ctx.current_frame
+        if (
+            self._path is None
+            or ctx.tracer is not None
+            or ctx._budget is not None
+            or ctx.fallback
+            or frame is None
+            or frame.page.page_no != run.page_no
+        ):
+            return None
+        page = frame.page
+        view = page.colview()
+        key = (self._path, run.step)
+        tape = view.tapes.get(key)
+        if tape is None or tape.owner is not self.document:
+            # (path ids are per document, and an update can leave two
+            # documents sharing a page)
+            try:
+                tape = build_tape(self.document, view, page.records, self.steps, run.step)
+            except Exception:  # whatever it is, the walk raises it again
+                return None
+            view.keep_tape(key, tape)
+        limit = ctx.options.memory_limit
+        if limit is not None and self._s_size + tape.parked > limit:
+            return None
+        return tape
+
+    def _replay(self, tape: RunTape, implied: bool) -> Iterator[PathInstance]:
+        """Take in one whole entry run from its tape (:func:`build_tape`).
+
+        An entry whose left junction is not in R waits in S as the
+        tape's own outcome tuple: two ``set_op`` per outcome, as the
+        walk charges.  An entry that is reachable (or ``implied``: the
+        ``//`` prefix) has its outcomes activated one by one, each with
+        everything the walk charges before it on the clock first, so
+        every ``_prove`` and every yield see the level-stack walk's
+        clock.  The rest of the run's charges follow in one sum.
+        """
+        r = self._r
+        s = self._s
+        ready = self._ready
+        stats = self.ctx.stats
+        done = (0, 0, 0, 0, 0, 0)  # the part of the totals charged and posted
+        sets = 0  # set_ops charged by entries parked since
+        for key, outcomes, ordinal, marks in tape.walked:
+            if not implied and key not in r:
+                parked = s.get(key)
+                s[key] = outcomes if parked is None else [*parked, *outcomes]
+                self._s_size += len(outcomes)
+                sets += 2 * len(outcomes)
+                continue
+            for i, outcome in enumerate(outcomes):
+                upto = (*marks[5 * i : 5 * i + 5], ordinal)
+                self._settle(done, upto, sets + 1)  # and the R probe that hit
+                done = upto
+                sets = 0
+                stats.merges += 1
+                result = self._activate(outcome)
+                while True:
+                    if result is not None:
+                        yield self._result_instance(result)
+                    if not ready:
+                        break
+                    result = self._activate(ready.popleft())
+        self._settle(done, tape.totals, sets)
+
+    def _settle(self, done: tuple, upto: tuple, sets: int) -> None:
+        """Charge and book what a tape counts between two of its marks,
+        and ``sets`` R/S operations."""
+        ctx = self.ctx
+        hops0, tests0, events0, calls0, deferred0, entries0 = done
+        hops, tests, events, calls, deferred, entries = upto
+        ctx.clock.work(
+            (hops - hops0) * ctx._cost_hop
+            + (tests - tests0) * ctx._cost_test
+            + (events - events0 + entries - entries0) * ctx._cost_instance
+            + (calls - calls0) * ctx._cost_call
+            + sets * ctx._cost_set
+        )
+        self._post(
+            hops - hops0, tests - tests0, events - events0, deferred - deferred0, entries - entries0
+        )
 
     def _post(
         self, hops: int, tests: int, instances: int, deferred: int, speculative: int

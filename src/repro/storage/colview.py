@@ -55,6 +55,9 @@ _NO_EVENTS = array("i")
 #: A candidate batch: (upfront_hops, free_head, candidate slots).
 CandidateBatch = tuple[int, int, "list[int]"]
 
+#: How many run tapes one view keeps; one more drops them all.
+TAPE_LIMIT = 64
+
 
 class ColumnView:
     """Array mirror of one page, frozen at build time.
@@ -86,6 +89,7 @@ class ColumnView:
         "_axis_cache",
         "_resume_cache",
         "_flag_cache",
+        "tapes",
         "_pre",
         "_pre_index",
         "_pre_size",
@@ -148,6 +152,8 @@ class ColumnView:
         self._axis_cache: dict = {}
         self._resume_cache: dict = {}
         self._flag_cache: dict = {}
+        #: run tapes (:meth:`keep_tape`) under ``(path id, step)``
+        self.tapes: dict = {}
         # preorder span table for descendant enumeration, built lazily on
         # the first descendant-axis batch (see _ensure_preorder)
         self._pre: list[int] | None = None
@@ -215,6 +221,20 @@ class ColumnView:
         if memo is None:
             memo = self._flag_cache[(test, axis)] = {}
         return memo
+
+    def keep_tape(self, key: tuple[int, int], tape: tuple) -> None:
+        """Memoise a *run tape* — the path kernel's transcription of one
+        whole entry run of this cluster
+        (:func:`repro.algebra.xassembly.build_tape`) — under the document's
+        path id and the run's step.  Unlike the extensions a tape also
+        depends on the border records' ``companion`` fields, which is why
+        a companion write is a mutation of the page holding the border.
+        At most :data:`TAPE_LIMIT` are kept: one more drops them all, so
+        a stream of distinct paths cannot grow a view without bound.
+        """
+        if len(self.tapes) >= TAPE_LIMIT:
+            self.tapes.clear()
+        self.tapes[key] = tape
 
     # ----------------------------------------------------------- axis batch
 

@@ -91,10 +91,21 @@ class StoredDocument:
     #: and cluster postings); None disables the whole-query rewrite pass
     #: until recollected or repaired.
     pathsummary: PathSummary | None = field(default=None, repr=False)
+    #: location paths run over this document, interned (:meth:`path_id`)
+    path_ids: dict[tuple, int] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_pages(self) -> int:
         return len(self.page_nos)
+
+    def path_id(self, steps) -> int:
+        """A small integer naming the location path ``steps`` (compiled
+        steps, told apart by axis and node test) among the paths run over
+        this document.  A plan interns its path once per execution and
+        per-cluster memos are kept under the integer, so nothing hashes
+        the frozen node tests per cluster."""
+        key = tuple((step.axis, step.test) for step in steps)
+        return self.path_ids.setdefault(key, len(self.path_ids))
 
 
 class DocumentStore:

@@ -57,6 +57,18 @@ def _crash_check(store: DocumentStore) -> None:
         crash.check(CRASH_UPDATE_APPLY)
 
 
+def _patch_companion(page: Page, border: BorderRecord, companion: NodeID) -> None:
+    """Point ``border``, a record of ``page``, at ``companion``.
+
+    The path kernel memoises junction NodeIDs — companions — with the
+    page's columnar view (its run tapes), so a companion write is a
+    mutation of the page *holding the border*, wherever the record that
+    moved lives: the view is dropped here, after the patch.
+    """
+    border.companion = companion
+    page.invalidate_colview()
+
+
 def _resolve_core(segment: Segment, nid: NodeID) -> tuple[Page, int, CoreRecord]:
     page = segment.page(page_of(nid))
     record = page.record(slot_of(nid))
@@ -141,7 +153,7 @@ def _relocate_closure(
     up_slot = target_page.add(up)
     root_new = _move_closure(segment, page, target_page, closure, up_slot)
     up.local_slot = root_new
-    up.companion = make_nodeid(page.page_no, slot)
+    _patch_companion(target_page, up, make_nodeid(page.page_no, slot))
     down = BorderRecord(
         make_nodeid(target_page.page_no, up_slot), parent_slot, down=True
     )
@@ -284,7 +296,6 @@ def _split_child_list(segment: Segment, doc: StoredDocument, page: Page, holder,
         root_new = _move_closure(segment, page, target, closure, proxy_slot)
         proxy.child_slots.append(root_new)
         target.grow(4)
-    target.invalidate_colview()  # proxy child links appended in place
 
     del holder.child_slots[first_index:]
     page.invalidate_colview()  # holder child list truncated in place
@@ -295,7 +306,8 @@ def _split_child_list(segment: Segment, doc: StoredDocument, page: Page, holder,
     cont_slot = page.add(cont)
     holder.child_slots.append(cont_slot)
     page.grow(4)
-    proxy.companion = make_nodeid(page.page_no, cont_slot)
+    # (also what drops target's view after the proxy child links appended in place)
+    _patch_companion(target, proxy, make_nodeid(page.page_no, cont_slot))
     if target.page_no not in doc.page_nos:
         doc.page_nos.append(target.page_no)
         doc.page_nos.sort()
@@ -362,9 +374,14 @@ def _move_closure(
                 clone.local_slot = -1
             if clone.child_slots:
                 clone.child_slots = [mapping[s] for s in clone.child_slots]
+            # the remote side of a moved border: re-patched where it lives
             companion_id = record.target()
-            companion = segment.page(page_of(companion_id)).record(slot_of(companion_id))
-            companion.companion = make_nodeid(target.page_no, mapping[old_slot])
+            remote = segment.page(page_of(companion_id))
+            _patch_companion(
+                remote,
+                remote.record(slot_of(companion_id)),
+                make_nodeid(target.page_no, mapping[old_slot]),
+            )
         else:
             clone.parent_slot = (
                 parent_new_slot if old_slot == root_old else mapping[record.parent_slot]
@@ -524,10 +541,10 @@ def insert_node(
         down_slot = home_page.add(down)
         home_page.grow(link_cost)
         holder.child_slots.insert(list_index, down_slot)
-        home_page.invalidate_colview()  # holder child list grown in place
-        down.companion = make_nodeid(target_page.page_no, up_slot)
-        up.companion = make_nodeid(home_page.page_no, down_slot)
-        target_page.invalidate_colview()  # up.local_slot patched after add
+        # (each drops its page's view after the last patch in place: the
+        # holder's child list grown, up.local_slot set after the add)
+        _patch_companion(home_page, down, make_nodeid(target_page.page_no, up_slot))
+        _patch_companion(target_page, up, make_nodeid(home_page.page_no, down_slot))
         if target_page.page_no not in doc.page_nos:
             doc.page_nos.append(target_page.page_no)
             doc.page_nos.sort()

@@ -261,7 +261,12 @@ class CompiledPathPlan:
                 postings=self.postings,
             )
             return XAssembly(
-                ctx, schedule, len(self.steps), schedule=schedule, steps=self.steps
+                ctx,
+                schedule,
+                len(self.steps),
+                schedule=schedule,
+                steps=self.steps,
+                document=self.document,
             )
         if self.kind is PlanKind.XSCAN:
             scan = XScan(
@@ -273,6 +278,7 @@ class CompiledPathPlan:
                 len(self.steps),
                 descendant_root_opt=self.descendant_root_opt,
                 steps=self.steps,
+                document=self.document,
             )
         raise UnsupportedQueryError(f"unresolved plan kind {self.kind}")
 

@@ -3,7 +3,8 @@
 Each sanitizer must demonstrably catch its bug class: we *seed* a
 deliberate bug (time charged outside both clock buckets, a
 run-count-dependent clock, a corrupted incremental repair, a stale
-columnar cache) and assert the sanitizer trips on it.  The flip side is
+columnar cache, a stale junction in a run tape) and assert the sanitizer
+trips on it.  The flip side is
 the overhead contract: with ``REPRO_SAN`` unset no sanitizer state
 exists, and with it set the
 observable outcome — value, counters, simulated timings — is
@@ -13,6 +14,7 @@ bit-identical to an unsanitized run.
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -241,6 +243,32 @@ def test_mutation_sanitizer_catches_stale_colview(monkeypatch):
     monkeypatch.setenv("REPRO_SAN", "mutation")
     with pytest.raises(SanitizerError, match="column view"):
         update_value(db.store, nid, "x")
+
+
+def test_mutation_sanitizer_catches_stale_junction_in_a_run_tape(monkeypatch):
+    """A relocation re-patches the *remote* border's companion in place;
+    the page holding that border keeps its arrays but not its junctions,
+    which only its run tapes remember."""
+    import repro.storage.update as update
+
+    def patch_and_keep_the_view(page, border, companion):  # seeded bug:
+        border.companion = companion  # the invalidate_colview is dropped
+
+    db, _ = small_database(seed=3, page_size=256, fragmentation=1.0, n_top=12)
+    doc = db.document("d")
+
+    def relocating_inserts(seed):
+        rng = random.Random(seed)
+        for _ in range(12):
+            db.execute("count(//a/b)", doc="d", plan="xscan")  # tapes warm everywhere
+            parent = rng.choice(db.execute("//*", doc="d", plan="simple").nodes)
+            update.insert_node(db.store, doc, parent, 0, "zzz")
+
+    monkeypatch.setenv("REPRO_SAN", "mutation")
+    relocating_inserts(0)  # the real invalidate: clean
+    monkeypatch.setattr(update, "_patch_companion", patch_and_keep_the_view)
+    with pytest.raises(SanitizerError, match="run tape"):
+        relocating_inserts(1)
 
 
 # ------------------------------------------------------------ the artifact

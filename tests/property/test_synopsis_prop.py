@@ -89,14 +89,26 @@ def _outcome(result):
 @example(
     seed=2, fragmentation=1.0, plan="xscan", speculative=False, path="/descendant::b"
 )
+# XSchedule with queue requests dropped visits its clusters in another
+# order, and behind a buffer smaller than the document another order
+# evicts other frames: 275 pages read pruned against 272 unpruned here
+# (231 against 230 cluster visits), 162 against 162 once nothing is evicted
+@example(
+    seed=0,
+    fragmentation=0.7,
+    plan="xschedule",
+    speculative=False,
+    path="/descendant::*/child::a",
+)
 def test_pruned_run_equals_unpruned_run(seed, fragmentation, plan, speculative, path):
     store = _store(seed, fragmentation)
-    results = {}
-    for synopsis in (True, False):
-        db = Database(page_size=512, buffer_pages=48, store=store)
+
+    def run(synopsis, buffer_pages=48):
+        db = Database(page_size=512, buffer_pages=buffer_pages, store=store)
         options = EvalOptions(speculative=speculative, synopsis=synopsis)
-        results[synopsis] = db.execute(path, doc="d", plan=plan, options=options)
-    on, off = results[True], results[False]
+        return db.execute(path, doc="d", plan=plan, options=options)
+
+    on, off = run(True), run(False)
     assert _outcome(on) == _outcome(off)
     stats_on, stats_off = on.stats.as_dict(), off.stats.as_dict()
     for counter in _PRUNE_COUNTERS:
@@ -110,8 +122,15 @@ def test_pruned_run_equals_unpruned_run(seed, fragmentation, plan, speculative, 
         assert stats_on == stats_off
         assert on.total_time == off.total_time
     else:
-        # pruning may only ever remove I/O
-        assert stats_on["pages_read"] <= stats_off["pages_read"]
+        # pruning may only ever remove I/O — a theorem where every page
+        # is read at most once; past that, which frames a run evicts and
+        # re-reads depends on its visiting order, which pruning changes
+        reads = {True: on, False: off}
+        if on.stats.evictions or off.stats.evictions:
+            reads = {s: run(s, buffer_pages=store.segment.n_pages) for s in reads}
+            assert not (reads[True].stats.evictions or reads[False].stats.evictions)
+            assert _outcome(reads[True]) == _outcome(reads[False]) == _outcome(on)
+        assert reads[True].stats.pages_read <= reads[False].stats.pages_read
     if plan == "xscan" and on.stats.fallbacks == 0:
         # every page is either visited by the scan or provably skipped.
         # The accounting holds on clusters_visited, not pages_read: the
