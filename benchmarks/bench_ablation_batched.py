@@ -15,6 +15,7 @@ Three claims (the batched contract, docs/algebra.md):
 """
 
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -25,6 +26,12 @@ SCALE = 0.1
 PLANS = ("simple", "xschedule", "xscan", "xscan-shared")
 OFF = EvalOptions(batched=False)
 ON = EvalOptions(batched=True)
+#: where full-tree navigation is not a predicate-free Unnest-Map: a
+#: predicate step under ``simple``, and the fallback levels of a scan
+#: that trips its memory limit — (label, query, plan, extra options)
+PREDICATE = ("item[location]", "count(//item[location = 'United States']/name)", "simple", {})
+TRIPPED = ("q7-tripped", QUERY_BY_EXP["q7"], "xscan", {"memory_limit": 50})
+WALKER_CASES = [pytest.param(*case, id=case[0]) for case in (PREDICATE, TRIPPED)]
 
 
 def _outcome(result):
@@ -33,13 +40,21 @@ def _outcome(result):
     return tuple(result.nodes)
 
 
-@pytest.mark.parametrize("plan", PLANS)
-@pytest.mark.parametrize("exp_id", ("q6", "q7", "q15"))
-def test_batched_bit_identical(xmark_store, exp_id, plan):
+@pytest.mark.parametrize(
+    "label,query,plan,extra",
+    [
+        pytest.param(exp_id, QUERY_BY_EXP[exp_id], plan, {}, id=f"{exp_id}-{plan}")
+        for exp_id in ("q6", "q7", "q15")
+        for plan in PLANS
+    ]
+    + WALKER_CASES,
+)
+def test_batched_bit_identical(xmark_store, label, query, plan, extra):
     """Batched on vs off: same answer, same Stats, same simulated time."""
     db = xmark_store(SCALE)
-    on = run_query(db, QUERY_BY_EXP[exp_id], plan, options=ON)
-    off = run_query(db, QUERY_BY_EXP[exp_id], plan, options=OFF)
+    on = run_query(db, query, plan, options=replace(ON, **extra))
+    off = run_query(db, query, plan, options=replace(OFF, **extra))
+    assert bool(on.stats.fallbacks) == bool(extra)  # every path of a tripped scan falls back
     assert _outcome(on) == _outcome(off)
     assert on.stats.as_dict() == off.stats.as_dict()
     assert on.total_time == off.total_time
@@ -55,6 +70,8 @@ def test_batched_off_builds_no_views(xmark_store):
         segment.page(page_no).invalidate_colview()
     for plan in PLANS:
         run_query(db, QUERY_BY_EXP["q6"], plan, options=OFF)
+    for _, query, plan, extra in (PREDICATE, TRIPPED):
+        run_query(db, query, plan, options=replace(OFF, **extra))
     views = sum(
         segment.page(p)._colview is not None
         for p in db.document("xmark").page_nos
@@ -62,25 +79,35 @@ def test_batched_off_builds_no_views(xmark_store):
     assert views == 0, f"scalar runs materialized {views} column views"
 
 
-@pytest.mark.parametrize("plan", ("simple", "xscan"))
-def test_batched_wall_clock_never_regresses(xmark_store, record_result, plan):
+@pytest.mark.parametrize(
+    "label,query,plan,extra",
+    [
+        pytest.param("q6", QUERY_BY_EXP["q6"], plan, {}, id=plan)
+        for plan in ("simple", "xscan")
+    ]
+    + WALKER_CASES,
+)
+def test_batched_wall_clock_never_regresses(
+    xmark_store, record_result, label, query, plan, extra
+):
     """Warm wall clock, min of 3 rounds per mode.  The columnar kernels
     must at worst break even (generous noise margin); the measured
     speedup lands in the ablation table and the BENCH artifacts."""
     db = xmark_store(SCALE)
-    query = QUERY_BY_EXP["q6"]
-    run_query(db, query, plan, options=ON)  # warm buffer + views + caches
-    run_query(db, query, plan, options=OFF)
+    modes = {"on": replace(ON, **extra), "off": replace(OFF, **extra)}
+    for options in modes.values():  # warm buffer + views + caches
+        run_query(db, query, plan, options=options)
     walls = {}
-    for label, options in (("on", ON), ("off", OFF)):
+    for mode, options in modes.items():
         best = float("inf")
         for _ in range(3):
             t0 = time.perf_counter()
             run_query(db, query, plan, options=options)
             best = min(best, time.perf_counter() - t0)
-        walls[label] = best
+        walls[mode] = best
     record_result(
         "ablation_batched",
+        query=label,
         plan=plan,
         wall_on=walls["on"],
         wall_off=walls["off"],

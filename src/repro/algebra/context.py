@@ -155,24 +155,26 @@ class EvalOptions:
         bit-identical either way — and free when the document carries no
         summary.  Disable with CLI ``--no-pathsummary``.
     batched:
-        Run the intra-cluster datapath batch-at-a-time over columnar
-        cluster views (:class:`~repro.storage.colview.ColumnView`):
-        cost-sensitive plans run the whole XStep chain and XAssembly's
-        intake as one kernel per path (``XAssembly._produce``), which
+        Run the datapath batch-at-a-time over columnar cluster views
+        (:class:`~repro.storage.colview.ColumnView`); four modules read
+        the flag.  ``xassembly``: cost-sensitive plans run the whole
+        XStep chain and XAssembly's intake as one kernel per path, which
         discovers each extension's candidate array charge-free, tests it
         with one vectorised ``match_batch`` and charges what the scalar
-        chain would, a run of candidates at a time; XScan/XSchedule/shared scans enumerate
-        speculative entry borders from the view's precomputed lists and
-        hand them on a cluster at a time, and the kernel walks such a
-        run once per (cluster, path, step): afterwards it takes the run
-        in from a memoised tape, charged in one sum, unless a tracer, an
-        armed budget, fallback mode or a tight ``memory_limit`` could
-        observe the clock inside it (docs/algebra.md, "Run tapes").
+        chain would, a run of candidates at a time.  ``xscan`` and
+        ``pathinstance``: scans and XSchedule hand speculative entry
+        borders on a cluster at a time from the view's precomputed
+        lists, and the kernel walks such a run once per (cluster, path,
+        step): afterwards it takes the run in from a memoised tape,
+        charged in one sum, unless a tracer, an armed budget, fallback
+        mode or a tight ``memory_limit`` could observe the clock inside
+        it (docs/algebra.md, "Run tapes").  ``fullnav``: Unnest-Map,
+        predicate paths and fallback levels run one full-tree walker
+        over the views' event arrays (``full_step``).
         Pure CPU-dispatch optimisation: results, ``Stats`` and simulated
         timings are equal (``==``; time is on a grid, sums are exact)
-        with the flag off (CLI
-        ``--no-batched``), which falls back to one-record-at-a-time
-        navigation over record objects, one XStep generator per step.
+        with the flag off (CLI ``--no-batched``): one record at a time
+        over record objects, one XStep generator per step.
     calibration:
         Let :class:`~repro.exec.session.QuerySession` feed *measured*
         plan outcomes back into the AUTO chooser: observed per-shape

@@ -6,8 +6,9 @@ edges only; a border encountered during enumeration is returned as a
 right-incomplete path instance instead of being crossed.  Non-applicable
 instances pass through unchanged.
 
-In fallback mode (Sec. 5.4.6) XStep behaves as a plain Unnest-Map,
-crossing borders eagerly with full-tree navigation.
+In fallback mode (Sec. 5.4.6) XStep behaves as a plain Unnest-Map:
+:func:`extend_full` runs the walker Unnest-Map runs,
+:func:`~repro.algebra.fullnav.full_step`.
 
 This operator is the *scalar* datapath (``EvalOptions.batched`` off);
 batched plans run the step chain inside XAssembly's fused kernel, which
@@ -20,7 +21,7 @@ from typing import Iterator
 
 from repro.algebra.base import Operator
 from repro.algebra.context import EvalContext
-from repro.algebra.fullnav import full_axis
+from repro.algebra.fullnav import full_step
 from repro.algebra.pathinstance import PathInstance
 from repro.algebra.steps import CompiledStep
 from repro.errors import PlanError
@@ -145,20 +146,12 @@ def pinned_page(ctx: EvalContext, step_index: int, p: PathInstance):
 def extend_full(
     ctx: EvalContext, step: CompiledStep, step_index: int, p: PathInstance
 ) -> Iterator[PathInstance]:
-    """Fallback: unrestricted navigation, as an Unnest-Map would do."""
+    """Fallback: unrestricted navigation, as an Unnest-Map would do —
+    :func:`~repro.algebra.fullnav.full_step` from ``p``'s right end,
+    each match an instance that keeps ``p``'s left end."""
     assert p.page_no is not None
-    test = step.match
-    for page_no, slot in full_axis(ctx, p.page_no, p.slot, step.axis, resumed=p.resumed):
-        record = ctx.segment.page(page_no).record(slot)
-        ctx.charge_test()
-        if test(int(record.kind), record.tag):
-            ctx.charge_instance()
-            yield PathInstance(
-                s_l=p.s_l,
-                n_l=p.n_l,
-                left_open=p.left_open,
-                s_r=step_index,
-                slot=slot,
-                is_border=False,
-                page_no=page_no,
-            )
+    s_l, n_l, left_open = p.s_l, p.n_l, p.left_open
+    for page_no, slot in full_step(
+        ctx, step, p.page_no, p.slot, resumed=p.resumed, instances=True
+    ):
+        yield PathInstance(s_l, n_l, left_open, step_index, slot, False, False, page_no)

@@ -202,6 +202,10 @@ class PathSummary:
         """Number of distinct path keys."""
         return len(self._counts)
 
+    def path_counts(self) -> List[Tuple[PathKey, int]]:
+        """Every path key with its exact node count, in sorted key order."""
+        return sorted(self._counts.items())
+
     def count(self, key: PathKey) -> int:
         """Exact number of nodes with this path key (0 if absent)."""
         return self._counts.get(key, 0)

@@ -5,6 +5,9 @@ A :class:`DocumentStore` owns one :class:`~repro.storage.page.Segment`
 provides :func:`export_tree`, which reconstructs the logical tree from the
 physical records — used by the round-trip tests and doubling as the
 document-export feature the paper's outlook section mentions.
+
+:class:`DocumentStatistics` is derived from the document's path summary:
+there is no statistics sweep of its own over tree or records.
 """
 
 from __future__ import annotations
@@ -25,14 +28,13 @@ from repro.storage.synopsis import ClusterSynopsis
 
 @dataclass
 class DocumentStatistics:
-    """Schema-level statistics collected at import time.
+    """Schema-level statistics, derived from the document's path summary.
 
     Used by the AUTO plan chooser (the cost model the paper's outlook
     section calls for) to estimate how much of the document a path visits.
 
     ``child_pairs[(p, c)]`` counts parent-child tag pairs;
-    ``desc_pairs[(a, d)]`` counts ancestor-descendant tag pairs (exact,
-    computed with an O(n * depth) sweep).
+    ``desc_pairs[(a, d)]`` counts ancestor-descendant tag pairs (exact).
     """
 
     n_nodes: int
@@ -42,33 +44,40 @@ class DocumentStatistics:
     desc_pairs: dict[tuple[int, int], int]
 
     @staticmethod
-    def collect(tree: LogicalTree) -> "DocumentStatistics":
+    def from_summary(summary: PathSummary) -> "DocumentStatistics":
+        """Every statistic is a sum over root-to-node paths, and the
+        summary holds each path with its exact count and final kind.
+        Paths are taken in sorted order, so the dictionaries — and with
+        them the order of the estimator's float sums — are reproducible.
+        """
         tag_counts: dict[int, int] = {}
         child_pairs: dict[tuple[int, int], int] = {}
         desc_pairs: dict[tuple[int, int], int] = {}
-        tags_arr = tree.tag
-        parent = tree.parent
         n_elements = 0
-        for node in range(len(tree)):
-            tag = tags_arr[node]
-            tag_counts[tag] = tag_counts.get(tag, 0) + 1
-            if tree.kind[node] == Kind.ELEMENT:
-                n_elements += 1
-            p = parent[node]
-            if p >= 0:
-                pair = (tags_arr[p], tag)
-                child_pairs[pair] = child_pairs.get(pair, 0) + 1
-                ancestor = p
-                while ancestor >= 0:
-                    dpair = (tags_arr[ancestor], tag)
-                    desc_pairs[dpair] = desc_pairs.get(dpair, 0) + 1
-                    ancestor = parent[ancestor]
+        for (chain, kind), count in summary.path_counts():
+            tag = chain[-1]
+            tag_counts[tag] = tag_counts.get(tag, 0) + count
+            if kind == Kind.ELEMENT:
+                n_elements += count
+            if len(chain) > 1:
+                pair = (chain[-2], tag)
+                child_pairs[pair] = child_pairs.get(pair, 0) + count
+            for ancestor_tag in chain[:-1]:
+                dpair = (ancestor_tag, tag)
+                desc_pairs[dpair] = desc_pairs.get(dpair, 0) + count
         return DocumentStatistics(
-            n_nodes=len(tree),
+            n_nodes=summary.n_nodes,
             n_elements=n_elements,
             tag_counts=tag_counts,
             child_pairs=child_pairs,
             desc_pairs=desc_pairs,
+        )
+
+    @staticmethod
+    def collect(tree: LogicalTree) -> "DocumentStatistics":
+        """Statistics of a logical tree that is not stored anywhere."""
+        return DocumentStatistics.from_summary(
+            PathSummary.collect_from_tree(tree, [0] * len(tree))
         )
 
 
@@ -147,6 +156,7 @@ class DocumentStore:
         result = import_tree(tree, opts, first_page_no=self.segment.n_pages)
         for page in result.pages:
             self.segment.adopt(page)
+        summary = PathSummary.collect_from_tree(tree, result.node_page)
         doc = StoredDocument(
             name=name,
             root=result.root,
@@ -155,9 +165,9 @@ class DocumentStore:
             n_border_pairs=result.n_border_pairs,
             n_continuations=result.n_continuations,
             import_result=result,
-            statistics=DocumentStatistics.collect(tree),
+            statistics=DocumentStatistics.from_summary(summary),
             synopsis=ClusterSynopsis.collect(result.pages),
-            pathsummary=PathSummary.collect_from_tree(tree, result.node_page),
+            pathsummary=summary,
         )
         self.documents[name] = doc
         return doc
@@ -170,59 +180,19 @@ class DocumentStore:
 
 
 def recollect_statistics(store: DocumentStore, doc: StoredDocument) -> DocumentStatistics:
-    """Rebuild schema statistics from the physical records.
+    """Rebuild schema statistics of the stored document.
 
     Structural updates invalidate the import-time statistics snapshot
-    (the AUTO plan chooser then runs statistics-free); this walk restores
-    them from the stored document without re-importing.
+    (the AUTO plan chooser then runs statistics-free); this restores
+    them without re-importing, from the document's path summary — read
+    off the physical pages, and not kept, when an update dropped it too.
     """
-    segment = store.segment
-    tag_counts: dict[int, int] = {}
-    child_pairs: dict[tuple[int, int], int] = {}
-    desc_pairs: dict[tuple[int, int], int] = {}
-    n_nodes = 0
-    n_elements = 0
-    # stack entries: (page_no, slot, ancestor-tag chain)
-    root_page, root_slot = page_of(doc.root), slot_of(doc.root)
-    stack: list[tuple[int, int, tuple[int, ...]]] = [(root_page, root_slot, ())]
-    while stack:
-        page_no, slot, ancestors = stack.pop()
-        record = segment.page(page_no).record(slot)
-        if record is None:
-            continue
-        if isinstance(record, BorderRecord):
-            if record.down:
-                target = record.target()
-                stack.append((page_of(target), slot_of(target), ancestors))
-            elif record.continuation:
-                for child_slot in record.child_slots or ():
-                    stack.append((page_no, child_slot, ancestors))
-            else:
-                stack.append((page_no, record.local_slot, ancestors))
-            continue
-        n_nodes += 1
-        tag = record.tag
-        tag_counts[tag] = tag_counts.get(tag, 0) + 1
-        if record.kind == Kind.ELEMENT:
-            n_elements += 1
-        if ancestors:
-            pair = (ancestors[-1], tag)
-            child_pairs[pair] = child_pairs.get(pair, 0) + 1
-            for ancestor_tag in ancestors:
-                dpair = (ancestor_tag, tag)
-                desc_pairs[dpair] = desc_pairs.get(dpair, 0) + 1
-        chain = ancestors + (tag,)
-        for child_slot in record.child_slots:
-            stack.append((page_no, child_slot, chain))
-    statistics = DocumentStatistics(
-        n_nodes=n_nodes,
-        n_elements=n_elements,
-        tag_counts=tag_counts,
-        child_pairs=child_pairs,
-        desc_pairs=desc_pairs,
-    )
+    summary = doc.pathsummary
+    if summary is None:
+        summary = PathSummary.collect(store.segment, doc.page_nos)
+    statistics = DocumentStatistics.from_summary(summary)
     doc.statistics = statistics
-    doc.n_nodes = n_nodes
+    doc.n_nodes = statistics.n_nodes
     return statistics
 
 

@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro import EvalOptions
 from repro.axes import Axis
-from repro.algebra.fullnav import exists_path, full_axis
-from repro.algebra.steps import CompiledNodeTest, CompiledStep
+from repro.algebra.fullnav import exists_path, full_axis, full_step
+from repro.algebra.steps import CompiledNodeTest, CompiledPredicate, CompiledStep
+from repro.storage.nav import speculative_entries
 from repro.storage.nodeid import make_nodeid, page_of, slot_of
 
+from tests.conftest import books, pinned_pages, small_database
 from tests.paper_tree import build_paper_tree
 
 
@@ -83,6 +86,7 @@ def test_exists_path_true(paper):
     nid = paper.nodes["d1"]
     steps = [name_step(paper, "A"), name_step(paper, "B")]
     assert exists_path(ctx, page_of(nid), slot_of(nid), steps)
+    assert pinned_pages(ctx) == []  # returned at the first hit, inside cluster a
 
 
 def test_exists_path_false(paper):
@@ -100,3 +104,103 @@ def test_exists_path_short_circuits(paper):
     from tests.paper_tree import PAGE_B
 
     assert not ctx.buffer.is_resident(PAGE_B)
+
+
+# ------------------------------------------------- full_step, the one walker
+
+
+@pytest.fixture(scope="module")
+def fragmented():
+    """Every child list split over tiny pages: crossings nest deeply."""
+    db, _ = small_database(seed=5, page_size=256, fragmentation=1.0, n_top=8)
+    return db
+
+
+def passes(db, step, page_no, slot):
+    record = db.store.segment.page(page_no).record(slot)
+    return step.test.matches(int(record.kind), record.tag)
+
+
+def test_full_step_from_every_entry_border(fragmented):
+    """A step resumed at an entry border (fallback mode on an instance
+    from XSchedule's queue, or on a run's entry): on every axis the
+    walker yields what ``full_axis`` does, filtered by the node test,
+    and both datapaths keep the same books."""
+    db = fragmented
+    resumed_walks = 0
+    for axis in Axis:
+        for kind, name in (("node", None), ("name", "b"), ("text", None)):
+            tag = db.tags.lookup(name) if name else None
+            step = CompiledStep(axis, CompiledNodeTest.compile(kind, axis, tag))
+            for page_no in db.document("d").page_nos:
+                page = db.store.segment.page(page_no)
+                for entry in speculative_entries(page, axis):
+                    ctx = db.make_context()
+                    expected = [
+                        (p, s)
+                        for p, s in full_axis(ctx, page_no, entry, axis, resumed=True)
+                        if passes(db, step, p, s)
+                    ]
+                    walked = {}
+                    for batched in (True, False):
+                        ctx = db.make_context(EvalOptions(batched=batched))
+                        got = list(full_step(ctx, step, page_no, entry, resumed=True))
+                        assert got == expected, (axis, kind, page_no, entry)
+                        walked[batched] = books(ctx)
+                        assert pinned_pages(ctx) == []
+                    assert walked[True] == walked[False], (axis, kind, page_no, entry)
+                    resumed_walks += 1
+    assert resumed_walks > 500
+
+
+def test_full_step_closed_mid_stream_leaves_no_pin(fragmented):
+    """Abandon the walk after every possible number of matches — under
+    one, two, three and more suspended crossings: the page in hand is
+    released, nothing else was pinned, and both datapaths have charged
+    the same by then."""
+    db = fragmented
+    root = db.document("d").root
+    step = CompiledStep(
+        Axis.DESCENDANT, CompiledNodeTest.compile("node", Axis.DESCENDANT, None)
+    )
+    total = len(list(full_step(db.make_context(), step, page_of(root), slot_of(root))))
+    deepest = 0
+    for taken in range(1, total + 1):
+        closed = {}
+        for batched in (True, False):
+            ctx = db.make_context(EvalOptions(batched=batched))
+            walk = full_step(ctx, step, page_of(root), slot_of(root), instances=True)
+            got = [next(walk) for _ in range(taken)]
+            if batched:
+                deepest = max(deepest, len(walk.gi_frame.f_locals["stack"]))
+            walk.close()
+            closed[batched] = (got, books(ctx))
+            assert pinned_pages(ctx) == [], (taken, batched)
+        assert closed[True] == closed[False], taken
+    assert deepest >= 3, "no walk was closed three crossings deep"
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_exists_path_exits_early_without_a_pin(fragmented, batched):
+    """Nested predicate paths return at the first witness, however many
+    crossings deep the walkers below them are suspended."""
+    db = fragmented
+    root = db.document("d").root
+    tag = db.tags.lookup
+
+    def name(axis, label, predicates=()):
+        test = CompiledNodeTest.compile("name", axis, tag(label))
+        return CompiledStep(axis, test, list(predicates))
+
+    has_text = CompiledPredicate(
+        [CompiledStep(Axis.DESCENDANT, CompiledNodeTest.compile("text", Axis.DESCENDANT, None))],
+        op="!=",
+        literal="x",
+    )
+    steps = [name(Axis.DESCENDANT, "c", [has_text]), name(Axis.CHILD, "a")]
+    ctx = db.make_context(EvalOptions(batched=batched))
+    assert exists_path(ctx, page_of(root), slot_of(root), steps)
+    assert pinned_pages(ctx) == []
+    whole = db.execute("count(//c[.//text() != 'x']/a)", doc="d", plan="simple")
+    assert whole.value > 1  # more witnesses than the one it stopped at
+    assert ctx.stats.node_tests < whole.stats.node_tests

@@ -61,6 +61,24 @@ def small_database(
     return db, tree
 
 
+def books(ctx) -> tuple:
+    """What a run has charged so far: the clock and every counter."""
+    return ctx.clock.now, ctx.clock.cpu_time, ctx.stats.as_dict()
+
+
+def pinned_pages(ctx) -> list[int]:
+    """Pages still pinned in ``ctx``'s buffer.  Probing swizzles, so it
+    charges the clock: call it when the run under test is over."""
+    pinned = []
+    for page_no in range(ctx.segment.n_pages):
+        frame = ctx.buffer.try_fix_resident(page_no)
+        if frame is not None:
+            ctx.buffer.unfix(frame)
+            if frame.pins:
+                pinned.append(page_no)
+    return pinned
+
+
 @pytest.fixture
 def db_and_tree() -> tuple[Database, LogicalTree]:
     return small_database(seed=7)

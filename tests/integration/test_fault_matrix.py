@@ -9,8 +9,11 @@ import os
 
 import pytest
 
-from repro import PROFILES, Database, ImportOptions
+from repro import PROFILES, Database, EvalOptions, ImportOptions, Tracer
+from repro.errors import PageReadError
+from repro.sim.faults import FaultProfile
 from repro.xmark import generate_xmark
+from tests.conftest import pinned_pages
 
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "1"))
 FAULTY_PROFILES = tuple(name for name in PROFILES if name != "none")
@@ -86,3 +89,34 @@ def test_same_seed_same_run(fault_store, profile_name):
             (result.value, result.total_time, result.stats.as_dict())
         )
     assert snapshots[0] == snapshots[1]
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batched", "scalar"])
+@pytest.mark.parametrize(
+    "query",
+    ["count(//item)", "count(/site/open_auctions/open_auction[bidder]/current)"],
+)
+def test_dead_page_under_simple_plan_is_a_typed_error(fault_store, query, batched):
+    """Full-tree navigation releases the source page before it reads the
+    page across a border.  When that read exhausts its retries the error
+    is the read's own — not a second unfix of the released frame — and
+    no pin survives it, on either datapath."""
+    tracer = Tracer()
+    clean = Database(page_size=2048, buffer_pages=96, store=fault_store, tracer=tracer)
+    clean.execute(query, doc="xmark", plan="simple")
+    misses = [e.page for e in tracer.events if e.cat == "buffer" and e.name == "miss"]
+    dead = misses[1]  # the first page the plan reaches across a border
+    db = Database(
+        page_size=2048,
+        buffer_pages=96,
+        store=fault_store,
+        faults=FaultProfile(dead_pages=frozenset({dead})),
+        eval_options=EvalOptions(batched=batched),
+    )
+    session = db.session(warm=True)
+    with pytest.raises(PageReadError) as err:
+        session.execute(query, doc="xmark", plan="simple")
+    assert err.value.page == dead
+    ctx = session.context()
+    assert ctx.current_frame is None
+    assert pinned_pages(ctx) == []

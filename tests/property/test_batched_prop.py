@@ -16,6 +16,12 @@ places where the fusion could drift: memory-limit fallback tripping
 under a stack of live extensions, a budget blowing inside a replayed
 ``iterator_call`` crossing, the shared scan re-opening the kernel per
 cluster, and the operator roll-up of a traced run.
+
+Full-tree navigation is one walker on either side (``fullnav.full_step``:
+columnar when batched, ``full_axis`` record by record when not), so the
+matrix draws what only it evaluates as well: steps with predicates
+under the ``simple`` plan, and the levels that run after a
+``memory_limit`` trip.
 """
 
 import dataclasses
@@ -37,6 +43,7 @@ from repro import (
 from repro.algebra.xassembly import XAssembly
 from repro.sim.clock import TICK
 from repro.xmark import PAPER_QUERIES, generate_xmark
+from repro.xpath.reference import evaluate_query
 from tests.conftest import make_random_tree
 
 AXES = [
@@ -53,6 +60,32 @@ AXES = [
 TESTS = ["a", "b", "c", "nosuchtag", "*", "node()", "text()"]
 PLANS = ["simple", "xschedule", "xscan", "xscan-shared"]
 DEEP_PATH = "/descendant-or-self::node()/child::*/child::*/child::*"
+#: existence, nested, two on one step, comparisons with a literal and
+#: with the context node itself; "" (none) as often as not
+PREDICATES = [
+    "",
+    "",
+    "",
+    "",
+    "[b]",
+    "[b/c]",
+    "[b[c]/a]",
+    "[a][.//c]",
+    "[text() = 'ttt']",
+    "[c != 'tt']",
+    "[. != 'x']",
+    "[@id = '7']",
+    "[ancestor::a]",
+    "[following-sibling::b[@id]]",
+    "[nosuchtag]",
+]
+PREDICATE_PATH = "/descendant::a[b/c][. != 'x']/child::*[.//text() = 'tt']"
+XMARK_PREDICATE_QUERIES = [
+    "count(//item[location = 'United States']/name)",
+    "count(/site/open_auctions/open_auction[bidder]/current)",
+    "/site/people/person[profile/education][address]/name",
+    "count(//item[mailbox/mail[from]]/name)",
+]
 
 
 @st.composite
@@ -65,7 +98,14 @@ def location_paths(draw):
     return "/" + "/".join(steps)
 
 
+def _with_predicate(path: str, predicate: str, at: int) -> str:
+    steps = path[1:].split("/")
+    steps[at % len(steps)] += predicate
+    return "/" + "/".join(steps)
+
+
 _STORE_CACHE: dict = {}
+_TREES: dict = {}  # the logical tree behind each random store, for the reference evaluator
 
 
 def _store(seed: int, fragmentation: float):
@@ -79,6 +119,7 @@ def _store(seed: int, fragmentation: float):
             ImportOptions(page_size=512, fragmentation=fragmentation, seed=seed),
         )
         _STORE_CACHE[key] = db.store
+        _TREES[key] = tree
     return _STORE_CACHE[key]
 
 
@@ -117,11 +158,15 @@ def _assert_identical(on, off, context):
     speculative=st.booleans(),
     memory_limit=st.sampled_from([None, None, 0, 1, 3, 8, 30]),
     path=location_paths(),
+    predicate=st.sampled_from(PREDICATES),
+    at=st.integers(min_value=0, max_value=3),
 )
 def test_batched_run_is_bit_identical(
-    seed, fragmentation, plan, speculative, memory_limit, path
+    seed, fragmentation, plan, speculative, memory_limit, path, predicate, at
 ):
     store = _store(seed, fragmentation)
+    if plan == "simple":  # the one plan that evaluates predicates
+        path = _with_predicate(path, predicate, at)
     results = {}
     for batched in (True, False):
         db = Database(page_size=512, buffer_pages=48, store=store)
@@ -130,6 +175,10 @@ def test_batched_run_is_bit_identical(
         )
         results[batched] = db.execute(path, doc="d", plan=plan, options=options)
     _assert_identical(results[True], results[False], (plan, memory_limit, path))
+    if plan == "simple" and predicate:
+        tree = _TREES[seed, fragmentation]
+        ir = store.documents["d"].import_result
+        assert results[True].nodes == [ir.nodeid_of(n) for n in evaluate_query(tree, path)], path
 
 
 @settings(max_examples=8, deadline=None)
@@ -140,7 +189,10 @@ def test_batched_run_is_bit_identical(
 def test_xmark_queries_are_bit_identical(fragmentation, plan):
     """Every paper query shape, both layouts, all four plans."""
     store = _xmark_store(fragmentation)
-    for _, _, query in PAPER_QUERIES:
+    queries = [query for _, _, query in PAPER_QUERIES]
+    if plan == "simple":
+        queries += XMARK_PREDICATE_QUERIES
+    for query in queries:
         results = {}
         for batched in (True, False):
             db = Database(page_size=2048, buffer_pages=64, store=store)
@@ -212,12 +264,16 @@ def test_every_recovery_duration_is_on_the_time_grid(profile_name, recovered_by)
     seed=st.integers(min_value=0, max_value=3),
     plan=st.sampled_from(PLANS),
     path=location_paths(),
+    predicate=st.sampled_from(PREDICATES),
+    at=st.integers(min_value=0, max_value=3),
 )
-def test_batched_trace_reconciles_and_does_not_perturb(seed, plan, path):
+def test_batched_trace_reconciles_and_does_not_perturb(seed, plan, path, predicate, at):
     """The per-batch span events keep the tracer contract: attaching
     one changes nothing, and the summary's counters are the run's
     ``Stats``."""
     store = _store(seed, 1.0)
+    if plan == "simple":
+        path = _with_predicate(path, predicate, at)
     vanilla = Database(page_size=512, buffer_pages=48, store=store).execute(
         path, doc="d", plan=plan, options=EvalOptions(batched=True)
     )
@@ -246,15 +302,22 @@ def test_batched_trace_reconciles_and_does_not_perturb(seed, plan, path):
     }, (plan, path)
     if plan in ("xschedule", "xscan") and traced.stats.node_tests:
         assert any(e.name == "xstep-batch" for e in tracer.events), (plan, path)
+    if plan == "simple" and traced.stats.node_tests:
+        # every Unnest-Map extension reports itself, predicate steps too
+        assert any(e.name == "unnest-batch" for e in tracer.events), path
 
 
 # ---------------------------------------------- where the fusion could drift
 
-@pytest.mark.parametrize("plan,speculative", [("xscan", False), ("xschedule", True)])
+@pytest.mark.parametrize(
+    "plan,speculative", [("xscan", False), ("xschedule", True), ("xscan-shared", False)]
+)
 def test_fallback_under_a_stack_of_live_extensions(monkeypatch, plan, speculative):
     """The memory limit trips while several levels of the kernel hold an
     extension: those finish intra-cluster, every extension started after
-    the trip navigates the full tree, exactly as in the stacked chain."""
+    the trip navigates the full tree — the kernel's levels over the
+    columnar walker, the stacked chain's record by record — on a layout
+    with few borders, a mixed one and one that is all borders."""
     live_levels = []
     enter_fallback = XAssembly._enter_fallback
 
@@ -264,41 +327,44 @@ def test_fallback_under_a_stack_of_live_extensions(monkeypatch, plan, speculativ
         enter_fallback(self)
 
     monkeypatch.setattr(XAssembly, "_enter_fallback", spy)
-    store = _store(3, 0.7)
     deepest = 0
-    for limit in (0, 1, 2, 3, 5, 8, 13):
-        results = {}
-        for batched in (True, False):
-            live_levels.clear()
-            db = Database(page_size=512, buffer_pages=48, store=store)
-            options = EvalOptions(
-                memory_limit=limit, speculative=speculative, batched=batched
-            )
-            results[batched] = db.execute(DEEP_PATH, doc="d", plan=plan, options=options)
-            if batched:
-                deepest = max(deepest, *live_levels)
-        assert results[True].stats.fallbacks == 1
-        _assert_identical(results[True], results[False], (plan, limit))
+    for fragmentation in (0.7, 0.0, 1.0):
+        store = _store(3, fragmentation)
+        for limit in (0, 1, 2, 3, 5, 8, 13):
+            results = {}
+            for batched in (True, False):
+                live_levels.clear()
+                db = Database(page_size=512, buffer_pages=48, store=store)
+                options = EvalOptions(
+                    memory_limit=limit, speculative=speculative, batched=batched
+                )
+                results[batched] = db.execute(DEEP_PATH, doc="d", plan=plan, options=options)
+                if batched:
+                    deepest = max(deepest, *live_levels)
+            assert results[True].stats.fallbacks == 1
+            _assert_identical(results[True], results[False], (plan, fragmentation, limit))
     assert deepest >= 2, "no trip happened under a stack of live extensions"
 
 
-@pytest.mark.parametrize("plan", ["xscan", "xschedule"])
+@pytest.mark.parametrize("plan", ["xscan", "xschedule", "simple"])
 def test_budget_blows_inside_a_replayed_crossing(plan):
     """Sweep ``max_seconds`` across the run: wherever the clock crosses
     the limit — including between two of the iterator_call charges the
-    kernel replays for idle levels — both datapaths stop at the same
-    simulated instant with the same partial result."""
+    kernel replays for idle levels, or (``simple``) with the walkers of a
+    step and of its predicates suspended on one another — both datapaths
+    stop at the same simulated instant with the same partial result."""
     store = _store(3, 0.7)
+    path = PREDICATE_PATH if plan == "simple" else DEEP_PATH
 
     def run(batched, budget):
         db = Database(page_size=512, buffer_pages=48, store=store)
         options = EvalOptions(speculative=True, batched=batched, budget=budget)
-        return db.execute(DEEP_PATH, doc="d", plan=plan, options=options)
+        return db.execute(path, doc="d", plan=plan, options=options)
 
     # most of the run is ordering the result, past the last budget
     # check: sweep the head, where the plan itself runs
     total = run(True, None).total_time
-    in_replayed_crossing = 0
+    in_replayed_crossing = cuts = 0
     for i in range(1, 60):
         limit = total * i / 400
         cut = {
@@ -309,6 +375,7 @@ def test_budget_blows_inside_a_replayed_crossing(plan):
         assert cut[True].partial == cut[False].partial
         if not cut[True].partial:
             continue
+        cuts += 1
         errors = {}
         for batched in (True, False):
             with pytest.raises(BudgetExceededError) as err:
@@ -319,7 +386,9 @@ def test_budget_blows_inside_a_replayed_crossing(plan):
         # raised by a charge the kernel itself replayed, not by the
         # consumer's or the I/O operator's own next()
         in_replayed_crossing += frames[-4:-2] == ["_produce", "charge_call"]
-    assert in_replayed_crossing, "no limit fell inside a replayed crossing"
+    assert cuts > 20, "the sweep hardly ever cut the run short"
+    if plan != "simple":
+        assert in_replayed_crossing, "no limit fell inside a replayed crossing"
 
 
 def test_shared_scan_reopens_one_kernel_per_cluster():

@@ -11,6 +11,7 @@ def test_recollection_matches_import_time_statistics():
     db, tree = small_database(seed=41, n_top=40)
     doc = db.document("d")
     original = doc.statistics
+    doc.pathsummary = None  # as after an update: read the pages, not the import's summary
     recollected = recollect_statistics(db.store, doc)
     assert recollected.n_nodes == original.n_nodes
     assert recollected.n_elements == original.n_elements

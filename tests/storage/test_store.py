@@ -89,3 +89,32 @@ def test_statistics_standalone_collect():
     stats = DocumentStatistics.collect(tree)
     assert stats.n_elements == 2
     assert stats.n_nodes == 4
+
+
+def test_statistics_from_summary_equal_a_sweep_of_the_tree():
+    """The statistics are derived from the path summary; their definition
+    is a sweep: every node under each of its ancestors, recursive tags
+    (``a`` under ``a``) counted once per ancestor."""
+    tags = TagDictionary()
+    store = DocumentStore(page_size=512, tags=tags)
+    tree = make_random_tree(tags, seed=11, n_top=30, tag_pool="ab")
+    stats = store.import_document(tree, "d").statistics
+    tag_counts, child_pairs, desc_pairs = {}, {}, {}
+    for node in range(len(tree)):
+        tag = tree.tag[node]
+        tag_counts[tag] = tag_counts.get(tag, 0) + 1
+        ancestor = parent = tree.parent[node]
+        if parent >= 0:
+            child_pairs[tree.tag[parent], tag] = child_pairs.get((tree.tag[parent], tag), 0) + 1
+        while ancestor >= 0:
+            desc_pairs[tree.tag[ancestor], tag] = desc_pairs.get((tree.tag[ancestor], tag), 0) + 1
+            ancestor = tree.parent[ancestor]
+    assert (stats.tag_counts, stats.child_pairs, stats.desc_pairs) == (
+        tag_counts,
+        child_pairs,
+        desc_pairs,
+    )
+    assert stats.n_nodes == len(tree)
+    assert stats == DocumentStatistics.collect(tree)
+    a = tags.lookup("a")
+    assert desc_pairs[a, a] > child_pairs[a, a]  # nesting deeper than one level occurred
