@@ -161,7 +161,9 @@ class EvalOptions:
         XStep chain and XAssembly's intake as one kernel per path, which
         discovers each extension's candidate array charge-free, tests it
         with one vectorised ``match_batch`` and charges what the scalar
-        chain would, a run of candidates at a time.  ``xscan`` and
+        chain would, a run of candidates at a time, and takes XSchedule's
+        deliveries from the cluster it holds in place (docs/algebra.md,
+        "Delivery runs").  ``xscan`` and
         ``pathinstance``: scans and XSchedule hand speculative entry
         borders on a cluster at a time from the view's precomputed
         lists, and the kernel walks such a run once per (cluster, path,

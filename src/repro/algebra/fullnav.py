@@ -123,7 +123,7 @@ def full_step(
                 yield page_no, slot
         return
     axis = step.axis
-    test = step.test
+    key = step.memo_key
     match_batch = step.match_batch
     buffer = ctx.buffer
     clock = ctx.clock
@@ -136,7 +136,7 @@ def full_step(
     try:
         page = frame.page
         upfront, size, ev_slots, ev_hops, ev_tests, tail = page.colview().extension_batch(
-            test, match_batch, slot, axis, resumed
+            key, match_batch, slot, axis, resumed
         )
         if step_index is not None and ctx.tracer is not None and size:
             span = {"step": step_index, "batch_size": size}
@@ -160,7 +160,7 @@ def full_step(
                     frame = buffer.fix(page_no)
                     page = frame.page
                     upfront, _, ev_slots, ev_hops, ev_tests, tail = page.colview().extension_batch(
-                        test, match_batch, slot_of(target), axis, True
+                        key, match_batch, slot_of(target), axis, True
                     )
                     it = zip(ev_slots, ev_hops, ev_tests)
                     pending = upfront * cost_hop

@@ -23,6 +23,9 @@ _KIND_DOCUMENT = int(Kind.DOCUMENT)
 #: test can never match, but the query is still valid.
 UNKNOWN_TAG = -1
 
+#: the axes, numbered for :attr:`CompiledStep.memo_key`
+_AXIS_NUMBER = {axis: number for number, axis in enumerate(Axis)}
+
 
 @dataclass(frozen=True, slots=True)
 class CompiledNodeTest:
@@ -162,7 +165,18 @@ class CompiledStep:
     )
     #: Precompiled batch form of ``test`` for the columnar kernel.
     match_batch: BatchMatch = field(init=False, repr=False, compare=False)
+    #: The int the step's extensions on a page are memoised under
+    #: (:meth:`~repro.storage.colview.ColumnView.step_memo`): the tag (0
+    #: any, 1 :data:`UNKNOWN_TAG`, else the tag id + 2) above the test's
+    #: kind bits (one per :class:`~repro.model.tree.Kind`) above the axis
+    #: number.  A pure function of the step's value, so equal steps of
+    #: different compilations share a memo, and nothing hashes the test
+    #: per crossing.
+    memo_key: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.match = compile_match(self.test)
         self.match_batch = compile_match_batch(self.test)
+        tag = 0 if self.test.tag is None else self.test.tag + 2
+        kinds = sum(1 << kind for kind in self.test.kinds)
+        self.memo_key = tag << 8 | kinds << 4 | _AXIS_NUMBER[self.axis]

@@ -84,6 +84,9 @@ def build_tape(owner, view, records: list, steps: Sequence[CompiledStep], index:
     hops = tests = events = calls = deferred = parked = 0
     walked = []
     memo: dict = {}  # an inner extension is started once per match above it
+    # what navigating plans have memoised on the view is read, not added
+    # to: the tape replaces the extensions of the walk it transcribes
+    known = [view.known_extensions(step.memo_key) for step in steps]
     first = steps[index]
     slots = view.entry_slots(first.axis)
     outcomes: list[_Stored] = []
@@ -92,7 +95,9 @@ def build_tape(owner, view, records: list, steps: Sequence[CompiledStep], index:
     for ordinal, entry in enumerate(slots, start=1):
         calls += ordinal > 1  # the pull of the I/O operator replayed per entry
         top = index + 1
-        batch = view.extension(first.match_batch, entry, first.axis, True)
+        batch = known[index].get(entry << 1 | 1)
+        if batch is None:
+            batch = view.extension(first.match_batch, entry, first.axis, True)
         while True:
             if batch is not None:
                 # level `top` starts extending the entry, or a match
@@ -115,8 +120,11 @@ def build_tape(owner, view, records: list, steps: Sequence[CompiledStep], index:
                     key = top << SLOT_BITS | slot
                     batch = memo.get(key)
                     if batch is None:
-                        step = steps[top - 1]
-                        batch = memo[key] = view.extension(step.match_batch, slot, step.axis, False)
+                        batch = known[top - 1].get(slot << 1)
+                        if batch is None:
+                            step = steps[top - 1]
+                            batch = view.extension(step.match_batch, slot, step.axis, False)
+                        memo[key] = batch
                     break
                 marks.extend((hops, tests, events, calls, deferred))
                 calls += n - top + 1  # the next pull crosses levels n..top
@@ -257,16 +265,21 @@ class XAssembly(Operator):
         cost_instance = ctx._cost_instance
         cost_set = ctx._cost_set
         cost_call = ctx._cost_call
+        cost_queue = ctx._cost_queue
         limit = ctx.options.memory_limit
+        buffer = ctx.buffer
         r = self._r
         s = self._s
         ready = self._ready
         droot = self.descendant_root_opt
         source = iter(self.producer)  # charges its own crossing per pull
+        # the XSchedule pulled directly (not through a scalar chain) can
+        # have its next delivery taken in place
+        schedule = self.schedule if self.producer is self.schedule else None
         stack: list = []
         top = 0
         it = tail = page = p = entries = None
-        starting = False
+        starting = queued = False
         d_hops = d_tests = d_instances = d_deferred = d_calls = d_out = 0
         d_speculative = d_replayed = 0
         t0 = clock.now
@@ -306,12 +319,45 @@ class XAssembly(Operator):
                                     clock.work(pending)
                                     pending = 0.0
                                     ctx.charge_call()
+                        if top == 0 and entries is None and queued:
+                            entry = schedule.take_in_place()
+                            if entry is not None:
+                                # a delivery run: XSchedule's next instance,
+                                # taken from the cluster it holds in place —
+                                # the pull's crossing, the queue_op, the
+                                # swizzle pair and the instance_op it charges
+                                d_replayed += 1
+                                if ctx._budget is None:
+                                    clock.work(pending + cost_call + cost_queue)
+                                else:
+                                    clock.work(pending)
+                                    ctx.charge_call()
+                                    clock.work(cost_queue)
+                                buffer.refix(ctx.current_frame)
+                                pending = cost_instance
+                                d_instances += 1
+                                s_l = entry.s_l
+                                n_l = entry.n_l
+                                left_open = entry.left_open
+                                left_key = (s_l, n_l)
+                                implied = droot and s_l == 1
+                                page_no = page_of(entry.target)
+                                slot = slot_of(entry.target)
+                                s_r = entry.s_r
+                                top = s_r + 1
+                                d_out += s_r
+                                resumed = entry.resumed
+                                starting = True
+                                p = None
                         if top == 0 and entries is None:
                             clock.work(pending)
                             pending = 0.0
                             p = next(source, None)
                             if p is None:
                                 return
+                            # a delivered instance leaves XSchedule between
+                            # two deliveries of a cluster; a run, inside one
+                            queued = schedule is not None and type(p) is PathInstance
                             if type(p) is EntryRun:
                                 tape = self._tape(p)
                                 if tape is not None:
@@ -392,7 +438,7 @@ class XAssembly(Operator):
                                     memos = [None] * n
                                 memo = memos[top - 1]
                                 if memo is None:
-                                    memo = memos[top - 1] = view.step_memo(step.test, step.axis)
+                                    memo = memos[top - 1] = view.step_memo(step.memo_key)
                                 batch = memo.get(slot << 1 | resumed)
                                 if batch is None:
                                     batch = memo[slot << 1 | resumed] = view.extension(

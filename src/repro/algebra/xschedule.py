@@ -21,6 +21,16 @@ later crossings into a visited cluster are *parked* instead of enqueued,
 because their continuation already sits in XAssembly's S.  (Parked
 entries are re-enqueued if the plan trips into fallback mode, where S is
 discarded.)
+
+Two things are paid per (cluster, step) instead of per entry.  Whether a
+resumed entry may be pruned — the synopsis asked first, then the path
+summary's postings — is decided once per (cluster, step) and execution.
+And step 3 is a *delivery run* under the path kernel: once the kernel
+has a delivered instance, it takes the further entries queued on the
+cluster this operator holds itself (:meth:`XSchedule.take_in_place`),
+for as long as a pull would deliver exactly those next, charging what
+the pull would (docs/algebra.md, "Delivery runs").  The scalar chain
+still pulls once per entry.
 """
 
 from __future__ import annotations
@@ -34,9 +44,10 @@ from repro.algebra.pathinstance import EntryRun, PathInstance
 from repro.algebra.steps import CompiledStep
 from repro.algebra.xscan import speculate
 from repro.errors import IOError_
-from repro.storage.nodeid import NodeID, make_nodeid, page_of, slot_of
+from repro.storage.nodeid import SLOT_BITS, NodeID, make_nodeid, page_of, slot_of
 from repro.storage.pathsummary import PathPostings
 from repro.storage.store import StoredDocument
+from repro.storage.synopsis import POSTINGS_REFUSE, SYNOPSIS_REFUSES
 
 
 class _QEntry:
@@ -71,11 +82,13 @@ class XSchedule(Operator):
         "synopsis",
         "postings",
         "k",
+        "exhausted",
         "_q",
         "_qcount",
         "_seq",
         "_visited",
         "_parked",
+        "_verdicts",
         "_current",
         "_sidelined",
         "_dead_tries",
@@ -111,11 +124,17 @@ class XSchedule(Operator):
         # rows), so the filter only engages when the synopsis does too
         self.postings = postings if self.synopsis is not None else None
         self.k = ctx.options.k_min_queue
+        #: the producer has run dry: Q is never replenished again
+        self.exhausted = False
         self._q: dict[int, list[tuple[int, int, _QEntry]]] = {}
         self._qcount = 0
         self._seq = 0
         self._visited: set[int] = set()
         self._parked: list[_QEntry] = []
+        #: pruning verdict per resumed ``(cluster, step)``, under
+        #: ``cluster << SLOT_BITS | s_r``: 0 (enqueue), or the
+        #: :mod:`~repro.storage.synopsis` flag of whoever refuses first
+        self._verdicts: dict[int, int] = {}
         self._current: int | None = None
         #: clusters deprioritised after an SLO violation or I/O error;
         #: they are drained last, so one sick region cannot stall the rest
@@ -157,25 +176,33 @@ class XSchedule(Operator):
             and entry.resumed
             and not ctx.fallback
             and entry.s_r < len(self.steps)
-            and not self.synopsis.can_extend(cluster, self.steps[entry.s_r])
         ):
-            # the target cluster can neither hold a match for the resumed
-            # step nor transit onward: dropping the request is lossless
-            # (consulting the synopsis is planning metadata — free)
-            ctx.stats.synopsis_entries_pruned += 1
-            return
-        if (
-            self.postings is not None
-            and entry.resumed
-            and not ctx.fallback
-            and entry.s_r < len(self.steps)
-            and not self.postings.can_extend(self.synopsis, cluster, entry.s_r)
-        ):
-            # the synopsis alone could not refuse the request, but the
-            # postings prove the target cluster holds no node of the
-            # resumed step's path set and no transit residue onward
-            ctx.stats.pathsummary_entries_pruned += 1
-            return
+            # asked once per (cluster, step) and execution; consulting
+            # the synopsis is planning metadata — free
+            key = cluster << SLOT_BITS | entry.s_r
+            verdict = self._verdicts.get(key)
+            if verdict is None:
+                verdict = 0
+                if not self.synopsis.can_extend(cluster, self.steps[entry.s_r]):
+                    # the target cluster can neither hold a match for the
+                    # resumed step nor transit onward: dropping the
+                    # request is lossless
+                    verdict = SYNOPSIS_REFUSES
+                elif self.postings is not None and not self.postings.can_extend(
+                    self.synopsis, cluster, entry.s_r
+                ):
+                    # the synopsis alone could not refuse the request, but
+                    # the postings prove the target cluster holds no node
+                    # of the resumed step's path set and no transit
+                    # residue onward
+                    verdict = POSTINGS_REFUSE
+                self._verdicts[key] = verdict
+            if verdict == SYNOPSIS_REFUSES:
+                ctx.stats.synopsis_entries_pruned += 1
+                return
+            if verdict == POSTINGS_REFUSE:
+                ctx.stats.pathsummary_entries_pruned += 1
+                return
         if (
             entry.resumed
             and self.speculative
@@ -192,16 +219,33 @@ class XSchedule(Operator):
         if not ctx.buffer.is_resident(cluster):
             ctx.iosys.request(cluster)
 
+    def take_in_place(self) -> _QEntry | None:
+        """The entry the next pull would deliver with nothing in between,
+        popped: the first of the pinned cluster's queue, unless the
+        producer is due.  None: the next pull has to run.  Only valid
+        between two pulls that delivered an instance (docs/algebra.md,
+        "Delivery runs"); the caller charges what the pull would."""
+        cluster = self._current
+        if cluster is None or (self._qcount < self.k and not self.exhausted):
+            return None
+        entries = self._q.get(cluster)
+        if entries is None:
+            return None
+        entry = entries.pop(0)[2]
+        if not entries:
+            del self._q[cluster]
+        self._qcount -= 1
+        return entry
+
     # -------------------------------------------------------------- pipeline
 
     def _produce(self) -> Iterator[PathInstance | EntryRun]:
         ctx = self.ctx
-        exhausted = False
         while True:
-            while not exhausted and self._qcount < self.k:
+            while not self.exhausted and self._qcount < self.k:
                 y = self.producer.next()
                 if y is None:
-                    exhausted = True
+                    self.exhausted = True
                     break
                 assert y.page_no is not None
                 self._enqueue(
@@ -215,7 +259,7 @@ class XSchedule(Operator):
                     )
                 )
             if self._qcount == 0:
-                if exhausted:
+                if self.exhausted:
                     return
                 continue
             cluster = self._current

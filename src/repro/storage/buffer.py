@@ -125,6 +125,22 @@ class BufferManager:
         self._touch(frame)
         return frame
 
+    def refix(self, frame: Frame) -> None:
+        """:meth:`try_fix_resident` of the pinned ``frame``'s page
+        followed by :meth:`unfix`, as one call: the swizzle (a hit), the
+        LRU touch and the unswizzle, with the pin count as it was.  What
+        XSchedule pays to hand on another entry of the cluster it holds."""
+        if frame.pins <= 0:
+            raise BufferError_(f"refix of unpinned frame {frame.page_no}")
+        self.clock.work(self.costs.swizzle)
+        self.stats.swizzles += 1
+        self.stats.buffer_hits += 1
+        if self.tracer is not None:
+            self.tracer.event(self.clock.now, "buffer", "hit", page=frame.page.page_no)
+        self._touch(frame)
+        self.stats.unswizzles += 1
+        self.clock.work(self.costs.unswizzle)
+
     def unfix(self, frame: Frame) -> None:
         """Release one pin; the frame becomes evictable at zero pins."""
         if frame.pins <= 0:

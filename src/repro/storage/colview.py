@@ -29,6 +29,11 @@ charge-shape contract:
   results and the sibling cluster-root short-circuit);
 * every remaining candidate carries exactly one hop charge.
 
+Extensions are memoised in one memo per view and step
+(:meth:`ColumnView.step_memo`), under the step's int ``memo_key``, a
+pure function of axis and node test: the path kernel and the full-tree
+walker fill it, and run-tape construction reads it without filling it.
+
 ``repro.storage.nav`` remains the semantic reference; any change to its
 candidate orders or charge placement must be mirrored here (the batched
 equivalence property test enforces this bit-for-bit).
@@ -51,6 +56,9 @@ _EMPTY: list[int] = []
 
 #: The one event triple shared by every extension without an event.
 _NO_EVENTS = array("i")
+
+#: What :meth:`ColumnView.known_extensions` reads for a step with no memo.
+_NO_MEMO: dict = {}
 
 #: A candidate batch: (upfront_hops, free_head, candidate slots).
 CandidateBatch = tuple[int, int, "list[int]"]
@@ -151,7 +159,9 @@ class ColumnView:
         #: extensions from the same node are free after the first
         self._axis_cache: dict = {}
         self._resume_cache: dict = {}
-        self._flag_cache: dict = {}
+        #: the extension memos (:meth:`step_memo`), under a step's int
+        #: ``memo_key`` only
+        self._flag_cache: dict[int, dict] = {}
         #: run tapes (:meth:`keep_tape`) under ``(path id, step)``
         self.tapes: dict = {}
         # preorder span table for descendant enumeration, built lazily on
@@ -200,27 +210,35 @@ class ColumnView:
         ev_tests = array("i", [i + (e >= 0) - a for i, a, e in zip(at, starts, ev_slots)])
         return upfront, size, ev_slots, ev_hops, ev_tests, tail
 
-    def extension_batch(self, test, match_batch, slot: int, axis: Axis, resumed: bool):
-        """:meth:`extension`, memoized by value: ``test`` (a hashable
-        :class:`~repro.algebra.steps.CompiledNodeTest`) keys the cache so
-        different steps sharing a view never cross."""
-        key = (test, slot, axis, resumed)
-        cached = self._flag_cache.get(key)
-        if cached is None:
-            cached = self._flag_cache[key] = self.extension(match_batch, slot, axis, resumed)
-        return cached
-
-    def step_memo(self, test, axis: Axis) -> dict:
-        """:meth:`extension`'s memo for one step, filled by the caller under
-        ``slot << 1 | resumed``.  A kernel resolves it once per (cluster,
-        step) and so spares every extension the hash of the frozen
-        ``test`` and of the enum member — and, across compilations, the
-        ``__eq__`` of equal but distinct tests — which cost more than the
-        extension itself."""
-        memo = self._flag_cache.get((test, axis))
+    def step_memo(self, key: int) -> dict:
+        """The view's one memo of :meth:`extension`, for the step whose
+        :attr:`~repro.algebra.steps.CompiledStep.memo_key` is ``key``,
+        filled by the caller under ``slot << 1 | resumed``.  The path
+        kernel resolves it once per (cluster, step), the full-tree walker
+        once per page visit (:meth:`extension_batch`): an int names the
+        step, so no frozen node test or enum member is hashed, and equal
+        steps of any compilation share one memo."""
+        memo = self._flag_cache.get(key)
         if memo is None:
-            memo = self._flag_cache[(test, axis)] = {}
+            memo = self._flag_cache[key] = {}
         return memo
+
+    def known_extensions(self, key: int) -> dict:
+        """:meth:`step_memo` for reading only: what the step's memo holds,
+        without making one (empty, shared — do not fill)."""
+        return self._flag_cache.get(key, _NO_MEMO)
+
+    def extension_batch(self, key: int, match_batch, slot: int, axis: Axis, resumed: bool):
+        """:meth:`extension` of the step ``key`` names, through its
+        :meth:`step_memo` (resolved here once per crossing: no call
+        unless it is the step's first extension on the page)."""
+        memo = self._flag_cache.get(key)
+        if memo is None:
+            memo = self.step_memo(key)
+        batch = memo.get(slot << 1 | resumed)
+        if batch is None:
+            batch = memo[slot << 1 | resumed] = self.extension(match_batch, slot, axis, resumed)
+        return batch
 
     def keep_tape(self, key: tuple[int, int], tape: tuple) -> None:
         """Memoise a *run tape* — the path kernel's transcription of one

@@ -113,7 +113,7 @@ class StoredDocument:
         this document.  A plan interns its path once per execution and
         per-cluster memos are kept under the integer, so nothing hashes
         the frozen node tests per cluster."""
-        key = tuple((step.axis, step.test) for step in steps)
+        key = tuple(step.memo_key for step in steps)
         return self.path_ids.setdefault(key, len(self.path_ids))
 
 

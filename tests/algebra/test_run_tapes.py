@@ -353,6 +353,54 @@ def test_a_view_keeps_a_bounded_number_of_tapes(monkeypatch, replays):
         assert _observed(tape) == _observed(_run(db.store, query, "xscan"))
 
 
+# ---------------------------------------------------- the one extension memo
+
+
+@pytest.mark.parametrize("plan", ["simple", "xschedule"])
+def test_a_tape_reads_what_navigation_memoised(plan, monkeypatch):
+    """Walker, kernel and ``build_tape`` share one extension memo per view
+    (``ColumnView.step_memo``, under the step's ``memo_key``): a tape
+    built after a navigating run of the same path computes no extension
+    that run memoised, and grows the memo by none of its own."""
+    query = "count(//a/b/c)"
+    build = kernel.build_tape
+    extension = colview.ColumnView.extension
+    building = {}  # (match_batch, axis) -> memo_key of the steps being taped
+    computed, held, grown = [], [], []
+
+    def spy_extension(view, match_batch, slot, axis, resumed):
+        if sys._getframe(1).f_code is build.__code__:
+            computed.append(slot)
+            memo = view._flag_cache.get(building[match_batch, axis], {})
+            held.append(slot << 1 | resumed in memo)
+        return extension(view, match_batch, slot, axis, resumed)
+
+    def spy_build(owner, view, records, steps, index):
+        building.clear()
+        building.update({(step.match_batch, step.axis): step.memo_key for step in steps})
+        sizes = {key: len(memo) for key, memo in view._flag_cache.items()}
+        tape = build(owner, view, records, steps, index)
+        grown.append({key: len(memo) for key, memo in view._flag_cache.items()} != sizes)
+        return tape
+
+    monkeypatch.setattr(colview.ColumnView, "extension", spy_extension)
+    monkeypatch.setattr(kernel, "build_tape", spy_build)
+    tapes_computed = []
+    for navigate_first in (False, True):
+        del computed[:]
+        db, _ = small_database(seed=3, page_size=512, fragmentation=1.0, n_top=25)
+        if navigate_first:
+            navigated = db.execute(query, doc="d", plan=plan).value
+            assert db.execute(query, doc="d", plan="xscan").value == navigated
+        else:
+            db.execute(query, doc="d", plan="xscan")
+        tapes_computed.append(len(computed))
+    assert not any(held), "a tape computed an extension the memo held"
+    assert not any(grown), "a tape filled the shared memo"
+    cold, after_navigation = tapes_computed
+    assert 0 < after_navigation < cold
+
+
 # ------------------------------------------------- two documents on one page
 
 

@@ -15,7 +15,9 @@ stacked scalar ``XStep`` chain it replays, so the matrix also pins the
 places where the fusion could drift: memory-limit fallback tripping
 under a stack of live extensions, a budget blowing inside a replayed
 ``iterator_call`` crossing, the shared scan re-opening the kernel per
-cluster, and the operator roll-up of a traced run.
+cluster, XSchedule's queue fill ending the delivery runs the kernel
+takes in place (``k_min_queue``), and the operator roll-up of a traced
+run.
 
 Full-tree navigation is one walker on either side (``fullnav.full_step``:
 columnar when batched, ``full_axis`` record by record when not), so the
@@ -79,6 +81,9 @@ PREDICATES = [
     "[following-sibling::b[@id]]",
     "[nosuchtag]",
 ]
+#: XSchedule's queue fill: the producer due after every delivery, often,
+#: and (the default) rarely — it ends the kernel's delivery runs
+K_MIN_QUEUE = [1, 3, 100]
 PREDICATE_PATH = "/descendant::a[b/c][. != 'x']/child::*[.//text() = 'tt']"
 XMARK_PREDICATE_QUERIES = [
     "count(//item[location = 'United States']/name)",
@@ -157,12 +162,13 @@ def _assert_identical(on, off, context):
     plan=st.sampled_from(PLANS),
     speculative=st.booleans(),
     memory_limit=st.sampled_from([None, None, 0, 1, 3, 8, 30]),
+    k_min_queue=st.sampled_from(K_MIN_QUEUE),
     path=location_paths(),
     predicate=st.sampled_from(PREDICATES),
     at=st.integers(min_value=0, max_value=3),
 )
 def test_batched_run_is_bit_identical(
-    seed, fragmentation, plan, speculative, memory_limit, path, predicate, at
+    seed, fragmentation, plan, speculative, memory_limit, k_min_queue, path, predicate, at
 ):
     store = _store(seed, fragmentation)
     if plan == "simple":  # the one plan that evaluates predicates
@@ -171,10 +177,13 @@ def test_batched_run_is_bit_identical(
     for batched in (True, False):
         db = Database(page_size=512, buffer_pages=48, store=store)
         options = EvalOptions(
-            speculative=speculative, memory_limit=memory_limit, batched=batched
+            speculative=speculative,
+            memory_limit=memory_limit,
+            k_min_queue=k_min_queue,
+            batched=batched,
         )
         results[batched] = db.execute(path, doc="d", plan=plan, options=options)
-    _assert_identical(results[True], results[False], (plan, memory_limit, path))
+    _assert_identical(results[True], results[False], (plan, memory_limit, k_min_queue, path))
     if plan == "simple" and predicate:
         tree = _TREES[seed, fragmentation]
         ir = store.documents["d"].import_result
@@ -207,9 +216,10 @@ def test_xmark_queries_are_bit_identical(fragmentation, plan):
     plan=st.sampled_from(PLANS),
     profile_name=st.sampled_from([n for n in PROFILES if n != "none"]),
     fault_seed=st.integers(min_value=0, max_value=25),
+    k_min_queue=st.sampled_from(K_MIN_QUEUE),
     path=location_paths(),
 )
-def test_batched_is_bit_identical_under_faults(plan, profile_name, fault_seed, path):
+def test_batched_is_bit_identical_under_faults(plan, profile_name, fault_seed, k_min_queue, path):
     """Retries, latency spikes and lost requests replay identically:
     the batched kernels issue the same fix/unfix sequence at the same
     simulated instants, so the fault dice roll the same on both sides."""
@@ -218,10 +228,9 @@ def test_batched_is_bit_identical_under_faults(plan, profile_name, fault_seed, p
     results = {}
     for batched in (True, False):
         db = Database(page_size=512, buffer_pages=48, store=store, faults=profile)
-        results[batched] = db.execute(
-            path, doc="d", plan=plan, options=EvalOptions(batched=batched)
-        )
-    _assert_identical(results[True], results[False], (plan, profile_name, path))
+        options = EvalOptions(k_min_queue=k_min_queue, batched=batched)
+        results[batched] = db.execute(path, doc="d", plan=plan, options=options)
+    _assert_identical(results[True], results[False], (plan, profile_name, k_min_queue, path))
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.errors import BufferError_
+from repro.obs.tracer import Tracer
 from repro.sim.clock import SimClock
 from repro.sim.costmodel import CostModel
 from repro.sim.disk import DiskDevice
@@ -160,6 +161,35 @@ def test_try_fix_resident():
     resident = buffer.try_fix_resident(7)
     assert resident is frame
     buffer.unfix(resident)
+
+
+def test_refix_is_try_fix_resident_then_unfix():
+    """What XSchedule pays per entry of the cluster it holds, in one call:
+    the same clock, counters, pins, LRU order and ``buffer hit`` event as
+    a resident fix followed by an unfix of the pinned frame."""
+
+    def after(refix):
+        buffer, clock, stats, _ = make_buffer(capacity=3)
+        buffer.tracer = Tracer()
+        held = buffer.fix(0)
+        buffer.unfix(buffer.fix(1))
+        buffer.unfix(buffer.fix(2))  # LRU order 0, 1, 2
+        if refix:
+            buffer.refix(held)
+        else:
+            buffer.unfix(buffer.try_fix_resident(0))
+        buffer.unfix(buffer.fix(3))  # evicts the least recently used
+        events = [(e.ts, e.cat, e.name, e.page) for e in buffer.tracer.events]
+        residents = [p for p in range(4) if buffer.is_resident(p)]
+        return clock.now, clock.cpu_time, stats.as_dict(), held.pins, residents, events
+
+    assert after(refix=True) == after(refix=False)
+    assert after(refix=True)[4] == [0, 2, 3]
+    buffer, _, _, _ = make_buffer()
+    frame = buffer.fix(0)
+    buffer.unfix(frame)
+    with pytest.raises(BufferError_):
+        buffer.refix(frame)
 
 
 def test_admit_completed_after_async():

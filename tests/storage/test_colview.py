@@ -20,6 +20,7 @@ import pytest
 from repro import Database, EvalOptions, ImportOptions
 from repro.algebra.steps import (
     CompiledNodeTest,
+    CompiledStep,
     _never_batch,
     compile_match,
     compile_match_batch,
@@ -259,6 +260,29 @@ def test_view_is_lazy_and_memoized():
     )
     batch = view.axis_candidates(core, Axis.DESCENDANT)
     assert view.axis_candidates(core, Axis.DESCENDANT) is batch
+
+
+def test_one_extension_memo_under_int_keys():
+    """``memo_key`` tells every (axis, node test) apart and is equal for
+    equal steps of different compilations, so the navigating plans share
+    one memo per view and step, kept under ints only."""
+    db = build_db()
+    tags = [None, -1] + [db.tags.lookup(name) for name in "abc"]
+    steps = [
+        CompiledStep(axis, CompiledNodeTest.compile(kind, axis, tag))
+        for axis in AXES
+        for kind in ("name", "wildcard", "text", "node", "comment")
+        for tag in (tags if kind == "name" else [None])
+    ]
+    distinct = {(step.axis, step.test) for step in steps}
+    assert len({step.memo_key for step in steps}) == len(distinct)
+    again = [CompiledStep(step.axis, step.test) for step in steps]
+    assert [step.memo_key for step in again] == [step.memo_key for step in steps]
+    for plan in ("simple", "xschedule", "xscan"):
+        db.execute("count(//a/b)+count(//c/ancestor::a)", doc="d", plan=plan)
+    views = [db.store.segment.page(p).colview() for p in db.document("d").page_nos]
+    assert all(type(key) is int for view in views for key in view._flag_cache)
+    assert sum(len(memo) for view in views for memo in view._flag_cache.values()) > 100
 
 
 def test_tombstone_invalidates_view():
