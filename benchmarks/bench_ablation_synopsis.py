@@ -20,7 +20,7 @@ Three claims (the synopsis contract, docs/storage.md):
 
 import pytest
 
-from repro import Database, EvalOptions, ImportOptions
+from repro import ClusterSynopsis, Database, EvalOptions, ImportOptions
 from repro.xmark import generate_xmark
 from harness import QUERY_BY_EXP, bench_seed, run_query, run_query_timed
 
@@ -131,6 +131,33 @@ def test_synopsis_off_is_free(xmark_store):
     assert _outcome(flagged) == _outcome(bare)
     assert flagged.total_time == bare.total_time
     assert flagged.stats.as_dict() == bare.stats.as_dict()
+
+
+def test_verdicts_are_computed_once_per_synopsis(xmark_store, monkeypatch):
+    """A pruning verdict is a property of the synopsis, not of an
+    execution: the second cold XScan of Q7 and Q15 over one store
+    computes none — its masks come off the synopsis's memo — and answers
+    with the same value and counters as the first."""
+    db = _shared_store_db(xmark_store(SCALE))
+    doc = db.document("xmark")
+    # an equal synopsis with an empty memo, whatever ran on the store before
+    monkeypatch.setattr(doc, "synopsis", ClusterSynopsis.from_rows(doc.synopsis.rows()))
+    computed = []
+    fill = ClusterSynopsis._fill
+
+    def counted_fill(self, source):
+        computed.append(source)
+        return fill(self, source)
+
+    monkeypatch.setattr(ClusterSynopsis, "_fill", counted_fill)
+    first = {exp: run_query(db, QUERY_BY_EXP[exp], "xscan") for exp in ("q7", "q15")}
+    assert computed
+    computed.clear()
+    for exp, result in first.items():
+        again = run_query(db, QUERY_BY_EXP[exp], "xscan")
+        assert _outcome(again) == _outcome(result)
+        assert again.stats.as_dict() == result.stats.as_dict()
+    assert computed == []
 
 
 @pytest.mark.parametrize("plan", ("xschedule", "xscan"))

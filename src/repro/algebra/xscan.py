@@ -35,14 +35,32 @@ from repro.storage.nav import speculative_entries
 from repro.storage.page import Page
 from repro.storage.pathsummary import PathPostings
 from repro.storage.store import StoredDocument
-from repro.storage.synopsis import (
-    POSTINGS_REFUSE,
-    SYNOPSIS_REFUSES,
-    cost_effective_skips,
-)
+from repro.storage.synopsis import ClusterSynopsis, cost_effective_skips
 
 #: what a scan knows of one location path: its steps and their postings
 ScanPath = tuple[Sequence[CompiledStep], PathPostings | None]
+#: per step of one path, the bitset of the clusters the synopsis refuses
+#: it in, then that of the clusters the path's postings refuse it in
+Refusals = tuple[list[int], list[int]]
+
+
+def step_refusals(
+    synopsis: ClusterSynopsis,
+    steps: Sequence[CompiledStep],
+    postings: PathPostings | None,
+) -> tuple[Refusals, Refusals]:
+    """One path's refusals of speculative resumes (``can_contribute``)
+    and of targeted ones (``can_extend``), off the synopsis's memo: a few
+    look-ups and big-int operations per step.  Without postings, the
+    synopsis's masks speak for them."""
+    ours = [synopsis.refusals(step) for step in steps]
+    theirs = ours
+    if postings is not None:
+        theirs = [postings.refusals(synopsis, index) for index in range(len(steps))]
+    return (
+        ([c for c, _ in ours], [c for c, _ in theirs]),
+        ([e for _, e in ours], [e for _, e in theirs]),
+    )
 
 
 def plan_scan(
@@ -50,7 +68,7 @@ def plan_scan(
     document: StoredDocument,
     paths: Sequence[ScanPath],
     keep: Container[int],
-) -> tuple[list[int], list[dict[int, list[int]]]]:
+) -> tuple[list[int], list[Refusals | None]]:
     """The clusters a sequential scan for ``paths`` reads, in scan order.
 
     A cluster is dropped when it holds no context (``keep``) and no step
@@ -61,29 +79,29 @@ def plan_scan(
     to beat the seek their gap induces are dropped: skipping an isolated
     page in a streaming read costs more than transferring it.
 
-    Also returns, per path, the ``scan_verdicts`` of every cluster (none
-    without a synopsis: the postings refine it, never replace it — the
-    transit residues live in its rows); :func:`speculate` reads the same
-    verdicts when the scan gets to the cluster.
+    Also returns, per path, its contribute :data:`Refusals` (none without
+    a synopsis: the postings refine it, never replace it — the transit
+    residues live in its rows); :func:`speculate` reads them when the
+    scan gets to a cluster.
     """
     page_nos = document.page_nos
     synopsis = document.synopsis if ctx.options.synopsis else None
     if synopsis is None:
-        return page_nos, [{} for _ in paths]
-    verdicts = [
-        {p: synopsis.scan_verdicts(p, steps, postings) for p in page_nos}
-        for steps, postings in paths
-    ]
+        return page_nos, [None] * len(paths)
+    refusals = [step_refusals(synopsis, steps, postings)[0] for steps, postings in paths]
 
-    def skips_when(refuser: int) -> set[int]:
-        prunable = [
-            page_no not in keep
-            and all(v & refuser for by_page in verdicts for v in by_page[page_no])
-            for page_no in page_nos
-        ]
+    def skips_when(side: int) -> set[int]:
+        # the clusters every step of every path is refused in
+        refused = -1
+        for masks in refusals:
+            for mask in masks[side]:
+                refused &= mask
+        if not refused:
+            return set()
+        prunable = [p not in keep and refused >> p & 1 for p in page_nos]
         return cost_effective_skips(page_nos, prunable, ctx.iosys.disk.geometry)
 
-    skips = skips_when(SYNOPSIS_REFUSES)
+    skips = skips_when(0)
     ctx.stats.synopsis_clusters_pruned += len(skips)
     # Postings widen the prunable vector (a page every path's postings
     # rule out is as safely skippable as a synopsis-pruned one; a path
@@ -91,37 +109,39 @@ def plan_scan(
     # keeps the synopsis counter identical to a postings-free run and
     # attributes only the extra skips to the path summary.
     if any(postings is not None for _, postings in paths):
-        extra = skips_when(POSTINGS_REFUSE) - skips
+        extra = skips_when(1) - skips
         ctx.stats.pathsummary_clusters_pruned += len(extra)
         skips |= extra
-    return [p for p in page_nos if p not in skips], verdicts
+    return [p for p in page_nos if p not in skips], refusals
 
 
 def speculate(
     ctx: EvalContext,
     page: Page,
     steps: Sequence[CompiledStep],
-    verdicts: list[int] | None,
+    refused: Refusals | None,
 ) -> Iterator[EntryRun]:
     """Left-incomplete instances for every entry border of ``page``: one
     :class:`EntryRun` per step that is not pruned and has an entry.
 
-    ``verdicts`` are the cluster's ``scan_verdicts`` (``None``: nothing is
-    pruned).  Enumeration charges nothing: the columnar view's
+    ``refused`` are the path's contribute :data:`Refusals` (``None``:
+    nothing is pruned).  Enumeration charges nothing: the columnar view's
     precomputed border lists replace the record scan.
     """
     batched = ctx.options.batched
+    page_no = page.page_no
     for index, step in enumerate(steps):
-        if verdicts is not None and verdicts[index]:
+        if refused is not None:
             # no entry of this cluster can extend this step — by the
             # synopsis, or (it could not rule the cluster out) by the
             # postings: no node of the step's path set lives here and
             # no transit residue remains either
-            if verdicts[index] & SYNOPSIS_REFUSES:
+            if refused[0][index] >> page_no & 1:
                 ctx.stats.synopsis_entries_pruned += 1
-            else:
+                continue
+            if refused[1][index] >> page_no & 1:
                 ctx.stats.pathsummary_entries_pruned += 1
-            continue
+                continue
         slots = (
             page.colview().entry_slots(step.axis)
             if batched
@@ -189,14 +209,12 @@ def scan(
     then re-delivers its contexts, which the unrestricted step chain
     re-evaluates in full while R filters the duplicates.
     """
-    page_nos, verdicts = plan_scan(ctx, document, paths, keep)
+    page_nos, refusals = plan_scan(ctx, document, paths, keep)
     for frame in scan_pages(ctx, page_nos):
         page = frame.page
         yield page.page_no, [
-            _until_fallback(
-                ctx, speculate(ctx, page, steps, by_page.get(page.page_no))
-            )
-            for (steps, _), by_page in zip(paths, verdicts)
+            _until_fallback(ctx, speculate(ctx, page, steps, refused))
+            for (steps, _), refused in zip(paths, refusals)
         ]
 
 

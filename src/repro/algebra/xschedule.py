@@ -22,15 +22,16 @@ because their continuation already sits in XAssembly's S.  (Parked
 entries are re-enqueued if the plan trips into fallback mode, where S is
 discarded.)
 
-Two things are paid per (cluster, step) instead of per entry.  Whether a
-resumed entry may be pruned — the synopsis asked first, then the path
-summary's postings — is decided once per (cluster, step) and execution.
-And step 3 is a *delivery run* under the path kernel: once the kernel
-has a delivered instance, it takes the further entries queued on the
-cluster this operator holds itself (:meth:`XSchedule.take_in_place`),
-for as long as a pull would deliver exactly those next, charging what
-the pull would (docs/algebra.md, "Delivery runs").  The scalar chain
-still pulls once per entry.
+Whether a resumed entry may be pruned — the synopsis asked first, then
+the path summary's postings — is one bit of a per-step cluster mask,
+fetched once per execution off the synopsis's memo
+(:meth:`~repro.storage.synopsis.ClusterSynopsis.refusals`), which lasts
+as long as the synopsis does.  Step 3 is a *delivery run* under the path
+kernel: once the kernel has a delivered instance, it takes the further
+entries queued on the cluster this operator holds itself
+(:meth:`XSchedule.take_in_place`), for as long as a pull would deliver
+exactly those next, charging what the pull would (docs/algebra.md,
+"Delivery runs").  The scalar chain still pulls once per entry.
 """
 
 from __future__ import annotations
@@ -42,12 +43,11 @@ from repro.algebra.base import Operator
 from repro.algebra.context import EvalContext
 from repro.algebra.pathinstance import EntryRun, PathInstance
 from repro.algebra.steps import CompiledStep
-from repro.algebra.xscan import speculate
+from repro.algebra.xscan import Refusals, speculate, step_refusals
 from repro.errors import IOError_
-from repro.storage.nodeid import SLOT_BITS, NodeID, make_nodeid, page_of, slot_of
+from repro.storage.nodeid import NodeID, make_nodeid, page_of, slot_of
 from repro.storage.pathsummary import PathPostings
 from repro.storage.store import StoredDocument
-from repro.storage.synopsis import POSTINGS_REFUSE, SYNOPSIS_REFUSES
 
 
 class _QEntry:
@@ -79,8 +79,6 @@ class XSchedule(Operator):
         "producer",
         "steps",
         "speculative",
-        "synopsis",
-        "postings",
         "k",
         "exhausted",
         "_q",
@@ -88,7 +86,8 @@ class XSchedule(Operator):
         "_seq",
         "_visited",
         "_parked",
-        "_verdicts",
+        "_contribute",
+        "_extend",
         "_current",
         "_sidelined",
         "_dead_tries",
@@ -115,14 +114,19 @@ class XSchedule(Operator):
         self.speculative = (
             ctx.options.speculative if speculative is None else speculative
         )
-        self.synopsis = (
+        synopsis = (
             document.synopsis
             if document is not None and ctx.options.synopsis
             else None
         )
-        # postings refine the synopsis (transit residues live in its
-        # rows), so the filter only engages when the synopsis does too
-        self.postings = postings if self.synopsis is not None else None
+        #: the path's refusals of speculative / targeted resumes, fetched
+        #: once per execution off the synopsis's memo (None: no pruning);
+        #: postings refine the synopsis (transit residues live in its
+        #: rows), so the filter only engages when the synopsis does too
+        self._contribute: Refusals | None = None
+        self._extend: Refusals | None = None
+        if synopsis is not None:
+            self._contribute, self._extend = step_refusals(synopsis, steps, postings)
         self.k = ctx.options.k_min_queue
         #: the producer has run dry: Q is never replenished again
         self.exhausted = False
@@ -131,10 +135,6 @@ class XSchedule(Operator):
         self._seq = 0
         self._visited: set[int] = set()
         self._parked: list[_QEntry] = []
-        #: pruning verdict per resumed ``(cluster, step)``, under
-        #: ``cluster << SLOT_BITS | s_r``: 0 (enqueue), or the
-        #: :mod:`~repro.storage.synopsis` flag of whoever refuses first
-        self._verdicts: dict[int, int] = {}
         self._current: int | None = None
         #: clusters deprioritised after an SLO violation or I/O error;
         #: they are drained last, so one sick region cannot stall the rest
@@ -171,36 +171,25 @@ class XSchedule(Operator):
     def _enqueue(self, entry: _QEntry) -> None:
         ctx = self.ctx
         cluster = page_of(entry.target)
+        refused = self._extend
         if (
-            self.synopsis is not None
+            refused is not None
             and entry.resumed
             and not ctx.fallback
             and entry.s_r < len(self.steps)
         ):
-            # asked once per (cluster, step) and execution; consulting
-            # the synopsis is planning metadata — free
-            key = cluster << SLOT_BITS | entry.s_r
-            verdict = self._verdicts.get(key)
-            if verdict is None:
-                verdict = 0
-                if not self.synopsis.can_extend(cluster, self.steps[entry.s_r]):
-                    # the target cluster can neither hold a match for the
-                    # resumed step nor transit onward: dropping the
-                    # request is lossless
-                    verdict = SYNOPSIS_REFUSES
-                elif self.postings is not None and not self.postings.can_extend(
-                    self.synopsis, cluster, entry.s_r
-                ):
-                    # the synopsis alone could not refuse the request, but
-                    # the postings prove the target cluster holds no node
-                    # of the resumed step's path set and no transit
-                    # residue onward
-                    verdict = POSTINGS_REFUSE
-                self._verdicts[key] = verdict
-            if verdict == SYNOPSIS_REFUSES:
+            # one bit of a memoised mask; consulting the synopsis is
+            # planning metadata — free
+            if refused[0][entry.s_r] >> cluster & 1:
+                # the target cluster can neither hold a match for the
+                # resumed step nor transit onward: dropping the request
+                # is lossless
                 ctx.stats.synopsis_entries_pruned += 1
                 return
-            if verdict == POSTINGS_REFUSE:
+            if refused[1][entry.s_r] >> cluster & 1:
+                # the synopsis alone could not refuse the request, but the
+                # postings prove the target cluster holds no node of the
+                # resumed step's path set and no transit residue onward
                 ctx.stats.pathsummary_entries_pruned += 1
                 return
         if (
@@ -289,12 +278,7 @@ class XSchedule(Operator):
             first_visit = cluster not in self._visited
             self._visited.add(cluster)
             if first_visit and self.speculative and not ctx.fallback:
-                verdicts = None
-                if self.synopsis is not None:
-                    verdicts = self.synopsis.scan_verdicts(
-                        cluster, self.steps, self.postings
-                    )
-                for run in speculate(ctx, frame.page, self.steps, verdicts):
+                for run in speculate(ctx, frame.page, self.steps, self._contribute):
                     yield from run.feed(ctx)
 
             ctx.charge_instance()

@@ -16,8 +16,9 @@ first disagreement.  Three sanitizers:
   event stream tick for tick.
 * **mutation** — coherence of incremental maintenance: after each update
   operation the incrementally repaired synopsis/path-summary snapshots
-  are diffed against a full recollection, and cached columnar views
-  against ones rebuilt from the records.
+  are diffed against a full recollection, the synopsis's memoised
+  cluster bitsets against a recompute from its rows, and cached columnar
+  views against ones rebuilt from the records.
 
 Enable with the ``REPRO_SAN`` environment variable: ``1``/``all`` for
 everything, or a comma list (``REPRO_SAN=charge,mutation``).  Unset, the

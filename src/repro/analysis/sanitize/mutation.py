@@ -3,7 +3,9 @@
 Structural updates maintain three derived structures incrementally:
 
 * the cluster synopsis — the WAL manager patches rows for exactly the
-  touched pages (:func:`repro.storage.store.repair_synopsis`);
+  touched pages (:func:`repro.storage.store.repair_synopsis`) into a new
+  synopsis, so the cluster bitsets memoised on the old one are never
+  read against the new rows;
 * the path summary — same patching discipline
   (:func:`repro.storage.store.repair_pathsummary`);
 * per-page columnar views — caches invalidated on mutation
@@ -63,6 +65,16 @@ def check_maintenance(store: Any, doc: Any) -> None:
                 "recollection after an update: a touched page's row was "
                 "missed or patched wrongly",
             )
+        # memoised masks stay right only because repair builds a new
+        # synopsis: a row written in place leaves them stale
+        for value, source in repaired._memo.values():
+            if repaired._fill(source) != value:
+                fail(
+                    "mutation",
+                    "a memoised cluster bitset of the synopsis differs from a "
+                    "recompute from its rows: a row was written in place "
+                    "instead of the repair building a new synopsis",
+                )
     repaired_summary = doc.pathsummary
     if repaired_summary is not None:
         full_summary = PathSummary.collect(store.segment, doc.page_nos)

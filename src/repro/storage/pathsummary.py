@@ -547,6 +547,15 @@ class PathPostings:
             page_no, self._axes[step_index]
         )
 
+    def refusals(self, synopsis: "ClusterSynopsis", step_index: int) -> Tuple[int, int]:
+        """:meth:`can_contribute` / :meth:`can_extend` as the bitsets of
+        the clusters they answer False for (see
+        :meth:`ClusterSynopsis.refusals`): the synopsis's memoised transit
+        refusals minus the clusters posted for the step."""
+        contribute, extend = synopsis.transit_refusals(self._axes[step_index])
+        posted = self._bits[step_index]
+        return contribute & ~posted, extend & ~posted
+
     def relevant_pages(self) -> int:
         """Distinct clusters posted for any step (the pricing cap)."""
         union = 0

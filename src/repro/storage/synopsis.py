@@ -39,7 +39,6 @@ from repro.axes import Axis
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.algebra.steps import CompiledNodeTest, CompiledStep
     from repro.storage.page import Page
-    from repro.storage.pathsummary import PathPostings
 
 #: Sentinel tag id for a name absent from the document (mirrors
 #: ``repro.algebra.steps.UNKNOWN_TAG`` without importing the algebra).
@@ -60,11 +59,6 @@ CHILD_TRANSIT = 4
 #: Bits of the two pseudo-tags (``#document`` = bit 0, ``#text`` = bit 1).
 _DOCUMENT_BIT = 1
 _TEXT_BIT = 2
-
-#: Bits of a :meth:`ClusterSynopsis.scan_verdicts` entry: who proves that
-#: a step cannot contribute from a cluster.
-SYNOPSIS_REFUSES = 1
-POSTINGS_REFUSE = 2
 
 #: One synopsis row: (tag_bits, entry_bits, flags, occupancy).
 Row = Tuple[int, int, int, int]
@@ -97,11 +91,14 @@ _TEXT_KINDS: frozenset = frozenset({2})
 class ClusterSynopsis:
     """Per-cluster structural summary of one stored document."""
 
-    __slots__ = ("_rows", "_n_records")
+    __slots__ = ("_rows", "_n_records", "_memo")
 
     def __init__(self, rows: Dict[int, Row]) -> None:
         self._rows = rows
         self._n_records = sum(row[3] for row in rows.values())
+        #: cluster bitsets derived from the rows, born empty: key ->
+        #: (bitset or refusal pair, what :meth:`_fill` recomputes it from)
+        self._memo: Dict[object, Tuple[object, object]] = {}
 
     # -- construction --------------------------------------------------
 
@@ -209,36 +206,6 @@ class ClusterSynopsis:
         # varied to rule out, so only border-free clusters are pruned
         return bool(flags & (HAS_DOWN | HAS_UPSIDE))
 
-    def prunable_for_scan(self, page_no: int, steps: Iterable["CompiledStep"]) -> bool:
-        """True if *no* step of the path can contribute from this cluster:
-        XScan may skip reading it (context clusters are the caller's
-        responsibility)."""
-        return all(self.scan_verdicts(page_no, steps))
-
-    def scan_verdicts(
-        self,
-        page_no: int,
-        steps: Iterable["CompiledStep"],
-        postings: "PathPostings | None" = None,
-    ) -> list[int]:
-        """One pruning verdict per step, reached once per scan and read by
-        both the skip-set pass and the speculation of the cluster: 0 when
-        the step may contribute, else :data:`SYNOPSIS_REFUSES` (this
-        synopsis proves it cannot) and/or :data:`POSTINGS_REFUSE` (the
-        path's postings do; without postings, the synopsis speaks for
-        them).  A cluster is prunable when one of the two refuses every
-        step; a refused step is attributed to the synopsis first."""
-        verdicts = []
-        for index, step in enumerate(steps):
-            ours = not self.can_contribute(page_no, step)
-            theirs = (
-                ours
-                if postings is None
-                else not postings.can_contribute(self, page_no, index)
-            )
-            verdicts.append(ours * SYNOPSIS_REFUSES | theirs * POSTINGS_REFUSE)
-        return verdicts
-
     def can_extend(self, page_no: int, step: "CompiledStep") -> bool:
         """Could a *targeted* resume of ``step`` at a border junction in
         this cluster yield a candidate or transit onward?
@@ -305,6 +272,53 @@ class ClusterSynopsis:
             return bool(flags & HAS_UPSIDE)
         return True  # self / sibling axes: never prune a targeted resume
 
+    # -- memoised cluster bitsets --------------------------------------
+
+    def refusals(self, step: "CompiledStep") -> Tuple[int, int]:
+        """The clusters ``step`` is refused in, as two bitsets over the
+        known clusters (bit ``p`` = page ``p``, as in
+        :class:`~repro.storage.pathsummary.PathPostings`): ``contribute``
+        where :meth:`can_contribute` answers False, ``extend`` where
+        :meth:`can_extend` does.  A cluster without a row is never refused.
+
+        Filled by one pass of those row predicates over the rows, then
+        memoised under the step's int ``memo_key``: one entry per distinct
+        (axis, node test) pair ever asked about.  A synopsis is never
+        edited in place — ``patched``, ``collect`` and ``from_rows`` each
+        build a new one, born with an empty memo — so no entry can go
+        stale and nothing invalidates them.
+        """
+        return self._memoised(step.memo_key, step)
+
+    def transit_refusals(self, axis: Axis) -> Tuple[int, int]:
+        """:meth:`refusals` of the tag-free residues
+        (:meth:`contribute_transit`, :meth:`extend_transit`), per axis."""
+        return self._memoised(axis, axis)
+
+    def _memoised(self, key: object, source: object):
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = (self._fill(source), source)
+        return hit[0]
+
+    def _fill(self, source) -> object:
+        """A memo entry recomputed from the rows: the refusal pair of a
+        step or (transit residues) of an axis, or the bitset of clusters
+        holding a possible match of a node test."""
+        if isinstance(source, Axis):
+            contributes, extends = self.contribute_transit, self.extend_transit
+        elif hasattr(source, "axis"):
+            contributes, extends = self.can_contribute, self.can_extend
+        else:
+            return sum(1 << p for p, row in self._rows.items() if _test_bits(row[0], source))
+        contribute = extend = 0
+        for page_no in self._rows:
+            if not contributes(page_no, source):
+                contribute |= 1 << page_no
+            if not extends(page_no, source):
+                extend |= 1 << page_no
+        return contribute, extend
+
     # -- estimator accessors -------------------------------------------
 
     @property
@@ -327,15 +341,11 @@ class ClusterSynopsis:
             return 1.0
         return max(1.0, self._n_records / len(self._rows))
 
-    def clusters_with_tag(self, tag: int) -> int:
-        """How many clusters contain a record with this tag id."""
-        if tag < 0:
-            return 0
-        return sum(1 for row in self._rows.values() if row[0] >> tag & 1)
-
     def clusters_matching(self, test: "CompiledNodeTest") -> int:
-        """How many clusters contain a record that could satisfy ``test``."""
-        return sum(1 for row in self._rows.values() if _test_bits(row[0], test))
+        """How many clusters contain a record that could satisfy ``test``
+        (for a name test: a record with its tag): the bit count of a
+        cluster bitset memoised per test, like :meth:`refusals`."""
+        return self._memoised(test, test).bit_count()
 
     def relevant_clusters(self, steps: Iterable["CompiledStep"]) -> int:
         """Upper-bound estimate of distinct clusters a navigational plan
@@ -381,8 +391,8 @@ def cost_effective_skips(page_nos, prunable, geometry):
     always skipped — nothing follows, so no seek is induced.
 
     ``page_nos`` is the scan order, ``prunable`` the per-position verdict
-    from :meth:`ClusterSynopsis.prunable_for_scan`.  Returns the set of
-    page numbers to drop.
+    (no step can contribute from the page, by :meth:`ClusterSynopsis.
+    refusals`).  Returns the set of page numbers to drop.
     """
     skips: set = set()
     n = len(page_nos)

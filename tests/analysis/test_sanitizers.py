@@ -2,8 +2,9 @@
 
 Each sanitizer must demonstrably catch its bug class: we *seed* a
 deliberate bug (time charged outside both clock buckets, a
-run-count-dependent clock, a corrupted incremental repair, a stale
-columnar cache, a stale junction in a run tape) and assert the sanitizer
+run-count-dependent clock, a corrupted incremental repair, a synopsis
+edited in place under its memo, a stale columnar cache, a stale junction
+in a run tape) and assert the sanitizer
 trips on it.  The flip side is
 the overhead contract: with ``REPRO_SAN`` unset no sanitizer state
 exists, and with it set the
@@ -222,6 +223,35 @@ def test_mutation_sanitizer_catches_stale_synopsis_repair(monkeypatch, tmp_path)
     monkeypatch.setenv("REPRO_SAN", "mutation")
     with pytest.raises(SanitizerError, match="synopsis"):
         db.wal.insert("d", doc.root, 0, "zzz")
+
+
+def test_mutation_sanitizer_catches_a_synopsis_edited_in_place(monkeypatch, tmp_path):
+    """A repair that writes the touched rows into the live synopsis gets
+    every row right, so the rows diff passes; the cluster bitsets the
+    synopsis memoised before the write are what give it away."""
+    import repro.storage.wal as walmod
+    from repro.storage.synopsis import ClusterSynopsis
+
+    db, _ = small_database()
+    db.attach_wal(str(tmp_path / "wal.log"))
+    doc = db.document("d")
+    for query in ("count(//a/b)", "count(//c)"):
+        db.execute(query, doc="d", plan="xscan")  # masks memoised on doc.synopsis
+    db.execute("count(//a)", doc="d", plan="auto")  # and the estimator's bitsets
+    assert doc.synopsis._memo
+
+    def repair_in_place(store, document, base, touched):  # seeded bug: rows
+        for page_no in document.page_nos:  # written in place, memo kept
+            base._rows[page_no] = ClusterSynopsis.collect_row(store.segment.page(page_no))
+        document.synopsis = base
+        return base
+
+    monkeypatch.setattr(walmod, "repair_synopsis", repair_in_place)
+    monkeypatch.setenv("REPRO_SAN", "mutation")
+    with pytest.raises(SanitizerError, match="memoised cluster bitset"):
+        for i in range(20):  # c's land in more and more clusters
+            parent = db.execute("//b", doc="d", plan="simple").nodes[i]
+            db.wal.insert("d", parent, 0, "c")
 
 
 def test_mutation_sanitizer_passes_real_repair(monkeypatch, tmp_path):

@@ -15,6 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import PROFILES, Database, EvalOptions, ImportOptions
+from repro.algebra.steps import CompiledNodeTest, CompiledStep
+from repro.axes import Axis
+from repro.storage.pathsummary import PathPostings
+from repro.storage.synopsis import ClusterSynopsis
 from tests.conftest import make_random_tree
 
 AXES = [
@@ -140,6 +144,57 @@ def test_pruned_run_equals_unpruned_run(seed, fragmentation, plan, speculative, 
             stats_on["clusters_visited"] + pruned_clusters
             == stats_off["clusters_visited"]
         )
+
+
+#: node tests for every axis: a name, ``*``, ``text()``, ``node()`` and
+#: a tag the document does not have
+_MEMO_TESTS = [
+    ("name", "a"),
+    ("name", "id"),
+    ("wildcard", None),
+    ("text", None),
+    ("node", None),
+    ("name", "nosuchtag"),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=7),
+    fragmentation=st.sampled_from([0.0, 0.7, 1.0]),
+    data=st.data(),
+)
+def test_memoised_refusals_equal_the_row_predicates(seed, fragmentation, data):
+    """Bit ``p`` of a refusal mask is the row predicate's "no" for page
+    ``p`` — the synopsis's for every axis and node test, the postings'
+    for drawn cluster postings — and a page with no row is never refused."""
+    store = _store(seed, fragmentation)
+    rows = store.document("d").synopsis.rows()
+    synopsis = ClusterSynopsis.from_rows(rows)  # a memo of its own
+    pages = sorted(rows) + [max(rows) + 1, max(rows) + 64]  # the last two: no row
+    masks = []
+    for axis in Axis:
+        for kind, name in _MEMO_TESTS:
+            tag = store.tags.lookup(name) if name is not None else None
+            step = CompiledStep(axis, CompiledNodeTest.compile(kind, axis, tag))
+            contribute, extend = synopsis.refusals(step)
+            assert synopsis.refusals(step) is synopsis.refusals(step)  # memoised
+            masks += (contribute, extend)
+            for page_no in pages:
+                assert contribute >> page_no & 1 == (not synopsis.can_contribute(page_no, step))
+                assert extend >> page_no & 1 == (not synopsis.can_extend(page_no, step))
+    axes = tuple(data.draw(st.lists(st.sampled_from(list(Axis)), min_size=1, max_size=4)))
+    posted = st.integers(min_value=0, max_value=(1 << pages[-1] + 1) - 1)
+    postings = PathPostings(axes, tuple(data.draw(posted) for _ in axes))
+    for index in range(len(axes)):
+        contribute, extend = postings.refusals(synopsis, index)
+        masks += (contribute, extend)
+        for page_no in pages:
+            assert contribute >> page_no & 1 == (
+                not postings.can_contribute(synopsis, page_no, index)
+            )
+            assert extend >> page_no & 1 == (not postings.can_extend(synopsis, page_no, index))
+    assert not any(mask >> pages[-2] for mask in masks)
 
 
 @settings(max_examples=25, deadline=None)

@@ -14,8 +14,9 @@ from repro.storage.synopsis import (
     ClusterSynopsis,
     cost_effective_skips,
 )
-from repro.storage.store import recollect_synopsis
+from repro.storage.store import export_tree, recollect_synopsis
 from repro.storage.update import insert_node
+from repro.xpath.reference import evaluate_query
 
 from tests.conftest import make_random_tree, small_database
 from tests.paper_tree import PAGE_A, PAGE_B, PAGE_C, PAGE_D, build_paper_tree
@@ -89,11 +90,13 @@ def test_paper_example_never_processes_cluster_b():
     desc_b = _step(tags, Axis.DESCENDANT, "B")
     assert not synopsis.can_contribute(PAGE_B, child_a)
     assert not synopsis.can_contribute(PAGE_B, desc_b)
-    assert synopsis.prunable_for_scan(PAGE_B, [child_a, desc_b])
+    # the scan's prunable set: clusters every step is refused in
+    prunable = synopsis.refusals(child_a)[0] & synopsis.refusals(desc_b)[0]
+    assert prunable >> PAGE_B & 1
     # clusters a and c hold B nodes: provably not prunable
     for page_no in (PAGE_A, PAGE_C):
         assert synopsis.can_contribute(page_no, desc_b)
-        assert not synopsis.prunable_for_scan(page_no, [child_a, desc_b])
+        assert not prunable >> page_no & 1
     # default disk: interior singleton skip loses to the seek, so the
     # page is read — but no speculative work happens inside it
     pruned = paper.db.execute("/A//B", doc="paper", plan="xscan")
@@ -164,7 +167,43 @@ def test_unknown_cluster_is_never_pruned():
     step = _step(paper.db.tags, Axis.DESCENDANT, "B")
     assert synopsis.can_contribute(999, step)
     assert synopsis.can_extend(999, step)
-    assert not synopsis.prunable_for_scan(999, [step])
+    contribute, extend = synopsis.refusals(step)
+    assert not (contribute | extend) >> 999
+
+
+def test_verdicts_are_memoised_on_the_synopsis(monkeypatch, tmp_path):
+    """A second cold xscan of the same path over the same store asks the
+    row predicates nothing: its masks come off the synopsis's memo.  A
+    WAL insert replaces the synopsis with a new one whose memo starts
+    empty, and the pruned scan still answers as the reference does."""
+    db, _ = small_database(seed=77, n_top=30, fragmentation=1.0)
+    db.attach_wal(str(tmp_path / "wal.log"))
+    doc = db.document("d")
+    asked = []
+    for name in ("can_contribute", "can_extend", "contribute_transit", "extend_transit"):
+        predicate = getattr(ClusterSynopsis, name)
+
+        def counted(self, *args, _predicate=predicate):
+            asked.append(args)
+            return _predicate(self, *args)
+
+        monkeypatch.setattr(ClusterSynopsis, name, counted)
+    query = "count(//a/b)"
+    first = db.execute(query, doc="d", plan="xscan")
+    assert asked and doc.synopsis._memo
+    asked.clear()
+    second = db.execute(query, doc="d", plan="xscan")
+    assert asked == []
+    assert (second.value, second.stats.as_dict()) == (first.value, first.stats.as_dict())
+
+    before = doc.synopsis
+    parent = db.execute("//a", doc="d", plan="simple").nodes[0]
+    db.wal.insert("d", parent, 0, "b")
+    assert doc.synopsis is not before
+    assert not doc.synopsis._memo
+    after = db.execute(query, doc="d", plan="xscan")
+    assert doc.synopsis._memo
+    assert after.value == evaluate_query(export_tree(db.store, doc), query) == first.value + 1
 
 
 # ------------------------------------------------------------ estimators
@@ -174,10 +213,9 @@ def test_estimator_accessors_on_paper_tree():
     paper = build_paper_tree()
     synopsis = recollect_synopsis(paper.db.store, paper.doc)
     tags = paper.db.tags
-    assert synopsis.clusters_with_tag(tags.lookup("A")) == 2  # a, c
-    assert synopsis.clusters_with_tag(tags.lookup("B")) == 2  # a, c
-    assert synopsis.clusters_with_tag(tags.lookup("X")) == 2  # b, c
-    assert synopsis.clusters_with_tag(-1) == 0
+    for name in ("A", "B", "X"):  # a and c, a and c, b and c
+        assert synopsis.clusters_matching(_step(tags, Axis.CHILD, name).test) == 2
+    assert synopsis.clusters_matching(_step(tags, Axis.CHILD, "nosuchtag").test) == 0
     steps = [
         _step(tags, Axis.CHILD, "A"),
         _step(tags, Axis.DESCENDANT, "B"),
@@ -237,7 +275,7 @@ def test_update_invalidates_synopsis():
     insert_node(db.store, doc, root, 0, "fresh")
     assert doc.synopsis is None  # stale summaries must not linger
     rebuilt = recollect_synopsis(db.store, doc)
-    assert rebuilt.clusters_with_tag(db.tags.lookup("fresh")) == 1
+    assert rebuilt.clusters_matching(_step(db.tags, Axis.CHILD, "fresh").test) == 1
 
 
 def test_queries_work_while_synopsis_invalidated():

@@ -202,13 +202,13 @@ def test_synopsis_occupancy_fixes_skewed_layout_choice():
         tree, "d", ImportOptions(page_size=8192, policy=ClusterPolicy.SEQUENTIAL)
     )
     doc = db.document("d")
-    # the layout really is skewed: all y's in a few clusters
-    assert doc.synopsis.clusters_with_tag(db.tags.lookup("y")) <= 8
     steps = [
         step(db, Axis.CHILD, "root"),
         step(db, Axis.CHILD, "h"),
         step(db, Axis.CHILD, "y"),
     ]
+    # the layout really is skewed: all y's in a few clusters
+    assert doc.synopsis.clusters_matching(steps[2].test) <= 8
     geo = DiskGeometry()
     assert choose_io_operator(doc, steps, geo, use_synopsis=False) == "xscan"
     assert choose_io_operator(doc, steps, geo, use_synopsis=True) == "xschedule"
