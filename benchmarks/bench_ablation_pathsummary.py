@@ -21,6 +21,7 @@ docs/simulation.md):
 import pytest
 
 from repro import Database, EvalOptions
+from repro.storage.pathsummary import PathSummary
 from harness import QUERY_BY_EXP, run_query
 
 SCALE = 0.1
@@ -127,6 +128,33 @@ def test_pathsummary_off_is_free(xmark_store):
     assert _outcome(flagged) == _outcome(bare)
     assert flagged.total_time == bare.total_time
     assert flagged.stats.as_dict() == bare.stats.as_dict()
+
+
+def test_evaluations_are_computed_once_per_summary(xmark_store, monkeypatch):
+    """A path evaluation is a property of the summary, not of a compile:
+    the second cold AUTO compile of Q7 and Q15 over one store walks the
+    trie not once — rewrite, chooser and postings cap read the summary's
+    memo — and answers with the same value and counters as the first."""
+    db = _shared_store_db(xmark_store(SCALE))
+    doc = db.document("xmark")
+    # an equal summary with an empty memo, whatever ran on the store before
+    monkeypatch.setattr(doc, "pathsummary", PathSummary.from_page_rows(doc.pathsummary.page_rows()))
+    walks = []
+    step_result = PathSummary._step_result
+
+    def counted_step_result(self, contexts, step):
+        walks.append(step)
+        return step_result(self, contexts, step)
+
+    monkeypatch.setattr(PathSummary, "_step_result", counted_step_result)
+    first = {exp: db.execute(QUERY_BY_EXP[exp], doc="xmark") for exp in ("q7", "q15")}
+    assert walks
+    walks.clear()
+    for exp, result in first.items():
+        again = db.execute(QUERY_BY_EXP[exp], doc="xmark")
+        assert _outcome(again) == _outcome(result)
+        assert again.stats.as_dict() == result.stats.as_dict()
+    assert walks == []
 
 
 @pytest.mark.parametrize("plan", ("xschedule", "xscan"))

@@ -145,9 +145,9 @@ def test_verdicts_are_computed_once_per_synopsis(xmark_store, monkeypatch):
     computed = []
     fill = ClusterSynopsis._fill
 
-    def counted_fill(self, source):
+    def counted_fill(self, source, *pages):
         computed.append(source)
-        return fill(self, source)
+        return fill(self, source, *pages)
 
     monkeypatch.setattr(ClusterSynopsis, "_fill", counted_fill)
     first = {exp: run_query(db, QUERY_BY_EXP[exp], "xscan") for exp in ("q7", "q15")}

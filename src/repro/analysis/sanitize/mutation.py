@@ -7,7 +7,9 @@ Structural updates maintain three derived structures incrementally:
   synopsis, so the cluster bitsets memoised on the old one are never
   read against the new rows;
 * the path summary — same patching discipline
-  (:func:`repro.storage.store.repair_pathsummary`);
+  (:func:`repro.storage.store.repair_pathsummary`), so the path
+  evaluations memoised on the old summary are never read against the
+  new trie;
 * per-page columnar views — caches invalidated on mutation
   (:meth:`repro.storage.page.Page.invalidate_colview`) and lazily
   rebuilt.
@@ -65,7 +67,8 @@ def check_maintenance(store: Any, doc: Any) -> None:
                 "recollection after an update: a touched page's row was "
                 "missed or patched wrongly",
             )
-        # memoised masks stay right only because repair builds a new
+        # memoised masks, carried over by repair with the touched pages'
+        # bits refilled, stay right only because repair builds a new
         # synopsis: a row written in place leaves them stale
         for value, source in repaired._memo.values():
             if repaired._fill(source) != value:
@@ -83,6 +86,21 @@ def check_maintenance(store: Any, doc: Any) -> None:
                 "mutation",
                 "incrementally repaired path summary differs from a full "
                 "recollection after an update",
+            )
+        check_evaluations(repaired_summary)
+
+
+def check_evaluations(summary: Any) -> None:
+    """Every evaluation memoised on ``summary`` must equal a fresh walk of
+    its trie: they stay right only because repair builds a new summary,
+    so a trie edited in place leaves them stale."""
+    for evaluation, steps in summary._memo.values():
+        if summary._evaluate(steps) != evaluation:
+            fail(
+                "mutation",
+                "a memoised path evaluation of the summary differs from a "
+                "fresh walk of its trie: the summary was edited in place "
+                "instead of the repair building a new one",
             )
 
 

@@ -28,8 +28,8 @@ Like the synopsis, the summary is planning metadata: consulting it costs
 no simulated time.  :meth:`PathSummary.evaluate` propagates a whole
 location path through the trie and yields per-step path sets (always a
 superset of the true result paths, exact for downward-only paths without
-predicates), which powers three distinct optimisations in
-:mod:`repro.xpath.rewrite`:
+predicates), memoised on the summary, which powers three distinct
+optimisations in :mod:`repro.xpath.rewrite`:
 
 * **refutation** — an empty path set at any step proves the whole query
   empty before a single page is requested;
@@ -42,6 +42,7 @@ predicates), which powers three distinct optimisations in
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.axes import Axis
@@ -63,13 +64,18 @@ _KIND_ELEMENT = int(Kind.ELEMENT)
 #: Kinds whose nodes can have children (interior trie positions).
 _PARENT_KINDS = (_KIND_DOCUMENT, _KIND_ELEMENT)
 
+#: How many path evaluations one summary keeps; one more drops them all.
+EVALUATION_LIMIT = 256
+
 
 class PathSummary:
     """Distinct root-to-node paths of one document, with counts and postings."""
 
-    __slots__ = ("_pages", "_counts", "_postings", "_children", "_n_nodes")
+    __slots__ = ("_pages", "_counts", "_postings", "_children", "_n_nodes", "_memo")
 
     def __init__(self, pages: PageRows) -> None:
+        #: evaluations, born empty: steps' memo keys -> (evaluation, steps)
+        self._memo: Dict[Tuple[int, ...], Tuple["PathEvaluation", tuple]] = {}
         self._pages = pages
         counts: Dict[PathKey, int] = {}
         postings: Dict[PathKey, int] = {}
@@ -163,6 +169,7 @@ class PathSummary:
         (every consumer folds child keys into sets and integer sums).
         """
         new = PathSummary.__new__(PathSummary)
+        new._memo = {}
         new._pages = pages = dict(self._pages)
         new._counts = counts = dict(self._counts)
         new._postings = postings = dict(self._postings)
@@ -229,6 +236,28 @@ class PathSummary:
     # -- whole-path evaluation -----------------------------------------
 
     def evaluate(self, steps: Sequence["CompiledStep"]) -> "PathEvaluation":
+        """:meth:`_evaluate`, memoised on the summary under the steps'
+        ``memo_key`` tuple (the key :meth:`~repro.storage.store.
+        StoredDocument.path_id` interns), so rewrite, estimator and
+        postings share one evaluation per (summary, path).  A summary is
+        never edited in place — ``patched``, ``collect`` and
+        ``from_page_rows`` each build a new one, born with an empty memo —
+        so no entry can go stale and nothing invalidates them.  At most
+        :data:`EVALUATION_LIMIT` are kept: one more drops them all.  A
+        path with step predicates, which the key does not capture, is
+        evaluated afresh.
+        """
+        if any(step.predicates for step in steps):
+            return self._evaluate(steps)
+        key = tuple(step.memo_key for step in steps)
+        hit = self._memo.get(key)
+        if hit is None:
+            if len(self._memo) >= EVALUATION_LIMIT:
+                self._memo.clear()
+            hit = self._memo[key] = (self._evaluate(steps), tuple(steps))
+        return hit[0]
+
+    def _evaluate(self, steps: Sequence["CompiledStep"]) -> "PathEvaluation":
         """Propagate a location path through the trie.
 
         Produces per-step path-key sets that are always a *superset* of
@@ -404,29 +433,21 @@ _EXACT_AXES = frozenset(
 )
 
 
+@dataclass(frozen=True, slots=True)
 class PathEvaluation:
-    """Result of :meth:`PathSummary.evaluate` for one location path."""
+    """Result of :meth:`PathSummary.evaluate` for one location path; a
+    value, so a memoised one is shared by every consumer."""
 
-    __slots__ = ("refuted", "exact", "cardinality", "visited", "step_sets")
-
-    def __init__(
-        self,
-        refuted: bool,
-        exact: bool,
-        cardinality: float | None,
-        visited: float,
-        step_sets: Tuple[frozenset, ...],
-    ) -> None:
-        #: the summary proves the result empty
-        self.refuted = refuted
-        #: cardinality/visited are exact counts, not upper bounds
-        self.exact = exact
-        #: exact result cardinality (None when not exact; 0.0 when refuted)
-        self.cardinality = cardinality
-        #: nodes a step-by-step evaluation enumerates (exact when ``exact``)
-        self.visited = visited
-        #: per-step path-key sets (supersets of the true result paths)
-        self.step_sets = step_sets
+    #: the summary proves the result empty
+    refuted: bool
+    #: cardinality/visited are exact counts, not upper bounds
+    exact: bool
+    #: exact result cardinality (None when not exact; 0.0 when refuted)
+    cardinality: float | None
+    #: nodes a step-by-step evaluation enumerates (exact when ``exact``)
+    visited: float
+    #: per-step path-key sets (supersets of the true result paths)
+    step_sets: Tuple[frozenset, ...]
 
 
 class _ChainResolver:
@@ -490,9 +511,10 @@ class _ChainResolver:
 class PathPostings:
     """Per-step cluster postings of one compiled path, for pre-scan pruning.
 
-    Built by the rewrite pass from a :class:`PathEvaluation`: bit ``p``
-    of ``_bits[i]`` is set iff cluster ``p`` holds a node whose root
-    path could be a match of step ``i``.  The operators combine this
+    Built by the rewrite pass from the summary's (memoised)
+    :class:`PathEvaluation` of the path: bit ``p`` of ``_bits[i]`` is
+    set iff cluster ``p`` holds a node whose root path could be a match
+    of step ``i``.  The operators combine this
     with the synopsis's *transit* verdicts: a cluster is only skipped
     when it provably holds no candidate for any step **and** no resume
     there can transit into another cluster — the same conservative
@@ -509,21 +531,14 @@ class PathPostings:
         self._bits = bits
 
     @staticmethod
-    def for_steps(
-        summary: PathSummary,
-        steps: Sequence["CompiledStep"],
-        evaluation: PathEvaluation,
-    ) -> "PathPostings":
+    def for_steps(summary: PathSummary, steps: Sequence["CompiledStep"]) -> "PathPostings":
         bits: List[int] = []
-        for index in range(len(steps)):
+        for keys in summary.evaluate(steps).step_sets:
             step_bits = 0
-            if index < len(evaluation.step_sets):
-                for key in evaluation.step_sets[index]:
-                    step_bits |= summary.postings(key)
+            for key in keys:
+                step_bits |= summary.postings(key)
             bits.append(step_bits)
-        return PathPostings(
-            tuple(step.axis for step in steps), tuple(bits)
-        )
+        return PathPostings(tuple(step.axis for step in steps), tuple(bits))
 
     def holds_candidate(self, step_index: int, page_no: int) -> bool:
         """Does cluster ``page_no`` hold a possible match of this step?"""

@@ -96,9 +96,10 @@ class ClusterSynopsis:
     def __init__(self, rows: Dict[int, Row]) -> None:
         self._rows = rows
         self._n_records = sum(row[3] for row in rows.values())
-        #: cluster bitsets derived from the rows, born empty: key ->
-        #: (bitset or refusal pair, what :meth:`_fill` recomputes it from)
-        self._memo: Dict[object, Tuple[object, object]] = {}
+        #: cluster bitsets derived from the rows, born empty (or carried
+        #: by :meth:`patched`): key -> (bitsets, what :meth:`_fill`
+        #: recomputes them from)
+        self._memo: Dict[object, Tuple[Tuple[int, ...], object]] = {}
 
     # -- construction --------------------------------------------------
 
@@ -164,10 +165,18 @@ class ClusterSynopsis:
 
     def patched(self, fresh: Dict[int, Row]) -> "ClusterSynopsis":
         """A new synopsis with ``fresh`` rows replacing (or extending)
-        this one's — the incremental-repair constructor."""
+        this one's — the incremental-repair constructor.  Bit ``p`` of
+        every memoised bitset is a function of row ``p`` alone, so the
+        new synopsis inherits this one's memo with only the bits of the
+        ``fresh`` pages recomputed."""
         rows = dict(self._rows)
         rows.update(fresh)
-        return ClusterSynopsis(rows)
+        new = ClusterSynopsis(rows)
+        keep = ~sum(1 << page_no for page_no in fresh)
+        for key, (masks, source) in self._memo.items():
+            refilled = new._fill(source, fresh)
+            new._memo[key] = (tuple(m & keep | r for m, r in zip(masks, refilled)), source)
+        return new
 
     # -- pruning predicates --------------------------------------------
 
@@ -285,8 +294,9 @@ class ClusterSynopsis:
         memoised under the step's int ``memo_key``: one entry per distinct
         (axis, node test) pair ever asked about.  A synopsis is never
         edited in place — ``patched``, ``collect`` and ``from_rows`` each
-        build a new one, born with an empty memo — so no entry can go
-        stale and nothing invalidates them.
+        build a new one, whose memo starts empty or (``patched``) carried
+        over with the repaired pages refilled — so no entry can go stale
+        and nothing invalidates them.
         """
         return self._memoised(step.memo_key, step)
 
@@ -301,18 +311,22 @@ class ClusterSynopsis:
             hit = self._memo[key] = (self._fill(source), source)
         return hit[0]
 
-    def _fill(self, source) -> object:
-        """A memo entry recomputed from the rows: the refusal pair of a
-        step or (transit residues) of an axis, or the bitset of clusters
-        holding a possible match of a node test."""
+    def _fill(self, source, pages: Iterable[int] | None = None) -> Tuple[int, ...]:
+        """A memo entry recomputed from the rows (of ``pages`` only, if
+        given): the refusal pair of a step or (transit residues) of an
+        axis, or the 1-tuple bitset of clusters holding a possible match
+        of a node test."""
+        rows = self._rows
+        if pages is None:
+            pages = rows
         if isinstance(source, Axis):
             contributes, extends = self.contribute_transit, self.extend_transit
         elif hasattr(source, "axis"):
             contributes, extends = self.can_contribute, self.can_extend
         else:
-            return sum(1 << p for p, row in self._rows.items() if _test_bits(row[0], source))
+            return (sum(1 << p for p in pages if _test_bits(rows[p][0], source)),)
         contribute = extend = 0
-        for page_no in self._rows:
+        for page_no in pages:
             if not contributes(page_no, source):
                 contribute |= 1 << page_no
             if not extends(page_no, source):
@@ -345,7 +359,7 @@ class ClusterSynopsis:
         """How many clusters contain a record that could satisfy ``test``
         (for a name test: a record with its tag): the bit count of a
         cluster bitset memoised per test, like :meth:`refusals`."""
-        return self._memoised(test, test).bit_count()
+        return self._memoised(test, test)[0].bit_count()
 
     def relevant_clusters(self, steps: Iterable["CompiledStep"]) -> int:
         """Upper-bound estimate of distinct clusters a navigational plan

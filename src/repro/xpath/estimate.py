@@ -29,7 +29,7 @@ from repro.axes import Axis
 from repro.algebra.steps import CompiledStep, UNKNOWN_TAG
 from repro.model.tags import DOCUMENT_TAG
 from repro.sim.disk import DiskGeometry
-from repro.storage.pathsummary import PathSummary
+from repro.storage.pathsummary import PathPostings, PathSummary
 from repro.storage.store import DocumentStatistics, StoredDocument
 
 
@@ -287,12 +287,9 @@ def predict_io_costs(
     if summary is not None and synopsis is not None:
         # the operators' postings filter only engages alongside the
         # synopsis (transit residues live in its rows), so the pricing
-        # cap mirrors that: no posted-pages cap when the synopsis is off
-        from repro.storage.pathsummary import PathPostings
-
-        evaluation = summary.evaluate(steps)
-        postings = PathPostings.for_steps(summary, steps, evaluation)
-        posted_pages = float(postings.relevant_pages())
+        # cap mirrors that: no posted-pages cap when the synopsis is off.
+        # It reads the evaluation estimate_path memoised on the summary
+        posted_pages = float(PathPostings.for_steps(summary, steps).relevant_pages())
     if synopsis is not None and synopsis.n_clusters:
         nodes_per_page = synopsis.mean_occupancy()
         visited_pages = min(

@@ -4,7 +4,8 @@ Runs between step compilation and physical plan choice (Maneth/Nguyen,
 "XPath Whole Query Optimization": rewrite the *whole* location path
 against structural knowledge, not step by step).  Three outcomes, all
 derived from one :meth:`~repro.storage.pathsummary.PathSummary.evaluate`
-pass:
+pass, memoised on the summary (a recompile of the path, or the AUTO
+chooser pricing it, walks the trie no more):
 
 * **refutation** — the summary proves the path can match nothing; the
   compiled plan becomes a constant-empty result with zero I/O and no
@@ -94,7 +95,7 @@ def rewrite_path(summary: PathSummary, steps: list[CompiledStep]) -> RewriteOutc
         refuted=False,
         expanded=expanded,
         evaluation=evaluation,
-        postings=PathPostings.for_steps(summary, steps, evaluation),
+        postings=PathPostings.for_steps(summary, steps),
     )
 
 

@@ -254,6 +254,43 @@ def test_mutation_sanitizer_catches_a_synopsis_edited_in_place(monkeypatch, tmp_
             db.wal.insert("d", parent, 0, "c")
 
 
+@pytest.mark.parametrize("diffed", (True, False))
+def test_mutation_sanitizer_catches_a_summary_edited_in_place(monkeypatch, tmp_path, diffed):
+    """A repair that writes the patched trie into the live summary gets
+    every table right, so the full-recollection diff passes; the path
+    evaluations the summary memoised before the write are what give it
+    away — and only the memo diff sees them."""
+    import repro.analysis.sanitize.mutation as mutation
+    import repro.storage.wal as walmod
+    from repro.storage.pathsummary import PathSummary
+
+    db, _ = small_database()
+    db.attach_wal(str(tmp_path / "wal.log"))
+    doc = db.document("d")
+    db.execute("count(//a/b)", doc="d", plan="auto")  # evaluations memoised
+    assert doc.pathsummary._memo
+
+    def repair_in_place(store, document, base, touched):  # seeded bug: the
+        rows = {p: PathSummary.collect_row(store.segment, store.segment.page(p))
+                for p in touched if p in document.page_nos}
+        right = base.patched(rows)
+        for name in ("_pages", "_counts", "_postings", "_children", "_n_nodes"):
+            setattr(base, name, getattr(right, name))  # trie edited, memo kept
+        document.pathsummary = base
+        return base
+
+    monkeypatch.setattr(walmod, "repair_pathsummary", repair_in_place)
+    if not diffed:
+        monkeypatch.setattr(mutation, "check_evaluations", lambda summary: None)
+    monkeypatch.setenv("REPRO_SAN", "mutation")
+    parent = db.execute("//a", doc="d", plan="simple").nodes[0]
+    if diffed:
+        with pytest.raises(SanitizerError, match="memoised path evaluation"):
+            db.wal.insert("d", parent, 0, "b")
+    else:
+        db.wal.insert("d", parent, 0, "b")  # the other diffs miss it
+
+
 def test_mutation_sanitizer_passes_real_repair(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_SAN", "mutation")
     db, _ = small_database()

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro import PROFILES, Database, EvalOptions, ImportOptions
 from repro.algebra.steps import CompiledNodeTest, CompiledStep
 from repro.axes import Axis
-from repro.storage.pathsummary import PathPostings
+from repro.storage.pathsummary import PathPostings, PathSummary
 from repro.storage.synopsis import ClusterSynopsis
 from tests.conftest import make_random_tree
 
@@ -46,10 +46,10 @@ _PRUNE_COUNTERS = (
 
 
 @st.composite
-def location_paths(draw):
+def location_paths(draw, axes=AXES):
     n_steps = draw(st.integers(min_value=1, max_value=4))
     steps = [
-        f"{draw(st.sampled_from(AXES))}::{draw(st.sampled_from(TESTS))}"
+        f"{draw(st.sampled_from(axes))}::{draw(st.sampled_from(TESTS))}"
         for _ in range(n_steps)
     ]
     return "/" + "/".join(steps)
@@ -195,6 +195,33 @@ def test_memoised_refusals_equal_the_row_predicates(seed, fragmentation, data):
             )
             assert extend >> page_no & 1 == (not postings.can_extend(synopsis, page_no, index))
     assert not any(mask >> pages[-2] for mask in masks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=7),
+    fragmentation=st.sampled_from([0.0, 0.7, 1.0]),
+    plan=st.sampled_from(["simple", "xschedule", "xscan", "auto"]),
+    path=location_paths([axis.value for axis in Axis]),
+)
+def test_memoised_evaluations_equal_a_fresh_walk(seed, fragmentation, plan, path):
+    """Every path evaluation a compile memoises on the summary — the
+    rewrite's, its expansion candidates', the chooser's — equals a fresh
+    walk of the trie, on all ten axes, and a recompile adds none."""
+    store = _store(seed, fragmentation)
+    summary = PathSummary.from_page_rows(store.document("d").pathsummary.page_rows())
+    db = Database(page_size=512, buffer_pages=48, store=store)
+    doc = store.document("d")
+    saved, doc.pathsummary = doc.pathsummary, summary  # a memo of its own
+    try:
+        db.prepare(path, doc="d", plan=plan)
+        entries = dict(summary._memo)
+        db.prepare(path, doc="d", plan=plan)
+    finally:
+        doc.pathsummary = saved
+    assert entries and summary._memo == entries
+    for evaluation, steps in entries.values():
+        assert evaluation == summary._evaluate(steps)
 
 
 @settings(max_examples=25, deadline=None)

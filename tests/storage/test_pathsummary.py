@@ -4,11 +4,12 @@ import pytest
 
 from repro import Database, ImportOptions
 from repro.axes import Axis
-from repro.algebra.steps import CompiledNodeTest, CompiledStep
+from repro.algebra.steps import CompiledNodeTest, CompiledPredicate, CompiledStep
 from repro.model.builder import tree_from_nested
 from repro.model.tree import Kind
-from repro.storage.pathsummary import PathSummary
-from repro.storage.store import recollect_pathsummary, repair_pathsummary
+from repro.storage.pathsummary import EVALUATION_LIMIT, PathSummary
+from repro.storage.store import export_tree, recollect_pathsummary, repair_pathsummary
+from repro.xpath.reference import evaluate_query
 from tests.conftest import make_random_tree, small_database
 
 
@@ -248,6 +249,68 @@ def test_predicate_refutation_is_sound_and_clears_exact():
     assert refuted.refuted
 
 
+def test_evaluations_are_memoised_on_the_summary(monkeypatch, tmp_path):
+    """Rewrite, estimator and postings cap share one trie walk per
+    (summary, path): a recompile walks nothing and equal steps of two
+    compilations share one entry; a WAL insert builds a new summary whose
+    memo starts empty; a predicate path, which the memo key cannot tell
+    from its predicate-free twin, is evaluated afresh."""
+    db, _ = small_database(seed=77, n_top=30, fragmentation=1.0)
+    db.attach_wal(str(tmp_path / "wal.log"))
+    doc = db.document("d")
+    walks = []
+    step_result = PathSummary._step_result
+
+    def counted(self, contexts, compiled_step):
+        walks.append(compiled_step)
+        return step_result(self, contexts, compiled_step)
+
+    monkeypatch.setattr(PathSummary, "_step_result", counted)
+    query = "count(//a/b)"
+    first = db.execute(query, doc="d", plan="auto").value
+    summary = doc.pathsummary
+    entries = dict(summary._memo)
+    assert walks and entries
+    walks.clear()
+    db.prepare(query, doc="d", plan="auto")
+    assert walks == []
+    assert summary._memo.keys() == entries.keys()
+    assert all(summary._memo[key] is entry for key, entry in entries.items())
+
+    parent = db.execute("//a", doc="d", plan="simple").nodes[0]
+    db.wal.insert("d", parent, 0, "b")
+    assert doc.pathsummary is not summary and not doc.pathsummary._memo
+    after = db.execute(query, doc="d", plan="auto").value
+    assert after == evaluate_query(export_tree(db.store, doc), query) == first + 1
+
+    summary = doc.pathsummary
+    plain = [step(db, Axis.DESCENDANT, "a"), step(db, Axis.CHILD, "b")]
+    impossible = CompiledPredicate([step(db, Axis.CHILD, "nosuchtag")])
+    guarded = plain[:1] + [pred_step(db, Axis.CHILD, "b", [impossible])]
+    entries = dict(summary._memo)
+    assert summary.evaluate(guarded) == summary._evaluate(guarded)
+    assert summary.evaluate(guarded).refuted and not summary.evaluate(plain).refuted
+    assert summary._memo.keys() - entries.keys() <= {tuple(s.memo_key for s in plain)}
+
+
+def test_evaluation_memo_is_bounded():
+    """Streaming more distinct paths than :data:`EVALUATION_LIMIT`
+    through one summary keeps the memo within the limit, and every
+    answer equals a fresh walk of the trie."""
+    db, _ = small_database(seed=3)
+    summary = PathSummary.from_page_rows(db.document("d").pathsummary.page_rows())
+    singles = [
+        step(db, axis, name, kind)
+        for axis in Axis
+        for name, kind in (("a", "name"), ("b", "name"), (None, "wildcard"), (None, "node"))
+    ]
+    paths = [[first, second] for first in singles for second in singles]
+    assert len({tuple(s.memo_key for s in steps) for steps in paths}) > EVALUATION_LIMIT
+    for steps in paths:
+        assert summary.evaluate(steps) == summary._evaluate(steps)
+        assert 0 < len(summary._memo) <= EVALUATION_LIMIT
+
+
 # --------------------------------------------------------------- postings
 
 
@@ -261,8 +324,7 @@ def test_postings_cover_all_result_pages():
     doc = db.document("d")
     summary = doc.pathsummary
     steps = [step(db, Axis.DESCENDANT, "b"), step(db, Axis.CHILD, "a")]
-    evaluation = summary.evaluate(steps)
-    postings = PathPostings.for_steps(summary, steps, evaluation)
+    postings = PathPostings.for_steps(summary, steps)
     result = db.execute("//b/a", doc="d", plan="simple")
     final = len(steps) - 1
     for nid in result.nodes:

@@ -174,8 +174,10 @@ def test_unknown_cluster_is_never_pruned():
 def test_verdicts_are_memoised_on_the_synopsis(monkeypatch, tmp_path):
     """A second cold xscan of the same path over the same store asks the
     row predicates nothing: its masks come off the synopsis's memo.  A
-    WAL insert replaces the synopsis with a new one whose memo starts
-    empty, and the pruned scan still answers as the reference does."""
+    WAL insert replaces the synopsis with a new one that carries the memo
+    over, asking the row predicates about the touched pages only; every
+    carried entry equals a refill from the rows, and the pruned scan
+    still answers as the reference does."""
     db, _ = small_database(seed=77, n_top=30, fragmentation=1.0)
     db.attach_wal(str(tmp_path / "wal.log"))
     doc = db.document("d")
@@ -197,13 +199,30 @@ def test_verdicts_are_memoised_on_the_synopsis(monkeypatch, tmp_path):
     assert (second.value, second.stats.as_dict()) == (first.value, first.stats.as_dict())
 
     before = doc.synopsis
+    touched, refilled = [], []
+    patched = ClusterSynopsis.patched
+
+    def spied(self, fresh):
+        touched.extend(fresh)
+        asked.clear()
+        new = patched(self, fresh)
+        refilled.extend(page_no for page_no, _ in asked)
+        return new
+
+    monkeypatch.setattr(ClusterSynopsis, "patched", spied)
     parent = db.execute("//a", doc="d", plan="simple").nodes[0]
     db.wal.insert("d", parent, 0, "b")
-    assert doc.synopsis is not before
-    assert not doc.synopsis._memo
+    repaired = doc.synopsis
+    assert repaired is not before and repaired._memo.keys() == before._memo.keys()
+    assert touched and refilled and len(set(touched)) < repaired.n_clusters
+    assert set(refilled) <= set(touched)
+    asked.clear()
     after = db.execute(query, doc="d", plan="xscan")
-    assert doc.synopsis._memo
+    assert asked == []
     assert after.value == evaluate_query(export_tree(db.store, doc), query) == first.value + 1
+    fresh = ClusterSynopsis.from_rows(repaired.rows())
+    for masks, source in repaired._memo.values():
+        assert masks == repaired._fill(source) == fresh._fill(source)
 
 
 # ------------------------------------------------------------ estimators
