@@ -13,9 +13,9 @@ docs/simulation.md):
   summary proves empty finishes without requesting a single page,
   visiting a single cluster, or advancing the simulated clock;
 * the flag costs nothing when off: ``EvalOptions(pathsummary=False)``
-  produces the same simulated timings and counters as a store that has
-  no path summary at all (the pre-summary engine), and with the summary
-  on, simulated time never regresses on any point of the paper grid.
+  never consults the summary — the same simulated timings and counters
+  whatever summary the document carries — and with the summary on,
+  simulated time never regresses on any point of the paper grid.
 """
 
 import pytest
@@ -112,17 +112,18 @@ def test_pathsummary_never_regresses_simulated_time(
 
 
 def test_pathsummary_off_is_free(xmark_store):
-    """``pathsummary=False`` must behave exactly like a store that never
-    collected a summary: identical simulated physics, tick for tick."""
+    """``pathsummary=False`` never reads the summary: with an empty one
+    in its place (which would refute every path), the flagged run is
+    identical, tick for tick."""
     base = xmark_store(SCALE)
     flagged = run_query(base, QUERY_BY_EXP["q6"], "xscan", options=OFF)
 
     bare_db = _shared_store_db(base)
     doc = bare_db.document("xmark")
     saved = doc.pathsummary
-    doc.pathsummary = None  # the pre-summary engine: nothing to consult
+    doc.pathsummary = PathSummary.from_page_rows({})
     try:
-        bare = run_query(bare_db, QUERY_BY_EXP["q6"], "xscan")
+        bare = run_query(bare_db, QUERY_BY_EXP["q6"], "xscan", options=OFF)
     finally:
         doc.pathsummary = saved
     assert _outcome(flagged) == _outcome(bare)

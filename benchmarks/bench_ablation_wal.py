@@ -13,8 +13,7 @@ Three claims:
   small fraction of the document).
 """
 
-from repro import Database
-from repro.storage.store import recollect_synopsis
+from repro import ClusterSynopsis, Database
 from repro.storage.wal import recover_store
 from harness import QUERY_BY_EXP, build_xmark_db, run_query
 
@@ -87,9 +86,8 @@ def test_incremental_repair_touches_few_pages(
     for i in range(4):
         db.wal.insert("xmark", root, 0, f"probe{i}")
     doc = db.store.document("xmark")
-    assert doc.synopsis is not None
-    assert doc.synopsis == recollect_synopsis(
-        db.store, db.store.document("xmark")
+    assert doc.synopsis == ClusterSynopsis.collect(
+        db.store.segment.page(p) for p in doc.page_nos
     )
     store, report = benchmark.pedantic(
         lambda: recover_store(path), rounds=1, iterations=1
@@ -98,7 +96,9 @@ def test_incremental_repair_touches_few_pages(
     total = len(store.document("xmark").page_nos)
     assert 0 < touched < total  # incremental, not a full sweep
     recovered_doc = store.document("xmark")
-    assert recovered_doc.synopsis == recollect_synopsis(store, recovered_doc)
+    assert recovered_doc.synopsis == ClusterSynopsis.collect(
+        store.segment.page(p) for p in recovered_doc.page_nos
+    )
     record_result(
         "ablation_wal_repair",
         touched=float(touched),

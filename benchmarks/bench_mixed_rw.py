@@ -7,16 +7,16 @@ Two claims:
   simulated query cost stay well-formed at every write ratio, and every
   applied update is durably acknowledged in the WAL (``last_lsn`` equals
   the number of updates);
-* cost-aware synopsis pruning *survives* WAL-managed updates: the
-  incremental repair keeps the per-cluster synopsis alive, while the
-  bare update path (no WAL) invalidates it and the next columnar scan
-  loses all cluster skips.
+* cost-aware synopsis pruning *survives* updates: every update, logged
+  or bare (no WAL), repairs the per-cluster synopsis incrementally, so
+  the next columnar scan skips the same clusters either way.
 """
 
 import pytest
 
 from repro import Database, DeleteOp, InsertOp, SetValueOp
-from repro.storage.store import check_document, recollect_synopsis
+from repro.storage.store import check_document
+from repro.storage.synopsis import ClusterSynopsis
 from repro.storage.update import insert_node
 from repro.storage.wal import recover_store
 from harness import build_xmark_db, run_query
@@ -93,9 +93,14 @@ def test_mixed_batch_write_ratios(benchmark, record_result, tmp_path, ratio):
     )
 
 
+def _collected(db):
+    doc = db.store.document("xmark")
+    return ClusterSynopsis.collect(db.store.segment.page(p) for p in doc.page_nos)
+
+
 def test_pruning_survives_wal_managed_updates(benchmark, record_result, tmp_path):
-    """Synopsis skips before == after a WAL-managed update; the bare
-    update path loses them all.
+    """Synopsis skips survive a WAL-managed update, and a bare update
+    keeps exactly as many.
 
     Uses the document-order layout (``fragmentation=0.0``): with records
     fully dispersed every cluster holds every tag and nothing is
@@ -104,8 +109,6 @@ def test_pruning_survives_wal_managed_updates(benchmark, record_result, tmp_path
     managed = build_xmark_db(SCALE, buffer_pages=256, fragmentation=0.0)
     managed.attach_wal(str(tmp_path / "managed.rpro"))
     doc = managed.store.document("xmark")
-    if doc.synopsis is None:
-        recollect_synopsis(managed.store, doc)
     before = run_query(managed, "count(//mail)", "xscan")
     assert before.stats.synopsis_clusters_pruned > 0
 
@@ -117,22 +120,20 @@ def test_pruning_survives_wal_managed_updates(benchmark, record_result, tmp_path
         iterations=1,
     )
     assert after.stats.synopsis_clusters_pruned > 0  # repair kept it alive
-    assert doc.synopsis == recollect_synopsis(
-        managed.store, managed.store.document("xmark")
-    )
+    assert doc.synopsis == _collected(managed)
 
     bare = build_xmark_db(SCALE, buffer_pages=256, fragmentation=0.0)
     bare_doc = bare.store.document("xmark")
-    recollect_synopsis(bare.store, bare_doc)
     bare_root = bare.execute("/site", doc="xmark", plan="simple").nodes[0]
     insert_node(bare.store, bare_doc, bare_root, 0, "probe")
-    assert bare_doc.synopsis is None  # invalidation-only: pruning is gone
-    lost = run_query(bare, "count(//mail)", "xscan")
-    assert lost.stats.synopsis_clusters_pruned == 0
+    assert bare_doc.synopsis == _collected(bare)  # repaired, not dropped
+    kept = run_query(bare, "count(//mail)", "xscan")
+    assert kept.value == after.value
+    assert kept.stats.synopsis_clusters_pruned == after.stats.synopsis_clusters_pruned
     record_result(
         "mixed_rw_pruning",
         managed=float(after.stats.synopsis_clusters_pruned),
-        invalidated=float(lost.stats.synopsis_clusters_pruned),
+        bare=float(kept.stats.synopsis_clusters_pruned),
         managed_io=float(after.stats.io_requests),
-        invalidated_io=float(lost.stats.io_requests),
+        bare_io=float(kept.stats.io_requests),
     )

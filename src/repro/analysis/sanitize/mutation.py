@@ -2,10 +2,12 @@
 
 Structural updates maintain three derived structures incrementally:
 
-* the cluster synopsis — the WAL manager patches rows for exactly the
-  touched pages (:func:`repro.storage.store.repair_synopsis`) into a new
-  synopsis, so the cluster bitsets memoised on the old one are never
-  read against the new rows;
+* the cluster synopsis — the update layer's maintenance step, run after
+  every update operation (logged or bare, returned or failed), patches
+  rows for exactly the touched pages
+  (:func:`repro.storage.store.repair_synopsis`) into a new synopsis, so
+  the cluster bitsets memoised on the old one are never read against the
+  new rows;
 * the path summary — same patching discipline
   (:func:`repro.storage.store.repair_pathsummary`), so the path
   evaluations memoised on the old summary are never read against the
@@ -48,46 +50,40 @@ _COLVIEW_ARRAYS: tuple[str, ...] = (
 def check_maintenance(store: Any, doc: Any) -> None:
     """Diff the incrementally repaired snapshots against full recollection.
 
-    Called by the WAL manager right after
-    :func:`~repro.storage.wal._maintained_apply`'s repairs; a document
-    without snapshots (bare, un-maintained updates null them) is vacuous.
+    Called by the update layer's maintenance step
+    (:func:`repro.storage.update._maintained`) right after its repairs,
+    once per document.
     """
     from repro.storage.pathsummary import PathSummary
     from repro.storage.synopsis import ClusterSynopsis
 
     repaired = doc.synopsis
-    if repaired is not None:
-        full = ClusterSynopsis.collect(
-            store.segment.page(page_no) for page_no in doc.page_nos
+    full = ClusterSynopsis.collect(store.segment.page(page_no) for page_no in doc.page_nos)
+    if repaired != full:
+        fail(
+            "mutation",
+            "incrementally repaired cluster synopsis differs from a full "
+            "recollection after an update: a touched page's row was "
+            "missed or patched wrongly",
         )
-        if repaired != full:
+    # memoised masks, carried over by repair with the touched pages'
+    # bits refilled, stay right only because repair builds a new
+    # synopsis: a row written in place leaves them stale
+    for value, source in repaired._memo.values():
+        if repaired._fill(source) != value:
             fail(
                 "mutation",
-                "incrementally repaired cluster synopsis differs from a full "
-                "recollection after an update: a touched page's row was "
-                "missed or patched wrongly",
+                "a memoised cluster bitset of the synopsis differs from a "
+                "recompute from its rows: a row was written in place "
+                "instead of the repair building a new synopsis",
             )
-        # memoised masks, carried over by repair with the touched pages'
-        # bits refilled, stay right only because repair builds a new
-        # synopsis: a row written in place leaves them stale
-        for value, source in repaired._memo.values():
-            if repaired._fill(source) != value:
-                fail(
-                    "mutation",
-                    "a memoised cluster bitset of the synopsis differs from a "
-                    "recompute from its rows: a row was written in place "
-                    "instead of the repair building a new synopsis",
-                )
-    repaired_summary = doc.pathsummary
-    if repaired_summary is not None:
-        full_summary = PathSummary.collect(store.segment, doc.page_nos)
-        if repaired_summary != full_summary:
-            fail(
-                "mutation",
-                "incrementally repaired path summary differs from a full "
-                "recollection after an update",
-            )
-        check_evaluations(repaired_summary)
+    if doc.pathsummary != PathSummary.collect(store.segment, doc.page_nos):
+        fail(
+            "mutation",
+            "incrementally repaired path summary differs from a full "
+            "recollection after an update",
+        )
+    check_evaluations(doc.pathsummary)
 
 
 def check_evaluations(summary: Any) -> None:

@@ -435,11 +435,7 @@ class Database:
         stored records unless ``collect_statistics`` is False.
         """
         from repro.storage.persist import load_store
-        from repro.storage.store import (
-            recollect_pathsummary,
-            recollect_statistics,
-            recollect_synopsis,
-        )
+        from repro.storage.store import recollect_statistics
 
         store = load_store(path)
         db = cls(
@@ -456,10 +452,6 @@ class Database:
         if collect_statistics:
             for doc in store.documents.values():
                 recollect_statistics(store, doc)
-                if doc.synopsis is None:  # version-1 file without a synopsis
-                    recollect_synopsis(store, doc)
-                if doc.pathsummary is None:  # pre-v4 file without a summary
-                    recollect_pathsummary(store, doc)
         return db
 
     # -------------------------------------------------------------- export

@@ -56,9 +56,10 @@ class Page:
         self.used_bytes = PAGE_HEADER
         self.free_slots: list[int] = []
         #: mutation counter: bumped by every record/byte mutation, never
-        #: by reads.  The WAL manager snapshots it to find pages touched
-        #: by an update run (incremental synopsis repair); it is runtime
-        #: state and is not persisted.
+        #: by reads.  The update layer diffs it against
+        #: :attr:`Segment.seen_versions` to find the pages an operation
+        #: touched (incremental snapshot repair); it is runtime state and
+        #: is not persisted.
         self.version = 0
         #: lazily built columnar mirror; None = not built or invalidated
         self._colview: ColumnView | None = None
@@ -161,11 +162,16 @@ class Segment:
             raise StorageError(f"page size {page_size} too small")
         self.page_size = page_size
         self._pages: list[Page] = []
+        #: every page's :attr:`Page.version` as the update layer's
+        #: maintenance step last saw it (index = page number); a page
+        #: joins with its version at that moment
+        self.seen_versions: list[int] = []
 
     def allocate(self) -> Page:
         """Append a fresh page and return it."""
         page = Page(len(self._pages), self.page_size)
         self._pages.append(page)
+        self.seen_versions.append(page.version)
         return page
 
     def page(self, page_no: int) -> Page:
@@ -198,3 +204,4 @@ class Segment:
                 f"adopt out of order: expected page {len(self._pages)}, got {page.page_no}"
             )
         self._pages.append(page)
+        self.seen_versions.append(page.version)

@@ -125,8 +125,8 @@ class PathSummary:
         """Build the summary by walking the physical records.
 
         The post-load / post-update counterpart of
-        :meth:`collect_from_tree`; both produce identical summaries (the
-        cross-version persistence tests assert this).
+        :meth:`collect_from_tree`; both produce identical summaries
+        (``test_tree_collection_equals_physical_collection`` asserts this).
         """
         resolver = _ChainResolver(segment)
         pages: PageRows = {}

@@ -8,9 +8,9 @@ safe to load).
 
 Format (all integers little-endian)::
 
-    header:   magic "RPRO" | u16 version | u32 page_size
-              | u64 checkpoint_lsn | u32 body_crc32 | u64 body_len (v3+)
-    body:     tags | pages | catalog                 (crc32-covered in v3+)
+    header:   magic "RPRO" | u16 version (4) | u32 page_size
+              | u64 checkpoint_lsn | u32 body_crc32 | u64 body_len
+    body:     tags | pages | catalog                     (crc32-covered)
     tags:     u32 count | count x (u16 len | utf-8 bytes)
     pages:    u32 count | count x page
     page:     u32 page_no | u32 used_bytes | u32 n_slots | n_slots x record
@@ -26,8 +26,7 @@ Format (all integers little-endian)::
     catalog:  u32 count | count x document
     document: str name | u64 root | u32 n_pages | page_nos
               | u64 n_nodes | u32 borders | u32 continuations
-              | synopsis                                     (version >= 2)
-              | pathsummary                                  (version >= 4)
+              | synopsis | pathsummary
     synopsis: u8 present | (u32 n_rows | n_rows x row)?
     row:      u32 page_no | bitset tag_bits | bitset entry_bits
               | u8 flags | u32 occupancy
@@ -36,27 +35,25 @@ Format (all integers little-endian)::
     pagerow:  u32 page_no | u32 n_paths | n_paths x path
     path:     u16 chain_len | chain_len x u32 tag | u8 kind | u32 count
 
-Version 4 appends the per-document path summary (per-page path rows,
-from which counts and cluster postings are re-aggregated at load); the
-cluster postings themselves are never serialised — page rows are the
-canonical decomposition, exactly as for the synopsis.  Version 3 adds
-durability to the *file*, not the layout: the body bytes
-are identical to version 2, but the header carries the checkpoint LSN
-(see :mod:`repro.storage.wal`), a CRC32 over the body, and the body
+Version 4 is the only format; an image of any other version raises
+:class:`~repro.errors.StorageError`.  The header carries the checkpoint
+LSN (see :mod:`repro.storage.wal`), a CRC32 over the body, and the body
 length — so a torn or bit-rotted checkpoint is *detected* at load time
-(:class:`~repro.errors.StoreCorruptError`) instead of silently parsed.
+(:class:`~repro.errors.StoreCorruptError`) instead of silently parsed;
+short reads at any offset raise the same typed error with offset
+context, never a bare :class:`struct.error`.  The synopsis and the path
+summary are stored as their per-page rows (the summary's counts and
+cluster postings are re-aggregated at load).  The writer always marks
+both present; a block marked absent (an image written after an update
+had dropped the snapshot) is collected from the loaded pages.
 :func:`save_store` is atomic: the image is written to ``path + ".tmp"``,
 fsynced, then installed with :func:`os.replace`, so a crash mid-save
-leaves the previous checkpoint intact.  Version 1 files (no synopsis
-block) and version 2 files (no checksum) still load; short reads at any
-offset raise typed :class:`~repro.errors.StoreCorruptError` with offset
-context, never a bare :class:`struct.error`.
+leaves the previous checkpoint intact.
 
 Statistics and import results are not persisted; use
-:func:`repro.storage.store.recollect_statistics` /
-:func:`~repro.storage.store.recollect_synopsis` /
-:func:`~repro.storage.store.recollect_pathsummary` after loading if the
-AUTO plan chooser and the pruning layers should have them.
+:func:`repro.storage.store.recollect_statistics` after loading if the
+AUTO plan chooser should have them (:meth:`repro.engine.Database.load`
+does).
 """
 
 from __future__ import annotations
@@ -76,7 +73,7 @@ from repro.sim.faults import (
 )
 from repro.storage.nodeid import NodeID
 from repro.storage.ordpath import OrdPath
-from repro.storage.page import Page
+from repro.storage.page import Page, Segment
 from repro.storage.record import BorderRecord, CoreRecord
 from repro.storage.pathsummary import PathSummary
 from repro.storage.store import DocumentStore, StoredDocument
@@ -87,11 +84,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _MAGIC = b"RPRO"
 _VERSION = 4
-_MIN_VERSION = 1
 
-#: v3 header tail after ``magic | u16 version | u32 page_size``:
+#: header tail after ``magic | u16 version | u32 page_size``:
 #: ``u64 checkpoint_lsn | u32 body_crc32 | u64 body_len``.
-_HEADER_V3 = struct.Struct("<QIQ")
+_HEADER_SUMS = struct.Struct("<QIQ")
 
 
 def _read_exact(inp: BinaryIO, n: int, what: str) -> bytes:
@@ -151,12 +147,9 @@ def _read_bitset(inp: BinaryIO) -> int:
     return int.from_bytes(_read_exact(inp, length, "bitset bytes"), "little")
 
 
-def _write_synopsis(out: BinaryIO, synopsis: ClusterSynopsis | None) -> None:
-    if synopsis is None:
-        out.write(b"\x00")
-        return
+def _write_synopsis(out: BinaryIO, snapshot: ClusterSynopsis) -> None:
     out.write(b"\x01")
-    rows = synopsis.rows()
+    rows = snapshot.rows()
     out.write(struct.pack("<I", len(rows)))
     for page_no in sorted(rows):
         tag_bits, entry_bits, flags, occupancy = rows[page_no]
@@ -166,10 +159,10 @@ def _write_synopsis(out: BinaryIO, synopsis: ClusterSynopsis | None) -> None:
         out.write(struct.pack("<BI", flags, occupancy))
 
 
-def _read_synopsis(inp: BinaryIO) -> ClusterSynopsis | None:
+def _read_synopsis(inp: BinaryIO, segment: Segment, page_nos: list[int]) -> ClusterSynopsis:
     present = _read_exact(inp, 1, "synopsis marker")
     if present == b"\x00":
-        return None
+        return ClusterSynopsis.collect(segment.page(page_no) for page_no in page_nos)
     (n_rows,) = struct.unpack("<I", _read_exact(inp, 4, "synopsis row count"))
     rows: dict[int, tuple[int, int, int, int]] = {}
     for _ in range(n_rows):
@@ -181,10 +174,7 @@ def _read_synopsis(inp: BinaryIO) -> ClusterSynopsis | None:
     return ClusterSynopsis.from_rows(rows)
 
 
-def _write_pathsummary(out: BinaryIO, summary: PathSummary | None) -> None:
-    if summary is None:
-        out.write(b"\x00")
-        return
+def _write_pathsummary(out: BinaryIO, summary: PathSummary) -> None:
     out.write(b"\x01")
     pages = summary.page_rows()
     out.write(struct.pack("<I", len(pages)))
@@ -198,10 +188,10 @@ def _write_pathsummary(out: BinaryIO, summary: PathSummary | None) -> None:
             out.write(struct.pack("<BI", kind, rows[(chain, kind)]))
 
 
-def _read_pathsummary(inp: BinaryIO) -> PathSummary | None:
+def _read_pathsummary(inp: BinaryIO, segment: Segment, page_nos: list[int]) -> PathSummary:
     present = _read_exact(inp, 1, "path summary marker")
     if present == b"\x00":
-        return None
+        return PathSummary.collect(segment, page_nos)
     (n_pages,) = struct.unpack("<I", _read_exact(inp, 4, "path summary page count"))
     pages: dict[int, dict[tuple[tuple[int, ...], int], int]] = {}
     for _ in range(n_pages):
@@ -310,14 +300,8 @@ def _read_record(inp: BinaryIO):
     raise StoreCorruptError(f"corrupt store file: unknown record tag {kind_tag!r}")
 
 
-def _write_body(store: DocumentStore, out: BinaryIO, version: int) -> None:
-    """Serialise tags, pages and catalog for the given format version.
-
-    The v2/v3 bodies are byte-identical; v4 appends the path-summary
-    block after each document's synopsis.  ``version`` is threaded in
-    (rather than read from the module) so the caller resolves the
-    monkeypatchable ``_VERSION`` exactly once per save.
-    """
+def _write_body(store: DocumentStore, out: BinaryIO) -> None:
+    """Serialise tags, pages and catalog."""
     names = store.tags.names()
     out.write(struct.pack("<I", len(names)))
     for name in names:
@@ -336,12 +320,11 @@ def _write_body(store: DocumentStore, out: BinaryIO, version: int) -> None:
             struct.pack("<QII", doc.n_nodes, doc.n_border_pairs, doc.n_continuations)
         )
         _write_synopsis(out, doc.synopsis)
-        if version >= 4:
-            _write_pathsummary(out, doc.pathsummary)
+        _write_pathsummary(out, doc.pathsummary)
 
 
-def _read_body(inp: BinaryIO, version: int, page_size: int) -> DocumentStore:
-    """Parse a serialised body into a fresh store (any format version)."""
+def _read_body(inp: BinaryIO, page_size: int) -> DocumentStore:
+    """Parse a serialised body into a fresh store."""
     store = DocumentStore(page_size)
     (n_tags,) = struct.unpack("<I", _read_exact(inp, 4, "tag count"))
     for index in range(n_tags):
@@ -381,8 +364,8 @@ def _read_body(inp: BinaryIO, version: int, page_size: int) -> DocumentStore:
         n_nodes, borders, continuations = struct.unpack(
             "<QII", _read_exact(inp, 16, "document counters")
         )
-        synopsis = _read_synopsis(inp) if version >= 2 else None
-        pathsummary = _read_pathsummary(inp) if version >= 4 else None
+        synopsis = _read_synopsis(inp, store.segment, page_nos)
+        pathsummary = _read_pathsummary(inp, store.segment, page_nos)
         store.documents[name] = StoredDocument(
             name=name,
             root=NodeID(root),
@@ -391,7 +374,6 @@ def _read_body(inp: BinaryIO, version: int, page_size: int) -> DocumentStore:
             n_border_pairs=borders,
             n_continuations=continuations,
             import_result=None,  # type: ignore[arg-type]
-            statistics=None,
             synopsis=synopsis,
             pathsummary=pathsummary,
         )
@@ -406,7 +388,7 @@ def save_store(
     The image is staged at ``path + ".tmp"``, flushed and fsynced, then
     installed over ``path`` with :func:`os.replace` — a crash at any
     point leaves either the old file or the new file, never a torn mix.
-    The v3 header's CRC32 additionally catches a torn *temp* file that a
+    The header's CRC32 additionally catches a torn *temp* file that a
     later recovery might be pointed at.
 
     ``crash`` is the deterministic kill switch for recovery tests: body
@@ -416,18 +398,13 @@ def save_store(
     a :class:`~repro.sim.faults.CrashPoint` can die at any stage of the
     checkpoint.
     """
-    # _VERSION is read at call time (not closure-bound) so tests can
-    # monkeypatch it to synthesize older-format files; the checksum
-    # block only exists in v3+ headers and the path-summary block
-    # only in v4+ bodies
-    version = _VERSION
     body_io = io.BytesIO()
-    _write_body(store, body_io, version)
+    _write_body(store, body_io)
     body = body_io.getvalue()
     page_size = store.segment.page_size
-    header = _MAGIC + struct.pack("<HI", version, page_size)
-    if version >= 3:
-        header += _HEADER_V3.pack(store.checkpoint_lsn, zlib.crc32(body), len(body))
+    header = _MAGIC + struct.pack("<HI", _VERSION, page_size) + _HEADER_SUMS.pack(
+        store.checkpoint_lsn, zlib.crc32(body), len(body)
+    )
     tmp = path + ".tmp"
     with open(tmp, "wb") as out:
         out.write(header)
@@ -451,7 +428,7 @@ def load_store(path: str) -> DocumentStore:
 
     Raises :class:`StorageError` for files that are not store images at
     all, and :class:`StoreCorruptError` (with offset context) for store
-    files that are truncated, torn, or fail the v3 body checksum.
+    files that are truncated, torn, or fail the body checksum.
     """
     with open(path, "rb") as inp:
         if inp.read(4) != _MAGIC:
@@ -459,22 +436,17 @@ def load_store(path: str) -> DocumentStore:
         version, page_size = struct.unpack(
             "<HI", _read_exact(inp, 6, "store header")
         )
-        if not _MIN_VERSION <= version <= _VERSION:
+        if version != _VERSION:
             raise StorageError(f"unsupported store version {version}")
-        checkpoint_lsn = 0
-        if version >= 3:
-            checkpoint_lsn, body_crc, body_len = _HEADER_V3.unpack(
-                _read_exact(inp, _HEADER_V3.size, "store header checksum block")
+        checkpoint_lsn, body_crc, body_len = _HEADER_SUMS.unpack(
+            _read_exact(inp, _HEADER_SUMS.size, "store header checksum block")
+        )
+        body = _read_exact(inp, body_len, "store body")
+        if zlib.crc32(body) != body_crc:
+            raise StoreCorruptError(
+                f"store body checksum mismatch in {path}: the checkpoint "
+                "image is torn or damaged"
             )
-            body = _read_exact(inp, body_len, "store body")
-            if zlib.crc32(body) != body_crc:
-                raise StoreCorruptError(
-                    f"store body checksum mismatch in {path}: the checkpoint "
-                    "image is torn or damaged"
-                )
-            src: BinaryIO = io.BytesIO(body)
-        else:
-            src = inp
-        store = _read_body(src, version, page_size)
+        store = _read_body(io.BytesIO(body), page_size)
         store.checkpoint_lsn = checkpoint_lsn
         return store

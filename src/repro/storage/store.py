@@ -21,7 +21,7 @@ from repro.model.tree import Kind, LogicalTree
 from repro.storage.importer import ImportOptions, ImportResult, import_tree
 from repro.storage.nodeid import NodeID, make_nodeid, page_of, slot_of
 from repro.storage.page import Segment
-from repro.storage.pathsummary import PathSummary
+from repro.storage.pathsummary import PathSummary, _ChainResolver
 from repro.storage.record import BorderRecord, CoreRecord
 from repro.storage.synopsis import ClusterSynopsis
 
@@ -92,14 +92,15 @@ class StoredDocument:
     n_border_pairs: int
     n_continuations: int
     import_result: ImportResult = field(repr=False)
-    statistics: DocumentStatistics | None = field(default=None, repr=False)
-    #: Per-cluster structural summary; None disables synopsis pruning
-    #: (structural updates invalidate it until recollected).
-    synopsis: ClusterSynopsis | None = field(default=None, repr=False)
+    #: Per-cluster structural summary, kept exact by every update
+    #: (:mod:`repro.storage.update` repairs it over the touched pages).
+    synopsis: ClusterSynopsis = field(repr=False)
     #: Document-level path summary (root-to-node path trie with counts
-    #: and cluster postings); None disables the whole-query rewrite pass
-    #: until recollected or repaired.
-    pathsummary: PathSummary | None = field(default=None, repr=False)
+    #: and cluster postings), kept exact the same way.
+    pathsummary: PathSummary = field(repr=False)
+    #: AUTO's schema statistics; None after a structural update until
+    #: :func:`recollect_statistics`.
+    statistics: DocumentStatistics | None = field(default=None, repr=False)
     #: location paths run over this document, interned (:meth:`path_id`)
     path_ids: dict[tuple, int] = field(default_factory=dict, repr=False, compare=False)
 
@@ -184,112 +185,55 @@ def recollect_statistics(store: DocumentStore, doc: StoredDocument) -> DocumentS
 
     Structural updates invalidate the import-time statistics snapshot
     (the AUTO plan chooser then runs statistics-free); this restores
-    them without re-importing, from the document's path summary — read
-    off the physical pages, and not kept, when an update dropped it too.
+    them without re-importing, from the document's path summary.
     """
-    summary = doc.pathsummary
-    if summary is None:
-        summary = PathSummary.collect(store.segment, doc.page_nos)
-    statistics = DocumentStatistics.from_summary(summary)
+    statistics = DocumentStatistics.from_summary(doc.pathsummary)
     doc.statistics = statistics
     doc.n_nodes = statistics.n_nodes
     return statistics
 
 
-def recollect_synopsis(store: DocumentStore, doc: StoredDocument) -> ClusterSynopsis:
-    """Rebuild the per-cluster synopsis from the physical pages.
+def repair_synopsis(store: DocumentStore, doc: StoredDocument, touched_page_nos) -> None:
+    """Patch ``doc.synopsis`` by recollecting only the touched pages.
 
-    Used after loading a store whose format predates the synopsis and
-    after structural updates (which invalidate the import-time synopsis
-    the same way they invalidate statistics).
+    Rows for pages in ``touched_page_nos`` (ascending) that belong to
+    ``doc`` are recollected from the physical records; all other rows
+    are kept.  The result must be indistinguishable from a full
+    :meth:`ClusterSynopsis.collect` — the equivalence the mutation
+    sanitizer checks — it is just O(touched) instead of O(document).
     """
-    synopsis = ClusterSynopsis.collect(
-        store.segment.page(page_no) for page_no in doc.page_nos
-    )
-    doc.synopsis = synopsis
-    return synopsis
-
-
-def repair_synopsis(
-    store: DocumentStore,
-    doc: StoredDocument,
-    base: ClusterSynopsis | None,
-    touched_page_nos,
-) -> ClusterSynopsis:
-    """Rebuild the synopsis from ``base`` by recollecting only touched pages.
-
-    ``base`` is the synopsis as it stood *before* the updates being
-    repaired over (update operations null out ``doc.synopsis``, so the
-    caller — the WAL manager — snapshots it first).  Rows for pages in
-    ``touched_page_nos`` that belong to ``doc`` are recollected from the
-    physical records; all other rows are kept.  Falls back to a full
-    :func:`recollect_synopsis` when there is no base to patch.
-
-    The result must be indistinguishable from a full recollect — the
-    equivalence the ablation benchmark asserts — it is just O(touched)
-    instead of O(document).
-    """
-    if base is None:
-        return recollect_synopsis(store, doc)
-    mine = set(doc.page_nos)
+    old, mine = doc.synopsis, set(doc.page_nos)
     fresh = {
         page_no: ClusterSynopsis.collect_row(store.segment.page(page_no))
-        for page_no in sorted(touched_page_nos)
+        for page_no in touched_page_nos
         if page_no in mine
     }
-    synopsis = base.patched(fresh) if fresh else base
-    doc.synopsis = synopsis
-    return synopsis
+    if fresh:
+        doc.synopsis = old.patched(fresh)
 
 
-def recollect_pathsummary(store: DocumentStore, doc: StoredDocument) -> PathSummary:
-    """Rebuild the path summary from the physical pages.
+def repair_pathsummary(store: DocumentStore, doc: StoredDocument, touched_page_nos) -> None:
+    """Patch ``doc.pathsummary`` by recollecting only the touched pages.
 
-    Used after loading a store whose format predates the summary (v1-v3)
-    and as the fallback when incremental repair has no base to patch.
-    Produces a summary identical to the import-time collection — the
-    cross-version persistence tests assert the equivalence.
+    The path-summary twin of :func:`repair_synopsis`: rows for pages the
+    update touched are recollected from the physical records (resolving
+    root chains may read ancestor pages, which is free — planning
+    metadata is maintained off the simulated clock) and patched over the
+    old summary.  Structural updates only change paths of nodes on pages
+    they touch (inserted/deleted/relocated records), so O(touched) rows
+    suffice; the result must be indistinguishable from a full
+    :meth:`PathSummary.collect`.
     """
-    summary = PathSummary.collect(store.segment, doc.page_nos)
-    doc.pathsummary = summary
-    return summary
-
-
-def repair_pathsummary(
-    store: DocumentStore,
-    doc: StoredDocument,
-    base: PathSummary | None,
-    touched_page_nos,
-) -> PathSummary:
-    """Rebuild the path summary from ``base`` by recollecting touched pages.
-
-    The path-summary twin of :func:`repair_synopsis`, driven by the same
-    ``Page.version`` change tracking: rows for pages the update run
-    touched are recollected from the physical records (resolving root
-    chains may read ancestor pages, which is free — planning metadata is
-    maintained off the simulated clock) and patched over the base.
-    Structural updates only change paths of nodes on pages they touch
-    (inserted/deleted/relocated records), so O(touched) rows suffice;
-    the result must be indistinguishable from a full recollect.
-    """
-    if base is None:
-        return recollect_pathsummary(store, doc)
-    mine = set(doc.page_nos)
-    resolver = None
-    fresh = {}
-    for page_no in sorted(touched_page_nos):
-        if page_no not in mine:
-            continue
-        if resolver is None:
-            from repro.storage.pathsummary import _ChainResolver
-
-            resolver = _ChainResolver(store.segment)
-        fresh[page_no] = PathSummary.collect_row(
-            store.segment, store.segment.page(page_no), resolver
-        )
-    summary = base.patched(fresh) if fresh else base
-    doc.pathsummary = summary
-    return summary
+    old, mine = doc.pathsummary, set(doc.page_nos)
+    touched = [page_no for page_no in touched_page_nos if page_no in mine]
+    if touched:
+        resolver = _ChainResolver(store.segment)
+        doc.pathsummary = old.patched({
+            page_no: PathSummary.collect_row(
+                store.segment, store.segment.page(page_no), resolver
+            )
+            for page_no in touched
+        })
 
 
 def check_document(store: DocumentStore, doc: StoredDocument) -> None:

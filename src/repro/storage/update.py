@@ -18,20 +18,94 @@ subtrees deleted *without relabeling or moving existing records*:
 Updates run directly against the segment: maintenance cost modeling is
 out of scope (the paper measures queries only), but the *consequences*
 of updates — fragmented layouts — are what the benchmarks simulate.
+
+Every public operation keeps the planning snapshots exact: one
+maintenance step around its outer call (:func:`_maintained`) patches
+each document's cluster synopsis and path summary over the pages the
+operation touched, whether it returned or failed.  Callers — the WAL
+manager, recovery replay, sessions — call the operations directly.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
-from repro.errors import StorageError, StoreCorruptError
+from repro.errors import SimulatedCrashError, StorageError, StoreCorruptError
 from repro.model.tree import Kind
 from repro.sim.faults import CRASH_UPDATE_APPLY
 from repro.storage.nodeid import NodeID, make_nodeid, page_of, slot_of
 from repro.storage.ordpath import OrdPath, label_between
 from repro.storage.page import Page, Segment
 from repro.storage.record import BorderRecord, CoreRecord
-from repro.storage.store import DocumentStore, StoredDocument
+from repro.storage.store import (
+    DocumentStore,
+    StoredDocument,
+    repair_pathsummary,
+    repair_synopsis,
+)
+
+
+def _touched_pages(segment: Segment, versions: list[int]) -> list[int]:
+    """Page numbers whose mutation counter moved since ``versions``.
+
+    ``versions`` is the baseline (index = page number); it is updated in
+    place.  New pages count as touched.  The scan is ordered by page
+    number, so downstream iteration is deterministic.
+    """
+    touched: list[int] = []
+    for page in segment.pages():
+        page_no = page.page_no
+        if page_no >= len(versions):
+            versions.append(page.version)
+            touched.append(page_no)
+        elif versions[page_no] != page.version:
+            versions[page_no] = page.version
+            touched.append(page_no)
+    return touched
+
+
+def _maintain(store: DocumentStore) -> None:
+    """Patch every document's synopsis and path summary over the pages
+    mutated since the last maintenance step: one version scan.  Every
+    document, because :func:`update_value` names none and
+    :func:`_find_space` may pick a page another document lists too."""
+    touched = _touched_pages(store.segment, store.segment.seen_versions)
+    check = None
+    if os.environ.get("REPRO_SAN"):
+        from repro.analysis import sanitize
+
+        if "mutation" in sanitize.modes():
+            from repro.analysis.sanitize.mutation import check_maintenance as check
+    for doc in store.documents.values():
+        repair_synopsis(store, doc, touched)
+        repair_pathsummary(store, doc, touched)
+        if check is not None:
+            check(store, doc)
+
+
+def _maintained(operation):
+    """Wrap an update operation in the maintenance step.
+
+    It runs when the operation returns and when it raises, so a failed
+    update leaves snapshots describing the pages as they are — except
+    for :class:`~repro.errors.SimulatedCrashError`: the process died
+    there, and its memory (snapshots included) with it.
+    """
+
+    @functools.wraps(operation)
+    def maintained(store: DocumentStore, *args, **kwargs):
+        try:
+            result = operation(store, *args, **kwargs)
+        except SimulatedCrashError:
+            raise
+        except BaseException:
+            _maintain(store)
+            raise
+        _maintain(store)
+        return result
+
+    return maintained
 
 
 def _san_colviews(store: DocumentStore, page_nos) -> None:
@@ -422,6 +496,7 @@ def _find_space(segment: Segment, need: int) -> Page:
     return fresh
 
 
+@_maintained
 def insert_node(
     store: DocumentStore,
     doc: StoredDocument,
@@ -430,7 +505,6 @@ def insert_node(
     tag_name: str,
     kind: Kind = Kind.ELEMENT,
     value: str | None = None,
-    _retries: int = 0,
 ) -> NodeID:
     """Insert a new node as the ``position``-th child of ``parent``.
 
@@ -443,6 +517,21 @@ def insert_node(
     of split child lists); callers should treat structural updates as
     invalidating previously obtained NodeIDs, as with any RID-based store.
     """
+    return _insert_node(store, doc, parent, position, tag_name, kind, value, 0)
+
+
+def _insert_node(
+    store: DocumentStore,
+    doc: StoredDocument,
+    parent: NodeID,
+    position: int,
+    tag_name: str,
+    kind: Kind,
+    value: str | None,
+    retries: int,
+) -> NodeID:
+    """:func:`insert_node` without the maintenance step: a retry after
+    :func:`_make_room` recurses here, inside the one outer step."""
     if kind == Kind.DOCUMENT:
         raise StorageError("cannot insert a document node")
     segment = store.segment
@@ -455,9 +544,7 @@ def insert_node(
         )
     # invalidate *before* the first mutation, not after the last: an
     # operation that fails (or a process that dies) midway must not
-    # leave an import-time synopsis describing pages it already changed
-    # — a stale row can understate a page's content and make pruning
-    # skip real results
+    # leave statistics describing pages it already changed
     _invalidate_statistics(doc)
 
     left = (
@@ -502,34 +589,34 @@ def insert_node(
     elif kind == Kind.ATTRIBUTE:
         # attributes must stay co-located with their owner (exports and
         # the attribute axis rely on it): free room instead of exiling
-        if _retries >= 16:
+        if retries >= 16:
             raise StorageError(
                 f"unable to co-locate attribute on page {home_page.page_no}"
             )
         moved = _make_room(
             segment, doc, home_page, record.size() + link_cost, holder, holder_slot
         )
-        return insert_node(
+        return _insert_node(
             store, doc, moved.get(parent, parent), position, tag_name, kind, value,
-            _retries + 1,
+            retries + 1,
         )
     else:
         # exile through a fresh border pair
         down = BorderRecord(None, holder_slot, down=True)
         if not home_page.fits(down.size() + link_cost):
-            if _retries >= 16:
+            if retries >= 16:
                 raise StorageError(
                     f"unable to free space on page {home_page.page_no} after "
-                    f"{_retries} attempts"
+                    f"{retries} attempts"
                 )  # each retry makes progress (entries leave the full page)
             moved = _make_room(
                 segment, doc, home_page, down.size() + link_cost, holder, holder_slot
             )
             # the holder's child list may have been restructured (and the
             # parent itself relocated): redo everything from scratch
-            return insert_node(
+            return _insert_node(
                 store, doc, moved.get(parent, parent), position, tag_name, kind, value,
-                _retries + 1,
+                retries + 1,
             )
         target_page = _find_space(segment, record.size() + 16 + 8)
         up = BorderRecord(None, -1, down=False)
@@ -555,6 +642,7 @@ def insert_node(
     return new_nid
 
 
+@_maintained
 def delete_subtree(store: DocumentStore, doc: StoredDocument, nid: NodeID) -> int:
     """Delete the node at ``nid`` and its whole subtree.
 
@@ -566,10 +654,7 @@ def delete_subtree(store: DocumentStore, doc: StoredDocument, nid: NodeID) -> in
     page, slot, record = _resolve_core(segment, nid)
     if record.kind == Kind.DOCUMENT:
         raise StorageError("cannot delete the document root")
-    # invalidated before the first mutation (see insert_node): a
-    # partially tombstoned subtree must not coexist with a synopsis that
-    # still describes the pre-delete pages
-    _invalidate_statistics(doc)
+    _invalidate_statistics(doc)  # before the first mutation (see insert_node)
 
     # detach from the parent's child list (parent may be across a border)
     parent_page, holder, entry_slot = page, None, slot
@@ -632,6 +717,7 @@ def delete_subtree(store: DocumentStore, doc: StoredDocument, nid: NodeID) -> in
     return removed
 
 
+@_maintained
 def update_value(store: DocumentStore, nid: NodeID, value: str) -> None:
     """Replace the value of a text or attribute node in place."""
     segment = store.segment
@@ -655,17 +741,13 @@ def update_value(store: DocumentStore, nid: NodeID, value: str) -> None:
 
 
 def _invalidate_statistics(doc: StoredDocument) -> None:
-    """Schema statistics, cluster synopsis and path summary are
-    import-time snapshots; drop all three on structural update.
+    """Schema statistics are an import-time snapshot; drop them on
+    structural update.
 
     Called *before* an operation's first mutation, so even a failed or
-    interrupted update leaves no stale snapshot behind.  The AUTO plan
-    chooser then degrades to its statistics-free default and synopsis/
-    path-summary pruning disables itself until the document is
-    re-imported, the snapshots recollected, or — under WAL management
-    (:mod:`repro.storage.wal`) — the synopsis and path summary repaired
-    incrementally right after the operation.
+    interrupted update leaves no stale statistics behind.  The AUTO plan
+    chooser then degrades to its statistics-free default until
+    :func:`~repro.storage.store.recollect_statistics`.  The synopsis and
+    path summary are not dropped: :func:`_maintained` repairs them.
     """
     doc.statistics = None
-    doc.synopsis = None
-    doc.pathsummary = None

@@ -35,16 +35,11 @@ redo-only design, adapted to the repository's determinism rules:
   entries are all already covered (replay skips ``lsn <=
   checkpoint_lsn``), or the new image + an empty log.
 
-* **Incremental synopsis repair.**  Updates normally null a document's
-  cluster synopsis (pruning then disables itself).  Under WAL
-  management, every page carries a mutation counter
-  (:attr:`~repro.storage.page.Page.version`); after each applied
-  operation the manager recollects synopsis rows for just the touched
-  pages and patches them into the previous synopsis
-  (:func:`repro.storage.store.repair_synopsis`).  Replay runs the same
-  maintenance, so a recovered store's synopsis is bit-identical to the
-  uncrashed one — and mixed read/write workloads keep their pruning
-  instead of losing it to the first insert.  Schema *statistics* stay
+* **Snapshots repaired by the update layer.**  Every update operation,
+  logged or not, patches the document's cluster synopsis and path
+  summary over the pages it touched (:mod:`repro.storage.update`).
+  Replay calls the same operations, so a recovered store's snapshots
+  are bit-identical to the uncrashed one.  Schema *statistics* stay
   invalidated on update either way (the AUTO chooser degrades
   identically with and without a crash).
 
@@ -85,13 +80,8 @@ from repro.model.tree import Kind
 from repro.sim.faults import CRASH_WAL_APPEND, CRASH_WAL_TRUNCATE
 from repro.storage.nodeid import NodeID
 from repro.storage.persist import load_store, save_store
-from repro.storage.store import (
-    DocumentStore,
-    StoredDocument,
-    repair_pathsummary,
-    repair_synopsis,
-)
-from repro.storage.update import delete_subtree, insert_node, update_value
+from repro.storage.store import DocumentStore
+from repro.storage.update import _touched_pages, delete_subtree, insert_node, update_value
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.faults import CrashInjector
@@ -180,58 +170,6 @@ def _encode_set_value(doc_name: str, nid: NodeID, value: str) -> bytes:
     return out.getvalue()
 
 
-# ----------------------------------------------------- touched tracking
-
-
-def _touched_pages(store: DocumentStore, versions: list[int]) -> list[int]:
-    """Page numbers whose mutation counter moved since the last call.
-
-    ``versions`` is the caller-owned snapshot (index = page number); it
-    is updated in place.  New pages count as touched.  The scan is
-    ordered by page number, so downstream iteration is deterministic.
-    """
-    touched: list[int] = []
-    for page in store.segment.pages():
-        page_no = page.page_no
-        if page_no >= len(versions):
-            versions.append(page.version)
-            touched.append(page_no)
-        elif versions[page_no] != page.version:
-            versions[page_no] = page.version
-            touched.append(page_no)
-    return touched
-
-
-def _maintained_apply(
-    store: DocumentStore,
-    doc: StoredDocument,
-    versions: list[int],
-    apply,
-):
-    """Run one update operation with snapshot maintenance around it.
-
-    Captures the document's synopsis and path summary before the
-    operation nulls them, applies, then patches rows for exactly the
-    pages the operation touched.  Shared verbatim by live logged
-    operations and recovery replay — which is what makes the recovered
-    snapshots bit-identical to the uncrashed ones.
-    """
-    base = doc.synopsis
-    base_summary = doc.pathsummary
-    result = apply()
-    touched = _touched_pages(store, versions)
-    repair_synopsis(store, doc, base, touched)
-    repair_pathsummary(store, doc, base_summary, touched)
-    if os.environ.get("REPRO_SAN"):
-        from repro.analysis import sanitize
-
-        if "mutation" in sanitize.modes():
-            from repro.analysis.sanitize.mutation import check_maintenance
-
-            check_maintenance(store, doc)
-    return result, touched
-
-
 # ------------------------------------------------------------- scanning
 
 
@@ -306,10 +244,8 @@ def _scan_wal(wal_path: str) -> tuple[int, list[tuple[int, int, bytes]], bool]:
 # -------------------------------------------------------------- replay
 
 
-def _replay_entry(
-    store: DocumentStore, lsn: int, op: int, payload: bytes, versions: list[int]
-) -> list[int]:
-    """Re-apply one logged operation; returns the pages it touched.
+def _replay_entry(store: DocumentStore, lsn: int, op: int, payload: bytes) -> None:
+    """Re-apply one logged operation.
 
     Replay validates its own determinism: the logged result (the NodeID
     an insert minted, the node count a delete removed) must match the
@@ -327,14 +263,8 @@ def _replay_entry(
         kind_raw, has_value = struct.unpack("<BB", _take(inp, 2, "insert kind"))
         value = _u_long_str(inp, "insert value") if has_value else None
         (logged_nid,) = struct.unpack("<Q", _take(inp, 8, "insert result"))
-        nid, touched = _maintained_apply(
-            store,
-            doc,
-            versions,
-            lambda: insert_node(
-                store, doc, NodeID(parent_raw), position, tag_name,
-                Kind(kind_raw), value,
-            ),
+        nid = insert_node(
+            store, doc, NodeID(parent_raw), position, tag_name, Kind(kind_raw), value
         )
         if int(nid) != logged_nid:
             raise StoreCorruptError(
@@ -345,12 +275,7 @@ def _replay_entry(
         nid_raw, logged_removed = struct.unpack(
             "<QI", _take(inp, 12, "delete target")
         )
-        removed, touched = _maintained_apply(
-            store,
-            doc,
-            versions,
-            lambda: delete_subtree(store, doc, NodeID(nid_raw)),
-        )
+        removed = delete_subtree(store, doc, NodeID(nid_raw))
         if removed != logged_removed:
             raise StoreCorruptError(
                 f"replay diverged at LSN {lsn}: delete removed {removed} "
@@ -358,14 +283,7 @@ def _replay_entry(
             )
     else:  # OP_SET_VALUE — _scan_wal already rejected unknown codes
         (nid_raw,) = struct.unpack("<Q", _take(inp, 8, "value target"))
-        value = _u_long_str(inp, "new value")
-        _, touched = _maintained_apply(
-            store,
-            doc,
-            versions,
-            lambda: update_value(store, NodeID(nid_raw), value),
-        )
-    return touched
+        update_value(store, NodeID(nid_raw), _u_long_str(inp, "new value"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -402,8 +320,8 @@ def recover_store(
     Returns the recovered store and a :class:`RecoveryReport`.  The
     recovered store matches the uncrashed store after its first
     ``report.last_lsn`` operations exactly: records, NodeIDs, free
-    slots, and synopsis rows (repaired incrementally for the touched
-    pages only).
+    slots, synopsis rows and path-summary rows (repaired incrementally
+    for the touched pages only).
     """
     if wal_path is None:
         wal_path = path + ".wal"
@@ -431,7 +349,6 @@ def recover_store(
             f"only covers LSN {checkpoint_lsn}: operations are missing"
         )
     versions = [page.version for page in store.segment.pages()]
-    touched: set[int] = set()
     replayed = 0
     skipped = 0
     last_lsn = checkpoint_lsn
@@ -441,7 +358,7 @@ def recover_store(
             # between the image rename and the log reset)
             skipped += 1
             continue
-        touched.update(_replay_entry(store, lsn, op, payload, versions))
+        _replay_entry(store, lsn, op, payload)
         replayed += 1
         last_lsn = lsn
     # the in-memory store now reflects last_lsn, not the image's LSN: a
@@ -457,7 +374,7 @@ def recover_store(
         replayed=replayed,
         skipped=skipped,
         torn_tail=torn_tail,
-        touched_pages=tuple(sorted(touched)),
+        touched_pages=tuple(_touched_pages(store.segment, versions)),
     )
     return store, report
 
@@ -469,8 +386,8 @@ class WriteAheadLog:
     """Durability manager binding one store to a checkpoint + log pair.
 
     All updates to a managed store must go through :meth:`insert`,
-    :meth:`delete` and :meth:`set_value` — they apply the operation,
-    maintain the document synopsis incrementally, and append the log
+    :meth:`delete` and :meth:`set_value` — they apply the operation
+    (which repairs the document's snapshots itself) and append the log
     entry.  :meth:`checkpoint` folds the log into a new atomic image.
 
     The default sync policy is one fsync per operation; wrap a run of
@@ -488,7 +405,6 @@ class WriteAheadLog:
         "_out",
         "_lsn",
         "_since_checkpoint",
-        "_versions",
         "_deferred_sync",
     )
 
@@ -515,7 +431,6 @@ class WriteAheadLog:
         self._out = out
         self._lsn = lsn
         self._since_checkpoint = 0
-        self._versions = [page.version for page in store.segment.pages()]
         self._deferred_sync = False
         # crash points inside update operations read the injector off the
         # store (update.py has no manager handle)
@@ -585,14 +500,7 @@ class WriteAheadLog:
     ) -> NodeID:
         """Logged :func:`~repro.storage.update.insert_node`."""
         doc = self.store.document(doc_name)
-        (nid, _) = _maintained_apply(
-            self.store,
-            doc,
-            self._versions,
-            lambda: insert_node(
-                self.store, doc, parent, position, tag_name, kind, value
-            ),
-        )
+        nid = insert_node(self.store, doc, parent, position, tag_name, kind, value)
         self._append(
             OP_INSERT,
             _encode_insert(doc_name, parent, position, tag_name, kind, value, nid),
@@ -601,25 +509,14 @@ class WriteAheadLog:
 
     def delete(self, doc_name: str, nid: NodeID) -> int:
         """Logged :func:`~repro.storage.update.delete_subtree`."""
-        doc = self.store.document(doc_name)
-        (removed, _) = _maintained_apply(
-            self.store,
-            doc,
-            self._versions,
-            lambda: delete_subtree(self.store, doc, nid),
-        )
+        removed = delete_subtree(self.store, self.store.document(doc_name), nid)
         self._append(OP_DELETE, _encode_delete(doc_name, nid, removed))
         return removed
 
     def set_value(self, doc_name: str, nid: NodeID, value: str) -> None:
         """Logged :func:`~repro.storage.update.update_value`."""
-        doc = self.store.document(doc_name)
-        _maintained_apply(
-            self.store,
-            doc,
-            self._versions,
-            lambda: update_value(self.store, nid, value),
-        )
+        self.store.document(doc_name)  # an unknown name fails before the update
+        update_value(self.store, nid, value)
         self._append(OP_SET_VALUE, _encode_set_value(doc_name, nid, value))
 
     # -- sync & checkpoint ---------------------------------------------

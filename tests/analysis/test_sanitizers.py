@@ -2,7 +2,8 @@
 
 Each sanitizer must demonstrably catch its bug class: we *seed* a
 deliberate bug (time charged outside both clock buckets, a
-run-count-dependent clock, a corrupted incremental repair, a synopsis
+run-count-dependent clock, a corrupted incremental repair (after a
+logged and after a bare update), a synopsis
 edited in place under its memo, a stale columnar cache, a stale junction
 in a run tape) and assert the sanitizer
 trips on it.  The flip side is
@@ -208,28 +209,39 @@ def test_determinism_trace_diff_is_tick_for_tick():
 
 
 def test_mutation_sanitizer_catches_stale_synopsis_repair(monkeypatch, tmp_path):
-    import repro.storage.wal as walmod
+    import repro.storage.update as update
 
     db, _ = small_database()
     db.attach_wal(str(tmp_path / "wal.log"))
     doc = db.document("d")
-    assert doc.synopsis is not None
 
-    def stale_repair(store, document, base, touched):  # seeded bug: the
-        document.synopsis = base  # repair "forgets" the touched pages
-        return base
+    def stale_repair(store, document, touched):  # seeded bug: the repair
+        pass  # "forgets" the touched pages
 
-    monkeypatch.setattr(walmod, "repair_synopsis", stale_repair)
+    monkeypatch.setattr(update, "repair_synopsis", stale_repair)
     monkeypatch.setenv("REPRO_SAN", "mutation")
     with pytest.raises(SanitizerError, match="synopsis"):
         db.wal.insert("d", doc.root, 0, "zzz")
+
+
+def test_mutation_sanitizer_checks_bare_updates(monkeypatch):
+    """A bare (WAL-less) insert goes through the same maintenance step:
+    with its synopsis repair taken out, the sanitizer trips on it too."""
+    import repro.storage.update as update
+
+    db, _ = small_database()
+    doc = db.document("d")
+    monkeypatch.setattr(update, "repair_synopsis", lambda store, document, touched: None)
+    monkeypatch.setenv("REPRO_SAN", "mutation")
+    with pytest.raises(SanitizerError, match="synopsis"):
+        update.insert_node(db.store, doc, doc.root, 0, "zzz")
 
 
 def test_mutation_sanitizer_catches_a_synopsis_edited_in_place(monkeypatch, tmp_path):
     """A repair that writes the touched rows into the live synopsis gets
     every row right, so the rows diff passes; the cluster bitsets the
     synopsis memoised before the write are what give it away."""
-    import repro.storage.wal as walmod
+    import repro.storage.update as update
     from repro.storage.synopsis import ClusterSynopsis
 
     db, _ = small_database()
@@ -240,13 +252,13 @@ def test_mutation_sanitizer_catches_a_synopsis_edited_in_place(monkeypatch, tmp_
     db.execute("count(//a)", doc="d", plan="auto")  # and the estimator's bitsets
     assert doc.synopsis._memo
 
-    def repair_in_place(store, document, base, touched):  # seeded bug: rows
+    def repair_in_place(store, document, touched):  # seeded bug: rows
         for page_no in document.page_nos:  # written in place, memo kept
-            base._rows[page_no] = ClusterSynopsis.collect_row(store.segment.page(page_no))
-        document.synopsis = base
-        return base
+            document.synopsis._rows[page_no] = ClusterSynopsis.collect_row(
+                store.segment.page(page_no)
+            )
 
-    monkeypatch.setattr(walmod, "repair_synopsis", repair_in_place)
+    monkeypatch.setattr(update, "repair_synopsis", repair_in_place)
     monkeypatch.setenv("REPRO_SAN", "mutation")
     with pytest.raises(SanitizerError, match="memoised cluster bitset"):
         for i in range(20):  # c's land in more and more clusters
@@ -261,7 +273,7 @@ def test_mutation_sanitizer_catches_a_summary_edited_in_place(monkeypatch, tmp_p
     evaluations the summary memoised before the write are what give it
     away — and only the memo diff sees them."""
     import repro.analysis.sanitize.mutation as mutation
-    import repro.storage.wal as walmod
+    import repro.storage.update as update
     from repro.storage.pathsummary import PathSummary
 
     db, _ = small_database()
@@ -270,16 +282,15 @@ def test_mutation_sanitizer_catches_a_summary_edited_in_place(monkeypatch, tmp_p
     db.execute("count(//a/b)", doc="d", plan="auto")  # evaluations memoised
     assert doc.pathsummary._memo
 
-    def repair_in_place(store, document, base, touched):  # seeded bug: the
+    def repair_in_place(store, document, touched):  # seeded bug: the
+        base = document.pathsummary
         rows = {p: PathSummary.collect_row(store.segment, store.segment.page(p))
                 for p in touched if p in document.page_nos}
         right = base.patched(rows)
         for name in ("_pages", "_counts", "_postings", "_children", "_n_nodes"):
             setattr(base, name, getattr(right, name))  # trie edited, memo kept
-        document.pathsummary = base
-        return base
 
-    monkeypatch.setattr(walmod, "repair_pathsummary", repair_in_place)
+    monkeypatch.setattr(update, "repair_pathsummary", repair_in_place)
     if not diffed:
         monkeypatch.setattr(mutation, "check_evaluations", lambda summary: None)
     monkeypatch.setenv("REPRO_SAN", "mutation")

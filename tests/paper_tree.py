@@ -29,8 +29,10 @@ from repro.storage.importer import ImportResult
 from repro.storage.nodeid import NodeID, make_nodeid
 from repro.storage.ordpath import OrdPath
 from repro.storage.page import Page
+from repro.storage.pathsummary import PathSummary
 from repro.storage.record import BorderRecord, CoreRecord
 from repro.storage.store import StoredDocument
+from repro.storage.synopsis import ClusterSynopsis
 
 PAGE_A, PAGE_B, PAGE_C, PAGE_D = 0, 1, 2, 3
 
@@ -119,7 +121,8 @@ def build_paper_tree(
         n_border_pairs=3,
         n_continuations=0,
         import_result=None,  # type: ignore[arg-type]
-        statistics=None,
+        synopsis=ClusterSynopsis.collect(pages),
+        pathsummary=PathSummary.collect(db.store.segment, [PAGE_A, PAGE_B, PAGE_C, PAGE_D]),
     )
     db.store.documents["paper"] = doc
     return PaperTree(db=db, doc=doc, nodes=nodes)

@@ -8,7 +8,7 @@ from repro.algebra.steps import CompiledNodeTest, CompiledPredicate, CompiledSte
 from repro.model.builder import tree_from_nested
 from repro.model.tree import Kind
 from repro.storage.pathsummary import EVALUATION_LIMIT, PathSummary
-from repro.storage.store import export_tree, recollect_pathsummary, repair_pathsummary
+from repro.storage.store import export_tree, repair_pathsummary
 from repro.xpath.reference import evaluate_query
 from tests.conftest import make_random_tree, small_database
 
@@ -143,27 +143,29 @@ def test_patched_adjusts_derived_tables_like_a_rebuild():
 
 
 def test_repair_from_none_recollects_everything():
+    """Repair from an empty summary over every page is a full collect."""
     db, _ = small_database(seed=2)
     doc = db.document("d")
     want = doc.pathsummary
-    doc.pathsummary = None
-    got = repair_pathsummary(db.store, doc, None, set(doc.page_nos))
-    assert got == want
-    doc.pathsummary = None
-    assert recollect_pathsummary(db.store, doc) == want
+    doc.pathsummary = PathSummary.from_page_rows({})
+    repair_pathsummary(db.store, doc, doc.page_nos)
+    assert doc.pathsummary == want == PathSummary.collect(db.store.segment, doc.page_nos)
 
 
-def test_plain_update_invalidates_summary():
-    """Without a WAL, structural updates drop the summary (like the
-    synopsis and statistics) instead of leaving a stale one behind."""
+def test_plain_update_keeps_the_summary_exact():
+    """Without a WAL, structural updates repair the summary like a
+    logged one: it equals a full collect and still refutes and answers."""
     db, _ = small_database(seed=1)
     doc = db.document("d")
-    assert doc.pathsummary is not None
     from repro.storage.update import insert_node
 
     (root_elem,) = db.execute("/root", doc="d", plan="simple").nodes
     insert_node(db.store, doc, root_elem, 0, "zz", Kind.ELEMENT)
-    assert doc.pathsummary is None
+    assert doc.pathsummary == PathSummary.collect(db.store.segment, doc.page_nos)
+    found = db.execute("count(/root/zz)", doc="d", plan="xscan")
+    assert found.value == evaluate_query(export_tree(db.store, doc), "count(/root/zz)") == 1
+    refuted = db.execute("/root/zz/nowhere", doc="d", plan="xscan")
+    assert refuted.nodes == [] and refuted.stats.paths_refuted == 1
 
 
 # ------------------------------------------------------------- evaluation

@@ -7,14 +7,15 @@ with offset context, and non-store files raise
 :class:`~repro.errors.StorageError`.
 """
 
+import io
 import struct
+import zlib
 
 import pytest
 
 from repro.errors import StorageError, StoreCorruptError
 from repro.storage import persist
 from repro.storage.persist import load_store, save_store
-from repro.storage.store import check_document
 
 from tests.conftest import small_database
 
@@ -29,7 +30,7 @@ def saved(tmp_path):
 
 def test_truncation_at_every_boundary(saved, tmp_path):
     """Sweep truncation points across the whole file: header, checksum
-    block, and (via the v2 variant below) every body section."""
+    block, and (via the re-stamped variant below) every body section."""
     _, path, data = saved
     target = str(tmp_path / "cut.rpro")
     # every header byte, then a stride through the body
@@ -43,18 +44,29 @@ def test_truncation_at_every_boundary(saved, tmp_path):
         assert "store" in str(err.value)
 
 
-def test_truncation_inside_v2_body_sections(saved, tmp_path, monkeypatch):
-    """v1/v2 files have no body-length guard, so truncation lands inside
-    individual read helpers — each must raise the typed error."""
-    db, _, _ = saved
-    monkeypatch.setattr(persist, "_VERSION", 2)
-    path = str(tmp_path / "v2.rpro")
-    save_store(db.store, path)
-    data = open(path, "rb").read()
-    target = str(tmp_path / "cut2.rpro")
-    for cut in range(len(data) - 1, 0, -max(1, len(data) // 300)):
-        open(target, "wb").write(data[:cut])
-        with pytest.raises((StoreCorruptError, StorageError)):
+#: ``magic | version | page_size`` then ``lsn | crc | body length``
+_HEAD = 4 + 6
+_SUMS = struct.Struct("<QIQ")
+
+
+def restamped(data, cut):
+    """The image with its body cut at ``cut`` bytes and the header's CRC
+    and length re-stamped to match: the checksum passes, so the cut
+    lands inside the body read helpers."""
+    body = data[_HEAD + _SUMS.size :][:cut]
+    lsn = _SUMS.unpack_from(data, _HEAD)[0]
+    return data[:_HEAD] + _SUMS.pack(lsn, zlib.crc32(body), len(body)) + body
+
+
+def test_truncation_inside_body_sections(saved, tmp_path):
+    """A body cut behind a matching checksum: every read helper's
+    shortfall must raise the typed error."""
+    _, _, data = saved
+    body_len = len(data) - _HEAD - _SUMS.size
+    target = str(tmp_path / "cut.rpro")
+    for cut in range(body_len - 1, -1, -max(1, body_len // 300)):
+        open(target, "wb").write(restamped(data, cut))
+        with pytest.raises(StoreCorruptError):
             load_store(target)
 
 
@@ -96,13 +108,16 @@ def test_not_a_store_file(tmp_path):
 
 
 def test_unsupported_version(saved, tmp_path):
+    """Version 4 is the only format: older headers and future ones are
+    one unsupported-version error."""
     _, path, data = saved
-    corrupt = bytearray(data)
-    corrupt[4:6] = struct.pack("<H", 99)
-    target = str(tmp_path / "future.rpro")
-    open(target, "wb").write(bytes(corrupt))
-    with pytest.raises(StorageError, match="version"):
-        load_store(target)
+    target = str(tmp_path / "other.rpro")
+    for version in (1, 2, 3, 99):
+        corrupt = bytearray(data)
+        corrupt[4:6] = struct.pack("<H", version)
+        open(target, "wb").write(bytes(corrupt))
+        with pytest.raises(StorageError, match=f"unsupported store version {version}"):
+            load_store(target)
 
 
 def test_empty_file(tmp_path):
@@ -112,115 +127,77 @@ def test_empty_file(tmp_path):
         load_store(target)
 
 
-def test_v2_and_v3_round_trips_agree(saved, tmp_path, monkeypatch):
-    """The v3 header adds integrity metadata only — the body bytes and
-    the loaded store are the same as a v2 file's."""
-    db, _, _ = saved
-    v2 = str(tmp_path / "v2.rpro")
-    v3 = str(tmp_path / "v3.rpro")
-    monkeypatch.setattr(persist, "_VERSION", 2)
-    save_store(db.store, v2)
-    monkeypatch.setattr(persist, "_VERSION", 3)
-    save_store(db.store, v3)
-    monkeypatch.undo()
-    old = load_store(v2)
-    new = load_store(v3)
-    assert old.segment.n_pages == new.segment.n_pages
-    assert sorted(old.documents) == sorted(new.documents)
-    for name in old.documents:
-        check_document(old, old.document(name))
-        check_document(new, new.document(name))
-    # and the v3 file is the v2 body behind a 20-byte-longer header
-    assert open(v3, "rb").read()[30:] == open(v2, "rb").read()[10:]
+def _blocks(store):
+    """Per document, the serialised synopsis and path-summary blocks."""
+    out = []
+    for doc in store.documents.values():
+        synopsis, summary = io.BytesIO(), io.BytesIO()
+        persist._write_synopsis(synopsis, doc.synopsis)
+        persist._write_pathsummary(summary, doc.pathsummary)
+        out.append((synopsis.getvalue(), summary.getvalue()))
+    return out
 
 
-def test_v4_body_is_v3_body_plus_path_summaries(saved, tmp_path, monkeypatch):
-    """v4 appends exactly the per-document path-summary blocks: with the
-    summaries nulled, the v4 body byte-for-byte matches v3 plus one
-    absent-marker byte per document."""
-    db, path, data = saved
-    v3 = str(tmp_path / "v3.rpro")
-    monkeypatch.setattr(persist, "_VERSION", 3)
-    save_store(db.store, v3)
-    monkeypatch.undo()
-    summaries = {
-        name: doc.pathsummary for name, doc in db.store.documents.items()
-    }
-    try:
-        for doc in db.store.documents.values():
-            doc.pathsummary = None
-        bare = str(tmp_path / "bare.rpro")
-        save_store(db.store, bare)
-    finally:
-        for name, doc in db.store.documents.items():
-            doc.pathsummary = summaries[name]
-    bare_data = open(bare, "rb").read()
-    v3_data = open(v3, "rb").read()
-    assert len(bare_data) == len(v3_data) + len(db.store.documents)
-    # a populated v4 file strictly extends the bare one
-    assert len(data) > len(bare_data)
+def test_v4_body_is_v3_body_plus_path_summaries(saved):
+    """Each document's entry ends in its synopsis block followed by its
+    path-summary block (page rows only, postings re-aggregated at load):
+    the v3 layout plus one summary block per document."""
+    db, _, data = saved
+    ((synopsis, summary),) = _blocks(db.store)  # one document
+    assert summary[:1] == b"\x01" and len(summary) > 5
+    assert data.endswith(synopsis + summary)
 
 
-def test_cross_version_loads_recollect_identical_summary(
-    saved, tmp_path, monkeypatch
-):
-    """Older files load with no summary, and recollecting it from the
-    pages reproduces the fresh import's summary exactly."""
-    from repro.storage.store import recollect_pathsummary
-
-    db, path, _ = saved
-    fresh = {
-        name: doc.pathsummary for name, doc in db.store.documents.items()
-    }
-    assert all(summary is not None for summary in fresh.values())
-    for version in (2, 3):
-        old_path = str(tmp_path / f"v{version}.rpro")
-        monkeypatch.setattr(persist, "_VERSION", version)
-        save_store(db.store, old_path)
-        monkeypatch.undo()
-        old = load_store(old_path)
-        for name, doc in old.documents.items():
-            assert doc.pathsummary is None
-            assert recollect_pathsummary(old, doc) == fresh[name]
-    # and the v4 file round-trips the summary without recollection
-    loaded = load_store(path)
-    for name, doc in loaded.documents.items():
-        assert doc.pathsummary == fresh[name]
+def test_absent_snapshot_blocks_are_collected_on_load(saved, tmp_path):
+    """An image whose blocks are marked absent (written after an update
+    had dropped the snapshots) loads with both collected from its pages."""
+    db, _, data = saved
+    ((synopsis, summary),) = _blocks(db.store)
+    body = data[_HEAD + _SUMS.size : -len(synopsis + summary)] + b"\x00\x00"
+    lsn = _SUMS.unpack_from(data, _HEAD)[0]
+    target = str(tmp_path / "absent.rpro")
+    open(target, "wb").write(data[:_HEAD] + _SUMS.pack(lsn, zlib.crc32(body), len(body)) + body)
+    (doc,) = load_store(target).documents.values()
+    want = db.document("d")
+    assert doc.synopsis == want.synopsis
+    assert doc.pathsummary == want.pathsummary
 
 
-def test_v4_path_summary_block_truncation_and_bit_rot(saved, tmp_path, monkeypatch):
-    """Sweep damage specifically through the trailing path-summary
-    blocks: with the v3 checksum monkeypatched away (header version 2
-    keeps the body parser but drops the CRC guard) every cut must still
-    surface as a typed error, and with the guard in place bit-rot in the
-    summary bytes must be caught by the checksum."""
-    db, path, data = saved
-    # locate the summary region: it is everything the bare (summary-less)
-    # image does not contain
-    summaries = {
-        name: doc.pathsummary for name, doc in db.store.documents.items()
-    }
-    try:
-        for doc in db.store.documents.values():
-            doc.pathsummary = None
-        bare = str(tmp_path / "bare.rpro")
-        save_store(db.store, bare)
-    finally:
-        for name, doc in db.store.documents.items():
-            doc.pathsummary = summaries[name]
-    summary_bytes = len(data) - len(open(bare, "rb").read())
-    assert summary_bytes > 0
+def _summary_boundaries(summary):
+    """Offsets, within one path-summary block, where a block starts: the
+    marker, the page count and each page row."""
+    rows = summary.page_rows()
+    offsets = [0, 1, 5]
+    for page_no in sorted(rows):
+        offsets.append(offsets[-1] + 8 + sum(2 + 4 * len(chain) + 5 for chain, _ in rows[page_no]))
+    return offsets[:-1]
+
+
+def test_v4_path_summary_block_truncation_and_bit_rot(tmp_path):
+    """Sweep damage through the trailing path-summary block: cut behind
+    a re-stamped checksum at every block boundary (and one byte past
+    it) plus a stride, every cut must surface as a typed error; with the
+    checksum in place, bit-rot in the summary bytes must be caught."""
+    db, _ = small_database(seed=91, n_top=6)  # few pages: one load per cut
+    path = str(tmp_path / "store.rpro")
+    save_store(db.store, path)
+    data = open(path, "rb").read()
+    ((_, summary),) = _blocks(db.store)
+    body_len = len(data) - _HEAD - _SUMS.size
+    start = body_len - len(summary)
+    cuts = {start + b + d for b in _summary_boundaries(db.document("d").pathsummary) for d in (0, 1)}
+    cuts.update(range(start, body_len, max(1, len(summary) // 64)))
     target = str(tmp_path / "cut4.rpro")
-    for cut in range(len(data) - 1, len(data) - summary_bytes, -1):
-        open(target, "wb").write(data[:cut])
-        with pytest.raises((StoreCorruptError, StorageError)):
+    for cut in sorted(c for c in cuts if c < body_len):
+        open(target, "wb").write(restamped(data, cut))
+        with pytest.raises(StoreCorruptError):
             load_store(target)
     # bit-rot anywhere in the summary region trips the body checksum
-    for offset in range(len(data) - summary_bytes // 2, len(data), 7):
+    for offset in range(len(data) - len(summary), len(data), max(1, len(summary) // 128)):
         corrupt = bytearray(data)
         corrupt[offset] ^= 0x40
         open(target, "wb").write(bytes(corrupt))
-        with pytest.raises(StoreCorruptError):
+        with pytest.raises(StoreCorruptError, match="checksum"):
             load_store(target)
 
 
@@ -230,15 +207,6 @@ def test_checkpoint_lsn_round_trips(saved, tmp_path):
     path = str(tmp_path / "lsn.rpro")
     save_store(db.store, path)
     assert load_store(path).checkpoint_lsn == 41
-
-
-def test_v2_file_loads_with_zero_lsn(saved, tmp_path, monkeypatch):
-    db, _, _ = saved
-    db.store.checkpoint_lsn = 41
-    monkeypatch.setattr(persist, "_VERSION", 2)
-    path = str(tmp_path / "v2lsn.rpro")
-    save_store(db.store, path)
-    assert load_store(path).checkpoint_lsn == 0
 
 
 def test_save_leaves_no_temp_file(saved, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for statistics recollection after updates."""
 
 from repro import Database
+from repro.storage.pathsummary import PathSummary
 from repro.storage.store import DocumentStatistics, recollect_statistics
 from repro.storage.update import delete_subtree, insert_node
 
@@ -11,7 +12,8 @@ def test_recollection_matches_import_time_statistics():
     db, tree = small_database(seed=41, n_top=40)
     doc = db.document("d")
     original = doc.statistics
-    doc.pathsummary = None  # as after an update: read the pages, not the import's summary
+    # read the pages, not the import's summary
+    doc.pathsummary = PathSummary.collect(db.store.segment, doc.page_nos)
     recollected = recollect_statistics(db.store, doc)
     assert recollected.n_nodes == original.n_nodes
     assert recollected.n_elements == original.n_elements

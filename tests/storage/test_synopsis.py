@@ -1,12 +1,11 @@
 """Unit tests for the per-cluster synopsis (collection, persistence,
-invalidation, and the paper-example pruning guarantees)."""
+maintenance under updates, and the paper-example pruning guarantees)."""
 
 import pytest
 
-from repro import Database, DiskGeometry, EvalOptions, ImportOptions
+from repro import Database, DiskGeometry, EvalOptions
 from repro.axes import Axis
 from repro.algebra.steps import CompiledNodeTest, CompiledStep
-from repro.storage import persist
 from repro.storage.synopsis import (
     CHILD_TRANSIT,
     HAS_DOWN,
@@ -14,11 +13,11 @@ from repro.storage.synopsis import (
     ClusterSynopsis,
     cost_effective_skips,
 )
-from repro.storage.store import export_tree, recollect_synopsis
+from repro.storage.store import export_tree
 from repro.storage.update import insert_node
 from repro.xpath.reference import evaluate_query
 
-from tests.conftest import make_random_tree, small_database
+from tests.conftest import small_database
 from tests.paper_tree import PAGE_A, PAGE_B, PAGE_C, PAGE_D, build_paper_tree
 
 
@@ -44,15 +43,13 @@ def test_import_collects_synopsis():
 def test_recollect_matches_import_time_synopsis():
     db, _ = small_database(seed=72, n_top=30)
     doc = db.document("d")
-    collected = doc.synopsis
-    recollected = recollect_synopsis(db.store, doc)
-    assert recollected == collected
-    assert doc.synopsis is recollected
+    recollected = ClusterSynopsis.collect(db.store.segment.page(p) for p in doc.page_nos)
+    assert recollected == doc.synopsis
 
 
 def test_paper_tree_rows():
     paper = build_paper_tree()
-    synopsis = recollect_synopsis(paper.db.store, paper.doc)
+    synopsis = paper.doc.synopsis
     tags = paper.db.tags
     tag_a, tag_b, tag_x = (tags.lookup(t) for t in ("A", "B", "X"))
     rows = synopsis.rows()
@@ -84,7 +81,7 @@ def test_paper_example_never_processes_cluster_b():
     keeps streaming through the isolated 512-byte page (a seek costs more
     than the transfer) but every speculation round in it is skipped."""
     paper = build_paper_tree()
-    synopsis = recollect_synopsis(paper.db.store, paper.doc)
+    synopsis = paper.doc.synopsis
     tags = paper.db.tags
     child_a = _step(tags, Axis.CHILD, "A")
     desc_b = _step(tags, Axis.DESCENDANT, "B")
@@ -113,7 +110,6 @@ def test_paper_example_never_processes_cluster_b():
         page_size=512, min_seek=0.0, seek_factor=0.0, rotational_latency=0.0
     )
     cheap = build_paper_tree(geometry=free_seeks)
-    recollect_synopsis(cheap.db.store, cheap.doc)
     skipped = cheap.db.execute("/A//B", doc="paper", plan="xscan")
     assert skipped.nodes == unpruned.nodes
     assert skipped.stats.synopsis_clusters_pruned == 1
@@ -151,7 +147,7 @@ def test_cost_effective_skips_break_even():
 def test_targeted_resume_is_never_pruned_for_existing_borders():
     """can_extend must admit every cluster a real crossing targets."""
     paper = build_paper_tree()
-    synopsis = recollect_synopsis(paper.db.store, paper.doc)
+    synopsis = paper.doc.synopsis
     tags = paper.db.tags
     # /A//B crosses into a and c for child::A and descendant::B
     assert synopsis.can_extend(PAGE_A, _step(tags, Axis.CHILD, "A"))
@@ -163,7 +159,7 @@ def test_targeted_resume_is_never_pruned_for_existing_borders():
 
 def test_unknown_cluster_is_never_pruned():
     paper = build_paper_tree()
-    synopsis = recollect_synopsis(paper.db.store, paper.doc)
+    synopsis = paper.doc.synopsis
     step = _step(paper.db.tags, Axis.DESCENDANT, "B")
     assert synopsis.can_contribute(999, step)
     assert synopsis.can_extend(999, step)
@@ -230,7 +226,7 @@ def test_verdicts_are_memoised_on_the_synopsis(monkeypatch, tmp_path):
 
 def test_estimator_accessors_on_paper_tree():
     paper = build_paper_tree()
-    synopsis = recollect_synopsis(paper.db.store, paper.doc)
+    synopsis = paper.doc.synopsis
     tags = paper.db.tags
     for name in ("A", "B", "X"):  # a and c, a and c, b and c
         assert synopsis.clusters_matching(_step(tags, Axis.CHILD, name).test) == 2
@@ -258,22 +254,6 @@ def test_synopsis_round_trips_through_persistence(tmp_path):
     assert restored.rows() == original.rows()
 
 
-def test_version1_file_loads_and_recollects(tmp_path, monkeypatch):
-    """A pre-synopsis (v1) store file still loads; the synopsis is
-    rebuilt from the pages on open."""
-    db, _ = small_database(seed=74, n_top=30)
-    original = db.document("d").synopsis
-    path = str(tmp_path / "store-v1.rpro")
-    monkeypatch.setattr(persist, "_VERSION", 1)
-    monkeypatch.setattr(persist, "_write_synopsis", lambda out, synopsis: None)
-    db.save(path)
-    monkeypatch.undo()
-    loaded = Database.load(path, buffer_pages=64)
-    doc = loaded.document("d")
-    assert doc.synopsis is not None  # recollected on load
-    assert doc.synopsis == original
-
-
 def test_from_rows_round_trip():
     db, _ = small_database(seed=75, n_top=20)
     synopsis = db.document("d").synopsis
@@ -282,31 +262,31 @@ def test_from_rows_round_trip():
     assert clone.n_records == synopsis.n_records
 
 
-# ---------------------------------------------------------- invalidation
+# ----------------------------------------------------------- maintenance
 
 
-def test_update_invalidates_synopsis():
-    db = Database(page_size=512, buffer_pages=32)
-    db.load_xml("<root><a/><b/></root>", "d")
+def _bare_insert_db():
+    """A document-order layout (``fragmentation=0.0``), where ``//a``
+    leaves whole regions prunable, plus one bare (WAL-less) insert."""
+    db, _ = small_database(seed=76, n_top=40, fragmentation=0.0)
     doc = db.document("d")
-    assert doc.synopsis is not None
     root = db.execute("/root", doc="d", plan="simple").nodes[0]
     insert_node(db.store, doc, root, 0, "fresh")
-    assert doc.synopsis is None  # stale summaries must not linger
-    rebuilt = recollect_synopsis(db.store, doc)
-    assert rebuilt.clusters_matching(_step(db.tags, Axis.CHILD, "fresh").test) == 1
+    return db, doc
 
 
-def test_queries_work_while_synopsis_invalidated():
-    """Between an update and recollection the engine runs unpruned."""
-    db = Database(page_size=512, buffer_pages=32)
-    tree = make_random_tree(db.tags, seed=76, n_top=20)
-    db.add_tree(tree, "d", ImportOptions(page_size=512))
-    doc = db.document("d")
-    baseline = db.execute("count(//a)", doc="d", plan="xscan").value
-    root = db.execute("/root", doc="d", plan="simple").nodes[0]
-    insert_node(db.store, doc, root, 0, "a")
-    assert doc.synopsis is None
-    result = db.execute("count(//a)", doc="d", plan="xscan")
-    assert result.value == baseline + 1
-    assert result.stats.synopsis_clusters_pruned == 0
+def test_bare_update_keeps_the_synopsis_exact():
+    db, doc = _bare_insert_db()
+    pages = [db.store.segment.page(page_no) for page_no in doc.page_nos]
+    assert doc.synopsis == ClusterSynopsis.collect(pages)
+    assert doc.synopsis.clusters_matching(_step(db.tags, Axis.CHILD, "fresh").test) == 1
+
+
+def test_queries_keep_pruning_after_a_bare_update():
+    """The repaired synopsis prunes as before the update, and the pruned
+    scan answers as the reference evaluator does."""
+    db, doc = _bare_insert_db()
+    for query in ("count(//fresh)", "count(//a/b)"):
+        result = db.execute(query, doc="d", plan="xscan")
+        assert result.value == evaluate_query(export_tree(db.store, doc), query)
+        assert result.stats.synopsis_clusters_pruned > 0

@@ -1,21 +1,24 @@
 """Failure-path tests for update operations.
 
-An update interrupted mid-mutation (simulated process death via
-:class:`~repro.sim.faults.CrashInjector`) may leave the physical page
-image half-changed — that is what the WAL recovers from — but it must
-never leave *stale derived state* behind: the schema statistics and the
-cluster synopsis are invalidated before the first mutation, so a
-survivor that keeps using the in-memory store cannot be steered into
-unsound pruning by a row describing pre-update pages.
+Every update keeps the planning snapshots — cluster synopsis and path
+summary — equal to a full collection from the pages, also when it fails
+midway: the maintenance step runs when an operation raises as when it
+returns.  The one exception is a simulated process death
+(:class:`~repro.errors.SimulatedCrashError`): memory is gone, and what
+must be exact is the store recovered from the WAL, at every crash point
+of the operation.  Schema statistics are dropped before the first
+mutation, so no failure leaves stale ones behind.
 """
 
 import pytest
 
 from repro import Database
-from repro.errors import SimulatedCrashError
+from repro.errors import SimulatedCrashError, StorageError
 from repro.sim.faults import CRASH_UPDATE_APPLY, CrashInjector, CrashPoint
-from repro.storage.store import check_document, recollect_synopsis
-from repro.storage.update import delete_subtree, insert_node, update_value
+from repro.storage.pathsummary import PathSummary
+from repro.storage.store import check_document
+from repro.storage.synopsis import ClusterSynopsis
+from repro.storage.update import insert_node, update_value
 from repro.storage.wal import recover_store
 
 
@@ -37,46 +40,98 @@ def arm(db, at=1):
     return db.store.crash
 
 
-def test_interrupted_insert_leaves_no_stale_synopsis():
-    db = fresh_db()
-    doc = db.document("d")
-    recollect_synopsis(db.store, doc)
-    assert doc.synopsis is not None
-    root = db.execute("/root", doc="d", plan="simple").nodes[0]
-    arm(db)
-    with pytest.raises(SimulatedCrashError):
-        insert_node(db.store, doc, root, 0, "extra")
-    # the record was placed but never linked — yet nothing derived still
-    # describes the pre-insert pages
-    assert doc.synopsis is None
-    assert doc.statistics is None
+def assert_snapshots_exact(store, doc):
+    pages = [store.segment.page(page_no) for page_no in doc.page_nos]
+    assert doc.synopsis == ClusterSynopsis.collect(pages)
+    assert doc.pathsummary == PathSummary.collect(store.segment, doc.page_nos)
 
 
-def test_interrupted_delete_every_step():
-    """The tombstone walk announces one crash point per record: sweep
-    them all; at every depth the derived state is fully invalidated."""
-    # count the walk's steps with an injector armed out of reach
-    db = fresh_db()
-    doc = db.document("d")
-    people = db.execute("/root/people", doc="d", plan="simple").nodes[0]
-    counter = arm(db, at=10**6)
-    delete_subtree(db.store, doc, people)
+def people(db):
+    return db.execute("/root/people", doc="d", plan="simple").nodes[0]
+
+
+def fill_people(db):
+    """Fill ``people`` until the next insert must relocate or exile."""
+    for i in range(12):
+        db.wal.insert("d", people(db), 0, f"filler{i}")
+
+
+def assert_every_crash_point_recovers_exact(tmp_path, operation, least=1):
+    """Logged updates, then ``operation`` dying at each of its crash
+    points: recovery replays the acknowledged prefix, snapshots exact."""
+    probe = fresh_db()
+    probe.attach_wal(str(tmp_path / "probe.rpro"))
+    fill_people(probe)
+    counter = arm(probe, at=10**6)
+    operation(probe)
     total = counter.occurrences(CRASH_UPDATE_APPLY)
-    assert total > 2  # a real walk, not one step
-
+    assert total >= least
     for at in range(1, total + 1):
         db = fresh_db()
-        doc = db.document("d")
-        recollect_synopsis(db.store, doc)
-        people = db.execute("/root/people", doc="d", plan="simple").nodes[0]
+        path = str(tmp_path / f"crash{at}.rpro")
+        db.attach_wal(path)
+        fill_people(db)
         arm(db, at=at)
-        try:
-            delete_subtree(db.store, doc, people)
-        except SimulatedCrashError:
-            assert doc.synopsis is None
+        with pytest.raises(SimulatedCrashError):
+            operation(db)
+        store, report = recover_store(path)
+        assert report.last_lsn == 12  # the acknowledged prefix, nothing more
+        doc = store.document("d")
+        check_document(store, doc)
+        assert_snapshots_exact(store, doc)
+
+
+def test_interrupted_insert_leaves_no_stale_synopsis(tmp_path):
+    assert_every_crash_point_recovers_exact(
+        tmp_path, lambda db: db.wal.insert("d", people(db), 0, "extra")
+    )
+
+
+def test_interrupted_delete_every_step(tmp_path):
+    """The tombstone walk announces one crash point per record: sweep
+    them all."""
+    assert_every_crash_point_recovers_exact(
+        tmp_path, lambda db: db.wal.delete("d", people(db)), least=3
+    )
+
+
+class FailAt:
+    """Stands in for a crash injector: its ``at``-th update step raises
+    an ordinary :class:`StorageError` — a failure, not a process death."""
+
+    def __init__(self, at):
+        self.at = at
+        self.seen = 0
+
+    def check(self, step):
+        self.seen += 1
+        if self.seen == self.at:
+            raise StorageError(f"injected failure at {step}")
+
+
+def test_failed_update_leaves_exact_snapshots():
+    """A bare insert that fails — before any mutation (out-of-range
+    position) or after its first ones (at every update step, both on the
+    parent's page and exiled through a border pair) — leaves snapshots
+    equal to a full collect, and no statistics."""
+    db = fresh_db()
+    doc = db.document("d")
+    with pytest.raises(StorageError, match="out of range"):
+        insert_node(db.store, doc, people(db), 99, "extra")
+    assert_snapshots_exact(db.store, doc)
+    for filler in range(14):
+        for at in (1, 2):
+            db = fresh_db()
+            doc = db.document("d")
+            for i in range(filler):
+                insert_node(db.store, doc, people(db), 0, f"filler{i}")
+            db.store.crash = FailAt(at)
+            try:
+                insert_node(db.store, doc, people(db), 0, "extra")
+            except StorageError:
+                pass
+            assert_snapshots_exact(db.store, doc)
             assert doc.statistics is None
-        else:
-            pytest.fail(f"crash point {at} did not fire")
 
 
 def test_interrupted_set_value_keeps_old_value():
@@ -124,8 +179,7 @@ def test_wal_recovery_discards_interrupted_operation(tmp_path):
     assert report.last_lsn == acked  # everything acknowledged, nothing more
     doc = store.document("d")
     check_document(store, doc)
-    assert doc.synopsis is not None  # repaired, not nulled, on recovery
-    assert doc.synopsis == recollect_synopsis(store, doc)
+    assert_snapshots_exact(store, doc)  # repaired, not nulled, on recovery
 
 
 def test_colviews_invalidated_on_touched_pages():

@@ -90,9 +90,8 @@ def assert_stores_identical(left, right):
         assert serialize(export_tree(left, doc)) == serialize(
             export_tree(right, other)
         )
-        assert (doc.synopsis is None) == (other.synopsis is None)
-        if doc.synopsis is not None:
-            assert doc.synopsis == other.synopsis
+        assert doc.synopsis == other.synopsis
+        assert doc.pathsummary == other.pathsummary
 
 
 def test_recover_replays_full_log(tmp_path):
@@ -342,16 +341,17 @@ def test_group_commit_defers_sync(tmp_path, monkeypatch):
 
 
 def test_recovered_synopsis_matches_full_recollect(tmp_path):
-    from repro.storage.store import recollect_synopsis
+    from repro.storage.pathsummary import PathSummary
+    from repro.storage.synopsis import ClusterSynopsis
 
     db, path = durable_db(tmp_path)
     run_ops(db)
     db.wal.sync()
     store, _ = recover_store(path)
     doc = store.document("d")
-    incremental = doc.synopsis
-    assert incremental is not None
-    assert incremental == recollect_synopsis(store, doc)
+    pages = [store.segment.page(page_no) for page_no in doc.page_nos]
+    assert doc.synopsis == ClusterSynopsis.collect(pages)
+    assert doc.pathsummary == PathSummary.collect(store.segment, doc.page_nos)
 
 
 def test_database_recover_runs_queries(tmp_path):
