@@ -145,14 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
         "planning falls back to the tag-level synopsis and estimator",
     )
     parser.add_argument(
-        "--no-batched",
-        action="store_true",
-        help="disable the batched columnar datapath: navigate record "
-        "objects one at a time instead of columnar cluster views "
-        "(bit-identical results and simulated timings, more interpreter "
-        "overhead per node)",
-    )
-    parser.add_argument(
         "--no-calibration",
         action="store_true",
         help="disable the AUTO chooser's measured-outcome feedback: plan "
@@ -210,8 +202,6 @@ def eval_options_from(args: argparse.Namespace) -> EvalOptions | None:
         kwargs["synopsis"] = False
     if args.no_pathsummary:
         kwargs["pathsummary"] = False
-    if args.no_batched:
-        kwargs["batched"] = False
     if args.no_calibration:
         kwargs["calibration"] = False
     return EvalOptions(**kwargs) if kwargs else None

@@ -6,11 +6,11 @@ Operators (all iterators with ``open``/``next``/``close``):
   trivial complete path instances (Sec. 5.1).
 * :class:`~repro.algebra.unnestmap.UnnestMap` — the Simple method's step
   operator: full-tree navigation with immediate (synchronous) I/O.
-* :class:`~repro.algebra.xstep.XStep` — intra-cluster-only step operator
-  (Sec. 5.3.2); defers border crossings as right-incomplete instances.
 * :class:`~repro.algebra.xassembly.XAssembly` — collects full paths,
   deduplicates right ends (R), merges speculative left-incomplete
-  instances (S) (Sec. 5.3.3 / 5.4.5).
+  instances (S) (Sec. 5.3.3 / 5.4.5); its path kernel runs the
+  intra-cluster-only XStep (Sec. 5.3.2) as one level per step, deferring
+  border crossings as right-incomplete instances (:mod:`~repro.algebra.xstep`).
 * :class:`~repro.algebra.xschedule.XSchedule` — the asynchronous-I/O
   cluster scheduler with queue Q (Sec. 5.3.4 / 5.4.4).
 * :class:`~repro.algebra.xscan.XScan` — single sequential scan with

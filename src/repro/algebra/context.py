@@ -108,6 +108,10 @@ class DegradationReport:
 class EvalOptions:
     """Tuning knobs of the cost-sensitive operators.
 
+    None of them selects how a step is navigated: every plan runs one
+    datapath, the path kernel and the full-tree walker over columnar
+    cluster views (docs/algebra.md), whose books the golden draws pin.
+
     Attributes
     ----------
     k_min_queue:
@@ -154,29 +158,6 @@ class EvalOptions:
         composes with synopsis pruning.  Conservative — results are
         bit-identical either way — and free when the document carries no
         summary.  Disable with CLI ``--no-pathsummary``.
-    batched:
-        Run the datapath batch-at-a-time over columnar cluster views
-        (:class:`~repro.storage.colview.ColumnView`); four modules read
-        the flag.  ``xassembly``: cost-sensitive plans run the whole
-        XStep chain and XAssembly's intake as one kernel per path, which
-        discovers each extension's candidate array charge-free, tests it
-        with one vectorised ``match_batch`` and charges what the scalar
-        chain would, a run of candidates at a time, and takes XSchedule's
-        deliveries from the cluster it holds in place (docs/algebra.md,
-        "Delivery runs").  ``xscan`` and
-        ``pathinstance``: scans and XSchedule hand speculative entry
-        borders on a cluster at a time from the view's precomputed
-        lists, and the kernel walks such a run once per (cluster, path,
-        step): afterwards it takes the run in from a memoised tape,
-        charged in one sum, unless a tracer, an armed budget, fallback
-        mode or a tight ``memory_limit`` could observe the clock inside
-        it (docs/algebra.md, "Run tapes").  ``fullnav``: Unnest-Map,
-        predicate paths and fallback levels run one full-tree walker
-        over the views' event arrays (``full_step``).
-        Pure CPU-dispatch optimisation: results, ``Stats`` and simulated
-        timings are equal (``==``; time is on a grid, sums are exact)
-        with the flag off (CLI ``--no-batched``): one record at a time
-        over record objects, one XStep generator per step.
     calibration:
         Let :class:`~repro.exec.session.QuerySession` feed *measured*
         plan outcomes back into the AUTO chooser: observed per-shape
@@ -212,7 +193,6 @@ class EvalOptions:
     rewrite_descendant: bool = True
     synopsis: bool = True
     pathsummary: bool = True
-    batched: bool = True
     calibration: bool = True
     retry: RetryPolicy = RetryPolicy()
     latency_slo: float | None = None
@@ -301,7 +281,8 @@ class EvalContext:
         self.san = None
         #: The cluster currently being processed; maintained (pinned) by
         #: the plan's I/O-performing operator.  All swizzled slot
-        #: references in flight between XStep operators point into it.
+        #: references in flight between the path kernel's XStep levels
+        #: point into it.
         self.current_frame: Frame | None = None
         #: Set when XAssembly's memory limit trips (Sec. 5.4.6); operators
         #: poll it and degrade to the Simple method's behaviour.
@@ -478,7 +459,7 @@ class EvalContext:
     def trip_fallback(self, reason: str, page: int | None = None, detail: str = "") -> None:
         """Degrade the plan to the Simple method's behaviour (Sec. 5.4.6).
 
-        Sets the fallback flag that XStep/XScan poll, records the cause,
+        Sets the fallback flag that the path kernel and XScan poll, records the cause,
         and runs the registered hooks (XAssembly discards S and revives
         XSchedule's parked entries).  Idempotent.
         """

@@ -7,10 +7,9 @@ cost-sensitive operators exist to avoid exactly this code path.
 
 It exists once: :func:`full_step` evaluates one location step, and
 Unnest-Map, the fallback levels of the cost-sensitive plans
-(:func:`~repro.algebra.xstep.extend_full`) and predicate paths
-(:func:`exists_path`) all run it.  :func:`string_value` enumerates an
-axis without testing its candidates, which is not a step: it alone keeps
-:func:`full_axis`, the record-at-a-time reference of the walker.
+(:func:`~repro.algebra.xstep.extend_full`), predicate paths
+(:func:`exists_path`) and string values (:func:`string_value`) all run
+it.
 """
 
 from __future__ import annotations
@@ -19,66 +18,14 @@ from typing import Iterator
 
 from repro.axes import Axis
 from repro.algebra.context import EvalContext
-from repro.algebra.steps import CompiledPredicate, CompiledStep
+from repro.algebra.steps import CompiledNodeTest, CompiledPredicate, CompiledStep
 from repro.model.tree import Kind
-from repro.storage.nav import iter_axis, iter_resume
 from repro.storage.nodeid import page_of, slot_of
-from repro.storage.record import BorderRecord
 
-
-def full_axis(
-    ctx: EvalContext, page_no: int, slot: int, axis: Axis, resumed: bool = False
-) -> Iterator[tuple[int, int]]:
-    """Apply ``axis`` from ``(page_no, slot)``, crossing borders eagerly.
-
-    Yields ``(page_no, slot)`` of core candidate nodes.  ``resumed`` means
-    the starting slot is an entry border record of a paused step (used by
-    fallback XStep on instances delivered from XSchedule's queue).
-
-    Implemented iteratively with an explicit stack: only the page being
-    navigated is pinned.  Descending across a border unfixes the source
-    page and returning to it re-fixes it (another buffer-hash lookup, and
-    another read if it was evicted meanwhile) — exactly the repeated
-    swizzling cost the Simple method pays and the cost-sensitive plans
-    avoid.  Continuation chains in wide child lists can be hundreds of
-    crossings long, so neither recursion depth nor pin count may grow
-    with them.
-    """
-    frame = ctx.buffer.fix(page_no)
-    nav = (
-        iter_resume(frame.page, slot, axis, ctx.charge_hop)
-        if resumed
-        else iter_axis(frame.page, slot, axis, ctx.charge_hop)
-    )
-    stack: list[tuple[int, object]] = [(page_no, nav)]
-    try:
-        while stack:
-            page_no, nav = stack[-1]
-            item = next(nav, None)  # type: ignore[call-overload]
-            if item is None:
-                stack.pop()
-                ctx.buffer.unfix(frame)
-                frame = None
-                if stack:
-                    frame = ctx.buffer.fix(stack[-1][0])
-                continue
-            is_border, s = item
-            if not is_border:
-                yield (page_no, s)
-                continue
-            record = frame.page.record(s)
-            assert isinstance(record, BorderRecord)
-            target = record.target()
-            target_page = page_of(target)
-            ctx.buffer.unfix(frame)
-            frame = None  # a failed read must not release this pin twice
-            frame = ctx.buffer.fix(target_page)
-            stack.append(
-                (target_page, iter_resume(frame.page, slot_of(target), axis, ctx.charge_hop))
-            )
-    finally:
-        if frame is not None and stack:
-            ctx.buffer.unfix(frame)
+#: the text descendants a string value concatenates
+_TEXT_DESCENDANTS = CompiledStep(
+    Axis.DESCENDANT, CompiledNodeTest.compile("text", Axis.DESCENDANT, None)
+)
 
 
 def full_step(
@@ -89,39 +36,37 @@ def full_step(
     resumed: bool = False,
     step_index: int | None = None,
     instances: bool = False,
+    tested: bool = True,
 ) -> Iterator[tuple[int, int]]:
     """One location step from ``(page_no, slot)``, borders crossed eagerly.
 
     Yields ``(page_no, slot)`` of every node on ``step.axis`` that passes
-    the node test (predicates are the caller's), in :func:`full_axis`'s
-    order and with its page pinned.  ``resumed``: the start is the entry
-    border of a paused step.  ``instances``: every match becomes a path
-    instance, so its ``instance_op`` joins the flush the match needs
-    anyway.  A caller that names its ``step_index`` gets the extension's
-    ``unnest-batch`` trace event.
+    the node test (predicates are the caller's), in axis order and with
+    its page pinned.  ``resumed``: the start is the entry border of a
+    paused step.  ``instances``: every match becomes a path instance, so
+    its ``instance_op`` joins the flush the match needs anyway.  A caller
+    that names its ``step_index`` gets the extension's ``unnest-batch``
+    trace event.  ``tested=False`` charges no node test: the caller picks
+    its nodes by kind for free (:func:`string_value`).
 
-    Charges what :func:`full_axis` and one ``charge_test`` per candidate
-    would without visiting every candidate: a page's memoised
+    Charges one ``intra_hop`` per candidate past the batch's free head
+    plus its upfront hops (the charge shape of
+    :meth:`~repro.storage.colview.ColumnView.axis_candidates`) and one
+    ``node_test`` per core candidate, without visiting every candidate: a
+    page's memoised
     :meth:`~repro.storage.colview.ColumnView.extension_batch` is walked
     event by event, the hops and tests of the candidates skipped since
     the last one charged in one multiply.  A border suspends the stream
-    on ``stack`` and crosses, unfixing and fixing in :func:`full_axis`'s
-    order.  ``pending`` goes onto the clock before every yield and every
-    buffer call (``fix``/``unfix`` advance it and stamp tracer events
-    with it), counter deltas onto ``Stats`` before every yield and on
-    exit.  Time is on a grid, so the sums are exact and everything equals
-    the reference loop that runs with ``EvalOptions.batched`` off.
+    on ``stack`` and crosses: the source page is unfixed before the
+    target is fixed, and fixed again when the target's stream is spent,
+    so only the page being navigated is pinned however long a
+    continuation chain grows — the repeated swizzling the Simple method
+    pays and the cost-sensitive plans avoid.  ``pending`` goes onto the
+    clock before every yield and every buffer call (``fix``/``unfix``
+    advance it and stamp tracer events with it), counter deltas onto
+    ``Stats`` before every yield and on exit.  Time is on a grid, so the
+    sums are exact.
     """
-    if not ctx.options.batched:
-        match = step.match
-        for page_no, slot in full_axis(ctx, page_no, slot, step.axis, resumed):
-            record = ctx.segment.page(page_no).record(slot)
-            ctx.charge_test()
-            if match(record.kind, record.tag):
-                if instances:
-                    ctx.charge_instance()
-                yield page_no, slot
-        return
     axis = step.axis
     key = step.memo_key
     match_batch = step.match_batch
@@ -129,7 +74,7 @@ def full_step(
     clock = ctx.clock
     stats = ctx.stats
     cost_hop = ctx._cost_hop
-    cost_test = ctx._cost_test
+    cost_test = ctx._cost_test if tested else 0.0
     cost_match = ctx._cost_instance if instances else 0.0
     d_hops = d_tests = 0
     frame = buffer.fix(page_no)
@@ -169,7 +114,7 @@ def full_step(
                 clock.work(pending + cost_match)
                 pending = 0.0
                 stats.intra_hops += d_hops
-                stats.node_tests += d_tests
+                stats.node_tests += d_tests if tested else 0
                 stats.instances_created += instances
                 d_hops = d_tests = 0
                 yield page_no, slot
@@ -189,7 +134,7 @@ def full_step(
                 page = frame.page
     finally:
         stats.intra_hops += d_hops
-        stats.node_tests += d_tests
+        stats.node_tests += d_tests if tested else 0
         if frame is not None:
             buffer.unfix(frame)
 
@@ -199,17 +144,19 @@ def string_value(ctx: EvalContext, page_no: int, slot: int) -> str:
 
     Text and attribute nodes carry their value; elements (and the
     document root) concatenate the values of their text descendants in
-    document order — crossing borders, as ``full_axis`` does.
+    document order, crossing borders.  Enumerating the descendants is
+    charged (hops and swizzles); picking out the text nodes is not.
     """
     record = ctx.segment.page(page_no).record(slot)
     if record.kind in (Kind.TEXT, Kind.ATTRIBUTE):
         return record.value or ""
-    pieces: list[str] = []
-    for text_page, text_slot in full_axis(ctx, page_no, slot, Axis.DESCENDANT):
-        descendant = ctx.segment.page(text_page).record(text_slot)
-        if descendant.kind == Kind.TEXT:
-            pieces.append(descendant.value or "")
-    return "".join(pieces)
+    segment = ctx.segment
+    return "".join(
+        segment.page(text_page).record(text_slot).value or ""
+        for text_page, text_slot in full_step(
+            ctx, _TEXT_DESCENDANTS, page_no, slot, tested=False
+        )
+    )
 
 
 def predicate_holds(

@@ -3,19 +3,17 @@
 The paper's outlook: "Our method can be easily extended to evaluate
 multiple location paths with a single I/O-performing operator."  This
 module implements that extension for the scan operator: one sequential
-pass over the document drives the XStep chains and XAssembly instances
-of *all* paths — Q7's three descendant counts read the document once
-instead of three times.
+pass over the document drives the path kernels of *all* paths — Q7's
+three descendant counts read the document once instead of three times.
 
 Mechanics: the pass is :func:`repro.algebra.xscan.scan`, the one XScan
 consumes for a single path — skip planning over all paths, the
 ``scan_readahead`` window, current-cluster pinning, the stop on a
 fallback trip.  For every cluster it yields, each path is fed its
 context instance (in the root's cluster) and its speculative entry runs
-through that path's step pipeline (XAssembly's fused kernel, or the
-scalar XStep chain below it) into its persistent XAssembly, whose R and
-S state spans the whole scan — re-opening an XAssembly over a new feed
-preserves its execution state by design.  When a path's S outgrows
+into that path's persistent XAssembly (its path kernel runs the XStep
+chain), whose R and S state spans the whole scan — re-opening an
+XAssembly over a new feed preserves its execution state by design.  When a path's S outgrows
 ``memory_limit`` the pass stops and every path gets its context
 re-delivered, exactly XScan's fallback protocol (Sec. 5.4.6).
 """
@@ -53,8 +51,7 @@ class _Replay(Operator):
         if self.context is not None:
             ctx.charge_instance()
             yield self.context
-        for run in self.runs:
-            yield from run.feed(ctx)
+        yield from self.runs
 
 
 class _PathState:

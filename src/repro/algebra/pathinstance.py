@@ -12,13 +12,14 @@ the bookkeeping the operators need:
   speculatively starts at.
 * ``s_r`` — number of completed steps, exactly the paper's ``S_R`` (a
   right-incomplete instance paused inside step ``s_r + 1``).
-* right end — while an instance flows through the XStep chain, its right
-  end is *swizzled*: ``slot`` on the current cluster's page (the frame
-  pinned by the I/O-performing operator).  ``is_border`` marks a paused
-  crossing.  In fallback mode (and in the Simple method) ``page_no`` is
-  set explicitly because navigation is no longer confined to one cluster.
+* right end — while an instance is extended by the path kernel's XStep
+  levels, its right end is *swizzled*: ``slot`` on the current cluster's
+  page (the frame pinned by the I/O-performing operator).  ``is_border``
+  marks a paused crossing.  In fallback mode (and in the Simple method)
+  ``page_no`` is set explicitly because navigation is no longer confined
+  to one cluster.
 * ``resumed`` — the right end is an entry border record just delivered by
-  the I/O operator; the applicable XStep must apply its *resume* axis.
+  the I/O operator; the level that extends it applies its *resume* axis.
 
 Instances parked in the main-memory structures R, S and Q are stored
 unswizzled (plain NodeIDs), mirroring Sec. 3.6.
@@ -26,15 +27,14 @@ unswizzled (plain NodeIDs), mirroring Sec. 3.6.
 An I/O operator that speculates (Sec. 5.4.3) does not build its
 left-incomplete instances one by one: it hands on one
 :class:`EntryRun` per (cluster, step), which the path kernel walks in
-place and only the scalar chain expands.
+place.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
-from repro.algebra.context import EvalContext
-from repro.storage.nodeid import NodeID, make_nodeid
+from repro.storage.nodeid import NodeID
 
 
 class PathInstance:
@@ -79,10 +79,10 @@ class EntryRun:
     Each entry border ``slot`` of ``slots`` (ascending) stands for the
     left-incomplete instance that resumes step ``step + 1`` there:
     ``s_l = s_r = step``, ``n_l`` the border's NodeID, paused and
-    resumed.  Its ``instance_op`` is charged entry by entry, by whoever
-    walks the run.  ``slots`` is every entry the step's axis has on the
-    cluster (``ColumnView.entry_slots``), never a selection of them: the
-    path kernel memoises its walk of a run per (cluster, path, step).
+    resumed.  Its ``instance_op`` is charged entry by entry, by the path
+    kernel that walks the run.  ``slots`` is every entry the step's axis
+    has on the cluster (``ColumnView.entry_slots``), never a selection of
+    them: the kernel memoises its walk of a run per (cluster, path, step).
     """
 
     __slots__ = ("step", "page_no", "slots")
@@ -91,17 +91,3 @@ class EntryRun:
         self.step = step
         self.page_no = page_no
         self.slots = slots
-
-    def feed(self, ctx: EvalContext) -> Iterable[PathInstance | EntryRun]:
-        """What the I/O operator passes on: the run itself for the path
-        kernel, one instance per entry for the scalar chain."""
-        return (self,) if ctx.options.batched else self._instances(ctx)
-
-    def _instances(self, ctx: EvalContext) -> Iterator[PathInstance]:
-        step, page_no = self.step, self.page_no
-        for slot in self.slots:
-            ctx.charge_instance()
-            ctx.stats.speculative_instances += 1
-            yield PathInstance(
-                step, make_nodeid(page_no, slot), True, step, slot, True, True, page_no
-            )

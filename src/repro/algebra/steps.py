@@ -68,10 +68,6 @@ class CompiledNodeTest:
         raise ValueError(f"unknown node test kind {test_kind!r}")
 
 
-def _never(kind: int, tag: int) -> bool:
-    return False
-
-
 #: Signature of a batch node test: (kind column, tag column, candidate
 #: slots) -> match flags, parallel to the candidate array.
 BatchMatch = Callable[["list[int]", "list[int]", "list[int]"], "list[bool]"]
@@ -81,36 +77,15 @@ def _never_batch(kinds: "list[int]", tags: "list[int]", slots: "list[int]") -> "
     return [False] * len(slots)
 
 
-def compile_match(test: CompiledNodeTest) -> Callable[[int, int], bool]:
-    """Specialise ``test.matches`` into a minimal closure.
-
-    Node tests are evaluated once per candidate record in every hot
-    loop; the generic ``matches`` pays a frozenset membership plus a
-    None-check on each call.  The common shapes (single kind + required
-    tag, single kind + any tag) collapse to one or two int comparisons.
-    """
-    kinds = test.kinds
-    tag = test.tag
-    if not kinds or tag == UNKNOWN_TAG:
-        return _never
-    if len(kinds) == 1:
-        (only,) = kinds
-        if tag is None:
-            return lambda kind, _tag, _k=only: kind == _k
-        return lambda kind, t, _k=only, _t=tag: kind == _k and t == _t
-    if tag is None:
-        return lambda kind, _tag, _ks=kinds: kind in _ks
-    return lambda kind, t, _ks=kinds, _t=tag: kind in _ks and t == _t
-
-
 def compile_match_batch(test: CompiledNodeTest) -> BatchMatch:
-    """Vectorised form of :func:`compile_match` over columnar arrays.
+    """``test.matches`` specialised for a whole candidate batch.
 
-    Evaluates the node test for a whole candidate batch against a page's
-    kind/tag columns (:class:`~repro.storage.colview.ColumnView`) in one
-    list comprehension — the batched XStep kernel's replacement for one
-    ``match`` call per candidate.  Border and tombstone slots carry
-    negative kind sentinels, so they can never match (the kernel routes
+    Evaluates the node test against a page's kind/tag columns
+    (:class:`~repro.storage.colview.ColumnView`) in one list
+    comprehension instead of one call per candidate; the common shapes
+    (single kind + required tag, single kind + any tag) collapse to one
+    or two int comparisons per slot.  Border and tombstone slots carry
+    negative kind sentinels, so they can never match (the kernels route
     borders before consulting the flags anyway).
     """
     kinds = test.kinds
@@ -158,12 +133,7 @@ class CompiledStep:
     #: Nested predicates; only the Simple plan evaluates these (the paper
     #: defers nested paths — "more than two incomplete ends").
     predicates: list[CompiledPredicate] = field(default_factory=list)
-    #: Precompiled ``(kind, tag) -> bool`` form of ``test`` for the
-    #: per-record hot loops.
-    match: Callable[[int, int], bool] = field(
-        init=False, repr=False, compare=False
-    )
-    #: Precompiled batch form of ``test`` for the columnar kernel.
+    #: Precompiled batch form of ``test`` for the columnar kernels.
     match_batch: BatchMatch = field(init=False, repr=False, compare=False)
     #: The int the step's extensions on a page are memoised under
     #: (:meth:`~repro.storage.colview.ColumnView.step_memo`): the tag (0
@@ -175,7 +145,6 @@ class CompiledStep:
     memo_key: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.match = compile_match(self.test)
         self.match_batch = compile_match_batch(self.test)
         tag = 0 if self.test.tag is None else self.test.tag + 2
         kinds = sum(1 << kind for kind in self.test.kinds)

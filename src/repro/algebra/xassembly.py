@@ -43,7 +43,7 @@ from repro.algebra.base import Operator
 from repro.algebra.context import EvalContext
 from repro.algebra.pathinstance import EntryRun, PathInstance
 from repro.algebra.steps import CompiledStep
-from repro.algebra.xstep import XStep, extend_full, pinned_page
+from repro.algebra.xstep import extend_full, pinned_page
 from repro.errors import PlanError
 from repro.storage.nodeid import SLOT_BITS, NodeID, make_nodeid, page_of, slot_of
 
@@ -173,16 +173,11 @@ class XAssembly(Operator):
         document=None,
     ) -> None:
         super().__init__(ctx)
-        if steps and not ctx.options.batched:
-            # the scalar datapath: one XStep operator per step below us
-            for index, step in enumerate(steps, start=1):
-                producer = XStep(ctx, producer, index, step)
-            steps = ()
         if any(step.predicates for step in steps):
             raise PlanError("the path kernel does not evaluate nested predicates")
         self.producer = producer
-        #: the location steps the kernel runs itself over the I/O operator
-        #: ``producer``; empty over a scalar XStep chain
+        #: the location steps the kernel runs over the I/O operator
+        #: ``producer``, one XStep level each
         self.steps = steps
         #: the :class:`~repro.storage.store.StoredDocument` the path runs
         #: over and the integer it knows the path by: what run tapes are
@@ -236,23 +231,22 @@ class XAssembly(Operator):
 
         One generator runs every step over the pinned page's
         :class:`~repro.storage.colview.ColumnView` and files what reaches
-        the top into R/S.  It charges what the stacked chain would (a
-        scalar :class:`XStep` per step, each pulled through
-        ``Operator.next``) without visiting every candidate: an
-        extension is walked event by event — a match or a border, with
-        the hops and node tests of the candidates skipped since the
-        previous one charged in one multiply — and a pull first adds the
-        ``iterator_call`` of every level it would have crossed.  ``top``
-        is the highest step holding an extension, the suspended ones
-        below it sit on ``stack``.  Charges collect in ``pending`` (time
+        the top into R/S.  It charges the schedule docs/algebra.md
+        specifies ("The path kernel's charges": one XStep operator per
+        step, each pulled through ``Operator.next``) without visiting
+        every candidate: an extension is walked event by event — a match
+        or a border, with the hops and node tests of the candidates
+        skipped since the previous one charged in one multiply — and a
+        pull first adds the ``iterator_call`` of every level it crosses.
+        ``top`` is the highest step holding an extension, the suspended
+        ones below it sit on ``stack``.  Charges collect in ``pending`` (time
         is on a grid, so the sum is exact in any order) and go onto the
         clock before anything else can read or advance it; counter deltas
         are posted before every yield and on exit.  Flush points:
         docs/algebra.md.  An :class:`EntryRun` is not walked at all when
         nothing can read the clock inside it: it is taken in from its
         memoised tape (:meth:`_replay`), and this loop stays the
-        reference that tape transcribes.  With no ``steps`` (a scalar
-        chain below) only the intake runs.
+        reference that tape transcribes.
         """
         ctx = self.ctx
         steps = self.steps
@@ -273,8 +267,8 @@ class XAssembly(Operator):
         ready = self._ready
         droot = self.descendant_root_opt
         source = iter(self.producer)  # charges its own crossing per pull
-        # the XSchedule pulled directly (not through a scalar chain) can
-        # have its next delivery taken in place
+        # an XSchedule that is the producer can have its next delivery
+        # taken in place
         schedule = self.schedule if self.producer is self.schedule else None
         stack: list = []
         top = 0
@@ -306,8 +300,8 @@ class XAssembly(Operator):
                                     ctx.charge_call()
                             calls = 0
                         if top == 0 and entries is not None:
-                            # inside an entry run: the scalar chain pulls
-                            # the I/O operator once more per entry
+                            # inside an entry run: the I/O operator is
+                            # pulled once more per entry
                             slot = next(entries, None)
                             if slot is None:
                                 entries = None
@@ -571,8 +565,7 @@ class XAssembly(Operator):
         a ``memory_limit`` S may not have room under for the whole run —
         and when building the tape raises (a corrupt page; a plan built
         without its document has no path id to keep one under): the
-        walk then raises it where the scalar chain does, and nothing is
-        memoised."""
+        walk then raises it where it stands, and nothing is memoised."""
         ctx = self.ctx
         frame = ctx.current_frame
         if (

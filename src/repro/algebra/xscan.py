@@ -31,7 +31,6 @@ from repro.algebra.context import EvalContext
 from repro.algebra.pathinstance import EntryRun, PathInstance
 from repro.algebra.steps import CompiledStep
 from repro.storage.buffer import Frame
-from repro.storage.nav import speculative_entries
 from repro.storage.page import Page
 from repro.storage.pathsummary import PathPostings
 from repro.storage.store import StoredDocument
@@ -128,7 +127,6 @@ def speculate(
     nothing is pruned).  Enumeration charges nothing: the columnar view's
     precomputed border lists replace the record scan.
     """
-    batched = ctx.options.batched
     page_no = page.page_no
     for index, step in enumerate(steps):
         if refused is not None:
@@ -142,13 +140,9 @@ def speculate(
             if refused[1][index] >> page_no & 1:
                 ctx.stats.pathsummary_entries_pruned += 1
                 continue
-        slots = (
-            page.colview().entry_slots(step.axis)
-            if batched
-            else list(speculative_entries(page, step.axis))
-        )
+        slots = page.colview().entry_slots(step.axis)
         if slots:
-            yield EntryRun(index, page.page_no, slots)
+            yield EntryRun(index, page_no, slots)
 
 
 def scan_pages(ctx: EvalContext, page_nos: Sequence[int]) -> Iterator[Frame]:
@@ -263,8 +257,7 @@ class XScan(Operator):
             for y in by_cluster.pop(page_no, ()):  # contexts first (paper)
                 ctx.charge_instance()
                 yield y
-            for run in runs:
-                yield from run.feed(ctx)
+            yield from runs
 
         if ctx.fallback:
             # restart the producer, behave as the identity operator: the

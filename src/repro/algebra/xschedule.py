@@ -278,8 +278,7 @@ class XSchedule(Operator):
             first_visit = cluster not in self._visited
             self._visited.add(cluster)
             if first_visit and self.speculative and not ctx.fallback:
-                for run in speculate(ctx, frame.page, self.steps, self._contribute):
-                    yield from run.feed(ctx)
+                yield from speculate(ctx, frame.page, self.steps, self._contribute)
 
             ctx.charge_instance()
             yield PathInstance(

@@ -37,7 +37,6 @@ DEFAULT_SCOPES: dict[str, tuple[str, ...]] = {
         "storage/persist.py",
         "storage/export.py",
         "storage/importer.py",
-        "storage/nav.py",
         "storage/update.py",
         "storage/store.py",
         "storage/ordpath.py",
@@ -84,7 +83,6 @@ class ReplintConfig:
         {
             "tracer",
             "synopsis",
-            "batched",
             "faults",
             "wal",
             "crash",

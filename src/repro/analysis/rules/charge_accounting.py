@@ -17,11 +17,10 @@ Four interprocedural checks over the project call graph:
   (a logical read, a disk submission, a buffer hit) has exactly one
   owning charge site.  CPU-work counters (``node_tests``, ``merges``,
   ``instances_created``...) are charged per occurrence at many sites by
-  design — the batched kernels replay the scalar charge sequence while
-  their exclusive fallback branches charge through the ``charge_*``
-  helpers — so they are exempt here; that the kernels and the scalar
-  chain book the same totals is asserted with ``==`` by
-  ``tests/property/test_batched_prop.py``.
+  design — the kernels charge runs of them in one multiply while their
+  fallback branches charge through the ``charge_*`` helpers — so they
+  are exempt here; the totals the kernels book are pinned with ``==`` by
+  the golden draws (``tests/golden.py``).
 * **missed charge** (entry-point completeness) — the contracted entry
   points must charge their counter sets directly or transitively.
 * **charge pairing** — a direct ``buffer_misses`` charge implies a

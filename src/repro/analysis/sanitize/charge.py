@@ -1,9 +1,8 @@
 """The charge sanitizer: the simulated clock audited at every yield.
 
 Counters have one book (:class:`~repro.sim.stats.Stats`), so there is
-nothing to diff them against here; what they must equal across the
-scalar chain and the fused kernel is asserted by
-``tests/property/test_batched_prop.py``.  Time is different — three
+nothing to diff them against here; what they must come to is pinned
+by the golden draws (``tests/golden.py``).  Time is different — three
 running sums that every charge site advances by hand — so the clock is
 checked against its own internal invariants at every operator yield:
 ``now`` is monotone, is a whole number of ticks

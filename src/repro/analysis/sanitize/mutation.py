@@ -20,7 +20,7 @@ Each has a slow, obviously-correct counterpart: recollect everything
 from the physical records.  The incremental result must be
 *indistinguishable* from the full rebuild — a stale synopsis row can
 make pruning skip real results, and a stale columnar view feeds the
-batched kernels records that no longer exist.  This sanitizer runs the
+navigating kernels records that no longer exist.  This sanitizer runs the
 slow path after every update operation and diffs.
 """
 

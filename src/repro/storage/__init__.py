@@ -13,8 +13,9 @@ Implements the storage model the paper assumes:
 * :mod:`repro.storage.importer` — subtree clustering of a logical tree
   onto pages, materialising border-node pairs at crossing edges.
 * :mod:`repro.storage.store` — documents and segments.
-* :mod:`repro.storage.nav` — the intra-cluster navigational primitives
-  (Sec. 3.5), including the resume variants used after a border crossing.
+* :mod:`repro.storage.colview` — columnar page mirrors and the
+  intra-cluster navigational primitives (Sec. 3.5) over them, including
+  the resume variants used after a border crossing.
 """
 
 from repro.storage.nodeid import NodeID, make_nodeid, page_of, slot_of

@@ -8,8 +8,9 @@ cost factors:
 * even a buffer *hit* pays a hash-table lookup with latch acquisition —
   this is the cost of *swizzling* a NodeID into an in-memory pointer.
 
-Operators therefore pass swizzled :class:`Frame` references between
-adjacent XStep operators (free) and only go through :meth:`fix` when a
+Operators therefore keep a swizzled :class:`Frame` reference to the
+cluster the path kernel's XStep levels work on (free) and only go
+through :meth:`fix` when a
 NodeID from the main-memory structures (R, S, Q) must be dereferenced.
 
 Replacement is LRU over unpinned frames: the frame table is kept in

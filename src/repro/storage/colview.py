@@ -1,10 +1,11 @@
 """Columnar cluster views: parallel-array mirrors of a page's records.
 
-The batch-at-a-time datapath (``EvalOptions.batched``) evaluates a whole
-location-step extension against arrays instead of chasing record objects:
-a :class:`ColumnView` mirrors one :class:`~repro.storage.page.Page` as
-parallel columns of node kinds, tag ids, parent/holder slot links, a CSR
-flattening of the child-slot lists, and per-border direction flags.
+Every navigating kernel evaluates a whole location-step extension
+against arrays instead of chasing record objects: a :class:`ColumnView`
+mirrors one :class:`~repro.storage.page.Page` as parallel columns of node
+kinds, tag ids, parent/holder slot links, a CSR flattening of the
+child-slot lists, and per-border direction flags.  The view is where the
+paper's intra-cluster navigational primitives (Sec. 3.5) live.
 
 Views are built lazily on first hot access (:meth:`Page.colview
 <repro.storage.page.Page.colview>`) and are *invalidated*, never patched:
@@ -14,14 +15,15 @@ mutation in :mod:`repro.storage.update` calls
 long as mutations go through those two doors — the coherence rule the
 storage docs spell out.
 
-Candidate discovery here is the charge-free half of the batched kernel:
-:meth:`ColumnView.axis_candidates` / :meth:`ColumnView.resume_candidates`
-return the *complete* candidate slot array of one ``iter_axis`` /
-``iter_resume`` enumeration (same order, same corrupt-store exceptions),
-plus the charge shape ``(upfront_hops, free_head)`` from which
-:meth:`ColumnView.extension` counts the scalar path's ``intra_hop``
-charges between the candidates that matter (its *events*).  The
-charge-shape contract:
+Candidate discovery here is the charge-free half of the kernels:
+:meth:`ColumnView.axis_candidates` applies an axis from a core node and
+:meth:`ColumnView.resume_candidates` continues a *paused* step at the
+border record it crossed into (the per-axis semantics are
+:data:`repro.axes.RESUME_AXIS`); each returns the *complete* candidate
+slot array — borders unexpanded, never leaving the page — plus the
+charge shape ``(upfront_hops, free_head)`` from which
+:meth:`ColumnView.extension` counts the ``intra_hop`` charges between
+the candidates that matter (its *events*).  The charge-shape contract:
 
 * ``upfront_hops`` hop charges fire before the first candidate (and even
   when the candidate array is empty) — the sibling axes' holder lookup;
@@ -34,9 +36,10 @@ Extensions are memoised in one memo per view and step
 pure function of axis and node test: the path kernel and the full-tree
 walker fill it, and run-tape construction reads it without filling it.
 
-``repro.storage.nav`` remains the semantic reference; any change to its
-candidate orders or charge placement must be mirrored here (the batched
-equivalence property test enforces this bit-for-bit).
+A candidate order or a charge placement is part of the books every plan
+keeps: the golden draws (``tests/golden.py``) pin them, and
+``tests/storage/test_nav.py`` holds the enumerations against the paper's
+example tree by hand.
 """
 
 from __future__ import annotations
@@ -77,8 +80,8 @@ class ColumnView:
     slot navigation follows upward").  Child-slot lists are flattened
     into one ``children`` array addressed by ``child_start``/``child_end``
     spans; ``child_start[slot] == -1`` encodes a border whose
-    ``child_slots`` is ``None`` (distinct from an empty list, for
-    corrupt-store exception parity with ``nav``).
+    ``child_slots`` is ``None`` (distinct from an empty list: a
+    continuation proxy without one is a corrupt store).
     """
 
     __slots__ = (
@@ -259,8 +262,9 @@ class ColumnView:
     def axis_candidates(self, slot: int, axis: Axis) -> CandidateBatch:
         """Candidate batch of ``axis`` from the core node at ``slot``.
 
-        Mirrors :func:`repro.storage.nav.iter_axis`: same candidate
-        order, same exceptions, charges encoded in the batch shape.
+        Intra-cluster only: a border met on the way is a candidate,
+        never crossed.  Charges are encoded in the batch shape; a
+        non-core start slot is a :class:`~repro.errors.StorageError`.
         The returned batch is shared (memoized) — do not mutate it.
         """
         key = (slot, axis)
@@ -277,7 +281,7 @@ class ColumnView:
             raise StorageError(f"bad slot {slot} on page {self.page_no}") from None
         if kind < 0:
             raise StorageError(
-                f"iter_axis from non-core slot {slot} on page {self.page_no}"
+                f"axis from non-core slot {slot} on page {self.page_no}"
             )
         if axis is Axis.CHILD or axis is Axis.ATTRIBUTE:
             return 0, 0, self.children[self.child_start[slot] : self.child_end[slot]]
@@ -451,8 +455,12 @@ class ColumnView:
     def resume_candidates(self, slot: int, axis: Axis) -> CandidateBatch:
         """Candidate batch resuming ``axis`` at the border ``slot``.
 
-        Mirrors :func:`repro.storage.nav.iter_resume` (which takes the
-        *original* step axis, as XStep passes it).  The returned batch is
+        ``slot`` is the *target side* of the crossing: an up-border or
+        continuation proxy for downward axes, a down-border for upward
+        and sibling crossings; ``axis`` is the *original* step axis.  A
+        non-border slot is a :class:`~repro.errors.StorageError`, a
+        continuation proxy without its child list a
+        :class:`~repro.errors.StoreCorruptError`.  The returned batch is
         shared (memoized) — do not mutate it.
         """
         key = (slot, axis)
@@ -468,7 +476,7 @@ class ColumnView:
         except IndexError:
             raise StorageError(f"bad slot {slot} on page {self.page_no}") from None
         if kind != KIND_BORDER:
-            raise StorageError(f"iter_resume at non-border slot {slot}")
+            raise StorageError(f"resume at non-border slot {slot} on page {self.page_no}")
         cont = self.border_cont[slot]
         if axis is Axis.CHILD or axis is Axis.ATTRIBUTE:
             if not cont:
@@ -563,10 +571,13 @@ class ColumnView:
     # ---------------------------------------------------------- speculation
 
     def entry_slots(self, axis: Axis) -> list[int]:
-        """Precomputed :func:`~repro.storage.nav.speculative_entries`.
-
-        Border slots (ascending) at which a paused ``axis`` step could
-        enter this page.  The returned list is shared — do not mutate.
+        """Border slots (ascending) at which a paused ``axis`` step could
+        enter this page: XScan's and XSchedule's speculation seeds one
+        left-incomplete instance at each (Sec. 5.4.3).  Downward steps
+        enter through upward borders (proxies included), upward steps
+        through downward ones, sibling steps through every border; a
+        ``self`` step never pauses.  The returned list is shared — do not
+        mutate.
         """
         if axis is Axis.SELF:
             return _EMPTY

@@ -140,7 +140,7 @@ class Page:
         :meth:`add` and :meth:`tombstone` invalidate automatically; any
         code that mutates ``records`` entries, child-slot lists or
         parent/local links *in place* (the update module does) must call
-        this itself — the coherence contract of the batched datapath.
+        this itself — the coherence contract of the columnar views.
         Those in-place mutations bump :attr:`version` through this call,
         which is why it also feeds touched-page detection.
         """

@@ -457,7 +457,8 @@ class _ChainResolver:
     border to its companion down border in the parent cluster, whose
     local link names the holder there — either the parent core record or
     a continuation proxy whose own border must be crossed in turn (split
-    child lists, see :func:`repro.storage.nav._resume_upward`).  Chains
+    child lists, see
+    :meth:`repro.storage.colview.ColumnView.resume_candidates`).  Chains
     are memoised per ``(page_no, slot)`` so repairing several pages of
     one document shares the ancestor work.
     """

@@ -14,14 +14,13 @@ Each disk page stores a directory of records.  Two record types exist:
 Record "sizes" are simulated byte footprints used by the importer to
 decide when a page is full; no real serialization happens.
 
-The batched datapath mirrors these records into parallel arrays (see
+Navigation reads these records through parallel-array mirrors (see
 :mod:`repro.storage.colview`): ``CoreRecord.kind``/``tag``/``parent_slot``/
 ``child_slots`` project into the ``kinds``/``tags``/``parents`` columns and
 the CSR child table; ``BorderRecord.local_slot``/``down``/``continuation``/
 ``child_slots`` project into the border sentinel kind, ``parents``, the
 ``border_down``/``border_cont`` flags and the same CSR table.  Any new
-navigational field added here must be mirrored there (or the batched
-kernel must fall back for queries that read it).
+navigational field added here must be mirrored there.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ of a uniform nodes-per-page guess.
 
 Every pruning predicate here is *conservative*: it may only answer
 "cannot contribute" when the navigation semantics of
-:mod:`repro.storage.nav` guarantee that resuming in the cluster yields
+:class:`~repro.storage.colview.ColumnView` guarantee that resuming in the cluster yields
 neither a matching candidate nor a transit into another cluster.  When
 in doubt (sibling axes, unknown border shapes) the predicates answer
 "might contribute" and the executor behaves exactly as without a
@@ -184,8 +184,9 @@ class ClusterSynopsis:
         """Could a *speculative* resume of ``step`` in this cluster yield a
         matching candidate or transit into another cluster?
 
-        Mirrors :func:`repro.storage.nav.speculative_entries` +
-        :func:`~repro.storage.nav.iter_resume`: downward steps enter at
+        Mirrors :meth:`~repro.storage.colview.ColumnView.entry_slots` +
+        :meth:`~repro.storage.colview.ColumnView.resume_candidates`:
+        downward steps enter at
         up-side borders, upward steps at down borders, sibling steps at
         any border.  Answering False is a proof that XScan may skip the
         cluster for this step.

@@ -2,13 +2,12 @@
 
 import pytest
 
-from repro import EvalOptions
 from repro.axes import Axis
-from repro.algebra.fullnav import exists_path, full_axis, full_step
+from repro.algebra.fullnav import exists_path, full_step
 from repro.algebra.steps import CompiledNodeTest, CompiledPredicate, CompiledStep
-from repro.storage.nav import speculative_entries
 from repro.storage.nodeid import make_nodeid, page_of, slot_of
 
+from tests import golden
 from tests.conftest import books, pinned_pages, small_database
 from tests.paper_tree import build_paper_tree
 
@@ -18,13 +17,17 @@ def paper():
     return build_paper_tree()
 
 
-def run_axis(paper, name, axis, resumed=False):
+def every_node(axis):
+    return CompiledStep(axis, CompiledNodeTest.compile("node", axis, None))
+
+
+def run_axis(paper, name, axis):
     ctx = paper.db.make_context()
     nid = paper.nodes[name]
     reverse = {v: k for k, v in paper.nodes.items()}
     out = [
         reverse[make_nodeid(p, s)]
-        for p, s in full_axis(ctx, page_of(nid), slot_of(nid), axis, resumed=resumed)
+        for p, s in full_step(ctx, every_node(axis), page_of(nid), slot_of(nid))
     ]
     ctx.release()
     return out, ctx
@@ -65,9 +68,10 @@ def test_abandoned_generator_releases_pins(paper):
     """Early termination (as in exists_path) must unfix everything."""
     ctx = paper.db.make_context()
     nid = paper.nodes["d1"]
-    gen = full_axis(ctx, page_of(nid), slot_of(nid), Axis.DESCENDANT)
+    gen = full_step(ctx, every_node(Axis.DESCENDANT), page_of(nid), slot_of(nid))
     next(gen)
     gen.close()
+    assert pinned_pages(ctx) == []
     assert ctx.buffer.n_resident >= 1
     # all frames unpinned: a full buffer sweep can evict everything
     for _ in range(ctx.buffer.capacity + 1):
@@ -116,91 +120,71 @@ def fragmented():
     return db
 
 
-def passes(db, step, page_no, slot):
-    record = db.store.segment.page(page_no).record(slot)
-    return step.test.matches(int(record.kind), record.tag)
-
-
 def test_full_step_from_every_entry_border(fragmented):
     """A step resumed at an entry border (fallback mode on an instance
-    from XSchedule's queue, or on a run's entry): on every axis the
-    walker yields what ``full_axis`` does, filtered by the node test,
-    and both datapaths keep the same books."""
-    db = fragmented
-    resumed_walks = 0
-    for axis in Axis:
-        for kind, name in (("node", None), ("name", "b"), ("text", None)):
-            tag = db.tags.lookup(name) if name else None
-            step = CompiledStep(axis, CompiledNodeTest.compile(kind, axis, tag))
-            for page_no in db.document("d").page_nos:
-                page = db.store.segment.page(page_no)
-                for entry in speculative_entries(page, axis):
-                    ctx = db.make_context()
-                    expected = [
-                        (p, s)
-                        for p, s in full_axis(ctx, page_no, entry, axis, resumed=True)
-                        if passes(db, step, p, s)
-                    ]
-                    walked = {}
-                    for batched in (True, False):
-                        ctx = db.make_context(EvalOptions(batched=batched))
-                        got = list(full_step(ctx, step, page_no, entry, resumed=True))
-                        assert got == expected, (axis, kind, page_no, entry)
-                        walked[batched] = books(ctx)
-                        assert pinned_pages(ctx) == []
-                    assert walked[True] == walked[False], (axis, kind, page_no, entry)
-                    resumed_walks += 1
-    assert resumed_walks > 500
+    from XSchedule's queue, or on a run's entry): on every axis and under
+    a node, a name and a text test, every walk yields and charges what
+    the golden row pins, and leaves no pin."""
+    seen = []
+    for where, got, ctx in golden.resumed_walks(fragmented):
+        seen.append((where, got, golden.ctx_books(ctx)))
+        assert pinned_pages(ctx) == [], where
+    assert len(seen) > 500
+    assert golden.walks(seen) == golden.row("walk/resumed")["walks"]
 
 
 def test_full_step_closed_mid_stream_leaves_no_pin(fragmented):
     """Abandon the walk after every possible number of matches — under
     one, two, three and more suspended crossings: the page in hand is
-    released, nothing else was pinned, and both datapaths have charged
-    the same by then."""
-    db = fragmented
-    root = db.document("d").root
-    step = CompiledStep(
-        Axis.DESCENDANT, CompiledNodeTest.compile("node", Axis.DESCENDANT, None)
-    )
-    total = len(list(full_step(db.make_context(), step, page_of(root), slot_of(root))))
+    released, nothing else was pinned, and what was charged by then is
+    pinned."""
+    seen = []
     deepest = 0
-    for taken in range(1, total + 1):
-        closed = {}
-        for batched in (True, False):
-            ctx = db.make_context(EvalOptions(batched=batched))
-            walk = full_step(ctx, step, page_of(root), slot_of(root), instances=True)
-            got = [next(walk) for _ in range(taken)]
-            if batched:
-                deepest = max(deepest, len(walk.gi_frame.f_locals["stack"]))
-            walk.close()
-            closed[batched] = (got, books(ctx))
-            assert pinned_pages(ctx) == [], (taken, batched)
-        assert closed[True] == closed[False], taken
+    for got, walk, ctx in golden.closed_walks(fragmented):
+        deepest = max(deepest, len(walk.gi_frame.f_locals["stack"]))
+        walk.close()
+        seen.append((got, golden.ctx_books(ctx)))
+        assert pinned_pages(ctx) == [], len(got)
+    assert golden.walks(seen) == golden.row("walk/closed")["walks"]
     assert deepest >= 3, "no walk was closed three crossings deep"
 
 
-@pytest.mark.parametrize("batched", [True, False])
-def test_exists_path_exits_early_without_a_pin(fragmented, batched):
+@pytest.mark.parametrize("warm", [True, False])
+def test_exists_path_exits_early_without_a_pin(warm):
     """Nested predicate paths return at the first witness, however many
-    crossings deep the walkers below them are suspended."""
-    db = fragmented
-    root = db.document("d").root
-    tag = db.tags.lookup
+    crossings deep the walkers below them are suspended — over the
+    extensions a whole-query run memoised first (``warm``) or over
+    extensions computed as they go, with the same books either way."""
+    query = "count(//c[.//text() != 'x']/a)"
 
-    def name(axis, label, predicates=()):
-        test = CompiledNodeTest.compile("name", axis, tag(label))
-        return CompiledStep(axis, test, list(predicates))
+    def walk(db):
+        root = db.document("d").root
+        tag = db.tags.lookup
 
-    has_text = CompiledPredicate(
-        [CompiledStep(Axis.DESCENDANT, CompiledNodeTest.compile("text", Axis.DESCENDANT, None))],
-        op="!=",
-        literal="x",
-    )
-    steps = [name(Axis.DESCENDANT, "c", [has_text]), name(Axis.CHILD, "a")]
-    ctx = db.make_context(EvalOptions(batched=batched))
-    assert exists_path(ctx, page_of(root), slot_of(root), steps)
-    assert pinned_pages(ctx) == []
-    whole = db.execute("count(//c[.//text() != 'x']/a)", doc="d", plan="simple")
+        def name(axis, label, predicates=()):
+            test = CompiledNodeTest.compile("name", axis, tag(label))
+            return CompiledStep(axis, test, list(predicates))
+
+        has_text = CompiledPredicate(
+            [CompiledStep(Axis.DESCENDANT, CompiledNodeTest.compile("text", Axis.DESCENDANT, None))],
+            op="!=",
+            literal="x",
+        )
+        steps = [name(Axis.DESCENDANT, "c", [has_text]), name(Axis.CHILD, "a")]
+        ctx = db.make_context()
+        assert exists_path(ctx, page_of(root), slot_of(root), steps)
+        booked = books(ctx)
+        assert pinned_pages(ctx) == []
+        return booked
+
+    def fragmented_db():
+        return small_database(seed=5, page_size=256, fragmentation=1.0, n_top=8)[0]
+
+    db = fragmented_db()
+    if warm:
+        db.execute(query, doc="d", plan="simple")
+    booked = walk(db)
+    assert booked == walk(fragmented_db())
+    whole = db.execute(query, doc="d", plan="simple")
     assert whole.value > 1  # more witnesses than the one it stopped at
-    assert ctx.stats.node_tests < whole.stats.node_tests
+    assert booked[2]["node_tests"] < whole.stats.node_tests

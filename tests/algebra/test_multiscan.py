@@ -6,12 +6,12 @@ from repro import (
     BudgetExceededError,
     Database,
     EvalOptions,
-    ExecutionBudget,
     ImportOptions,
 )
 from repro.xmark import Q7, generate_xmark
 from repro.xpath.reference import evaluate_query
 
+from tests import golden
 from tests.conftest import small_database
 
 
@@ -85,29 +85,17 @@ def test_budget_blow_closes_every_path_kernel(db_tree, on_exceeded):
     db, _ = db_tree
     query = "count(//a)+count(//b//c)"
     full = db.execute(query, doc="d", plan="xscan-shared")
-    booked = {}
-    for batched in (True, False):
-        options = EvalOptions(
-            batched=batched,
-            budget=ExecutionBudget(
-                max_seconds=full.total_time / 3, on_exceeded=on_exceeded
-            ),
-        )
-        ctx = db.env.fresh_context(options)
-        held = None
-        try:
-            result = db.execute(
-                query, doc="d", plan="xscan-shared", options=options, context=ctx
-            )
-            assert result.partial
-        except BudgetExceededError as exc:
-            held = exc  # its traceback keeps the scan's frames alive
-        assert (held is not None) == (on_exceeded == "raise")
-        assert ctx.fallback_hooks == []
-        assert ctx.current_frame is None
-        booked[batched] = ctx.stats.as_dict()
-    assert booked[True] == booked[False]
-    assert 0 < booked[True]["node_tests"] < full.stats.node_tests
+    # a third of the run, on the same document; the books are pinned
+    cut = golden.check(f"shared/cut/{on_exceeded}")
+    assert cut.ctx.options.budget.max_seconds == full.total_time / 3
+    if on_exceeded == "raise":
+        # the error's traceback keeps the scan's frames alive
+        assert isinstance(cut.error, BudgetExceededError)
+    else:
+        assert cut.result.partial
+    assert cut.ctx.fallback_hooks == []
+    assert cut.ctx.current_frame is None
+    assert 0 < cut.ctx.stats.node_tests < full.stats.node_tests
 
 
 # ------------------------------------------------------------- fallback
@@ -180,7 +168,7 @@ def test_a_tripped_shared_scan_leaves_the_context_clean(xmark_layouts):
 def test_scan_readahead_applies_to_the_shared_scan(xmark_layouts):
     """The shared scan is a consumer of the one sequential pass: the
     prefetch window is the pass's, not XScan's.  (With the default
-    window of 0 nothing moves: ``golden_entry_runs.json`` pins it.)"""
+    window of 0 nothing moves: the golden rows of ``tests/golden.py`` pin it.)"""
     layouts, _ = xmark_layouts
     db = layouts[0.0]
     query = SWEEP_QUERIES[0]

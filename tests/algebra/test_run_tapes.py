@@ -4,15 +4,15 @@ The path kernel walks a (cluster, path, step)'s entry run level by level
 once, charge-free (:func:`repro.algebra.xassembly.build_tape`), and from
 then on takes the run in from that tape whenever nothing can observe the
 clock inside it.  The level-stack walk stays the reference — an armed
-budget, however inert, forces it — and the scalar chain the oracle of
-both: all three must agree with ``==`` on value, nodes, every ``Stats``
-field and the hex time triple.  The seams get a test each: the room
+budget, however inert, forces it — and the golden rows
+(``tests/golden.py``), the books the scalar chain kept, the oracle of
+both: all three must agree with ``==`` on value, node count, every
+``Stats`` field and the hex time triple.  The seams get a test each: the room
 check under ``memory_limit`` flipping between the two walks mid-scan, a
 corrupt page, tapes across an update, the per-view bound, two documents
 sharing a page, an S entry grown over a tape's own tuple.
 """
 
-import json
 import random
 import sys
 
@@ -20,10 +20,7 @@ import pytest
 
 import repro.algebra.xassembly as kernel
 from repro import Database, EvalOptions, ExecutionBudget, ImportOptions
-from repro.algebra.base import Operator
-from repro.algebra.pathinstance import EntryRun
 from repro.algebra.xassembly import XAssembly, build_tape
-from repro.axes import Axis
 from repro.errors import StorageError
 from repro.storage import colview
 from repro.storage.nodeid import make_nodeid
@@ -31,22 +28,13 @@ from repro.storage.record import BorderRecord, CoreRecord
 from repro.storage.store import export_tree
 from repro.storage.update import delete_subtree, insert_node
 from repro.xpath.reference import evaluate_query
-from tests.algebra.test_entry_runs import GOLDEN, _golden_rows
+from tests import golden
 from tests.conftest import make_random_tree, small_database
 
 PLANS = ["xscan", "xscan-shared", "xschedule"]
-#: a ``//`` prefix the rewrite cannot fold away: under a scan every entry
-#: of its second step is implied reachable (``descendant_root_opt``)
-IMPLIED = "/descendant-or-self::node()/parent::b/a/c"
+IMPLIED = golden.IMPLIED
 #: downward, upward and sibling steps
-PATHS = [
-    "/root/a/b/c",
-    "count(//a/b)+count(//b//c/*/a)",
-    "//c/ancestor::a/b",
-    "count(//b/following-sibling::a/c)",
-    "/descendant-or-self::node()/child::*/child::*/child::*",
-    IMPLIED,
-]
+PATHS = golden.TAPE_PATHS
 #: an armed budget no run can exhaust: the kernel walks level by level
 INERT = ExecutionBudget(max_pages=10**9)
 
@@ -54,9 +42,10 @@ INERT = ExecutionBudget(max_pages=10**9)
 @pytest.fixture(scope="module", params=[0.0, 1.0], ids=["contiguous", "fragmented"])
 def store(request):
     """Contiguous: clusters follow their parents, so more entries are
-    reachable at intake.  Fragmented: nearly all are parked."""
-    db, _ = small_database(seed=3, page_size=512, fragmentation=request.param, n_top=25)
-    return db.store
+    reachable at intake.  Fragmented: nearly all are parked.  A private
+    import: its views start without tapes."""
+    held, _ = golden.imported(golden.random_doc(3, request.param))
+    return held
 
 
 @pytest.fixture
@@ -101,15 +90,17 @@ def _cached_tapes(store, doc="d"):
 
 @pytest.mark.parametrize("plan", PLANS)
 @pytest.mark.parametrize("query", PATHS)
-def test_tape_equals_level_stack_equals_scalar_chain(store, plan, query, replays):
-    first = _run(store, query, plan)  # builds what tapes are missing
-    again = _run(store, query, plan)  # finds them all
+def test_tape_equals_level_stack_equals_scalar_chain(request, store, plan, query, replays):
+    """Tape, level-stack walk and the pinned books of the scalar chain."""
+    layout = request.node.callspec.id.split("-")[0]
+    key = f"tapes/{layout}/{plan}/{PATHS.index(query)}"
+    first = golden.check(key, shared=store).result  # builds what tapes are missing
+    again = golden.check(key, shared=store).result  # finds them all
     assert replays, "no run was taken in from a tape"
     taken = len(replays)
-    walked = _run(store, query, plan, budget=INERT)
-    scalar = _run(store, query, plan, batched=False)
+    walked = golden.check(key, shared=store, budget=INERT).result
     assert len(replays) == taken, "an armed budget must force the level-stack walk"
-    assert _observed(first) == _observed(again) == _observed(walked) == _observed(scalar)
+    assert _observed(first) == _observed(again) == _observed(walked)
     assert first.stats.speculative_instances > first.stats.clusters_visited
     assert any(replays) == (query is IMPLIED and plan != "xschedule")
     # taking a run in leaves its tape as it was built
@@ -175,13 +166,13 @@ def test_both_intakes_are_exercised(monkeypatch, replays):
 
 
 @pytest.mark.parametrize("plan", PLANS)
-def test_room_check_flips_between_the_walks_mid_scan(store, plan, replays, monkeypatch):
+def test_room_check_flips_between_the_walks_mid_scan(
+    request, store, plan, replays, monkeypatch
+):
     """Under ``memory_limit`` a run is taken in from its tape only while
     S has room for all of it: early runs are, a later one is walked and
-    trips inside the run, and every observable is the scalar chain's."""
-    query = PATHS[4]
-    unlimited = _run(store, query, plan)
-    peak = max(1, unlimited.stats.speculative_instances // 8)
+    trips inside the run, and every observable is the pinned one."""
+    layout = request.node.callspec.id.split("-")[0]
     trips = []  # per trip: entries of the run being walked still to come
     enter_fallback = XAssembly._enter_fallback
 
@@ -192,13 +183,13 @@ def test_room_check_flips_between_the_walks_mid_scan(store, plan, replays, monke
 
     monkeypatch.setattr(XAssembly, "_enter_fallback", spy)
     flipped = []
-    for limit in sorted({1, 5, peak // 4, peak // 2, peak, 2 * peak, 10**9}):
+    keys = [key for key, _ in golden.rows("room") if key.startswith(f"room/{layout}/{plan}/")]
+    assert len(keys) >= 5
+    for key in keys:
         del replays[:]
         del trips[:]
-        tape = _run(store, query, plan, memory_limit=limit)
+        tape = golden.check(key, shared=store).result
         taken = len(replays)
-        scalar = _run(store, query, plan, batched=False, memory_limit=limit)
-        assert _observed(tape) == _observed(scalar), limit
         if tape.stats.fallbacks and taken:
             assert trips[0] is not None, "the trip did not land inside a run"
             flipped.append(trips[0])
@@ -207,7 +198,13 @@ def test_room_check_flips_between_the_walks_mid_scan(store, plan, replays, monke
 
 
 def test_golden_rows_come_off_the_tapes(replays):
-    assert _golden_rows() == json.loads(GOLDEN.read_text())
+    """The paper's queries at sf 0.05, on a private import: the tapes
+    are built and replayed within these runs."""
+    held, _ = golden.imported(golden.PAPER_DOC)
+    keys = [key for key, _ in golden.rows("paper")]
+    assert len(keys) == 15
+    for key in keys:
+        golden.check(key, shared=held)
     assert len(replays) > 1000
 
 
@@ -344,13 +341,13 @@ def test_a_view_keeps_a_bounded_number_of_tapes(monkeypatch, replays):
     monkeypatch.setattr(colview, "TAPE_LIMIT", 4)
     db, _ = small_database(seed=3, page_size=512, fragmentation=1.0, n_top=25)
     queries = [f"count(//{x}/{y}/{z})" for x in "abc" for y in "ab" for z in "cd"]
-    tapes = [_run(db.store, query, "xscan") for query in queries]
+    for query in queries:
+        golden.check(f"bounded/{query}", shared=db.store)
     sizes = [len(p.colview().tapes) for p in map(db.store.segment.page, db.document("d").page_nos)]
     assert 0 < max(sizes) <= 4, "twelve paths of three steps ran over every cluster"
     assert replays
-    for query, tape in zip(queries, tapes):
-        assert _observed(tape) == _observed(_run(db.store, query, "xscan", batched=False))
-        assert _observed(tape) == _observed(_run(db.store, query, "xscan"))
+    for query in queries:
+        golden.check(f"bounded/{query}", shared=db.store)
 
 
 # ---------------------------------------------------- the one extension memo
@@ -437,57 +434,21 @@ def test_documents_sharing_a_page_do_not_share_tapes():
 # --------------------------------------------- S entries are never grown in place
 
 
-class _SameRunTwice(Operator):
-    """Pins one cluster and hands its step-0 entry run on twice."""
-
-    def __init__(self, ctx, page_no, axis):
-        super().__init__(ctx)
-        self.page_no = page_no
-        self.axis = axis
-
-    def _produce(self):
-        ctx = self.ctx
-        ctx.set_current_frame(ctx.buffer.fix(self.page_no))
-        slots = ctx.current_frame.page.colview().entry_slots(self.axis)
-        for _ in range(2):
-            yield from EntryRun(0, self.page_no, slots).feed(ctx)
-
-
 def test_an_s_entry_is_grown_by_replacing_it():
     """The same run delivered twice.  With room for both, the second
     tape intake doubles the S entries the first parked as the tape's own
     tuples; short of room, it is walked level by level and grows them
     outcome by outcome until it trips.  Either way the tape comes out
-    as it was built and the scalar chain agrees."""
-    db, _ = small_database(seed=3, page_size=512, fragmentation=1.0, n_top=25)
-    doc = db.document("d")
-    steps = db.prepare("/descendant::a/descendant::b", "d", "xscan").leaves[0][0].steps
-    page = max(
-        map(db.store.segment.page, doc.page_nos),
-        key=lambda p: build_tape(doc, p.colview(), p.records, steps, 0).parked,
-    )
-    parked = build_tape(doc, page.colview(), page.records, steps, 0).parked
-    assert parked >= 4
-
-    def drain(batched, memory_limit):
-        ctx = db.make_context(EvalOptions(batched=batched, memory_limit=memory_limit))
-        top = XAssembly(
-            ctx, _SameRunTwice(ctx, page.page_no, Axis.DESCENDANT), 2, steps=steps, document=doc
-        )
-        top.open()
-        try:
-            while top.next() is not None:
-                pass
-            held = sorted(map(len, top._s.values()))
-        finally:
-            top.close()
-            ctx.release()
-        return held, ctx.stats.as_dict(), ctx.clock.now.hex(), ctx.clock.cpu_time.hex()
-
-    for memory_limit, fallbacks in ((None, 0), (parked + parked // 2, 1)):
-        kernel_run = drain(True, memory_limit)
+    as it was built and the books are the pinned ones."""
+    for name, fallbacks in (("unlimited", 0), ("tight", 1)):
+        db = golden.database(golden.TWICE_DOC, shared=golden.imported(golden.TWICE_DOC)[0])
+        doc = db.document("d")
+        page, steps, parked = golden.twice_setup(db)
+        assert parked >= 4
+        limit = None if fallbacks == 0 else parked + parked // 2
+        held, booked = golden.drain_twice(db, page, steps, limit)
         (tape,) = page.colview().tapes.values()
         assert build_tape(doc, page.colview(), page.records, steps, 0) == tape
-        assert kernel_run[1]["fallbacks"] == fallbacks
-        assert fallbacks or sum(kernel_run[0]) == 2 * parked
-        assert kernel_run == drain(False, memory_limit)
+        assert booked[2]["fallbacks"] == fallbacks
+        assert fallbacks or sum(held) == 2 * parked
+        assert golden.other(f"twice/{name}") == golden.row(f"twice/{name}")

@@ -16,7 +16,6 @@ from repro.algebra.unnestmap import UnnestMap
 from repro.algebra.xassembly import XAssembly
 from repro.algebra.xscan import XScan
 from repro.algebra.xschedule import XSchedule, _QEntry
-from repro.algebra.xstep import XStep
 from repro.sim.clock import SimClock
 from repro.storage.buffer import BufferManager, Frame
 from repro.storage.page import Page
@@ -27,7 +26,6 @@ HOT_CLASSES = (
     Operator,
     XScan,
     XSchedule,
-    XStep,
     XAssembly,
     UnnestMap,
     ContextScan,

@@ -1,4 +1,5 @@
-"""Unit tests for the XStep operator's applicability and outputs."""
+"""Unit tests for XStep's applicability and outputs, as the path kernel's
+levels (``XAssembly(..., steps=...)``) run it on the paper's tree."""
 
 import pytest
 
@@ -6,9 +7,9 @@ from repro.axes import Axis
 from repro.algebra.base import Operator
 from repro.algebra.pathinstance import PathInstance
 from repro.algebra.steps import CompiledNodeTest, CompiledPredicate, CompiledStep
-from repro.algebra.xstep import XStep
+from repro.algebra.xassembly import XAssembly
 from repro.errors import PlanError
-from repro.storage.nodeid import make_nodeid, page_of, slot_of
+from repro.storage.nodeid import make_nodeid, slot_of
 
 from tests.paper_tree import PAGE_A, PAGE_D, build_paper_tree
 
@@ -27,9 +28,8 @@ def paper():
     return build_paper_tree()
 
 
-def make_step(paper, axis, name=None, kind="name"):
-    tag = paper.db.tags.lookup(name) if name else None
-    return CompiledStep(axis, CompiledNodeTest.compile(kind if name or kind != "name" else "name", axis, tag))
+def make_step(paper, axis, name):
+    return CompiledStep(axis, CompiledNodeTest.compile("name", axis, paper.db.tags.lookup(name)))
 
 
 def pin(paper, page_no):
@@ -37,6 +37,11 @@ def pin(paper, page_no):
     frame = ctx.buffer.fix(page_no)
     ctx.set_current_frame(frame)
     return ctx
+
+
+def kernel(ctx, items, steps, path_len=None):
+    """The path kernel over a hand-made feed on the pinned cluster."""
+    return XAssembly(ctx, ListSource(ctx, items), path_len or len(steps), steps=steps)
 
 
 def drain(op):
@@ -47,40 +52,44 @@ def drain(op):
         if item is None:
             op.close()
             return out
-        out.append(item)
+        out.append(make_nodeid(item.page_no, item.slot))
 
 
 def test_applicable_instance_extended(paper):
+    """Two deferred borders (a, c: tested later) and d4 matching C."""
     ctx = pin(paper, PAGE_D)
     d1 = paper.nodes["d1"]
     context = PathInstance(0, d1, False, 0, slot_of(d1), False, page_no=PAGE_D)
-    step = make_step(paper, Axis.CHILD, "C")
-    out = drain(XStep(ctx, ListSource(ctx, [context]), 1, step))
-    # two deferred borders (a, c tested later) + d4 matching C
-    borders = [i for i in out if i.is_border]
-    cores = [i for i in out if not i.is_border]
-    assert len(borders) == 2
-    assert len(cores) == 1 and cores[0].s_r == 1
+    top = kernel(ctx, [context], [make_step(paper, Axis.CHILD, "C")])
+    assert drain(top) == [paper.nodes["d4"]]
     assert ctx.stats.border_crossings_deferred == 2
+    # the paused crossings reached the intake: their junctions are proven
+    assert {(0, paper.nodes[b]) for b in ("a1", "c1")} <= top._r
     ctx.release()
 
 
 def test_non_applicable_passes_through(paper):
+    """An instance no level applies to (every step done) is handed up as
+    it is: a full result, no navigation."""
     ctx = pin(paper, PAGE_D)
-    stale = PathInstance(0, None, False, 5, 0, False, page_no=PAGE_D)
-    step = make_step(paper, Axis.CHILD, "C")
-    out = drain(XStep(ctx, ListSource(ctx, [stale]), 1, step))
-    assert out == [stale]
+    done = PathInstance(0, None, False, 5, 0, False, page_no=PAGE_D)
+    top = kernel(ctx, [done], [make_step(paper, Axis.CHILD, "C")], path_len=5)
+    assert drain(top) == [make_nodeid(PAGE_D, 0)]
+    assert ctx.stats.intra_hops == ctx.stats.node_tests == 0
     ctx.release()
 
 
 def test_paused_instance_not_reprocessed(paper):
-    """A border produced by this step is NOT applicable to later steps."""
+    """A border a step paused at is not extended by a later step until
+    the I/O operator re-delivers it resumed: it reaches the intake as it
+    is, and only its junction is proven."""
     ctx = pin(paper, PAGE_D)
     paused = PathInstance(0, None, False, 0, slot_of(paper.nodes["d2"]), True, page_no=PAGE_D)
-    step2 = make_step(paper, Axis.CHILD, "B")
-    out = drain(XStep(ctx, ListSource(ctx, [paused]), 2, step2))
-    assert out == [paused]  # s_r=0 != 1, passes through untouched
+    steps = [make_step(paper, Axis.CHILD, "A"), make_step(paper, Axis.CHILD, "B")]
+    top = kernel(ctx, [paused], steps)
+    assert drain(top) == []
+    assert top._r == {(0, paper.nodes["a1"])}
+    assert ctx.stats.intra_hops == ctx.stats.node_tests == 0
     ctx.release()
 
 
@@ -89,11 +98,8 @@ def test_resumed_instance_processed(paper):
     resumed = PathInstance(
         0, None, False, 0, slot_of(paper.nodes["a1"]), True, resumed=True, page_no=PAGE_A
     )
-    step = make_step(paper, Axis.CHILD, "A")
-    out = drain(XStep(ctx, ListSource(ctx, [resumed]), 1, step))
-    assert len(out) == 1
-    assert not out[0].is_border
-    assert make_nodeid(out[0].page_no, out[0].slot) == paper.nodes["a2"]
+    top = kernel(ctx, [resumed], [make_step(paper, Axis.CHILD, "A")])
+    assert drain(top) == [paper.nodes["a2"]]
     ctx.release()
 
 
@@ -102,23 +108,22 @@ def test_failed_node_test_kills_instance(paper):
     resumed = PathInstance(
         0, None, False, 0, slot_of(paper.nodes["a1"]), True, resumed=True, page_no=PAGE_A
     )
-    step = make_step(paper, Axis.CHILD, "Z", kind="name")  # unknown tag
-    out = drain(XStep(ctx, ListSource(ctx, [resumed]), 1, step))
-    assert out == []
+    top = kernel(ctx, [resumed], [make_step(paper, Axis.CHILD, "Z")])  # unknown tag
+    assert drain(top) == []
+    assert ctx.stats.node_tests == 1
     ctx.release()
 
 
 def test_left_open_flag_propagates(paper):
+    """A left-incomplete instance extended to the end keeps its left
+    junction: unproven, it waits in S under it."""
     ctx = pin(paper, PAGE_A)
-    speculative = PathInstance(
-        1, paper.nodes["a1"], True, 1, slot_of(paper.nodes["a1"]), True,
-        resumed=True, page_no=PAGE_A,
-    )
-    step = make_step(paper, Axis.CHILD, "A")
-    out = drain(XStep(ctx, ListSource(ctx, [speculative]), 2, step))
-    assert len(out) == 1
-    assert out[0].left_open
-    assert out[0].n_l == paper.nodes["a1"]
+    a1 = paper.nodes["a1"]
+    speculative = PathInstance(1, a1, True, 1, slot_of(a1), True, resumed=True, page_no=PAGE_A)
+    steps = [make_step(paper, Axis.CHILD, "A"), make_step(paper, Axis.CHILD, "A")]
+    top = kernel(ctx, [speculative], steps)
+    assert drain(top) == []
+    assert top._s == {(1, a1): [(2, paper.nodes["a2"], False)]}
     ctx.release()
 
 
@@ -127,15 +132,14 @@ def test_predicates_rejected(paper):
     step = make_step(paper, Axis.CHILD, "A")
     step.predicates.append(CompiledPredicate([]))
     with pytest.raises(PlanError):
-        XStep(ctx, ListSource(ctx, []), 1, step)
+        kernel(ctx, [], [step])
 
 
 def test_wrong_page_instance_raises(paper):
     ctx = pin(paper, PAGE_D)
     wrong = PathInstance(0, None, False, 0, 0, False, page_no=PAGE_A)
-    step = make_step(paper, Axis.CHILD, "A")
-    op = XStep(ctx, ListSource(ctx, [wrong]), 1, step)
-    op.open()
+    top = kernel(ctx, [wrong], [make_step(paper, Axis.CHILD, "A")])
+    top.open()
     with pytest.raises(PlanError):
-        op.next()
+        top.next()
     ctx.release()

@@ -68,8 +68,8 @@ def test_scope_relpath_strips_package_prefix():
         scope_relpath(Path("src/repro/sim/disk.py"), Path("src")) == "sim/disk.py"
     )
     assert (
-        scope_relpath(Path("/a/b/src/repro/storage/nav.py"), Path("/a/b"))
-        == "storage/nav.py"
+        scope_relpath(Path("/a/b/src/repro/storage/colview.py"), Path("/a/b"))
+        == "storage/colview.py"
     )
 
 

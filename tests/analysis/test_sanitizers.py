@@ -1,7 +1,8 @@
 """The reprosan runtime sanitizers: seeded-bug matrix and overhead contract.
 
 Each sanitizer must demonstrably catch its bug class: we *seed* a
-deliberate bug (time charged outside both clock buckets, a
+deliberate bug (time charged outside both clock buckets by a charge the
+path kernel makes, a
 run-count-dependent clock, a corrupted incremental repair (after a
 logged and after a bare update), a synopsis
 edited in place under its memo, a stale columnar cache, a stale junction
@@ -20,7 +21,8 @@ import random
 
 import pytest
 
-from repro.algebra.context import EvalContext, EvalOptions
+from repro.algebra.context import EvalContext
+from repro.algebra.xassembly import XAssembly
 from repro.analysis.sanitize import ALL_MODES, SanitizerError, modes
 from repro.model.tree import Kind
 from repro.obs.tracer import Tracer
@@ -28,11 +30,8 @@ from repro.sim.clock import TICK, SimClock
 from repro.storage.nodeid import page_of, slot_of
 from repro.storage.record import CoreRecord
 from repro.storage.update import update_value
+from tests import golden
 from tests.conftest import small_database
-
-#: forces the scalar navigation path, whose charges flow through the
-#: EvalContext.charge_* helpers the charge tests seed bugs into
-SCALAR = EvalOptions(batched=False)
 
 
 @pytest.fixture(autouse=True)
@@ -109,55 +108,50 @@ def test_user_tracer_still_surfaces_under_sanitizers(monkeypatch):
 
 
 def test_double_charge_breaks_scalar_kernel_agreement(monkeypatch):
-    """The oracle for CPU-work counters: the scalar chain books hops
-    through ``charge_hop``, the fused kernel as deltas of its own, so a
-    double charge at either site breaks the ``==`` between the two that
-    tests/property/test_batched_prop.py asserts."""
-    db, _ = small_database()
+    """The oracle for CPU-work counters is the golden file: the books the
+    scalar chain kept, which the kernel must keep with ``==``.  A doubled
+    hop charge in the kernel moves a golden row; without it the row
+    holds."""
+    key = "runs/xscan/0"
+    golden.check(key)
+    post = XAssembly._post
 
-    def hops(batched):
-        options = EvalOptions(batched=batched)
-        return db.execute("//a/b", doc="d", plan="xscan", options=options).stats.intra_hops
+    def double_hops(self, hops, *rest):  # seeded bug: one logical
+        post(self, 2 * hops, *rest)  # event charged twice
 
-    assert hops(False) == hops(True) > 0
-    original = EvalContext.charge_hop
-
-    def double_charge_hop(self):  # seeded bug: the PR 3 shape, one
-        original(self)  # logical event charged at two layers
-        self.stats.intra_hops += 1
-
-    monkeypatch.setattr(EvalContext, "charge_hop", double_charge_hop)
-    assert hops(False) != hops(True)
+    monkeypatch.setattr(XAssembly, "_post", double_hops)
+    with pytest.raises(AssertionError, match=key):
+        golden.check(key)
 
 
 def test_charge_sanitizer_catches_clock_identity_breach(monkeypatch):
     monkeypatch.setenv("REPRO_SAN", "charge")
-    original = EvalContext.charge_hop
+    original = EvalContext.charge_set_op
 
     def untracked_time(self):  # seeded bug: now moves outside both buckets
         original(self)
         self.clock.now += 1e-6
 
-    monkeypatch.setattr(EvalContext, "charge_hop", untracked_time)
+    monkeypatch.setattr(EvalContext, "charge_set_op", untracked_time)
     db, _ = small_database()
     with pytest.raises(SanitizerError, match="clock identity"):
-        db.execute("//a/b", doc="d", plan="xscan", options=SCALAR)
+        db.execute("//a/b", doc="d", plan="xscan")
 
 
 def test_charge_sanitizer_catches_a_duration_created_off_the_grid(monkeypatch):
     """Both buckets move together, so the identity holds — but the clock
     is no longer a whole number of ticks, and exact sums are forfeit."""
     monkeypatch.setenv("REPRO_SAN", "charge")
-    original = EvalContext.charge_hop
+    original = EvalContext.charge_set_op
 
-    def off_grid_hop(self):  # seeded bug: a cost that skipped on_grid()
+    def off_grid_set_op(self):  # seeded bug: a cost that skipped on_grid()
         original(self)
         self.clock.work(1.25 * TICK)
 
-    monkeypatch.setattr(EvalContext, "charge_hop", off_grid_hop)
+    monkeypatch.setattr(EvalContext, "charge_set_op", off_grid_set_op)
     db, _ = small_database()
     with pytest.raises(SanitizerError, match="left the time grid"):
-        db.execute("//a/b", doc="d", plan="xscan", options=SCALAR)
+        db.execute("//a/b", doc="d", plan="xscan")
 
 
 # ---------------------------------------------------- determinism sanitizer
@@ -357,16 +351,16 @@ def test_failures_land_in_the_report_artifact(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_SAN", "charge")
     monkeypatch.setenv("REPRO_SAN_REPORT", str(report))
 
-    original = EvalContext.charge_hop
+    original = EvalContext.charge_set_op
 
     def untracked_time(self):
         original(self)
         self.clock.now += 1e-6
 
-    monkeypatch.setattr(EvalContext, "charge_hop", untracked_time)
+    monkeypatch.setattr(EvalContext, "charge_set_op", untracked_time)
     db, _ = small_database()
     with pytest.raises(SanitizerError):
-        db.execute("//a/b", doc="d", plan="xscan", options=SCALAR)
+        db.execute("//a/b", doc="d", plan="xscan")
     lines = report.read_text(encoding="utf-8").splitlines()
     assert lines
     record = json.loads(lines[0])

@@ -11,6 +11,10 @@ from repro.model.builder import TreeBuilder
 from repro.model.tags import TagDictionary
 from repro.model.tree import LogicalTree
 
+# the golden-row checks are asserts in a helper module: rewritten like a
+# test module's, they report a diff and survive ``python -O``
+pytest.register_assert_rewrite("tests.golden")
+
 
 def make_random_tree(
     tags: TagDictionary,

@@ -1,0 +1,824 @@
+"""Golden draws: the pinned books of the navigation datapath.
+
+Every line of ``golden_books.jsonl`` after its header is one *draw* — a
+document, a query, a plan with its options, a fault profile, a budget
+cut, a tracer — and the books the run came to: value, node count, the
+hex ``total``/``cpu``/``io_wait`` times, every ``Stats`` field (in the
+order the header names them), ``partial`` when a budget cut the result
+and, for a traced draw, the per-operator ``(calls, out)`` roll-up.  A
+draw that raises pins the error and the books at the raise instead.
+
+The rows were generated while the record-at-a-time step chain (one
+``XStep`` operator per step over ``storage/nav.py``) still existed, and
+each was asserted ``==`` to that chain on every book: they are its books.
+Every draw that returns a whole result is also checked against
+:mod:`repro.xpath.reference`.
+
+Draws are deterministic (one seeded ``random.Random``) and stratified:
+the random-document family puts every ordered pair of the nine navigated
+axes at the head of a path once, the way expressively distinct
+navigations are told apart, then adds predicates under ``simple``; the
+other families are the seams of the path kernel — XMark paper and
+predicate queries, fault profiles and seeds, ``memory_limit`` trips,
+``max_seconds`` cuts, tracers, entry runs, run tapes, delivery runs,
+the shared scan and full-tree walks.
+
+    PYTHONPATH=src python -m tests.golden            # check every row
+    PYTHONPATH=src python -m tests.golden --write    # regenerate
+
+Only a declared physics change may regenerate the file.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import pathlib
+import random
+import sys
+from contextlib import contextmanager
+
+from repro import (
+    PROFILES,
+    Database,
+    EvalOptions,
+    ExecutionBudget,
+    ImportOptions,
+    Tracer,
+)
+from repro.algebra.base import Operator
+from repro.algebra.context import EvalContext
+from repro.algebra.fullnav import full_step
+from repro.algebra.misc import ContextScan
+from repro.algebra.pathinstance import EntryRun
+from repro.algebra.steps import CompiledNodeTest, CompiledStep
+from repro.algebra.xassembly import XAssembly, build_tape
+from repro.algebra.xschedule import XSchedule
+from repro.axes import Axis
+from repro.errors import ReproError
+from repro.sim.clock import TICK
+from repro.sim.faults import FaultProfile
+from repro.storage.nodeid import page_of, slot_of
+from repro.storage.store import export_tree
+from repro.storage.update import delete_subtree, insert_node
+from repro.xmark import PAPER_QUERIES, Q6_PRIME, Q7, Q15, generate_xmark
+from repro.xpath.reference import evaluate_query
+from tests.conftest import make_random_tree
+
+GOLDEN = pathlib.Path(__file__).with_name("golden_books.jsonl")
+
+#: the nine navigated axes (``attribute`` only ever ends a path)
+AXES = [
+    "child",
+    "descendant",
+    "descendant-or-self",
+    "self",
+    "parent",
+    "ancestor",
+    "ancestor-or-self",
+    "following-sibling",
+    "preceding-sibling",
+]
+TESTS = ["a", "b", "c", "nosuchtag", "*", "node()", "text()"]
+PLANS = ["simple", "xschedule", "xscan", "xscan-shared"]
+#: the plans whose kernel takes entry runs
+SPECULATING = ["xscan", "xscan-shared", "xschedule"]
+DEEP_PATH = "/descendant-or-self::node()/child::*/child::*/child::*"
+PREDICATE_PATH = "/descendant::a[b/c][. != 'x']/child::*[.//text() = 'tt']"
+#: existence, nested, two on one step, comparisons with a literal and
+#: with the context node itself
+PREDICATES = [
+    "[b]",
+    "[b/c]",
+    "[b[c]/a]",
+    "[a][.//c]",
+    "[text() = 'ttt']",
+    "[c != 'tt']",
+    "[. != 'x']",
+    "[@id = '7']",
+    "[ancestor::a]",
+    "[following-sibling::b[@id]]",
+    "[nosuchtag]",
+]
+#: XSchedule's queue fill: the producer due after every delivery, often,
+#: and (the default) rarely — it ends the kernel's delivery runs
+K_MIN_QUEUE = [1, 3, 100]
+MEMORY_LIMITS = [None, None, 0, 1, 3, 8, 30]
+XMARK_PREDICATE_QUERIES = [
+    "count(//item[location = 'United States']/name)",
+    "count(/site/open_auctions/open_auction[bidder]/current)",
+    "/site/people/person[profile/education][address]/name",
+    "count(//item[mailbox/mail[from]]/name)",
+]
+#: downward, upward and sibling steps: entries through up-side borders,
+#: down borders and every border
+ENTRY_PATHS = [
+    "/descendant-or-self::node()/child::*/child::*/child::*",
+    "count(//a/b)+count(//b//c/*/a)",
+    "//c/ancestor::a/b",
+    "count(//b/following-sibling::a/c)",
+]
+#: a ``//`` prefix the rewrite cannot fold away: under a scan every entry
+#: of its second step is implied reachable (``descendant_root_opt``)
+IMPLIED = "/descendant-or-self::node()/parent::b/a/c"
+TAPE_PATHS = ["/root/a/b/c", *ENTRY_PATHS[1:], ENTRY_PATHS[0], IMPLIED]
+#: one fault profile per recovery mechanism
+RECOVERED_BY = {
+    "transient-errors": ("retries", "backoff_wait"),
+    "latency-spikes": ("slow_services",),
+    "lost-requests": ("timeouts", "retries"),
+    "mixed": ("retries", "backoff_wait", "slow_services", "timeouts"),
+}
+
+#: documents, by spec: ``("random", seed, fragmentation, n_top, page
+#: size, buffer pages)`` or ``("xmark", scale, seed, fragmentation, page
+#: size, buffer pages)``
+ENTRY_DOC = ("random", 3, 0.7, 25, 512, 48)
+PAPER_DOC = ("xmark", 0.05, 3, 1.0, 2048, 128)
+DEAD_PAGE_DOC = ("xmark", 0.03, 3, 1.0, 2048, 96)
+DEAD_PAGE_QUERIES = [
+    "count(//item)",
+    "count(/site/open_auctions/open_auction[bidder]/current)",
+]
+SHARED_DOC = ("random", 31, 0.5, 60, 512, 64)
+WALK_DOC = ("random", 5, 1.0, 8, 256, 64)
+TWICE_DOC = ("random", 3, 1.0, 25, 512, 64)
+
+
+def random_doc(seed: int, fragmentation: float) -> tuple:
+    return ("random", seed, fragmentation, 25, 512, 48)
+
+
+def xmark_doc(fragmentation: float) -> tuple:
+    return ("xmark", 0.01, 0, fragmentation, 2048, 64)
+
+
+# ------------------------------------------------------------------ stores
+
+_STORES: dict = {}
+
+
+def store(doc) -> tuple:
+    """``(store, logical tree)`` of a document spec, imported once."""
+    doc = tuple(doc)
+    if doc not in _STORES:
+        _STORES[doc] = imported(doc)
+    return _STORES[doc]
+
+
+def imported(doc) -> tuple:
+    """A private import of the document ``doc``: ``(store, logical tree)``."""
+    page_size = doc[4]
+    db = Database(page_size=page_size, buffer_pages=64)
+    if doc[0] == "random":
+        _, seed, fragmentation, n_top, _, _ = doc
+        tree = make_random_tree(db.tags, seed=seed, n_top=n_top)
+    else:
+        _, scale, seed, fragmentation, _, _ = doc
+        tree = generate_xmark(scale=scale, tags=db.tags, seed=seed)
+    db.add_tree(
+        tree, "d", ImportOptions(page_size=page_size, fragmentation=fragmentation, seed=seed)
+    )
+    return db.store, tree
+
+
+def database(doc, faults=None, tracer=None, shared=None) -> Database:
+    """A cold database over the document ``doc`` (or over the store
+    ``shared``, a copy of it the caller holds)."""
+    held = shared if shared is not None else store(doc)[0]
+    return Database(
+        page_size=doc[4], buffer_pages=doc[5], store=held, faults=faults, tracer=tracer
+    )
+
+
+# ------------------------------------------------------------------- draws
+
+
+def draw(family, doc, query, plan, faults=None, traced=False, **options) -> dict:
+    return {
+        "family": family,
+        "doc": list(doc),
+        "query": query,
+        "plan": plan,
+        "options": options,
+        "faults": faults,
+        "traced": traced,
+    }
+
+
+def eval_options(d: dict, **extra) -> EvalOptions:
+    """The draw's options, ``extra`` laid over them."""
+    options = dict(d["options"])
+    budget = options.pop("budget", None)
+    if budget is not None:
+        budget = dict(budget)
+        if "max_seconds" in budget:
+            budget["max_seconds"] = float.fromhex(budget["max_seconds"])
+        options["budget"] = ExecutionBudget(**budget)
+    return EvalOptions(**{**options, **extra})
+
+
+def fault_profile(d: dict) -> FaultProfile | None:
+    faults = d["faults"]
+    if faults is None:
+        return None
+    if "dead_pages" in faults:
+        return FaultProfile(dead_pages=frozenset(faults["dead_pages"]))
+    return dataclasses.replace(PROFILES[faults["profile"]], seed=faults["seed"])
+
+
+class Outcome:
+    """One run of a draw: the result or the error, and what ran it."""
+
+    __slots__ = ("result", "error", "ctx", "tracer")
+
+    def __init__(self, result, error, ctx, tracer) -> None:
+        self.result = result
+        self.error = error
+        self.ctx = ctx
+        self.tracer = tracer
+
+
+def run(d: dict, tracer=None, shared=None, **extra) -> Outcome:
+    """Execute the draw ``d`` cold (over the private store ``shared``
+    when given).  ``tracer`` replaces the draw's own; ``extra`` options
+    are laid over its options."""
+    doc = d["doc"]
+    if tracer is None and d["traced"]:
+        tracer = Tracer()
+    db = database(doc, faults=fault_profile(d), tracer=tracer, shared=shared)
+    options = eval_options(d, **extra)
+    ctx = db.env.fresh_context(options)
+    try:
+        result = db.execute(d["query"], doc="d", plan=d["plan"], options=options, context=ctx)
+    except ReproError as err:
+        return Outcome(None, err, ctx, tracer)
+    return Outcome(result, None, ctx, tracer)
+
+
+def books(outcome: Outcome) -> dict:
+    """What a row pins of one run."""
+    if outcome.error is not None:
+        err = outcome.error
+        clock = outcome.ctx.clock
+        detail = getattr(err, "spent", None)
+        detail = detail.hex() if isinstance(detail, float) else getattr(err, "page", None)
+        return {
+            "raised": [type(err).__name__, detail],
+            "time": [clock.now.hex(), clock.cpu_time.hex(), clock.io_wait.hex()],
+            "stats": outcome.ctx.stats.as_dict(),
+        }
+    result = outcome.result
+    out = {
+        "value": result.value,
+        "n_nodes": None if result.nodes is None else len(result.nodes),
+        "time": [result.total_time.hex(), result.cpu_time.hex(), result.io_wait.hex()],
+        "stats": result.stats.as_dict(),
+    }
+    if result.partial:
+        out["partial"] = True
+    if outcome.tracer is not None:
+        out["ops"] = {
+            name: [roll["calls"], roll["out"]]
+            for name, roll in sorted(result.trace_summary.operators.items())
+        }
+    return out
+
+
+def check_reference(d: dict, outcome: Outcome) -> None:
+    """A whole result is the reference evaluator's."""
+    result = outcome.result
+    if result is None or result.partial:
+        return
+    held, tree = store(d["doc"])
+    want = evaluate_query(tree, d["query"])
+    if isinstance(want, list):
+        ir = held.documents["d"].import_result
+        assert result.nodes == [ir.nodeid_of(n) for n in want], d
+    else:
+        assert result.value == want, d
+
+
+# ----------------------------------------------------------- other kinds
+#
+# Draws that are not one ``Database.execute``: a hand-built plan, a walk
+# of the full-tree walker, queries between updates.  Each pins the
+# sequence it observes (as a digest when it is long) and the books.
+
+
+def digest(items) -> str:
+    return hashlib.sha256(json.dumps(items).encode()).hexdigest()[:32]
+
+
+def ctx_books(ctx) -> tuple:
+    return ctx.clock.now.hex(), ctx.clock.cpu_time.hex(), ctx.stats.as_dict()
+
+
+def delivery_yields(held, k_min_queue: int) -> tuple[list, tuple]:
+    """``/child::*/descendant::b`` under non-speculative XSchedule from
+    every ``a`` element at once — a producer that is due again and again
+    while Q drains: every result tuple with the clock and counters it is
+    handed on at, and the books."""
+    db = database(ENTRY_DOC, shared=held)
+    contexts = db.execute("//a", doc="d", plan="simple").nodes
+    options = EvalOptions(k_min_queue=k_min_queue)
+    ((plan, _),) = db.prepare("/child::*/descendant::b", "d", "xschedule", options).leaves
+    ctx = db.make_context(options)
+    schedule = XSchedule(ctx, ContextScan(ctx, contexts), plan.steps, document=plan.document)
+    top = XAssembly(
+        ctx, schedule, len(plan.steps), schedule=schedule, steps=plan.steps, document=plan.document
+    )
+    top.open()
+    try:
+        out = []
+        while (item := top.next()) is not None:
+            out.append((item.page_no, item.slot, ctx.clock.now.hex(), ctx.stats.as_dict()))
+    finally:
+        top.close()
+        ctx.release()
+    return out, ctx_books(ctx)
+
+
+class SameRunTwice(Operator):
+    """Pins one cluster and hands its step-0 entry run on twice."""
+
+    def __init__(self, ctx, page_no, axis):
+        super().__init__(ctx)
+        self.page_no = page_no
+        self.axis = axis
+
+    def _produce(self):
+        ctx = self.ctx
+        ctx.set_current_frame(ctx.buffer.fix(self.page_no))
+        slots = ctx.current_frame.page.colview().entry_slots(self.axis)
+        for _ in range(2):
+            yield EntryRun(0, self.page_no, slots)
+
+
+def twice_setup(db):
+    """The cluster whose ``/descendant::a/descendant::b`` entry run parks
+    the most outcomes, the path's steps, and that count."""
+    doc = db.document("d")
+    steps = db.prepare("/descendant::a/descendant::b", "d", "xscan").leaves[0][0].steps
+    page = max(
+        map(db.store.segment.page, doc.page_nos),
+        key=lambda p: build_tape(doc, p.colview(), p.records, steps, 0).parked,
+    )
+    return page, steps, build_tape(doc, page.colview(), page.records, steps, 0).parked
+
+
+def drain_twice(db, page, steps, memory_limit) -> tuple:
+    """The same entry run delivered twice to one kernel: the sizes of the
+    S entries it holds at the end, and the books."""
+    ctx = db.make_context(EvalOptions(memory_limit=memory_limit))
+    top = XAssembly(
+        ctx,
+        SameRunTwice(ctx, page.page_no, Axis.DESCENDANT),
+        2,
+        steps=steps,
+        document=db.document("d"),
+    )
+    top.open()
+    try:
+        while top.next() is not None:
+            pass
+        held = sorted(map(len, top._s.values()))
+    finally:
+        top.close()
+        ctx.release()
+    return held, ctx_books(ctx)
+
+
+def walk_steps(db) -> list[CompiledStep]:
+    """Every axis under a node, a name and a text test."""
+    steps = []
+    for axis in Axis:
+        for kind, name in (("node", None), ("name", "b"), ("text", None)):
+            tag = db.tags.lookup(name) if name else None
+            steps.append(CompiledStep(axis, CompiledNodeTest.compile(kind, axis, tag)))
+    return steps
+
+
+def resumed_walks(db):
+    """``full_step`` resumed at every entry border of every cluster (a
+    fallback level on an instance from XSchedule's queue, or on a run's
+    entry), for every step of :func:`walk_steps`: what each yields and
+    charges."""
+    for i, step in enumerate(walk_steps(db)):
+        for page_no in db.document("d").page_nos:
+            for entry in db.store.segment.page(page_no).colview().entry_slots(step.axis):
+                ctx = db.make_context()
+                got = list(full_step(ctx, step, page_no, entry, resumed=True))
+                yield (i, page_no, entry), got, ctx
+
+
+def closed_walks(db):
+    """``/descendant::node()`` from the root, abandoned after every
+    possible number of matches: what it yielded, the walk (still open)
+    and its context."""
+    root = db.document("d").root
+    step = CompiledStep(Axis.DESCENDANT, CompiledNodeTest.compile("node", Axis.DESCENDANT, None))
+    total = len(list(full_step(db.make_context(), step, page_of(root), slot_of(root))))
+    for taken in range(1, total + 1):
+        ctx = db.make_context()
+        walk = full_step(ctx, step, page_of(root), slot_of(root), instances=True)
+        got = [next(walk) for _ in range(taken)]
+        yield got, walk, ctx
+
+
+STORM_QUERIES = ("//a", "/root/*", "//b//c", "//e")
+
+
+def update_storm() -> list:
+    """Six rounds of a delete and an insert on a fragmented random
+    document, the four queries after each: ``(round, query, nodes,
+    total)`` — and every count is the reference evaluator's."""
+    db = Database(page_size=512, buffer_pages=48)
+    tree = make_random_tree(db.tags, seed=7, n_top=25)
+    db.add_tree(tree, "d", ImportOptions(page_size=512, fragmentation=1.0, seed=7))
+    doc = db.document("d")
+    seen = []
+    for round_no in range(6):
+        victims = db.execute("//a", doc="d", plan="simple").nodes
+        if victims:
+            delete_subtree(db.store, doc, victims[round_no % len(victims)])
+        roots = db.execute("/root", doc="d", plan="simple").nodes
+        insert_node(db.store, doc, roots[0], 0, "a")
+        logical = export_tree(db.store, doc)
+        for query in STORM_QUERIES:
+            result = db.execute(query, doc="d")
+            assert len(result.nodes) == evaluate_query(logical, f"count({query})"), query
+            seen.append([round_no, query, len(result.nodes), result.total_time.hex()])
+    return seen
+
+
+def update_then_query() -> list:
+    """A delete and a slot-reusing insert between ``simple`` queries:
+    ``(query, names, total)`` after the insert."""
+    db = Database(page_size=512, buffer_pages=32)
+    db.load_xml("<root><a>one</a><b/><c>two</c></root>", "d")
+    doc = db.document("d")
+    b = db.execute("/root/b", doc="d", plan="simple").nodes[0]
+    delete_subtree(db.store, doc, b)
+    root = db.execute("/root", doc="d", plan="simple").nodes[0]
+    insert_node(db.store, doc, root, 2, "z")
+    seen = []
+    for query in ("/root/*", "/root/z", "//z"):
+        result = db.execute(query, doc="d", plan="simple")
+        names = [db.node_info(nid)[1] for nid in result.nodes]
+        seen.append([query, names, result.total_time.hex()])
+    return seen
+
+
+def other(key: str) -> dict:
+    """The books of the draw ``key`` that is not one execution, as the
+    golden file holds them."""
+    kind, _, arg = key.partition("/")
+    if kind == "delivery":
+        out, booked = delivery_yields(store(ENTRY_DOC)[0], int(arg))
+        kept = {"yields": [len(out), digest(out)], "books": booked}
+    elif kind == "twice":
+        db = database(TWICE_DOC, shared=imported(TWICE_DOC)[0])
+        page, steps, parked = twice_setup(db)
+        limit = None if arg == "unlimited" else parked + parked // 2
+        held, booked = drain_twice(db, page, steps, limit)
+        kept = {"held": held, "books": booked}
+    elif kind == "walk":
+        db = database(WALK_DOC)
+        if arg == "resumed":
+            seen = [(where, got, ctx_books(ctx)) for where, got, ctx in resumed_walks(db)]
+        else:
+            seen = []
+            for got, walk, ctx in closed_walks(db):
+                walk.close()
+                seen.append((got, ctx_books(ctx)))
+        kept = {"walks": walks(seen)}
+    elif kind == "updates":
+        kept = {"seen": update_storm() if arg == "storm" else update_then_query()}
+    else:
+        raise KeyError(key)
+    return json.loads(json.dumps(kept))
+
+
+def walks(seen: list) -> list:
+    """How many walks, and a digest of what each yielded and charged."""
+    return [len(seen), digest(seen)]
+
+
+OTHER_KEYS = [
+    "delivery/1",
+    "delivery/3",
+    "delivery/100",
+    "twice/unlimited",
+    "twice/tight",
+    "walk/resumed",
+    "walk/closed",
+    "updates/storm",
+    "updates/fresh-columns",
+]
+
+
+# ------------------------------------------------------------- generation
+
+
+def _path(rng: random.Random, head: list[str]) -> str:
+    steps = head + [rng.choice(AXES) for _ in range(rng.randrange(3))]
+    return "/" + "/".join(f"{axis}::{rng.choice(TESTS)}" for axis in steps)
+
+
+def _with_predicate(path: str, predicate: str, at: int) -> str:
+    steps = path[1:].split("/")
+    steps[at % len(steps)] += predicate
+    return "/" + "/".join(steps)
+
+
+def _knobs(rng: random.Random) -> dict:
+    return {
+        "speculative": rng.random() < 0.5,
+        "memory_limit": rng.choice(MEMORY_LIMITS),
+        "k_min_queue": rng.choice(K_MIN_QUEUE),
+    }
+
+
+def _seconds(limit: float, on_exceeded: str) -> dict:
+    return {"budget": {"max_seconds": limit.hex(), "on_exceeded": on_exceeded}}
+
+
+@contextmanager
+def replayed_crossing_checks(delivery: bool):
+    """Simulated instants of the budget checks the kernel makes for the
+    crossing it replays between two entries of a run (:func:`in_run`)."""
+    instants = []
+    check_budget = EvalContext.check_budget
+
+    def spy(self):
+        kernel = sys._getframe(2)  # check_budget <- charge_call <- the kernel
+        if kernel.f_code is XAssembly._produce.__code__ and in_run(kernel.f_locals, delivery):
+            instants.append(self.clock.now)
+        check_budget(self)
+
+    EvalContext.check_budget = spy
+    try:
+        yield instants
+    finally:
+        EvalContext.check_budget = check_budget
+
+
+def in_run(kernel_locals, delivery: bool) -> bool:
+    """Is the kernel between two entries of a run, past the level
+    crossings — of an entry run, or (``delivery``) of a delivery run, the
+    entries it takes from XSchedule's queue in place?"""
+    if kernel_locals["top"] or kernel_locals["calls"]:
+        return False
+    if delivery:
+        return kernel_locals["entries"] is None and kernel_locals.get("entry") is not None
+    return kernel_locals["entries"] is not None
+
+
+def draws() -> dict:
+    """Every execution draw, by key, in generation order."""
+    rng = random.Random(29)
+    out: dict = {}
+
+    def add(key, family, doc, query, plan, faults=None, traced=False, **options):
+        assert key not in out, key
+        out[key] = draw(family, doc, query, plan, faults, traced, **options)
+
+    def layout(rng):
+        return random_doc(rng.randrange(8), rng.choice([0.0, 0.7, 1.0]))
+
+    # the paper's queries at sf 0.05, speculating and navigating
+    for name, query in (("Q7", Q7), ("Q15", Q15)):
+        for plan in SPECULATING:
+            add(f"{name}/{plan}", "paper", PAPER_DOC, query, plan, speculative=True)
+    navigating = {
+        "simple": ("simple", {}),
+        "xschedule-k100": ("xschedule", {"k_min_queue": 100}),
+        "xschedule-k1": ("xschedule", {"k_min_queue": 1}),
+    }
+    for name, query in (("Q6'", Q6_PRIME), ("Q7", Q7), ("Q15", Q15)):
+        for row_name, (plan, options) in navigating.items():
+            add(f"{name}/{row_name}", "paper", PAPER_DOC, query, plan, **options)
+
+    # random documents: every ordered pair of axes heads a path once
+    for i, pair in enumerate([a, b] for a in AXES for b in AXES):
+        doc = layout(rng)
+        query = _path(rng, pair)
+        add(f"path/{i:03d}", "path", doc, query, rng.choice(PLANS), **_knobs(rng))
+    for axis in AXES:
+        doc = layout(rng)
+        query = f"/{axis}::{rng.choice(TESTS)}"
+        add(f"path/{axis}", "path", doc, query, rng.choice(PLANS), **_knobs(rng))
+    for i, predicate in enumerate(PREDICATES * 2):
+        doc = layout(rng)
+        query = _with_predicate(_path(rng, [rng.choice(AXES)]), predicate, rng.randrange(4))
+        add(f"predicate/{i:02d}", "path", doc, query, "simple", **_knobs(rng))
+
+    # XMark sf 0.01: the paper queries under every plan, the predicate
+    # queries under simple, three layouts
+    for fragmentation in (0.0, 0.7, 1.0):
+        doc = xmark_doc(fragmentation)
+        for tag, _, query in PAPER_QUERIES:
+            for plan in PLANS:
+                add(f"xmark/{fragmentation}/{tag}/{plan}", "xmark", doc, query, plan)
+        for i, query in enumerate(XMARK_PREDICATE_QUERIES):
+            add(f"xmark/{fragmentation}/p{i}/simple", "xmark", doc, query, "simple")
+
+    # fault profiles and seeds, every plan
+    for i in range(30):
+        faults = {"profile": rng.choice(list(RECOVERED_BY)), "seed": rng.randrange(26)}
+        query = _path(rng, [rng.choice(AXES)])
+        k_min_queue = rng.choice(K_MIN_QUEUE)
+        plan = rng.choice(PLANS)
+        add(f"faults/{i:02d}", "faults", ENTRY_DOC, query, plan, faults, k_min_queue=k_min_queue)
+    for profile in RECOVERED_BY:
+        for plan in PLANS:
+            for seed in (1, 2, 3):
+                faults = {"profile": profile, "seed": seed}
+                add(f"grid/{profile}/{plan}/{seed}", "grid", ENTRY_DOC, DEEP_PATH, plan, faults)
+
+    # traced: the roll-up per operator
+    for i in range(20):
+        doc = random_doc(rng.randrange(4), 1.0)
+        plan = rng.choice(PLANS)
+        query = _path(rng, [rng.choice(AXES)])
+        if plan == "simple":
+            query = _with_predicate(query, rng.choice(PREDICATES), rng.randrange(4))
+        add(f"traced/{i:02d}", "traced", doc, query, plan, traced=True)
+
+    # memory_limit trips under a stack of live extensions
+    for plan, speculative in (("xscan", False), ("xschedule", True), ("xscan-shared", False)):
+        for fragmentation in (0.7, 0.0, 1.0):
+            doc = random_doc(3, fragmentation)
+            for limit in (0, 1, 2, 3, 5, 8, 13):
+                key = f"live/{plan}-{speculative}/{fragmentation}/{limit}"
+                options = {"speculative": speculative, "memory_limit": limit}
+                add(key, "live", doc, DEEP_PATH, plan, **options)
+
+    # max_seconds cuts across the head of the run, where the plan runs
+    for plan in ("xscan", "xschedule", "simple"):
+        query = PREDICATE_PATH if plan == "simple" else DEEP_PATH
+        add(f"cut/{plan}/whole", "cut", ENTRY_DOC, query, plan, speculative=True)
+        total = run(out[f"cut/{plan}/whole"]).result.total_time
+        for i in range(3, 60, 8):
+            for mode in ("partial", "raise"):
+                options = {"speculative": True, **_seconds(total * i / 400, mode)}
+                add(f"cut/{plan}/{i}/{mode}", "cut", ENTRY_DOC, query, plan, **options)
+
+    # the shared scan over two paths of different length
+    add("shared/reopen", "shared", ENTRY_DOC, "count(//a/b)+count(//b//c/*/a)", "xscan-shared")
+    query = "count(//a)+count(//b//c)"
+    whole = run(draw("shared", SHARED_DOC, query, "xscan-shared"))
+    for mode in ("partial", "raise"):
+        cut = _seconds(whole.result.total_time / 3, mode)
+        add(f"shared/cut/{mode}", "shared", SHARED_DOC, query, "xscan-shared", **cut)
+
+    # entry runs: every producer, traced and not; cuts inside a run;
+    # memory_limit trips with entries still to come
+    for plan in SPECULATING:
+        for i, query in enumerate(ENTRY_PATHS):
+            for traced in (False, True):
+                key = f"runs/{plan}/{i}" + ("/traced" if traced else "")
+                add(key, "runs", ENTRY_DOC, query, plan, traced=traced, speculative=True)
+    query = ENTRY_PATHS[0]
+    for plan, speculative in [(plan, True) for plan in SPECULATING] + [("xschedule", False)]:
+        config = plan if speculative else "xschedule-nonspeculative"
+        armed = draw(
+            "runs", ENTRY_DOC, query, plan,
+            speculative=speculative, budget={"max_seconds": (1e9).hex()},
+        )  # fmt: skip
+        with replayed_crossing_checks(delivery=not speculative) as instants:
+            run(armed)
+        assert len(instants) > 100, config
+        limits = [(f"even{i}", instants[-1] * i / 12) for i in (1, 4, 7, 10)]
+        limits += [
+            (f"aimed{j}", t - TICK / 2) for j, t in enumerate(instants[5 :: len(instants) // 7])
+        ]
+        for name, limit in limits:
+            for mode in ("partial", "raise"):
+                cut = _seconds(limit, mode)
+                key = f"runs-cut/{config}/{name}/{mode}"
+                add(key, "runs-cut", ENTRY_DOC, query, plan, speculative=speculative, **cut)
+    for plan in SPECULATING:
+        for limit in (0, 1, 2, 3, 5, 8, 13, 21):
+            options = {"speculative": True, "memory_limit": limit}
+            add(f"runs-memory/{plan}/{limit}", "runs-memory", ENTRY_DOC, query, plan, **options)
+
+    # run tapes: the walks they replace, the room check under memory_limit
+    for fragmentation, name in ((0.0, "contiguous"), (1.0, "fragmented")):
+        doc = random_doc(3, fragmentation)
+        for plan in SPECULATING:
+            for i, path in enumerate(TAPE_PATHS):
+                add(f"tapes/{name}/{plan}/{i}", "tapes", doc, path, plan, speculative=True)
+            whole = run(draw("room", doc, query, plan, speculative=True))
+            peak = max(1, whole.result.stats.speculative_instances // 8)
+            for limit in sorted({1, 5, peak // 4, peak // 2, peak, 2 * peak, 10**9}):
+                options = {"speculative": True, "memory_limit": limit}
+                add(f"room/{name}/{plan}/{limit}", "room", doc, query, plan, **options)
+    for x in "abc":
+        for y in "ab":
+            for z in "cd":
+                path = f"count(//{x}/{y}/{z})"
+                doc = random_doc(3, 1.0)
+                add(f"bounded/{path}", "bounded", doc, path, "xscan", speculative=True)
+
+    # a dead page across the first border of a full-tree walk
+    for i, query in enumerate(DEAD_PAGE_QUERIES):
+        tracer = Tracer()
+        database(DEAD_PAGE_DOC, tracer=tracer).execute(query, doc="d", plan="simple")
+        misses = [e.page for e in tracer.events if e.cat == "buffer" and e.name == "miss"]
+        add(f"dead/{i}", "dead", DEAD_PAGE_DOC, query, "simple", {"dead_pages": [misses[1]]})
+    return out
+
+
+# ------------------------------------------------------------ the file
+
+
+def write(rows: dict) -> None:
+    fields = list(next(iter(rows.values()))["stats"])
+    lines = [json.dumps({"stats": fields})]
+    for key, row in rows.items():
+        row = dict(row)
+        if "stats" in row:
+            row["stats"] = [row["stats"][name] for name in fields]
+        lines.append(json.dumps({"key": key, **row}, separators=(",", ":"), sort_keys=True))
+    GOLDEN.write_text("\n".join(lines) + "\n")
+
+
+_PINNED: dict | None = None
+
+
+def pinned() -> dict:
+    """Every row, by key, its ``stats`` (and a kind's books) as dicts."""
+    global _PINNED
+    if _PINNED is None:
+        lines = GOLDEN.read_text().splitlines()
+        fields = json.loads(lines[0])["stats"]
+        _PINNED = {}
+        for line in lines[1:]:
+            row = json.loads(line)
+            if "stats" in row:
+                row["stats"] = dict(zip(fields, row["stats"]))
+            _PINNED[row.pop("key")] = row
+    return _PINNED
+
+
+def row(key: str) -> dict:
+    return pinned()[key]
+
+
+def rows(family: str) -> list[tuple[str, dict]]:
+    """``(key, row)`` of every execution draw of ``family``."""
+    return [(k, r) for k, r in pinned().items() if r.get("draw", {}).get("family") == family]
+
+
+def pinned_books(r: dict) -> dict:
+    return {k: v for k, v in r.items() if k != "draw"}
+
+
+def check(key: str, **run_options) -> Outcome:
+    """Run the pinned draw ``key`` (``run_options`` as :func:`run`): its
+    books must be the row's, a whole result the reference evaluator's.
+    Returns the run for the caller's structural checks."""
+    r = row(key)
+    outcome = run(r["draw"], **run_options)
+    assert books(outcome) == pinned_books(r), key
+    check_reference(r["draw"], outcome)
+    return outcome
+
+
+def generate() -> dict:
+    rows_out: dict = {}
+    for key, d in draws().items():
+        outcome = run(d)
+        check_reference(d, outcome)
+        rows_out[key] = {"draw": d, **books(outcome)}
+    for key in OTHER_KEYS:
+        rows_out[key] = other(key)
+    return rows_out
+
+
+def main(argv: list[str]) -> int:
+    if "--write" in argv:
+        rows_out = generate()
+        write(rows_out)
+        print(f"wrote {len(rows_out)} rows to {GOLDEN}")
+        return 0
+    failed = 0
+    for key, r in pinned().items():
+        if "draw" in r:
+            try:
+                check(key)
+            except AssertionError:
+                failed += 1
+                print(f"MOVED {key}")
+        elif other(key) != r:
+            failed += 1
+            print(f"MOVED {key}")
+    print(f"{len(pinned()) - failed} of {len(pinned())} rows as pinned")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

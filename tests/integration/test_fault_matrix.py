@@ -9,10 +9,11 @@ import os
 
 import pytest
 
-from repro import PROFILES, Database, EvalOptions, ImportOptions, Tracer
+from repro import PROFILES, Database, ImportOptions, Tracer
 from repro.errors import PageReadError
 from repro.sim.faults import FaultProfile
 from repro.xmark import generate_xmark
+from tests import golden
 from tests.conftest import pinned_pages
 
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "1"))
@@ -91,16 +92,12 @@ def test_same_seed_same_run(fault_store, profile_name):
     assert snapshots[0] == snapshots[1]
 
 
-@pytest.mark.parametrize("batched", [True, False], ids=["batched", "scalar"])
-@pytest.mark.parametrize(
-    "query",
-    ["count(//item)", "count(/site/open_auctions/open_auction[bidder]/current)"],
-)
-def test_dead_page_under_simple_plan_is_a_typed_error(fault_store, query, batched):
+@pytest.mark.parametrize("query", golden.DEAD_PAGE_QUERIES)
+def test_dead_page_under_simple_plan_is_a_typed_error(fault_store, query):
     """Full-tree navigation releases the source page before it reads the
     page across a border.  When that read exhausts its retries the error
-    is the read's own — not a second unfix of the released frame — and
-    no pin survives it, on either datapath."""
+    is the read's own — not a second unfix of the released frame — no
+    pin survives it, and the books at the raise are the pinned ones."""
     tracer = Tracer()
     clean = Database(page_size=2048, buffer_pages=96, store=fault_store, tracer=tracer)
     clean.execute(query, doc="xmark", plan="simple")
@@ -111,7 +108,6 @@ def test_dead_page_under_simple_plan_is_a_typed_error(fault_store, query, batche
         buffer_pages=96,
         store=fault_store,
         faults=FaultProfile(dead_pages=frozenset({dead})),
-        eval_options=EvalOptions(batched=batched),
     )
     session = db.session(warm=True)
     with pytest.raises(PageReadError) as err:
@@ -120,3 +116,6 @@ def test_dead_page_under_simple_plan_is_a_typed_error(fault_store, query, batche
     ctx = session.context()
     assert ctx.current_frame is None
     assert pinned_pages(ctx) == []
+    key = f"dead/{golden.DEAD_PAGE_QUERIES.index(query)}"
+    assert golden.row(key)["draw"]["faults"] == {"dead_pages": [dead]}
+    assert isinstance(golden.check(key).error, PageReadError)

@@ -2,11 +2,11 @@
 
 Two layers of guarantees:
 
-* parity — for every core slot and axis of a stored document,
-  :meth:`ColumnView.axis_candidates` / :meth:`resume_candidates` /
-  :meth:`entry_slots` enumerate exactly what ``iter_axis`` /
-  ``iter_resume`` / ``speculative_entries`` do, with the same number of
-  hop charges encoded in the batch shape;
+* events — for every core slot and axis of a stored document, an
+  extension indexed by event accounts for exactly what its candidate
+  batch charges, candidate by candidate, and :meth:`entry_slots` lists
+  the borders each axis can enter through (the enumerations themselves
+  are held against the paper's example tree in ``test_nav.py``);
 * coherence — every mutation door (``Page.add``, ``Page.tombstone``,
   the direct-write sites in ``storage/update.py``) drops the view, so a
   query after an update can never see stale columns.  The tombstone
@@ -17,21 +17,20 @@ Two layers of guarantees:
 
 import pytest
 
-from repro import Database, EvalOptions, ImportOptions
+from repro import Database, ImportOptions
 from repro.algebra.steps import (
     CompiledNodeTest,
     CompiledStep,
     _never_batch,
-    compile_match,
     compile_match_batch,
 )
 from repro.axes import Axis
 from repro.model.tree import Kind
 from repro.storage.colview import KIND_BORDER, KIND_TOMBSTONE, ColumnView
-from repro.storage.nav import iter_axis, iter_resume, speculative_entries
 from repro.storage.record import CoreRecord
 from repro.storage.update import delete_subtree, insert_node
 
+from tests import golden
 from tests.conftest import make_random_tree
 
 AXES = (
@@ -57,56 +56,6 @@ def build_db(seed=7, fragmentation=1.0, page_size=512):
         ImportOptions(page_size=page_size, fragmentation=fragmentation, seed=seed),
     )
     return db
-
-
-def scalar_enumeration(page, slot, axis, resumed):
-    """Drain the nav generator, counting hop charges.
-
-    Enumerations that raise (degenerate border/axis combos never reached
-    by real plans) reduce to the exception's type and message, so parity
-    extends to the error contract.
-    """
-    hops = 0
-
-    def charge():
-        nonlocal hops
-        hops += 1
-
-    try:
-        nav = (
-            iter_resume(page, slot, axis, charge)
-            if resumed
-            else iter_axis(page, slot, axis, charge)
-        )
-        return _normalize(list(nav)), hops
-    except Exception as exc:
-        return ("raised", type(exc).__name__, str(exc))
-
-
-def batch_enumeration(view, slot, axis, resumed):
-    """Replay a candidate batch into (is_border, slot) pairs + hop count."""
-    try:
-        if resumed:
-            upfront, free_head, cands = view.resume_candidates(slot, axis)
-        else:
-            upfront, free_head, cands = view.axis_candidates(slot, axis)
-    except Exception as exc:
-        return ("raised", type(exc).__name__, str(exc))
-    kinds = view.kinds
-    pairs = _normalize([(s >= 0 and kinds[s] < 0, s) for s in cands])
-    hops = upfront + max(0, len(cands) - free_head)
-    return pairs, hops
-
-
-def _normalize(pairs):
-    """Collapse the borderness flag for sentinel slots.
-
-    Slot -1 is a continuation proxy's "no local root" marker; degenerate
-    resumes (axes real plans never resume at a proxy) surface it as a
-    candidate, where any flag derived from it is a Python index
-    wraparound artefact on both sides.  Slot identity still must agree.
-    """
-    return [(("degenerate", s) if s < 0 else (flag, s)) for flag, s in pairs]
 
 
 def every_extension(db):
@@ -142,58 +91,42 @@ def every_extension(db):
                 yield page, view, slot, axis, resumed
 
 
-@pytest.mark.parametrize("fragmentation", [0.0, 1.0])
-def test_axis_and_resume_parity_everywhere(fragmentation):
-    """Every (slot, axis) batch mirrors nav candidate-for-candidate."""
-    db = build_db(fragmentation=fragmentation)
-    checked = {False: set(), True: set()}
-    for page, view, slot, axis, resumed in every_extension(db):
-        want = scalar_enumeration(page, slot, axis, resumed)
-        got = batch_enumeration(view, slot, axis, resumed)
-        assert got == want, (page.page_no, slot, axis, resumed)
-        checked[resumed].add((page.page_no, slot))
-    assert len(checked[False]) > 50 and len(checked[True]) > 5
-
-
-def scalar_events(page, slot, axis, resumed, match):
-    """What a scalar XStep does between the candidates that matter:
-    ``([(slot | ~border_slot, hops, tests)...], (hops, tests) after the
-    last)``, the hops as ``nav`` charges them, one test per core
-    candidate.  ``None`` for enumerations real plans never reach."""
-    hops = tests = 0
-
-    def charge():
-        nonlocal hops
-        hops += 1
-
-    events = []
+def candidate_events(view, slot, axis, resumed, test):
+    """What navigation charges, one candidate at a time, between the
+    candidates that matter: ``([(slot | ~border_slot, hops, tests)...],
+    (hops, tests) after the last)`` — the batch's upfront hops first, no
+    hop for its first ``free_head`` candidates and one for every other,
+    one test per core candidate.  ``None`` for enumerations real plans
+    never reach."""
     try:
-        nav = (
-            iter_resume(page, slot, axis, charge)
-            if resumed
-            else iter_axis(page, slot, axis, charge)
-        )
-        for is_border, cand in nav:
-            if cand < 0:
-                return None
-            if not is_border:
-                tests += 1
-                record = page.records[cand]
-                if not match(record.kind, record.tag):
-                    continue
-            events.append((~cand if is_border else cand, hops, tests))
-            hops = tests = 0
+        if resumed:
+            upfront, free_head, cands = view.resume_candidates(slot, axis)
+        else:
+            upfront, free_head, cands = view.axis_candidates(slot, axis)
     except Exception:
         return None
+    hops, tests = upfront, 0
+    events = []
+    for i, cand in enumerate(cands):
+        if cand < 0:
+            return None
+        hops += i >= free_head
+        border = view.kinds[cand] == KIND_BORDER
+        if not border:
+            tests += 1
+            if not test.matches(view.kinds[cand], view.tags[cand]):
+                continue
+        events.append((~cand if border else cand, hops, tests))
+        hops = tests = 0
     return events, (hops, tests)
 
 
 @pytest.mark.parametrize("fragmentation", [0.0, 1.0])
 def test_extension_events_charge_what_nav_charges(fragmentation):
-    """Indexed by event, an extension still accounts for every candidate:
-    matches and borders (``~slot``) in candidate order, each carrying the
-    hops and tests since the previous one, the rest in the tail; the
-    upfront hops come before the first."""
+    """Indexed by event, an extension still accounts for every candidate
+    navigation charges: matches and borders (``~slot``) in candidate
+    order, each carrying the hops and tests since the previous one, the
+    rest in the tail; the upfront hops come before the first."""
     db = build_db(fragmentation=fragmentation)
     tests = [
         CompiledNodeTest.compile("wildcard", Axis.CHILD, None),
@@ -205,7 +138,7 @@ def test_extension_events_charge_what_nav_charges(fragmentation):
     checked = with_events = shared_empty = 0
     for page, view, slot, axis, resumed in every_extension(db):
         for test in tests:
-            want = scalar_events(page, slot, axis, resumed, compile_match(test))
+            want = candidate_events(view, slot, axis, resumed, test)
             if want is None:
                 continue
             upfront, size, ev_slots, ev_hops, ev_tests, tail = view.extension(
@@ -213,7 +146,7 @@ def test_extension_events_charge_what_nav_charges(fragmentation):
             )
             got = list(zip(ev_slots, ev_hops, ev_tests))
             context = (page.page_no, slot, axis, resumed, test)
-            # nav charges the upfront hops before the first candidate
+            # the upfront hops are charged before the first candidate
             if got:
                 got[0] = (got[0][0], got[0][1] + upfront, got[0][2])
             else:
@@ -234,6 +167,28 @@ def test_extension_events_charge_what_nav_charges(fragmentation):
     assert checked > 500 and with_events > 100 and shared_empty > 100
 
 
+def speculative_entries(page, axis):
+    """The borders a paused ``axis`` step can enter ``page`` through:
+    downward steps through upward borders (proxies included), upward
+    steps through downward ones, sibling steps through every border, and
+    a ``self`` step never pauses."""
+    if axis is Axis.SELF:
+        return []
+
+    def enters(border):
+        if axis.is_downward:
+            return not border.down
+        if axis.is_upward:
+            return border.down
+        return True
+
+    return [
+        slot
+        for slot, record in enumerate(page.records)
+        if record is not None and record.is_border and enters(record)
+    ]
+
+
 def test_entry_slots_match_speculative_entries():
     db = build_db()
     doc = db.document("d")
@@ -241,10 +196,7 @@ def test_entry_slots_match_speculative_entries():
         page = db.store.segment.page(page_no)
         view = page.colview()
         for axis in AXES:
-            assert view.entry_slots(axis) == list(speculative_entries(page, axis)), (
-                page_no,
-                axis,
-            )
+            assert view.entry_slots(axis) == speculative_entries(page, axis), (page_no, axis)
 
 
 def test_view_is_lazy_and_memoized():
@@ -331,45 +283,31 @@ def test_add_reusing_tombstoned_slot_invalidates_view():
     assert page.colview().kinds[slot] >= 0
 
 
-def _names(db, query, batched):
-    result = db.execute(
-        query, doc="d", plan="simple", options=EvalOptions(batched=batched)
-    )
+def _names(db, query):
+    result = db.execute(query, doc="d", plan="simple")
     return [db.node_info(nid)[1] for nid in result.nodes]
 
 
 def test_update_then_query_sees_fresh_columns():
-    """End-to-end: delete + insert (reusing slots) between batched
-    queries returns exactly the scalar (pre-refactor) results."""
+    """End-to-end: delete + insert (reusing slots) between queries
+    returns the hand-derived names, at the pinned books."""
     db = Database(page_size=512, buffer_pages=32)
     db.load_xml("<root><a>one</a><b/><c>two</c></root>", "d")
     doc = db.document("d")
-    assert _names(db, "/root/*", batched=True) == ["a", "b", "c"]
+    assert _names(db, "/root/*") == ["a", "b", "c"]
     b = db.execute("/root/b", doc="d", plan="simple").nodes[0]
     delete_subtree(db.store, doc, b)
-    assert _names(db, "/root/*", batched=True) == ["a", "c"]
+    assert _names(db, "/root/*") == ["a", "c"]
     root = db.execute("/root", doc="d", plan="simple").nodes[0]
     insert_node(db.store, doc, root, 2, "z")
-    for query in ("/root/*", "/root/z", "//z"):
-        batched = _names(db, query, batched=True)
-        scalar = _names(db, query, batched=False)
-        assert batched == scalar, query
-    assert _names(db, "/root/*", batched=True) == ["a", "c", "z"]
+    assert _names(db, "/root/*") == ["a", "c", "z"]
+    assert _names(db, "//z") == ["z"]
+    seen = golden.other("updates/fresh-columns")
+    assert seen == golden.row("updates/fresh-columns")
+    assert [names for _, names, _ in seen["seen"]] == [["a", "c", "z"], ["z"], ["z"]]
 
 
 def test_random_update_storm_keeps_batched_scalar_identical():
-    """Many structural updates; after each, batched == scalar results."""
-    db = build_db(page_size=512)
-    doc = db.document("d")
-    queries = ("//a", "/root/*", "//b//c", "//e")
-    for round_no in range(6):
-        victims = db.execute("//a", doc="d", plan="simple").nodes
-        if victims:
-            delete_subtree(db.store, doc, victims[round_no % len(victims)])
-        roots = db.execute("/root", doc="d", plan="simple").nodes
-        insert_node(db.store, doc, roots[0], 0, "a")
-        for query in queries:
-            on = db.execute(query, doc="d", options=EvalOptions(batched=True))
-            off = db.execute(query, doc="d", options=EvalOptions(batched=False))
-            assert sorted(on.nodes) == sorted(off.nodes), (round_no, query)
-            assert on.total_time == off.total_time, (round_no, query)
+    """Many structural updates; after each, every query returns the
+    reference evaluator's count, at the books the scalar chain kept."""
+    assert golden.other("updates/storm") == golden.row("updates/storm")
