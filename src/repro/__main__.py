@@ -145,13 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
         "planning falls back to the tag-level synopsis and estimator",
     )
     parser.add_argument(
-        "--no-calibration",
-        action="store_true",
-        help="disable the AUTO chooser's measured-outcome feedback: plan "
-        "choices come from the open-loop estimator only (no observed-"
-        "timing overrides, no exploration runs, no fitted cost model)",
-    )
-    parser.add_argument(
         "--latency-slo",
         type=float,
         default=None,
@@ -202,8 +195,6 @@ def eval_options_from(args: argparse.Namespace) -> EvalOptions | None:
         kwargs["synopsis"] = False
     if args.no_pathsummary:
         kwargs["pathsummary"] = False
-    if args.no_calibration:
-        kwargs["calibration"] = False
     return EvalOptions(**kwargs) if kwargs else None
 
 

@@ -87,10 +87,11 @@ class Operator:
                 yield item
         it = self._iter
         clock = ctx.clock
+        stats = ctx.stats
         cost = ctx._cost_call
         while True:
             clock.now += cost
-            clock.cpu_time += cost
+            stats.iterator_calls += 1
             if ctx._budget is not None:
                 ctx.check_budget()
             item = next(it, None)

@@ -158,16 +158,6 @@ class EvalOptions:
         composes with synopsis pruning.  Conservative — results are
         bit-identical either way — and free when the document carries no
         summary.  Disable with CLI ``--no-pathsummary``.
-    calibration:
-        Let :class:`~repro.exec.session.QuerySession` feed *measured*
-        plan outcomes back into the AUTO chooser: observed per-shape
-        simulated timings override the estimator once both plan families
-        have been seen, and a low-confidence (small predicted margin)
-        decision explores the unobserved family once instead of trusting
-        the estimate.  Purely a planning-time feature — any individual
-        plan executes bit-identically either way — and free when off
-        (CLI ``--no-calibration``): no feedback store exists, AUTO
-        resolves exactly as the bare estimator does.
     retry:
         How the I/O subsystem recovers from injected faults
         (:class:`~repro.sim.faults.RetryPolicy`): retry cap, exponential
@@ -193,7 +183,6 @@ class EvalOptions:
     rewrite_descendant: bool = True
     synopsis: bool = True
     pathsummary: bool = True
-    calibration: bool = True
     retry: RetryPolicy = RetryPolicy()
     latency_slo: float | None = None
     budget: ExecutionBudget | None = None
@@ -310,47 +299,35 @@ class EvalContext:
 
     # ------------------------------------------------------- cost charging
     #
-    # These inline SimClock.work (two float adds) instead of calling it:
+    # These inline SimClock.work (one float add) instead of calling it:
     # they fire hundreds of thousands of times per query and the method
     # call dominated their cost.  The simulated amounts are identical.
+    # Each books the counter its constant is priced by (CostModel.price).
 
     def charge_hop(self) -> None:
         """One intra-cluster edge traversal."""
-        cost = self._cost_hop
-        clock = self.clock
-        clock.now += cost
-        clock.cpu_time += cost
+        self.clock.now += self._cost_hop
         self.stats.intra_hops += 1
 
     def charge_test(self) -> None:
         """One node-test evaluation."""
-        cost = self._cost_test
-        clock = self.clock
-        clock.now += cost
-        clock.cpu_time += cost
+        self.clock.now += self._cost_test
         self.stats.node_tests += 1
 
     def charge_instance(self) -> None:
         """Creation/copy of one path-instance tuple."""
-        cost = self._cost_instance
-        clock = self.clock
-        clock.now += cost
-        clock.cpu_time += cost
+        self.clock.now += self._cost_instance
         self.stats.instances_created += 1
 
     def charge_set_op(self) -> None:
         """One R/S/duplicate-hash operation."""
-        cost = self._cost_set
-        clock = self.clock
-        clock.now += cost
-        clock.cpu_time += cost
+        self.clock.now += self._cost_set
+        self.stats.set_ops += 1
 
     def charge_queue_op(self) -> None:
         """One insert/remove on XSchedule's queue Q."""
-        cost = self._cost_queue
-        clock = self.clock
-        clock.now += cost
-        clock.cpu_time += cost
+        self.clock.now += self._cost_queue
+        self.stats.queue_ops += 1
 
     def charge_call(self) -> None:
         """One inter-operator ``next()`` call.
@@ -360,10 +337,8 @@ class EvalContext:
         tuples.  The check is a single ``is None`` test when no budget is
         armed — zero overhead for ordinary runs.
         """
-        cost = self._cost_call
-        clock = self.clock
-        clock.now += cost
-        clock.cpu_time += cost
+        self.clock.now += self._cost_call
+        self.stats.iterator_calls += 1
         if self._budget is not None:
             self.check_budget()
 

@@ -118,6 +118,7 @@ def order_results(ctx: EvalContext, nids: list[NodeID]) -> list[NodeID]:
     if n > 1:
         comparisons = int(n * max(1, n.bit_length()))
         ctx.clock.work(comparisons * ctx.costs.set_op)
+        ctx.stats.set_ops += comparisons
     keyed.sort(key=lambda pair: pair[0])
     return [nid for _, nid in keyed]
 

@@ -242,7 +242,9 @@ class XAssembly(Operator):
         ones below it sit on ``stack``.  Charges collect in ``pending`` (time
         is on a grid, so the sum is exact in any order) and go onto the
         clock before anything else can read or advance it; counter deltas
-        are posted before every yield and on exit.  Flush points:
+        are posted before every yield, every pull of the I/O operator and
+        on exit, so the clock's CPU seconds are the counters priced
+        wherever anything can look.  Flush points:
         docs/algebra.md.  An :class:`EntryRun` is not walked at all when
         nothing can read the clock inside it: it is taken in from its
         memoised tape (:meth:`_replay`), and this loop stays the
@@ -275,7 +277,7 @@ class XAssembly(Operator):
         it = tail = page = p = entries = None
         starting = queued = False
         d_hops = d_tests = d_instances = d_deferred = d_calls = d_out = 0
-        d_speculative = d_replayed = 0
+        d_speculative = d_replayed = d_pulls = d_sets = 0
         t0 = clock.now
         pending = 0.0  # CPU seconds charged here, not yet on the clock
         try:
@@ -293,6 +295,7 @@ class XAssembly(Operator):
                             d_calls += calls
                             if ctx._budget is None:
                                 pending += calls * cost_call
+                                d_pulls += calls
                             else:  # checked after every single crossing
                                 clock.work(pending)
                                 pending = 0.0
@@ -309,6 +312,7 @@ class XAssembly(Operator):
                                 d_replayed += 1
                                 if ctx._budget is None:
                                     pending += cost_call
+                                    d_pulls += 1
                                 else:
                                     clock.work(pending)
                                     pending = 0.0
@@ -323,10 +327,12 @@ class XAssembly(Operator):
                                 d_replayed += 1
                                 if ctx._budget is None:
                                     clock.work(pending + cost_call + cost_queue)
+                                    d_pulls += 1
                                 else:
                                     clock.work(pending)
                                     ctx.charge_call()
                                     clock.work(cost_queue)
+                                stats.queue_ops += 1
                                 buffer.refix(ctx.current_frame)
                                 pending = cost_instance
                                 d_instances += 1
@@ -344,8 +350,21 @@ class XAssembly(Operator):
                                 starting = True
                                 p = None
                         if top == 0 and entries is None:
+                            # the pull may yield to the caller (the I/O
+                            # operator's speculation, a traced crossing):
+                            # nothing stays unposted
                             clock.work(pending)
                             pending = 0.0
+                            if (
+                                d_hops or d_tests or d_instances or d_speculative
+                                or d_pulls or d_sets
+                            ):  # fmt: skip
+                                self._post(
+                                    d_hops, d_tests, d_instances, d_deferred, d_speculative,
+                                    d_pulls, d_sets,
+                                )  # fmt: skip
+                                d_hops = d_tests = d_instances = d_deferred = 0
+                                d_speculative = d_pulls = d_sets = 0
                             p = next(source, None)
                             if p is None:
                                 return
@@ -355,13 +374,6 @@ class XAssembly(Operator):
                             if type(p) is EntryRun:
                                 tape = self._tape(p)
                                 if tape is not None:
-                                    if d_hops or d_tests or d_instances or d_speculative:
-                                        # the intake may yield: nothing stays unposted
-                                        self._post(
-                                            d_hops, d_tests, d_instances, d_deferred, d_speculative
-                                        )
-                                        d_hops = d_tests = d_instances = d_deferred = 0
-                                        d_speculative = 0
                                     yield from self._replay(tape, droot and p.step == 1)
                                     continue
                                 # every entry border of one (cluster, step): as
@@ -525,6 +537,7 @@ class XAssembly(Operator):
                             result = self._final(right)
                     elif not ctx.fallback:  # (whose re-evaluation covers all speculation)
                         pending += cost_set
+                        d_sets += 1
                         if implied or left_key in r:
                             stats.merges += 1
                             clock.work(pending)
@@ -532,6 +545,7 @@ class XAssembly(Operator):
                             result = self._activate((s_r, right, paused))
                         else:
                             pending += cost_set
+                            d_sets += 1
                             parked = s.get(left_key)
                             if type(parked) is list:
                                 parked.append((s_r, right, paused))
@@ -545,11 +559,14 @@ class XAssembly(Operator):
                 if result is not None:
                     clock.work(pending)
                     pending = 0.0
-                    self._post(d_hops, d_tests, d_instances, d_deferred, d_speculative)
+                    self._post(
+                        d_hops, d_tests, d_instances, d_deferred, d_speculative, d_pulls, d_sets
+                    )
                     d_hops = d_tests = d_instances = d_deferred = d_speculative = 0
+                    d_pulls = d_sets = 0
                     yield self._result_instance(result)
         finally:
-            self._post(d_hops, d_tests, d_instances, d_deferred, d_speculative)
+            self._post(d_hops, d_tests, d_instances, d_deferred, d_speculative, d_pulls, d_sets)
             if tracer is not None and n:
                 tracer.op_call("XStep", d_out, d_calls)
                 tracer.op_span("XStep", t0, clock.now, d_out)
@@ -647,11 +664,24 @@ class XAssembly(Operator):
             + sets * ctx._cost_set
         )
         self._post(
-            hops - hops0, tests - tests0, events - events0, deferred - deferred0, entries - entries0
+            hops - hops0,
+            tests - tests0,
+            events - events0,
+            deferred - deferred0,
+            entries - entries0,
+            calls - calls0,
+            sets,
         )
 
     def _post(
-        self, hops: int, tests: int, instances: int, deferred: int, speculative: int
+        self,
+        hops: int,
+        tests: int,
+        instances: int,
+        deferred: int,
+        speculative: int,
+        calls: int,
+        sets: int,
     ) -> None:
         """Book the kernel's pending counter deltas."""
         stats = self.ctx.stats
@@ -660,6 +690,8 @@ class XAssembly(Operator):
         stats.instances_created += instances + speculative
         stats.speculative_instances += speculative
         stats.border_crossings_deferred += deferred
+        stats.iterator_calls += calls
+        stats.set_ops += sets
 
     def _result_instance(self, nid: NodeID) -> PathInstance:
         self.ctx.charge_instance()

@@ -8,21 +8,8 @@ used as-is — configuration is a convenience, never a dependency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field
 from pathlib import Path
-
-
-def _stats_field_names() -> frozenset[str]:
-    """Field names of :class:`repro.sim.stats.Stats`, read from the source.
-
-    The charge rules need to know which attribute names are Stats
-    counters.  Importing the dataclass keeps them in lock-step with
-    the engine: adding a counter automatically extends the rules.
-    """
-    from repro.sim.stats import Stats
-
-    return frozenset(f.name for f in dc_fields(Stats))
-
 
 #: Which part of the tree each rule polices, as posix path prefixes
 #: relative to the ``repro`` package root.  An empty-string prefix means
@@ -55,9 +42,6 @@ DEFAULT_SCOPES: dict[str, tuple[str, ...]] = {
     "feature-gate": ("sim/", "algebra/", "storage/"),
     # dedup sets must not leak their iteration order into results
     "set-iteration": ("algebra/", "sim/", "storage/"),
-    # interprocedural: I/O paths charge Stats/clock exactly once, and
-    # every Stats field is charged somewhere
-    "charge-accounting": ("sim/", "storage/", "algebra/"),
     # interprocedural: possibly-None feature slots never cross into
     # helpers that require them non-None (findings anchor at call sites)
     "gate-coherence": ("sim/", "storage/", "algebra/", "exec/", "xpath/", "engine.py"),
@@ -86,12 +70,9 @@ class ReplintConfig:
             "faults",
             "wal",
             "crash",
-            "calibration",
             "pathsummary",
         }
     )
-    #: Stats counter names the charge rules watch
-    stats_fields: frozenset[str] = field(default_factory=_stats_field_names)
 
     def scope_for(self, rule_id: str) -> tuple[str, ...]:
         return self.scopes.get(rule_id, ())

@@ -1,12 +1,12 @@
-"""Interprocedural index for replint: module graph, call graph, charges.
+"""Interprocedural index for replint: module graph and call graph.
 
 The per-file rules see one ``ast.Module`` at a time; the invariants
-added with the interprocedural rules — charge-once accounting, gate
-coherence across helper calls, taint that flows through return values —
-need to see *every* linted file at once.  :class:`ProjectIndex` is that
-view: every function definition in the linted tree, what it charges
-(``Stats`` fields, the simulated clock), which feature-slot parameters
-it dereferences, and which other indexed functions it calls.
+added with the interprocedural rules — gate coherence across helper
+calls, taint that flows through return values — need to see *every*
+linted file at once.  :class:`ProjectIndex` is that view: every function
+definition in the linted tree, which feature-slot parameters it
+dereferences, whether it returns an unordered set, and which other
+indexed functions it calls.
 
 Call resolution is deliberately nominal, matching the engine's style
 rather than attempting type inference:
@@ -21,9 +21,9 @@ rather than attempting type inference:
   an explicit ``from repro... import fn``;
 * ``ClassName(...)`` resolves to ``ClassName.__init__``.
 
-Anything else (stdlib calls, dynamic dispatch the engine does not use on
-charge paths) resolves to nothing and contributes no call edge — the
-analysis errs toward missing edges, never toward inventing them.
+Anything else (stdlib calls, dynamic dispatch) resolves to nothing and
+contributes no call edge — the analysis errs toward missing edges, never
+toward inventing them.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ if TYPE_CHECKING:
 #: The engine's attribute-name -> class-name bindings.  These names are
 #: wired once in :class:`~repro.exec.environment.ExecutionEnvironment`
 #: and used consistently everywhere, which is what makes nominal call
-#: resolution sound for the charge paths.
+#: resolution sound.
 DEFAULT_ATTR_TYPES: dict[str, str] = {
     "iosys": "AsyncIOSystem",
     "disk": "DiskDevice",
@@ -53,10 +53,6 @@ DEFAULT_ATTR_TYPES: dict[str, str] = {
     "wal": "WriteAheadLog",
     "env": "ExecutionEnvironment",
 }
-
-_CLOCK_FIELDS = frozenset({"now", "cpu_time", "io_wait"})
-_CLOCK_METHODS = frozenset({"work", "wait_until"})
-
 
 @dataclass(slots=True)
 class CallSite:
@@ -76,11 +72,6 @@ class FunctionInfo:
     cls: str | None
     src: "SourceFile"
     node: ast.FunctionDef | ast.AsyncFunctionDef
-    #: direct ``stats.<field> += ...`` sites, by field name
-    charges: dict[str, list[ast.AugAssign]] = field(default_factory=dict)
-    #: direct simulated-clock charges (``clock.work(...)``,
-    #: ``clock.now += ...``); presence means "this function moves time"
-    clock_charges: list[ast.AST] = field(default_factory=list)
     #: resolved + unresolved call sites, in source order
     calls: list[CallSite] = field(default_factory=list)
     #: parameters named like feature slots that the body dereferences
@@ -95,7 +86,7 @@ class FunctionInfo:
 
 
 class ProjectIndex:
-    """Call-graph + charge-summary index over one linted source tree."""
+    """Call-graph index over one linted source tree."""
 
     __slots__ = (
         "functions",
@@ -105,7 +96,6 @@ class ProjectIndex:
         "_bases",
         "_module_functions",
         "_imports",
-        "_reachable_memo",
     )
 
     def __init__(self) -> None:
@@ -120,7 +110,6 @@ class ProjectIndex:
         self._module_functions: dict[str, dict[str, str]] = {}
         #: relpath -> {imported local name -> qualname}
         self._imports: dict[str, dict[str, str]] = {}
-        self._reachable_memo: dict[str, frozenset[str]] = {}
 
     # ------------------------------------------------------------- building
 
@@ -135,7 +124,7 @@ class ProjectIndex:
         # pass 1: declarations (classes, functions, imports)
         for src in index.sources:
             index._collect_declarations(src)
-        # pass 2: per-function bodies (charges, call sites)
+        # pass 2: per-function bodies (call sites, set returns)
         for src in index.sources:
             index._collect_bodies(src, config)
         return index
@@ -182,29 +171,12 @@ class ProjectIndex:
         self, info: FunctionInfo, src: "SourceFile", config: "ReplintConfig"
     ) -> None:
         node = info.node
-        stats_fields = config.stats_fields
         set_locals: set[str] = set()
         for sub in walk_scope(node):
-            if isinstance(sub, ast.AugAssign) and isinstance(sub.op, ast.Add):
-                target = sub.target
-                if isinstance(target, ast.Attribute):
-                    base_name = terminal_name(target.value)
-                    if target.attr in stats_fields and base_name == "stats":
-                        if not (
-                            isinstance(sub.value, ast.Constant) and sub.value.value == 0
-                        ):
-                            info.charges.setdefault(target.attr, []).append(sub)
-                    elif target.attr in _CLOCK_FIELDS and base_name == "clock":
-                        info.clock_charges.append(sub)
-            elif isinstance(sub, ast.Call):
-                func = sub.func
-                if isinstance(func, ast.Attribute):
-                    base_name = terminal_name(func.value)
-                    if func.attr in _CLOCK_METHODS and base_name == "clock":
-                        info.clock_charges.append(sub)
+            if isinstance(sub, ast.Call):
                 callee = self._resolve_call(sub, info, src)
                 info.calls.append(
-                    CallSite(node=sub, callee=callee, text=_callee_text(func))
+                    CallSite(node=sub, callee=callee, text=_callee_text(sub.func))
                 )
             elif isinstance(sub, ast.Assign):
                 if _is_set_expr(sub.value):
@@ -320,89 +292,6 @@ class ProjectIndex:
                 return resolved
             queue.extend(self._bases.get(current, ()))
         return None
-
-    # ------------------------------------------------------------- queries
-
-    def reachable(self, qualname: str) -> frozenset[str]:
-        """Functions reachable from ``qualname`` via resolved calls.
-
-        Excludes ``qualname`` itself unless a true cycle re-enters it —
-        a function that (transitively) calls itself charges once *per
-        activation*, which is not a double charge.
-        """
-        memo = self._reachable_memo.get(qualname)
-        if memo is not None:
-            return memo
-        seen: set[str] = set()
-        queue: list[str] = [
-            site.callee
-            for site in self.functions[qualname].calls
-            if site.callee is not None and site.callee != qualname
-        ]
-        while queue:
-            current = queue.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            info = self.functions.get(current)
-            if info is None:
-                continue
-            for site in info.calls:
-                if site.callee is not None and site.callee not in seen:
-                    queue.append(site.callee)
-        result = frozenset(seen)
-        self._reachable_memo[qualname] = result
-        return result
-
-    def transitive_charges(self, qualname: str) -> dict[str, str]:
-        """``Stats`` fields charged by callees of ``qualname``.
-
-        Returns field -> the reachable function that charges it (one
-        witness per field, for diagnostics).
-        """
-        charged: dict[str, str] = {}
-        for callee in sorted(self.reachable(qualname)):
-            info = self.functions.get(callee)
-            if info is None:
-                continue
-            for field_name in info.charges:
-                charged.setdefault(field_name, callee)
-        return charged
-
-    def transitive_clock(self, qualname: str) -> bool:
-        """True when some callee of ``qualname`` moves the simulated clock."""
-        return any(
-            self.functions[callee].clock_charges
-            for callee in self.reachable(qualname)
-            if callee in self.functions
-        )
-
-    def call_chain(self, start: str, target: str) -> list[str]:
-        """A shortest resolved call chain ``start -> ... -> target``."""
-        if start == target:
-            return [start]
-        parents: dict[str, str] = {}
-        queue = [start]
-        seen = {start}
-        while queue:
-            current = queue.pop(0)
-            info = self.functions.get(current)
-            if info is None:
-                continue
-            for site in info.calls:
-                callee = site.callee
-                if callee is None or callee in seen:
-                    continue
-                parents[callee] = current
-                if callee == target:
-                    chain = [target]
-                    while chain[-1] != start:
-                        chain.append(parents[chain[-1]])
-                    chain.reverse()
-                    return chain
-                seen.add(callee)
-                queue.append(callee)
-        return [start, target]
 
 
 def _iter_functions(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.analysis.core import Rule
-from repro.analysis.rules.charge_accounting import ChargeAccountingRule
 from repro.analysis.rules.determinism_taint import DeterminismTaintRule
 from repro.analysis.rules.feature_gate import FeatureGateRule
 from repro.analysis.rules.gate_coherence import GateCoherenceRule
@@ -19,7 +18,6 @@ _RULE_CLASSES: tuple[type[Rule], ...] = (
     FeatureGateRule,
     SetIterationRule,
     # interprocedural rules (run once over the whole-tree ProjectIndex)
-    ChargeAccountingRule,
     GateCoherenceRule,
     DeterminismTaintRule,
 )

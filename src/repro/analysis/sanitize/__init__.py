@@ -1,15 +1,16 @@
 """reprosan: runtime sanitizers for the engine's accounting invariants.
 
-Static analysis (:mod:`repro.analysis`) proves invariant *shapes* — each
-charge lands once, gated state stays behind its gate.
+Static analysis (:mod:`repro.analysis`) proves invariant *shapes* —
+gated state stays behind its gate, no hash order leaks through helpers.
 The sanitizers prove the *values* at runtime: they re-derive them
 from independent evidence while the engine runs and fail loudly on the
 first disagreement.  Three sanitizers:
 
 * **charge** — at every operator yield the simulated clock must be
-  monotonic, on the time grid, and satisfy ``now == cpu_time + io_wait``.
-  Catches a duration charged to one sum and not the other, or created
-  off the grid, at the exact yield where it first shows.
+  monotonic, on the time grid, and its CPU seconds must be the counters
+  priced, ``clock.cpu_time == costs.price(stats)``.  Catches a charge
+  without its counter (or the reverse), or a duration created off the
+  grid, at the exact yield where it first shows.
 * **determinism** — double execution: every cold :meth:`Database.execute
   <repro.engine.Database.execute>` is re-run on a private shadow runtime
   and diffed — value, nodes, every counter, the clock, and the trace

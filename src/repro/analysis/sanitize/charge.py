@@ -1,16 +1,17 @@
 """The charge sanitizer: the simulated clock audited at every yield.
 
-Counters have one book (:class:`~repro.sim.stats.Stats`), so there is
-nothing to diff them against here; what they must come to is pinned
-by the golden draws (``tests/golden.py``).  Time is different — three
-running sums that every charge site advances by hand — so the clock is
-checked against its own internal invariants at every operator yield:
-``now`` is monotone, is a whole number of ticks
-(:data:`~repro.sim.clock.TICK`), and equals ``cpu_time + io_wait`` (the
-paper's ``total = CPU + I/O wait`` identity) with ``==`` — sums of
-on-grid durations are exact, so the first duration created off the grid,
-or charged to one sum and not the other, is pinned to within one
-operator call.
+Counters have one book (:class:`~repro.sim.stats.Stats`), and what they
+must come to is pinned by the golden draws (``tests/golden.py``).  CPU
+time is not a book of its own: every charge to the clock goes with the
+counter its :class:`~repro.sim.costmodel.CostModel` constant prices, so
+at every operator yield the clock's CPU seconds must equal the counters
+priced, ``clock.cpu_time == costs.price(stats)``, with ``==`` (sums of
+on-grid durations are exact).  A charge without its counter, a counter
+without its charge, or time moved outside every counter, is pinned to
+within one operator call.  ``now`` must also be monotone and a whole
+number of ticks (:data:`~repro.sim.clock.TICK`), so the first duration
+created off the grid shows where it lands; a yield that breaks both
+reports both.
 """
 
 from __future__ import annotations
@@ -24,10 +25,12 @@ from repro.sim.clock import HORIZON, TICK
 class ChargeSanitizer:
     """Per-runtime clock auditor (shared by views of the runtime)."""
 
-    __slots__ = ("_clock", "_last_now")
+    __slots__ = ("_clock", "_costs", "_stats", "_last_now")
 
     def __init__(self, ctx: Any) -> None:
         self._clock = ctx.clock
+        self._costs = ctx.costs
+        self._stats = ctx.stats
         self._last_now = ctx.clock.now
 
     def check(self) -> None:
@@ -43,16 +46,17 @@ class ChargeSanitizer:
         # exact below the horizon; past it only the request in flight
         # finishes (SimClock.checkpoint refuses the next)
         if now < HORIZON:
-            if now != clock.cpu_time + clock.io_wait:
-                fail(
-                    "charge",
-                    f"clock identity broken: now={now!r} but cpu_time + io_wait = "
-                    f"{clock.cpu_time + clock.io_wait!r} "
-                    f"(cpu={clock.cpu_time!r}, io_wait={clock.io_wait!r})",
+            broken = []
+            priced = self._costs.price(self._stats)
+            if clock.cpu_time != priced:
+                broken.append(
+                    f"CPU identity broken: cpu_time={clock.cpu_time!r} but the "
+                    f"counters price to {priced!r}"
                 )
             if not (now / TICK).is_integer():
-                fail(
-                    "charge",
+                broken.append(
                     f"simulated clock left the time grid: now={now!r} is "
-                    f"{now / TICK!r} ticks — some duration was created without on_grid()",
+                    f"{now / TICK!r} ticks — some duration was created without on_grid()"
                 )
+            if broken:
+                fail("charge", "; ".join(broken))

@@ -128,7 +128,7 @@ def _run_queries(
     outcomes: list,
     labels: list,
     plan_kinds_by: list,
-) -> tuple[int, int]:
+) -> tuple[int, int, dict[int, CompiledQuery]]:
     """Execute one run of query requests on the shared runtime.
 
     This is the original (pure-query) batch body parametrised by the
@@ -136,7 +136,8 @@ def _run_queries(
     onto the shared scan / shared disk queue, resolve.  Compilation
     happens here — per run, not per batch — so queries that follow an
     update run are planned against the post-update document.  Returns
-    ``(scan_members, queue_members)`` counts.
+    ``(scan_members, queue_members, compiled)``: the two member counts
+    and each request index's compiled query.
     """
     reqs = {index: _normalize(raw[index], doc, plan) for index in indices}
     compiled: dict[int, CompiledQuery] = {

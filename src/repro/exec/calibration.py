@@ -24,8 +24,9 @@ accumulate as fit samples, and :meth:`CalibrationStore.refit` turns them
 into CPU constants the estimator prices into every later prediction.
 
 Everything here is planning-time only: the store never touches the
-simulated clock, and with ``EvalOptions(calibration=False)`` no store is
-created at all (the session's ``calibration`` slot is ``None``).
+simulated clock.  Every session keeps one (``QuerySession.calibration``);
+:mod:`repro.xpath.validate` measures the chooser without it by passing no
+``advisor``.
 """
 
 from __future__ import annotations

@@ -50,12 +50,8 @@ class QuerySession:
         self._plans: OrderedDict[tuple, CompiledQuery] = OrderedDict()
         self._warm_ctx: EvalContext | None = None
         #: measured-outcome feedback for the AUTO chooser
-        #: (:class:`~repro.exec.calibration.CalibrationStore`); ``None``
-        #: when the session's options disable calibration — the feature
-        #: then has no state and costs nothing, like tracer/synopsis/WAL
-        self.calibration: CalibrationStore | None = (
-            CalibrationStore() if self.options.calibration else None
-        )
+        #: (:class:`~repro.exec.calibration.CalibrationStore`)
+        self.calibration = CalibrationStore()
         #: plan-cache counters
         self.cache_hits = 0
         self.cache_misses = 0
@@ -70,7 +66,6 @@ class QuerySession:
         self.updates = 0
         self.stats = Stats()
         self.total_time = 0.0
-        self.cpu_time = 0.0
         self.io_wait = 0.0
 
     # -------------------------------------------------------- plan cache
@@ -87,24 +82,22 @@ class QuerySession:
         Compiled plans are stateless (operator trees are instantiated per
         execution), so one cache entry serves any number of runs.
 
-        With calibration on, a cached AUTO plan is revalidated against
-        the feedback store: if the store would resolve any of its paths
-        to a different family today (a measured outcome arrived, or a
-        low-confidence choice is due an exploration run), the entry is
-        dropped and the query recompiles — compilation is off the
+        A cached AUTO plan is revalidated against the feedback store: if
+        the store would resolve any of its paths to a different family
+        today (a measured outcome arrived, or a low-confidence choice is
+        due an exploration run), the entry is dropped and the query
+        recompiles — compilation is off the
         simulated clock, so the replan is free in simulated time.
         """
         kind = PlanKind.coerce(plan)
         opts = options or self.options
         key = (query, doc, kind.value, opts)
         tracer = self.env.tracer
-        advisor = self.calibration if opts.calibration else None
         cached = self._plans.get(key)
         if (
             cached is not None
-            and advisor is not None
             and cached.auto_choices
-            and self._advice_stale(cached, doc, opts, advisor)
+            and self._advice_stale(cached, doc, opts, self.calibration)
         ):
             del self._plans[key]
             self.replans += 1
@@ -119,7 +112,7 @@ class QuerySession:
         self.compiles += 1
         if tracer is not None:
             tracer.plan_cache_event(False, query, doc, kind.value)
-        compiled = self.db.prepare(query, doc, kind, opts, advisor=advisor)
+        compiled = self.db.prepare(query, doc, kind, opts, advisor=self.calibration)
         self._plans[key] = compiled
         while len(self._plans) > self.cache_size:
             self._plans.popitem(last=False)
@@ -226,7 +219,7 @@ class QuerySession:
         """
         store = self.calibration
         opts = options or self.options
-        if store is None or not opts.calibration or self.warm:
+        if self.warm:
             return False
         plans = compiled.path_plans()
         if len(plans) != 1:
@@ -329,7 +322,6 @@ class QuerySession:
             self.degraded_runs += 1
         self.stats.merge(result.stats)
         self.total_time += result.total_time
-        self.cpu_time += result.cpu_time
         self.io_wait += result.io_wait
 
     def _account_batch(self, outcome) -> None:
@@ -342,8 +334,12 @@ class QuerySession:
         self.degraded_runs += sum(1 for r in outcome.results if r.degraded)
         self.stats.merge(outcome.stats)
         self.total_time += outcome.total_time
-        self.cpu_time += outcome.cpu_time
         self.io_wait += outcome.io_wait
+
+    @property
+    def cpu_time(self) -> float:
+        """Simulated CPU seconds across every run: what was not I/O wait."""
+        return self.total_time - self.io_wait
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mode = "warm" if self.warm else "cold"

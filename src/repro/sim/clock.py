@@ -5,20 +5,24 @@ clock tracks the CPU timeline; the disk keeps its own internal timeline and
 the two are merged whenever the CPU blocks on an I/O completion, which is
 how asynchronous I/O overlaps computation and disk service in this model.
 
-Besides the current time, the clock accumulates two mutually exclusive
-buckets that together always sum to ``now``:
+The clock keeps two running sums:
 
-* ``cpu_time`` — time spent executing (charged via :meth:`SimClock.work`),
-* ``io_wait`` — time spent blocked waiting for the disk
-  (charged via :meth:`SimClock.wait_until`).
+* ``now`` — the current time, advanced by CPU work
+  (:meth:`SimClock.work`) and by blocking on the disk
+  (:meth:`SimClock.wait_until`),
+* ``io_wait`` — the part of ``now`` spent blocked waiting for the disk.
 
-These are exactly the "total" and "CPU" columns of Table 3 in the paper
-(``total = cpu_time + io_wait``).
+``cpu_time`` is derived: ``now - io_wait``.  These are the "total" and
+"CPU" columns of Table 3 in the paper (``total = cpu_time + io_wait``),
+and the identity holds by construction.  The CPU seconds are not a
+third book either: every charge goes with the ``Stats`` counter that
+prices it, so ``cpu_time == costs.price(stats)``
+(:meth:`repro.sim.costmodel.CostModel.price`).
 
 Simulated time lives on a grid: every duration is snapped to a whole
 number of ticks (:data:`TICK`) where it is created (:func:`on_grid`), and sums,
 maxima and differences of on-grid values below :data:`HORIZON` are exact
-in a double.  So the identity above holds with ``==``, and the order in
+in a double.  So both identities hold with ``==``, and the order in
 which charges are added cannot change a total (docs/simulation.md).
 """
 
@@ -40,19 +44,22 @@ def on_grid(seconds: float) -> float:
 class SimClock:
     """A monotonically advancing simulated CPU clock."""
 
-    __slots__ = ("now", "cpu_time", "io_wait")
+    __slots__ = ("now", "io_wait")
 
     def __init__(self) -> None:
         self.now = 0.0
-        self.cpu_time = 0.0
         self.io_wait = 0.0
+
+    @property
+    def cpu_time(self) -> float:
+        """Time spent executing: everything not spent waiting on the disk."""
+        return self.now - self.io_wait
 
     def work(self, seconds: float) -> None:
         """Advance the clock by ``seconds`` of CPU work."""
         if seconds < 0.0:
             raise ValueError(f"negative work duration: {seconds}")
         self.now += seconds
-        self.cpu_time += seconds
 
     def wait_until(self, t: float) -> None:
         """Block (idle) until simulated time ``t``.

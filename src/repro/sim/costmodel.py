@@ -7,7 +7,9 @@ constants below were calibrated so that the CPU/total breakdown of Table 3
 lands in the same regime as the paper (CPU fractions of roughly 10-30% for
 navigation-bound plans and 60-80% for the scan plan).
 
-All values are in seconds.
+All values are in seconds.  Every constant prices one ``Stats`` counter
+(:meth:`CostModel.price`), so a run's CPU seconds are its counters
+priced: ``clock.cpu_time == costs.price(stats)`` with ``==``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass, fields
 from typing import Iterable
 
 from repro.sim.clock import on_grid
+from repro.sim.stats import Stats
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,7 +55,9 @@ class CostModel:
 
     Every constant is snapped to the time grid at construction
     (:func:`~repro.sim.clock.on_grid`), so ``count * constant`` and any
-    sum of charges is exact.
+    sum of charges is exact.  Each constant is charged once per unit of
+    one ``Stats`` counter (:data:`PRICED`), which makes :meth:`price`
+    of a run's counters its simulated CPU seconds.
     """
 
     swizzle: float = 15.0e-6
@@ -69,6 +74,18 @@ class CostModel:
     def __post_init__(self) -> None:
         for f in fields(self):
             object.__setattr__(self, f.name, on_grid(getattr(self, f.name)))
+
+    def price(self, stats: Stats) -> float:
+        """The CPU seconds ``stats`` paid for: count × constant, summed.
+
+        Exact below the clock's horizon, so ``clock.cpu_time ==
+        costs.price(stats)`` holds with ``==`` for the stats a clock was
+        charged beside — a whole run, or any slice of one.
+        """
+        return sum(
+            getattr(stats, counter) * getattr(self, constant)
+            for constant, counter in PRICED.items()
+        )
 
     def scaled(self, factor: float) -> "CostModel":
         """Return a copy with every constant multiplied by ``factor``.
@@ -88,6 +105,20 @@ class CostModel:
             io_submit=self.io_submit * factor,
         )
 
+
+#: constant -> the ``Stats`` counter that counts its charges
+PRICED: dict[str, str] = {
+    "swizzle": "swizzles",
+    "unswizzle": "unswizzles",
+    "intra_hop": "intra_hops",
+    "node_test": "node_tests",
+    "instance_op": "instances_created",
+    "set_op": "set_ops",
+    "queue_op": "queue_ops",
+    "iterator_call": "iterator_calls",
+    "page_register": "page_registers",
+    "io_submit": "pages_requested",
+}
 
 #: Default cost model used by :class:`repro.engine.Database` when none is given.
 DEFAULT_COST_MODEL = CostModel()

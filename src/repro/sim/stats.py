@@ -5,6 +5,11 @@ numbers reported in the paper's evaluation: pages read, seek activity,
 buffer behaviour, swizzling, and primitive counts.  Timing (total / CPU /
 I/O wait) lives on the :class:`repro.sim.clock.SimClock` and is combined
 with the counters into a :class:`repro.engine.Result` by the engine.
+
+Every primitive that charges CPU time has a counter here, so the CPU
+seconds of a run are its priced counters:
+``clock.cpu_time == costs.price(stats)`` holds with ``==``
+(:meth:`repro.sim.costmodel.CostModel.price`).
 """
 
 from __future__ import annotations
@@ -18,7 +23,9 @@ class Stats:
 
     All counters start at zero; operators and the storage layer increment
     them as side effects.  ``merge`` adds another bundle in, which the
-    benchmarks use to aggregate across runs.
+    benchmarks use to aggregate across runs.  A charge to the clock and
+    the increment of the counter that prices it go together, so any
+    slice of a run (a ``diff``) prices to the CPU seconds it spent.
     """
 
     # I/O layer
@@ -26,7 +33,8 @@ class Stats:
     #: logical page-read operations issued by the engine; fault-recovery
     #: retries of the same read do *not* recharge it (contrast
     #: ``pages_read``, which counts physical service attempts) — this is
-    #: the dimension ``ExecutionBudget.max_pages`` meters
+    #: the dimension ``ExecutionBudget.max_pages`` meters, and the count
+    #: ``io_submit`` is priced by
     pages_requested: int = 0
     pages_read: int = 0
     seeks: int = 0
@@ -51,11 +59,21 @@ class Stats:
     evictions: int = 0
     swizzles: int = 0
     unswizzles: int = 0
+    #: frames registered after a read (``page_register``): misses, and
+    #: asynchronous completions and early arrivals admitted
+    page_registers: int = 0
 
     # navigation / algebra
     intra_hops: int = 0
     node_tests: int = 0
     instances_created: int = 0
+    #: R/S probes and inserts, duplicate-hash operations and sort
+    #: comparisons (``set_op``)
+    set_ops: int = 0
+    #: inserts/removes on XSchedule's queue Q, and XScan's context intake
+    #: (``queue_op``)
+    queue_ops: int = 0
+    iterator_calls: int = 0  #: ``next()`` crossings between operators
     border_crossings_deferred: int = 0
     speculative_instances: int = 0
     merges: int = 0

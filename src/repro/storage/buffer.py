@@ -175,6 +175,7 @@ class BufferManager:
         if len(self._frames) >= self.capacity:
             self._evict()
         self.clock.work(self.costs.page_register)
+        self.stats.page_registers += 1
         frame = self._frames[page_no] = Frame(self.segment.page(page_no))
         return frame
 

@@ -202,9 +202,10 @@ def resolve_auto(
     The estimator predicts both families' costs (priced with the
     advisor's fitted :class:`~repro.sim.costmodel.ChooserCostModel` when
     one exists); the advisor — a
-    :class:`~repro.exec.calibration.CalibrationStore`, or ``None`` when
-    calibration is off — may then override the pick with a measured
-    outcome or an exploration run.
+    :class:`~repro.exec.calibration.CalibrationStore`, or ``None`` for
+    the bare estimator (a plain ``Database.execute``, or
+    :mod:`repro.xpath.validate`'s uncalibrated pass) — may then override
+    the pick with a measured outcome or an exploration run.
     """
     model = advisor.model if advisor is not None else None
     prediction = predict_io_costs(

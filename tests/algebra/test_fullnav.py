@@ -130,7 +130,7 @@ def test_full_step_from_every_entry_border(fragmented):
         seen.append((where, got, golden.ctx_books(ctx)))
         assert pinned_pages(ctx) == [], where
     assert len(seen) > 500
-    assert golden.walks(seen) == golden.row("walk/resumed")["walks"]
+    assert golden.walks(seen) == golden.row("walk/resumed")
 
 
 def test_full_step_closed_mid_stream_leaves_no_pin(fragmented):
@@ -145,7 +145,7 @@ def test_full_step_closed_mid_stream_leaves_no_pin(fragmented):
         walk.close()
         seen.append((got, golden.ctx_books(ctx)))
         assert pinned_pages(ctx) == [], len(got)
-    assert golden.walks(seen) == golden.row("walk/closed")["walks"]
+    assert golden.walks(seen) == golden.row("walk/closed")
     assert deepest >= 3, "no walk was closed three crossings deep"
 
 

@@ -1,12 +1,10 @@
 """Scope fixture (xpath/): byte-identical bug, outside the rule's scope."""
 
 
-def backing_read(stats, clock):
-    stats.pages_requested += 1
-    clock.work(0.001)
+def dirty_pages(cache):
+    return {page for page, dirty in cache.items() if dirty}
 
 
-def layered_read(stats, clock):
-    stats.pages_requested += 1
-    clock.work(0.001)
-    backing_read(stats, clock)
+def flush(cache, out):
+    for page in dirty_pages(cache):
+        out.append(page)

@@ -107,5 +107,5 @@ def test_list_rules(capsys):
     code = main(["--list-rules"])
     out = capsys.readouterr().out
     assert code == 0
-    for rule_id in ("nondeterminism", "runtime-assert", "charge-accounting"):
+    for rule_id in ("nondeterminism", "runtime-assert", "determinism-taint"):
         assert rule_id in out

@@ -87,7 +87,6 @@ def test_rule_catalogue_is_complete_and_described():
         "slots",
         "feature-gate",
         "set-iteration",
-        "charge-accounting",
         "gate-coherence",
         "determinism-taint",
     }

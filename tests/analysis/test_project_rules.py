@@ -21,48 +21,6 @@ def run_rule(rule_id: str, fixture: str, config: ReplintConfig | None = None):
     return lint_paths([FIXTURES / fixture], config=cfg, rules=[rule])
 
 
-# ---------------------------------------------------------- charge-accounting
-
-
-def test_charge_accounting_fires_on_bad_fixture():
-    findings = run_rule("charge-accounting", "charge_accounting_bad.py")
-    messages = [f.message for f in findings]
-    assert len(findings) == 3
-    assert any("charge exactly once" in m for m in messages)
-    assert any("paired accounting is incomplete" in m for m in messages)
-    assert any("never free" in m for m in messages)
-    # the double-charge diagnostic names the callee chain
-    assert any("layered_read -> " in m for m in messages)
-
-
-def test_charge_accounting_passes_good_fixture():
-    # delegation charges once; CPU-work counters are exempt from the
-    # charge-once check even when charged at two layers
-    assert run_rule("charge-accounting", "charge_accounting_good.py") == []
-
-
-def test_charge_accounting_entry_point_completeness():
-    # entrytree/sim/iosys.py defines AsyncIOSystem.request without its
-    # contracted pages_requested charge; read_sync is complete
-    findings = run_rule(
-        "charge-accounting", "entrytree", config=ReplintConfig()
-    )
-    assert len(findings) == 1
-    assert "missed charge" in findings[0].message
-    assert "pages_requested" in findings[0].message
-    assert findings[0].path.endswith("iosys.py")
-
-
-def test_charge_accounting_reports_dead_fields():
-    # drifttree stages a miniature sim/stats.py whose node_tests counter
-    # nothing in the tree charges
-    findings = run_rule("charge-accounting", "drifttree", config=ReplintConfig())
-    assert len(findings) == 1
-    assert "node_tests" in findings[0].message
-    assert "never charged" in findings[0].message
-    assert findings[0].path.endswith("stats.py")
-
-
 # ------------------------------------------------------------- gate-coherence
 
 
@@ -100,12 +58,12 @@ def test_determinism_taint_passes_good_fixture():
 def test_project_findings_prune_by_anchor_file_scope():
     """The scope-pruning regression: identical bug, different directory.
 
-    scopetree stages byte-identical double-charge code under storage/
-    (inside charge-accounting's default scope) and xpath/ (outside it).
+    scopetree stages byte-identical hash-order leaks under storage/
+    (inside determinism-taint's default scope) and xpath/ (outside it).
     The project rule sees both files in one index; only the finding
     anchored in storage/ may survive.
     """
-    rule = rules_by_id()["charge-accounting"]()
+    rule = rules_by_id()["determinism-taint"]()
     findings = lint_paths(
         [FIXTURES / "scopetree"], config=ReplintConfig(), rules=[rule]
     )
@@ -123,8 +81,8 @@ def test_project_findings_prune_by_anchor_file_scope():
 
 def test_project_findings_honour_line_suppressions():
     # suppressed_cache.py carries the same bug as pagecache.py with a
-    # `# replint: disable=charge-accounting` at the anchor line
-    rule = rules_by_id()["charge-accounting"]()
+    # `# replint: disable=determinism-taint` at the anchor line
+    rule = rules_by_id()["determinism-taint"]()
     findings = lint_paths(
         [FIXTURES / "scopetree"], config=ReplintConfig(), rules=[rule]
     )

@@ -1,9 +1,9 @@
 """The reprosan runtime sanitizers: seeded-bug matrix and overhead contract.
 
 Each sanitizer must demonstrably catch its bug class: we *seed* a
-deliberate bug (time charged outside both clock buckets by a charge the
-path kernel makes, a
-run-count-dependent clock, a corrupted incremental repair (after a
+deliberate bug (time charged outside every counter by a charge the
+path kernel makes, a charge without its counter, a counter without its
+charge, a run-count-dependent clock, a corrupted incremental repair (after a
 logged and after a bare update), a synopsis
 edited in place under its memo, a stale columnar cache, a stale junction
 in a run tape) and assert the sanitizer
@@ -27,6 +27,9 @@ from repro.analysis.sanitize import ALL_MODES, SanitizerError, modes
 from repro.model.tree import Kind
 from repro.obs.tracer import Tracer
 from repro.sim.clock import TICK, SimClock
+from repro.sim.disk import DiskDevice
+from repro.sim.iosys import AsyncIOSystem
+from repro.storage.buffer import BufferManager
 from repro.storage.nodeid import page_of, slot_of
 from repro.storage.record import CoreRecord
 from repro.storage.update import update_value
@@ -124,17 +127,85 @@ def test_double_charge_breaks_scalar_kernel_agreement(monkeypatch):
         golden.check(key)
 
 
+def test_skipped_io_request_moves_a_golden_row(monkeypatch):
+    """``io_requests`` prices nothing, so the identity cannot see a disk
+    submission that forgets it; the golden books can."""
+    key = "runs/xscan/0"
+    golden.check(key)
+    submit = DiskDevice.submit
+
+    def uncounted_submit(self, page, now):  # seeded bug: the submission
+        request = submit(self, page, now)  # is not counted
+        self.stats.io_requests -= 1
+        return request
+
+    monkeypatch.setattr(DiskDevice, "submit", uncounted_submit)
+    with pytest.raises(AssertionError, match=key):
+        golden.check(key)
+
+
+def test_miss_without_a_read_moves_a_golden_row(monkeypatch):
+    """A buffer hit also booked as a miss: the pairing of misses with
+    reads is the golden books' to keep."""
+    key = "predicate/00"
+    golden.check(key)
+    fix = BufferManager.fix
+
+    def miss_on_hit(self, page_no):  # seeded bug: a miss counted
+        resident = self.is_resident(page_no)  # with no read behind it
+        frame = fix(self, page_no)
+        if resident:
+            self.stats.buffer_misses += 1
+        return frame
+
+    monkeypatch.setattr(BufferManager, "fix", miss_on_hit)
+    with pytest.raises(AssertionError, match=key):
+        golden.check(key)
+
+
+def test_charge_sanitizer_catches_a_doubled_logical_read(monkeypatch):
+    """``io_submit`` is priced per logical read, so a read booked twice
+    prices to more CPU than the clock was charged."""
+    monkeypatch.setenv("REPRO_SAN", "charge")
+    db, _ = small_database()
+    db.execute("//a/b", doc="d", plan="xschedule")
+    request = AsyncIOSystem.request
+
+    def doubled_request(self, page):  # seeded bug: one logical read,
+        issued = request(self, page)  # two pages_requested
+        if issued:
+            self.stats.pages_requested += 1
+        return issued
+
+    monkeypatch.setattr(AsyncIOSystem, "request", doubled_request)
+    with pytest.raises(SanitizerError, match="CPU identity"):
+        db.execute("//a/b", doc="d", plan="xschedule")
+
+
+def test_charge_sanitizer_catches_a_charge_without_its_counter(monkeypatch):
+    monkeypatch.setenv("REPRO_SAN", "charge")
+    db, _ = small_database()
+    db.execute("//a/b", doc="d", plan="xscan")
+
+    def uncounted_set_op(self):  # seeded bug: set_ops not booked
+        self.clock.now += self._cost_set
+
+    monkeypatch.setattr(EvalContext, "charge_set_op", uncounted_set_op)
+    with pytest.raises(SanitizerError, match="CPU identity"):
+        db.execute("//a/b", doc="d", plan="xscan")
+
+
 def test_charge_sanitizer_catches_clock_identity_breach(monkeypatch):
     monkeypatch.setenv("REPRO_SAN", "charge")
     original = EvalContext.charge_set_op
 
-    def untracked_time(self):  # seeded bug: now moves outside both buckets
+    def untracked_time(self):  # seeded bug: now moves outside every counter
         original(self)
         self.clock.now += 1e-6
 
     monkeypatch.setattr(EvalContext, "charge_set_op", untracked_time)
     db, _ = small_database()
-    with pytest.raises(SanitizerError, match="clock identity"):
+    with pytest.raises(SanitizerError, match="CPU identity"):
         db.execute("//a/b", doc="d", plan="xscan")
 
 
@@ -365,4 +436,4 @@ def test_failures_land_in_the_report_artifact(monkeypatch, tmp_path):
     assert lines
     record = json.loads(lines[0])
     assert record["sanitizer"] == "charge"
-    assert "clock identity" in record["message"]
+    assert "CPU identity" in record["message"]

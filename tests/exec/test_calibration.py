@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Database, EvalOptions, ImportOptions, Tracer
+from repro import Database, ImportOptions, Tracer
 from repro.exec.calibration import CalibrationStore, shape_key
 from repro.model.builder import tree_from_nested
 from repro.sim.costmodel import ChooserCostModel, ChooserSample, fit_chooser_model
@@ -140,15 +140,6 @@ def test_store_refit_installs_model():
 
 
 # --------------------------------------------------------- session wiring
-
-
-def test_calibration_off_means_no_store():
-    db, _ = small_database(seed=1)
-    session = db.session(options=EvalOptions(calibration=False))
-    assert session.calibration is None
-    result = session.execute("count(//a)", "d")
-    assert result.value is not None
-    assert session.replans == 0
 
 
 def test_cold_single_path_runs_are_observed():

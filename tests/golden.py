@@ -7,6 +7,10 @@ hex ``total``/``cpu``/``io_wait`` times, every ``Stats`` field (in the
 order the header names them), ``partial`` when a budget cut the result
 and, for a traced draw, the per-operator ``(calls, out)`` roll-up.  A
 draw that raises pins the error and the books at the raise instead.
+Every run checked also prices its counters to its CPU seconds:
+``cpu == costs.price(stats)`` with ``==``
+(:meth:`repro.sim.costmodel.CostModel.price`), for the whole runtime and
+for the result's slice of it.
 
 The rows were generated while the record-at-a-time step chain (one
 ``XStep`` operator per step over ``storage/nav.py``) still existed, and
@@ -21,12 +25,15 @@ navigations are told apart, then adds predicates under ``simple``; the
 other families are the seams of the path kernel — XMark paper and
 predicate queries, fault profiles and seeds, ``memory_limit`` trips,
 ``max_seconds`` cuts, tracers, entry runs, run tapes, delivery runs,
-the shared scan and full-tree walks.
+the shared scan, full-tree walks and latency-SLO sidelining.
 
     PYTHONPATH=src python -m tests.golden            # check every row
     PYTHONPATH=src python -m tests.golden --write    # regenerate
+    PYTHONPATH=src python -m tests.golden --compare OLD.jsonl
 
-Only a declared physics change may regenerate the file.
+Only a declared physics change may move a value in the file.  A change
+that only adds rows or columns regenerates it and shows, with
+``--compare`` against the file before, that every earlier value stayed.
 """
 
 from __future__ import annotations
@@ -123,6 +130,10 @@ ENTRY_PATHS = [
 #: of its second step is implied reachable (``descendant_root_opt``)
 IMPLIED = "/descendant-or-self::node()/parent::b/a/c"
 TAPE_PATHS = ["/root/a/b/c", *ENTRY_PATHS[1:], ENTRY_PATHS[0], IMPLIED]
+#: the counters added with the CPU identity, after the rows' digests
+#: were taken: a digest covers the other fields, and a kind's
+#: ``cpu_counters`` digest covers these
+CPU_COUNTERS = ("page_registers", "set_ops", "queue_ops", "iterator_calls")
 #: one fault profile per recovery mechanism
 RECOVERED_BY = {
     "transient-errors": ("retries", "backoff_wait"),
@@ -257,6 +268,11 @@ def run(d: dict, tracer=None, shared=None, **extra) -> Outcome:
     return Outcome(result, None, ctx, tracer)
 
 
+def priced(ctx) -> bool:
+    """The CPU identity: the clock's CPU seconds are the counters priced."""
+    return ctx.clock.cpu_time == ctx.costs.price(ctx.stats)
+
+
 def books(outcome: Outcome) -> dict:
     """What a row pins of one run."""
     if outcome.error is not None:
@@ -312,14 +328,25 @@ def digest(items) -> str:
 
 
 def ctx_books(ctx) -> tuple:
+    assert priced(ctx)
     return ctx.clock.now.hex(), ctx.clock.cpu_time.hex(), ctx.stats.as_dict()
 
 
-def delivery_yields(held, k_min_queue: int) -> tuple[list, tuple]:
+def digested(booked: tuple) -> tuple:
+    """``ctx_books`` as the digests cover it: without the CPU counters."""
+    now, cpu, stats = booked
+    return now, cpu, {k: v for k, v in stats.items() if k not in CPU_COUNTERS}
+
+
+def cpu_counters(stats: dict) -> list:
+    return [stats[name] for name in CPU_COUNTERS]
+
+
+def delivery_yields(held, k_min_queue: int) -> tuple[list, list, tuple]:
     """``/child::*/descendant::b`` under non-speculative XSchedule from
     every ``a`` element at once — a producer that is due again and again
     while Q drains: every result tuple with the clock and counters it is
-    handed on at, and the books."""
+    handed on at (and the CPU counters at each), and the books."""
     db = database(ENTRY_DOC, shared=held)
     contexts = db.execute("//a", doc="d", plan="simple").nodes
     options = EvalOptions(k_min_queue=k_min_queue)
@@ -332,12 +359,16 @@ def delivery_yields(held, k_min_queue: int) -> tuple[list, tuple]:
     top.open()
     try:
         out = []
+        cpu = []
         while (item := top.next()) is not None:
-            out.append((item.page_no, item.slot, ctx.clock.now.hex(), ctx.stats.as_dict()))
+            booked = ctx_books(ctx)
+            now, _, stats = digested(booked)
+            out.append((item.page_no, item.slot, now, stats))
+            cpu.append(cpu_counters(booked[2]))
     finally:
         top.close()
         ctx.release()
-    return out, ctx_books(ctx)
+    return out, cpu, ctx_books(ctx)
 
 
 class SameRunTwice(Operator):
@@ -476,8 +507,8 @@ def other(key: str) -> dict:
     golden file holds them."""
     kind, _, arg = key.partition("/")
     if kind == "delivery":
-        out, booked = delivery_yields(store(ENTRY_DOC)[0], int(arg))
-        kept = {"yields": [len(out), digest(out)], "books": booked}
+        out, cpu, booked = delivery_yields(store(ENTRY_DOC)[0], int(arg))
+        kept = {"yields": [len(out), digest(out)], "cpu_counters": digest(cpu), "books": booked}
     elif kind == "twice":
         db = database(TWICE_DOC, shared=imported(TWICE_DOC)[0])
         page, steps, parked = twice_setup(db)
@@ -493,7 +524,7 @@ def other(key: str) -> dict:
             for got, walk, ctx in closed_walks(db):
                 walk.close()
                 seen.append((got, ctx_books(ctx)))
-        kept = {"walks": walks(seen)}
+        kept = walks(seen)
     elif kind == "updates":
         kept = {"seen": update_storm() if arg == "storm" else update_then_query()}
     else:
@@ -501,9 +532,13 @@ def other(key: str) -> dict:
     return json.loads(json.dumps(kept))
 
 
-def walks(seen: list) -> list:
-    """How many walks, and a digest of what each yielded and charged."""
-    return [len(seen), digest(seen)]
+def walks(seen: list) -> dict:
+    """How many walks and a digest of what each yielded and charged
+    (each entry ends in its ``ctx_books``), and a digest of the CPU
+    counters each charged."""
+    cpu = [cpu_counters(entry[-1][2]) for entry in seen]
+    seen = [(*entry[:-1], digested(entry[-1])) for entry in seen]
+    return {"walks": [len(seen), digest(seen)], "cpu_counters": digest(cpu)}
 
 
 OTHER_KEYS = [
@@ -729,6 +764,14 @@ def draws() -> dict:
         database(DEAD_PAGE_DOC, tracer=tracer).execute(query, doc="d", plan="simple")
         misses = [e.page for e in tracer.events if e.cat == "buffer" and e.name == "miss"]
         add(f"dead/{i}", "dead", DEAD_PAGE_DOC, query, "simple", {"dead_pages": [misses[1]]})
+
+    # slow completions past the latency SLO: XSchedule sidelines their
+    # clusters and drains them last
+    for seed in (1, 2, 3):
+        for slo in (0.01, 0.03):
+            faults = {"profile": "latency-spikes", "seed": seed}
+            options = {"latency_slo": slo}
+            add(f"slo/{seed}/{slo}", "slo", ENTRY_DOC, DEEP_PATH, "xschedule", faults, **options)
     return out
 
 
@@ -749,19 +792,50 @@ def write(rows: dict) -> None:
 _PINNED: dict | None = None
 
 
+def load(path: pathlib.Path) -> dict:
+    """Every row of a golden file, by key, its ``stats`` as a dict."""
+    lines = path.read_text().splitlines()
+    fields = json.loads(lines[0])["stats"]
+    out = {}
+    for line in lines[1:]:
+        row = json.loads(line)
+        if "stats" in row:
+            row["stats"] = dict(zip(fields, row["stats"]))
+        out[row.pop("key")] = row
+    return out
+
+
 def pinned() -> dict:
     """Every row, by key, its ``stats`` (and a kind's books) as dicts."""
     global _PINNED
     if _PINNED is None:
-        lines = GOLDEN.read_text().splitlines()
-        fields = json.loads(lines[0])["stats"]
-        _PINNED = {}
-        for line in lines[1:]:
-            row = json.loads(line)
-            if "stats" in row:
-                row["stats"] = dict(zip(fields, row["stats"]))
-            _PINNED[row.pop("key")] = row
+        _PINNED = load(GOLDEN)
     return _PINNED
+
+
+def moved(old, new, where: str = "") -> list[str]:
+    """Where ``new`` does not carry a value of ``old`` unchanged (keys it
+    adds to a dict, at any depth, are not moves)."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [m for k, v in old.items() for m in moved(v, new.get(k), f"{where}/{k}")]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [m for i, pair in enumerate(zip(old, new)) for m in moved(*pair, f"{where}[{i}]")]
+    return [] if old == new else [where]
+
+
+def compare(old_path: pathlib.Path) -> int:
+    """Every row of an earlier golden file is in this one with every
+    value it had: what a change that only adds rows or columns shows."""
+    old = load(old_path)
+    failed = 0
+    for key, r in old.items():
+        where = moved(r, pinned().get(key))
+        if where:
+            failed += 1
+            print(f"MOVED {key}: {', '.join(where[:5])}")
+    print(f"{len(old) - failed} of {len(old)} earlier rows carry every value unchanged")
+    print(f"{len(pinned()) - len(old)} rows added")
+    return 1 if failed else 0
 
 
 def row(key: str) -> dict:
@@ -779,19 +853,32 @@ def pinned_books(r: dict) -> dict:
 
 def check(key: str, **run_options) -> Outcome:
     """Run the pinned draw ``key`` (``run_options`` as :func:`run`): its
-    books must be the row's, a whole result the reference evaluator's.
+    books must be the row's, its CPU seconds its counters priced (the
+    result's slice too), a whole result the reference evaluator's.
     Returns the run for the caller's structural checks."""
     r = row(key)
     outcome = run(r["draw"], **run_options)
     assert books(outcome) == pinned_books(r), key
+    check_priced(key, outcome)
     check_reference(r["draw"], outcome)
     return outcome
+
+
+def check_priced(key: str, outcome: Outcome) -> None:
+    """The CPU identity for the runtime and for the result's slice."""
+    ctx = outcome.ctx
+    assert priced(ctx), f"{key}: CPU identity broken for the runtime"
+    result = outcome.result
+    if result is not None:
+        priced_result = ctx.costs.price(result.stats)
+        assert result.cpu_time == priced_result, f"{key}: CPU identity broken for the result"
 
 
 def generate() -> dict:
     rows_out: dict = {}
     for key, d in draws().items():
         outcome = run(d)
+        check_priced(key, outcome)
         check_reference(d, outcome)
         rows_out[key] = {"draw": d, **books(outcome)}
     for key in OTHER_KEYS:
@@ -800,6 +887,8 @@ def generate() -> dict:
 
 
 def main(argv: list[str]) -> int:
+    if "--compare" in argv:
+        return compare(pathlib.Path(argv[argv.index("--compare") + 1]))
     if "--write" in argv:
         rows_out = generate()
         write(rows_out)

@@ -19,6 +19,7 @@ inside a replayed ``iterator_call`` crossing, the shared scan re-opening
 one kernel per cluster, and the operator roll-up of a traced run.
 """
 
+import dataclasses
 import traceback
 
 import pytest
@@ -26,6 +27,7 @@ import pytest
 from repro import BudgetExceededError
 from repro.algebra.xassembly import XAssembly
 from repro.sim.clock import TICK
+from repro.sim.stats import Stats
 from tests import golden
 
 
@@ -55,6 +57,25 @@ def test_batched_is_bit_identical_under_faults():
     pinned fix/unfix sequence at the pinned simulated instants, so the
     fault dice roll as they did."""
     _check_family("faults")
+
+
+def test_slow_clusters_are_sidelined():
+    """Completions past the latency SLO: XSchedule sidelines their
+    clusters, drains them last, and keeps the pinned books."""
+    for key, _ in golden.rows("slo"):
+        stats = golden.check(key).result.stats
+        assert stats.slo_violations and stats.sidelined_clusters, key
+
+
+def test_every_stats_field_is_exercised():
+    """The golden file pins every ``Stats`` field, and each is nonzero in
+    at least one row: a counter nothing moves any more is dead weight
+    every result still reports as zero."""
+    fields = [f.name for f in dataclasses.fields(Stats)]
+    rows = golden.pinned().values()
+    assert all(list(r["stats"]) == fields for r in rows if "stats" in r)
+    live = {name for r in rows for name, value in r.get("stats", {}).items() if value}
+    assert live == set(fields), sorted(set(fields) - live)
 
 
 @pytest.mark.parametrize("profile_name,recovered_by", list(golden.RECOVERED_BY.items()))

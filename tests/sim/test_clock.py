@@ -45,6 +45,17 @@ def test_wait_until_past_is_noop():
     assert clock.io_wait == 0.0
 
 
+def test_cpu_time_is_derived_from_two_sums():
+    """The clock keeps ``now`` and ``io_wait``; ``cpu_time`` is read only."""
+    clock = SimClock()
+    assert SimClock.__slots__ == ("now", "io_wait")
+    clock.work(on_grid(0.2))
+    clock.wait_until(on_grid(1.1))
+    assert clock.cpu_time == clock.now - clock.io_wait == on_grid(0.2)
+    with pytest.raises(AttributeError):
+        clock.cpu_time = 0.0
+
+
 def test_total_is_cpu_plus_wait():
     """Exact, not approximate: durations on the time grid add without rounding."""
     clock = SimClock()

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.sim.clock import TICK
-from repro.sim.costmodel import CostModel, DEFAULT_COST_MODEL
+from repro.sim.costmodel import PRICED, CostModel, DEFAULT_COST_MODEL
 from repro.sim.stats import Stats
 
 
@@ -49,6 +49,24 @@ def test_cost_model_lives_on_the_time_grid():
         assert all((value / TICK).is_integer() for value in values.values()), values
         assert CostModel(**values) == model
     assert CostModel().scaled(0.37).node_test == pytest.approx(0.37 * 1.2e-6, rel=1e-4)
+
+
+def test_price_is_every_constant_times_its_counter():
+    """Each of the ten constants prices one distinct ``Stats`` counter,
+    and the sum is exact: the identity ``cpu_time == price(stats)`` can
+    be asserted with ``==``."""
+    costs = CostModel()
+    assert set(PRICED) == {f.name for f in dataclasses.fields(CostModel)}
+    assert len(set(PRICED.values())) == len(PRICED)
+    stats = Stats()
+    for i, counter in enumerate(PRICED.values()):
+        setattr(stats, counter, 1000 + i)
+    want = 0.0
+    for i, constant in enumerate(PRICED):
+        want += (1000 + i) * getattr(costs, constant)
+    assert costs.price(stats) == want
+    assert (costs.price(stats) / TICK).is_integer()
+    assert costs.price(Stats()) == 0.0
 
 
 def test_cost_model_swizzle_asymmetry():
