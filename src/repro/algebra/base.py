@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.algebra.context import EvalContext
-from repro.algebra.pathinstance import PathInstance
 from repro.errors import PlanError
 
 
@@ -23,12 +22,12 @@ class Operator:
 
     def __init__(self, ctx: EvalContext) -> None:
         self.ctx = ctx
-        self._iter: Iterator[PathInstance] | None = None
+        self._iter: Iterator | None = None
         #: open-time simulated timestamp while a trace span is live
         self._trace_t0: float | None = None
         self._trace_out = 0
 
-    def _produce(self) -> Iterator[PathInstance]:
+    def _produce(self) -> Iterator:
         raise NotImplementedError
 
     def open(self) -> None:
@@ -38,8 +37,11 @@ class Operator:
             self._trace_t0 = self.ctx.clock.now
             self._trace_out = 0
 
-    def next(self) -> PathInstance | None:
-        """Return the next result, or None when exhausted."""
+    def next(self):
+        """Return the next item — a
+        :class:`~repro.algebra.pathinstance.PathInstance` or an
+        :class:`~repro.algebra.pathinstance.EntryRun` inside a plan, a
+        result NodeID from a plan's top — or None when exhausted."""
         if self._iter is None:
             raise PlanError(f"{type(self).__name__}.next() before open()")
         self.ctx.charge_call()
@@ -67,24 +69,26 @@ class Operator:
             )
             self._trace_t0 = None
 
-    def __iter__(self) -> Iterator[PathInstance]:
-        """Convenience: drain the operator (used inside ``_produce``).
+    def __iter__(self) -> Iterator:
+        """Drain the operator: the pull loop of every consumer, the plan
+        tops' drains (:func:`~repro.algebra.misc.result_nodeids` and its
+        peers) as well as the operators that read an input inside
+        ``_produce``.
 
-        The untraced path inlines :meth:`next` — the same
-        ``charge_call`` cost in the same order, the same budget check,
-        one generator advance — without the two extra call frames per
-        item; with a tracer attached it defers to :meth:`next` so
-        ``op_call`` accounting stays exact.
+        It inlines :meth:`next` — the same ``charge_call`` cost in the
+        same order, the same budget check, one generator advance —
+        without the two extra call frames per item; with a tracer or a
+        sanitizer attached it defers to :meth:`next`, so ``op_call``
+        accounting stays exact and the charge sanitizer audits every
+        item.
         """
         if self._iter is None:
             raise PlanError(f"{type(self).__name__}.next() before open()")
         ctx = self.ctx
-        if ctx.tracer is not None:
-            while True:
-                item = self.next()
-                if item is None:
-                    return
+        if ctx.tracer is not None or ctx.san is not None:
+            while (item := self.next()) is not None:
                 yield item
+            return
         it = self._iter
         clock = ctx.clock
         stats = ctx.stats

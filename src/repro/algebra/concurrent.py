@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from repro.algebra.context import EvalContext, EvalOptions
 from repro.errors import BudgetExceededError, PlanError
 from repro.sim.stats import Stats
-from repro.storage.nodeid import NodeID, make_nodeid
+from repro.storage.nodeid import NodeID
 from repro.xpath.compile import CompiledPathPlan, CompiledQuery, PlanKind
 
 
@@ -78,11 +78,10 @@ def _drain(plan: CompiledPathPlan, ctx: EvalContext, counted: bool):
     top = plan.build(ctx)
     top.open()
     try:
-        while (item := top.next()) is not None:
+        for nid in top:
             if counted:
                 ctx.charge_set_op()
-            assert item.page_no is not None
-            nids.append(make_nodeid(item.page_no, item.slot))
+            nids.append(nid)
             yield
     except BudgetExceededError as exc:
         if not exc.partial:

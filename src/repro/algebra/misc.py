@@ -40,7 +40,8 @@ class ContextScan(Operator):
 
 
 class DuplicateElimination(Operator):
-    """Hash-based duplicate elimination on the right-end node.
+    """Hash-based duplicate elimination on the right-end node, which it
+    hands on as a NodeID.
 
     The Simple method needs this as a final operator (Sec. 5.1); the
     XAssembly plans get it for free through R.
@@ -60,21 +61,22 @@ class DuplicateElimination(Operator):
         super().close()
         self.producer.close()
 
-    def _produce(self) -> Iterator[PathInstance]:
+    def _produce(self) -> Iterator[NodeID]:
+        ctx = self.ctx
         seen: set[NodeID] = set()
         for instance in self.producer:
             assert instance.page_no is not None
             nid = make_nodeid(instance.page_no, instance.slot)
-            self.ctx.charge_set_op()
+            ctx.charge_set_op()
             if nid in seen:
-                self.ctx.stats.duplicates_suppressed += 1
+                ctx.stats.duplicates_suppressed += 1
                 continue
             seen.add(nid)
-            yield instance
+            yield nid
 
 
 def result_nodeids(top: Operator) -> list[NodeID]:
-    """Drain a path-instance operator into its result NodeIDs.
+    """Drain a plan's top into its result NodeIDs.
 
     Under an execution budget with ``on_exceeded="partial"`` the results
     accumulated so far are returned when the budget trips; in ``"raise"``
@@ -84,12 +86,9 @@ def result_nodeids(top: Operator) -> list[NodeID]:
     try:
         out: list[NodeID] = []
         try:
-            while True:
-                instance = top.next()
-                if instance is None:
-                    return out
-                assert instance.page_no is not None
-                out.append(make_nodeid(instance.page_no, instance.slot))
+            for nid in top:
+                out.append(nid)
+            return out
         except BudgetExceededError as exc:
             if not exc.partial:
                 raise
@@ -124,7 +123,8 @@ def order_results(ctx: EvalContext, nids: list[NodeID]) -> list[NodeID]:
 
 
 def count_results(top: Operator, ctx: EvalContext) -> int:
-    """Drain a path-instance operator and count results (``count()``).
+    """Drain a plan's top and count its results (``count()``), one
+    ``set_op`` each.
 
     Budget semantics match :func:`result_nodeids`: a ``"partial"`` budget
     returns the count accumulated so far.
@@ -133,12 +133,10 @@ def count_results(top: Operator, ctx: EvalContext) -> int:
     try:
         count = 0
         try:
-            while True:
-                instance = top.next()
-                if instance is None:
-                    return count
+            for _ in top:
                 ctx.charge_set_op()
                 count += 1
+            return count
         except BudgetExceededError as exc:
             if not exc.partial:
                 raise

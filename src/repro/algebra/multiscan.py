@@ -28,7 +28,7 @@ from repro.algebra.pathinstance import EntryRun, PathInstance
 from repro.algebra.xassembly import XAssembly
 from repro.algebra.xscan import scan
 from repro.errors import BudgetExceededError, PlanError
-from repro.storage.nodeid import NodeID, make_nodeid, page_of, slot_of
+from repro.storage.nodeid import NodeID, page_of, slot_of
 from repro.storage.store import StoredDocument
 
 if TYPE_CHECKING:  # compile.py imports this module lazily
@@ -78,12 +78,8 @@ class _PathState:
         self.source.runs = runs
         self.assembly.open()
         try:
-            while True:
-                item = self.assembly.next()
-                if item is None:
-                    break
-                assert item.page_no is not None
-                self.results.append(make_nodeid(item.page_no, item.slot))
+            for nid in self.assembly:
+                self.results.append(nid)
         finally:
             # also on a budget blow or a typed I/O error: the fallback
             # hook is unregistered and the kernel posts its counters

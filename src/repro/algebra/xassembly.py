@@ -211,22 +211,9 @@ class XAssembly(Operator):
             pass
         self.producer.close()
 
-    # ------------------------------------------------------------ R helpers
-
-    def _r_contains(self, key: tuple[int, NodeID]) -> bool:
-        self.ctx.charge_set_op()
-        if self.descendant_root_opt and key[0] == 1:
-            return True
-        return key in self._r
-
-    def _r_add(self, key: tuple[int, NodeID]) -> None:
-        if self.descendant_root_opt and key[0] == 1:
-            return
-        self._r.add(key)
-
     # -------------------------------------------------------------- pipeline
 
-    def _produce(self) -> Iterator[PathInstance]:
+    def _produce(self) -> Iterator[NodeID]:
         """The path kernel: the XStep chain and this operator's intake, fused.
 
         One generator runs every step over the pinned page's
@@ -248,7 +235,7 @@ class XAssembly(Operator):
         docs/algebra.md.  An :class:`EntryRun` is not walked at all when
         nothing can read the clock inside it: it is taken in from its
         memoised tape (:meth:`_replay`), and this loop stays the
-        reference that tape transcribes.
+        reference that tape transcribes.  A result leaves as its NodeID.
         """
         ctx = self.ctx
         steps = self.steps
@@ -264,6 +251,7 @@ class XAssembly(Operator):
         cost_queue = ctx._cost_queue
         limit = ctx.options.memory_limit
         buffer = ctx.buffer
+        path_len = self.path_len
         r = self._r
         s = self._s
         ready = self._ready
@@ -330,41 +318,33 @@ class XAssembly(Operator):
                                     d_pulls += 1
                                 else:
                                     clock.work(pending)
+                                    pending = 0.0
                                     ctx.charge_call()
                                     clock.work(cost_queue)
                                 stats.queue_ops += 1
                                 buffer.refix(ctx.current_frame)
                                 pending = cost_instance
                                 d_instances += 1
-                                s_l = entry.s_l
-                                n_l = entry.n_l
-                                left_open = entry.left_open
+                                s_r, _, s_l, n_l, left_open, target, resumed = entry
                                 left_key = (s_l, n_l)
                                 implied = droot and s_l == 1
-                                page_no = page_of(entry.target)
-                                slot = slot_of(entry.target)
-                                s_r = entry.s_r
+                                page_no = page_of(target)
+                                slot = slot_of(target)
                                 top = s_r + 1
                                 d_out += s_r
-                                resumed = entry.resumed
                                 starting = True
                                 p = None
                         if top == 0 and entries is None:
                             # the pull may yield to the caller (the I/O
                             # operator's speculation, a traced crossing):
                             # nothing stays unposted
-                            clock.work(pending)
+                            self._post(
+                                pending, d_hops, d_tests, d_instances, d_deferred, d_speculative,
+                                d_pulls, d_sets,
+                            )  # fmt: skip
                             pending = 0.0
-                            if (
-                                d_hops or d_tests or d_instances or d_speculative
-                                or d_pulls or d_sets
-                            ):  # fmt: skip
-                                self._post(
-                                    d_hops, d_tests, d_instances, d_deferred, d_speculative,
-                                    d_pulls, d_sets,
-                                )  # fmt: skip
-                                d_hops = d_tests = d_instances = d_deferred = 0
-                                d_speculative = d_pulls = d_sets = 0
+                            d_hops = d_tests = d_instances = d_deferred = 0
+                            d_speculative = d_pulls = d_sets = 0
                             p = next(source, None)
                             if p is None:
                                 return
@@ -399,7 +379,7 @@ class XAssembly(Operator):
                                     d_out += n
                                     if paused:
                                         right = ctx.segment.page(p.page_no).record(slot).target()
-                                    elif left_open or s_r == self.path_len:
+                                    elif left_open or s_r == path_len:
                                         right = make_nodeid(p.page_no, slot)
                                     else:
                                         raise PlanError(
@@ -529,12 +509,20 @@ class XAssembly(Operator):
                             break
                     # intake (Sec. 5.4.5): an instance ending at (s_r, right) reached the top
                     if not left_open:
-                        clock.work(pending)
-                        pending = 0.0
                         if paused:
-                            self._prove(s_r, right, origin=(s_l, n_l))
+                            clock.work(pending)
+                            pending = 0.0
+                            self._prove(s_r, right, s_l, n_l)
                         else:
-                            result = self._final(right)
+                            # a full path: its R probe is the duplicate filter
+                            pending += cost_set
+                            d_sets += 1
+                            key = (path_len, right)
+                            if key in r:
+                                stats.duplicates_suppressed += 1
+                            else:
+                                r.add(key)
+                                result = right
                     elif not ctx.fallback:  # (whose re-evaluation covers all speculation)
                         pending += cost_set
                         d_sets += 1
@@ -557,16 +545,21 @@ class XAssembly(Operator):
                                 pending = 0.0
                                 self._enter_fallback()
                 if result is not None:
-                    clock.work(pending)
-                    pending = 0.0
+                    # the result tuple leaves as its NodeID, its instance_op charged
                     self._post(
-                        d_hops, d_tests, d_instances, d_deferred, d_speculative, d_pulls, d_sets
-                    )
+                        pending + cost_instance,
+                        d_hops, d_tests, d_instances + 1, d_deferred, d_speculative, d_pulls,
+                        d_sets,
+                    )  # fmt: skip
+                    pending = 0.0
                     d_hops = d_tests = d_instances = d_deferred = d_speculative = 0
                     d_pulls = d_sets = 0
-                    yield self._result_instance(result)
+                    yield result
         finally:
-            self._post(d_hops, d_tests, d_instances, d_deferred, d_speculative, d_pulls, d_sets)
+            # also on an error: whatever the walk charged reaches the clock
+            self._post(
+                pending, d_hops, d_tests, d_instances, d_deferred, d_speculative, d_pulls, d_sets
+            )
             if tracer is not None and n:
                 tracer.op_call("XStep", d_out, d_calls)
                 tracer.op_span("XStep", t0, clock.now, d_out)
@@ -611,7 +604,7 @@ class XAssembly(Operator):
             return None
         return tape
 
-    def _replay(self, tape: RunTape, implied: bool) -> Iterator[PathInstance]:
+    def _replay(self, tape: RunTape, implied: bool) -> Iterator[NodeID]:
         """Take in one whole entry run from its tape (:func:`build_tape`).
 
         An entry whose left junction is not in R waits in S as the
@@ -622,10 +615,11 @@ class XAssembly(Operator):
         every ``_prove`` and every yield see the level-stack walk's
         clock.  The rest of the run's charges follow in one sum.
         """
+        ctx = self.ctx
         r = self._r
         s = self._s
         ready = self._ready
-        stats = self.ctx.stats
+        stats = ctx.stats
         done = (0, 0, 0, 0, 0, 0)  # the part of the totals charged and posted
         sets = 0  # set_ops charged by entries parked since
         for key, outcomes, ordinal, marks in tape.walked:
@@ -644,7 +638,8 @@ class XAssembly(Operator):
                 result = self._activate(outcome)
                 while True:
                     if result is not None:
-                        yield self._result_instance(result)
+                        ctx.charge_instance()  # the result tuple's
+                        yield result
                     if not ready:
                         break
                     result = self._activate(ready.popleft())
@@ -656,14 +651,12 @@ class XAssembly(Operator):
         ctx = self.ctx
         hops0, tests0, events0, calls0, deferred0, entries0 = done
         hops, tests, events, calls, deferred, entries = upto
-        ctx.clock.work(
+        self._post(
             (hops - hops0) * ctx._cost_hop
             + (tests - tests0) * ctx._cost_test
             + (events - events0 + entries - entries0) * ctx._cost_instance
             + (calls - calls0) * ctx._cost_call
-            + sets * ctx._cost_set
-        )
-        self._post(
+            + sets * ctx._cost_set,
             hops - hops0,
             tests - tests0,
             events - events0,
@@ -675,6 +668,7 @@ class XAssembly(Operator):
 
     def _post(
         self,
+        pending: float,
         hops: int,
         tests: int,
         instances: int,
@@ -683,8 +677,11 @@ class XAssembly(Operator):
         calls: int,
         sets: int,
     ) -> None:
-        """Book the kernel's pending counter deltas."""
-        stats = self.ctx.stats
+        """Put the kernel's ``pending`` CPU seconds on the clock and book
+        the counter deltas they price: one of its flushes."""
+        ctx = self.ctx
+        ctx.clock.work(pending)
+        stats = ctx.stats
         stats.intra_hops += hops
         stats.node_tests += tests
         stats.instances_created += instances + speculative
@@ -693,25 +690,13 @@ class XAssembly(Operator):
         stats.iterator_calls += calls
         stats.set_ops += sets
 
-    def _result_instance(self, nid: NodeID) -> PathInstance:
-        self.ctx.charge_instance()
-        return PathInstance(
-            s_l=0,
-            n_l=None,
-            left_open=False,
-            s_r=self.path_len,
-            slot=slot_of(nid),
-            is_border=False,
-            page_no=page_of(nid),
-        )
-
     # ------------------------------------------------------------ activation
 
     def _activate(self, stored: _Stored) -> NodeID | None:
         """Process an instance whose left end is known reachable."""
         s_r, right, incomplete = stored
         if incomplete:
-            self._prove(s_r, right, origin=(0, None))
+            self._prove(s_r, right, 0, None)
             return None
         if s_r == self.path_len:
             return self._final(right)
@@ -720,37 +705,40 @@ class XAssembly(Operator):
         )
 
     def _final(self, nid: NodeID) -> NodeID | None:
-        """Deduplicate and emit a full path's result node."""
+        """Deduplicate a full path's result node through R (one
+        ``set_op``, charged here): the node, or None for a duplicate."""
+        ctx = self.ctx
+        ctx.clock.now += ctx._cost_set
+        ctx.stats.set_ops += 1
         key = (self.path_len, nid)
-        if self._r_contains(key):
-            self.ctx.stats.duplicates_suppressed += 1
+        if key in self._r:
+            ctx.stats.duplicates_suppressed += 1
             return None
-        self._r_add(key)
+        self._r.add(key)
         return nid
 
-    def _prove(self, step: int, junction: NodeID, origin: tuple[int, NodeID | None]) -> None:
-        """Record that ``junction`` is reachable after ``step`` steps.
+    def _prove(self, step: int, junction: NodeID, s_l: int, n_l: NodeID | None) -> None:
+        """Record that ``junction`` is reachable after ``step`` steps, by
+        an instance whose left end is ``(s_l, n_l)``.
 
-        Adds the key to R, schedules a visit of the junction's cluster
-        (XSchedule input only), and activates any S-instances waiting on
-        the key.
+        Probes R (one ``set_op``, charged here) and, for a new key, adds
+        it, schedules a visit of the junction's cluster (XSchedule input
+        only) and activates any S-instances waiting on the key.  Under
+        the ``//`` prefix every step-1 key counts as present.
         """
+        ctx = self.ctx
+        ctx.clock.now += ctx._cost_set
+        ctx.stats.set_ops += 1
         key = (step, junction)
-        if self._r_contains(key):
-            self.ctx.stats.duplicates_suppressed += 1
+        if key in self._r or (self.descendant_root_opt and step == 1):
+            ctx.stats.duplicates_suppressed += 1
             return
-        self._r_add(key)
+        self._r.add(key)
         if self.schedule is not None:
-            origin_step, origin_node = origin
-            self.schedule.add_from_assembly(
-                s_l=origin_step,
-                n_l=origin_node,
-                s_r=step,
-                target=junction,
-            )
+            self.schedule.add_from_assembly(s_l, n_l, step, junction)
         pending = self._s.pop(key, None)
         if pending:
-            self.ctx.stats.merges += len(pending)
+            ctx.stats.merges += len(pending)
             self._s_size -= len(pending)
             self._ready.extend(pending)
 

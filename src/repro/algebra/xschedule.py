@@ -31,7 +31,7 @@ kernel: once the kernel has a delivered instance, it takes the further
 entries queued on the cluster this operator holds itself
 (:meth:`XSchedule.take_in_place`), for as long as a pull would deliver
 exactly those next, charging what the pull would (docs/algebra.md,
-"Delivery runs").  The scalar chain still pulls once per entry.
+"Delivery runs").
 """
 
 from __future__ import annotations
@@ -45,31 +45,9 @@ from repro.algebra.pathinstance import EntryRun, PathInstance
 from repro.algebra.steps import CompiledStep
 from repro.algebra.xscan import Refusals, speculate, step_refusals
 from repro.errors import IOError_
-from repro.storage.nodeid import NodeID, make_nodeid, page_of, slot_of
+from repro.storage.nodeid import SLOT_BITS, NodeID, make_nodeid, slot_of
 from repro.storage.pathsummary import PathPostings
 from repro.storage.store import StoredDocument
-
-
-class _QEntry:
-    """One unprocessed path instance parked in Q (unswizzled)."""
-
-    __slots__ = ("s_l", "n_l", "left_open", "s_r", "target", "resumed")
-
-    def __init__(
-        self,
-        s_l: int,
-        n_l: NodeID | None,
-        left_open: bool,
-        s_r: int,
-        target: NodeID,
-        resumed: bool,
-    ) -> None:
-        self.s_l = s_l
-        self.n_l = n_l
-        self.left_open = left_open
-        self.s_r = s_r
-        self.target = target
-        self.resumed = resumed
 
 
 class XSchedule(Operator):
@@ -130,11 +108,16 @@ class XSchedule(Operator):
         self.k = ctx.options.k_min_queue
         #: the producer has run dry: Q is never replenished again
         self.exhausted = False
-        self._q: dict[int, list[tuple[int, int, _QEntry]]] = {}
+        #: Q, per cluster in ``(s_r, seq)`` order: unprocessed instances
+        #: as flat, unswizzled ``(s_r, seq, s_l, n_l, left_open, target,
+        #: resumed)`` tuples (``seq`` numbers the inserts, so no two
+        #: entries compare further than it)
+        self._q: dict[int, list[tuple]] = {}
         self._qcount = 0
         self._seq = 0
         self._visited: set[int] = set()
-        self._parked: list[_QEntry] = []
+        #: entries a speculative visit covers, as ``_enqueue``'s arguments
+        self._parked: list[tuple] = []
         self._current: int | None = None
         #: clusters deprioritised after an SLO violation or I/O error;
         #: they are drained last, so one sick region cannot stall the rest
@@ -155,72 +138,71 @@ class XSchedule(Operator):
 
     # ---------------------------------------------------------------- queue
 
-    def add_from_assembly(
-        self, s_l: int, n_l: NodeID | None, s_r: int, target: NodeID
-    ) -> None:
+    def add_from_assembly(self, s_l: int, n_l: NodeID | None, s_r: int, target: NodeID) -> None:
         """XAssembly notification: a new inter-cluster edge to follow."""
-        self._enqueue(_QEntry(s_l, n_l, False, s_r, target, resumed=True))
+        self._enqueue(s_r, s_l, n_l, False, target, True)
 
     def enter_fallback(self) -> None:
         """Fallback (Sec. 5.4.6): stop speculating, revive parked entries."""
         parked = self._parked
         self._parked = []
         for entry in parked:
-            self._enqueue(entry)
+            self._enqueue(*entry)
 
-    def _enqueue(self, entry: _QEntry) -> None:
+    def _enqueue(
+        self,
+        s_r: int,
+        s_l: int,
+        n_l: NodeID | None,
+        left_open: bool,
+        target: NodeID,
+        resumed: bool,
+    ) -> None:
+        """File one instance in Q (or drop or park it), unswizzled."""
         ctx = self.ctx
-        cluster = page_of(entry.target)
+        cluster = target >> SLOT_BITS
         refused = self._extend
-        if (
-            refused is not None
-            and entry.resumed
-            and not ctx.fallback
-            and entry.s_r < len(self.steps)
-        ):
+        if refused is not None and resumed and not ctx.fallback and s_r < len(self.steps):
             # one bit of a memoised mask; consulting the synopsis is
             # planning metadata — free
-            if refused[0][entry.s_r] >> cluster & 1:
+            if refused[0][s_r] >> cluster & 1:
                 # the target cluster can neither hold a match for the
                 # resumed step nor transit onward: dropping the request
                 # is lossless
                 ctx.stats.synopsis_entries_pruned += 1
                 return
-            if refused[1][entry.s_r] >> cluster & 1:
+            if refused[1][s_r] >> cluster & 1:
                 # the synopsis alone could not refuse the request, but the
                 # postings prove the target cluster holds no node of the
                 # resumed step's path set and no transit residue onward
                 ctx.stats.pathsummary_entries_pruned += 1
                 return
-        if (
-            entry.resumed
-            and self.speculative
-            and not ctx.fallback
-            and cluster in self._visited
-        ):
+        if resumed and self.speculative and not ctx.fallback and cluster in self._visited:
             # the cluster's speculative instances already cover this entry
-            self._parked.append(entry)
+            self._parked.append((s_r, s_l, n_l, left_open, target, resumed))
             return
         ctx.charge_queue_op()
-        insort(self._q.setdefault(cluster, []), (entry.s_r, self._seq, entry))
-        self._seq += 1
+        seq = self._seq
+        insort(self._q.setdefault(cluster, []), (s_r, seq, s_l, n_l, left_open, target, resumed))
+        self._seq = seq + 1
         self._qcount += 1
         if not ctx.buffer.is_resident(cluster):
             ctx.iosys.request(cluster)
 
-    def take_in_place(self) -> _QEntry | None:
+    def take_in_place(self) -> tuple | None:
         """The entry the next pull would deliver with nothing in between,
         popped: the first of the pinned cluster's queue, unless the
         producer is due.  None: the next pull has to run.  Only valid
         between two pulls that delivered an instance (docs/algebra.md,
-        "Delivery runs"); the caller charges what the pull would."""
+        "Delivery runs"); the caller charges what the pull would and
+        unpacks Q's tuple itself."""
         cluster = self._current
         if cluster is None or (self._qcount < self.k and not self.exhausted):
             return None
         entries = self._q.get(cluster)
         if entries is None:
             return None
-        entry = entries.pop(0)[2]
+        entry = entries.pop(0)
         if not entries:
             del self._q[cluster]
         self._qcount -= 1
@@ -238,14 +220,7 @@ class XSchedule(Operator):
                     break
                 assert y.page_no is not None
                 self._enqueue(
-                    _QEntry(
-                        y.s_l,
-                        y.n_l,
-                        y.left_open,
-                        y.s_r,
-                        make_nodeid(y.page_no, y.slot),
-                        resumed=False,
-                    )
+                    y.s_r, y.s_l, y.n_l, y.left_open, make_nodeid(y.page_no, y.slot), False
                 )
             if self._qcount == 0:
                 if self.exhausted:
@@ -255,7 +230,7 @@ class XSchedule(Operator):
             if cluster is None or cluster not in self._q:
                 cluster = self._pick_cluster()
             entries = self._q[cluster]
-            _, _, entry = entries.pop(0)
+            entry = entries.pop(0)
             if not entries:
                 del self._q[cluster]
             self._qcount -= 1
@@ -280,16 +255,10 @@ class XSchedule(Operator):
             if first_visit and self.speculative and not ctx.fallback:
                 yield from speculate(ctx, frame.page, self.steps, self._contribute)
 
+            s_r, _, s_l, n_l, left_open, target, resumed = entry
             ctx.charge_instance()
             yield PathInstance(
-                s_l=entry.s_l,
-                n_l=entry.n_l,
-                left_open=entry.left_open,
-                s_r=entry.s_r,
-                slot=slot_of(entry.target),
-                is_border=entry.resumed,
-                resumed=entry.resumed,
-                page_no=cluster,
+                s_l, n_l, left_open, s_r, slot_of(target), resumed, resumed, cluster
             )
 
     def _pick_cluster(self) -> int:
@@ -366,7 +335,7 @@ class XSchedule(Operator):
             ctx.stats.sidelined_clusters += 1
         self._note_dead(page, str(exc))
 
-    def _on_unreadable(self, cluster: int, entry: _QEntry, exc: IOError_) -> None:
+    def _on_unreadable(self, cluster: int, entry: tuple, exc: IOError_) -> None:
         """A synchronous cluster read failed even after retries."""
         ctx = self.ctx
         tries = self._dead_tries.get(cluster, 0) + 1
@@ -382,7 +351,8 @@ class XSchedule(Operator):
             raise exc
         self._note_dead(cluster, str(exc))
         self._current = None
-        self._enqueue(entry)
+        s_r, _, s_l, n_l, left_open, target, resumed = entry
+        self._enqueue(s_r, s_l, n_l, left_open, target, resumed)
 
     def _note_dead(self, page: int | None, detail: str) -> None:
         """Report a dead page exactly once, however many paths hit it.

@@ -14,6 +14,7 @@ priced: ``clock.cpu_time == costs.price(stats)`` with ``==``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Iterable
 
@@ -53,7 +54,9 @@ class CostModel:
     io_submit:
         CPU cost of issuing one I/O request to the kernel/controller.
 
-    Every constant is snapped to the time grid at construction
+    Every constant must be a finite, non-negative number of seconds (a
+    :class:`ValueError` naming it otherwise: charges reach the clock
+    unchecked) and is snapped to the time grid at construction
     (:func:`~repro.sim.clock.on_grid`), so ``count * constant`` and any
     sum of charges is exact.  Each constant is charged once per unit of
     one ``Stats`` counter (:data:`PRICED`), which makes :meth:`price`
@@ -73,7 +76,13 @@ class CostModel:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            object.__setattr__(self, f.name, on_grid(getattr(self, f.name)))
+            value = getattr(self, f.name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(
+                    f"cost constant {f.name} must be a finite non-negative "
+                    f"number of seconds, got {value!r}"
+                )
+            object.__setattr__(self, f.name, on_grid(value))
 
     def price(self, stats: Stats) -> float:
         """The CPU seconds ``stats`` paid for: count × constant, summed.

@@ -120,8 +120,8 @@ def _yields(store, query, plan, **options):
     top.open()
     seen = []
     try:
-        while (item := top.next()) is not None:
-            seen.append((item.page_no, item.slot, ctx.clock.now.hex(), ctx.stats.as_dict()))
+        while (nid := top.next()) is not None:
+            seen.append((nid, ctx.clock.now.hex(), ctx.stats.as_dict()))
     finally:
         top.close()
         ctx.release()

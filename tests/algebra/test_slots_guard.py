@@ -1,8 +1,9 @@
 """Guard: the datapath's hot classes must stay ``__slots__``-only.
 
 Per-instance dicts on objects created thousands of times per query
-(path instances, queue entries, records) or touched per navigation hop
-(operators, pages, frames) cost both memory and attribute-lookup time.
+(path instances, records) or touched per navigation hop (operators,
+pages, frames) cost both memory and attribute-lookup time.  (XSchedule's
+queue entries are flat tuples and have no class to guard.)
 This test pins the optimisation down so a refactor cannot silently
 reintroduce ``__dict__`` on the hot path.
 """
@@ -15,7 +16,7 @@ from repro.algebra.pathinstance import PathInstance
 from repro.algebra.unnestmap import UnnestMap
 from repro.algebra.xassembly import XAssembly
 from repro.algebra.xscan import XScan
-from repro.algebra.xschedule import XSchedule, _QEntry
+from repro.algebra.xschedule import XSchedule
 from repro.sim.clock import SimClock
 from repro.storage.buffer import BufferManager, Frame
 from repro.storage.page import Page
@@ -30,7 +31,6 @@ HOT_CLASSES = (
     UnnestMap,
     ContextScan,
     DuplicateElimination,
-    _QEntry,
     PathInstance,
     CoreRecord,
     BorderRecord,

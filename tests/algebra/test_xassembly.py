@@ -6,8 +6,10 @@ from repro.algebra.context import EvalOptions
 from repro.algebra.xassembly import XAssembly
 from repro.algebra.base import Operator
 from repro.algebra.pathinstance import PathInstance
-from repro.storage.nodeid import make_nodeid, page_of, slot_of
+from repro.errors import StorageError
+from repro.storage.nodeid import page_of, slot_of
 
+from tests.conftest import fail_extension_at, small_xmark
 from tests.paper_tree import PAGE_A, PAGE_C, PAGE_D, build_paper_tree
 
 
@@ -26,13 +28,9 @@ def full(nid, s_r=2, n_l=None):
 
 def drain(assembly):
     assembly.open()
-    out = []
-    while True:
-        item = assembly.next()
-        if item is None:
-            assembly.close()
-            return out
-        out.append(make_nodeid(item.page_no, item.slot))
+    out = list(assembly)
+    assembly.close()
+    return out
 
 
 def test_full_instances_pass_through(paper_tree=None):
@@ -81,8 +79,8 @@ def test_same_junction_not_scheduled_twice():
         def __init__(self):
             self.added = []
 
-        def add_from_assembly(self, **kwargs):
-            self.added.append(kwargs)
+        def add_from_assembly(self, s_l, n_l, s_r, target):
+            self.added.append((s_l, n_l, s_r, target))
 
     schedule = FakeSchedule()
     paused = PathInstance(
@@ -185,3 +183,24 @@ def test_descendant_root_opt_skips_step1_keys():
     drain(assembly)
     # step-1 junction keys are implicit: nothing stored in R
     assert len(assembly._r) == 0
+
+
+@pytest.mark.parametrize("call", [5, 50])
+def test_an_error_leaves_the_kernels_charges_on_the_clock(monkeypatch, call):
+    """A typed error raised mid-walk leaves the path kernel through its
+    ``finally``: the counters it posts there and the CPU seconds it had
+    not yet put on the clock go together, so the runtime's books stay
+    priced and the next query on it starts from an intact identity."""
+    db, _ = small_xmark()
+    session = db.session(warm=True)
+    query = "count(/site/regions//item/name)"
+    raised = fail_extension_at(monkeypatch, call)
+    with pytest.raises(StorageError):
+        session.execute(query, doc="xmark", plan="xschedule")
+    assert raised
+    ctx = session.context()
+    assert ctx.clock.cpu_time == ctx.costs.price(ctx.stats)
+    monkeypatch.undo()
+    result = session.execute(query, doc="xmark", plan="xschedule")
+    assert result.cpu_time == ctx.costs.price(result.stats)
+    assert ctx.clock.cpu_time == ctx.costs.price(ctx.stats)

@@ -46,13 +46,9 @@ def kernel(ctx, items, steps, path_len=None):
 
 def drain(op):
     op.open()
-    out = []
-    while True:
-        item = op.next()
-        if item is None:
-            op.close()
-            return out
-        out.append(make_nodeid(item.page_no, item.slot))
+    out = list(op)
+    op.close()
+    return out
 
 
 def test_applicable_instance_extended(paper):

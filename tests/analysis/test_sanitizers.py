@@ -2,10 +2,10 @@
 
 Each sanitizer must demonstrably catch its bug class: we *seed* a
 deliberate bug (time charged outside every counter by a charge the
-path kernel makes, a charge without its counter, a counter without its
-charge, a run-count-dependent clock, a corrupted incremental repair (after a
-logged and after a bare update), a synopsis
-edited in place under its memo, a stale columnar cache, a stale junction
+path plans make, a charge without its counter, a counter without its
+charge, a charge lost on an error exit, a run-count-dependent clock, a
+corrupted incremental repair (after a logged and after a bare update),
+a synopsis edited in place under its memo, a stale columnar cache, a stale junction
 in a run tape) and assert the sanitizer
 trips on it.  The flip side is
 the overhead contract: with ``REPRO_SAN`` unset no sanitizer state
@@ -34,7 +34,7 @@ from repro.storage.nodeid import page_of, slot_of
 from repro.storage.record import CoreRecord
 from repro.storage.update import update_value
 from tests import golden
-from tests.conftest import small_database
+from tests.conftest import fail_extension_at, small_database, small_xmark
 
 
 @pytest.fixture(autouse=True)
@@ -187,39 +187,58 @@ def test_charge_sanitizer_catches_a_charge_without_its_counter(monkeypatch):
     db, _ = small_database()
     db.execute("//a/b", doc="d", plan="xscan")
 
-    def uncounted_set_op(self):  # seeded bug: set_ops not booked
-        self.clock.now += self._cost_set
+    def uncounted_instance(self):  # seeded bug: instances_created not booked
+        self.clock.now += self._cost_instance
 
-    monkeypatch.setattr(EvalContext, "charge_set_op", uncounted_set_op)
+    monkeypatch.setattr(EvalContext, "charge_instance", uncounted_instance)
     with pytest.raises(SanitizerError, match="CPU identity"):
         db.execute("//a/b", doc="d", plan="xscan")
 
 
 def test_charge_sanitizer_catches_clock_identity_breach(monkeypatch):
     monkeypatch.setenv("REPRO_SAN", "charge")
-    original = EvalContext.charge_set_op
+    original = EvalContext.charge_instance
 
     def untracked_time(self):  # seeded bug: now moves outside every counter
         original(self)
         self.clock.now += 1e-6
 
-    monkeypatch.setattr(EvalContext, "charge_set_op", untracked_time)
+    monkeypatch.setattr(EvalContext, "charge_instance", untracked_time)
     db, _ = small_database()
     with pytest.raises(SanitizerError, match="CPU identity"):
         db.execute("//a/b", doc="d", plan="xscan")
+
+
+def test_charge_sanitizer_checks_the_books_an_error_leaves(monkeypatch):
+    """A typed error leaving a plan is audited at the query that raised
+    it.  Seeded bug: the path kernel's error exit posts its counters but
+    drops the CPU seconds it had not yet put on the clock."""
+    monkeypatch.setenv("REPRO_SAN", "charge")
+    db, _ = small_xmark()
+    session = db.session(warm=True)
+    raised = fail_extension_at(monkeypatch, 5)
+    post = XAssembly._post
+
+    def post_without_pending(self, pending, *deltas):
+        post(self, 0.0 if raised else pending, *deltas)
+
+    monkeypatch.setattr(XAssembly, "_post", post_without_pending)
+    with pytest.raises(SanitizerError, match="CPU identity") as caught:
+        session.execute("count(/site/regions//item/name)", doc="xmark", plan="xschedule")
+    assert caught.value.__context__ is raised[0]
 
 
 def test_charge_sanitizer_catches_a_duration_created_off_the_grid(monkeypatch):
     """Both buckets move together, so the identity holds — but the clock
     is no longer a whole number of ticks, and exact sums are forfeit."""
     monkeypatch.setenv("REPRO_SAN", "charge")
-    original = EvalContext.charge_set_op
+    original = EvalContext.charge_instance
 
-    def off_grid_set_op(self):  # seeded bug: a cost that skipped on_grid()
+    def off_grid_instance(self):  # seeded bug: a cost that skipped on_grid()
         original(self)
         self.clock.work(1.25 * TICK)
 
-    monkeypatch.setattr(EvalContext, "charge_set_op", off_grid_set_op)
+    monkeypatch.setattr(EvalContext, "charge_instance", off_grid_instance)
     db, _ = small_database()
     with pytest.raises(SanitizerError, match="left the time grid"):
         db.execute("//a/b", doc="d", plan="xscan")
@@ -422,13 +441,13 @@ def test_failures_land_in_the_report_artifact(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_SAN", "charge")
     monkeypatch.setenv("REPRO_SAN_REPORT", str(report))
 
-    original = EvalContext.charge_set_op
+    original = EvalContext.charge_instance
 
     def untracked_time(self):
         original(self)
         self.clock.now += 1e-6
 
-    monkeypatch.setattr(EvalContext, "charge_set_op", untracked_time)
+    monkeypatch.setattr(EvalContext, "charge_instance", untracked_time)
     db, _ = small_database()
     with pytest.raises(SanitizerError):
         db.execute("//a/b", doc="d", plan="xscan")

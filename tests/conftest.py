@@ -88,9 +88,8 @@ def db_and_tree() -> tuple[Database, LogicalTree]:
     return small_database(seed=7)
 
 
-@pytest.fixture(scope="session")
-def xmark_small():
-    """A small XMark database shared across integration tests."""
+def small_xmark() -> tuple[Database, LogicalTree]:
+    """A fresh XMark database at scale 0.05, the document named "xmark"."""
     from repro.xmark import generate_xmark
 
     db = Database(page_size=2048, buffer_pages=128)
@@ -99,3 +98,31 @@ def xmark_small():
         tree, "xmark", ImportOptions(page_size=2048, fragmentation=1.0, seed=3)
     )
     return db, tree
+
+
+@pytest.fixture(scope="session")
+def xmark_small():
+    """A small XMark database shared across integration tests."""
+    return small_xmark()
+
+
+def fail_extension_at(monkeypatch, call: int) -> list:
+    """Make the ``call``-th ``ColumnView.extension`` from now raise a
+    :class:`~repro.errors.StorageError` (a corrupt page found mid-walk).
+    Returns a list that holds the error once it has been raised."""
+    from repro.errors import StorageError
+    from repro.storage.colview import ColumnView
+
+    extension = ColumnView.extension
+    calls = []
+    raised = []
+
+    def failing(self, *args):
+        calls.append(None)
+        if len(calls) == call:
+            raised.append(StorageError(f"injected fault at extension call {call}"))
+            raise raised[0]
+        return extension(self, *args)
+
+    monkeypatch.setattr(ColumnView, "extension", failing)
+    return raised

@@ -360,10 +360,10 @@ def delivery_yields(held, k_min_queue: int) -> tuple[list, list, tuple]:
     try:
         out = []
         cpu = []
-        while (item := top.next()) is not None:
+        while (nid := top.next()) is not None:
             booked = ctx_books(ctx)
             now, _, stats = digested(booked)
-            out.append((item.page_no, item.slot, now, stats))
+            out.append((page_of(nid), slot_of(nid), now, stats))
             cpu.append(cpu_counters(booked[2]))
     finally:
         top.close()

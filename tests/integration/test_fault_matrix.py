@@ -1,4 +1,6 @@
-"""Fault matrix: every plan returns correct results under every profile.
+"""Fault matrix: every plan returns correct results under every profile,
+and a fault it cannot recover from surfaces as a typed error that leaves
+the runtime's books priced (``cpu_time == costs.price(stats)``).
 
 The CI fault-injection job runs this module under several fault seeds
 (``REPRO_FAULT_SEED``); locally it runs with the shipped seeds.
@@ -10,7 +12,7 @@ import os
 import pytest
 
 from repro import PROFILES, Database, ImportOptions, Tracer
-from repro.errors import PageReadError
+from repro.errors import PageReadError, ReproError
 from repro.sim.faults import FaultProfile
 from repro.xmark import generate_xmark
 from tests import golden
@@ -51,9 +53,14 @@ def _answer(result):
     return (result.value, result.nodes)
 
 
-def _faulty_db(store, profile_name):
-    profile = dataclasses.replace(PROFILES[profile_name], seed=SEED)
+def _faulty_db(store, profile_name, **faults):
+    profile = dataclasses.replace(PROFILES[profile_name], seed=SEED, **faults)
     return Database(page_size=2048, buffer_pages=96, store=store, faults=profile)
+
+
+def assert_priced(ctx):
+    """The CPU identity, after whatever the runtime went through."""
+    assert ctx.clock.cpu_time == ctx.costs.price(ctx.stats)
 
 
 @pytest.mark.parametrize("plan", PLANS)
@@ -114,8 +121,33 @@ def test_dead_page_under_simple_plan_is_a_typed_error(fault_store, query):
         session.execute(query, doc="xmark", plan="simple")
     assert err.value.page == dead
     ctx = session.context()
+    assert_priced(ctx)
     assert ctx.current_frame is None
     assert pinned_pages(ctx) == []
     key = f"dead/{golden.DEAD_PAGE_QUERIES.index(query)}"
     assert golden.row(key)["draw"]["faults"] == {"dead_pages": [dead]}
     assert isinstance(golden.check(key).error, PageReadError)
+
+
+@pytest.mark.parametrize("plan", PLANS)
+@pytest.mark.parametrize("profile_name", FAULTY_PROFILES)
+def test_an_unrecoverable_page_leaves_priced_books(fault_store, profile_name, plan):
+    """A page that never reads, on top of each profile's faults: the plan
+    gives up with a typed error, and the warm runtime it leaves behind is
+    priced — so the next request does not inherit a breach."""
+    tracer = Tracer()
+    clean = Database(page_size=2048, buffer_pages=96, store=fault_store, tracer=tracer)
+    clean.execute(QUERIES[0], doc="xmark", plan=plan)
+    read = [e.page for e in tracer.events if e.cat == "buffer" and e.page is not None]
+    dead = read[len(read) // 3]
+    session = _faulty_db(fault_store, profile_name, dead_pages=frozenset({dead})).session(
+        warm=True
+    )
+    with pytest.raises(ReproError):
+        session.execute(QUERIES[0], doc="xmark", plan=plan)
+    assert_priced(session.context())
+    try:
+        session.execute(QUERIES[1], doc="xmark", plan=plan)
+    except ReproError:
+        pass  # a scan reads the dead page again
+    assert_priced(session.context())

@@ -1,6 +1,7 @@
 """Tests for Stats and CostModel."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -78,3 +79,19 @@ def test_cost_model_swizzle_asymmetry():
 def test_cost_model_frozen():
     with pytest.raises(Exception):
         DEFAULT_COST_MODEL.swizzle = 0.0  # type: ignore[misc]
+
+
+@pytest.mark.parametrize("value", [-3.5e-6, -TICK, math.inf, -math.inf, math.nan])
+def test_cost_model_rejects_a_bad_constant_by_name(value):
+    """A negative or non-finite constant is refused where it is made, not
+    mid-query by whichever clock sum it first breaks."""
+    with pytest.raises(ValueError, match="intra_hop"):
+        CostModel(intra_hop=value)
+    with pytest.raises(ValueError, match="set_op"):
+        CostModel(set_op=value)
+
+
+def test_cost_model_rejects_a_negative_scale():
+    with pytest.raises(ValueError, match="swizzle"):
+        CostModel().scaled(-1)
+    assert CostModel().scaled(0) == CostModel(**{name: 0.0 for name in PRICED})
