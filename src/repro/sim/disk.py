@@ -32,6 +32,14 @@ from repro.sim.faults import FaultPlan, Outcome
 from repro.sim.stats import Stats
 
 
+#: Share of the average rotational latency a reordering controller pays
+#: once two or more requests are queued.  The expected wait for the first
+#: of ``depth`` uniform rotation offsets is ``2/(depth+1)`` of it, which is
+#: already below this floor at depth 2: command setup and settling bound
+#: the gain, so every depth > 1 pays the floor.
+TCQ_ROTATIONAL_GAIN = 0.7
+
+
 class SchedulingPolicy(enum.Enum):
     """How the controller picks the next request from its queue."""
 
@@ -98,7 +106,7 @@ class Request:
 
 
 class DiskDevice:
-    """Event-driven disk: submit requests, advance time, pop completions.
+    """Event-driven disk: submit requests, run to the next completion.
 
     The device never looks into the future: a service can only start at a
     time ``s`` choosing among requests already submitted at ``s``.  This is
@@ -166,92 +174,69 @@ class DiskDevice:
         """Number of requests submitted but not yet retrievable."""
         return len(self._pending) + (1 if self._in_flight is not None else 0)
 
-    def pop_completed(self, now: float) -> Request | None:
-        """Return one completed request (oldest completion first), or None.
+    def next_completion(self, now: float) -> Request | None:
+        """Pop the oldest completion, running the disk until there is one.
 
-        Advances the device's internal service simulation up to ``now``
-        first, so everything that physically finished by ``now`` is
-        retrievable.
+        Advances the device to ``now`` first, so everything that
+        physically finished by then is retrievable; if nothing has, the
+        disk runs on (past ``now``) until its next service completes.
+        Returns ``None`` when no request is outstanding.  A blocking
+        caller then waits until the request's ``done_time`` — the time
+        the device already stands at, so nothing further is owed to it.
         """
         self._advance(now)
-        if self._completed:
-            return self._completed.popleft()
-        return None
-
-    def run_until_completion(self, now: float) -> float | None:
-        """Let the disk run (possibly past ``now``) until a completion exists.
-
-        Returns the simulated time at which the oldest unretrieved
-        completion became available, or ``None`` if no requests are
-        outstanding.  The caller is expected to block the CPU clock until
-        the returned time and then call :meth:`pop_completed`.
-        """
-        self._advance(now)
-        while not self._completed:
+        completed = self._completed
+        while not completed:
             if self._in_flight is not None:
-                done_time = self._in_flight.done_time
-                if done_time is None:
-                    raise DiskProgressError(
-                        "in-flight request lost its completion time",
-                        (self._in_flight.page,),
-                        self.busy_until,
-                    )
-                self._advance(done_time)
+                self._advance(self._in_flight.done_time)
             elif self._pending:
-                start = max(self.busy_until, min(r.submit_time for r in self._pending))
-                # force one service step at its start time
-                self._advance(start)
-                if (
-                    self._in_flight is None
-                    and not self._completed
-                    and self._pending
-                ):
-                    raise DiskProgressError(
-                        "disk failed to make progress",
-                        tuple(r.page for r in self._pending),
-                        start,
-                    )
+                # the start _advance computes itself, so a service starts
+                self._advance(max(self.busy_until, min(r.submit_time for r in self._pending)))
             else:
                 return None
-        return self._completed[0].done_time
+        return completed.popleft()
 
     # -------------------------------------------------------------- internals
 
     def _advance(self, t: float) -> None:
         """Serve requests whose service can start at or before time ``t``."""
         while True:
-            if self._in_flight is not None:
-                if self._in_flight.done_time is None:
+            req = self._in_flight
+            if req is not None:
+                done_time = req.done_time
+                if done_time is None:
                     raise DiskProgressError(
-                        "in-flight request lost its completion time",
-                        (self._in_flight.page,),
-                        self.busy_until,
+                        "in-flight request lost its completion time", (req.page,), self.busy_until
                     )
-                if self._in_flight.done_time <= t:
-                    if self._in_flight.outcome is Outcome.LOST:
-                        # serviced, but the completion notification vanished:
-                        # the caller only finds out via its request timeout
-                        self.stats.lost_requests += 1
-                        if self.tracer is not None:
-                            self.tracer.event(
-                                self._in_flight.done_time,
-                                "disk",
-                                "completion-lost",
-                                page=self._in_flight.page,
-                            )
-                    else:
-                        self._completed.append(self._in_flight)
-                    self._in_flight = None
-                else:
+                if done_time > t:
                     return
-            if not self._pending:
+                if req.outcome is Outcome.LOST:
+                    # serviced, but the completion notification vanished:
+                    # the caller only finds out via its request timeout
+                    self.stats.lost_requests += 1
+                    if self.tracer is not None:
+                        self.tracer.event(done_time, "disk", "completion-lost", page=req.page)
+                else:
+                    self._completed.append(req)
+                self._in_flight = None
+            pending = self._pending
+            if not pending:
                 return
-            start = max(self.busy_until, min(r.submit_time for r in self._pending))
+            if len(pending) == 1:
+                # a lone candidate: what the general branch would pick
+                req = pending[0]
+                start = max(self.busy_until, req.submit_time)
+                if start > t:
+                    return
+                pending.clear()
+                self._start_service(req, start, 1)
+                continue
+            start = max(self.busy_until, min(r.submit_time for r in pending))
             if start > t:
                 return
-            candidates = [r for r in self._pending if r.submit_time <= start]
+            candidates = [r for r in pending if r.submit_time <= start]
             req = self._pick(candidates)
-            self._pending.remove(req)
+            pending.remove(req)
             self._start_service(req, start, len(candidates))
 
     def _start_service(self, req: Request, start: float, queue_depth: int) -> None:
@@ -266,12 +251,9 @@ class DiskDevice:
             if self.policy is not SchedulingPolicy.FIFO and queue_depth > 1:
                 # Rotational-position optimisation: with several tagged
                 # commands outstanding, the on-disk controller starts with
-                # the request whose sectors reach the head first.  The
-                # expected wait is the minimum of `depth` uniform rotation
-                # offsets, floored at half the average latency (command
-                # setup and settling bound the achievable gain).
-                gain = max(0.7, 2.0 / (min(queue_depth, 16) + 1))
-                rotational = geo.rotational_latency * gain
+                # the request whose sectors reach the head first, and
+                # pays TCQ_ROTATIONAL_GAIN of the average latency
+                rotational = geo.rotational_latency * TCQ_ROTATIONAL_GAIN
             duration = geo.seek_time(distance) + rotational + geo.transfer_time
             self.stats.seeks += 1
             self.stats.seek_distance += distance

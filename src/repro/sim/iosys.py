@@ -40,14 +40,14 @@ class AsyncIOSystem:
     __slots__ = (
         "disk",
         "clock",
-        "costs",
         "stats",
         "retry",
         "tracer",
         "_requested",
         "_attempts",
-        "_early",
+        "early",
         "last_latency",
+        "_cost_submit",
     )
 
     def __init__(
@@ -61,7 +61,6 @@ class AsyncIOSystem:
     ) -> None:
         self.disk = disk
         self.clock = clock
-        self.costs = costs
         self.stats = stats if stats is not None else disk.stats
         self.retry = retry or RetryPolicy()
         self.tracer = tracer
@@ -71,10 +70,15 @@ class AsyncIOSystem:
         self._requested: dict[int, float] = {}
         #: page -> attempts consumed by the current logical read
         self._attempts: dict[int, int] = {}
-        self._early: list[int] = []
+        #: pages that completed while a sync read was blocking, in
+        #: completion order, until :meth:`drain_early_completions`
+        self.early: list[int] = []
         #: end-to-end latency (first submit -> retrieval) of the most
         #: recently finished page; the scheduler's latency-SLO input
         self.last_latency = 0.0
+        # cached like EvalContext's charge scalars: CostModel is frozen
+        # and validated, so the charge is one float add beside its counter
+        self._cost_submit = costs.io_submit
 
     # ------------------------------------------------------------------ async
 
@@ -87,33 +91,16 @@ class AsyncIOSystem:
         """
         if page in self._requested:
             return False
-        self.clock.work(self.costs.io_submit)
-        self.disk.submit(page, self.clock.now)
-        self._requested[page] = self.clock.now
+        stats = self.stats
+        now = self.clock.now = self.clock.now + self._cost_submit
+        stats.pages_requested += 1
+        stats.async_requests += 1
+        self.disk.submit(page, now)
+        self._requested[page] = now
         self._attempts[page] = 1
-        self.stats.async_requests += 1
-        self.stats.pages_requested += 1
         if self.tracer is not None:
-            self.tracer.event(self.clock.now, "io", "request", page=page)
+            self.tracer.event(now, "io", "request", page=page)
         return True
-
-    def try_get_completion(self) -> int | None:
-        """Return the page number of a completed request, or None.
-
-        Never blocks; only surfaces requests that physically completed by
-        the current simulated time.  Failed completions are retried (the
-        resubmission is scheduled, not waited on) and reported as None
-        until a retry delivers.
-        """
-        while True:
-            req = self.disk.pop_completed(self.clock.now)
-            if req is None:
-                return None
-            if req.failed:
-                self._retry_failed(req.page, blocking=False)
-                continue
-            self._finish(req)
-            return req.page
 
     def get_completion(self) -> int | None:
         """Return a completed request's page, blocking the CPU if needed.
@@ -123,19 +110,17 @@ class AsyncIOSystem:
         :class:`~repro.errors.RequestLostError` when a page exhausts its
         retry budget.
         """
+        clock = self.clock
         while True:
-            req = self.disk.pop_completed(self.clock.now)
+            req = self.disk.next_completion(clock.now)
             if req is None:
-                done_at = self.disk.run_until_completion(self.clock.now)
-                if done_at is None:
-                    if not self._requested:
-                        return None
-                    # the disk went idle with answers still owed: those
-                    # requests were lost; resubmit at their deadlines
-                    self._resubmit_lost()
-                    continue
-                self.clock.wait_until(done_at)
+                if not self._requested:
+                    return None
+                # the disk went idle with answers still owed: those
+                # requests were lost; resubmit at their deadlines
+                self._resubmit_lost()
                 continue
+            clock.wait_until(req.done_time)
             if req.failed:
                 self._retry_failed(req.page, blocking=False)
                 continue
@@ -160,27 +145,26 @@ class AsyncIOSystem:
         the disk.  If the page was already requested asynchronously this
         blocks until that earlier request delivers it.
         """
-        self.stats.sync_requests += 1
+        clock = self.clock
+        stats = self.stats
+        stats.sync_requests += 1
         if page not in self._requested:
-            self.clock.work(self.costs.io_submit)
-            self.disk.submit(page, self.clock.now)
-            self._requested[page] = self.clock.now
+            now = clock.now = clock.now + self._cost_submit
+            stats.pages_requested += 1
+            self.disk.submit(page, now)
+            self._requested[page] = now
             self._attempts[page] = 1
-            self.stats.pages_requested += 1
             if self.tracer is not None:
-                self.tracer.event(self.clock.now, "io", "sync-read", page=page)
+                self.tracer.event(now, "io", "sync-read", page=page)
         # Drain completions until our page arrives; completions for other
         # pages are re-surfaced to the caller via the pending set, but with
         # a purely synchronous workload the first completion is ours.
         while True:
-            req = self.disk.pop_completed(self.clock.now)
+            req = self.disk.next_completion(clock.now)
             if req is None:
-                done_at = self.disk.run_until_completion(self.clock.now)
-                if done_at is None:
-                    self._resubmit_lost()
-                    continue
-                self.clock.wait_until(done_at)
+                self._resubmit_lost()
                 continue
+            clock.wait_until(req.done_time)
             if req.failed:
                 # block through the backoff only when it is *our* page;
                 # someone else's retry is merely scheduled
@@ -271,10 +255,9 @@ class AsyncIOSystem:
         if surface:
             # A completion for a different page arrived while waiting
             # synchronously; remember it so callers can still consume it.
-            self._early.append(req.page)
+            self.early.append(req.page)
 
     def drain_early_completions(self) -> list[int]:
         """Pages that completed while a sync read was blocking."""
-        early = list(self._early)
-        self._early.clear()
+        early, self.early = self.early, []
         return early

@@ -53,11 +53,13 @@ class BufferManager:
         "segment",
         "iosys",
         "clock",
-        "costs",
         "capacity",
         "stats",
         "tracer",
         "_frames",
+        "_cost_swizzle",
+        "_cost_unswizzle",
+        "_cost_register",
     )
 
     def __init__(
@@ -75,55 +77,72 @@ class BufferManager:
         self.segment = segment
         self.iosys = iosys
         self.clock = clock
-        self.costs = costs
         self.capacity = capacity
         self.stats = stats
         self.tracer = tracer
         #: page_no -> frame, least recently used first
         self._frames: dict[int, Frame] = {}
+        self._cost_swizzle = costs.swizzle
+        self._cost_unswizzle = costs.unswizzle
+        self._cost_register = costs.page_register
 
     # ------------------------------------------------------------------ fix
+    #
+    # A charge is a float add beside its counter (as in EvalContext); the
+    # LRU touch is the lookup itself: pop, then reinsert at the MRU end.
 
     def fix(self, page_no: int) -> Frame:
         """Swizzle: translate a page number into a pinned frame.
 
         Charges the hash-lookup (swizzle) cost; on a miss, performs a
         *synchronous* read — this is the expensive path the Simple method
-        takes for every inter-cluster navigation.
+        takes for every inter-cluster navigation.  Pages that completed
+        while the read blocked are admitted behind it, as long as an
+        unpinned frame can make room (a page that finds none is read
+        again when it is needed).
         """
-        self.clock.work(self.costs.swizzle)
-        self.stats.swizzles += 1
-        tracer = self.tracer
-        frame = self._frames.get(page_no)
+        self.clock.now += self._cost_swizzle
+        stats = self.stats
+        stats.swizzles += 1
+        frames = self._frames
+        frame = frames.pop(page_no, None)
         if frame is None:
-            self.stats.buffer_misses += 1
-            if tracer is not None:
-                tracer.event(self.clock.now, "buffer", "miss", page=page_no)
-            self.iosys.read_sync(page_no)
+            stats.buffer_misses += 1
+            if self.tracer is not None:
+                self.tracer.event(self.clock.now, "buffer", "miss", page=page_no)
+            iosys = self.iosys
+            iosys.read_sync(page_no)
             frame = self._admit(page_no)
-            for early_page in self.iosys.drain_early_completions():
-                if early_page not in self._frames:
-                    self._admit(early_page)
-        else:
-            self.stats.buffer_hits += 1
-            if tracer is not None:
-                tracer.event(self.clock.now, "buffer", "hit", page=page_no)
+            frame.pins += 1
+            if iosys.early:
+                for early_page in iosys.drain_early_completions():
+                    if early_page not in frames and (
+                        len(frames) < self.capacity or self._evict()
+                    ):
+                        self._admit(early_page)
+                frames[page_no] = frames.pop(page_no)
+            return frame
+        stats.buffer_hits += 1
+        if self.tracer is not None:
+            self.tracer.event(self.clock.now, "buffer", "hit", page=page_no)
+        frames[page_no] = frame
         frame.pins += 1
-        self._touch(frame)
         return frame
 
     def try_fix_resident(self, page_no: int) -> Frame | None:
         """Swizzle only if the page is already buffered (no I/O)."""
-        self.clock.work(self.costs.swizzle)
-        self.stats.swizzles += 1
-        frame = self._frames.get(page_no)
+        self.clock.now += self._cost_swizzle
+        stats = self.stats
+        stats.swizzles += 1
+        frames = self._frames
+        frame = frames.pop(page_no, None)
         if frame is None:
             return None
-        self.stats.buffer_hits += 1
+        stats.buffer_hits += 1
         if self.tracer is not None:
             self.tracer.event(self.clock.now, "buffer", "hit", page=page_no)
+        frames[page_no] = frame
         frame.pins += 1
-        self._touch(frame)
         return frame
 
     def refix(self, frame: Frame) -> None:
@@ -133,14 +152,16 @@ class BufferManager:
         XSchedule pays to hand on another entry of the cluster it holds."""
         if frame.pins <= 0:
             raise BufferError_(f"refix of unpinned frame {frame.page_no}")
-        self.clock.work(self.costs.swizzle)
-        self.stats.swizzles += 1
-        self.stats.buffer_hits += 1
+        stats = self.stats
+        stats.swizzles += 1
+        stats.buffer_hits += 1
+        stats.unswizzles += 1
+        self.clock.now += self._cost_swizzle
+        page_no = frame.page.page_no
         if self.tracer is not None:
-            self.tracer.event(self.clock.now, "buffer", "hit", page=frame.page.page_no)
-        self._touch(frame)
-        self.stats.unswizzles += 1
-        self.clock.work(self.costs.unswizzle)
+            self.tracer.event(self.clock.now, "buffer", "hit", page=page_no)
+        self._frames[page_no] = self._frames.pop(page_no)
+        self.clock.now += self._cost_unswizzle
 
     def unfix(self, frame: Frame) -> None:
         """Release one pin; the frame becomes evictable at zero pins."""
@@ -148,7 +169,7 @@ class BufferManager:
             raise BufferError_(f"unfix of unpinned frame {frame.page_no}")
         frame.pins -= 1
         self.stats.unswizzles += 1
-        self.clock.work(self.costs.unswizzle)
+        self.clock.now += self._cost_unswizzle
 
     def admit_completed(self, page_no: int) -> Frame:
         """Register a page whose asynchronous read just completed.
@@ -172,25 +193,23 @@ class BufferManager:
     # ------------------------------------------------------------ internals
 
     def _admit(self, page_no: int) -> Frame:
-        if len(self._frames) >= self.capacity:
-            self._evict()
-        self.clock.work(self.costs.page_register)
+        if len(self._frames) >= self.capacity and not self._evict():
+            raise BufferError_(
+                f"buffer of {self.capacity} pages exhausted with all frames pinned"
+            )
+        self.clock.now += self._cost_register
         self.stats.page_registers += 1
         frame = self._frames[page_no] = Frame(self.segment.page(page_no))
         return frame
 
-    def _evict(self) -> None:
-        victim = next((f for f in self._frames.values() if f.pins == 0), None)
-        if victim is None:
-            raise BufferError_(
-                f"buffer of {self.capacity} pages exhausted with all frames pinned"
-            )
-        del self._frames[victim.page_no]
-        self.stats.evictions += 1
-        if self.tracer is not None:
-            self.tracer.event(self.clock.now, "buffer", "evict", page=victim.page_no)
-
-    def _touch(self, frame: Frame) -> None:
-        """Move ``frame`` to the most-recently-used end of the table."""
-        page_no = frame.page.page_no
-        self._frames[page_no] = self._frames.pop(page_no)
+    def _evict(self) -> bool:
+        """Drop the least recently used unpinned frame; False if none."""
+        for victim in self._frames.values():
+            if not victim.pins:
+                page_no = victim.page.page_no
+                del self._frames[page_no]
+                self.stats.evictions += 1
+                if self.tracer is not None:
+                    self.tracer.event(self.clock.now, "buffer", "evict", page=page_no)
+                return True
+        return False

@@ -11,8 +11,8 @@ def read_all_sync(disk: DiskDevice, pages: list[int]) -> list[int]:
     order = []
     for page in pages:
         disk.submit(page, now)
-        now = disk.run_until_completion(now)
-        req = disk.pop_completed(now)
+        req = disk.next_completion(now)
+        now = req.done_time
         order.append(req.page)
     return order
 
@@ -23,12 +23,10 @@ def drain_async(disk: DiskDevice, pages: list[int]) -> list[int]:
         disk.submit(page, 0.0)
     order = []
     now = 0.0
-    while True:
-        done_at = disk.run_until_completion(now)
-        if done_at is None:
-            return order
-        now = done_at
-        order.append(disk.pop_completed(now).page)
+    while (req := disk.next_completion(now)) is not None:
+        now = req.done_time
+        order.append(req.page)
+    return order
 
 
 def test_geometry_seek_curve_monotone():
@@ -101,17 +99,14 @@ def test_no_future_knowledge():
     """A request submitted later cannot be serviced before its submit time."""
     disk = DiskDevice(policy=SchedulingPolicy.SSTF)
     disk.submit(500, 0.0)
-    done_at = disk.run_until_completion(0.0)
+    first = disk.next_completion(0.0)
     # page 1 submitted after the first service started: must come second
-    disk.submit(1, done_at / 2)
-    order = []
-    now = 0.0
-    while True:
-        done = disk.run_until_completion(now)
-        if done is None:
-            break
-        now = done
-        order.append(disk.pop_completed(now).page)
+    disk.submit(1, first.done_time / 2)
+    order = [first.page]
+    now = first.done_time
+    while (req := disk.next_completion(now)) is not None:
+        now = req.done_time
+        order.append(req.page)
     assert order == [500, 1]
 
 
@@ -127,18 +122,21 @@ def test_queued_and_outstanding():
     disk.submit(5, 0.0)
     assert disk.queued(5)
     assert disk.outstanding() == 1
-    now = disk.run_until_completion(0.0)
-    disk.pop_completed(now)
+    assert disk.next_completion(0.0).page == 5
     assert disk.outstanding() == 0
+    assert disk.next_completion(0.0) is None
 
 
-def test_pop_completed_respects_time():
+def test_next_completion_respects_time():
     disk = DiskDevice()
     disk.submit(100, 0.0)
-    # not done at time 0 (service takes > 0)
-    assert disk.pop_completed(0.0) is None
-    done_at = disk.run_until_completion(0.0)
-    assert disk.pop_completed(done_at) is not None
+    # not done at time 0 (service takes > 0): the disk runs past it, and
+    # hands the request back only at its own completion time
+    req = disk.next_completion(0.0)
+    assert req.page == 100
+    assert req.done_time > req.submit_time == 0.0
+    assert disk.busy_until == req.done_time
+    assert disk.next_completion(req.done_time) is None
 
 
 def test_rotational_optimisation_with_deep_queue():

@@ -50,14 +50,6 @@ def test_get_completion_none_when_idle():
     assert iosys.get_completion() is None
 
 
-def test_try_get_completion_nonblocking():
-    iosys, clock, _ = make_iosys()
-    iosys.request(10)
-    assert iosys.try_get_completion() is None  # nothing finished at t=0+eps
-    waited = clock.io_wait
-    assert waited == 0.0
-
-
 def test_async_overlaps_cpu_work():
     """CPU work done while the disk serves reduces the blocking wait."""
     iosys_idle, clock_idle, _ = make_iosys()

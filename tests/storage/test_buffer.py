@@ -144,6 +144,21 @@ def test_all_pinned_raises():
         buffer.fix(2)
 
 
+def test_early_completion_never_evicts_the_frame_being_fixed():
+    """A miss whose synchronous wait surfaces another page into a full,
+    all-pinned buffer: the frame just read is pinned first, the early page
+    finds no unpinned frame and is left out (unregistered, unpriced)."""
+    buffer, clock, stats, iosys = make_buffer(capacity=2, n_pages=601)
+    buffer.fix(300)  # held
+    iosys.request(600)
+    iosys.request(10)
+    frame = buffer.fix(5)
+    assert frame.page_no == 5 and frame.pins == 1
+    assert {p for p in range(601) if buffer.is_resident(p)} == {5, 300}
+    assert stats.evictions == 0
+    assert clock.cpu_time == CostModel().price(stats)
+
+
 def test_unfix_unpinned_raises():
     buffer, _, _, _ = make_buffer()
     frame = buffer.fix(0)
