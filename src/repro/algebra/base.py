@@ -57,6 +57,14 @@ class Operator:
             san.check()
         return item
 
+    def take_run(self):
+        """The :class:`~repro.algebra.pathinstance.EntryRun` the next
+        pull would deliver, drawn without the pull, or None: the pull has
+        to run.  Only the speculating producers (XScan, XSchedule, the
+        shared scan's replay) ever hand a run over in place; the path
+        kernel asks right after it took a run in from its tape."""
+        return None
+
     def close(self) -> None:
         """Release operator resources."""
         if self._iter is not None:

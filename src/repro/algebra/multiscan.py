@@ -44,7 +44,13 @@ class _Replay(Operator):
     def __init__(self, ctx: EvalContext) -> None:
         super().__init__(ctx)
         self.context: PathInstance | None = None
-        self.runs: Iterable[EntryRun] = ()
+        self.runs: Iterator[EntryRun] = iter(())
+
+    def take_run(self) -> EntryRun | None:
+        """The cluster's next entry run for this path, drawn as a pull
+        would draw it, or None once its runs are spent (docs/algebra.md,
+        "Run tapes")."""
+        return next(self.runs, None)
 
     def _produce(self) -> Iterator[PathInstance | EntryRun]:
         ctx = self.ctx
@@ -75,7 +81,7 @@ class _PathState:
 
     def feed(self, context: PathInstance | None, runs: Iterable[EntryRun] = ()) -> None:
         self.source.context = context
-        self.source.runs = runs
+        self.source.runs = iter(runs)
         self.assembly.open()
         try:
             for nid in self.assembly:

@@ -27,7 +27,8 @@ unswizzled (plain NodeIDs), mirroring Sec. 3.6.
 An I/O operator that speculates (Sec. 5.4.3) does not build its
 left-incomplete instances one by one: it hands on one
 :class:`EntryRun` per (cluster, step), which the path kernel walks in
-place.
+place or takes in from its memoised tape — a cluster's runs after the
+first without a pull, handed over in place (``take_run``).
 """
 
 from __future__ import annotations
@@ -80,9 +81,14 @@ class EntryRun:
     left-incomplete instance that resumes step ``step + 1`` there:
     ``s_l = s_r = step``, ``n_l`` the border's NodeID, paused and
     resumed.  Its ``instance_op`` is charged entry by entry, by the path
-    kernel that walks the run.  ``slots`` is every entry the step's axis
-    has on the cluster (``ColumnView.entry_slots``), never a selection of
-    them: the kernel memoises its walk of a run per (cluster, path, step).
+    kernel that walks the run or takes it in from its tape.  ``slots`` is
+    every entry the step's axis has on the cluster
+    (``ColumnView.entries``), never a selection of them: the kernel
+    memoises its walk of a run per (cluster, path, step).  The runs of
+    one cluster reach the kernel in step order, the first by a pull; the
+    producer hands the others over in place (``take_run``) when the
+    kernel asks right after a tape, each charged the ``iterator_call``
+    of the pull it replaces.
     """
 
     __slots__ = ("step", "page_no", "slots")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.axes import Axis
+from repro.axes import ENTRY_BORDERS, Axis
 from repro.model.tree import Kind
 
 _KIND_ELEMENT = int(Kind.ELEMENT)
@@ -143,9 +143,15 @@ class CompiledStep:
     #: different compilations share a memo, and nothing hashes the test
     #: per crossing.
     memo_key: int = field(init=False, repr=False, compare=False)
+    #: Which of a page's entry lists a paused step enters it through, as
+    #: an index into ``ColumnView.entries`` (:data:`~repro.axes.ENTRY_BORDERS`
+    #: of the axis): speculation reads a cluster's entry slots without
+    #: consulting the axis.
+    entries: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.match_batch = compile_match_batch(self.test)
+        self.entries = ENTRY_BORDERS[self.axis]
         tag = 0 if self.test.tag is None else self.test.tag + 2
         kinds = sum(1 << kind for kind in self.test.kinds)
         self.memo_key = tag << 8 | kinds << 4 | _AXIS_NUMBER[self.axis]

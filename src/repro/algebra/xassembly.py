@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from typing import Iterator, NamedTuple, Sequence
+from typing import Generator, Iterator, NamedTuple, Sequence
 
 from repro.algebra.base import Operator
 from repro.algebra.context import EvalContext
@@ -354,8 +354,12 @@ class XAssembly(Operator):
                             if type(p) is EntryRun:
                                 tape = self._tape(p)
                                 if tape is not None:
-                                    yield from self._replay(tape, droot and p.step == 1)
-                                    continue
+                                    # the cluster's runs, this one and those
+                                    # taken in place after it; one that
+                                    # cannot come off a tape is handed back
+                                    p = yield from self._replay(tape, p)
+                                    if p is None:
+                                        continue
                                 # every entry border of one (cluster, step): as
                                 # many left-open instances resuming step s_l + 1
                                 entries = iter(p.slots)
@@ -568,14 +572,14 @@ class XAssembly(Operator):
                 tracer.op_call(type(self.producer).__name__, d_replayed, d_replayed)
 
     def _tape(self, run: EntryRun) -> RunTape | None:
-        """The tape to take ``run`` in from, memoised on the pinned
-        page's view — or None: the run is walked level by level.  That
-        is the case whenever something could observe the clock between
-        two of its outcomes — a tracer, an armed budget, fallback mode,
-        a ``memory_limit`` S may not have room under for the whole run —
-        and when building the tape raises (a corrupt page; a plan built
-        without its document has no path id to keep one under): the
-        walk then raises it where it stands, and nothing is memoised."""
+        """The tape to take ``run``, the first run of a cluster, in from
+        — or None: the cluster's runs are walked level by level.  That is
+        the case whenever something could observe the clock between two
+        outcomes — a tracer, an armed budget, fallback mode — and for a
+        plan built without its document, which has no path id to keep a
+        tape under.  These hold for a whole cluster (:meth:`_replay`
+        takes its later runs in place); the run's own conditions are
+        :meth:`_kept`'s."""
         ctx = self.ctx
         frame = ctx.current_frame
         if (
@@ -588,62 +592,111 @@ class XAssembly(Operator):
         ):
             return None
         page = frame.page
-        view = page.colview()
-        key = (self._path, run.step)
+        return self._kept(page.colview(), page.records, run.step)
+
+    def _kept(self, view, records: list, step: int) -> RunTape | None:
+        """The tape of the pinned cluster's run of ``step``, memoised on
+        its ``view`` — or None: the run is walked level by level.  That
+        is the case when a ``memory_limit`` S may not have room under for
+        the whole run, and when building the tape raises (a corrupt page):
+        the walk then trips or raises where it stands, and nothing is
+        memoised."""
+        key = (self._path, step)
         tape = view.tapes.get(key)
         if tape is None or tape.owner is not self.document:
             # (path ids are per document, and an update can leave two
             # documents sharing a page)
             try:
-                tape = build_tape(self.document, view, page.records, self.steps, run.step)
+                tape = build_tape(self.document, view, records, self.steps, step)
             except Exception:  # whatever it is, the walk raises it again
                 return None
             view.keep_tape(key, tape)
-        limit = ctx.options.memory_limit
+        limit = self.ctx.options.memory_limit
         if limit is not None and self._s_size + tape.parked > limit:
             return None
         return tape
 
-    def _replay(self, tape: RunTape, implied: bool) -> Iterator[NodeID]:
-        """Take in one whole entry run from its tape (:func:`build_tape`).
+    def _replay(self, tape: RunTape, run: EntryRun) -> Generator[NodeID, None, EntryRun | None]:
+        """Take in a cluster's entry runs from their tapes (:func:`build_tape`):
+        ``run``, whose tape is ``tape``, then every further run the
+        producer hands over in place (``take_run``).
 
         An entry whose left junction is not in R waits in S as the
         tape's own outcome tuple: two ``set_op`` per outcome, as the
-        walk charges.  An entry that is reachable (or ``implied``: the
+        walk charges.  An entry that is reachable (or implied by the
         ``//`` prefix) has its outcomes activated one by one, each with
         everything the walk charges before it on the clock first, so
         every ``_prove`` and every yield see the level-stack walk's
-        clock.  The rest of the run's charges follow in one sum.
+        clock.  A run taken in place owes the crossing of the pull it
+        replaces: one ``iterator_call``, audited by an attached
+        sanitizer as :meth:`Operator.next` would.  The rest of the
+        cluster's charges follow in one sum, when its runs are spent —
+        or when one cannot come off a tape: that run is returned, for
+        :meth:`_produce` to walk.
         """
         ctx = self.ctx
         r = self._r
         s = self._s
         ready = self._ready
         stats = ctx.stats
-        done = (0, 0, 0, 0, 0, 0)  # the part of the totals charged and posted
+        san = ctx.san
+        droot = self.descendant_root_opt
+        take = self.producer.take_run
+        page = ctx.current_frame.page
+        view = page.colview()
+        records = page.records
+        done = (0, 0, 0, 0, 0, 0)  # the part of the cluster's totals charged and posted
+        # the cluster's totals before the run being taken in
+        hops = tests = events = calls = deferred = entries = 0
         sets = 0  # set_ops charged by entries parked since
-        for key, outcomes, ordinal, marks in tape.walked:
-            if not implied and key not in r:
-                parked = s.get(key)
-                s[key] = outcomes if parked is None else [*parked, *outcomes]
-                self._s_size += len(outcomes)
-                sets += 2 * len(outcomes)
-                continue
-            for i, outcome in enumerate(outcomes):
-                upto = (*marks[5 * i : 5 * i + 5], ordinal)
-                self._settle(done, upto, sets + 1)  # and the R probe that hit
+        while True:
+            implied = droot and run.step == 1
+            for key, outcomes, ordinal, marks in tape.walked:
+                if not implied and key not in r:
+                    parked = s.get(key)
+                    s[key] = outcomes if parked is None else [*parked, *outcomes]
+                    self._s_size += len(outcomes)
+                    sets += 2 * len(outcomes)
+                    continue
+                for i, outcome in enumerate(outcomes):
+                    h, t, e, c, d = marks[5 * i : 5 * i + 5]
+                    upto = (
+                        hops + h, tests + t, events + e, calls + c, deferred + d, entries + ordinal
+                    )  # fmt: skip
+                    self._settle(done, upto, sets + 1)  # and the R probe that hit
+                    done = upto
+                    sets = 0
+                    stats.merges += 1
+                    result = self._activate(outcome)
+                    while True:
+                        if result is not None:
+                            ctx.charge_instance()  # the result tuple's
+                            yield result
+                        if not ready:
+                            break
+                        result = self._activate(ready.popleft())
+            h, t, e, c, d, n = tape.totals
+            hops += h
+            tests += t
+            events += e
+            calls += c
+            deferred += d
+            entries += n
+            run = take()
+            if run is None:
+                break
+            calls += 1  # the crossing of the pull it replaces
+            if san is not None:
+                upto = (hops, tests, events, calls, deferred, entries)
+                self._settle(done, upto, sets)
                 done = upto
                 sets = 0
-                stats.merges += 1
-                result = self._activate(outcome)
-                while True:
-                    if result is not None:
-                        ctx.charge_instance()  # the result tuple's
-                        yield result
-                    if not ready:
-                        break
-                    result = self._activate(ready.popleft())
-        self._settle(done, tape.totals, sets)
+                san.check()
+            tape = self._kept(view, records, run.step)
+            if tape is None:
+                break
+        self._settle(done, (hops, tests, events, calls, deferred, entries), sets)
+        return run
 
     def _settle(self, done: tuple, upto: tuple, sets: int) -> None:
         """Charge and book what a tape counts between two of its marks,

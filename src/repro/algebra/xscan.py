@@ -128,6 +128,7 @@ def speculate(
     precomputed border lists replace the record scan.
     """
     page_no = page.page_no
+    entries = page.colview().entries
     for index, step in enumerate(steps):
         if refused is not None:
             # no entry of this cluster can extend this step — by the
@@ -140,7 +141,7 @@ def speculate(
             if refused[1][index] >> page_no & 1:
                 ctx.stats.pathsummary_entries_pruned += 1
                 continue
-        slots = page.colview().entry_slots(step.axis)
+        slots = entries[step.entries]
         if slots:
             yield EntryRun(index, page_no, slots)
 
@@ -216,7 +217,7 @@ class XScan(Operator):
     """The I/O-performing operator based on a single sequential scan:
     the one-path consumer of :func:`scan`."""
 
-    __slots__ = ("producer", "steps", "document", "postings")
+    __slots__ = ("producer", "steps", "document", "postings", "_runs")
 
     def __init__(
         self,
@@ -231,6 +232,9 @@ class XScan(Operator):
         self.steps = steps
         self.document = document
         self.postings = postings
+        #: the speculation over the pinned cluster this operator is
+        #: suspended in (:meth:`take_run`)
+        self._runs: Iterator[EntryRun] = iter(())
 
     def open(self) -> None:
         self.producer.open()
@@ -239,6 +243,15 @@ class XScan(Operator):
     def close(self) -> None:
         super().close()
         self.producer.close()
+
+    def take_run(self) -> EntryRun | None:
+        """The next entry run of the cluster this operator speculates on,
+        drawn from the very iterator a pull would draw it from — or None
+        once a pull would deliver anything else (the speculation is spent,
+        or a fallback trip stopped it).  The path kernel takes a cluster's
+        runs after the first this way, charging the pull's crossing itself
+        (docs/algebra.md, "Run tapes")."""
+        return next(self._runs, None)
 
     def _produce(self) -> Iterator[PathInstance | EntryRun]:
         ctx = self.ctx
@@ -257,6 +270,7 @@ class XScan(Operator):
             for y in by_cluster.pop(page_no, ()):  # contexts first (paper)
                 ctx.charge_instance()
                 yield y
+            self._runs = runs
             yield from runs
 
         if ctx.fallback:

@@ -70,6 +70,7 @@ class XSchedule(Operator):
         "_sidelined",
         "_dead_tries",
         "_dead_noted",
+        "_runs",
     )
 
     #: synchronous recovery rounds per cluster (each round is a full retry
@@ -127,6 +128,9 @@ class XSchedule(Operator):
         #: async path *and* on each synchronous recovery round, but the
         #: degradation report must carry it once
         self._dead_noted: set[int] = set()
+        #: the speculation over the cluster of a first visit
+        #: (:meth:`take_run`)
+        self._runs: Iterator[EntryRun] = iter(())
 
     def open(self) -> None:
         self.producer.open()
@@ -208,6 +212,13 @@ class XSchedule(Operator):
         self._qcount -= 1
         return entry
 
+    def take_run(self) -> EntryRun | None:
+        """The next entry run of a first visit's speculation, drawn as a
+        pull would draw it — or None once the pull would go on to the
+        visit's delivery.  Only valid right after an :class:`EntryRun`
+        was handed on (docs/algebra.md, "Run tapes")."""
+        return next(self._runs, None)
+
     # -------------------------------------------------------------- pipeline
 
     def _produce(self) -> Iterator[PathInstance | EntryRun]:
@@ -253,7 +264,8 @@ class XSchedule(Operator):
             first_visit = cluster not in self._visited
             self._visited.add(cluster)
             if first_visit and self.speculative and not ctx.fallback:
-                yield from speculate(ctx, frame.page, self.steps, self._contribute)
+                self._runs = speculate(ctx, frame.page, self.steps, self._contribute)
+                yield from self._runs
 
             s_r, _, s_l, n_l, left_open, target, resumed = entry
             ctx.charge_instance()

@@ -68,3 +68,13 @@ RESUME_AXIS: dict[Axis, Axis] = {
     Axis.FOLLOWING_SIBLING: Axis.FOLLOWING_SIBLING,
     Axis.PRECEDING_SIBLING: Axis.PRECEDING_SIBLING,
 }
+
+#: Which borders a paused step on the axis enters a cluster through, as
+#: an index into :attr:`~repro.storage.colview.ColumnView.entries`:
+#: upward borders (0) for a downward step, downward ones (1) for an
+#: upward step, every border (2) for a sibling step, none (3) for a
+#: ``self`` step, which never pauses.
+ENTRY_BORDERS: dict[Axis, int] = {
+    axis: 0 if axis.is_downward else 1 if axis.is_upward else 2 for axis in Axis
+}
+ENTRY_BORDERS[Axis.SELF] = 3

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from array import array
 
-from repro.axes import Axis
+from repro.axes import ENTRY_BORDERS, Axis
 from repro.errors import StorageError, StoreCorruptError
 
 #: ``kinds`` column sentinel for a border record.
@@ -97,6 +97,7 @@ class ColumnView:
         "entries_up",
         "entries_down",
         "entries_all",
+        "entries",
         "_axis_cache",
         "_resume_cache",
         "_flag_cache",
@@ -157,6 +158,9 @@ class ColumnView:
         self.entries_up = entries_up
         self.entries_down = entries_down
         self.entries_all = entries_all
+        #: the three entry lists and the empty one, indexed by
+        #: :data:`~repro.axes.ENTRY_BORDERS` (a step's ``entries``)
+        self.entries = (entries_up, entries_down, entries_all, _EMPTY)
         #: candidate batches are immutable once built (callers never
         #: mutate them), so they are memoized per (slot, axis) — repeated
         #: extensions from the same node are free after the first
@@ -579,10 +583,4 @@ class ColumnView:
         ``self`` step never pauses.  The returned list is shared — do not
         mutate.
         """
-        if axis is Axis.SELF:
-            return _EMPTY
-        if axis.is_downward:
-            return self.entries_up
-        if axis.is_upward:
-            return self.entries_down
-        return self.entries_all
+        return self.entries[ENTRY_BORDERS[axis]]

@@ -7,10 +7,14 @@ clock inside it.  The level-stack walk stays the reference — an armed
 budget, however inert, forces it — and the golden rows
 (``tests/golden.py``), the books the scalar chain kept, the oracle of
 both: all three must agree with ``==`` on value, node count, every
-``Stats`` field and the hex time triple.  The seams get a test each: the room
-check under ``memory_limit`` flipping between the two walks mid-scan, a
-corrupt page, tapes across an update, the per-view bound, two documents
-sharing a page, an S entry grown over a tape's own tuple.
+``Stats`` field and the hex time triple.  A cluster's runs after the
+first are taken in place, inside the one replay of the cluster.  The
+seams get a test each: the room check under ``memory_limit`` flipping
+between the two walks mid-scan, and running out at a run taken in place;
+a corrupt page, also under a run taken in place; a shared scan whose
+paths end their runs of a cluster apart; tapes across an update, the
+per-view bound, two documents sharing a page, an S entry grown over a
+tape's own tuple.
 """
 
 import random
@@ -20,6 +24,7 @@ import pytest
 
 import repro.algebra.xassembly as kernel
 from repro import Database, EvalOptions, ExecutionBudget, ImportOptions
+from repro.algebra.multiscan import _Replay
 from repro.algebra.xassembly import XAssembly, build_tape
 from repro.errors import StorageError
 from repro.storage import colview
@@ -50,15 +55,19 @@ def store(request):
 
 @pytest.fixture
 def replays(monkeypatch):
-    """Counts the runs taken in from a tape."""
+    """Counts the runs taken in from a tape, one per run — a cluster's
+    runs after the first are taken in place, inside the one ``_replay``
+    of the cluster — and whether the ``//`` prefix implies each."""
     taken = []
-    replay = XAssembly._replay
+    kept = XAssembly._kept
 
-    def spy(self, tape, implied):
-        taken.append(implied)
-        return replay(self, tape, implied)
+    def spy(self, view, records, step):
+        tape = kept(self, view, records, step)
+        if tape is not None:
+            taken.append(self.descendant_root_opt and step == 1)
+        return tape
 
-    monkeypatch.setattr(XAssembly, "_replay", spy)
+    monkeypatch.setattr(XAssembly, "_kept", spy)
     return taken
 
 
@@ -145,7 +154,11 @@ def test_both_intakes_are_exercised(monkeypatch, replays):
     """Activated at intake where clusters follow their parents, parked
     by reference where they do not — and some of each on either layout,
     so neither half of the three-way test is vacuous."""
-    settled = []  # set_ops per settlement: one per activation, one per run's end
+    # set_ops per settlement: an activation's are odd (the parked entries'
+    # two each, and the R probe that hit); a cluster's end, a run handed
+    # back to the walk and a run taken in place under a sanitizer owe the
+    # parked entries' only
+    settled = []
     settle = XAssembly._settle
 
     def spy(self, done, upto, sets):
@@ -158,7 +171,7 @@ def test_both_intakes_are_exercised(monkeypatch, replays):
         db, _ = small_database(seed=3, page_size=512, fragmentation=fragmentation, n_top=25)
         del replays[:], settled[:]
         _run(db.store, "/root/a/b/c", "xscan")
-        activated = len(settled) - len(replays)
+        activated = sum(sets % 2 for sets in settled)
         parked = (sum(settled) - activated) // 2
         assert activated > 0 and parked > 0, fragmentation
         at_intake[fragmentation] = activated / (activated + parked)
@@ -195,6 +208,92 @@ def test_room_check_flips_between_the_walks_mid_scan(
             flipped.append(trips[0])
     assert flipped, "no limit let some runs through their tapes and then tripped"
     assert any(flipped), "no trip with entries of the run still to come"
+
+
+@pytest.fixture
+def handed_back(monkeypatch):
+    """``(page_no, step)`` of every run ``_replay`` takes in place but
+    cannot take in from a tape, and so hands back to the walk."""
+    handed = []
+    replay = XAssembly._replay
+
+    def spy(self, tape, run):
+        back = yield from replay(self, tape, run)
+        if back is not None:
+            handed.append((back.page_no, back.step))
+        return back
+
+    monkeypatch.setattr(XAssembly, "_replay", spy)
+    return handed
+
+
+@pytest.mark.parametrize("plan", PLANS)
+def test_a_later_run_without_room_is_handed_back_and_trips_in_the_walk(
+    request, store, plan, handed_back, monkeypatch
+):
+    """``memory_limit`` leaves room for the first runs of a cluster but
+    not for one taken in place after them: the replay settles, hands
+    that run back, and the level-stack walk trips on the outcome it
+    trips on without tapes — the books are the walk's and the row's."""
+    layout = request.node.callspec.id.split("-")[0]
+    trips = []  # per trip: (page_no, step) of the run being walked
+    enter_fallback = XAssembly._enter_fallback
+
+    def spy(self):
+        walking = self._iter.gi_frame.f_locals
+        trips.append((walking["page_no"], walking["s_l"]))
+        enter_fallback(self)
+
+    monkeypatch.setattr(XAssembly, "_enter_fallback", spy)
+    landed = 0
+    for key, _ in golden.rows("room"):
+        if not key.startswith(f"room/{layout}/{plan}/"):
+            continue
+        del handed_back[:], trips[:]
+        tape = golden.check(key, shared=store).result
+        if not handed_back:
+            continue
+        assert trips == handed_back[-1:], key
+        landed += 1
+        walked = golden.check(key, shared=store, budget=INERT).result
+        assert _observed(tape) == _observed(walked), key
+    assert landed, "no limit ran out of room at a run taken in place"
+
+
+def test_a_shared_scan_path_ends_its_runs_of_a_cluster_before_the_other(
+    monkeypatch, replays
+):
+    """Two paths of different length over one shared scan: on a cluster
+    where both take runs in place, the shorter path's runs are spent
+    (``take_run`` gives None) while the other still has some to take.
+    Each path's kernel drains its own runs, and the books are the
+    walk's and the row's."""
+    taken = {}  # (path's replay, page_no) -> runs taken in place, until None
+    take = _Replay.take_run
+
+    def spy(self):
+        run = take(self)
+        key = (self, self.ctx.current_frame.page.page_no)
+        if run is not None:
+            assert run.page_no == key[1]
+            taken[key] = taken.get(key, 0) + 1
+        return run
+
+    monkeypatch.setattr(_Replay, "take_run", spy)
+    key = "shared/reopen"
+    held, _ = golden.imported(golden.ENTRY_DOC)
+    tape = golden.check(key, shared=held).result
+    assert replays
+    sources = {source for source, _ in taken}
+    assert len(sources) == 2, "both paths take runs in place"
+    uneven = [
+        page_no
+        for page_no in {page_no for _, page_no in taken}
+        if len({taken.get((source, page_no), 0) for source in sources}) == 2
+    ]
+    assert uneven, "no cluster where one path's runs end before the other's"
+    walked = golden.check(key, shared=held, budget=INERT).result
+    assert _observed(tape) == _observed(walked)
 
 
 def test_golden_rows_come_off_the_tapes(replays):
@@ -246,6 +345,54 @@ def test_unpatched_companion_raises_where_the_walk_does(monkeypatch):
     assert _raising_run(store, query) == cold  # every run walked level by level
 
 
+def test_a_corrupt_page_fails_a_run_taken_in_place_where_the_walk_does(monkeypatch):
+    """A cluster whose first run comes off its tape and whose second
+    step's tape build raises: the replay settles the first, hands the
+    second back, and the walk raises the same error at the same point
+    with the same ``Stats`` and clock as a scan that walks every run."""
+    db, _ = small_database(seed=3, page_size=512, fragmentation=1.0, n_top=25)
+    store = db.store
+    query = "/root/a/b/c"
+    failed = []  # (page_no, step) of each tape build that raised inside a take
+    build = kernel.build_tape
+
+    def spy(owner, view, records, steps, index):
+        try:
+            return build(owner, view, records, steps, index)
+        except ValueError:
+            if sys._getframe(2).f_code is XAssembly._replay.__code__:
+                failed.append((view.page_no, index))
+            raise
+
+    monkeypatch.setattr(kernel, "build_tape", spy)
+    # the first down border whose lost companion only the second step's
+    # walk runs into, on a cluster that runs the first step too
+    for page_no in store.document("d").page_nos:
+        page = store.segment.page(page_no)
+        downs = [r for r in page.records if isinstance(r, BorderRecord) and r.down]
+        for border in downs:
+            companion, border.companion = border.companion, None
+            page.invalidate_colview()
+            del failed[:]
+            try:
+                _run(store, query, "xscan")
+            except ValueError:
+                if failed == [(page_no, 1)]:
+                    break
+            border.companion = companion
+            page.invalidate_colview()
+        else:
+            continue
+        break
+    assert failed == [(page_no, 1)], "no corrupt border fails a run taken in place"
+    del failed[:]
+    cold = _raising_run(store, query)
+    assert _raising_run(store, query) == cold  # the clean runs off their tapes
+    assert failed == [(page_no, 1)] * 2
+    monkeypatch.setattr(XAssembly, "_tape", lambda self, run: None)
+    assert _raising_run(store, query) == cold  # every run walked level by level
+
+
 # ---------------------------------------------------------- across an update
 
 
@@ -259,7 +406,7 @@ def test_warm_session_rebuilds_tapes_on_touched_pages_only(monkeypatch, tmp_path
     def spy(owner, view, records, steps, index):
         # (the kernel's builds only: armed, the mutation sanitizer
         # rebuilds every cached tape after an update)
-        if sys._getframe(1).f_code is XAssembly._tape.__code__:
+        if sys._getframe(1).f_code is XAssembly._kept.__code__:
             built.append(view.page_no)
         return build(owner, view, records, steps, index)
 

@@ -6,7 +6,7 @@ path plans make, a charge without its counter, a counter without its
 charge, a charge lost on an error exit, a run-count-dependent clock, a
 corrupted incremental repair (after a logged and after a bare update),
 a synopsis edited in place under its memo, a stale columnar cache, a stale junction
-in a run tape) and assert the sanitizer
+in a run tape, a run taken in place without its crossing's counter) and assert the sanitizer
 trips on it.  The flip side is
 the overhead contract: with ``REPRO_SAN`` unset no sanitizer state
 exists, and with it set the
@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import json
 import random
+import traceback
 
 import pytest
 
 from repro.algebra.context import EvalContext
 from repro.algebra.xassembly import XAssembly
+from repro.algebra.xscan import XScan
 from repro.analysis.sanitize import ALL_MODES, SanitizerError, modes
 from repro.model.tree import Kind
 from repro.obs.tracer import Tracer
@@ -226,6 +228,33 @@ def test_charge_sanitizer_checks_the_books_an_error_leaves(monkeypatch):
     with pytest.raises(SanitizerError, match="CPU identity") as caught:
         session.execute("count(/site/regions//item/name)", doc="xmark", plan="xschedule")
     assert caught.value.__context__ is raised[0]
+
+
+def test_charge_sanitizer_audits_a_run_taken_in_place(monkeypatch):
+    """A run the path kernel takes in place stands for a pull, and is
+    audited where ``Operator.next`` audits the pull: at the take, not at
+    the next yield.  Seeded bug: the take's crossing reaches the clock
+    without its ``iterator_call``."""
+    monkeypatch.setenv("REPRO_SAN", "charge")
+    db, _ = small_database(seed=3, page_size=512, fragmentation=1.0, n_top=25)
+    query = "/root/a/b/c"
+    db.execute(query, doc="d", plan="xscan")
+    take = XScan.take_run
+
+    def uncounted_take(self):  # seeded bug: the crossing is not booked
+        run = take(self)
+        if run is not None:
+            self.ctx.stats.iterator_calls -= 1
+        return run
+
+    monkeypatch.setattr(XScan, "take_run", uncounted_take)
+    with pytest.raises(SanitizerError, match="CPU identity") as caught:
+        db.execute(query, doc="d", plan="xscan")
+    # (reported again by the audit of the books the error leaves)
+    first = caught.value.__context__
+    assert isinstance(first, SanitizerError) and "CPU identity" in str(first)
+    frames = [frame.name for frame in traceback.extract_tb(first.__traceback__)]
+    assert frames[-3:] == ["_replay", "check", "fail"], frames
 
 
 def test_charge_sanitizer_catches_a_duration_created_off_the_grid(monkeypatch):
