@@ -65,6 +65,7 @@ from repro.algebra.xschedule import XSchedule
 from repro.axes import Axis
 from repro.errors import ReproError
 from repro.sim.clock import TICK
+from repro.sim.disk import SchedulingPolicy
 from repro.sim.faults import FaultProfile
 from repro.storage.nodeid import page_of, slot_of
 from repro.storage.store import export_tree
@@ -194,20 +195,26 @@ def imported(doc) -> tuple:
     return db.store, tree
 
 
-def database(doc, faults=None, tracer=None, shared=None) -> Database:
+def database(doc, faults=None, tracer=None, shared=None, policy=None) -> Database:
     """A cold database over the document ``doc`` (or over the store
-    ``shared``, a copy of it the caller holds)."""
+    ``shared``, a copy of it the caller holds), its disk controller on
+    the scheduling ``policy`` named (None: SSTF)."""
     held = shared if shared is not None else store(doc)[0]
     return Database(
-        page_size=doc[4], buffer_pages=doc[5], store=held, faults=faults, tracer=tracer
+        page_size=doc[4],
+        buffer_pages=doc[5],
+        disk_policy=SchedulingPolicy(policy or "sstf"),
+        store=held,
+        faults=faults,
+        tracer=tracer,
     )
 
 
 # ------------------------------------------------------------------- draws
 
 
-def draw(family, doc, query, plan, faults=None, traced=False, **options) -> dict:
-    return {
+def draw(family, doc, query, plan, faults=None, traced=False, policy=None, **options) -> dict:
+    out = {
         "family": family,
         "doc": list(doc),
         "query": query,
@@ -216,6 +223,10 @@ def draw(family, doc, query, plan, faults=None, traced=False, **options) -> dict
         "faults": faults,
         "traced": traced,
     }
+    if policy is not None:
+        # the disk controller's scheduling policy (absent: SSTF)
+        out["disk_policy"] = policy
+    return out
 
 
 def eval_options(d: dict, **extra) -> EvalOptions:
@@ -258,7 +269,9 @@ def run(d: dict, tracer=None, shared=None, **extra) -> Outcome:
     doc = d["doc"]
     if tracer is None and d["traced"]:
         tracer = Tracer()
-    db = database(doc, faults=fault_profile(d), tracer=tracer, shared=shared)
+    db = database(
+        doc, faults=fault_profile(d), tracer=tracer, shared=shared, policy=d.get("disk_policy")
+    )
     options = eval_options(d, **extra)
     ctx = db.env.fresh_context(options)
     try:
@@ -616,9 +629,9 @@ def draws() -> dict:
     rng = random.Random(29)
     out: dict = {}
 
-    def add(key, family, doc, query, plan, faults=None, traced=False, **options):
+    def add(key, family, doc, query, plan, faults=None, traced=False, policy=None, **options):
         assert key not in out, key
-        out[key] = draw(family, doc, query, plan, faults, traced, **options)
+        out[key] = draw(family, doc, query, plan, faults, traced, policy, **options)
 
     def layout(rng):
         return random_doc(rng.randrange(8), rng.choice([0.0, 0.7, 1.0]))
@@ -772,6 +785,15 @@ def draws() -> dict:
             faults = {"profile": "latency-spikes", "seed": seed}
             options = {"latency_slo": slo}
             add(f"slo/{seed}/{slo}", "slo", ENTRY_DOC, DEEP_PATH, "xschedule", faults, **options)
+
+    # the controller's other two policies under the navigating plans,
+    # clean and with retries submitted for later than the head frees up
+    for name, query in (("Q6'", Q6_PRIME), ("Q7", Q7), ("Q15", Q15)):
+        for plan in ("simple", "xschedule"):
+            for policy in ("fifo", "clook"):
+                for faults in (None, {"profile": "mixed", "seed": 3}):
+                    key = f"policy/{name}/{plan}/{policy}" + ("/mixed" if faults else "")
+                    add(key, "policy", PAPER_DOC, query, plan, faults, policy=policy)
     return out
 
 

@@ -59,6 +59,12 @@ def test_batched_is_bit_identical_under_faults():
     _check_family("faults")
 
 
+def test_disk_policies_are_bit_identical():
+    """FIFO and C-LOOK controllers under the navigating plans, clean and
+    with retries: the controller's pick is pinned beyond SSTF's."""
+    _check_family("policy")
+
+
 def test_slow_clusters_are_sidelined():
     """Completions past the latency SLO: XSchedule sidelines their
     clusters, drains them last, and keeps the pinned books."""
