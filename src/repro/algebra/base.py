@@ -40,8 +40,9 @@ class Operator:
     def next(self):
         """Return the next item — a
         :class:`~repro.algebra.pathinstance.PathInstance` or an
-        :class:`~repro.algebra.pathinstance.EntryRun` inside a plan, a
-        result NodeID from a plan's top — or None when exhausted."""
+        :class:`~repro.algebra.pathinstance.EntryRun` on its way into the
+        path kernel, a NodeID from a plan's top, from ``ContextScan`` and
+        along the Simple chain — or None when exhausted."""
         if self._iter is None:
             raise PlanError(f"{type(self).__name__}.next() before open()")
         self.ctx.charge_call()

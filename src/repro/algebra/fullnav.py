@@ -57,12 +57,13 @@ def full_step(
     :meth:`~repro.storage.colview.ColumnView.extension_batch` is walked
     event by event, the hops and tests of the candidates skipped since
     the last one charged in one multiply.  A border suspends the stream
-    on ``stack`` and crosses: the source page is unfixed before the
-    target is fixed, and fixed again when the target's stream is spent,
-    so only the page being navigated is pinned however long a
-    continuation chain grows — the repeated swizzling the Simple method
-    pays and the cost-sensitive plans avoid.  ``pending`` goes onto the
-    clock before every yield and every buffer call (``fix``/``unfix``
+    on ``stack`` and crosses with one buffer call,
+    :meth:`~repro.storage.buffer.BufferManager.swap`: the source page is
+    unfixed before the target is fixed, and swapped back in when the
+    target's stream is spent, so only the page being navigated is pinned
+    however long a continuation chain grows — the repeated swizzling the
+    Simple method pays and the cost-sensitive plans avoid.  ``pending``
+    goes onto the clock before every yield and every buffer call (they
     advance it and stamp tracer events with it), counter deltas onto
     ``Stats`` before every yield and on exit.  Time is on a grid, so the
     sums are exact.
@@ -100,9 +101,9 @@ def full_step(
                     stack.append((page_no, it, tail))
                     page_no = page_of(target)
                     clock.work(pending)
-                    buffer.unfix(frame)
-                    frame = None  # a failed read must not release this pin twice
-                    frame = buffer.fix(page_no)
+                    # a failed read must not release this pin twice
+                    released, frame = frame, None
+                    frame = buffer.swap(released, page_no)
                     page = frame.page
                     upfront, _, ev_slots, ev_hops, ev_tests, tail = page.colview().extension_batch(
                         key, match_batch, slot_of(target), axis, True
@@ -125,12 +126,11 @@ def full_step(
                 pending = 0.0
                 d_hops += hops
                 d_tests += tests
-                buffer.unfix(frame)
-                frame = None
                 if not stack:
-                    return
+                    return  # the finally below releases the pin
                 page_no, it, tail = stack.pop()
-                frame = buffer.fix(page_no)
+                released, frame = frame, None
+                frame = buffer.swap(released, page_no)
                 page = frame.page
     finally:
         stats.intra_hops += d_hops

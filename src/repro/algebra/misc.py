@@ -2,21 +2,22 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from repro.algebra.base import Operator
 from repro.algebra.context import EvalContext
-from repro.algebra.pathinstance import PathInstance
 from repro.errors import BudgetExceededError
-from repro.storage.nodeid import NodeID, make_nodeid, page_of, slot_of
+from repro.storage.nodeid import NodeID, page_of, slot_of
 from repro.storage.record import CoreRecord
 
 
 class ContextScan(Operator):
-    """Enumerate context nodes as trivial complete path instances.
+    """Enumerate the context nodes, as NodeIDs.
 
-    Produces instances with ``S_L = S_R = 0`` and both ends equal to the
-    context node (paper Sec. 5.1 / input spec of XSchedule and XScan).
+    Each stands for the trivial complete path instance at it, ``S_L =
+    S_R = 0`` and both ends the context node (paper Sec. 5.1 / input spec
+    of XSchedule and XScan), and is charged as one.
     """
 
     __slots__ = ("contexts",)
@@ -25,23 +26,15 @@ class ContextScan(Operator):
         super().__init__(ctx)
         self.contexts = list(contexts)
 
-    def _produce(self) -> Iterator[PathInstance]:
+    def _produce(self) -> Iterator[NodeID]:
         for nid in self.contexts:
             self.ctx.charge_instance()
-            yield PathInstance(
-                s_l=0,
-                n_l=nid,
-                left_open=False,
-                s_r=0,
-                slot=slot_of(nid),
-                is_border=False,
-                page_no=page_of(nid),
-            )
+            yield nid
 
 
 class DuplicateElimination(Operator):
-    """Hash-based duplicate elimination on the right-end node, which it
-    hands on as a NodeID.
+    """Hash-based duplicate elimination on the NodeIDs of the right-end
+    nodes the Simple chain hands on.
 
     The Simple method needs this as a final operator (Sec. 5.1); the
     XAssembly plans get it for free through R.
@@ -63,13 +56,16 @@ class DuplicateElimination(Operator):
 
     def _produce(self) -> Iterator[NodeID]:
         ctx = self.ctx
+        clock = ctx.clock
+        stats = ctx.stats
+        cost_set = ctx._cost_set
         seen: set[NodeID] = set()
-        for instance in self.producer:
-            assert instance.page_no is not None
-            nid = make_nodeid(instance.page_no, instance.slot)
-            ctx.charge_set_op()
+        for nid in self.producer:
+            # the R probe: one set_op
+            clock.now += cost_set
+            stats.set_ops += 1
             if nid in seen:
-                ctx.stats.duplicates_suppressed += 1
+                stats.duplicates_suppressed += 1
                 continue
             seen.add(nid)
             yield nid
@@ -110,7 +106,7 @@ def order_results(ctx: EvalContext, nids: list[NodeID]) -> list[NodeID]:
         record = frame.page.record(slot_of(nid))
         assert isinstance(record, CoreRecord)
         ctx.charge_set_op()
-        keyed.append((record.ordpath, nid))
+        keyed.append((record.ordpath.components, nid))
         ctx.buffer.unfix(frame)
     # charge an n log n comparison cost for the sort itself
     n = len(keyed)
@@ -118,7 +114,8 @@ def order_results(ctx: EvalContext, nids: list[NodeID]) -> list[NodeID]:
         comparisons = int(n * max(1, n.bit_length()))
         ctx.clock.work(comparisons * ctx.costs.set_op)
         ctx.stats.set_ops += comparisons
-    keyed.sort(key=lambda pair: pair[0])
+    # labels compare as their component tuples: no OrdPath.__lt__ per comparison
+    keyed.sort(key=itemgetter(0))
     return [nid for _, nid in keyed]
 
 

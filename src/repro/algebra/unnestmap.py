@@ -7,8 +7,9 @@ This is the baseline the cost-sensitive plans are measured against.
 
 The navigation is :func:`~repro.algebra.fullnav.full_step`, the one
 full-tree walker: the operator filters its matches by the step's
-predicates (themselves paths over the same walker) and wraps what is
-left as path instances.
+predicates (themselves paths over the same walker) and hands on what is
+left.  An instance travels the chain as the NodeID of its right end:
+its left end is the context, which nothing downstream reads.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from typing import Iterator
 from repro.algebra.base import Operator
 from repro.algebra.context import EvalContext
 from repro.algebra.fullnav import full_step, predicate_holds
-from repro.algebra.pathinstance import PathInstance
 from repro.algebra.steps import CompiledStep
+from repro.storage.nodeid import SLOT_BITS, NodeID, page_of, slot_of
 
 
 class UnnestMap(Operator):
-    """Extend complete path instances by one location step."""
+    """Extend complete path instances, as NodeIDs, by one location step."""
 
     __slots__ = ("producer", "step_index", "step")
 
@@ -47,23 +48,21 @@ class UnnestMap(Operator):
         super().close()
         self.producer.close()
 
-    def _produce(self) -> Iterator[PathInstance]:
+    def _produce(self) -> Iterator[NodeID]:
         ctx = self.ctx
         step = self.step
         step_index = self.step_index
         predicates = step.predicates
-        for p in self.producer:
-            assert p.page_no is not None and not p.is_border
-            s_l = p.s_l
-            n_l = p.n_l
+        instances = not predicates
+        for nid in self.producer:
             # without predicates every match is an instance, and the
             # walker charges it in the flush it makes for the match
             for page_no, slot in full_step(
-                ctx, step, p.page_no, p.slot, step_index=step_index, instances=not predicates
+                ctx, step, page_of(nid), slot_of(nid), step_index=step_index, instances=instances
             ):
                 if predicates:
                     if not all(predicate_holds(ctx, page_no, slot, q) for q in predicates):
                         continue
                     ctx.charge_instance()
-                # left end kept, right end complete at the match, off-cluster
-                yield PathInstance(s_l, n_l, False, step_index, slot, False, False, page_no)
+                # the instance's right end: complete at the match
+                yield page_no << SLOT_BITS | slot

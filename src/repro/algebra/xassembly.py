@@ -788,7 +788,7 @@ class XAssembly(Operator):
             return
         self._r.add(key)
         if self.schedule is not None:
-            self.schedule.add_from_assembly(s_l, n_l, step, junction)
+            self.schedule._enqueue(step, s_l, n_l, False, junction, True)
         pending = self._s.pop(key, None)
         if pending:
             ctx.stats.merges += len(pending)

@@ -31,6 +31,7 @@ from repro.algebra.context import EvalContext
 from repro.algebra.pathinstance import EntryRun, PathInstance
 from repro.algebra.steps import CompiledStep
 from repro.storage.buffer import Frame
+from repro.storage.nodeid import NodeID, page_of, slot_of
 from repro.storage.page import Page
 from repro.storage.pathsummary import PathPostings
 from repro.storage.store import StoredDocument
@@ -256,20 +257,19 @@ class XScan(Operator):
     def _produce(self) -> Iterator[PathInstance | EntryRun]:
         ctx = self.ctx
         # The paper requires the context input sorted by cluster id; we
-        # group the (typically single) context instances per cluster.
-        by_cluster: dict[int, list[PathInstance]] = {}
-        all_contexts: list[PathInstance] = []
-        for y in self.producer:
-            assert y.page_no is not None
+        # group the (typically single) context nodes per cluster.
+        by_cluster: dict[int, list[NodeID]] = {}
+        contexts: list[NodeID] = []
+        for nid in self.producer:
             ctx.charge_queue_op()
-            by_cluster.setdefault(y.page_no, []).append(y)
-            all_contexts.append(y)
+            by_cluster.setdefault(page_of(nid), []).append(nid)
+            contexts.append(nid)
 
         paths = [(self.steps, self.postings)]
         for page_no, (runs,) in scan(ctx, self.document, paths, by_cluster):
-            for y in by_cluster.pop(page_no, ()):  # contexts first (paper)
+            for nid in by_cluster.pop(page_no, ()):  # contexts first (paper)
                 ctx.charge_instance()
-                yield y
+                yield _context(nid)
             self._runs = runs
             yield from runs
 
@@ -277,6 +277,11 @@ class XScan(Operator):
             # restart the producer, behave as the identity operator: the
             # fallback step chain fully re-evaluates every context (the
             # trip itself was counted by ``EvalContext.trip_fallback``)
-            for y in all_contexts:
+            for nid in contexts:
                 ctx.charge_instance()
-                yield y
+                yield _context(nid)
+
+
+def _context(nid: NodeID) -> PathInstance:
+    """The trivial complete path instance at the context node ``nid``."""
+    return PathInstance(0, nid, False, 0, slot_of(nid), False, page_no=page_of(nid))

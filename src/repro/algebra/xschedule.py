@@ -45,7 +45,7 @@ from repro.algebra.pathinstance import EntryRun, PathInstance
 from repro.algebra.steps import CompiledStep
 from repro.algebra.xscan import Refusals, speculate, step_refusals
 from repro.errors import IOError_
-from repro.storage.nodeid import SLOT_BITS, NodeID, make_nodeid, slot_of
+from repro.storage.nodeid import SLOT_BITS, NodeID, slot_of
 from repro.storage.pathsummary import PathPostings
 from repro.storage.store import StoredDocument
 
@@ -142,10 +142,6 @@ class XSchedule(Operator):
 
     # ---------------------------------------------------------------- queue
 
-    def add_from_assembly(self, s_l: int, n_l: NodeID | None, s_r: int, target: NodeID) -> None:
-        """XAssembly notification: a new inter-cluster edge to follow."""
-        self._enqueue(s_r, s_l, n_l, False, target, True)
-
     def enter_fallback(self) -> None:
         """Fallback (Sec. 5.4.6): stop speculating, revive parked entries."""
         parked = self._parked
@@ -162,7 +158,9 @@ class XSchedule(Operator):
         target: NodeID,
         resumed: bool,
     ) -> None:
-        """File one instance in Q (or drop or park it), unswizzled."""
+        """File one instance in Q (or drop or park it), unswizzled: a
+        context, or a junction XAssembly proved (``resumed``).  A cluster
+        neither buffered nor already requested is requested."""
         ctx = self.ctx
         cluster = target >> SLOT_BITS
         refused = self._extend
@@ -185,12 +183,20 @@ class XSchedule(Operator):
             # the cluster's speculative instances already cover this entry
             self._parked.append((s_r, s_l, n_l, left_open, target, resumed))
             return
-        ctx.charge_queue_op()
+        ctx.clock.now += ctx._cost_queue
+        ctx.stats.queue_ops += 1
         seq = self._seq
-        insort(self._q.setdefault(cluster, []), (s_r, seq, s_l, n_l, left_open, target, resumed))
         self._seq = seq + 1
         self._qcount += 1
-        if not ctx.buffer.is_resident(cluster):
+        entry = (s_r, seq, s_l, n_l, left_open, target, resumed)
+        entries = self._q.get(cluster)
+        if entries is None:
+            self._q[cluster] = [entry]
+        elif entries[-1][0] <= s_r:  # sorts last: seq is the largest yet
+            entries.append(entry)
+        else:
+            insort(entries, entry)
+        if cluster not in ctx.buffer._frames and cluster not in ctx.iosys._requested:
             ctx.iosys.request(cluster)
 
     def take_in_place(self) -> tuple | None:
@@ -225,14 +231,12 @@ class XSchedule(Operator):
         ctx = self.ctx
         while True:
             while not self.exhausted and self._qcount < self.k:
-                y = self.producer.next()
-                if y is None:
+                nid = self.producer.next()
+                if nid is None:
                     self.exhausted = True
                     break
-                assert y.page_no is not None
-                self._enqueue(
-                    y.s_r, y.s_l, y.n_l, y.left_open, make_nodeid(y.page_no, y.slot), False
-                )
+                # a context: the trivial instance at it
+                self._enqueue(0, 0, nid, False, nid, False)
             if self._qcount == 0:
                 if self.exhausted:
                     return
@@ -281,8 +285,9 @@ class XSchedule(Operator):
         """
         ctx = self.ctx
         sidelined_choice: int | None = None
+        frames = ctx.buffer._frames
         for cluster in self._q:
-            if ctx.buffer.is_resident(cluster):
+            if cluster in frames:
                 if cluster not in self._sidelined:
                     return cluster
                 if sidelined_choice is None:

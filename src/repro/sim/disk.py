@@ -223,7 +223,7 @@ class DiskDevice:
             if not pending:
                 return
             if len(pending) == 1:
-                # a lone candidate: what the general branch would pick
+                # a lone candidate: what the pass would pick
                 req = pending[0]
                 start = max(self.busy_until, req.submit_time)
                 if start > t:
@@ -231,13 +231,42 @@ class DiskDevice:
                 pending.clear()
                 self._start_service(req, start, 1)
                 continue
-            start = max(self.busy_until, min(r.submit_time for r in pending))
+            # One pass: the service starts at ``start``, the later of the
+            # head freeing up and the earliest submit time, and the
+            # candidates are the requests submitted by then.  A request
+            # that moves ``start`` earlier starts the candidates over.
+            # The policy's least key wins; _pending is in seq order, so a
+            # tie goes to the first request met (FIFO: the first candidate)
+            busy = self.busy_until
+            head = self.head
+            sstf = self.policy is SchedulingPolicy.SSTF
+            clook = self.policy is SchedulingPolicy.CLOOK
+            start = math.inf
+            for req in pending:
+                at = req.submit_time
+                if at < busy:
+                    at = busy
+                if at > start:
+                    continue
+                page = req.page
+                if sstf:
+                    key = page - head if page >= head else head - page
+                elif clook:
+                    key = (page < head, page)  # the sweep up, then the wrap
+                else:
+                    key = 0
+                if at < start:
+                    start = at
+                    depth = 1
+                    pick, best = req, key
+                else:
+                    depth += 1
+                    if key < best:
+                        pick, best = req, key
             if start > t:
                 return
-            candidates = [r for r in pending if r.submit_time <= start]
-            req = self._pick(candidates)
-            pending.remove(req)
-            self._start_service(req, start, len(candidates))
+            pending.remove(pick)
+            self._start_service(pick, start, depth)
 
     def _start_service(self, req: Request, start: float, queue_depth: int) -> None:
         geo = self.geometry
@@ -280,16 +309,3 @@ class DiskDevice:
                 args={"outcome": req.outcome.value, "distance": distance},
             )
         self._in_flight = req
-
-    def _pick(self, candidates: list[Request]) -> Request:
-        if len(candidates) == 1:
-            return candidates[0]
-        if self.policy is SchedulingPolicy.FIFO:
-            return min(candidates, key=lambda r: r.seq)
-        if self.policy is SchedulingPolicy.SSTF:
-            return min(candidates, key=lambda r: (abs(r.page - self.head), r.seq))
-        if self.policy is SchedulingPolicy.CLOOK:
-            ahead = [r for r in candidates if r.page >= self.head]
-            pool = ahead if ahead else candidates
-            return min(pool, key=lambda r: (r.page, r.seq))
-        raise AssertionError(f"unknown policy {self.policy!r}")

@@ -101,15 +101,29 @@ class BufferManager:
         unpinned frame can make room (a page that finds none is read
         again when it is needed).
         """
-        self.clock.now += self._cost_swizzle
+        return self.swap(None, page_no)
+
+    def swap(self, frame: Frame | None, page_no: int) -> Frame:
+        """:meth:`unfix` of ``frame`` (None: nothing to release) followed
+        by :meth:`fix` of ``page_no``, as one call: what a full-tree walk
+        pays to cross a border.  A read that raises leaves ``frame``
+        released."""
+        clock = self.clock
         stats = self.stats
+        if frame is not None:
+            if frame.pins <= 0:
+                raise BufferError_(f"unfix of unpinned frame {frame.page_no}")
+            frame.pins -= 1
+            stats.unswizzles += 1
+            clock.now += self._cost_unswizzle
+        clock.now += self._cost_swizzle
         stats.swizzles += 1
         frames = self._frames
         frame = frames.pop(page_no, None)
         if frame is None:
             stats.buffer_misses += 1
             if self.tracer is not None:
-                self.tracer.event(self.clock.now, "buffer", "miss", page=page_no)
+                self.tracer.event(clock.now, "buffer", "miss", page=page_no)
             iosys = self.iosys
             iosys.read_sync(page_no)
             frame = self._admit(page_no)
@@ -124,7 +138,7 @@ class BufferManager:
             return frame
         stats.buffer_hits += 1
         if self.tracer is not None:
-            self.tracer.event(self.clock.now, "buffer", "hit", page=page_no)
+            self.tracer.event(clock.now, "buffer", "hit", page=page_no)
         frames[page_no] = frame
         frame.pins += 1
         return frame

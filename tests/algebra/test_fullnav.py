@@ -5,6 +5,8 @@ import pytest
 from repro.axes import Axis
 from repro.algebra.fullnav import exists_path, full_step
 from repro.algebra.steps import CompiledNodeTest, CompiledPredicate, CompiledStep
+from repro.errors import PageReadError
+from repro.sim.iosys import AsyncIOSystem
 from repro.storage.nodeid import make_nodeid, page_of, slot_of
 
 from tests import golden
@@ -78,6 +80,35 @@ def test_abandoned_generator_releases_pins(paper):
         pass
     frame = ctx.buffer.fix(page_of(nid))
     ctx.buffer.unfix(frame)
+
+
+@pytest.mark.parametrize(
+    "page,failing_read", [("a", 1), ("d", 2)], ids=["into-the-target", "back-to-the-source"]
+)
+def test_a_read_failing_at_a_crossing_leaves_no_pin(monkeypatch, page, failing_read):
+    """d1's children over a one-frame buffer: every crossing evicts the
+    page it leaves.  The first read of cluster a (going into the target)
+    or the second read of cluster d (coming back to the source) fails:
+    the read's error leaves the walk, and the page released at the
+    crossing is released once."""
+    paper = build_paper_tree(buffer_pages=1)
+    failing = page_of(paper.nodes[f"{page}1"])
+    reads = []
+    read_sync = AsyncIOSystem.read_sync
+
+    def flaky(self, page_no):
+        reads.append(page_no)
+        if page_no == failing and reads.count(page_no) == failing_read:
+            raise PageReadError(page_no, 1, self.clock.now)
+        read_sync(self, page_no)
+
+    monkeypatch.setattr(AsyncIOSystem, "read_sync", flaky)
+    ctx = paper.db.make_context()
+    nid = paper.nodes["d1"]
+    with pytest.raises(PageReadError):
+        list(full_step(ctx, every_node(Axis.CHILD), page_of(nid), slot_of(nid)))
+    assert reads.count(failing) == failing_read
+    assert pinned_pages(ctx) == []
 
 
 def name_step(paper, name, axis=Axis.CHILD):

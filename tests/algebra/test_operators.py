@@ -1,5 +1,7 @@
 """Unit tests for individual physical operators."""
 
+import random
+
 import pytest
 
 from repro.algebra.base import Operator
@@ -12,9 +14,9 @@ from repro.algebra.misc import (
 )
 from repro.algebra.pathinstance import PathInstance
 from repro.errors import PlanError
-from repro.storage.nodeid import make_nodeid, page_of, slot_of
+from repro.storage.ordpath import OrdPath
 
-from tests.paper_tree import PAGE_A, PAGE_D, build_paper_tree
+from tests.paper_tree import PAGE_D, build_paper_tree
 
 
 @pytest.fixture()
@@ -34,17 +36,16 @@ class ListSource(Operator):
 
 
 def test_context_scan_emits_trivial_instances(paper):
+    """Each trivial instance travels as its context NodeID, charged as
+    one instance."""
     ctx = paper.db.make_context()
     scan = ContextScan(ctx, [paper.nodes["d1"], paper.nodes["a2"]])
     scan.open()
-    first = scan.next()
-    assert (first.s_l, first.s_r) == (0, 0)
-    assert not first.left_open and not first.is_border
-    assert make_nodeid(first.page_no, first.slot) == paper.nodes["d1"]
-    second = scan.next()
-    assert make_nodeid(second.page_no, second.slot) == paper.nodes["a2"]
+    assert scan.next() == paper.nodes["d1"]
+    assert scan.next() == paper.nodes["a2"]
     assert scan.next() is None
     scan.close()
+    assert ctx.stats.instances_created == 2
 
 
 def test_next_before_open_raises(paper):
@@ -57,13 +58,11 @@ def test_next_before_open_raises(paper):
 def test_duplicate_elimination(paper):
     ctx = paper.db.make_context()
     nid = paper.nodes["a3"]
-    instance = PathInstance(0, None, False, 1, slot_of(nid), False, page_no=page_of(nid))
     other = paper.nodes["c4"]
-    instance2 = PathInstance(0, None, False, 1, slot_of(other), False, page_no=page_of(other))
-    source = ListSource(ctx, [instance, instance2, instance])
-    dedup = DuplicateElimination(ctx, source)
+    dedup = DuplicateElimination(ctx, ListSource(ctx, [nid, other, nid]))
     assert result_nodeids(dedup) == [nid, other]
     assert ctx.stats.duplicates_suppressed == 1
+    assert ctx.stats.set_ops == 3
 
 
 def test_count_results(paper):
@@ -82,6 +81,24 @@ def test_order_results_uses_ordpaths(paper):
     assert ordered == [paper.nodes["a3"], paper.nodes["c4"]]
     # ordering pays swizzles (buffer fixes)
     assert ctx.stats.swizzles >= 2
+
+
+def test_order_results_compares_label_components(paper, monkeypatch):
+    """Every element of the paper tree, shuffled, comes back in document
+    order without a single ``OrdPath.__lt__``, charged as before: one
+    ``set_op`` per label fetched plus ``n * bit_length(n)`` for the sort."""
+    want = [paper.nodes[name] for name in ("d1", "a2", "a3", "c2", "c3", "c4", "d4", "b2")]
+    nids = list(want)
+    random.Random(5).shuffle(nids)
+
+    def refused(self, other):
+        raise AssertionError("labels compared as OrdPath objects")
+
+    monkeypatch.setattr(OrdPath, "__lt__", refused)
+    ctx = paper.db.make_context()
+    assert order_results(ctx, nids) == want
+    n = len(nids)
+    assert ctx.stats.set_ops == n + n * n.bit_length()
 
 
 def test_operator_iterator_protocol(paper):

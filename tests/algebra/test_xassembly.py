@@ -58,7 +58,8 @@ def test_right_incomplete_goes_to_schedule_queue():
         def __init__(self):
             self.added = []
 
-        def add_from_assembly(self, s_l, n_l, s_r, target):
+        def _enqueue(self, s_r, s_l, n_l, left_open, target, resumed):
+            assert not left_open and resumed
             self.added.append((s_l, n_l, s_r, target))
 
     schedule = FakeSchedule()
@@ -79,7 +80,8 @@ def test_same_junction_not_scheduled_twice():
         def __init__(self):
             self.added = []
 
-        def add_from_assembly(self, s_l, n_l, s_r, target):
+        def _enqueue(self, s_r, s_l, n_l, left_open, target, resumed):
+            assert not left_open and resumed
             self.added.append((s_l, n_l, s_r, target))
 
     schedule = FakeSchedule()

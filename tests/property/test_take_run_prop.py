@@ -86,7 +86,7 @@ class _Drive:
                 ctx.trip_fallback("memory-limit", detail="drawn")
             for step, junction in self.junctions.get(at, ()):
                 # a junction the kernel would have proven: another visit
-                self.schedule.add_from_assembly(0, None, step, junction)
+                self.schedule._enqueue(step, 0, None, False, junction, True)
             if type(last) is EntryRun and self.takes[at % len(self.takes)]:
                 run = producer.take_run()
                 if run is not None:

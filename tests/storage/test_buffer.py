@@ -4,26 +4,29 @@ import random
 
 import pytest
 
-from repro.errors import BufferError_
+from repro.errors import BufferError_, ReproError
 from repro.obs.tracer import Tracer
 from repro.sim.clock import SimClock
 from repro.sim.costmodel import CostModel
 from repro.sim.disk import DiskDevice
+from repro.sim.faults import FaultPlan, FaultProfile
 from repro.sim.iosys import AsyncIOSystem
 from repro.sim.stats import Stats
 from repro.storage.buffer import BufferManager
 from repro.storage.page import Segment
 
 
-def make_buffer(capacity=4, n_pages=16):
+def make_buffer(capacity=4, n_pages=16, faults=None, tracer=None):
     segment = Segment(512)
     for _ in range(n_pages):
         segment.allocate()
     stats = Stats()
     clock = SimClock()
-    disk = DiskDevice(stats=stats)
-    iosys = AsyncIOSystem(disk, clock, CostModel(), stats)
-    return BufferManager(segment, iosys, clock, CostModel(), capacity, stats), clock, stats, iosys
+    plan = FaultPlan(faults) if faults is not None else None
+    disk = DiskDevice(stats=stats, faults=plan, tracer=tracer)
+    iosys = AsyncIOSystem(disk, clock, CostModel(), stats, tracer=tracer)
+    buffer = BufferManager(segment, iosys, clock, CostModel(), capacity, stats, tracer=tracer)
+    return buffer, clock, stats, iosys
 
 
 def test_miss_then_hit():
@@ -205,6 +208,85 @@ def test_refix_is_try_fix_resident_then_unfix():
     buffer.unfix(frame)
     with pytest.raises(BufferError_):
         buffer.refix(frame)
+
+
+def _held_and_lru(buffer, iosys):
+    """Page 0 pinned, 1 and 2 buffered after it: LRU order 0, 1, 2."""
+    held = buffer.fix(0)
+    buffer.unfix(buffer.fix(1))
+    buffer.unfix(buffer.fix(2))
+    return held
+
+
+def _requested_ahead(buffer, iosys):
+    """As :func:`_held_and_lru`, with pages 9 and 12 read asynchronously."""
+    held = _held_and_lru(buffer, iosys)
+    iosys.request(9)
+    iosys.request(12)
+    return held
+
+
+def _all_pinned(buffer, iosys):
+    """Every frame pinned, page 0 twice: releasing one pin frees none."""
+    held = buffer.fix(0)
+    buffer.fix(0)
+    buffer.fix(1)
+    buffer.fix(2)
+    return held
+
+
+def _after_swap(swapped, setup, page_no, faults=None):
+    """The books after a border crossing from the frame ``setup`` holds
+    to ``page_no``, made by one :meth:`swap` or by an unfix and a fix:
+    clock, counters, every frame in LRU order with its pins, every
+    trace event, and what the crossing returned or raised."""
+    tracer = Tracer()
+    buffer, clock, stats, iosys = make_buffer(capacity=3, faults=faults, tracer=tracer)
+    held = setup(buffer, iosys)
+    try:
+        if swapped:
+            frame = buffer.swap(held, page_no)
+        else:
+            buffer.unfix(held)
+            frame = buffer.fix(page_no)
+        got = (frame.page_no, frame.pins)
+    except ReproError as err:
+        got = (type(err).__name__, str(err))
+    frames = [(page, frame.pins) for page, frame in buffer._frames.items()]
+    events = [(e.ts, e.cat, e.name, e.page) for e in tracer.events]
+    return clock.now, clock.cpu_time, clock.io_wait, stats.as_dict(), frames, held.pins, events, got
+
+
+@pytest.mark.parametrize(
+    "setup,page_no,faults,outcome",
+    [
+        (_held_and_lru, 1, None, 1),  # a hit
+        (_held_and_lru, 5, None, 5),  # a miss evicting the page released
+        (_requested_ahead, 5, None, 5),  # a miss with early completions
+        (_all_pinned, 5, None, "BufferError_"),
+        (_held_and_lru, 5, FaultProfile(dead_pages=frozenset({5})), "PageReadError"),
+    ],
+    ids=["hit", "miss", "early-completions", "all-pinned", "dead-page"],
+)
+def test_swap_is_unfix_then_fix(setup, page_no, faults, outcome):
+    """A border crossing in one call keeps every book an unfix followed
+    by a fix keeps; a fix that raises leaves the frame released once."""
+    swapped = _after_swap(True, setup, page_no, faults)
+    assert swapped == _after_swap(False, setup, page_no, faults)
+    assert swapped[-1][0] == outcome
+    if setup is _requested_ahead:
+        # the pages that completed while the read blocked came in behind it
+        assert {9, 12} & {page for page, _ in swapped[4]}
+    assert swapped[5] == (1 if setup is _all_pinned else 0)
+
+
+def test_swap_of_an_unpinned_frame_raises():
+    buffer, _, stats, _ = make_buffer()
+    frame = buffer.fix(0)
+    buffer.unfix(frame)
+    with pytest.raises(BufferError_):
+        buffer.swap(frame, 1)
+    assert stats.swizzles == 1  # nothing was fixed
 
 
 def test_admit_completed_after_async():
