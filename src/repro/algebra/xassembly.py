@@ -72,32 +72,72 @@ class RunTape(NamedTuple):
     walked: tuple
 
 
-def build_tape(owner, view, records: list, steps: Sequence[CompiledStep], index: int) -> RunTape:
+class DeliveryTape(NamedTuple):
+    """What the kernel's walk from one of XSchedule's Q entries comes to
+    (:func:`build_tape` given ``start``)."""
+
+    #: ``(s_r, right, paused)`` of every instance that reaches the top
+    outcomes: tuple
+    #: five per outcome, ``(hops, tests, events, crossings, deferred)``
+    #: as they stand at its intake, then the same five for the whole walk
+    marks: array
+
+
+class DeliveryTapes(dict):
+    """A view's delivery tapes of one (path, step), by ``slot << 1 |
+    resumed`` of the entry each starts at; kept under one key of
+    ``ColumnView.tapes``."""
+
+    __slots__ = ("owner", "steps", "index")
+
+    def __init__(self, owner, steps: Sequence[CompiledStep], index: int) -> None:
+        super().__init__()
+        self.owner = owner  #: the document that numbered the path
+        self.steps = steps
+        self.index = index  #: the entries' ``s_r``
+
+
+def build_tape(
+    owner, view, records: list, steps: Sequence[CompiledStep], index: int, start: int | None = None
+) -> RunTape | DeliveryTape:
     """The *run tape* of one (cluster, path, step): a charge-free
     transcription of the walk :meth:`XAssembly._produce` makes, level by
     level, over the entry run of step ``index`` on the cluster ``view``
     mirrors (``records`` are its page's, read for the junctions).  A
     function of the page's records alone; docs/algebra.md, "Run tapes".
+
+    Given ``start`` (``slot << 1 | resumed``), the *delivery tape* of the
+    one Q entry with ``s_r == index`` at ``slot`` instead: the same walk
+    from that one instance.  Its extensions go into the view's step
+    memos, as the walk it replaces would put them; a run tape only reads
+    them (docs/algebra.md, "Delivery tapes").
     """
     n = len(steps)
     base = view.page_no << SLOT_BITS
     hops = tests = events = calls = deferred = parked = 0
     walked = []
     memo: dict = {}  # an inner extension is started once per match above it
-    # what navigating plans have memoised on the view is read, not added
-    # to: the tape replaces the extensions of the walk it transcribes
-    known = [view.known_extensions(step.memo_key) for step in steps]
     first = steps[index]
-    slots = view.entry_slots(first.axis)
+    if start is None:
+        # what navigating plans have memoised on the view is read, not
+        # added to: the tape replaces the extensions of the walk it
+        # transcribes
+        known = [view.known_extensions(step.memo_key) for step in steps]
+        starts = [slot << 1 | 1 for slot in view.entry_slots(first.axis)]
+    else:
+        known = [view.step_memo(step.memo_key) for step in steps]
+        starts = (start,)
     outcomes: list[_Stored] = []
     marks = array("q")
     stack: list = []  # empty again whenever an entry is spent
-    for ordinal, entry in enumerate(slots, start=1):
+    for ordinal, begin in enumerate(starts, start=1):
         calls += ordinal > 1  # the pull of the I/O operator replayed per entry
         top = index + 1
-        batch = known[index].get(entry << 1 | 1)
+        batch = known[index].get(begin)
         if batch is None:
-            batch = view.extension(first.match_batch, entry, first.axis, True)
+            batch = view.extension(first.match_batch, begin >> 1, first.axis, begin & 1)
+            if start is not None:
+                known[index][begin] = batch
         while True:
             if batch is not None:
                 # level `top` starts extending the entry, or a match
@@ -120,10 +160,13 @@ def build_tape(owner, view, records: list, steps: Sequence[CompiledStep], index:
                     key = top << SLOT_BITS | slot
                     batch = memo.get(key)
                     if batch is None:
-                        batch = known[top - 1].get(slot << 1)
+                        extensions = known[top - 1]
+                        batch = extensions.get(slot << 1)
                         if batch is None:
                             step = steps[top - 1]
                             batch = view.extension(step.match_batch, slot, step.axis, False)
+                            if start is not None:
+                                extensions[slot << 1] = batch
                         memo[key] = batch
                     break
                 marks.extend((hops, tests, events, calls, deferred))
@@ -137,11 +180,14 @@ def build_tape(owner, view, records: list, steps: Sequence[CompiledStep], index:
                 it, tail = stack.pop()
                 top -= 1
                 calls += 1
+        if start is not None:
+            marks.extend((hops, tests, events, calls, deferred))
+            return DeliveryTape(tuple(outcomes), marks)
         if outcomes:
             parked += len(outcomes)
-            walked.append(((index, base | entry), tuple(outcomes), ordinal, marks))
+            walked.append(((index, base | begin >> 1), tuple(outcomes), ordinal, marks))
             outcomes, marks = [], array("q")
-    totals = (hops, tests, events, calls, deferred, len(slots))
+    totals = (hops, tests, events, calls, deferred, len(starts))
     return RunTape(owner, steps, index, totals, parked, tuple(walked))
 
 
@@ -232,10 +278,12 @@ class XAssembly(Operator):
         are posted before every yield, every pull of the I/O operator and
         on exit, so the clock's CPU seconds are the counters priced
         wherever anything can look.  Flush points:
-        docs/algebra.md.  An :class:`EntryRun` is not walked at all when
-        nothing can read the clock inside it: it is taken in from its
-        memoised tape (:meth:`_replay`), and this loop stays the
-        reference that tape transcribes.  A result leaves as its NodeID.
+        docs/algebra.md.  Neither an :class:`EntryRun` nor one of
+        XSchedule's Q entries is walked at all when nothing can read the
+        clock inside it: each is taken in from its memoised tape
+        (:meth:`_replay`, :meth:`_deliveries`), and this loop stays the
+        reference both kinds of tape transcribe.  A result leaves as its
+        NodeID.
         """
         ctx = self.ctx
         steps = self.steps
@@ -248,22 +296,25 @@ class XAssembly(Operator):
         cost_instance = ctx._cost_instance
         cost_set = ctx._cost_set
         cost_call = ctx._cost_call
-        cost_queue = ctx._cost_queue
         limit = ctx.options.memory_limit
-        buffer = ctx.buffer
         path_len = self.path_len
         r = self._r
         s = self._s
         ready = self._ready
         droot = self.descendant_root_opt
-        source = iter(self.producer)  # charges its own crossing per pull
-        # an XSchedule that is the producer can have its next delivery
-        # taken in place
+        # XSchedule is pulled by its deliver(), which hands Q's tuple on
+        # as it is; any other producer through Operator.__iter__, which
+        # charges its own crossing per pull
         schedule = self.schedule if self.producer is self.schedule else None
+        source = iter(self.producer) if schedule is None else None
+        # deliveries may come off their tapes (_deliveries); what else
+        # keeps them on the walk is checked per pull
+        taping = schedule is not None and self._path is not None and tracer is None
+        san = ctx.san
         stack: list = []
         top = 0
         it = tail = page = p = entries = None
-        starting = queued = False
+        starting = False
         d_hops = d_tests = d_instances = d_deferred = d_calls = d_out = 0
         d_speculative = d_replayed = d_pulls = d_sets = 0
         t0 = clock.now
@@ -305,35 +356,6 @@ class XAssembly(Operator):
                                     clock.work(pending)
                                     pending = 0.0
                                     ctx.charge_call()
-                        if top == 0 and entries is None and queued:
-                            entry = schedule.take_in_place()
-                            if entry is not None:
-                                # a delivery run: XSchedule's next instance,
-                                # taken from the cluster it holds in place —
-                                # the pull's crossing, the queue_op, the
-                                # swizzle pair and the instance_op it charges
-                                d_replayed += 1
-                                if ctx._budget is None:
-                                    clock.work(pending + cost_call + cost_queue)
-                                    d_pulls += 1
-                                else:
-                                    clock.work(pending)
-                                    pending = 0.0
-                                    ctx.charge_call()
-                                    clock.work(cost_queue)
-                                stats.queue_ops += 1
-                                buffer.refix(ctx.current_frame)
-                                pending = cost_instance
-                                d_instances += 1
-                                s_r, _, s_l, n_l, left_open, target, resumed = entry
-                                left_key = (s_l, n_l)
-                                implied = droot and s_l == 1
-                                page_no = page_of(target)
-                                slot = slot_of(target)
-                                top = s_r + 1
-                                d_out += s_r
-                                starting = True
-                                p = None
                         if top == 0 and entries is None:
                             # the pull may yield to the caller (the I/O
                             # operator's speculation, a traced crossing):
@@ -345,12 +367,19 @@ class XAssembly(Operator):
                             pending = 0.0
                             d_hops = d_tests = d_instances = d_deferred = 0
                             d_speculative = d_pulls = d_sets = 0
-                            p = next(source, None)
+                            if schedule is None:
+                                p = next(source, None)
+                            else:
+                                # what Operator.next does around the pull
+                                ctx.charge_call()
+                                p = schedule.deliver()
+                                if tracer is not None:
+                                    schedule._trace_out += p is not None
+                                    tracer.op_call(type(schedule).__name__, p is not None)
+                                if san is not None:
+                                    san.check()
                             if p is None:
                                 return
-                            # a delivered instance leaves XSchedule between
-                            # two deliveries of a cluster; a run, inside one
-                            queued = schedule is not None and type(p) is PathInstance
                             if type(p) is EntryRun:
                                 tape = self._tape(p)
                                 if tape is not None:
@@ -370,21 +399,37 @@ class XAssembly(Operator):
                                 page_no = p.page_no
                                 page_base = page_no << SLOT_BITS
                             else:
-                                s_l = p.s_l
-                                n_l = p.n_l
-                                left_open = p.left_open
+                                if type(p) is tuple:
+                                    # one of Q's entries, as XSchedule delivered it
+                                    if taping and ctx._budget is None and not ctx.fallback:
+                                        # the held cluster's deliveries, this one
+                                        # and those taken in place after it; one
+                                        # that cannot come off a tape is handed back
+                                        p = yield from self._deliveries(p)
+                                        if p is None:
+                                            continue
+                                    s_r, _, s_l, n_l, left_open, target, resumed = p
+                                    page_no = page_of(target)
+                                    slot = slot_of(target)
+                                    paused = resumed  # a proved crossing, or a context
+                                else:
+                                    s_l = p.s_l
+                                    n_l = p.n_l
+                                    left_open = p.left_open
+                                    slot = p.slot
+                                    s_r = p.s_r
+                                    paused = p.is_border
+                                    resumed = p.resumed
+                                    page_no = p.page_no
                                 left_key = (s_l, n_l)
                                 implied = droot and s_l == 1
-                                slot = p.slot
-                                s_r = p.s_r
-                                paused = p.is_border
-                                if s_r >= n or (paused and not p.resumed):
+                                if s_r >= n or (paused and not resumed):
                                     # no level applies: all n hand it up as it is
                                     d_out += n
                                     if paused:
-                                        right = ctx.segment.page(p.page_no).record(slot).target()
+                                        right = ctx.segment.page(page_no).record(slot).target()
                                     elif left_open or s_r == path_len:
-                                        right = make_nodeid(p.page_no, slot)
+                                        right = make_nodeid(page_no, slot)
                                     else:
                                         raise PlanError(
                                             f"XAssembly received a complete non-full instance (s_r={s_r})"
@@ -392,7 +437,6 @@ class XAssembly(Operator):
                                     break
                                 top = s_r + 1
                                 d_out += s_r
-                                resumed = p.resumed
                                 starting = True
                         if top == 0:
                             # the run's next entry, in place: what XScan charges
@@ -418,7 +462,7 @@ class XAssembly(Operator):
                                 it = extend_full(ctx, step, top, p)
                                 tail = None
                             else:
-                                if p is not None and pinned_page(ctx, top, p) is not page:
+                                if p is not None and pinned_page(ctx, top, page_no) is not page:
                                     # fresh from the I/O operator, on a new cluster
                                     page = ctx.current_frame.page
                                     view = page.colview()
@@ -698,9 +742,174 @@ class XAssembly(Operator):
         self._settle(done, (hops, tests, events, calls, deferred, entries), sets)
         return run
 
-    def _settle(self, done: tuple, upto: tuple, sets: int) -> None:
+    def _book(self, view, step: int) -> DeliveryTapes:
+        """The delivery tapes ``view`` keeps of this path's Q entries with
+        ``s_r == step`` — a fresh book when it keeps none for this
+        document."""
+        key = (self._path, step, "delivered")  # beside the run tape's (path, step)
+        book = view.tapes.get(key)
+        if book is None or book.owner is not self.document:
+            # (path ids are per document, and an update can leave two
+            # documents sharing a page)
+            book = DeliveryTapes(self.document, self.steps, step)
+            view.keep_tape(key, book)
+        return book
+
+    def _deliveries(self, entry: tuple) -> Generator[NodeID, None, tuple | None]:
+        """Take in the held cluster's deliveries from their tapes
+        (:func:`build_tape` given ``start``): ``entry``, which a pull
+        delivered, then every entry XSchedule hands over in place
+        (``take_in_place``).
+
+        Q's entries are left-complete, so what they produce never enters
+        S: an outcome is a paused crossing, proved with what the walk
+        charges before it on the clock first, or a full path, whose R
+        probe (one ``set_op``) either drops it as a duplicate or admits a
+        result, yielded at the walk's clock with the counters posted.
+        ``_ready`` is drained after each proof, as between two pulls.  An
+        entry taken in place owes what the pull it replaces charges: its
+        crossing, the ``queue_op``, the swizzle pair
+        (``BufferManager.refix``) and the ``instance_op``; an attached
+        sanitizer audits the books after each take, as
+        :meth:`Operator.next` would after the pull.  The counters are
+        posted at each yield and once the cluster's deliveries are spent —
+        or once one cannot come off a tape (a corrupt page): that entry,
+        its pull charged, is returned for :meth:`_produce` to walk.
+        """
+        ctx = self.ctx
+        clock = ctx.clock
+        stats = ctx.stats
+        san = ctx.san
+        cost_hop = ctx._cost_hop
+        cost_test = ctx._cost_test
+        cost_instance = ctx._cost_instance
+        cost_call = ctx._cost_call
+        cost_set = ctx._cost_set
+        cost_queue = ctx._cost_queue
+        r = self._r
+        ready = self._ready
+        steps = self.steps
+        n = len(steps)
+        path_len = self.path_len
+        take = self.schedule.take_in_place
+        refix = ctx.buffer.refix
+        frame = ctx.current_frame
+        page = frame.page
+        view = page.colview()
+        records = page.records
+        slot_mask = (1 << SLOT_BITS) - 1
+        books: list = [None] * n
+        # the cluster's totals before the entry being taken in, and the
+        # part of them posted to Stats, with the set_ops not yet posted
+        hops = tests = instances = calls = deferred = 0
+        posted = (0, 0, 0, 0, 0, 0)
+        sets = 0
+        # CPU seconds charged and not yet on the clock, beyond the
+        # entry's walk up to the marks (fh, ft, fe, fc)
+        owed = 0.0
+        while True:
+            s_r, _, s_l, n_l, left_open, target, resumed = entry
+            if left_open or s_r >= n:
+                break
+            book = books[s_r]
+            if book is None:
+                book = books[s_r] = self._book(view, s_r)
+            start = (target & slot_mask) << 1 | resumed
+            tape = book.get(start)
+            if tape is None:
+                try:
+                    tape = build_tape(self.document, view, records, steps, s_r, start)
+                except Exception:  # whatever it is, the walk raises it again
+                    break
+                book[start] = tape
+            outcomes, marks = tape
+            fh = ft = fe = fc = at = 0
+            for reached, right, paused in outcomes:
+                if not paused:
+                    # a full path: its R probe is the duplicate filter
+                    owed += cost_set
+                    sets += 1
+                    key = (path_len, right)
+                    if key in r:
+                        stats.duplicates_suppressed += 1
+                        at += 5
+                        continue
+                    r.add(key)
+                # the walk's clock at this outcome's intake
+                h = marks[at]
+                t = marks[at + 1]
+                e = marks[at + 2]
+                c = marks[at + 3]
+                clock.now += (
+                    owed
+                    + (h - fh) * cost_hop
+                    + (t - ft) * cost_test
+                    + (e - fe) * cost_instance
+                    + (c - fc) * cost_call
+                )
+                owed = 0.0
+                fh, ft, fe, fc = h, t, e, c
+                if paused:
+                    self._prove(reached, right, s_l, n_l)
+                    if not ready:
+                        at += 5
+                        continue
+                # results may leave: the counters are posted up to here
+                d = marks[at + 4]
+                upto = (hops + h, tests + t, instances + e, calls + c, deferred + d, 0)
+                self._settle(posted, upto, sets, timed=False)
+                posted = upto
+                sets = 0
+                at += 5
+                if not paused:
+                    ctx.charge_instance()  # the result tuple's
+                    yield right
+                    continue
+                while ready:
+                    result = self._activate(ready.popleft())
+                    if result is not None:
+                        ctx.charge_instance()
+                        yield result
+            # the rest of the entry's walk: its totals
+            h, t, e, c, d = marks[at:]
+            owed += (
+                (h - fh) * cost_hop
+                + (t - ft) * cost_test
+                + (e - fe) * cost_instance
+                + (c - fc) * cost_call
+            )
+            hops += h
+            tests += t
+            instances += e
+            calls += c
+            deferred += d
+            entry = take()
+            if entry is None:
+                break
+            # the pull it replaces: its crossing and the instance it hands
+            # on, the queue_op, the swizzle of a hit and the unswizzle
+            owed += cost_call + cost_instance
+            calls += 1
+            instances += 1
+            clock.now += cost_queue
+            stats.queue_ops += 1
+            refix(frame)
+            if san is not None:
+                clock.now += owed
+                owed = 0.0
+                upto = (hops, tests, instances, calls, deferred, 0)
+                self._settle(posted, upto, sets, timed=False)
+                posted = upto
+                sets = 0
+                san.check()
+        clock.now += owed
+        self._settle(posted, (hops, tests, instances, calls, deferred, 0), sets, timed=False)
+        return entry
+
+    def _settle(self, done: tuple, upto: tuple, sets: int, timed: bool = True) -> None:
         """Charge and book what a tape counts between two of its marks,
-        and ``sets`` R/S operations."""
+        and ``sets`` R/S operations (``timed=False``: book only, the
+        caller has put their time on the clock)."""
         ctx = self.ctx
         hops0, tests0, events0, calls0, deferred0, entries0 = done
         hops, tests, events, calls, deferred, entries = upto
@@ -709,7 +918,9 @@ class XAssembly(Operator):
             + (tests - tests0) * ctx._cost_test
             + (events - events0 + entries - entries0) * ctx._cost_instance
             + (calls - calls0) * ctx._cost_call
-            + sets * ctx._cost_set,
+            + sets * ctx._cost_set
+            if timed
+            else 0.0,
             hops - hops0,
             tests - tests0,
             events - events0,

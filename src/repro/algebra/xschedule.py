@@ -26,12 +26,14 @@ Whether a resumed entry may be pruned — the synopsis asked first, then
 the path summary's postings — is one bit of a per-step cluster mask,
 fetched once per execution off the synopsis's memo
 (:meth:`~repro.storage.synopsis.ClusterSynopsis.refusals`), which lasts
-as long as the synopsis does.  Step 3 is a *delivery run* under the path
-kernel: once the kernel has a delivered instance, it takes the further
-entries queued on the cluster this operator holds itself
-(:meth:`XSchedule.take_in_place`), for as long as a pull would deliver
-exactly those next, charging what the pull would (docs/algebra.md,
-"Delivery runs").
+as long as the synopsis does.  One pull is one :meth:`XSchedule.deliver`,
+which hands Q's flat tuple on as it is: the path kernel calls it where
+it would pull, and ``_produce`` only wraps the tuples in
+:class:`PathInstance` objects for any other consumer.  The pull that
+takes the next entry of the cluster this operator holds is
+:meth:`XSchedule.take_in_place` plus its charges, which is how the
+kernel takes a held cluster's deliveries in whole (docs/algebra.md,
+"Delivery runs" and "Delivery tapes").
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ class XSchedule(Operator):
         "_dead_tries",
         "_dead_noted",
         "_runs",
+        "_held",
     )
 
     #: synchronous recovery rounds per cluster (each round is a full retry
@@ -131,6 +134,8 @@ class XSchedule(Operator):
         #: the speculation over the cluster of a first visit
         #: (:meth:`take_run`)
         self._runs: Iterator[EntryRun] = iter(())
+        #: the entry a first visit delivers once its runs are spent
+        self._held: tuple | None = None
 
     def open(self) -> None:
         self.producer.open()
@@ -203,9 +208,9 @@ class XSchedule(Operator):
         """The entry the next pull would deliver with nothing in between,
         popped: the first of the pinned cluster's queue, unless the
         producer is due.  None: the next pull has to run.  Only valid
-        between two pulls that delivered an instance (docs/algebra.md,
-        "Delivery runs"); the caller charges what the pull would and
-        unpacks Q's tuple itself."""
+        between two pulls that delivered an entry (docs/algebra.md,
+        "Delivery runs"); the caller charges what the pull would, as
+        :meth:`deliver` does."""
         cluster = self._current
         if cluster is None or (self._qcount < self.k and not self.exhausted):
             return None
@@ -227,8 +232,34 @@ class XSchedule(Operator):
 
     # -------------------------------------------------------------- pipeline
 
-    def _produce(self) -> Iterator[PathInstance | EntryRun]:
+    def deliver(self) -> tuple | EntryRun | None:
+        """One pull's delivery: Q's next entry as its flat ``(s_r, seq,
+        s_l, n_l, left_open, target, resumed)`` tuple, or None once Q is
+        exhausted.  The pull replenishes Q from the producer when it is
+        due, picks a cluster (the one it holds while that has entries),
+        pops, charges the ``queue_op``, swizzles the cluster's page and
+        drops the old pin, and charges the ``instance_op`` of the
+        instance the entry stands for.  On a cluster's first visit under
+        speculation the pull hands on the visit's entry runs first, one
+        per pull (or :meth:`take_run`), and the entry after the last.
+        The caller charges the pull's crossing."""
         ctx = self.ctx
+        run = next(self._runs, None)
+        if run is not None:
+            return run
+        entry = self._held
+        if entry is not None:
+            self._held = None
+            ctx.charge_instance()
+            return entry
+        entry = self.take_in_place()
+        if entry is not None:
+            # the held cluster: its page swizzled again and the old pin
+            # dropped, as one buffer call
+            ctx.charge_queue_op()
+            ctx.buffer.refix(ctx.current_frame)
+            ctx.charge_instance()
+            return entry
         while True:
             while not self.exhausted and self._qcount < self.k:
                 nid = self.producer.next()
@@ -239,7 +270,7 @@ class XSchedule(Operator):
                 self._enqueue(0, 0, nid, False, nid, False)
             if self._qcount == 0:
                 if self.exhausted:
-                    return
+                    return None
                 continue
             cluster = self._current
             if cluster is None or cluster not in self._q:
@@ -265,16 +296,27 @@ class XSchedule(Operator):
                 ctx.stats.clusters_visited += 1
             self._current = cluster
 
-            first_visit = cluster not in self._visited
-            self._visited.add(cluster)
-            if first_visit and self.speculative and not ctx.fallback:
-                self._runs = speculate(ctx, frame.page, self.steps, self._contribute)
-                yield from self._runs
-
-            s_r, _, s_l, n_l, left_open, target, resumed = entry
+            if cluster not in self._visited:
+                self._visited.add(cluster)
+                if self.speculative and not ctx.fallback:
+                    self._runs = speculate(ctx, frame.page, self.steps, self._contribute)
+                    run = next(self._runs, None)
+                    if run is not None:
+                        self._held = entry
+                        return run
             ctx.charge_instance()
+            return entry
+
+    def _produce(self) -> Iterator[PathInstance | EntryRun]:
+        """:meth:`deliver`'s items, an entry as the :class:`PathInstance`
+        it stands for, swizzled to its slot on the pinned cluster."""
+        while (item := self.deliver()) is not None:
+            if type(item) is EntryRun:
+                yield item
+                continue
+            s_r, _, s_l, n_l, left_open, target, resumed = item
             yield PathInstance(
-                s_l, n_l, left_open, s_r, slot_of(target), resumed, resumed, cluster
+                s_l, n_l, left_open, s_r, slot_of(target), resumed, resumed, target >> SLOT_BITS
             )
 
     def _pick_cluster(self) -> int:

@@ -26,12 +26,13 @@ from repro.algebra.steps import CompiledStep
 from repro.errors import PlanError
 
 
-def pinned_page(ctx: EvalContext, step_index: int, p: PathInstance):
-    """The current cluster's page; instances in flight must live on it."""
+def pinned_page(ctx: EvalContext, step_index: int, page_no: int | None):
+    """The current cluster's page; the instance in flight, on ``page_no``
+    (None: not known), must live on it."""
     frame = ctx.current_frame
-    if frame is None or (p.page_no is not None and p.page_no != frame.page.page_no):
+    if frame is None or (page_no is not None and page_no != frame.page.page_no):
         raise PlanError(
-            f"XStep {step_index}: instance references page {p.page_no}, "
+            f"XStep {step_index}: instance references page {page_no}, "
             f"current cluster is "
             f"{frame.page.page_no if frame else None}"
         )

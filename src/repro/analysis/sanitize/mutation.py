@@ -106,11 +106,11 @@ def check_colviews(segment: Any, page_nos: Iterable[int]) -> None:
     A cache the update path forgot to invalidate keeps serving the
     pre-update structure; rebuilding from the records and diffing the
     structural arrays catches that the moment it happens.  The view's
-    run tapes are rebuilt and diffed as well: they hold junction
+    run and delivery tapes are rebuilt and diffed as well: they hold junction
     NodeIDs, which no array of the view shows, so a ``companion`` patched
     without invalidating the page that holds the border is caught here.
     """
-    from repro.algebra.xassembly import build_tape
+    from repro.algebra.xassembly import DeliveryTapes, build_tape
     from repro.storage.colview import ColumnView
 
     for page_no in page_nos:
@@ -127,16 +127,23 @@ def check_colviews(segment: Any, page_nos: Iterable[int]) -> None:
                     f"{name!r} after an update (a mutation path is missing "
                     "its invalidate_colview call)",
                 )
-        for tape in cached.tapes.values():
-            try:
-                rebuilt = build_tape(tape.owner, fresh, page.records, tape.steps, tape.index)
-            except Exception:  # the records no longer bear the walk at all
-                rebuilt = None
-            if rebuilt != tape:
-                fail(
-                    "mutation",
-                    f"cached run tape of page {page_no} (step {tape.index}) is stale "
-                    "after an update: a junction or an extension changed under "
-                    "it (a companion write is missing the invalidate_colview of "
-                    "the page holding the border)",
-                )
+        for kept in cached.tapes.values():
+            # a run tape, or a book of delivery tapes by their start
+            tapes: list[tuple[str, int | None, object]] = [("run tape", None, kept)]
+            if isinstance(kept, DeliveryTapes):
+                tapes = [("delivery tape", start, tape) for start, tape in kept.items()]
+            for kind, start, tape in tapes:
+                try:
+                    rebuilt = build_tape(
+                        kept.owner, fresh, page.records, kept.steps, kept.index, start
+                    )
+                except Exception:  # the records no longer bear the walk at all
+                    rebuilt = None
+                if rebuilt != tape:
+                    fail(
+                        "mutation",
+                        f"cached {kind} of page {page_no} (step {kept.index}) is stale "
+                        "after an update: a junction or an extension changed under "
+                        "it (a companion write is missing the invalidate_colview of "
+                        "the page holding the border)",
+                    )

@@ -66,7 +66,8 @@ _NO_MEMO: dict = {}
 #: A candidate batch: (upfront_hops, free_head, candidate slots).
 CandidateBatch = tuple[int, int, "list[int]"]
 
-#: How many run tapes one view keeps; one more drops them all.
+#: How many tape keys — (path, step) pairs — one view keeps; one more
+#: drops them all.
 TAPE_LIMIT = 64
 
 
@@ -169,7 +170,8 @@ class ColumnView:
         #: the extension memos (:meth:`step_memo`), under a step's int
         #: ``memo_key`` only
         self._flag_cache: dict[int, dict] = {}
-        #: run tapes (:meth:`keep_tape`) under ``(path id, step)``
+        #: tapes (:meth:`keep_tape`): a run tape under ``(path id, step)``,
+        #: the delivery tapes of one step's entries under one key beside it
         self.tapes: dict = {}
         # preorder span table for descendant enumeration, built lazily on
         # the first descendant-axis batch (see _ensure_preorder)
@@ -247,15 +249,19 @@ class ColumnView:
             batch = memo[slot << 1 | resumed] = self.extension(match_batch, slot, axis, resumed)
         return batch
 
-    def keep_tape(self, key: tuple[int, int], tape: tuple) -> None:
+    def keep_tape(self, key: tuple, tape) -> None:
         """Memoise a *run tape* — the path kernel's transcription of one
         whole entry run of this cluster
         (:func:`repro.algebra.xassembly.build_tape`) — under the document's
-        path id and the run's step.  Unlike the extensions a tape also
+        path id and the run's step, or the book of *delivery tapes* the
+        kernel keeps for one (path, step) of XSchedule's entries
+        (:class:`repro.algebra.xassembly.DeliveryTapes`), filled as
+        entries are delivered.  Unlike the extensions a tape also
         depends on the border records' ``companion`` fields, which is why
         a companion write is a mutation of the page holding the border.
-        At most :data:`TAPE_LIMIT` are kept: one more drops them all, so
-        a stream of distinct paths cannot grow a view without bound.
+        At most :data:`TAPE_LIMIT` keys are kept: one more drops them
+        all, so a stream of distinct paths cannot grow a view without
+        bound.
         """
         if len(self.tapes) >= TAPE_LIMIT:
             self.tapes.clear()

@@ -1,0 +1,208 @@
+"""Delivery tapes: XSchedule's deliveries taken in from memoised tapes.
+
+The walk from one of XSchedule's Q entries depends only on (page, path,
+step, slot, resumed), and the entries are left-complete, so the path
+kernel transcribes it once (:func:`repro.algebra.xassembly.build_tape`
+given ``start``) and from then on takes the held cluster's deliveries in
+from their tapes whenever nothing can observe the clock inside them
+(``XAssembly._deliveries``).  The level-stack walk stays the reference —
+an armed budget, however inert, forces it — and the golden rows
+(``tests/golden.py``, ``deliveries/*``, ``warm/*``,
+``updates/deliveries``) pin the books of both.  The seams get a test
+each: a delivered proof that activates what S holds, a held cluster at
+``k_min_queue`` 1, a dead page that trips fallback between two entries
+taken in place, a second execution on one warm runtime, and an update
+that re-patches a border companion between two executions.
+"""
+
+import sys
+
+import pytest
+
+import repro.storage.update as update
+from repro import ExecutionBudget
+from repro.algebra.xassembly import DeliveryTapes, XAssembly
+from repro.algebra.xschedule import XSchedule
+from repro.xmark import Q7
+from tests import golden
+
+#: an armed budget no run can exhaust: the kernel walks level by level
+INERT = ExecutionBudget(max_seconds=1e9)
+
+
+@pytest.fixture(scope="module", params=[0.0, 1.0], ids=["contiguous", "fragmented"])
+def store(request):
+    """A private import: its views start without tapes."""
+    held, _ = golden.imported(golden.random_doc(3, request.param))
+    return held
+
+
+@pytest.fixture
+def lookups(monkeypatch):
+    """One entry per delivery the kernel looks up on a tape: whether the
+    tape was kept already."""
+    seen = []
+    get = dict.get
+
+    def spy(self, key, default=None):
+        tape = get(self, key, default)
+        seen.append(tape is not None)
+        return tape
+
+    monkeypatch.setattr(DeliveryTapes, "get", spy)
+    return seen
+
+
+def _in_replay(depth: int = 2) -> bool:
+    """Is the caller's caller the kernel's replay of delivery tapes?"""
+    return sys._getframe(depth).f_code is XAssembly._deliveries.__code__
+
+
+def _observed(result):
+    return (
+        result.value,
+        result.nodes,
+        result.stats.as_dict(),
+        result.total_time.hex(),
+        result.cpu_time.hex(),
+        result.io_wait.hex(),
+    )
+
+
+def _keys(layout: str, speculative: bool | None = None, k: int | None = None) -> list[str]:
+    keys = [key for key, _ in golden.rows("deliveries") if key.startswith(f"deliveries/{layout}/")]
+    if speculative is not None:
+        keys = [key for key in keys if key.endswith("/speculative") == speculative]
+    if k is not None:
+        keys = [key for key in keys if key.split("/")[3] == f"k{k}"]
+    return keys
+
+
+def test_deliveries_come_off_their_tapes(request, store, lookups):
+    """Tape (built on the first execution, found on the second),
+    level-stack walk and the pinned books agree on every row."""
+    layout = request.node.callspec.id
+    keys = _keys(layout)
+    assert len(keys) == 2 * 2 * len(golden.TAPE_PATHS)
+    for key in keys:
+        del lookups[:]
+        first = golden.check(key, shared=store).result
+        assert lookups, f"{key}: no delivery was looked up on a tape"
+        del lookups[:]
+        again = golden.check(key, shared=store).result
+        assert lookups and all(lookups), f"{key}: a second execution built a tape"
+        del lookups[:]
+        walked = golden.check(key, shared=store, budget=INERT).result
+        assert not lookups, "an armed budget must force the level-stack walk"
+        assert _observed(first) == _observed(again) == _observed(walked), key
+
+
+#: the golden rows of speculating XSchedule from contexts all over the document
+SPECULATING = [
+    f"delivery/{mode}/{k}" for mode in ("speculative", "speculative-up") for k in (1, 100)
+]
+
+
+@pytest.mark.parametrize("key", SPECULATING)
+def test_a_delivered_proof_activates_what_s_holds(key, monkeypatch):
+    """Under speculation, with contexts all over the document, a crossing
+    proved off a delivery tape releases the S entries a first visit's
+    runs parked on its junction; they are activated, and their results
+    yielded, before the next outcome at the walk's clock and counters."""
+    released = []
+    prove = XAssembly._prove
+
+    def spy(self, step, junction, s_l, n_l):
+        before = len(self._ready)
+        prove(self, step, junction, s_l, n_l)
+        if _in_replay():
+            released.append(len(self._ready) - before)
+
+    monkeypatch.setattr(XAssembly, "_prove", spy)
+    assert golden.other(key) == golden.row(key)
+    assert golden.row(key)["yields"][0] > 10
+    assert released, "no crossing was proved off a tape"
+    assert any(released), "no proof off a tape released an S entry"
+
+
+def test_the_held_cluster_is_taken_in_whole(request, store, monkeypatch):
+    """At ``k_min_queue`` 1 the producer is never due while Q holds an
+    entry: the replay takes the held cluster's later entries in place."""
+    taken = []
+    take = XSchedule.take_in_place
+
+    def spy(self):
+        entry = take(self)
+        if entry is not None and _in_replay():
+            taken.append(entry)
+        return entry
+
+    monkeypatch.setattr(XSchedule, "take_in_place", spy)
+    for key in _keys(request.node.callspec.id, k=1):
+        golden.check(key, shared=store)
+    assert taken, "no entry was taken in place off a tape"
+
+
+def test_a_dead_page_trips_fallback_between_two_entries_taken_in_place(monkeypatch):
+    """A dead page under the mixed profile: the trip into fallback lands
+    between two entries taken from a held cluster — before it off their
+    tapes, after it on the walk, which extends them by full navigation —
+    and the books are the pinned ones up to the raise of the lost data."""
+    takes = []  # per entry taken in place: (in fallback, off a tape)
+    take = XSchedule.take_in_place
+
+    def spy(self):
+        entry = take(self)
+        if entry is not None:
+            takes.append((self.ctx.fallback, _in_replay()))
+        return entry
+
+    monkeypatch.setattr(XSchedule, "take_in_place", spy)
+    keys = [key for key, _ in golden.rows("deliveries") if key.startswith("deliveries/dead/")]
+    assert len(keys) == 8
+    straddled = 0
+    for key in keys:
+        del takes[:]
+        outcome = golden.check(key)
+        assert outcome.ctx.stats.fallbacks == 1, key
+        before = [tape for fallback, tape in takes if not fallback]
+        after = [tape for fallback, tape in takes if fallback]
+        assert not any(after), f"{key}: a tape was replayed in fallback mode"
+        straddled += any(before) and bool(after)
+    assert straddled, "no trip landed between two entries taken in place"
+
+
+def test_a_warm_runtime_reuses_its_tapes(lookups):
+    """The second execution on a warm runtime finds every tape the first
+    built; the rows pin both rounds of each navigating plan."""
+    held, _ = golden.imported(golden.PAPER_DOC)
+    session = golden.database(golden.PAPER_DOC, shared=held).session(warm=True)
+    first = session.execute(Q7, doc="d", plan="xschedule")
+    assert lookups and not all(lookups)
+    del lookups[:]
+    again = session.execute(Q7, doc="d", plan="xschedule")
+    assert lookups and all(lookups)
+    assert again.value == first.value
+    for name in golden.WARM_OPTIONS:
+        assert golden.other(f"warm/{name}") == golden.row(f"warm/{name}"), name
+
+
+def test_a_companion_rewrite_drops_the_delivery_tapes_of_its_page(monkeypatch):
+    """Inserts that relocate records re-patch the companions of borders
+    on other pages; a page whose view held delivery tapes loses them
+    with the view, and the queries after the update are the pinned ones
+    (and the reference evaluator's)."""
+    dropped = []
+
+    def spy(page, border, companion):
+        view = page._colview
+        held = view is not None and any(
+            isinstance(tape, DeliveryTapes) for tape in view.tapes.values()
+        )
+        patch(page, border, companion)
+        dropped.append(held and page._colview is None)
+
+    patch = update._patch_companion
+    monkeypatch.setattr(update, "_patch_companion", spy)
+    assert golden.other("updates/deliveries") == golden.row("updates/deliveries")
+    assert any(dropped), "no companion write hit a page holding delivery tapes"

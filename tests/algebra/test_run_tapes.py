@@ -25,7 +25,7 @@ import pytest
 import repro.algebra.xassembly as kernel
 from repro import Database, EvalOptions, ExecutionBudget, ImportOptions
 from repro.algebra.multiscan import _Replay
-from repro.algebra.xassembly import XAssembly, build_tape
+from repro.algebra.xassembly import DeliveryTapes, XAssembly, build_tape
 from repro.errors import StorageError
 from repro.storage import colview
 from repro.storage.nodeid import make_nodeid
@@ -112,9 +112,18 @@ def test_tape_equals_level_stack_equals_scalar_chain(request, store, plan, query
     assert _observed(first) == _observed(again) == _observed(walked)
     assert first.stats.speculative_instances > first.stats.clusters_visited
     assert any(replays) == (query is IMPLIED and plan != "xschedule")
-    # taking a run in leaves its tape as it was built
+    # taking a run or a delivery in leaves its tape as it was built
+    delivered = False
     for page, _, tape in _cached_tapes(store):
-        assert build_tape(tape.owner, page.colview(), page.records, tape.steps, tape.index) == tape
+        view = page.colview()
+        if isinstance(tape, DeliveryTapes):
+            delivered = True
+            for start, kept in tape.items():
+                rebuilt = build_tape(tape.owner, view, page.records, tape.steps, tape.index, start)
+                assert rebuilt == kept
+        else:
+            assert build_tape(tape.owner, view, page.records, tape.steps, tape.index) == tape
+    assert delivered or plan != "xschedule"
 
 
 def _yields(store, query, plan, **options):
@@ -356,9 +365,9 @@ def test_a_corrupt_page_fails_a_run_taken_in_place_where_the_walk_does(monkeypat
     failed = []  # (page_no, step) of each tape build that raised inside a take
     build = kernel.build_tape
 
-    def spy(owner, view, records, steps, index):
+    def spy(owner, view, records, steps, index, start=None):
         try:
-            return build(owner, view, records, steps, index)
+            return build(owner, view, records, steps, index, start)
         except ValueError:
             if sys._getframe(2).f_code is XAssembly._replay.__code__:
                 failed.append((view.page_no, index))
@@ -403,12 +412,12 @@ def test_warm_session_rebuilds_tapes_on_touched_pages_only(monkeypatch, tmp_path
     built = []
     build = kernel.build_tape
 
-    def spy(owner, view, records, steps, index):
+    def spy(owner, view, records, steps, index, start=None):
         # (the kernel's builds only: armed, the mutation sanitizer
         # rebuilds every cached tape after an update)
         if sys._getframe(1).f_code is XAssembly._kept.__code__:
             built.append(view.page_no)
-        return build(owner, view, records, steps, index)
+        return build(owner, view, records, steps, index, start)
 
     monkeypatch.setattr(kernel, "build_tape", spy)
     db, _ = small_database(seed=3, page_size=512, fragmentation=1.0, n_top=25)
@@ -509,22 +518,26 @@ def test_a_tape_reads_what_navigation_memoised(plan, monkeypatch):
     query = "count(//a/b/c)"
     build = kernel.build_tape
     extension = colview.ColumnView.extension
-    building = {}  # (match_batch, axis) -> memo_key of the steps being taped
+    building = {}  # (match_batch, axis) -> memo_key of the steps of the run being taped
     computed, held, grown = [], [], []
 
     def spy_extension(view, match_batch, slot, axis, resumed):
-        if sys._getframe(1).f_code is build.__code__:
+        if sys._getframe(1).f_code is build.__code__ and building:
             computed.append(slot)
             memo = view._flag_cache.get(building[match_batch, axis], {})
             held.append(slot << 1 | resumed in memo)
         return extension(view, match_batch, slot, axis, resumed)
 
-    def spy_build(owner, view, records, steps, index):
+    def spy_build(owner, view, records, steps, index, start=None):
+        # (a delivery tape fills the memo, as the walk it replaces would)
         building.clear()
+        if start is not None:
+            return build(owner, view, records, steps, index, start)
         building.update({(step.match_batch, step.axis): step.memo_key for step in steps})
         sizes = {key: len(memo) for key, memo in view._flag_cache.items()}
         tape = build(owner, view, records, steps, index)
         grown.append({key: len(memo) for key, memo in view._flag_cache.items()} != sizes)
+        building.clear()
         return tape
 
     monkeypatch.setattr(colview.ColumnView, "extension", spy_extension)

@@ -6,8 +6,9 @@ path plans make, a charge without its counter, a counter without its
 charge, a charge lost on an error exit, a run-count-dependent clock, a
 corrupted incremental repair (after a logged and after a bare update),
 a synopsis edited in place under its memo, a stale columnar cache, a stale junction
-in a run tape, a run taken in place without its crossing's counter) and assert the sanitizer
-trips on it.  The flip side is
+in a run tape or a delivery tape, a run taken in place without its crossing's
+counter, a delivery tape whose pull's level crossings go unbooked) and assert
+the sanitizer trips on it.  The flip side is
 the overhead contract: with ``REPRO_SAN`` unset no sanitizer state
 exists, and with it set the
 observable outcome — value, counters, simulated timings — is
@@ -22,7 +23,7 @@ import traceback
 
 import pytest
 
-from repro.algebra.context import EvalContext
+from repro.algebra.context import EvalContext, EvalOptions
 from repro.algebra.xassembly import XAssembly
 from repro.algebra.xscan import XScan
 from repro.analysis.sanitize import ALL_MODES, SanitizerError, modes
@@ -257,6 +258,37 @@ def test_charge_sanitizer_audits_a_run_taken_in_place(monkeypatch):
     assert frames[-3:] == ["_replay", "check", "fail"], frames
 
 
+def test_charge_sanitizer_audits_delivery_tapes(monkeypatch):
+    """Deliveries taken in from their tapes run under the sanitizer,
+    which audits each entry taken in place where ``Operator.next`` would
+    audit the pull it stands for.  Seeded bug: the level crossings the
+    first pull of a held cluster makes on its way to XSchedule reach the
+    clock but not ``iterator_calls``."""
+    monkeypatch.setenv("REPRO_SAN", "charge")
+    db, _ = small_database(seed=3, page_size=512, fragmentation=1.0, n_top=25)
+    query = "count(//a//b)"
+    options = EvalOptions(k_min_queue=1)
+    clean = db.execute(query, doc="d", plan="xschedule", options=options)  # builds the tapes
+    deliveries = XAssembly._deliveries
+    dropped = []
+
+    def uncounted_crossings(self, entry):  # seeded bug: the pull's crossings are not booked
+        if not dropped and self.schedule._q.get(self.schedule._current):
+            dropped.append(entry)
+            self.ctx.stats.iterator_calls -= len(self.steps)
+        return (yield from deliveries(self, entry))
+
+    monkeypatch.setattr(XAssembly, "_deliveries", uncounted_crossings)
+    with pytest.raises(SanitizerError, match="CPU identity") as caught:
+        db.execute(query, doc="d", plan="xschedule", options=options)
+    assert dropped and clean.value > 0
+    # (reported again by the audit of the books the error leaves)
+    first = caught.value.__context__
+    assert isinstance(first, SanitizerError) and "CPU identity" in str(first)
+    frames = [frame.name for frame in traceback.extract_tb(first.__traceback__)]
+    assert frames[-3:] == ["_deliveries", "check", "fail"], frames
+
+
 def test_charge_sanitizer_catches_a_duration_created_off_the_grid(monkeypatch):
     """Both buckets move together, so the identity holds — but the clock
     is no longer a whole number of ticks, and exact sums are forfeit."""
@@ -459,6 +491,33 @@ def test_mutation_sanitizer_catches_stale_junction_in_a_run_tape(monkeypatch):
     relocating_inserts(0)  # the real invalidate: clean
     monkeypatch.setattr(update, "_patch_companion", patch_and_keep_the_view)
     with pytest.raises(SanitizerError, match="run tape"):
+        relocating_inserts(1)
+
+
+def test_mutation_sanitizer_catches_stale_junction_in_a_delivery_tape(monkeypatch):
+    """The same dropped invalidate under navigation: the junctions a
+    page's delivery tapes remember go stale with the remote companion."""
+    import repro.storage.update as update
+
+    def patch_and_keep_the_view(page, border, companion):  # seeded bug:
+        border.companion = companion  # the invalidate_colview is dropped
+
+    db, _ = small_database(seed=3, page_size=256, fragmentation=1.0, n_top=12)
+    doc = db.document("d")
+    options = EvalOptions(k_min_queue=1)
+
+    def relocating_inserts(seed):
+        rng = random.Random(seed)
+        for _ in range(12):
+            # delivery tapes warm on every cluster the path enters
+            db.execute("count(//a//b)", doc="d", plan="xschedule", options=options)
+            parent = rng.choice(db.execute("//*", doc="d", plan="simple").nodes)
+            update.insert_node(db.store, doc, parent, 0, "zzz")
+
+    monkeypatch.setenv("REPRO_SAN", "mutation")
+    relocating_inserts(0)  # the real invalidate: clean
+    monkeypatch.setattr(update, "_patch_companion", patch_and_keep_the_view)
+    with pytest.raises(SanitizerError, match="delivery tape"):
         relocating_inserts(1)
 
 

@@ -108,19 +108,25 @@ def xmark_small():
 
 def fail_extension_at(monkeypatch, call: int) -> list:
     """Make the ``call``-th ``ColumnView.extension`` from now raise a
-    :class:`~repro.errors.StorageError` (a corrupt page found mid-walk).
-    Returns a list that holds the error once it has been raised."""
+    :class:`~repro.errors.StorageError` (a corrupt page found mid-walk),
+    and every later extension of the same page, step, slot and
+    resumption raise it again: a tape build that meets the fault hands
+    the walk an entry that meets it too.  Returns a list that holds the
+    error once it has been raised."""
     from repro.errors import StorageError
     from repro.storage.colview import ColumnView
 
     extension = ColumnView.extension
     calls = []
     raised = []
+    corrupt = []  # the page and arguments of the failing extension
 
     def failing(self, *args):
         calls.append(None)
         if len(calls) == call:
             raised.append(StorageError(f"injected fault at extension call {call}"))
+            corrupt.append((self.page_no, *args))
+        if raised and (self.page_no, *args) == corrupt[0]:
             raise raised[0]
         return extension(self, *args)
 

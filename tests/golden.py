@@ -24,8 +24,9 @@ axes at the head of a path once, the way expressively distinct
 navigations are told apart, then adds predicates under ``simple``; the
 other families are the seams of the path kernel — XMark paper and
 predicate queries, fault profiles and seeds, ``memory_limit`` trips,
-``max_seconds`` cuts, tracers, entry runs, run tapes, delivery runs,
-the shared scan, full-tree walks and latency-SLO sidelining.
+``max_seconds`` cuts, tracers, entry runs, run tapes, delivery runs and
+their tapes (warm, and across an update), the shared scan, full-tree
+walks and latency-SLO sidelining.
 
     PYTHONPATH=src python -m tests.golden            # check every row
     PYTHONPATH=src python -m tests.golden --write    # regenerate
@@ -245,9 +246,10 @@ def fault_profile(d: dict) -> FaultProfile | None:
     faults = d["faults"]
     if faults is None:
         return None
-    if "dead_pages" in faults:
-        return FaultProfile(dead_pages=frozenset(faults["dead_pages"]))
-    return dataclasses.replace(PROFILES[faults["profile"]], seed=faults["seed"])
+    dead = frozenset(faults.get("dead_pages", ()))
+    if "profile" not in faults:
+        return FaultProfile(dead_pages=dead)
+    return dataclasses.replace(PROFILES[faults["profile"]], seed=faults["seed"], dead_pages=dead)
 
 
 class Outcome:
@@ -355,15 +357,28 @@ def cpu_counters(stats: dict) -> list:
     return [stats[name] for name in CPU_COUNTERS]
 
 
-def delivery_yields(held, k_min_queue: int) -> tuple[list, list, tuple]:
-    """``/child::*/descendant::b`` under non-speculative XSchedule from
-    every ``a`` element at once — a producer that is due again and again
-    while Q drains: every result tuple with the clock and counters it is
-    handed on at (and the CPU counters at each), and the books."""
+#: the paths :func:`delivery_yields` runs, and whether XSchedule
+#: speculates, by the mode a ``delivery`` key names (``delivery/<k>``:
+#: the first)
+DELIVERY_YIELDS = {
+    "": ("/child::*/descendant::b", False),
+    "speculative": ("/child::*/descendant::b", True),
+    "speculative-up": ("/ancestor::a/b", True),
+}
+
+
+def delivery_yields(held, k_min_queue: int, mode: str = "") -> tuple[list, list, tuple]:
+    """A path of :data:`DELIVERY_YIELDS` under XSchedule from every ``a``
+    element at once — a producer that is due again and again while Q
+    drains, and (speculating) crossings proved into clusters a context
+    of theirs visited before: every result tuple with the clock and
+    counters it is handed on at (and the CPU counters at each), and the
+    books."""
+    query, speculative = DELIVERY_YIELDS[mode]
     db = database(ENTRY_DOC, shared=held)
     contexts = db.execute("//a", doc="d", plan="simple").nodes
-    options = EvalOptions(k_min_queue=k_min_queue)
-    ((plan, _),) = db.prepare("/child::*/descendant::b", "d", "xschedule", options).leaves
+    options = EvalOptions(k_min_queue=k_min_queue, speculative=speculative)
+    ((plan, _),) = db.prepare(query, "d", "xschedule", options).leaves
     ctx = db.make_context(options)
     schedule = XSchedule(ctx, ContextScan(ctx, contexts), plan.steps, document=plan.document)
     top = XAssembly(
@@ -515,12 +530,87 @@ def update_then_query() -> list:
     return seen
 
 
+#: the navigating plans a warm runtime runs twice (:func:`warm_twice`)
+WARM_OPTIONS = {
+    "xschedule-k100": {"k_min_queue": 100},
+    "xschedule-k1": {"k_min_queue": 1},
+    "xschedule-speculative": {"speculative": True},
+}
+
+
+def executed(result) -> list:
+    """What an execution draw pins of one of several results."""
+    times = [result.total_time.hex(), result.cpu_time.hex(), result.io_wait.hex()]
+    return [result.value, None if result.nodes is None else len(result.nodes), times,
+            result.stats.as_dict()]  # fmt: skip
+
+
+def warm_twice(name: str) -> list:
+    """Q6', Q7 and Q15 under ``xschedule`` twice over through one warm
+    session, on a private import: the second round finds the buffer, the
+    extension memos and the tapes the first left behind."""
+    held, tree = imported(PAPER_DOC)
+    db = database(PAPER_DOC, shared=held)
+    session = db.session(warm=True, options=EvalOptions(**WARM_OPTIONS[name]))
+    seen = []
+    for _ in range(2):
+        for query in (Q6_PRIME, Q7, Q15):
+            result = session.execute(query, doc="d", plan="xschedule")
+            want = evaluate_query(tree, query)
+            if isinstance(want, list):
+                ir = held.documents["d"].import_result
+                assert result.nodes == [ir.nodeid_of(n) for n in want], query
+            else:
+                assert result.value == want, query
+            seen.append(executed(result))
+    return seen
+
+
+DELIVERY_QUERIES = ("count(//a/b)", "//b/ancestor::a", "count(//a//c/following-sibling::*)")
+
+
+def deliveries_across_updates() -> list:
+    """``xschedule`` queries (``k_min_queue`` 1 and 100) on 256-byte pages
+    between inserts that relocate records and re-patch the companions of
+    borders on other pages: ``(round, query, k, books)``, every whole
+    result the reference evaluator's."""
+    rng = random.Random(2)
+
+    def element(depth: int) -> str:
+        tag = rng.choice("abc")
+        inner = "".join(element(depth + 1) for _ in range(rng.randrange(4 - depth)))
+        return f"<{tag}>{inner or rng.choice(['', 'tt'])}</{tag}>"
+
+    db = Database(page_size=256, buffer_pages=32)
+    xml = "<root>" + "".join(element(0) for _ in range(12)) + "</root>"
+    db.load_xml(xml, "d", ImportOptions(page_size=256, fragmentation=1.0, seed=2))
+    doc = db.document("d")
+    seen = []
+    for round_no in range(5):
+        logical = export_tree(db.store, doc)
+        for query in DELIVERY_QUERIES:
+            want = evaluate_query(logical, query)
+            for k in (1, 100):
+                options = EvalOptions(k_min_queue=k)
+                result = db.execute(query, doc="d", plan="xschedule", options=options)
+                if isinstance(want, list):
+                    assert len(result.nodes) == len(want), (round_no, query)
+                else:
+                    assert result.value == want, (round_no, query)
+                seen.append([round_no, query, k, *executed(result)])
+        for _ in range(3):
+            parent = rng.choice(db.execute("//*", doc="d", plan="simple").nodes)
+            insert_node(db.store, doc, parent, 0, rng.choice("abc"))
+    return seen
+
+
 def other(key: str) -> dict:
     """The books of the draw ``key`` that is not one execution, as the
     golden file holds them."""
     kind, _, arg = key.partition("/")
     if kind == "delivery":
-        out, cpu, booked = delivery_yields(store(ENTRY_DOC)[0], int(arg))
+        mode, _, k_min_queue = arg.rpartition("/")
+        out, cpu, booked = delivery_yields(store(ENTRY_DOC)[0], int(k_min_queue), mode)
         kept = {"yields": [len(out), digest(out)], "cpu_counters": digest(cpu), "books": booked}
     elif kind == "twice":
         db = database(TWICE_DOC, shared=imported(TWICE_DOC)[0])
@@ -539,7 +629,12 @@ def other(key: str) -> dict:
                 seen.append((got, ctx_books(ctx)))
         kept = walks(seen)
     elif kind == "updates":
-        kept = {"seen": update_storm() if arg == "storm" else update_then_query()}
+        if arg == "deliveries":
+            kept = {"seen": deliveries_across_updates()}
+        else:
+            kept = {"seen": update_storm() if arg == "storm" else update_then_query()}
+    elif kind == "warm":
+        kept = {"seen": warm_twice(arg)}
     else:
         raise KeyError(key)
     return json.loads(json.dumps(kept))
@@ -558,12 +653,15 @@ OTHER_KEYS = [
     "delivery/1",
     "delivery/3",
     "delivery/100",
+    *(f"delivery/{mode}/{k}" for mode in ("speculative", "speculative-up") for k in (1, 100)),
     "twice/unlimited",
     "twice/tight",
     "walk/resumed",
     "walk/closed",
     "updates/storm",
     "updates/fresh-columns",
+    "updates/deliveries",
+    *(f"warm/{name}" for name in WARM_OPTIONS),
 ]
 
 
@@ -615,12 +713,19 @@ def replayed_crossing_checks(delivery: bool):
 
 def in_run(kernel_locals, delivery: bool) -> bool:
     """Is the kernel between two entries of a run, past the level
-    crossings — of an entry run, or (``delivery``) of a delivery run, the
-    entries it takes from XSchedule's queue in place?"""
+    crossings — of an entry run, or (``delivery``) of a delivery run: is
+    the pull it is charging one that takes the next entry of the cluster
+    XSchedule holds in place?"""
     if kernel_locals["top"] or kernel_locals["calls"]:
         return False
     if delivery:
-        return kernel_locals["entries"] is None and kernel_locals.get("entry") is not None
+        schedule = kernel_locals["schedule"]
+        return (
+            kernel_locals["entries"] is None
+            and schedule is not None
+            and schedule._current in schedule._q
+            and (schedule._qcount >= schedule.k or schedule.exhausted)
+        )
     return kernel_locals["entries"] is not None
 
 
@@ -794,6 +899,31 @@ def draws() -> dict:
                 for faults in (None, {"profile": "mixed", "seed": 3}):
                     key = f"policy/{name}/{plan}/{policy}" + ("/mixed" if faults else "")
                     add(key, "policy", PAPER_DOC, query, plan, faults, policy=policy)
+
+    # delivery tapes: XSchedule's deliveries from the cluster it holds,
+    # left-complete — with and without speculation (a delivered proof
+    # activates what S holds), the producer due after every delivery or
+    # rarely
+    for fragmentation, name in ((0.0, "contiguous"), (1.0, "fragmented")):
+        doc = random_doc(3, fragmentation)
+        for i, path in enumerate(TAPE_PATHS):
+            for k in (1, 100):
+                for speculative in (False, True):
+                    key = f"deliveries/{name}/{i}/k{k}" + ("/speculative" if speculative else "")
+                    options = {"speculative": speculative, "k_min_queue": k}
+                    add(key, "deliveries", doc, path, "xschedule", **options)
+    # a dead page among the clusters XSchedule requests, under the mixed
+    # profile: the trip into fallback lands between two deliveries
+    for name, query in (("Q6'", Q6_PRIME), ("Q7", Q7)):
+        tracer = Tracer()
+        database(PAPER_DOC, tracer=tracer).execute(query, doc="d", plan="xschedule")
+        requested = [e.page for e in tracer.events if e.cat == "io" and e.name == "request"]
+        for at in (3, 2):
+            dead = requested[len(requested) // at]
+            faults = {"profile": "mixed", "seed": 3, "dead_pages": [dead]}
+            for k in (1, 100):
+                key = f"deliveries/dead/{name}/1-in-{at}/k{k}"
+                add(key, "deliveries", PAPER_DOC, query, "xschedule", faults, k_min_queue=k)
     return out
 
 

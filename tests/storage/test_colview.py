@@ -311,3 +311,60 @@ def test_random_update_storm_keeps_batched_scalar_identical():
     """Many structural updates; after each, every query returns the
     reference evaluator's count, at the books the scalar chain kept."""
     assert golden.other("updates/storm") == golden.row("updates/storm")
+
+
+def _delivery_tapes(db) -> dict:
+    """``(page_no, key) -> {start: tape}`` of every book of delivery
+    tapes the document's views keep."""
+    from repro.algebra.xassembly import DeliveryTapes
+
+    out = {}
+    for page_no in db.document("d").page_nos:
+        view = db.store.segment.page(page_no)._colview
+        if view is not None:
+            for key, book in view.tapes.items():
+                if isinstance(book, DeliveryTapes):
+                    out[page_no, key] = dict(book)
+    return out
+
+
+def test_a_view_past_its_tape_limit_rebuilds_delivery_tapes_alike(monkeypatch):
+    """A view keeps the delivery tapes of one (path, step) under one
+    ``tapes`` key, so ``TAPE_LIMIT`` still counts (path, step) pairs: a
+    view pushed past it drops every tape it keeps, and the next
+    execution of the path rebuilds them with identical books."""
+    from repro import EvalOptions
+    from repro.storage import colview
+
+    monkeypatch.setattr(colview, "TAPE_LIMIT", 3)
+    db = Database(page_size=512, buffer_pages=48)
+    tree = make_random_tree(db.tags, seed=3, n_top=25)
+    db.add_tree(tree, "d", ImportOptions(page_size=512, fragmentation=1.0, seed=3))
+    options = EvalOptions(k_min_queue=1)
+    query = "count(//a//b)"
+
+    def run(path):
+        result = db.execute(path, doc="d", plan="xschedule", options=options)
+        return result.value, result.stats.as_dict(), result.total_time.hex()
+
+    first = run(query)
+    kept = _delivery_tapes(db)
+    assert kept and len({key for _, key in kept}) >= 2
+    for page_no in db.document("d").page_nos:
+        view = db.store.segment.page(page_no)._colview
+        assert view is None or len(view.tapes) <= 3
+    for other in ("count(//b//c)", "count(//c/ancestor::a)", "count(//a/b/c)"):
+        run(other)
+    held = _delivery_tapes(db)
+    dropped = [where for where in kept if where not in held]
+    assert dropped, "no view was pushed past its limit"
+    assert run(query) == first
+    rebuilt = _delivery_tapes(db)
+    again = [
+        (where, start)
+        for where in dropped
+        for start in kept[where].keys() & rebuilt.get(where, {}).keys()
+    ]
+    assert again, "no dropped tape was built again"
+    for where, start in again:
+        assert rebuilt[where][start] == kept[where][start], (where, start)
