@@ -172,12 +172,9 @@ def scan_pages(ctx: EvalContext, page_nos: Sequence[int]) -> Iterator[Frame]:
                 if done is None:
                     break
                 ctx.buffer.admit_completed(done)
-        frame = ctx.buffer.try_fix_resident(page_no)
-        if frame is None:
-            # synchronous sequential read (O_DIRECT semantics): the
-            # disk detects the ascending pattern, so only transfer
-            # time is paid, but it is serial with the CPU work
-            frame = ctx.buffer.fix(page_no)
+        # a miss is a synchronous sequential read (O_DIRECT semantics): only
+        # transfer time is paid, but it is serial with the CPU work
+        frame = ctx.buffer.probe_fix(page_no)
         ctx.set_current_frame(frame)
         ctx.stats.clusters_visited += 1
         yield frame

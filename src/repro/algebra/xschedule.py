@@ -282,15 +282,13 @@ class XSchedule(Operator):
             self._qcount -= 1
             ctx.charge_queue_op()
 
-            frame = ctx.buffer.try_fix_resident(cluster)
-            if frame is None:
-                # evicted (or never loaded) since scheduling: pay a
-                # synchronous read
-                try:
-                    frame = ctx.buffer.fix(cluster)
-                except IOError_ as exc:
-                    self._on_unreadable(cluster, entry, exc)
-                    continue
+            try:
+                # a cluster evicted (or never loaded) since scheduling
+                # pays a synchronous read, which may fail
+                frame = ctx.buffer.probe_fix(cluster)
+            except IOError_ as exc:
+                self._on_unreadable(cluster, entry, exc)
+                continue
             ctx.set_current_frame(frame)
             if cluster != self._current:
                 ctx.stats.clusters_visited += 1

@@ -81,11 +81,6 @@ class ExecutionEnvironment:
         #: number of cold runtimes built (one per cold run / shared batch)
         self.contexts_built = 0
 
-    @classmethod
-    def for_store(cls, store, **config) -> "ExecutionEnvironment":
-        """An environment over a :class:`~repro.storage.store.DocumentStore`."""
-        return cls(store.segment, store.tags, **config)
-
     # ------------------------------------------------------------- contexts
 
     def fresh_context(self, options: EvalOptions | None = None) -> EvalContext:

@@ -126,6 +126,7 @@ class DiskDevice:
         "_in_flight",
         "_completed",
         "_seq",
+        "_durations",
     )
 
     def __init__(
@@ -149,6 +150,9 @@ class DiskDevice:
         self._in_flight: Request | None = None
         self._completed: deque[Request] = deque()
         self._seq = 0
+        #: service seconds (unsnapped, on the grid) by distance, negated
+        #: for a reordered seek
+        self._durations: dict[int, tuple[float, float]] = {}
 
     # ------------------------------------------------------------------ API
 
@@ -163,6 +167,37 @@ class DiskDevice:
         if self.tracer is not None:
             self.tracer.event(now, "disk", "enqueue", page=page)
         return req
+
+    def read_sync(self, page: int, now: float) -> float | None:
+        """A blocking read of ``page`` submitted at ``now``.  An idle device
+        (nothing pending, in flight or to collect) books what the queue
+        would, the caller's ``io sync-read`` event included, and returns the
+        done time.  A busy device queues the read, and a non-OK verdict
+        leaves it in flight: then None, for :meth:`next_completion`."""
+        tracer = self.tracer
+        if self._pending or self._in_flight is not None or self._completed:
+            self.submit(page, now)
+            if tracer is not None:
+                tracer.event(now, "io", "sync-read", page=page)
+            return None
+        if page < 0:
+            raise ValueError(f"negative page number: {page}")
+        self._seq += 1
+        self.stats.io_requests += 1
+        if tracer is not None:
+            tracer.event(now, "disk", "enqueue", page=page)
+            tracer.event(now, "io", "sync-read", page=page)
+        start = self.busy_until
+        if start < now:
+            start = now
+        outcome = self._serve(page, start, False)
+        if outcome is Outcome.OK:
+            return self.busy_until
+        req = self._in_flight = Request(page, now, self._seq - 1)
+        req.outcome = outcome
+        req.start_time = start
+        req.done_time = self.busy_until
+        return None
 
     def queued(self, page: int) -> bool:
         """True if a request for ``page`` is pending or in flight."""
@@ -269,43 +304,58 @@ class DiskDevice:
             self._start_service(pick, start, depth)
 
     def _start_service(self, req: Request, start: float, queue_depth: int) -> None:
-        geo = self.geometry
-        distance = abs(req.page - self.head)
-        if distance == 0:
-            # head already positioned: streaming read, transfer only
-            duration = geo.transfer_time
-            self.stats.sequential_reads += 1
-        else:
-            rotational = geo.rotational_latency
-            if self.policy is not SchedulingPolicy.FIFO and queue_depth > 1:
-                # Rotational-position optimisation: with several tagged
-                # commands outstanding, the on-disk controller starts with
-                # the request whose sectors reach the head first, and
-                # pays TCQ_ROTATIONAL_GAIN of the average latency
-                rotational = geo.rotational_latency * TCQ_ROTATIONAL_GAIN
-            duration = geo.seek_time(distance) + rotational + geo.transfer_time
-            self.stats.seeks += 1
-            self.stats.seek_distance += distance
-        if self.faults is not None:
-            verdict = self.faults.service(req.page)
-            req.outcome = verdict.outcome
-            if verdict.slow_factor != 1.0:
-                duration *= verdict.slow_factor
-                self.stats.slow_services += 1
-        duration = on_grid(duration)
+        req.outcome = self._serve(
+            req.page, start, queue_depth > 1 and self.policy is not SchedulingPolicy.FIFO
+        )
         req.start_time = start
-        req.done_time = start + duration
-        self.head = req.page + 1
-        self.busy_until = req.done_time
-        self.stats.pages_read += 1
+        req.done_time = self.busy_until
+        self._in_flight = req
+
+    def _serve(self, page: int, start: float, reordered: bool) -> Outcome:
+        """Book a service of ``page`` from ``start`` to the new ``busy_until``
+        and return its verdict; ``reordered``: picked among several queued."""
+        stats = self.stats
+        distance = abs(page - self.head)
+        if distance:
+            stats.seeks += 1
+            stats.seek_distance += distance
+        else:
+            stats.sequential_reads += 1
+        key = -distance if reordered else distance
+        durations = self._durations.get(key)
+        if durations is None:
+            geo = self.geometry
+            # head already positioned: streaming read, transfer only
+            raw = geo.transfer_time
+            if distance:
+                rotational = geo.rotational_latency
+                if reordered:
+                    # Rotational-position optimisation: with several tagged
+                    # commands outstanding, the controller starts with the
+                    # request whose sectors reach the head first, and pays
+                    # TCQ_ROTATIONAL_GAIN of the average latency
+                    rotational = geo.rotational_latency * TCQ_ROTATIONAL_GAIN
+                raw = geo.seek_time(distance) + rotational + geo.transfer_time
+            durations = self._durations[key] = (raw, on_grid(raw))
+        raw, duration = durations
+        outcome = Outcome.OK
+        if self.faults is not None:
+            verdict = self.faults.service(page)
+            outcome = verdict.outcome
+            if verdict.slow_factor != 1.0:
+                duration = on_grid(raw * verdict.slow_factor)
+                stats.slow_services += 1
+        self.head = page + 1
+        self.busy_until = start + duration
+        stats.pages_read += 1
         if (tracer := self.tracer) is not None:
-            tracer.cluster_read(req.page)
+            tracer.cluster_read(page)
             tracer.event(
                 start,
                 "disk",
                 "service",
-                page=req.page,
+                page=page,
                 dur=duration,
-                args={"outcome": req.outcome.value, "distance": distance},
+                args={"outcome": outcome.value, "distance": distance},
             )
-        self._in_flight = req
+        return outcome

@@ -5,9 +5,9 @@ navigation engine must stay *correct* and predictably cheap when the
 physical layer misbehaves.  This module supplies the misbehaviour: a
 :class:`FaultPlan` decides, per physical service attempt of a page, if
 the read fails transiently, completes but loses its completion
-notification, or suffers a latency spike.  The disk consults the plan in
-``_start_service``; everything above (retry, backoff, resubmission,
-degradation) lives in :mod:`repro.sim.iosys` and the algebra.
+notification, or suffers a latency spike.  The disk consults the plan per
+service (``DiskDevice._serve``); everything above (retry, backoff,
+resubmission, degradation) lives in :mod:`repro.sim.iosys` and the algebra.
 
 Two properties make fault runs benchmarkable:
 
@@ -157,10 +157,6 @@ class FaultPlan:
             self.injected_spikes += 1
             return ServiceVerdict(slow_factor=p.slow_factor)
         return ServiceVerdict()
-
-    def services_of(self, page: int) -> int:
-        """Physical service attempts seen for ``page`` so far."""
-        return self._services.get(page, 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -131,10 +131,6 @@ class AsyncIOSystem:
         """Number of requests issued but not yet retrieved."""
         return len(self._requested)
 
-    def submitted_at(self, page: int) -> float | None:
-        """First-submit time of an outstanding request, or None."""
-        return self._requested.get(page)
-
     # ------------------------------------------------------------------ sync
 
     def read_sync(self, page: int) -> None:
@@ -143,7 +139,9 @@ class AsyncIOSystem:
         Used by the Simple plan (and buffer misses outside the scheduled
         path), where every inter-cluster navigation immediately stalls on
         the disk.  If the page was already requested asynchronously this
-        blocks until that earlier request delivers it.
+        blocks until that earlier request delivers it.  An idle disk
+        serves the read in the submitting call (``DiskDevice.read_sync``),
+        and the clock just waits for it.
         """
         clock = self.clock
         stats = self.stats
@@ -151,11 +149,15 @@ class AsyncIOSystem:
         if page not in self._requested:
             now = clock.now = clock.now + self._cost_submit
             stats.pages_requested += 1
-            self.disk.submit(page, now)
+            done = self.disk.read_sync(page, now)
+            if done is not None:
+                # served in the call, never before now: wait for it
+                clock.io_wait += done - now
+                clock.now = done
+                self._retrieved(page, now)
+                return
             self._requested[page] = now
             self._attempts[page] = 1
-            if self.tracer is not None:
-                self.tracer.event(now, "io", "sync-read", page=page)
         # Drain completions until our page arrives; completions for other
         # pages are re-surfaced to the caller via the pending set, but with
         # a purely synchronous workload the first completion is ours.
@@ -243,19 +245,20 @@ class AsyncIOSystem:
         first_submit = self._requested.pop(req.page, None)
         self._attempts.pop(req.page, None)
         if first_submit is not None:
-            self.last_latency = max(0.0, self.clock.now - first_submit)
-            if self.tracer is not None:
-                self.tracer.event(
-                    self.clock.now,
-                    "io",
-                    "complete",
-                    page=req.page,
-                    args={"latency": self.last_latency},
-                )
+            self._retrieved(req.page, first_submit)
         if surface:
             # A completion for a different page arrived while waiting
             # synchronously; remember it so callers can still consume it.
             self.early.append(req.page)
+
+    def _retrieved(self, page: int, first_submit: float) -> None:
+        """A logical read of ``page`` first submitted at ``first_submit``
+        is retrieved now: its latency, and its ``io complete`` event."""
+        self.last_latency = max(0.0, self.clock.now - first_submit)
+        if self.tracer is not None:
+            self.tracer.event(
+                self.clock.now, "io", "complete", page=page, args={"latency": self.last_latency}
+            )
 
     def drain_early_completions(self) -> list[int]:
         """Pages that completed while a sync read was blocking."""

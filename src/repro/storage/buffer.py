@@ -143,15 +143,16 @@ class BufferManager:
         frame.pins += 1
         return frame
 
-    def try_fix_resident(self, page_no: int) -> Frame | None:
-        """Swizzle only if the page is already buffered (no I/O)."""
+    def probe_fix(self, page_no: int) -> Frame:
+        """Probe for ``page_no``, then fix it: a hit is one swizzle, a miss
+        the probe's swizzle and then :meth:`fix`'s (with its read)."""
         self.clock.now += self._cost_swizzle
         stats = self.stats
         stats.swizzles += 1
         frames = self._frames
         frame = frames.pop(page_no, None)
         if frame is None:
-            return None
+            return self.swap(None, page_no)
         stats.buffer_hits += 1
         if self.tracer is not None:
             self.tracer.event(self.clock.now, "buffer", "hit", page=page_no)
@@ -160,7 +161,7 @@ class BufferManager:
         return frame
 
     def refix(self, frame: Frame) -> None:
-        """:meth:`try_fix_resident` of the pinned ``frame``'s page
+        """:meth:`probe_fix` of the pinned ``frame``'s page (resident)
         followed by :meth:`unfix`, as one call: the swizzle (a hit), the
         LRU touch and the unswizzle, with the pin count as it was.  What
         XSchedule pays to hand on another entry of the cluster it holds."""
@@ -190,7 +191,7 @@ class BufferManager:
 
         Used by XSchedule/XScan after :meth:`AsyncIOSystem.get_completion`.
         Returns the (unpinned) frame; callers fix it via
-        :meth:`try_fix_resident`.
+        :meth:`probe_fix`.
         """
         frame = self._frames.get(page_no)
         if frame is None:

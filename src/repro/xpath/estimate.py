@@ -239,7 +239,7 @@ def predicted_random_unit(
     deep-queue plan (the validation harness audits this against the
     simulator's measured per-layout seek distances).  The rotational
     term mirrors the device's rotational-position optimisation exactly
-    (:meth:`repro.sim.disk.DiskDevice._start_service`).
+    (:meth:`repro.sim.disk.DiskDevice._serve`).
     """
     batch = max(1.0, min(float(queue_depth), visited_pages))
     hop = max(1.0, n_pages / batch)

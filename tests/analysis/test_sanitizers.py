@@ -136,13 +136,21 @@ def test_skipped_io_request_moves_a_golden_row(monkeypatch):
     key = "runs/xscan/0"
     golden.check(key)
     submit = DiskDevice.submit
+    read_sync = DiskDevice.read_sync
 
     def uncounted_submit(self, page, now):  # seeded bug: the submission
         request = submit(self, page, now)  # is not counted
         self.stats.io_requests -= 1
         return request
 
+    def uncounted_read(self, page, now):  # nor is a read an idle disk
+        done = read_sync(self, page, now)  # serves in the call
+        if done is not None:
+            self.stats.io_requests -= 1
+        return done
+
     monkeypatch.setattr(DiskDevice, "submit", uncounted_submit)
+    monkeypatch.setattr(DiskDevice, "read_sync", uncounted_read)
     with pytest.raises(AssertionError, match=key):
         golden.check(key)
 

@@ -71,16 +71,8 @@ def books(ctx) -> tuple:
 
 
 def pinned_pages(ctx) -> list[int]:
-    """Pages still pinned in ``ctx``'s buffer.  Probing swizzles, so it
-    charges the clock: call it when the run under test is over."""
-    pinned = []
-    for page_no in range(ctx.segment.n_pages):
-        frame = ctx.buffer.try_fix_resident(page_no)
-        if frame is not None:
-            ctx.buffer.unfix(frame)
-            if frame.pins:
-                pinned.append(page_no)
-    return pinned
+    """Pages still pinned in ``ctx``'s buffer."""
+    return sorted(page_no for page_no, frame in ctx.buffer._frames.items() if frame.pins)
 
 
 @pytest.fixture

@@ -41,12 +41,12 @@ calls = st.lists(
 )
 
 
-def _stack(policy, profile, capacity):
+def _stack(policy, profile, capacity, device=DiskDevice):
     segment = Segment(512)
     for _ in range(N_PAGES):
         segment.allocate()
     stats, clock, costs, tracer = Stats(), SimClock(), CostModel(), Tracer()
-    disk = DiskDevice(policy=policy, stats=stats, faults=FaultPlan(profile), tracer=tracer)
+    disk = device(policy=policy, stats=stats, faults=FaultPlan(profile), tracer=tracer)
     iosys = AsyncIOSystem(disk, clock, costs, stats, tracer=tracer)
     buffer = BufferManager(segment, iosys, clock, costs, capacity, stats, tracer=tracer)
     return buffer, iosys, clock, costs, stats, tracer

@@ -17,7 +17,7 @@ items, where the speculation must stop for a take as for a pull.
 
 import random
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Database, EvalOptions, ImportOptions
@@ -44,11 +44,11 @@ TESTS = ["a", "b", "c", "*", "node()"]
 
 @st.composite
 def paths(draw):
-    steps = [
-        f"{draw(st.sampled_from(AXES))}::{draw(st.sampled_from(TESTS))}"
-        for _ in range(draw(st.integers(min_value=1, max_value=4)))
-    ]
-    return "/" + "/".join(steps)
+    """A path whose first step goes down from the root (few are refuted
+    by the path summary), then any axis."""
+    first = draw(st.sampled_from(AXES[:3]))
+    axes = [first] + [draw(st.sampled_from(AXES)) for _ in range(draw(st.integers(0, 3)))]
+    return "/" + "/".join(f"{axis}::{draw(st.sampled_from(TESTS))}" for axis in axes)
 
 
 def _database(seed: int, fragmentation: float) -> Database:
@@ -175,9 +175,7 @@ def test_taking_runs_in_place_hands_on_what_pulls_hand_on(
     seed, fragmentation, query, kind, takes, trip_at, draw_seed
 ):
     db = _database(seed, fragmentation)
-    compiled = db.prepare(query, "d", "xscan")
-    assume(compiled.leaves and not compiled.leaves[0][0].refuted)
-    n_steps = len(compiled.leaves[0][0].steps)
+    n_steps = len(db.prepare(query, "d", "xscan").leaves[0][0].steps)
     junctions = _junctions(db, random.Random(draw_seed), n_steps) if kind == "xschedule" else {}
     pulled, _, books = _drive(db, query, kind, [False], trip_at, junctions)
     seen, _, taken_books = _drive(db, query, kind, takes, trip_at, junctions)

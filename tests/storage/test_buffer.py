@@ -170,18 +170,22 @@ def test_unfix_unpinned_raises():
         buffer.unfix(frame)
 
 
-def test_try_fix_resident():
+def test_probe_fix():
+    """A resident page is one swizzle and a hit; a miss is the probe's
+    swizzle, then a fix's swizzle and synchronous read."""
     buffer, clock, stats, _ = make_buffer()
-    assert buffer.try_fix_resident(7) is None
-    assert stats.buffer_misses == 0  # no I/O triggered
-    frame = buffer.fix(7)
+    frame = buffer.probe_fix(7)
+    assert (stats.swizzles, stats.buffer_misses, stats.buffer_hits) == (2, 1, 0)
+    assert frame.pins == 1
     buffer.unfix(frame)
-    resident = buffer.try_fix_resident(7)
+    resident = buffer.probe_fix(7)
     assert resident is frame
+    assert (stats.swizzles, stats.buffer_misses, stats.buffer_hits) == (3, 1, 1)
     buffer.unfix(resident)
+    assert clock.cpu_time == CostModel().price(stats)
 
 
-def test_refix_is_try_fix_resident_then_unfix():
+def test_refix_is_probe_fix_then_unfix():
     """What XSchedule pays per entry of the cluster it holds, in one call:
     the same clock, counters, pins, LRU order and ``buffer hit`` event as
     a resident fix followed by an unfix of the pinned frame."""
@@ -195,7 +199,7 @@ def test_refix_is_try_fix_resident_then_unfix():
         if refix:
             buffer.refix(held)
         else:
-            buffer.unfix(buffer.try_fix_resident(0))
+            buffer.unfix(buffer.probe_fix(0))
         buffer.unfix(buffer.fix(3))  # evicts the least recently used
         events = [(e.ts, e.cat, e.name, e.page) for e in buffer.tracer.events]
         residents = [p for p in range(4) if buffer.is_resident(p)]
