@@ -26,7 +26,8 @@ other families are the seams of the path kernel — XMark paper and
 predicate queries, fault profiles and seeds, ``memory_limit`` trips,
 ``max_seconds`` cuts, tracers, entry runs, run tapes, delivery runs and
 their tapes (warm, and across an update), the shared scan, full-tree
-walks and latency-SLO sidelining.
+walks, latency-SLO sidelining and the paper's unpruned configurations
+(``gates``: the synopsis, the path summary or both switched off).
 
     PYTHONPATH=src python -m tests.golden            # check every row
     PYTHONPATH=src python -m tests.golden --write    # regenerate
@@ -157,6 +158,15 @@ DEAD_PAGE_QUERIES = [
 SHARED_DOC = ("random", 31, 0.5, 60, 512, 64)
 WALK_DOC = ("random", 5, 1.0, 8, 256, 64)
 TWICE_DOC = ("random", 3, 1.0, 25, 512, 64)
+
+
+#: the gate settings of the ``gates`` family: what each switches off
+GATES = {
+    "no-synopsis": {"synopsis": False},
+    "no-pathsummary": {"pathsummary": False},
+    "unpruned": {"synopsis": False, "pathsummary": False},
+}
+GATE_PLANS = [*PLANS, "auto"]
 
 
 def random_doc(seed: int, fragmentation: float) -> tuple:
@@ -924,6 +934,22 @@ def draws() -> dict:
             for k in (1, 100):
                 key = f"deliveries/dead/{name}/1-in-{at}/k{k}"
                 add(key, "deliveries", PAPER_DOC, query, "xschedule", faults, k_min_queue=k)
+
+    # the paper's unpruned configurations: the synopsis, the path summary
+    # or both switched off, under every plan and AUTO — the paper queries,
+    # then random paths down from the root whose second steps go round the
+    # axes (the family's own generator, so that no earlier draw moves)
+    gates_rng = random.Random(37)
+    seconds = iter(AXES * 7)
+    for plan in GATE_PLANS:
+        for gate, off in GATES.items():
+            for name, query in (("Q6'", Q6_PRIME), ("Q7", Q7), ("Q15", Q15)):
+                add(f"gates/{name}/{plan}/{gate}", "gates", PAPER_DOC, query, plan, **off)
+            for i in range(4):
+                head = [gates_rng.choice(AXES[1:3]), next(seconds)]
+                query = _path(gates_rng, head)
+                doc = layout(gates_rng)
+                add(f"gates/path/{plan}/{gate}/{i}", "gates", doc, query, plan, **off)
     return out
 
 

@@ -52,6 +52,13 @@ def test_xmark_queries_are_bit_identical():
     _check_family("xmark")
 
 
+def test_switched_off_gates_are_bit_identical():
+    """The paper's unpruned configurations: the synopsis, the path
+    summary or both switched off, the paper queries and random paths
+    under every plan and AUTO (whose pricing reads the gates too)."""
+    _check_family("gates")
+
+
 def test_batched_is_bit_identical_under_faults():
     """Retries, latency spikes and lost requests: the kernels issue the
     pinned fix/unfix sequence at the pinned simulated instants, so the
