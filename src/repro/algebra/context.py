@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import BudgetExceededError, PlanError
 from repro.sim.clock import SimClock
@@ -12,6 +13,11 @@ from repro.sim.iosys import AsyncIOSystem
 from repro.sim.stats import Stats
 from repro.storage.buffer import BufferManager, Frame
 from repro.storage.page import Segment
+from repro.storage.synopsis import ClusterSynopsis
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.storage.pathsummary import PathSummary
+    from repro.storage.store import StoredDocument
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,6 +117,9 @@ class EvalOptions:
     None of them selects how a step is navigated: every plan runs one
     datapath, the path kernel and the full-tree walker over columnar
     cluster views (docs/algebra.md), whose books the golden draws pin.
+    The logical ``//`` rewrite (Sec. 2) and the ``//``-prefix R-check
+    (Sec. 5.4.5.4) are not options either: the compiler always applies
+    both where they hold.
 
     Attributes
     ----------
@@ -124,28 +133,21 @@ class EvalOptions:
     memory_limit:
         Maximum number of instances XAssembly may hold in S before the
         plan reverts to fallback mode (Sec. 5.4.6).  ``None`` = unlimited.
-    descendant_root_opt:
-        Enable the ``//``-prefix optimisation: with an XScan input, right
-        ends of step 1 of a path starting ``/descendant-or-self::node()``
-        need not be stored in R (Sec. 5.4.5.4).
     scan_readahead:
         Number of pages XScan keeps requested ahead of the one it is
         processing.  The default of 0 reads synchronously, faithful to
         the paper's O_DIRECT setup (OS readahead bypassed); positive
         values model asynchronous prefetch, which overlaps the scan's
         I/O with its CPU work (see the readahead ablation benchmark).
-    rewrite_descendant:
-        Logical rewrite ``descendant-or-self::node()/child::X`` =>
-        ``descendant::X`` applied by the compiler (orthogonal logical
-        optimisation, Sec. 2).
     synopsis:
         Consult the per-cluster synopsis
         (:class:`~repro.storage.synopsis.ClusterSynopsis`) to prune
         provably irrelevant clusters: XScan skips them, XSchedule drops
         queue requests for them.  Pruning is conservative — results are
-        bit-identical either way — and free when the document carries no
-        synopsis.  Disable (CLI ``--no-synopsis``) to reproduce the
-        paper's unpruned I/O behaviour.
+        bit-identical either way.  Disable (CLI ``--no-synopsis``) to
+        reproduce the paper's unpruned I/O behaviour: the operators then
+        consult a synopsis without rows, which refuses nothing
+        (:meth:`snapshots`).
     pathsummary:
         Consult the document's path summary
         (:class:`~repro.storage.pathsummary.PathSummary`) in the logical
@@ -156,8 +158,9 @@ class EvalOptions:
         AUTO chooser, and hand per-path cluster postings to
         XScan/XSchedule/shared scans as a pre-scan cluster filter that
         composes with synopsis pruning.  Conservative — results are
-        bit-identical either way — and free when the document carries no
-        summary.  Disable with CLI ``--no-pathsummary``.
+        bit-identical either way.  Disable with CLI ``--no-pathsummary``:
+        the pass does not run, the chooser estimates from the statistics
+        alone, and the operators get postings that post every page.
     retry:
         How the I/O subsystem recovers from injected faults
         (:class:`~repro.sim.faults.RetryPolicy`): retry cap, exponential
@@ -178,9 +181,7 @@ class EvalOptions:
     k_min_queue: int = 100
     speculative: bool = False
     memory_limit: int | None = None
-    descendant_root_opt: bool = True
     scan_readahead: int = 0
-    rewrite_descendant: bool = True
     synopsis: bool = True
     pathsummary: bool = True
     retry: RetryPolicy = RetryPolicy()
@@ -205,6 +206,24 @@ class EvalOptions:
             raise PlanError(
                 f"latency_slo must be positive or None, got {self.latency_slo}"
             )
+
+    def snapshots(
+        self, document: StoredDocument
+    ) -> tuple[ClusterSynopsis, PathSummary | None]:
+        """The pruning metadata of ``document`` a plan consults, as the
+        ``synopsis`` and ``pathsummary`` gates select it — the one place
+        that reads them.
+
+        A switched-off synopsis is one without rows: it refuses nothing,
+        and with ``n_clusters == 0`` the chooser prices it like none.  A
+        switched-off path summary comes back as ``None``, which only the
+        planner sees: the rewrite pass does not run and hands the
+        operators postings that post every page, and the chooser
+        estimates from the statistics alone
+        (:func:`repro.xpath.estimate.estimate_path`).
+        """
+        synopsis = document.synopsis if self.synopsis else ClusterSynopsis.from_rows({})
+        return synopsis, document.pathsummary if self.pathsummary else None
 
 
 class EvalContext:

@@ -38,7 +38,7 @@ from repro.storage.store import StoredDocument
 from repro.storage.synopsis import ClusterSynopsis, cost_effective_skips
 
 #: what a scan knows of one location path: its steps and their postings
-ScanPath = tuple[Sequence[CompiledStep], PathPostings | None]
+ScanPath = tuple[Sequence[CompiledStep], PathPostings]
 #: per step of one path, the bitset of the clusters the synopsis refuses
 #: it in, then that of the clusters the path's postings refuse it in
 Refusals = tuple[list[int], list[int]]
@@ -47,16 +47,14 @@ Refusals = tuple[list[int], list[int]]
 def step_refusals(
     synopsis: ClusterSynopsis,
     steps: Sequence[CompiledStep],
-    postings: PathPostings | None,
+    postings: PathPostings,
 ) -> tuple[Refusals, Refusals]:
     """One path's refusals of speculative resumes (``can_contribute``)
     and of targeted ones (``can_extend``), off the synopsis's memo: a few
-    look-ups and big-int operations per step.  Without postings, the
-    synopsis's masks speak for them."""
+    look-ups and big-int operations per step.  A synopsis without rows
+    (switched off) or postings of every page refuse nothing."""
     ours = [synopsis.refusals(step) for step in steps]
-    theirs = ours
-    if postings is not None:
-        theirs = [postings.refusals(synopsis, index) for index in range(len(steps))]
+    theirs = [postings.refusals(synopsis, index) for index in range(len(steps))]
     return (
         ([c for c, _ in ours], [c for c, _ in theirs]),
         ([e for _, e in ours], [e for _, e in theirs]),
@@ -68,7 +66,7 @@ def plan_scan(
     document: StoredDocument,
     paths: Sequence[ScanPath],
     keep: Container[int],
-) -> tuple[list[int], list[Refusals | None]]:
+) -> tuple[list[int], list[Refusals]]:
     """The clusters a sequential scan for ``paths`` reads, in scan order.
 
     A cluster is dropped when it holds no context (``keep``) and no step
@@ -79,15 +77,13 @@ def plan_scan(
     to beat the seek their gap induces are dropped: skipping an isolated
     page in a streaming read costs more than transferring it.
 
-    Also returns, per path, its contribute :data:`Refusals` (none without
-    a synopsis: the postings refine it, never replace it — the transit
-    residues live in its rows); :func:`speculate` reads them when the
-    scan gets to a cluster.
+    Also returns, per path, its contribute :data:`Refusals` (all zero
+    for a synopsis without rows: the postings refine the synopsis, never
+    replace it — the transit residues live in its rows);
+    :func:`speculate` reads them when the scan gets to a cluster.
     """
     page_nos = document.page_nos
-    synopsis = document.synopsis if ctx.options.synopsis else None
-    if synopsis is None:
-        return page_nos, [None] * len(paths)
+    synopsis, _ = ctx.options.snapshots(document)
     refusals = [step_refusals(synopsis, steps, postings)[0] for steps, postings in paths]
 
     def skips_when(side: int) -> set[int]:
@@ -104,14 +100,13 @@ def plan_scan(
     skips = skips_when(0)
     ctx.stats.synopsis_clusters_pruned += len(skips)
     # Postings widen the prunable vector (a page every path's postings
-    # rule out is as safely skippable as a synopsis-pruned one; a path
-    # without postings keeps its synopsis verdict).  Taking the union
-    # keeps the synopsis counter identical to a postings-free run and
-    # attributes only the extra skips to the path summary.
-    if any(postings is not None for _, postings in paths):
-        extra = skips_when(1) - skips
-        ctx.stats.pathsummary_clusters_pruned += len(extra)
-        skips |= extra
+    # rule out is as safely skippable as a synopsis-pruned one).  Taking
+    # the union keeps the synopsis counter identical to a run whose
+    # postings post every page and attributes only the extra skips to the
+    # path summary.
+    extra = skips_when(1) - skips
+    ctx.stats.pathsummary_clusters_pruned += len(extra)
+    skips |= extra
     return [p for p in page_nos if p not in skips], refusals
 
 
@@ -119,29 +114,28 @@ def speculate(
     ctx: EvalContext,
     page: Page,
     steps: Sequence[CompiledStep],
-    refused: Refusals | None,
+    refused: Refusals,
 ) -> Iterator[EntryRun]:
     """Left-incomplete instances for every entry border of ``page``: one
     :class:`EntryRun` per step that is not pruned and has an entry.
 
-    ``refused`` are the path's contribute :data:`Refusals` (``None``:
-    nothing is pruned).  Enumeration charges nothing: the columnar view's
-    precomputed border lists replace the record scan.
+    ``refused`` are the path's contribute :data:`Refusals`.  Enumeration
+    charges nothing: the columnar view's precomputed border lists replace
+    the record scan.
     """
     page_no = page.page_no
     entries = page.colview().entries
     for index, step in enumerate(steps):
-        if refused is not None:
-            # no entry of this cluster can extend this step — by the
-            # synopsis, or (it could not rule the cluster out) by the
-            # postings: no node of the step's path set lives here and
-            # no transit residue remains either
-            if refused[0][index] >> page_no & 1:
-                ctx.stats.synopsis_entries_pruned += 1
-                continue
-            if refused[1][index] >> page_no & 1:
-                ctx.stats.pathsummary_entries_pruned += 1
-                continue
+        # no entry of this cluster can extend this step — by the
+        # synopsis, or (it could not rule the cluster out) by the
+        # postings: no node of the step's path set lives here and no
+        # transit residue remains either
+        if refused[0][index] >> page_no & 1:
+            ctx.stats.synopsis_entries_pruned += 1
+            continue
+        if refused[1][index] >> page_no & 1:
+            ctx.stats.pathsummary_entries_pruned += 1
+            continue
         slots = entries[step.entries]
         if slots:
             yield EntryRun(index, page_no, slots)
@@ -223,7 +217,7 @@ class XScan(Operator):
         producer: Operator,
         steps: list[CompiledStep],
         document: StoredDocument,
-        postings: PathPostings | None = None,
+        postings: PathPostings,
     ) -> None:
         super().__init__(ctx)
         self.producer = producer

@@ -45,7 +45,7 @@ from repro.algebra.base import Operator
 from repro.algebra.context import EvalContext
 from repro.algebra.pathinstance import EntryRun, PathInstance
 from repro.algebra.steps import CompiledStep
-from repro.algebra.xscan import Refusals, speculate, step_refusals
+from repro.algebra.xscan import speculate, step_refusals
 from repro.errors import IOError_
 from repro.storage.nodeid import SLOT_BITS, NodeID, slot_of
 from repro.storage.pathsummary import PathPostings
@@ -86,9 +86,9 @@ class XSchedule(Operator):
         ctx: EvalContext,
         producer: Operator,
         steps: list[CompiledStep],
+        document: StoredDocument,
+        postings: PathPostings,
         speculative: bool | None = None,
-        document: StoredDocument | None = None,
-        postings: PathPostings | None = None,
     ) -> None:
         super().__init__(ctx)
         self.producer = producer
@@ -96,19 +96,12 @@ class XSchedule(Operator):
         self.speculative = (
             ctx.options.speculative if speculative is None else speculative
         )
-        synopsis = (
-            document.synopsis
-            if document is not None and ctx.options.synopsis
-            else None
-        )
+        synopsis, _ = ctx.options.snapshots(document)
         #: the path's refusals of speculative / targeted resumes, fetched
-        #: once per execution off the synopsis's memo (None: no pruning);
-        #: postings refine the synopsis (transit residues live in its
-        #: rows), so the filter only engages when the synopsis does too
-        self._contribute: Refusals | None = None
-        self._extend: Refusals | None = None
-        if synopsis is not None:
-            self._contribute, self._extend = step_refusals(synopsis, steps, postings)
+        #: once per execution off the synopsis's memo; postings refine the
+        #: synopsis (transit residues live in its rows), so a synopsis
+        #: without rows refuses nothing, postings or not
+        self._contribute, self._extend = step_refusals(synopsis, steps, postings)
         self.k = ctx.options.k_min_queue
         #: the producer has run dry: Q is never replenished again
         self.exhausted = False
@@ -168,10 +161,10 @@ class XSchedule(Operator):
         neither buffered nor already requested is requested."""
         ctx = self.ctx
         cluster = target >> SLOT_BITS
-        refused = self._extend
-        if refused is not None and resumed and not ctx.fallback and s_r < len(self.steps):
+        if resumed and not ctx.fallback and s_r < len(self.steps):
             # one bit of a memoised mask; consulting the synopsis is
             # planning metadata — free
+            refused = self._extend
             if refused[0][s_r] >> cluster & 1:
                 # the target cluster can neither hold a match for the
                 # resumed step nor transit onward: dropping the request

@@ -1,7 +1,7 @@
 """replint: AST-based invariant checking for the repro engine.
 
 The engine's core guarantees — bit-identical simulated timings with
-tracing/synopsis/faults on or off, deterministic replay under fault
+tracing/faults on or off, deterministic replay under fault
 seeds, ``python -O`` safety of the storage layer — are mechanical
 properties of the *source*.  This package proves them statically on
 every commit instead of waiting for an ablation benchmark to drift.

@@ -63,16 +63,7 @@ class ReplintConfig:
     assert_exempt_functions: frozenset[str] = frozenset({"check"})
     #: attribute/parameter names treated as optional feature slots by the
     #: feature-gate and gate-coherence rules
-    feature_names: frozenset[str] = frozenset(
-        {
-            "tracer",
-            "synopsis",
-            "faults",
-            "wal",
-            "crash",
-            "pathsummary",
-        }
-    )
+    feature_names: frozenset[str] = frozenset({"tracer", "faults", "wal", "crash"})
 
     def scope_for(self, rule_id: str) -> tuple[str, ...]:
         return self.scopes.get(rule_id, ())

@@ -1,21 +1,21 @@
 """Shared None-guard analysis for optional feature slots.
 
 The engine's zero-overhead discipline is syntactically narrow on
-purpose: an optional subsystem (``tracer``, ``synopsis``, ``faults``) is
-bound to an attribute or local, and every use sits behind one of a small
-set of guard shapes::
+purpose: an optional subsystem (``tracer``, ``faults``, ``wal``,
+``crash``) is bound to an attribute or local, and every use sits behind
+one of a small set of guard shapes::
 
     if tracer is not None:
         tracer.event(...)               # guarded body
 
-    if x.synopsis is not None and x.synopsis.can_extend(...):  # and-chain
+    if x.faults is not None and x.faults.service(...):  # and-chain
         ...
 
     ok = tracer is None or tracer.enabled    # or-chain (left bails)
 
-    if synopsis is None:
+    if faults is None:
         return                          # early bail, rest of block guarded
-    synopsis.rows()
+    faults.service(...)
 
     x = feature.f() if feature is not None else None   # conditional expr
 
@@ -243,8 +243,8 @@ def tracked_feature_names(
     conditional with a None arm, from ``None`` itself, or arrives as a
     parameter that is either annotated optional or defaulted to None.
     Names bound only from constructors or other non-optional expressions
-    are left alone — ``synopsis = ClusterSynopsis.collect(...)`` is
-    provably non-None and needs no guard.
+    are left alone — ``faults = FaultPlan(...)`` is provably non-None
+    and needs no guard.
     """
     tracked: set[str] = set()
     if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):

@@ -1,20 +1,20 @@
 """Rule ``feature-gate``: optional subsystems stay behind ``is not None``.
 
-Tracing, the cluster synopsis, and fault injection are *optional*
-subsystems: when disabled, their slots hold ``None`` and the engine must
-pay nothing beyond one pointer test — that is what the ablation
-benchmarks prove dynamically (off-path is bit-identical and free).  The
-static half: any attribute access *through* such a slot
-(``ctx.tracer.event(...)``, ``synopsis.can_extend(...)``,
-``self.faults.service(...)``) must sit inside one of the engine's
-blessed guard shapes (see :mod:`repro.analysis.guards`), otherwise the
-off-path would raise ``AttributeError`` — or worse, the guard got lost
-and the off-path now pays for the feature.
+Tracing, fault injection, the write-ahead log and crash injection are
+*optional* subsystems: when disabled, their slots hold ``None`` and the
+engine must pay nothing beyond one pointer test — that is what the
+ablation benchmarks prove dynamically (off-path is bit-identical and
+free).  The static half: any attribute access *through* such a slot
+(``ctx.tracer.event(...)``, ``self.faults.service(...)``) must sit
+inside one of the engine's blessed guard shapes (see
+:mod:`repro.analysis.guards`), otherwise the off-path would raise
+``AttributeError`` — or worse, the guard got lost and the off-path now
+pays for the feature.  (The cluster synopsis and the path summary are no
+such slots: switched off, they are objects that prune nothing.)
 
-Locals provably bound non-optional (``synopsis =
-ClusterSynopsis.collect(...)``) are not tracked; the rule follows the
-engine's convention that the *slots* named ``tracer``/``synopsis``/
-``faults`` are the optional ones.
+Locals provably bound non-optional (``faults = FaultPlan(...)``) are
+not tracked; the rule follows the engine's convention that the *slots*
+named ``tracer``/``faults``/``wal``/``crash`` are the optional ones.
 """
 
 from __future__ import annotations

@@ -109,16 +109,6 @@ class CalibrationStore:
                 )
             )
 
-    def observed_mean(
-        self, doc: str, steps: list[CompiledStep], plan: str
-    ) -> float | None:
-        """Mean observed simulated total for one (shape, plan), if any."""
-        by_plan = self._observed.get(shape_key(doc, steps))
-        if by_plan is None:
-            return None
-        entry = by_plan.get(plan)
-        return None if entry is None else entry[1]
-
     # ------------------------------------------------------------- advice
 
     def advise(

@@ -232,8 +232,7 @@ class QuerySession:
             document,
             path.steps,
             self.db.geometry,
-            use_synopsis=opts.synopsis,
-            use_pathsummary=opts.pathsummary,
+            *opts.snapshots(document),
             queue_depth=opts.k_min_queue,
         )
         store.observe(

@@ -171,15 +171,6 @@ class ChooserCostModel:
             "sched_overhead": self.sched_overhead,
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ChooserCostModel":
-        return cls(
-            scan_cpu_per_node=float(payload.get("scan_cpu_per_node", 0.0)),
-            scan_overhead=float(payload.get("scan_overhead", 0.0)),
-            sched_cpu_per_node=float(payload.get("sched_cpu_per_node", 0.0)),
-            sched_overhead=float(payload.get("sched_overhead", 0.0)),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class ChooserSample:

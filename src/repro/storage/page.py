@@ -187,10 +187,6 @@ class Segment:
     def pages(self) -> Iterator[Page]:
         return iter(self._pages)
 
-    def total_bytes(self) -> int:
-        """Simulated document size on disk."""
-        return self.n_pages * self.page_size
-
     def adopt(self, page: Page) -> None:
         """Install an externally built page at its ``page_no`` position.
 

@@ -541,6 +541,15 @@ class PathPostings:
             bits.append(step_bits)
         return PathPostings(tuple(step.axis for step in steps), tuple(bits))
 
+    @staticmethod
+    def uniform(steps: Sequence["CompiledStep"], page_nos: Iterable[int]) -> "PathPostings":
+        """Every step posted on the pages ``page_nos``: on all of the
+        document's with the path summary switched off (they refuse
+        nothing, so the synopsis's own masks decide alone), on none for a
+        refuted path."""
+        bits = sum(1 << page_no for page_no in page_nos)
+        return PathPostings(tuple(step.axis for step in steps), (bits,) * len(steps))
+
     def holds_candidate(self, step_index: int, page_no: int) -> bool:
         """Does cluster ``page_no`` hold a possible match of this step?"""
         return bool(self._bits[step_index] >> page_no & 1)

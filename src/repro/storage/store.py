@@ -25,6 +25,10 @@ from repro.storage.pathsummary import PathSummary, _ChainResolver
 from repro.storage.record import BorderRecord, CoreRecord
 from repro.storage.synopsis import ClusterSynopsis
 
+#: How many location paths one document keeps interned; one more drops
+#: them all (:meth:`StoredDocument.path_id`).
+PATH_ID_LIMIT = 256
+
 
 @dataclass
 class DocumentStatistics:
@@ -103,6 +107,8 @@ class StoredDocument:
     statistics: DocumentStatistics | None = field(default=None, repr=False)
     #: location paths run over this document, interned (:meth:`path_id`)
     path_ids: dict[tuple, int] = field(default_factory=dict, repr=False, compare=False)
+    #: the id the next path interned gets
+    next_path_id: int = field(default=0, repr=False, compare=False)
 
     @property
     def n_pages(self) -> int:
@@ -113,9 +119,20 @@ class StoredDocument:
         steps, told apart by axis and node test) among the paths run over
         this document.  A plan interns its path once per execution and
         per-cluster memos are kept under the integer, so nothing hashes
-        the frozen node tests per cluster."""
+        the frozen node tests per cluster.
+
+        At most :data:`PATH_ID_LIMIT` paths are kept: one more drops them
+        all.  Ids come off a running counter and are never reused, so a
+        memo kept under a dropped path's id never answers for another
+        path; a path interned again gets a new id."""
         key = tuple(step.memo_key for step in steps)
-        return self.path_ids.setdefault(key, len(self.path_ids))
+        found = self.path_ids.get(key)
+        if found is None:
+            if len(self.path_ids) >= PATH_ID_LIMIT:
+                self.path_ids.clear()
+            found = self.path_ids[key] = self.next_path_id
+            self.next_path_id += 1
+        return found
 
 
 class DocumentStore:

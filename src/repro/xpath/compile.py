@@ -13,8 +13,9 @@ Three plan families, exactly the paper's evaluation matrix (Sec. 6.2):
 
 An orthogonal logical rewrite (Sec. 2 "interoperable with logical
 optimization") merges ``descendant-or-self::node()/child::X`` into
-``descendant::X``; it can be disabled to exercise the ``//``-prefix
-R-optimisation of Sec. 5.4.5.4 instead.
+``descendant::X``, always; a ``//`` prefix it cannot fold (the next step
+goes up, say) leaves a scan plan to the ``//``-prefix R-optimisation of
+Sec. 5.4.5.4 instead.
 """
 
 from __future__ import annotations
@@ -209,13 +210,7 @@ def resolve_auto(
     """
     model = advisor.model if advisor is not None else None
     prediction = predict_io_costs(
-        document,
-        steps,
-        geometry,
-        use_synopsis=options.synopsis,
-        queue_depth=options.k_min_queue,
-        model=model,
-        use_pathsummary=options.pathsummary,
+        document, steps, geometry, *options.snapshots(document), options.k_min_queue, model
     )
     choice = "xschedule" if prediction is None else prediction.choice
     source = "estimator"
@@ -237,12 +232,12 @@ class CompiledPathPlan:
     kind: PlanKind  #: resolved (never AUTO)
     document: StoredDocument
     descendant_root_opt: bool
+    #: per-step cluster postings from the rewrite pass (every page when
+    #: ``EvalOptions.pathsummary`` is off)
+    postings: PathPostings
     #: the path summary proved the result empty at compile time: the
     #: plan executes as a constant-empty result (zero pages requested)
     refuted: bool = False
-    #: per-step cluster postings from the rewrite pass (None when the
-    #: summary is absent or ``EvalOptions.pathsummary`` is off)
-    postings: PathPostings | None = None
 
     def build(self, ctx: EvalContext) -> Operator:
         """Instantiate the operator tree for one execution."""
@@ -254,13 +249,7 @@ class CompiledPathPlan:
                 top = UnnestMap(ctx, top, index, step)
             return DuplicateElimination(ctx, top)
         if self.kind is PlanKind.XSCHEDULE:
-            schedule = XSchedule(
-                ctx,
-                source,
-                self.steps,
-                document=self.document,
-                postings=self.postings,
-            )
+            schedule = XSchedule(ctx, source, self.steps, self.document, self.postings)
             return XAssembly(
                 ctx,
                 schedule,
@@ -270,9 +259,7 @@ class CompiledPathPlan:
                 document=self.document,
             )
         if self.kind is PlanKind.XSCAN:
-            scan = XScan(
-                ctx, source, self.steps, self.document, postings=self.postings
-            )
+            scan = XScan(ctx, source, self.steps, self.document, self.postings)
             return XAssembly(
                 ctx,
                 scan,
@@ -511,6 +498,7 @@ def compile_query(
     expr = parse_query(query) if isinstance(query, str) else query
     kind = PlanKind.coerce(plan)
     opts = options or EvalOptions()
+    _, summary = opts.snapshots(document)
     geo = geometry or DiskGeometry()
     kinds: list[PlanKind] = []
     auto_choices: list[AutoChoice] = []
@@ -522,9 +510,7 @@ def compile_query(
         return plan
 
     def compile_path(path: LocationPath) -> CompiledPathPlan:
-        if not path.absolute:
-            # relative queries evaluate from the document root context
-            pass
+        # a relative query evaluates from the document root context too
         steps = _compile_steps(path, tags, allow_predicates=kind is PlanKind.SIMPLE)
         starts_with_dos_root = bool(
             path.absolute
@@ -532,41 +518,29 @@ def compile_query(
             and steps[0].axis is Axis.DESCENDANT_OR_SELF
             and steps[0].test.is_node_test
         )
-        if opts.rewrite_descendant:
-            steps = _rewrite_descendant(steps)
-        postings = None
-        summary = document.pathsummary if opts.pathsummary else None
-        if summary is not None:
-            # whole-query rewrite against the path summary: refute the
-            # path outright, expand provable // steps into child chains,
-            # and derive the operators' cluster postings.  Planning-time
-            # only — no simulated time is charged
-            outcome = rewrite_path(summary, steps)
-            if tracer is not None and (outcome.refuted or outcome.expanded):
-                tracer.rewrite_event(
-                    str(path),
-                    outcome.refuted,
-                    outcome.expanded,
-                    cardinality=outcome.evaluation.cardinality,
-                )
-            if outcome.refuted:
-                # no plan choice to make: the result is a compile-time
-                # constant.  AUTO paths skip resolution entirely (no
-                # AutoChoice recorded — there is nothing to revalidate)
-                resolved = (
-                    PlanKind.XSCHEDULE if kind is PlanKind.AUTO else kind
-                )
-                kinds.append(resolved)
-                path_kind = (
-                    PlanKind.XSCAN
-                    if resolved is PlanKind.XSCAN_SHARED
-                    else resolved
-                )
-                return CompiledPathPlan(
-                    outcome.steps, path_kind, document, False, refuted=True
-                )
-            steps = outcome.steps
-            postings = outcome.postings
+        # whole-query rewrite against the path summary: refute the path
+        # outright, expand provable // steps into child chains, and derive
+        # the operators' cluster postings.  Planning-time only — no
+        # simulated time is charged
+        outcome = rewrite_path(summary, _rewrite_descendant(steps), document.page_nos)
+        if tracer is not None and (outcome.refuted or outcome.expanded):
+            tracer.rewrite_event(
+                str(path),
+                outcome.refuted,
+                outcome.expanded,
+                cardinality=outcome.evaluation.cardinality,
+            )
+        steps = outcome.steps
+        if outcome.refuted:
+            # no plan choice to make: the result is a compile-time
+            # constant.  AUTO paths skip resolution entirely (no
+            # AutoChoice recorded — there is nothing to revalidate)
+            resolved = PlanKind.XSCHEDULE if kind is PlanKind.AUTO else kind
+            kinds.append(resolved)
+            path_kind = PlanKind.XSCAN if resolved is PlanKind.XSCAN_SHARED else resolved
+            return CompiledPathPlan(
+                steps, path_kind, document, False, outcome.postings, refuted=True
+            )
         resolved = kind
         if resolved is PlanKind.AUTO:
             choice, source, prediction = resolve_auto(document, steps, geo, opts, advisor)
@@ -585,8 +559,7 @@ def compile_query(
                     margin=prediction.margin if prediction is not None else None,
                 )
         desc_root_opt = (
-            opts.descendant_root_opt
-            and resolved in (PlanKind.XSCAN, PlanKind.XSCAN_SHARED)
+            resolved in (PlanKind.XSCAN, PlanKind.XSCAN_SHARED)
             and starts_with_dos_root
             and steps
             and steps[0].axis is Axis.DESCENDANT_OR_SELF
@@ -604,7 +577,7 @@ def compile_query(
         kinds.append(resolved)
         path_kind = PlanKind.XSCAN if resolved is PlanKind.XSCAN_SHARED else resolved
         return CompiledPathPlan(
-            steps, path_kind, document, bool(desc_root_opt), postings=postings
+            steps, path_kind, document, bool(desc_root_opt), outcome.postings
         )
 
     def walk(node: Expr) -> object:

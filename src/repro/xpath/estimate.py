@@ -18,7 +18,7 @@ comparison, the visited-page estimate and the decision margin) so the
 validation harness (:mod:`repro.xpath.validate`) can score every decision
 against the simulator, and so the session-level feedback store
 (:mod:`repro.exec.calibration`) can tell a confident choice from a coin
-flip.  :func:`choose_io_operator` stays as the thin historical wrapper.
+flip; its :attr:`~IOCostPrediction.choice` is the pick.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from repro.model.tags import DOCUMENT_TAG
 from repro.sim.disk import DiskGeometry
 from repro.storage.pathsummary import PathPostings, PathSummary
 from repro.storage.store import DocumentStatistics, StoredDocument
+from repro.storage.synopsis import ClusterSynopsis
 
 
 @dataclass(frozen=True)
@@ -253,55 +254,52 @@ def predict_io_costs(
     document: StoredDocument,
     steps: list[CompiledStep],
     geometry: DiskGeometry,
-    use_synopsis: bool = True,
+    synopsis: ClusterSynopsis,
+    summary: PathSummary | None,
     queue_depth: int = 100,
     model: object | None = None,
-    use_pathsummary: bool = True,
 ) -> IOCostPrediction | None:
-    """Predict both plan families' costs for one location path.
+    """Predict both plan families' costs for one location path, with the
+    synopsis and path summary :meth:`~repro.algebra.context.EvalOptions.
+    snapshots` selects.
 
     Returns ``None`` when the document carries no statistics (the
     chooser then defaults to XSchedule, matching the historical
     behaviour).  ``queue_depth`` is the plan's ``k_min_queue`` — the
     random-I/O unit cost depends on how deep the scheduler's queue runs.
 
-    When the document carries a cluster synopsis (and ``use_synopsis``
-    is on), the visited-page estimate uses the measured mean cluster
-    occupancy instead of a uniform nodes-per-page guess, and is capped
-    by the number of clusters that can actually hold a candidate for
-    some step — the fix for skewed layouts where a tag concentrates in
-    a few clusters but the uniform estimate spreads it evenly.  A path
-    summary (``use_pathsummary``) tightens both terms further: the
-    cardinality estimate becomes exact for downward predicate-free
-    paths, and the visited-page cap shrinks to the clusters actually
-    posted for some step's candidate paths.
+    A synopsis with rows makes the visited-page estimate use the
+    measured mean cluster occupancy instead of a uniform nodes-per-page
+    guess, capped by the number of clusters that can actually hold a
+    candidate for some step — the fix for skewed layouts where a tag
+    concentrates in a few clusters but the uniform estimate spreads it
+    evenly.  A path summary tightens both terms further: the cardinality
+    estimate becomes exact for downward predicate-free paths, and the
+    visited-page cap shrinks to the clusters actually posted for some
+    step's candidate paths.
     """
     stats = document.statistics
     if stats is None:
         return None
-    summary = document.pathsummary if use_pathsummary else None
     estimate = estimate_path(stats, steps, summary=summary)
     n_pages = document.n_pages
-    synopsis = document.synopsis if use_synopsis else None
-    posted_pages: float | None = None
-    if summary is not None and synopsis is not None:
-        # the operators' postings filter only engages alongside the
-        # synopsis (transit residues live in its rows), so the pricing
-        # cap mirrors that: no posted-pages cap when the synopsis is off.
-        # It reads the evaluation estimate_path memoised on the summary
-        posted_pages = float(PathPostings.for_steps(summary, steps).relevant_pages())
-    if synopsis is not None and synopsis.n_clusters:
+    if synopsis.n_clusters:
         nodes_per_page = synopsis.mean_occupancy()
         visited_pages = min(
             float(n_pages),
             float(synopsis.relevant_clusters(steps)),
             estimate.visited_nodes / nodes_per_page,
         )
+        if summary is not None:
+            # the operators' postings filter only engages alongside the
+            # synopsis (transit residues live in its rows), so the pricing
+            # cap does too.  It reads the evaluation estimate_path
+            # memoised on the summary
+            posted_pages = PathPostings.for_steps(summary, steps).relevant_pages()
+            visited_pages = min(visited_pages, float(posted_pages))
     else:
         nodes_per_page = max(1.0, stats.n_nodes / max(1, n_pages))
         visited_pages = min(float(n_pages), estimate.visited_nodes / nodes_per_page)
-    if posted_pages is not None:
-        visited_pages = min(visited_pages, posted_pages)
     sequential_io = n_pages * geometry.transfer_time
     random_io = visited_pages * predicted_random_unit(
         geometry, n_pages, visited_pages, queue_depth
@@ -323,31 +321,3 @@ def predict_io_costs(
         document_nodes=document_nodes,
         estimate=estimate,
     )
-
-
-def choose_io_operator(
-    document: StoredDocument,
-    steps: list[CompiledStep],
-    geometry: DiskGeometry,
-    use_synopsis: bool = True,
-    queue_depth: int = 100,
-    model: object | None = None,
-    use_pathsummary: bool = True,
-) -> str:
-    """Return ``"xscan"`` or ``"xschedule"`` by estimated I/O cost.
-
-    Thin wrapper over :func:`predict_io_costs`; a document without
-    statistics picks XSchedule (only pay for what the path touches).
-    """
-    prediction = predict_io_costs(
-        document,
-        steps,
-        geometry,
-        use_synopsis=use_synopsis,
-        queue_depth=queue_depth,
-        model=model,
-        use_pathsummary=use_pathsummary,
-    )
-    if prediction is None:
-        return "xschedule"
-    return prediction.choice

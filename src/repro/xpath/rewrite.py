@@ -18,16 +18,18 @@ chooser pricing it, walks the trie no more):
   node *sets* are provably equal, not merely duplicate-free);
 * **postings** — per-step cluster postings
   (:class:`~repro.storage.pathsummary.PathPostings`) for the operators'
-  pre-scan filter and the chooser's visited-page cap.
+  pre-scan filter.
 
-Everything here is planning metadata: no simulated time is charged, and
-with the summary absent (or ``EvalOptions.pathsummary`` off) the pass
-does not run at all — compiled plans are byte-identical to before.
+Everything here is planning metadata: no simulated time is charged.
+With ``EvalOptions.pathsummary`` off the pass does not run: the steps
+stay as they are, nothing is refuted, and the operators get postings
+that post every page of the document, which refuse nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.axes import Axis
 from repro.algebra.steps import CompiledNodeTest, CompiledStep, UNKNOWN_TAG
@@ -53,12 +55,22 @@ class RewriteOutcome:
     steps: list[CompiledStep]  #: possibly-expanded step list
     refuted: bool  #: the summary proves the result empty
     expanded: int  #: number of ``descendant`` steps expanded
-    evaluation: PathEvaluation  #: evaluation of the final ``steps``
-    postings: PathPostings | None  #: per-step cluster filter (None if refuted)
+    #: evaluation of the final ``steps`` (None: the pass did not run)
+    evaluation: PathEvaluation | None
+    postings: PathPostings  #: per-step cluster filter
 
 
-def rewrite_path(summary: PathSummary, steps: list[CompiledStep]) -> RewriteOutcome:
-    """Refute, expand, and price one compiled location path."""
+def rewrite_path(
+    summary: PathSummary | None,
+    steps: list[CompiledStep],
+    page_nos: Sequence[int],
+) -> RewriteOutcome:
+    """Refute, expand, and post one compiled location path; without a
+    summary (switched off), post it on every page of ``page_nos``."""
+    if summary is None:
+        return RewriteOutcome(
+            list(steps), False, 0, None, PathPostings.uniform(steps, page_nos)
+        )
     evaluation = summary.evaluate(steps)
     if evaluation.refuted:
         return RewriteOutcome(
@@ -66,7 +78,7 @@ def rewrite_path(summary: PathSummary, steps: list[CompiledStep]) -> RewriteOutc
             refuted=True,
             expanded=0,
             evaluation=evaluation,
-            postings=None,
+            postings=PathPostings.uniform(steps, ()),
         )
     steps = list(steps)
     expanded = 0

@@ -187,8 +187,7 @@ def _leaf_predictions(
                 document,
                 leaf.steps,
                 db.geometry,
-                use_synopsis=opts.synopsis,
-                use_pathsummary=opts.pathsummary,
+                *opts.snapshots(document),
                 queue_depth=opts.k_min_queue,
                 model=model,
             )

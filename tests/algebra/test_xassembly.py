@@ -1,5 +1,7 @@
 """Focused tests for XAssembly's R/S machinery."""
 
+import dataclasses
+
 import pytest
 
 from repro.algebra.context import EvalOptions
@@ -9,6 +11,7 @@ from repro.algebra.pathinstance import PathInstance
 from repro.errors import StorageError
 from repro.storage.nodeid import page_of, slot_of
 
+from tests import golden
 from tests.conftest import fail_extension_at, small_xmark
 from tests.paper_tree import PAGE_A, PAGE_C, PAGE_D, build_paper_tree
 
@@ -185,6 +188,29 @@ def test_descendant_root_opt_skips_step1_keys():
     drain(assembly)
     # step-1 junction keys are implicit: nothing stored in R
     assert len(assembly._r) == 0
+
+
+@pytest.mark.parametrize("plan", ["xscan", "xscan-shared"])
+def test_descendant_root_opt_saves_r_checks(plan):
+    """Sec. 5.4.5.4: under a scan, a ``//`` prefix the rewrite cannot fold
+    takes every step-1 junction as proven instead of storing and probing
+    it in R — the same nodes for fewer set operations and no more CPU
+    than the plan with the check forced back on."""
+    db = golden.database(golden.ENTRY_DOC)
+    compiled = db.prepare(golden.IMPLIED, "d", plan)
+    ((path, counted),) = compiled.leaves
+    assert path.descendant_root_opt
+    off = dataclasses.replace(path, descendant_root_opt=False)
+    checked = dataclasses.replace(compiled, expr=off, leaves=[(off, counted)])
+    runs = []
+    for query in (compiled, checked):
+        ctx = db.make_context()
+        _, nodes = query.execute(ctx)
+        runs.append((nodes, ctx.stats.set_ops, ctx.clock.cpu_time))
+    (nodes, set_ops, cpu), (nodes_checked, set_ops_checked, cpu_checked) = runs
+    assert nodes and nodes == nodes_checked
+    assert set_ops < set_ops_checked
+    assert cpu <= cpu_checked
 
 
 @pytest.mark.parametrize("call", [5, 50])

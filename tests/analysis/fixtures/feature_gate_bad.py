@@ -6,8 +6,8 @@ class Device:
         self.tracer.cluster_read(1)
 
     def prune(self, page):
-        return self.synopsis.can_skip(page)
+        return self.faults.service(page)
 
 
-def poll(faults):
-    return faults.service(0)
+def poll(wal):
+    return wal.append(0)

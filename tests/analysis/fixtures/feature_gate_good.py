@@ -1,7 +1,7 @@
 """Fixture: every blessed guard shape, plus a provably non-optional local."""
 
 
-def build_synopsis():
+def build_faults():
     return object()
 
 
@@ -12,7 +12,7 @@ class Device:
 
     def prune(self, page):
         # and-chain: left operand proves the right one safe
-        return self.synopsis is not None and self.synopsis.can_skip(page)
+        return self.faults is not None and self.faults.service(page)
 
     def verdict(self, page):
         faults = self.faults
@@ -27,5 +27,5 @@ class Device:
 
 def rebuild(store):
     # bound from a constructor: provably non-optional, no guard needed
-    synopsis = build_synopsis()
-    return synopsis.__class__
+    faults = build_faults()
+    return faults.__class__

@@ -2,16 +2,16 @@
 
 
 class WalrusGuards:
-    __slots__ = ("tracer", "synopsis")
+    __slots__ = ("tracer", "faults")
 
-    def __init__(self, tracer=None, synopsis=None):
+    def __init__(self, tracer=None, faults=None):
         self.tracer = tracer
-        self.synopsis = synopsis
+        self.faults = faults
 
     def emit(self):
         if (t := self.tracer) is not None:
-            # the guard proved self.tracer; self.synopsis is still optional
-            self.synopsis.rows()
+            # the guard proved self.tracer; self.faults is still optional
+            self.faults.rows()
 
     def drain(self):
         while (tracer := self.tracer) is not None:

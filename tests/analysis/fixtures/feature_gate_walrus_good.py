@@ -2,11 +2,11 @@
 
 
 class WalrusGuards:
-    __slots__ = ("tracer", "synopsis")
+    __slots__ = ("tracer", "faults")
 
-    def __init__(self, tracer=None, synopsis=None):
+    def __init__(self, tracer=None, faults=None):
         self.tracer = tracer
-        self.synopsis = synopsis
+        self.faults = faults
 
     def emit(self):
         # the walrus proves both the bound local and the source slot

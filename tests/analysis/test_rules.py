@@ -71,7 +71,7 @@ def test_feature_gate_fires_on_bad_fixture():
     findings = run_rule("feature-gate", "feature_gate_bad.py")
     keys = {f.message.split("'")[1] for f in findings}
     assert len(findings) == 3
-    assert keys == {"self.tracer", "self.synopsis", "faults"}
+    assert keys == {"self.tracer", "self.faults", "wal"}
 
 
 def test_feature_gate_passes_good_fixture():
@@ -90,9 +90,9 @@ def test_feature_gate_walrus_guards_do_not_overreach():
     findings = run_rule("feature-gate", "feature_gate_walrus_bad.py")
     keys = {f.message.split("'")[1] for f in findings}
     assert len(findings) == 2
-    # a walrus on tracer proves nothing about synopsis, and the while
+    # a walrus on tracer proves nothing about faults, and the while
     # guard expires at the loop exit
-    assert keys == {"self.synopsis", "tracer"}
+    assert keys == {"self.faults", "tracer"}
 
 
 # ------------------------------------------------------------- set-iteration

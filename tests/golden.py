@@ -70,6 +70,7 @@ from repro.sim.clock import TICK
 from repro.sim.disk import SchedulingPolicy
 from repro.sim.faults import FaultProfile
 from repro.storage.nodeid import page_of, slot_of
+from repro.storage.pathsummary import PathPostings
 from repro.storage.store import export_tree
 from repro.storage.update import delete_subtree, insert_node
 from repro.xmark import PAPER_QUERIES, Q6_PRIME, Q7, Q15, generate_xmark
@@ -390,7 +391,9 @@ def delivery_yields(held, k_min_queue: int, mode: str = "") -> tuple[list, list,
     options = EvalOptions(k_min_queue=k_min_queue, speculative=speculative)
     ((plan, _),) = db.prepare(query, "d", "xschedule", options).leaves
     ctx = db.make_context(options)
-    schedule = XSchedule(ctx, ContextScan(ctx, contexts), plan.steps, document=plan.document)
+    # postings of every page: the synopsis alone prunes
+    postings = PathPostings.uniform(plan.steps, plan.document.page_nos)
+    schedule = XSchedule(ctx, ContextScan(ctx, contexts), plan.steps, plan.document, postings)
     top = XAssembly(
         ctx, schedule, len(plan.steps), schedule=schedule, steps=plan.steps, document=plan.document
     )

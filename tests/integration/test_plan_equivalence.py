@@ -1,14 +1,16 @@
 """Plan equivalence: every physical plan agrees with the logical reference.
 
 This is the central correctness theorem of the reproduction: Simple,
-XSchedule (with and without speculation), XScan, the rewrite variants and
-the fallback paths must produce identical result sets, and the ordered
-plans must produce identical document-ordered sequences.
+XSchedule (with and without speculation), XScan, the ``//`` prefixes the
+rewrite cannot fold and the fallback paths must produce identical result
+sets, and the ordered plans must produce identical document-ordered
+sequences.
 """
 
 import pytest
 
 from repro import Database, EvalOptions, ImportOptions
+from repro.axes import Axis
 from repro.xpath.parser import parse_path
 from repro.xpath.reference import evaluate_path
 
@@ -73,18 +75,28 @@ def test_fallback_mode_matches(query, plan):
     assert sorted(result.nodes) == sorted(expected)
 
 
-@pytest.mark.parametrize("query", PATHS[:6])
-def test_rewrite_off_and_descendant_root_opt_match(query):
+#: ``//`` prefixes the logical rewrite cannot fold into the next step (an
+#: upward or attribute step follows): under a scan, the ones at the root
+#: leave their step-1 junctions to the R-check shortcut (Sec. 5.4.5.4)
+UNFOLDABLE = [
+    "/descendant-or-self::node()/parent::b/a/c",
+    "/descendant-or-self::node()/ancestor::a/b",
+    "/descendant-or-self::node()/parent::*",
+    "//@id",
+    "/*//../a",
+]
+
+
+@pytest.mark.parametrize("query", UNFOLDABLE)
+def test_unfoldable_descendant_prefixes_match_reference(query):
     db, tree = small_database(seed=6)
     expected = expected_for(db, tree, query)
-    for plan in ("xschedule", "xscan"):
-        result = db.execute(
-            query,
-            doc="d",
-            plan=plan,
-            options=EvalOptions(rewrite_descendant=False, descendant_root_opt=True),
-        )
-        assert result.nodes == expected
+    for plan in ("simple", "xschedule", "xscan", "xscan-shared", "auto"):
+        result = db.execute(query, doc="d", plan=plan)
+        assert result.nodes == expected, f"{plan} diverged on {query!r}"
+    (scanned,) = db.prepare(query, "d", "xscan").path_plans()
+    assert Axis.DESCENDANT_OR_SELF in [step.axis for step in scanned.steps]  # not folded
+    assert scanned.descendant_root_opt is not query.startswith("/*")
 
 
 def test_tiny_queue_still_correct():

@@ -1,6 +1,6 @@
 """Property: the chooser never crashes and never goes non-finite.
 
-``estimate_path`` and ``choose_io_operator`` run at planning time over
+``estimate_path`` and ``predict_io_costs`` run at planning time over
 whatever statistics the store happens to carry — including degenerate
 ones (zero tag counts left by updates, empty pair tables, tags the
 dictionary has never seen).  For *any* generated
@@ -15,14 +15,15 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Database, ImportOptions
+from repro import Database, EvalOptions, ImportOptions
 from repro.axes import Axis
 from repro.algebra.steps import UNKNOWN_TAG, CompiledNodeTest, CompiledStep
 from repro.model.builder import tree_from_nested
 from repro.model.tags import DOCUMENT_TAG
 from repro.sim.disk import DiskGeometry
 from repro.storage.store import DocumentStatistics
-from repro.xpath.estimate import choose_io_operator, estimate_path, predict_io_costs
+from repro.xpath.compile import resolve_auto
+from repro.xpath.estimate import estimate_path, predict_io_costs
 
 AXES = list(Axis)
 
@@ -89,28 +90,21 @@ def test_choose_io_operator_never_raises(stats, steps, queue_depth):
     db.add_tree(tree, "d", ImportOptions(page_size=512))
     document = db.document("d")
     document.statistics = stats
-    for use_synopsis in (False, True):
-        choice = choose_io_operator(
-            document,
-            steps,
-            DiskGeometry(page_size=512),
-            use_synopsis=use_synopsis,
-            queue_depth=queue_depth,
-        )
-        assert choice in ("xscan", "xschedule")
+    for synopsis in (False, True):
+        options = EvalOptions(synopsis=synopsis)
         prediction = predict_io_costs(
             document,
             steps,
             DiskGeometry(page_size=512),
-            use_synopsis=use_synopsis,
+            *options.snapshots(document),
             queue_depth=queue_depth,
         )
         assert prediction is not None
+        assert prediction.choice in ("xscan", "xschedule")
         assert math.isfinite(prediction.sequential_cost)
         assert math.isfinite(prediction.random_cost)
         assert prediction.sequential_cost >= 0.0
         assert prediction.random_cost >= 0.0
-        assert prediction.choice == choice
 
 
 def test_chooser_without_statistics_defaults_to_schedule():
@@ -122,5 +116,7 @@ def test_chooser_without_statistics_defaults_to_schedule():
     steps = [
         CompiledStep(Axis.CHILD, CompiledNodeTest.compile("node", Axis.CHILD, None))
     ]
-    assert choose_io_operator(document, steps, DiskGeometry(page_size=512)) == "xschedule"
-    assert predict_io_costs(document, steps, DiskGeometry(page_size=512)) is None
+    geometry = DiskGeometry(page_size=512)
+    options = EvalOptions()
+    assert resolve_auto(document, steps, geometry, options)[0] == "xschedule"
+    assert predict_io_costs(document, steps, geometry, *options.snapshots(document)) is None

@@ -78,7 +78,6 @@ def test_segment_allocate_and_adopt():
     segment.adopt(external)
     assert segment.page(1) is external
     assert segment.n_pages == 2
-    assert segment.total_bytes() == 1024
 
 
 def test_segment_adopt_out_of_order_rejected():

@@ -1,5 +1,8 @@
 """Tests for the document store and its validators."""
 
+import itertools
+import random
+
 import pytest
 
 from repro.errors import StorageError
@@ -7,14 +10,17 @@ from repro.model.builder import tree_from_nested
 from repro.model.tags import TagDictionary
 from repro.storage.importer import ImportOptions
 from repro.storage.store import (
+    PATH_ID_LIMIT,
     DocumentStatistics,
     DocumentStore,
     check_document,
     export_tree,
 )
 from repro.xml.escape import serialize
+from repro.xpath.parser import parse_path
+from repro.xpath.reference import evaluate_path
 
-from tests.conftest import make_random_tree
+from tests.conftest import make_random_tree, small_database
 
 
 def test_import_and_lookup():
@@ -118,3 +124,32 @@ def test_statistics_from_summary_equal_a_sweep_of_the_tree():
     assert stats == DocumentStatistics.collect(tree)
     a = tags.lookup("a")
     assert desc_pairs[a, a] > child_pairs[a, a]  # nesting deeper than one level occurred
+
+
+def test_path_ids_stay_bounded_and_are_never_reused():
+    """A thousand distinct paths through one warm session: the interned
+    path ids stay within :data:`PATH_ID_LIMIT`, every answer is the
+    reference evaluator's, and a path interned again after the drop gets
+    an id no earlier path had — so no memo kept under an old id (a run or
+    delivery tape) can answer for it."""
+    db, tree = small_database(seed=3, n_top=4)
+    doc = db.document("d")
+    ir = doc.import_result
+    axes = ("child", "descendant", "descendant-or-self", "parent", "self")
+    steps = [f"{axis}::{test}" for axis in axes for test in ("a", "b", "c", "*", "node()")]
+    paths = list(itertools.product(steps, repeat=3))
+    queries = ["/" + "/".join(path) for path in random.Random(1).sample(paths, 1000)]
+    session = db.session(warm=True)
+    issued = set()
+    interned = []  # the queries the path summary does not refute
+    for query in queries:
+        result = session.execute(query, doc="d", plan="xscan")
+        assert result.nodes == [ir.nodeid_of(n) for n in evaluate_path(tree, parse_path(query))]
+        assert len(doc.path_ids) <= PATH_ID_LIMIT
+        if not issued.issuperset(doc.path_ids.values()):
+            interned.append(query)
+            issued.update(doc.path_ids.values())
+    assert len(issued) > PATH_ID_LIMIT
+    session.execute(interned[0], doc="d", plan="xscan")
+    # dropped since, it is interned again under an id no path had before
+    assert len(set(doc.path_ids.values()) - issued) == 1

@@ -6,7 +6,7 @@ from repro import Database, EvalOptions, ImportOptions, UnsupportedQueryError
 from repro.axes import Axis
 from repro.model.builder import tree_from_nested
 from repro.sim.disk import DiskGeometry
-from repro.xpath.compile import PlanKind, _rewrite_descendant, compile_query
+from repro.xpath.compile import PlanKind, compile_query
 from repro.xpath.estimate import estimate_path
 from repro.algebra.steps import CompiledNodeTest, CompiledStep
 
@@ -35,16 +35,6 @@ def test_rewrite_merges_descendant_or_self():
     db = db_with(("a", [("b",)]))
     steps = compiled_steps(db, "/a//b")
     assert [s.axis for s in steps] == [Axis.CHILD, Axis.DESCENDANT]
-
-
-def test_rewrite_can_be_disabled():
-    db = db_with(("a", [("b",)]))
-    steps = compiled_steps(db, "/a//b", rewrite_descendant=False)
-    assert [s.axis for s in steps] == [
-        Axis.CHILD,
-        Axis.DESCENDANT_OR_SELF,
-        Axis.CHILD,
-    ]
 
 
 def test_rewrite_chains_of_double_slashes():

@@ -7,7 +7,13 @@ from repro.axes import Axis
 from repro.algebra.steps import CompiledNodeTest, CompiledStep
 from repro.model.builder import tree_from_nested
 from repro.sim.disk import DiskGeometry
-from repro.xpath.estimate import choose_io_operator, estimate_path
+from repro.xpath.compile import resolve_auto
+from repro.xpath.estimate import estimate_path, predict_io_costs
+
+
+def predicted(doc, steps, geo, options=EvalOptions()):
+    """Both plan families' predicted costs under ``options``' gates."""
+    return predict_io_costs(doc, steps, geo, *options.snapshots(doc))
 
 
 def make_db(spec):
@@ -63,7 +69,8 @@ def test_chooser_prefers_schedule_without_statistics():
     doc = db.document("d")
     doc.statistics = None
     steps = [step(db, Axis.DESCENDANT, "a")]
-    assert choose_io_operator(doc, steps, DiskGeometry()) == "xschedule"
+    assert predicted(doc, steps, DiskGeometry()) is None
+    assert resolve_auto(doc, steps, DiskGeometry(), EvalOptions())[0] == "xschedule"
 
 
 def test_chooser_scales_with_visited_fraction():
@@ -77,8 +84,8 @@ def test_chooser_scales_with_visited_fraction():
     geo = DiskGeometry(page_size=256)
     full_scan_steps = [step(wide, Axis.DESCENDANT, "y")]
     selective_steps = [step(wide, Axis.CHILD, "nothing", kind="name")]
-    assert choose_io_operator(doc, full_scan_steps, geo) == "xscan"
-    assert choose_io_operator(doc, selective_steps, geo) == "xschedule"
+    assert predicted(doc, full_scan_steps, geo).choice == "xscan"
+    assert predicted(doc, selective_steps, geo).choice == "xschedule"
 
 
 def test_zero_tag_count_does_not_divide():
@@ -125,7 +132,7 @@ def test_chooser_prefers_scan_on_tiny_documents():
     geo = DiskGeometry(page_size=512)
     # either answer is defensible at this scale; the call must simply be
     # consistent with the cost inequality it implements
-    choice = choose_io_operator(db.document("d"), steps, geo)
+    choice = predicted(db.document("d"), steps, geo).choice
     assert choice in ("xscan", "xschedule")
 
 
@@ -210,8 +217,8 @@ def test_synopsis_occupancy_fixes_skewed_layout_choice():
     # the layout really is skewed: all y's in a few clusters
     assert doc.synopsis.clusters_matching(steps[2].test) <= 8
     geo = DiskGeometry()
-    assert choose_io_operator(doc, steps, geo, use_synopsis=False) == "xscan"
-    assert choose_io_operator(doc, steps, geo, use_synopsis=True) == "xschedule"
+    assert predicted(doc, steps, geo, EvalOptions(synopsis=False)).choice == "xscan"
+    assert predicted(doc, steps, geo).choice == "xschedule"
     # ground truth: the synopsis-backed choice wins on simulated time
     scheduled = db.execute("/root/h/y", doc="d", plan="xschedule")
     scanned = db.execute(
