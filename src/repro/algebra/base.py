@@ -99,11 +99,8 @@ class Operator:
                 yield item
             return
         it = self._iter
-        clock = ctx.clock
         stats = ctx.stats
-        cost = ctx._cost_call
         while True:
-            clock.now += cost
             stats.iterator_calls += 1
             if ctx._budget is not None:
                 ctx.check_budget()

@@ -6,11 +6,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.errors import BudgetExceededError, PlanError
-from repro.sim.clock import SimClock
-from repro.sim.costmodel import CostModel
 from repro.sim.faults import RetryPolicy
-from repro.sim.iosys import AsyncIOSystem
-from repro.sim.stats import Stats
 from repro.storage.buffer import BufferManager, Frame
 from repro.storage.page import Segment
 from repro.storage.synopsis import ClusterSynopsis
@@ -249,32 +245,24 @@ class EvalContext:
         "_budget_t0",
         "_budget_pages0",
         "_budget_retries0",
-        "_cost_hop",
-        "_cost_test",
-        "_cost_instance",
-        "_cost_set",
-        "_cost_queue",
-        "_cost_call",
     )
 
     def __init__(
         self,
         segment: Segment,
         buffer: BufferManager,
-        iosys: AsyncIOSystem,
-        clock: SimClock,
-        costs: CostModel,
-        stats: Stats,
         options: EvalOptions,
         tags=None,
         tracer=None,
     ) -> None:
         self.segment = segment
         self.buffer = buffer
-        self.iosys = iosys
-        self.clock = clock
-        self.costs = costs
-        self.stats = stats
+        self.iosys = buffer.iosys
+        #: the runtime's clock, and the books it prices: a charge is an
+        #: increment of one of ``stats``' priced counters
+        self.clock = clock = buffer.clock
+        self.costs = clock.costs
+        self.stats = clock.stats
         self.options = options
         #: the store's tag dictionary (needed by serialisation operators)
         self.tags = tags
@@ -307,45 +295,30 @@ class EvalContext:
         self._budget_t0 = 0.0
         self._budget_pages0 = 0
         self._budget_retries0 = 0
-        # per-primitive cost scalars, cached so the charge methods (the
-        # hottest calls in the engine) skip the dataclass attribute chain
-        self._cost_hop = costs.intra_hop
-        self._cost_test = costs.node_test
-        self._cost_instance = costs.instance_op
-        self._cost_set = costs.set_op
-        self._cost_queue = costs.queue_op
-        self._cost_call = costs.iterator_call
 
     # ------------------------------------------------------- cost charging
     #
-    # These inline SimClock.work (one float add) instead of calling it:
-    # they fire hundreds of thousands of times per query and the method
-    # call dominated their cost.  The simulated amounts are identical.
-    # Each books the counter its constant is priced by (CostModel.price).
+    # A charge is the increment of the counter its CostModel constant
+    # prices: the clock reads CPU seconds off the counters.
 
     def charge_hop(self) -> None:
         """One intra-cluster edge traversal."""
-        self.clock.now += self._cost_hop
         self.stats.intra_hops += 1
 
     def charge_test(self) -> None:
         """One node-test evaluation."""
-        self.clock.now += self._cost_test
         self.stats.node_tests += 1
 
     def charge_instance(self) -> None:
         """Creation/copy of one path-instance tuple."""
-        self.clock.now += self._cost_instance
         self.stats.instances_created += 1
 
     def charge_set_op(self) -> None:
         """One R/S/duplicate-hash operation."""
-        self.clock.now += self._cost_set
         self.stats.set_ops += 1
 
     def charge_queue_op(self) -> None:
         """One insert/remove on XSchedule's queue Q."""
-        self.clock.now += self._cost_queue
         self.stats.queue_ops += 1
 
     def charge_call(self) -> None:
@@ -356,7 +329,6 @@ class EvalContext:
         tuples.  The check is a single ``is None`` test when no budget is
         armed — zero overhead for ordinary runs.
         """
-        self.clock.now += self._cost_call
         self.stats.iterator_calls += 1
         if self._budget is not None:
             self.check_budget()

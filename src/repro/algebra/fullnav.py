@@ -44,7 +44,7 @@ def full_step(
     the node test (predicates are the caller's), in axis order and with
     its page pinned.  ``resumed``: the start is the entry border of a
     paused step.  ``instances``: every match becomes a path instance, so
-    its ``instance_op`` joins the flush the match needs anyway.  A caller
+    its ``instance_op`` joins the post the match needs anyway.  A caller
     that names its ``step_index`` gets the extension's ``unnest-batch``
     trace event.  ``tested=False`` charges no node test: the caller picks
     its nodes by kind for free (:func:`string_value`).
@@ -56,27 +56,22 @@ def full_step(
     page's memoised
     :meth:`~repro.storage.colview.ColumnView.extension_batch` is walked
     event by event, the hops and tests of the candidates skipped since
-    the last one charged in one multiply.  A border suspends the stream
+    the last one counted in one addition.  A border suspends the stream
     on ``stack`` and crosses with one buffer call,
     :meth:`~repro.storage.buffer.BufferManager.swap`: the source page is
     unfixed before the target is fixed, and swapped back in when the
     target's stream is spent, so only the page being navigated is pinned
     however long a continuation chain grows — the repeated swizzling the
-    Simple method pays and the cost-sensitive plans avoid.  ``pending``
-    goes onto the clock before every yield and every buffer call (they
-    advance it and stamp tracer events with it), counter deltas onto
-    ``Stats`` before every yield and on exit.  Time is on a grid, so the
-    sums are exact.
+    Simple method pays and the cost-sensitive plans avoid.  Counter
+    deltas are posted to ``Stats`` before every yield and every buffer
+    call (the clock reads them there: a read's submission, a tracer
+    event), and on exit.
     """
     axis = step.axis
     key = step.memo_key
     match_batch = step.match_batch
     buffer = ctx.buffer
-    clock = ctx.clock
     stats = ctx.stats
-    cost_hop = ctx._cost_hop
-    cost_test = ctx._cost_test if tested else 0.0
-    cost_match = ctx._cost_instance if instances else 0.0
     d_hops = d_tests = 0
     frame = buffer.fix(page_no)
     try:
@@ -86,21 +81,21 @@ def full_step(
         )
         if step_index is not None and ctx.tracer is not None and size:
             span = {"step": step_index, "batch_size": size}
-            ctx.tracer.event(clock.now, "op", "unnest-batch", page=page_no, args=span)
+            ctx.tracer.event(ctx.clock.now, "op", "unnest-batch", page=page_no, args=span)
         it = zip(ev_slots, ev_hops, ev_tests)
         stack = []  # suspended streams: (page_no, it, tail)
-        pending = upfront * cost_hop
         d_hops = upfront
         while True:
             for slot, hops, tests in it:
-                pending += hops * cost_hop + tests * cost_test
                 d_hops += hops
                 d_tests += tests
                 if slot < 0:
                     target = page.records[~slot].target()
                     stack.append((page_no, it, tail))
                     page_no = page_of(target)
-                    clock.work(pending)
+                    stats.intra_hops += d_hops
+                    stats.node_tests += d_tests if tested else 0
+                    d_hops = d_tests = 0
                     # a failed read must not release this pin twice
                     released, frame = frame, None
                     frame = buffer.swap(released, page_no)
@@ -109,25 +104,23 @@ def full_step(
                         key, match_batch, slot_of(target), axis, True
                     )
                     it = zip(ev_slots, ev_hops, ev_tests)
-                    pending = upfront * cost_hop
-                    d_hops += upfront
+                    d_hops = upfront
                     break
-                clock.work(pending + cost_match)
-                pending = 0.0
                 stats.intra_hops += d_hops
                 stats.node_tests += d_tests if tested else 0
                 stats.instances_created += instances
                 d_hops = d_tests = 0
                 yield page_no, slot
             else:
-                # stream spent: charge what follows its last event, pop
+                # stream spent: what follows its last event, then pop
                 hops, tests = tail
-                clock.work(pending + hops * cost_hop + tests * cost_test)
-                pending = 0.0
                 d_hops += hops
                 d_tests += tests
                 if not stack:
-                    return  # the finally below releases the pin
+                    return  # the finally below posts and releases the pin
+                stats.intra_hops += d_hops
+                stats.node_tests += d_tests if tested else 0
+                d_hops = d_tests = 0
                 page_no, it, tail = stack.pop()
                 released, frame = frame, None
                 frame = buffer.swap(released, page_no)

@@ -269,16 +269,13 @@ class XAssembly(Operator):
         step, each pulled through ``Operator.next``) without visiting
         every candidate: an extension is walked event by event — a match
         or a border, with the hops and node tests of the candidates
-        skipped since the previous one charged in one multiply — and a
+        skipped since the previous one counted in one addition — and a
         pull first adds the ``iterator_call`` of every level it crosses.
         ``top`` is the highest step holding an extension, the suspended
-        ones below it sit on ``stack``.  Charges collect in ``pending`` (time
-        is on a grid, so the sum is exact in any order) and go onto the
-        clock before anything else can read or advance it; counter deltas
-        are posted before every yield, every pull of the I/O operator and
-        on exit, so the clock's CPU seconds are the counters priced
-        wherever anything can look.  Flush points:
-        docs/algebra.md.  Neither an :class:`EntryRun` nor one of
+        ones below it sit on ``stack``.  Every charge is booked on
+        ``Stats`` where it is counted, so the clock, which prices the
+        counters, is current wherever anything reads it (docs/algebra.md,
+        "Flush points").  Neither an :class:`EntryRun` nor one of
         XSchedule's Q entries is walked at all when nothing can read the
         clock inside it: each is taken in from its memoised tape
         (:meth:`_replay`, :meth:`_deliveries`), and this loop stays the
@@ -291,11 +288,6 @@ class XAssembly(Operator):
         clock = ctx.clock
         stats = ctx.stats
         tracer = ctx.tracer
-        cost_hop = ctx._cost_hop
-        cost_test = ctx._cost_test
-        cost_instance = ctx._cost_instance
-        cost_set = ctx._cost_set
-        cost_call = ctx._cost_call
         limit = ctx.options.memory_limit
         path_len = self.path_len
         r = self._r
@@ -315,16 +307,12 @@ class XAssembly(Operator):
         top = 0
         it = tail = page = p = entries = None
         starting = False
-        d_hops = d_tests = d_instances = d_deferred = d_calls = d_out = 0
-        d_speculative = d_replayed = d_pulls = d_sets = 0
+        d_calls = d_out = d_replayed = 0  # the tracer's XStep and I/O operator roll-ups
         t0 = clock.now
-        pending = 0.0  # CPU seconds charged here, not yet on the clock
         try:
             while True:
                 result = None
                 if ready:
-                    clock.work(pending)
-                    pending = 0.0
                     result = self._activate(ready.popleft())
                 else:
                     # the pull crosses levels n..top: the idle ones and the one it resumes
@@ -333,11 +321,8 @@ class XAssembly(Operator):
                         if calls:
                             d_calls += calls
                             if ctx._budget is None:
-                                pending += calls * cost_call
-                                d_pulls += calls
+                                stats.iterator_calls += calls
                             else:  # checked after every single crossing
-                                clock.work(pending)
-                                pending = 0.0
                                 for _ in range(calls):
                                     ctx.charge_call()
                             calls = 0
@@ -349,24 +334,8 @@ class XAssembly(Operator):
                                 entries = None
                             else:
                                 d_replayed += 1
-                                if ctx._budget is None:
-                                    pending += cost_call
-                                    d_pulls += 1
-                                else:
-                                    clock.work(pending)
-                                    pending = 0.0
-                                    ctx.charge_call()
+                                ctx.charge_call()
                         if top == 0 and entries is None:
-                            # the pull may yield to the caller (the I/O
-                            # operator's speculation, a traced crossing):
-                            # nothing stays unposted
-                            self._post(
-                                pending, d_hops, d_tests, d_instances, d_deferred, d_speculative,
-                                d_pulls, d_sets,
-                            )  # fmt: skip
-                            pending = 0.0
-                            d_hops = d_tests = d_instances = d_deferred = 0
-                            d_speculative = d_pulls = d_sets = 0
                             if schedule is None:
                                 p = next(source, None)
                             else:
@@ -441,8 +410,8 @@ class XAssembly(Operator):
                         if top == 0:
                             # the run's next entry, in place: what XScan charges
                             # for the instance it stands for, and no instance
-                            pending += cost_instance
-                            d_speculative += 1
+                            stats.instances_created += 1
+                            stats.speculative_instances += 1
                             n_l = page_base | slot
                             left_key = (s_l, n_l)
                             top = s_l + 1
@@ -482,17 +451,14 @@ class XAssembly(Operator):
                                 if tracer is not None and size:
                                     span = {"step": top, "batch_size": size}
                                     tracer.event(
-                                        clock.now + pending, "op", "xstep-batch", page=page_no, args=span
+                                        clock.now, "op", "xstep-batch", page=page_no, args=span
                                     )
-                                pending += upfront * cost_hop
-                                d_hops += upfront
+                                stats.intra_hops += upfront
                                 it = zip(ev_slots, ev_hops, ev_tests)
                             p = None
                         if tail is None:
                             # a fallback level (Sec. 5.4.6): scalar full
-                            # navigation, charging the clock itself
-                            clock.work(pending)
-                            pending = 0.0
+                            # navigation
                             p = next(it, None)
                             if p is not None:
                                 d_out += 1
@@ -511,14 +477,13 @@ class XAssembly(Operator):
                         for slot, hops, tests in it:
                             # the next event of level `top`, and every
                             # candidate skipped on the way to it
-                            pending += hops * cost_hop + tests * cost_test + cost_instance
-                            d_hops += hops
-                            d_tests += tests
-                            d_instances += 1
+                            stats.intra_hops += hops
+                            stats.node_tests += tests
+                            stats.instances_created += 1
                             if slot < 0:
                                 # a border pauses the instance here: the
                                 # levels above hand it up as it is
-                                d_deferred += 1
+                                stats.border_crossings_deferred += 1
                                 d_out += n - top + 1
                                 s_r = top - 1
                                 right = records[~slot].target()
@@ -542,9 +507,8 @@ class XAssembly(Operator):
                             # charged, and the pull goes on to the level below, or
                             # through every idle one to the I/O operator
                             hops, tests = tail
-                            pending += hops * cost_hop + tests * cost_test
-                            d_hops += hops
-                            d_tests += tests
+                            stats.intra_hops += hops
+                            stats.node_tests += tests
                             if stack:
                                 it, tail = stack.pop()
                                 top -= 1
@@ -558,13 +522,10 @@ class XAssembly(Operator):
                     # intake (Sec. 5.4.5): an instance ending at (s_r, right) reached the top
                     if not left_open:
                         if paused:
-                            clock.work(pending)
-                            pending = 0.0
                             self._prove(s_r, right, s_l, n_l)
                         else:
                             # a full path: its R probe is the duplicate filter
-                            pending += cost_set
-                            d_sets += 1
+                            stats.set_ops += 1
                             key = (path_len, right)
                             if key in r:
                                 stats.duplicates_suppressed += 1
@@ -572,16 +533,12 @@ class XAssembly(Operator):
                                 r.add(key)
                                 result = right
                     elif not ctx.fallback:  # (whose re-evaluation covers all speculation)
-                        pending += cost_set
-                        d_sets += 1
+                        stats.set_ops += 1
                         if implied or left_key in r:
                             stats.merges += 1
-                            clock.work(pending)
-                            pending = 0.0
                             result = self._activate((s_r, right, paused))
                         else:
-                            pending += cost_set
-                            d_sets += 1
+                            stats.set_ops += 1
                             parked = s.get(left_key)
                             if type(parked) is list:
                                 parked.append((s_r, right, paused))
@@ -589,25 +546,12 @@ class XAssembly(Operator):
                                 s[left_key] = [*(parked or ()), (s_r, right, paused)]
                             self._s_size += 1
                             if limit is not None and self._s_size > limit:
-                                clock.work(pending)
-                                pending = 0.0
                                 self._enter_fallback()
                 if result is not None:
                     # the result tuple leaves as its NodeID, its instance_op charged
-                    self._post(
-                        pending + cost_instance,
-                        d_hops, d_tests, d_instances + 1, d_deferred, d_speculative, d_pulls,
-                        d_sets,
-                    )  # fmt: skip
-                    pending = 0.0
-                    d_hops = d_tests = d_instances = d_deferred = d_speculative = 0
-                    d_pulls = d_sets = 0
+                    stats.instances_created += 1
                     yield result
         finally:
-            # also on an error: whatever the walk charged reaches the clock
-            self._post(
-                pending, d_hops, d_tests, d_instances, d_deferred, d_speculative, d_pulls, d_sets
-            )
             if tracer is not None and n:
                 tracer.op_call("XStep", d_out, d_calls)
                 tracer.op_span("XStep", t0, clock.now, d_out)
@@ -669,14 +613,14 @@ class XAssembly(Operator):
         tape's own outcome tuple: two ``set_op`` per outcome, as the
         walk charges.  An entry that is reachable (or implied by the
         ``//`` prefix) has its outcomes activated one by one, each with
-        everything the walk charges before it on the clock first, so
-        every ``_prove`` and every yield see the level-stack walk's
-        clock.  A run taken in place owes the crossing of the pull it
-        replaces: one ``iterator_call``, audited by an attached
-        sanitizer as :meth:`Operator.next` would.  The rest of the
-        cluster's charges follow in one sum, when its runs are spent —
-        or when one cannot come off a tape: that run is returned, for
-        :meth:`_produce` to walk.
+        everything the walk counts before it posted first, so every
+        ``_prove`` and every yield see the level-stack walk's clock.  A
+        run taken in place owes the crossing of the pull it replaces:
+        one ``iterator_call``, audited by an attached sanitizer as
+        :meth:`Operator.next` would.  The rest of the cluster's counts
+        follow in one post, when its runs are spent — or when one cannot
+        come off a tape: that run is returned, for :meth:`_produce` to
+        walk.
         """
         ctx = self.ctx
         r = self._r
@@ -762,30 +706,23 @@ class XAssembly(Operator):
         (``take_in_place``).
 
         Q's entries are left-complete, so what they produce never enters
-        S: an outcome is a paused crossing, proved with what the walk
-        charges before it on the clock first, or a full path, whose R
-        probe (one ``set_op``) either drops it as a duplicate or admits a
-        result, yielded at the walk's clock with the counters posted.
+        S: an outcome is a paused crossing or a full path, whose R probe
+        (one ``set_op``) either drops it as a duplicate or admits a
+        result.  The walk's counters up to an outcome's marks are posted
+        before it is proved or yielded, so either sees the walk's clock.
         ``_ready`` is drained after each proof, as between two pulls.  An
         entry taken in place owes what the pull it replaces charges: its
         crossing, the ``queue_op``, the swizzle pair
         (``BufferManager.refix``) and the ``instance_op``; an attached
         sanitizer audits the books after each take, as
-        :meth:`Operator.next` would after the pull.  The counters are
-        posted at each yield and once the cluster's deliveries are spent —
-        or once one cannot come off a tape (a corrupt page): that entry,
-        its pull charged, is returned for :meth:`_produce` to walk.
+        :meth:`Operator.next` would after the pull.  The rest is posted
+        once the cluster's deliveries are spent — or once one cannot come
+        off a tape (a corrupt page): that entry, its pull charged, is
+        returned for :meth:`_produce` to walk.
         """
         ctx = self.ctx
-        clock = ctx.clock
         stats = ctx.stats
         san = ctx.san
-        cost_hop = ctx._cost_hop
-        cost_test = ctx._cost_test
-        cost_instance = ctx._cost_instance
-        cost_call = ctx._cost_call
-        cost_set = ctx._cost_set
-        cost_queue = ctx._cost_queue
         r = self._r
         ready = self._ready
         steps = self.steps
@@ -804,9 +741,6 @@ class XAssembly(Operator):
         hops = tests = instances = calls = deferred = 0
         posted = (0, 0, 0, 0, 0, 0)
         sets = 0
-        # CPU seconds charged and not yet on the clock, beyond the
-        # entry's walk up to the marks (fh, ft, fe, fc)
-        owed = 0.0
         while True:
             s_r, _, s_l, n_l, left_open, target, resumed = entry
             if left_open or s_r >= n:
@@ -823,11 +757,10 @@ class XAssembly(Operator):
                     break
                 book[start] = tape
             outcomes, marks = tape
-            fh = ft = fe = fc = at = 0
+            at = 0
             for reached, right, paused in outcomes:
                 if not paused:
                     # a full path: its R probe is the duplicate filter
-                    owed += cost_set
                     sets += 1
                     key = (path_len, right)
                     if key in r:
@@ -835,29 +768,12 @@ class XAssembly(Operator):
                         at += 5
                         continue
                     r.add(key)
-                # the walk's clock at this outcome's intake
-                h = marks[at]
-                t = marks[at + 1]
-                e = marks[at + 2]
-                c = marks[at + 3]
-                clock.now += (
-                    owed
-                    + (h - fh) * cost_hop
-                    + (t - ft) * cost_test
-                    + (e - fe) * cost_instance
-                    + (c - fc) * cost_call
-                )
-                owed = 0.0
-                fh, ft, fe, fc = h, t, e, c
-                if paused:
-                    self._prove(reached, right, s_l, n_l)
-                    if not ready:
-                        at += 5
-                        continue
-                # results may leave: the counters are posted up to here
-                d = marks[at + 4]
-                upto = (hops + h, tests + t, instances + e, calls + c, deferred + d, 0)
-                self._settle(posted, upto, sets, timed=False)
+                # the walk's counters at this outcome's intake
+                upto = (
+                    hops + marks[at], tests + marks[at + 1], instances + marks[at + 2],
+                    calls + marks[at + 3], deferred + marks[at + 4], 0,
+                )  # fmt: skip
+                self._settle(posted, upto, sets)
                 posted = upto
                 sets = 0
                 at += 5
@@ -865,6 +781,7 @@ class XAssembly(Operator):
                     ctx.charge_instance()  # the result tuple's
                     yield right
                     continue
+                self._prove(reached, right, s_l, n_l)
                 while ready:
                     result = self._activate(ready.popleft())
                     if result is not None:
@@ -872,12 +789,6 @@ class XAssembly(Operator):
                         yield result
             # the rest of the entry's walk: its totals
             h, t, e, c, d = marks[at:]
-            owed += (
-                (h - fh) * cost_hop
-                + (t - ft) * cost_test
-                + (e - fe) * cost_instance
-                + (c - fc) * cost_call
-            )
             hops += h
             tests += t
             instances += e
@@ -888,39 +799,25 @@ class XAssembly(Operator):
                 break
             # the pull it replaces: its crossing and the instance it hands
             # on, the queue_op, the swizzle of a hit and the unswizzle
-            owed += cost_call + cost_instance
             calls += 1
             instances += 1
-            clock.now += cost_queue
             stats.queue_ops += 1
             refix(frame)
             if san is not None:
-                clock.now += owed
-                owed = 0.0
                 upto = (hops, tests, instances, calls, deferred, 0)
-                self._settle(posted, upto, sets, timed=False)
+                self._settle(posted, upto, sets)
                 posted = upto
                 sets = 0
                 san.check()
-        clock.now += owed
-        self._settle(posted, (hops, tests, instances, calls, deferred, 0), sets, timed=False)
+        self._settle(posted, (hops, tests, instances, calls, deferred, 0), sets)
         return entry
 
-    def _settle(self, done: tuple, upto: tuple, sets: int, timed: bool = True) -> None:
-        """Charge and book what a tape counts between two of its marks,
-        and ``sets`` R/S operations (``timed=False``: book only, the
-        caller has put their time on the clock)."""
-        ctx = self.ctx
+    def _settle(self, done: tuple, upto: tuple, sets: int) -> None:
+        """Book what a tape counts between two of its marks, and ``sets``
+        R/S operations."""
         hops0, tests0, events0, calls0, deferred0, entries0 = done
         hops, tests, events, calls, deferred, entries = upto
         self._post(
-            (hops - hops0) * ctx._cost_hop
-            + (tests - tests0) * ctx._cost_test
-            + (events - events0 + entries - entries0) * ctx._cost_instance
-            + (calls - calls0) * ctx._cost_call
-            + sets * ctx._cost_set
-            if timed
-            else 0.0,
             hops - hops0,
             tests - tests0,
             events - events0,
@@ -932,7 +829,6 @@ class XAssembly(Operator):
 
     def _post(
         self,
-        pending: float,
         hops: int,
         tests: int,
         instances: int,
@@ -941,11 +837,9 @@ class XAssembly(Operator):
         calls: int,
         sets: int,
     ) -> None:
-        """Put the kernel's ``pending`` CPU seconds on the clock and book
-        the counter deltas they price: one of its flushes."""
-        ctx = self.ctx
-        ctx.clock.work(pending)
-        stats = ctx.stats
+        """Book counter deltas a tape player took in (:meth:`_settle`),
+        and with them the CPU seconds they price."""
+        stats = self.ctx.stats
         stats.intra_hops += hops
         stats.node_tests += tests
         stats.instances_created += instances + speculative
@@ -972,7 +866,6 @@ class XAssembly(Operator):
         """Deduplicate a full path's result node through R (one
         ``set_op``, charged here): the node, or None for a duplicate."""
         ctx = self.ctx
-        ctx.clock.now += ctx._cost_set
         ctx.stats.set_ops += 1
         key = (self.path_len, nid)
         if key in self._r:
@@ -991,7 +884,6 @@ class XAssembly(Operator):
         the ``//`` prefix every step-1 key counts as present.
         """
         ctx = self.ctx
-        ctx.clock.now += ctx._cost_set
         ctx.stats.set_ops += 1
         key = (step, junction)
         if key in self._r or (self.descendant_root_opt and step == 1):

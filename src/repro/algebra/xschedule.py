@@ -181,7 +181,6 @@ class XSchedule(Operator):
             # the cluster's speculative instances already cover this entry
             self._parked.append((s_r, s_l, n_l, left_open, target, resumed))
             return
-        ctx.clock.now += ctx._cost_queue
         ctx.stats.queue_ops += 1
         seq = self._seq
         self._seq = seq + 1

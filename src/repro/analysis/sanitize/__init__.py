@@ -7,10 +7,10 @@ from independent evidence while the engine runs and fail loudly on the
 first disagreement.  Three sanitizers:
 
 * **charge** — at every operator yield the simulated clock must be
-  monotonic, on the time grid, and its CPU seconds must be the counters
-  priced, ``clock.cpu_time == costs.price(stats)``.  Catches a charge
-  without its counter (or the reverse), or a duration created off the
-  grid, at the exact yield where it first shows.
+  monotonic and on the time grid.  Catches a priced counter booked
+  backwards, or a duration created off the grid, at the exact yield
+  where it first shows.  (CPU seconds need no audit: the
+  clock reads them off the counters.)
 * **determinism** — double execution: every cold :meth:`Database.execute
   <repro.engine.Database.execute>` is re-run on a private shadow runtime
   and diffed — value, nodes, every counter, the clock, and the trace

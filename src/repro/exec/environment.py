@@ -110,35 +110,16 @@ class ExecutionEnvironment:
         return self._build_context(options or self.options, tracer)
 
     def _build_context(self, opts: EvalOptions, tracer) -> EvalContext:
-        stats = Stats()
-        clock = SimClock()
+        # the one Stats of the runtime, priced by its clock: every other
+        # component books onto the clock's
+        clock = SimClock(Stats(), self.costs)
         plan = FaultPlan(self.faults) if self.faults is not None else None
         disk = DiskDevice(
-            self.geometry, self.disk_policy, stats, faults=plan, tracer=tracer
+            self.geometry, self.disk_policy, clock.stats, faults=plan, tracer=tracer
         )
-        iosys = AsyncIOSystem(
-            disk, clock, self.costs, stats, retry=opts.retry, tracer=tracer
-        )
-        buffer = BufferManager(
-            self.segment,
-            iosys,
-            clock,
-            self.costs,
-            self.buffer_pages,
-            stats,
-            tracer=tracer,
-        )
-        return EvalContext(
-            self.segment,
-            buffer,
-            iosys,
-            clock,
-            self.costs,
-            stats,
-            opts,
-            tags=self.tags,
-            tracer=tracer,
-        )
+        iosys = AsyncIOSystem(disk, clock, retry=opts.retry, tracer=tracer)
+        buffer = BufferManager(self.segment, iosys, self.buffer_pages, tracer=tracer)
+        return EvalContext(self.segment, buffer, opts, tags=self.tags, tracer=tracer)
 
     def view(
         self, shared: EvalContext, options: EvalOptions | None = None
@@ -153,10 +134,6 @@ class ExecutionEnvironment:
         ctx = EvalContext(
             shared.segment,
             shared.buffer,
-            shared.iosys,
-            shared.clock,
-            shared.costs,
-            shared.stats,
             options or shared.options,
             tags=shared.tags,
             tracer=shared.tracer,

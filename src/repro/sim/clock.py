@@ -5,30 +5,31 @@ clock tracks the CPU timeline; the disk keeps its own internal timeline and
 the two are merged whenever the CPU blocks on an I/O completion, which is
 how asynchronous I/O overlaps computation and disk service in this model.
 
-The clock keeps two running sums:
-
-* ``now`` — the current time, advanced by CPU work
-  (:meth:`SimClock.work`) and by blocking on the disk
-  (:meth:`SimClock.wait_until`),
-* ``io_wait`` — the part of ``now`` spent blocked waiting for the disk.
-
-``cpu_time`` is derived: ``now - io_wait``.  These are the "total" and
-"CPU" columns of Table 3 in the paper (``total = cpu_time + io_wait``),
-and the identity holds by construction.  The CPU seconds are not a
-third book either: every charge goes with the ``Stats`` counter that
-prices it, so ``cpu_time == costs.price(stats)``
-(:meth:`repro.sim.costmodel.CostModel.price`).
+The clock stores one sum, ``io_wait``: the time spent blocked waiting
+for the disk (:meth:`SimClock.wait_until`).  CPU seconds are not stored
+at all: ``cpu_time`` is the runtime's ``Stats`` counters priced by its
+cost model (:meth:`repro.sim.costmodel.CostModel.price`), and ``now`` is
+``io_wait + cpu_time``.  These are the "total" and "CPU" columns of
+Table 3 in the paper, and both identities hold by definition: a charge
+*is* the counter that prices it, so nothing can move the clock without
+showing in the books.
 
 Simulated time lives on a grid: every duration is snapped to a whole
 number of ticks (:data:`TICK`) where it is created (:func:`on_grid`), and sums,
 maxima and differences of on-grid values below :data:`HORIZON` are exact
-in a double.  So both identities hold with ``==``, and the order in
-which charges are added cannot change a total (docs/simulation.md).
+in a double.  So ``now`` is the same ``==`` whatever order the counters
+were posted in (docs/simulation.md).
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.errors import ClockHorizonError
+
+if TYPE_CHECKING:
+    from repro.sim.costmodel import CostModel
+    from repro.sim.stats import Stats
 
 #: the grid of simulated time: 2**-36 s (14.6 ps)
 TICK = 2.0**-36
@@ -42,34 +43,38 @@ def on_grid(seconds: float) -> float:
 
 
 class SimClock:
-    """A monotonically advancing simulated CPU clock."""
+    """A monotonically advancing simulated CPU clock over one runtime's
+    ``stats``, priced by ``costs``."""
 
-    __slots__ = ("now", "io_wait")
+    __slots__ = ("stats", "costs", "io_wait")
 
-    def __init__(self) -> None:
-        self.now = 0.0
+    def __init__(self, stats: Stats, costs: CostModel) -> None:
+        self.stats = stats
+        self.costs = costs
         self.io_wait = 0.0
 
     @property
     def cpu_time(self) -> float:
-        """Time spent executing: everything not spent waiting on the disk."""
-        return self.now - self.io_wait
+        """Time spent executing: the counters priced."""
+        return self.costs.price(self.stats)
 
-    def work(self, seconds: float) -> None:
-        """Advance the clock by ``seconds`` of CPU work."""
-        if seconds < 0.0:
-            raise ValueError(f"negative work duration: {seconds}")
-        self.now += seconds
+    @property
+    def now(self) -> float:
+        """The current time: waiting on the disk plus executing."""
+        return self.io_wait + self.costs.price(self.stats)
 
-    def wait_until(self, t: float) -> None:
-        """Block (idle) until simulated time ``t``.
+    def wait_until(self, t: float) -> float:
+        """Block (idle) until simulated time ``t``; return the time it is
+        then (a caller need not read the clock again).
 
         If ``t`` is in the past, this is a no-op: the event we waited for
         already happened while the CPU was doing other work.
         """
-        if t > self.now:
-            self.io_wait += t - self.now
-            self.now = t
+        now = self.io_wait + self.costs.price(self.stats)
+        if t > now:
+            self.io_wait += t - now
+            return t
+        return now
 
     def checkpoint(self) -> tuple[float, float, float]:
         """Return ``(now, cpu_time, io_wait)`` for differential measurement.
@@ -77,13 +82,16 @@ class SimClock:
         Every request starts with one, which makes this the place a clock
         past :data:`HORIZON` is refused — between requests, never mid-query.
         """
-        if self.now >= HORIZON:
-            raise ClockHorizonError(self.now)
-        return (self.now, self.cpu_time, self.io_wait)
+        cpu = self.costs.price(self.stats)
+        now = self.io_wait + cpu
+        if now >= HORIZON:
+            raise ClockHorizonError(now)
+        return (now, cpu, self.io_wait)
 
     def since(self, mark: tuple[float, float, float]) -> tuple[float, float, float]:
         """Return elapsed ``(total, cpu, io_wait)`` since ``mark``."""
-        return (self.now - mark[0], self.cpu_time - mark[1], self.io_wait - mark[2])
+        cpu = self.costs.price(self.stats)
+        return (self.io_wait + cpu - mark[0], cpu - mark[1], self.io_wait - mark[2])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -2,14 +2,16 @@
 
 The paper reports measured CPU seconds of a C++ runtime (Natix).  Our
 runtime is a simulator, so CPU time is *modeled*: each physical primitive
-executed by the engine charges a constant to the simulated clock.  The
+executed by the engine is counted in ``Stats``, and each count is priced
+at a constant.  The
 constants below were calibrated so that the CPU/total breakdown of Table 3
 lands in the same regime as the paper (CPU fractions of roughly 10-30% for
 navigation-bound plans and 60-80% for the scan plan).
 
 All values are in seconds.  Every constant prices one ``Stats`` counter
-(:meth:`CostModel.price`), so a run's CPU seconds are its counters
-priced: ``clock.cpu_time == costs.price(stats)`` with ``==``.
+(:meth:`CostModel.price`), and the simulated clock's CPU seconds are
+that price of the runtime's counters (:class:`~repro.sim.clock.SimClock`):
+a primitive is charged by incrementing its counter, and by nothing else.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from repro.sim.stats import Stats
 
 @dataclass(frozen=True, slots=True)
 class CostModel:
-    """Per-primitive CPU costs charged by the engine.
+    """Per-primitive CPU costs of the engine.
 
     Attributes
     ----------
@@ -55,12 +57,12 @@ class CostModel:
         CPU cost of issuing one I/O request to the kernel/controller.
 
     Every constant must be a finite, non-negative number of seconds (a
-    :class:`ValueError` naming it otherwise: charges reach the clock
-    unchecked) and is snapped to the time grid at construction
+    :class:`ValueError` naming it otherwise: the clock prices counters
+    with it unchecked) and is snapped to the time grid at construction
     (:func:`~repro.sim.clock.on_grid`), so ``count * constant`` and any
-    sum of charges is exact.  Each constant is charged once per unit of
-    one ``Stats`` counter (:data:`PRICED`), which makes :meth:`price`
-    of a run's counters its simulated CPU seconds.
+    sum of them is exact.  Each constant prices one unit of one
+    ``Stats`` counter (:data:`PRICED`): :meth:`price` of a run's
+    counters is its simulated CPU seconds.
     """
 
     swizzle: float = 15.0e-6
@@ -85,15 +87,26 @@ class CostModel:
             object.__setattr__(self, f.name, on_grid(value))
 
     def price(self, stats: Stats) -> float:
-        """The CPU seconds ``stats`` paid for: count × constant, summed.
+        """The CPU seconds ``stats`` paid for: count × constant, summed
+        over the ten pairs of :data:`PRICED`.
 
-        Exact below the clock's horizon, so ``clock.cpu_time ==
-        costs.price(stats)`` holds with ``==`` for the stats a clock was
-        charged beside — a whole run, or any slice of one.
+        The one pricing function: :attr:`SimClock.cpu_time
+        <repro.sim.clock.SimClock.cpu_time>` is this of the runtime's
+        counters.  Exact below the clock's horizon, so it prices any
+        slice of a run (a ``Stats.diff``) to the CPU seconds the slice
+        spent, with ``==``.
         """
-        return sum(
-            getattr(stats, counter) * getattr(self, constant)
-            for constant, counter in PRICED.items()
+        return (
+            stats.swizzles * self.swizzle
+            + stats.unswizzles * self.unswizzle
+            + stats.intra_hops * self.intra_hop
+            + stats.node_tests * self.node_test
+            + stats.instances_created * self.instance_op
+            + stats.set_ops * self.set_op
+            + stats.queue_ops * self.queue_op
+            + stats.iterator_calls * self.iterator_call
+            + stats.page_registers * self.page_register
+            + stats.pages_requested * self.io_submit
         )
 
     def scaled(self, factor: float) -> "CostModel":
@@ -115,7 +128,7 @@ class CostModel:
         )
 
 
-#: constant -> the ``Stats`` counter that counts its charges
+#: constant -> the ``Stats`` counter it prices (the pairs :meth:`CostModel.price` sums)
 PRICED: dict[str, str] = {
     "swizzle": "swizzles",
     "unswizzle": "unswizzles",

@@ -7,8 +7,9 @@ The interface the paper expects from the DBMS:
 
 This module adapts the :class:`repro.sim.disk.DiskDevice` to that
 interface and wires the disk timeline into the CPU clock: issuing a
-request charges a small CPU cost; retrieving a completion blocks the CPU
-clock until the disk delivers (accounted as I/O wait).
+request books ``pages_requested``, which the clock prices at ``io_submit``;
+retrieving a completion blocks the CPU clock until the disk delivers
+(accounted as I/O wait).
 
 When a :class:`~repro.sim.faults.FaultPlan` is installed on the disk,
 this layer is also the recovery machinery:
@@ -28,10 +29,8 @@ from __future__ import annotations
 
 from repro.errors import PageReadError, RequestLostError
 from repro.sim.clock import SimClock, on_grid
-from repro.sim.costmodel import CostModel
 from repro.sim.disk import DiskDevice, Request
 from repro.sim.faults import RetryPolicy
-from repro.sim.stats import Stats
 
 
 class AsyncIOSystem:
@@ -47,21 +46,19 @@ class AsyncIOSystem:
         "_attempts",
         "early",
         "last_latency",
-        "_cost_submit",
     )
 
     def __init__(
         self,
         disk: DiskDevice,
         clock: SimClock,
-        costs: CostModel,
-        stats: Stats | None = None,
         retry: RetryPolicy | None = None,
         tracer=None,
     ) -> None:
         self.disk = disk
         self.clock = clock
-        self.stats = stats if stats is not None else disk.stats
+        #: the books ``clock`` prices
+        self.stats = clock.stats
         self.retry = retry or RetryPolicy()
         self.tracer = tracer
         #: page -> simulated time of the *first* submission of the
@@ -76,9 +73,6 @@ class AsyncIOSystem:
         #: end-to-end latency (first submit -> retrieval) of the most
         #: recently finished page; the scheduler's latency-SLO input
         self.last_latency = 0.0
-        # cached like EvalContext's charge scalars: CostModel is frozen
-        # and validated, so the charge is one float add beside its counter
-        self._cost_submit = costs.io_submit
 
     # ------------------------------------------------------------------ async
 
@@ -92,9 +86,9 @@ class AsyncIOSystem:
         if page in self._requested:
             return False
         stats = self.stats
-        now = self.clock.now = self.clock.now + self._cost_submit
-        stats.pages_requested += 1
+        stats.pages_requested += 1  # (the submission's io_submit)
         stats.async_requests += 1
+        now = self.clock.now
         self.disk.submit(page, now)
         self._requested[page] = now
         self._attempts[page] = 1
@@ -120,11 +114,11 @@ class AsyncIOSystem:
                 # requests were lost; resubmit at their deadlines
                 self._resubmit_lost()
                 continue
-            clock.wait_until(req.done_time)
+            now = clock.wait_until(req.done_time)
             if req.failed:
                 self._retry_failed(req.page, blocking=False)
                 continue
-            self._finish(req)
+            self._finish(req, now)
             return req.page
 
     def outstanding(self) -> int:
@@ -147,14 +141,12 @@ class AsyncIOSystem:
         stats = self.stats
         stats.sync_requests += 1
         if page not in self._requested:
-            now = clock.now = clock.now + self._cost_submit
-            stats.pages_requested += 1
+            stats.pages_requested += 1  # (the submission's io_submit)
+            now = clock.now
             done = self.disk.read_sync(page, now)
             if done is not None:
                 # served in the call, never before now: wait for it
-                clock.io_wait += done - now
-                clock.now = done
-                self._retrieved(page, now)
+                self._retrieved(page, now, clock.wait_until(done))
                 return
             self._requested[page] = now
             self._attempts[page] = 1
@@ -166,13 +158,13 @@ class AsyncIOSystem:
             if req is None:
                 self._resubmit_lost()
                 continue
-            clock.wait_until(req.done_time)
+            now = clock.wait_until(req.done_time)
             if req.failed:
                 # block through the backoff only when it is *our* page;
                 # someone else's retry is merely scheduled
                 self._retry_failed(req.page, blocking=req.page == page)
                 continue
-            self._finish(req, surface=req.page != page)
+            self._finish(req, now, surface=req.page != page)
             if req.page == page:
                 return
 
@@ -241,23 +233,23 @@ class AsyncIOSystem:
 
     # -------------------------------------------------------------- internals
 
-    def _finish(self, req: Request, surface: bool = False) -> None:
+    def _finish(self, req: Request, now: float, surface: bool = False) -> None:
         first_submit = self._requested.pop(req.page, None)
         self._attempts.pop(req.page, None)
         if first_submit is not None:
-            self._retrieved(req.page, first_submit)
+            self._retrieved(req.page, first_submit, now)
         if surface:
             # A completion for a different page arrived while waiting
             # synchronously; remember it so callers can still consume it.
             self.early.append(req.page)
 
-    def _retrieved(self, page: int, first_submit: float) -> None:
+    def _retrieved(self, page: int, first_submit: float, now: float) -> None:
         """A logical read of ``page`` first submitted at ``first_submit``
-        is retrieved now: its latency, and its ``io complete`` event."""
-        self.last_latency = max(0.0, self.clock.now - first_submit)
+        is retrieved at ``now``: its latency, and its ``io complete`` event."""
+        self.last_latency = max(0.0, now - first_submit)
         if self.tracer is not None:
             self.tracer.event(
-                self.clock.now, "io", "complete", page=page, args={"latency": self.last_latency}
+                now, "io", "complete", page=page, args={"latency": self.last_latency}
             )
 
     def drain_early_completions(self) -> list[int]:

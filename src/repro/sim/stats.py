@@ -3,18 +3,19 @@
 A :class:`Stats` object accumulates the physical counters behind the
 numbers reported in the paper's evaluation: pages read, seek activity,
 buffer behaviour, swizzling, and primitive counts.  Timing (total / CPU /
-I/O wait) lives on the :class:`repro.sim.clock.SimClock` and is combined
+I/O wait) is read off the :class:`repro.sim.clock.SimClock` and combined
 with the counters into a :class:`repro.engine.Result` by the engine.
 
-Every primitive that charges CPU time has a counter here, so the CPU
-seconds of a run are its priced counters:
-``clock.cpu_time == costs.price(stats)`` holds with ``==``
-(:meth:`repro.sim.costmodel.CostModel.price`).
+Every primitive that costs CPU time has a counter here, and a runtime's
+clock reads its CPU seconds off them: ``clock.cpu_time`` *is*
+``costs.price(stats)`` (:meth:`repro.sim.costmodel.CostModel.price`).
+So incrementing a priced counter is how simulated time advances, and a
+runtime's ``Stats`` only ever grow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 
 @dataclass(slots=True)
@@ -23,9 +24,9 @@ class Stats:
 
     All counters start at zero; operators and the storage layer increment
     them as side effects.  ``merge`` adds another bundle in, which the
-    benchmarks use to aggregate across runs.  A charge to the clock and
-    the increment of the counter that prices it go together, so any
-    slice of a run (a ``diff``) prices to the CPU seconds it spent.
+    benchmarks use to aggregate across runs.  The increment of a priced
+    counter is the charge itself, so any slice of a run (a ``diff``)
+    prices to the CPU seconds it spent.
     """
 
     # I/O layer
@@ -121,11 +122,6 @@ class Stats:
     def as_dict(self) -> dict[str, float]:
         """Return a plain ``{name: value}`` dictionary of all counters."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def reset(self) -> None:
-        """Zero every counter in place."""
-        for f in fields(self):
-            setattr(self, f.name, 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         nonzero = {k: v for k, v in self.as_dict().items() if v}

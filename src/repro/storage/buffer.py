@@ -22,10 +22,7 @@ query processor, so no dirty-page handling is needed.
 from __future__ import annotations
 
 from repro.errors import BufferError_
-from repro.sim.clock import SimClock
-from repro.sim.costmodel import CostModel
 from repro.sim.iosys import AsyncIOSystem
-from repro.sim.stats import Stats
 from repro.storage.page import Page, Segment
 
 
@@ -57,38 +54,30 @@ class BufferManager:
         "stats",
         "tracer",
         "_frames",
-        "_cost_swizzle",
-        "_cost_unswizzle",
-        "_cost_register",
     )
 
     def __init__(
         self,
         segment: Segment,
         iosys: AsyncIOSystem,
-        clock: SimClock,
-        costs: CostModel,
         capacity: int,
-        stats: Stats,
         tracer=None,
     ) -> None:
         if capacity < 1:
             raise BufferError_(f"buffer capacity must be positive, got {capacity}")
         self.segment = segment
         self.iosys = iosys
-        self.clock = clock
+        #: the I/O subsystem's clock, and the books it prices
+        self.clock = iosys.clock
         self.capacity = capacity
-        self.stats = stats
+        self.stats = iosys.stats
         self.tracer = tracer
         #: page_no -> frame, least recently used first
         self._frames: dict[int, Frame] = {}
-        self._cost_swizzle = costs.swizzle
-        self._cost_unswizzle = costs.unswizzle
-        self._cost_register = costs.page_register
 
     # ------------------------------------------------------------------ fix
     #
-    # A charge is a float add beside its counter (as in EvalContext); the
+    # A charge is its counter (swizzles, unswizzles, page_registers); the
     # LRU touch is the lookup itself: pop, then reinsert at the MRU end.
 
     def fix(self, page_no: int) -> Frame:
@@ -108,22 +97,19 @@ class BufferManager:
         by :meth:`fix` of ``page_no``, as one call: what a full-tree walk
         pays to cross a border.  A read that raises leaves ``frame``
         released."""
-        clock = self.clock
         stats = self.stats
         if frame is not None:
             if frame.pins <= 0:
                 raise BufferError_(f"unfix of unpinned frame {frame.page_no}")
             frame.pins -= 1
             stats.unswizzles += 1
-            clock.now += self._cost_unswizzle
-        clock.now += self._cost_swizzle
         stats.swizzles += 1
         frames = self._frames
         frame = frames.pop(page_no, None)
         if frame is None:
             stats.buffer_misses += 1
             if self.tracer is not None:
-                self.tracer.event(clock.now, "buffer", "miss", page=page_no)
+                self.tracer.event(self.clock.now, "buffer", "miss", page=page_no)
             iosys = self.iosys
             iosys.read_sync(page_no)
             frame = self._admit(page_no)
@@ -138,7 +124,7 @@ class BufferManager:
             return frame
         stats.buffer_hits += 1
         if self.tracer is not None:
-            self.tracer.event(clock.now, "buffer", "hit", page=page_no)
+            self.tracer.event(self.clock.now, "buffer", "hit", page=page_no)
         frames[page_no] = frame
         frame.pins += 1
         return frame
@@ -146,7 +132,6 @@ class BufferManager:
     def probe_fix(self, page_no: int) -> Frame:
         """Probe for ``page_no``, then fix it: a hit is one swizzle, a miss
         the probe's swizzle and then :meth:`fix`'s (with its read)."""
-        self.clock.now += self._cost_swizzle
         stats = self.stats
         stats.swizzles += 1
         frames = self._frames
@@ -170,13 +155,11 @@ class BufferManager:
         stats = self.stats
         stats.swizzles += 1
         stats.buffer_hits += 1
-        stats.unswizzles += 1
-        self.clock.now += self._cost_swizzle
         page_no = frame.page.page_no
         if self.tracer is not None:
             self.tracer.event(self.clock.now, "buffer", "hit", page=page_no)
         self._frames[page_no] = self._frames.pop(page_no)
-        self.clock.now += self._cost_unswizzle
+        stats.unswizzles += 1  # the unfix: after the hit's stamp
 
     def unfix(self, frame: Frame) -> None:
         """Release one pin; the frame becomes evictable at zero pins."""
@@ -184,7 +167,6 @@ class BufferManager:
             raise BufferError_(f"unfix of unpinned frame {frame.page_no}")
         frame.pins -= 1
         self.stats.unswizzles += 1
-        self.clock.now += self._cost_unswizzle
 
     def admit_completed(self, page_no: int) -> Frame:
         """Register a page whose asynchronous read just completed.
@@ -212,7 +194,6 @@ class BufferManager:
             raise BufferError_(
                 f"buffer of {self.capacity} pages exhausted with all frames pinned"
             )
-        self.clock.now += self._cost_register
         self.stats.page_registers += 1
         frame = self._frames[page_no] = Frame(self.segment.page(page_no))
         return frame

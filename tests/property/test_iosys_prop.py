@@ -7,7 +7,8 @@ raises a :class:`~repro.errors.ReproError`; the buffer never holds more
 than its capacity nor evicts a pinned frame; the disk serves one request
 at a time, none before it was submitted; and the clock's CPU seconds
 are the priced counters, ``cpu_time == costs.price(stats)``, after
-every call.
+every call (the clock reads them off the counters: no component may
+book onto a ``Stats`` other than its clock's).
 """
 
 import dataclasses
@@ -45,10 +46,11 @@ def _stack(policy, profile, capacity, device=DiskDevice):
     segment = Segment(512)
     for _ in range(N_PAGES):
         segment.allocate()
-    stats, clock, costs, tracer = Stats(), SimClock(), CostModel(), Tracer()
+    stats, costs, tracer = Stats(), CostModel(), Tracer()
+    clock = SimClock(stats, costs)
     disk = device(policy=policy, stats=stats, faults=FaultPlan(profile), tracer=tracer)
-    iosys = AsyncIOSystem(disk, clock, costs, stats, tracer=tracer)
-    buffer = BufferManager(segment, iosys, clock, costs, capacity, stats, tracer=tracer)
+    iosys = AsyncIOSystem(disk, clock, tracer=tracer)
+    buffer = BufferManager(segment, iosys, capacity, tracer=tracer)
     return buffer, iosys, clock, costs, stats, tracer
 
 

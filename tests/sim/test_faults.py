@@ -15,13 +15,14 @@ from repro.sim.faults import (
     fault_profile,
 )
 from repro.sim.iosys import AsyncIOSystem
+from repro.sim.stats import Stats
 
 
 def make_iosys(profile: FaultProfile | None = None, retry: RetryPolicy | None = None):
-    clock = SimClock()
+    clock = SimClock(Stats(), CostModel())
     plan = FaultPlan(profile) if profile is not None else None
-    disk = DiskDevice(faults=plan)
-    return AsyncIOSystem(disk, clock, CostModel(), retry=retry), clock, disk
+    disk = DiskDevice(stats=clock.stats, faults=plan)
+    return AsyncIOSystem(disk, clock, retry=retry), clock, disk
 
 
 # ------------------------------------------------------------- fault plans

@@ -6,12 +6,13 @@ from repro.sim.clock import SimClock
 from repro.sim.costmodel import CostModel
 from repro.sim.disk import DiskDevice, SchedulingPolicy
 from repro.sim.iosys import AsyncIOSystem
+from repro.sim.stats import Stats
 
 
 def make_iosys(policy=SchedulingPolicy.SSTF):
-    clock = SimClock()
-    disk = DiskDevice(policy=policy)
-    return AsyncIOSystem(disk, clock, CostModel()), clock, disk
+    clock = SimClock(Stats(), CostModel())
+    disk = DiskDevice(policy=policy, stats=clock.stats)
+    return AsyncIOSystem(disk, clock), clock, disk
 
 
 def test_sync_read_blocks_clock():
@@ -24,7 +25,7 @@ def test_sync_read_blocks_clock():
 def test_async_request_does_not_block():
     iosys, clock, _ = make_iosys()
     iosys.request(100)
-    # only the submit CPU cost is charged; no I/O wait yet
+    # only the submission's io_submit is priced; no I/O wait yet
     assert clock.io_wait == 0.0
     assert iosys.outstanding() == 1
 
@@ -59,7 +60,8 @@ def test_async_overlaps_cpu_work():
 
     iosys_busy, clock_busy, _ = make_iosys()
     iosys_busy.request(300)
-    clock_busy.work(wait_idle)  # do the same amount of work as the wait
+    # do the same amount of work as the wait: iterator calls worth it
+    clock_busy.stats.iterator_calls += round(wait_idle / clock_busy.costs.iterator_call)
     iosys_busy.get_completion()
     assert clock_busy.io_wait < wait_idle * 0.1
 

@@ -27,13 +27,6 @@ def test_stats_merge_adds_counters():
     assert b.pages_read == 4  # merge does not mutate the source
 
 
-def test_stats_reset():
-    stats = Stats()
-    stats.swizzles = 10
-    stats.reset()
-    assert stats.swizzles == 0
-
-
 def test_cost_model_scaled():
     base = CostModel()
     doubled = base.scaled(2.0)

@@ -21,11 +21,11 @@ def make_buffer(capacity=4, n_pages=16, faults=None, tracer=None):
     for _ in range(n_pages):
         segment.allocate()
     stats = Stats()
-    clock = SimClock()
+    clock = SimClock(stats, CostModel())
     plan = FaultPlan(faults) if faults is not None else None
     disk = DiskDevice(stats=stats, faults=plan, tracer=tracer)
-    iosys = AsyncIOSystem(disk, clock, CostModel(), stats, tracer=tracer)
-    buffer = BufferManager(segment, iosys, clock, CostModel(), capacity, stats, tracer=tracer)
+    iosys = AsyncIOSystem(disk, clock, tracer=tracer)
+    buffer = BufferManager(segment, iosys, capacity, tracer=tracer)
     return buffer, clock, stats, iosys
 
 
