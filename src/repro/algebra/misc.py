@@ -8,7 +8,7 @@ from typing import Iterator, Sequence
 from repro.algebra.base import Operator
 from repro.algebra.context import EvalContext
 from repro.errors import BudgetExceededError
-from repro.storage.nodeid import NodeID, page_of, slot_of
+from repro.storage.nodeid import SLOT_BITS, NodeID
 from repro.storage.record import CoreRecord
 
 
@@ -95,18 +95,20 @@ def order_results(ctx: EvalContext, nids: list[NodeID]) -> list[NodeID]:
     was produced are re-read — a real cost of reordering navigation
     (paper Sec. 5.5).
     """
+    stats = ctx.stats
+    slot_mask = (1 << SLOT_BITS) - 1
     keyed = []
     for nid in nids:
-        frame = ctx.buffer.fix(page_of(nid))
-        record = frame.page.record(slot_of(nid))
+        frame = ctx.buffer.fix(nid >> SLOT_BITS)
+        record = frame.page.record(nid & slot_mask)
         assert isinstance(record, CoreRecord)
-        ctx.charge_set_op()
+        stats.set_ops += 1
         keyed.append((record.ordpath.components, nid))
         ctx.buffer.unfix(frame)
     # charge an n log n comparison cost for the sort itself
     n = len(keyed)
     if n > 1:
-        ctx.stats.set_ops += int(n * max(1, n.bit_length()))
+        stats.set_ops += int(n * max(1, n.bit_length()))
     # labels compare as their component tuples: no OrdPath.__lt__ per comparison
     keyed.sort(key=itemgetter(0))
     return [nid for _, nid in keyed]

@@ -612,15 +612,17 @@ class XAssembly(Operator):
         An entry whose left junction is not in R waits in S as the
         tape's own outcome tuple: two ``set_op`` per outcome, as the
         walk charges.  An entry that is reachable (or implied by the
-        ``//`` prefix) has its outcomes activated one by one, each with
-        everything the walk counts before it posted first, so every
-        ``_prove`` and every yield see the level-stack walk's clock.  A
-        run taken in place owes the crossing of the pull it replaces:
-        one ``iterator_call``, audited by an attached sanitizer as
-        :meth:`Operator.next` would.  The rest of the cluster's counts
-        follow in one post, when its runs are spent — or when one cannot
-        come off a tape: that run is returned, for :meth:`_produce` to
-        walk.
+        ``//`` prefix) has its outcomes activated one by one.  A run
+        taken in place owes the crossing of the pull it replaces: one
+        ``iterator_call``, audited by an attached sanitizer as
+        :meth:`Operator.next` would.  The walk's counts stay in locals
+        until the clock can be read (docs/algebra.md, "Flush points"):
+        up to an outcome's marks before its activation — under XSchedule
+        before every one, whose proof may submit a read, otherwise where
+        a yield may follow (a full path, or a crossing S holds entries
+        for) — before ``san.check()``, and once the cluster's runs are
+        spent or one cannot come off a tape: that run is returned, for
+        :meth:`_produce` to walk.
         """
         ctx = self.ctx
         r = self._r
@@ -629,14 +631,14 @@ class XAssembly(Operator):
         stats = ctx.stats
         san = ctx.san
         droot = self.descendant_root_opt
+        scheduled = self.schedule is not None  # a proof files a visit
         take = self.producer.take_run
         page = ctx.current_frame.page
         view = page.colview()
         records = page.records
-        done = (0, 0, 0, 0, 0, 0)  # the part of the cluster's totals charged and posted
-        # the cluster's totals before the run being taken in
-        hops = tests = events = calls = deferred = entries = 0
-        sets = 0  # set_ops charged by entries parked since
+        # counted and not yet on Stats: the totals of the runs before the
+        # one being taken in, less what was posted at its marks
+        hops = tests = events = calls = deferred = entries = sets = 0
         while True:
             implied = droot and run.step == 1
             for key, outcomes, ordinal, marks in tape.walked:
@@ -647,13 +649,20 @@ class XAssembly(Operator):
                     sets += 2 * len(outcomes)
                     continue
                 for i, outcome in enumerate(outcomes):
-                    h, t, e, c, d = marks[5 * i : 5 * i + 5]
-                    upto = (
-                        hops + h, tests + t, events + e, calls + c, deferred + d, entries + ordinal
-                    )  # fmt: skip
-                    self._settle(done, upto, sets + 1)  # and the R probe that hit
-                    done = upto
-                    sets = 0
+                    sets += 1  # the R probe that hit
+                    s_r, right, paused = outcome
+                    if scheduled or not paused or (s_r, right) in s:
+                        # the walk's counters at this outcome's intake
+                        h, t, e, c, d = marks[5 * i : 5 * i + 5]
+                        stats.intra_hops += hops + h
+                        stats.node_tests += tests + t
+                        stats.instances_created += events + e + entries + ordinal
+                        stats.speculative_instances += entries + ordinal
+                        stats.border_crossings_deferred += deferred + d
+                        stats.iterator_calls += calls + c
+                        stats.set_ops += sets
+                        hops, tests, events, calls, deferred = -h, -t, -e, -c, -d
+                        entries, sets = -ordinal, 0
                     stats.merges += 1
                     result = self._activate(outcome)
                     while True:
@@ -675,15 +684,25 @@ class XAssembly(Operator):
                 break
             calls += 1  # the crossing of the pull it replaces
             if san is not None:
-                upto = (hops, tests, events, calls, deferred, entries)
-                self._settle(done, upto, sets)
-                done = upto
-                sets = 0
+                stats.intra_hops += hops
+                stats.node_tests += tests
+                stats.instances_created += events + entries
+                stats.speculative_instances += entries
+                stats.border_crossings_deferred += deferred
+                stats.iterator_calls += calls
+                stats.set_ops += sets
+                hops = tests = events = calls = deferred = entries = sets = 0
                 san.check()
             tape = self._kept(view, records, run.step)
             if tape is None:
                 break
-        self._settle(done, (hops, tests, events, calls, deferred, entries), sets)
+        stats.intra_hops += hops
+        stats.node_tests += tests
+        stats.instances_created += events + entries
+        stats.speculative_instances += entries
+        stats.border_crossings_deferred += deferred
+        stats.iterator_calls += calls
+        stats.set_ops += sets
         return run
 
     def _book(self, view, step: int) -> DeliveryTapes:
@@ -708,39 +727,42 @@ class XAssembly(Operator):
         Q's entries are left-complete, so what they produce never enters
         S: an outcome is a paused crossing or a full path, whose R probe
         (one ``set_op``) either drops it as a duplicate or admits a
-        result.  The walk's counters up to an outcome's marks are posted
-        before it is proved or yielded, so either sees the walk's clock.
-        ``_ready`` is drained after each proof, as between two pulls.  An
-        entry taken in place owes what the pull it replaces charges: its
-        crossing, the ``queue_op``, the swizzle pair
+        result.  ``_ready`` is drained after each proof, as between two
+        pulls.  An entry taken in place owes what the pull it replaces
+        charges: its crossing, the ``queue_op``, the swizzle pair
         (``BufferManager.refix``) and the ``instance_op``; an attached
         sanitizer audits the books after each take, as
-        :meth:`Operator.next` would after the pull.  The rest is posted
-        once the cluster's deliveries are spent — or once one cannot come
-        off a tape (a corrupt page): that entry, its pull charged, is
-        returned for :meth:`_produce` to walk.
+        :meth:`Operator.next` would after the pull.  The walk's counts
+        stay in locals until the clock can be read (docs/algebra.md,
+        "Flush points"): up to an outcome's marks before it is yielded,
+        or proved when the proof submits a read (the tests
+        :meth:`XSchedule._enqueue` makes) or releases what S holds —
+        before ``san.check()``, and once the deliveries are spent or one
+        cannot come off a tape (a corrupt page): that entry, its pull
+        charged, is returned for :meth:`_produce` to walk.
         """
         ctx = self.ctx
         stats = ctx.stats
         san = ctx.san
         r = self._r
+        s = self._s
         ready = self._ready
         steps = self.steps
         n = len(steps)
         path_len = self.path_len
         take = self.schedule.take_in_place
         refix = ctx.buffer.refix
+        frames = ctx.buffer._frames
+        requested = ctx.iosys._requested
         frame = ctx.current_frame
         page = frame.page
         view = page.colview()
         records = page.records
         slot_mask = (1 << SLOT_BITS) - 1
         books: list = [None] * n
-        # the cluster's totals before the entry being taken in, and the
-        # part of them posted to Stats, with the set_ops not yet posted
-        hops = tests = instances = calls = deferred = 0
-        posted = (0, 0, 0, 0, 0, 0)
-        sets = 0
+        # counted and not yet on Stats: the cluster's totals before the
+        # entry being taken in, less what was posted at its marks
+        hops = tests = instances = calls = deferred = sets = 0
         while True:
             s_r, _, s_l, n_l, left_open, target, resumed = entry
             if left_open or s_r >= n:
@@ -757,28 +779,32 @@ class XAssembly(Operator):
                     break
                 book[start] = tape
             outcomes, marks = tape
-            at = 0
-            for reached, right, paused in outcomes:
+            for i, (reached, right, paused) in enumerate(outcomes):
                 if not paused:
                     # a full path: its R probe is the duplicate filter
                     sets += 1
                     key = (path_len, right)
                     if key in r:
                         stats.duplicates_suppressed += 1
-                        at += 5
                         continue
                     r.add(key)
+                elif (right >> SLOT_BITS in frames or right >> SLOT_BITS in requested) and not (
+                    s and (reached, right) in s
+                ):
+                    # a proof that submits no read and releases nothing
+                    self._prove(reached, right, s_l, n_l)
+                    continue
                 # the walk's counters at this outcome's intake
-                upto = (
-                    hops + marks[at], tests + marks[at + 1], instances + marks[at + 2],
-                    calls + marks[at + 3], deferred + marks[at + 4], 0,
-                )  # fmt: skip
-                self._settle(posted, upto, sets)
-                posted = upto
-                sets = 0
-                at += 5
+                h, t, e, c, d = marks[5 * i : 5 * i + 5]
+                stats.intra_hops += hops + h
+                stats.node_tests += tests + t
+                stats.instances_created += instances + e
+                stats.iterator_calls += calls + c
+                stats.border_crossings_deferred += deferred + d
+                stats.set_ops += sets
+                hops, tests, instances, calls, deferred, sets = -h, -t, -e, -c, -d, 0
                 if not paused:
-                    ctx.charge_instance()  # the result tuple's
+                    stats.instances_created += 1  # the result tuple's
                     yield right
                     continue
                 self._prove(reached, right, s_l, n_l)
@@ -788,7 +814,7 @@ class XAssembly(Operator):
                         ctx.charge_instance()
                         yield result
             # the rest of the entry's walk: its totals
-            h, t, e, c, d = marks[at:]
+            h, t, e, c, d = marks[-5:]
             hops += h
             tests += t
             instances += e
@@ -804,49 +830,21 @@ class XAssembly(Operator):
             stats.queue_ops += 1
             refix(frame)
             if san is not None:
-                upto = (hops, tests, instances, calls, deferred, 0)
-                self._settle(posted, upto, sets)
-                posted = upto
-                sets = 0
+                stats.intra_hops += hops
+                stats.node_tests += tests
+                stats.instances_created += instances
+                stats.iterator_calls += calls
+                stats.border_crossings_deferred += deferred
+                stats.set_ops += sets
+                hops = tests = instances = calls = deferred = sets = 0
                 san.check()
-        self._settle(posted, (hops, tests, instances, calls, deferred, 0), sets)
-        return entry
-
-    def _settle(self, done: tuple, upto: tuple, sets: int) -> None:
-        """Book what a tape counts between two of its marks, and ``sets``
-        R/S operations."""
-        hops0, tests0, events0, calls0, deferred0, entries0 = done
-        hops, tests, events, calls, deferred, entries = upto
-        self._post(
-            hops - hops0,
-            tests - tests0,
-            events - events0,
-            deferred - deferred0,
-            entries - entries0,
-            calls - calls0,
-            sets,
-        )
-
-    def _post(
-        self,
-        hops: int,
-        tests: int,
-        instances: int,
-        deferred: int,
-        speculative: int,
-        calls: int,
-        sets: int,
-    ) -> None:
-        """Book counter deltas a tape player took in (:meth:`_settle`),
-        and with them the CPU seconds they price."""
-        stats = self.ctx.stats
         stats.intra_hops += hops
         stats.node_tests += tests
-        stats.instances_created += instances + speculative
-        stats.speculative_instances += speculative
-        stats.border_crossings_deferred += deferred
+        stats.instances_created += instances
         stats.iterator_calls += calls
+        stats.border_crossings_deferred += deferred
         stats.set_ops += sets
+        return entry
 
     # ------------------------------------------------------------ activation
 

@@ -55,6 +55,10 @@ class AsyncIOSystem:
         retry: RetryPolicy | None = None,
         tracer=None,
     ) -> None:
+        if disk.stats is not clock.stats:
+            # the disk books io_requests, pages_read and seeks: on a Stats
+            # of its own they would reach no Result
+            raise ValueError("the disk must book onto the clock's Stats")
         self.disk = disk
         self.clock = clock
         #: the books ``clock`` prices

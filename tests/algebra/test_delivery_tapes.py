@@ -23,6 +23,7 @@ import repro.storage.update as update
 from repro import ExecutionBudget
 from repro.algebra.xassembly import DeliveryTapes, XAssembly
 from repro.algebra.xschedule import XSchedule
+from repro.sim.iosys import AsyncIOSystem
 from repro.xmark import Q7
 from tests import golden
 
@@ -56,6 +57,17 @@ def lookups(monkeypatch):
 def _in_replay(depth: int = 2) -> bool:
     """Is the caller's caller the kernel's replay of delivery tapes?"""
     return sys._getframe(depth).f_code is XAssembly._deliveries.__code__
+
+
+def _from_a_player() -> bool:
+    """Is a tape player (``_deliveries``, ``_replay``) on the stack?"""
+    players = (XAssembly._deliveries.__code__, XAssembly._replay.__code__)
+    frame = sys._getframe(1)
+    while frame is not None:
+        if frame.f_code in players:
+            return True
+        frame = frame.f_back
+    return False
 
 
 def _observed(result):
@@ -95,6 +107,43 @@ def test_deliveries_come_off_their_tapes(request, store, lookups):
         walked = golden.check(key, shared=store, budget=INERT).result
         assert not lookups, "an armed budget must force the level-stack walk"
         assert _observed(first) == _observed(again) == _observed(walked), key
+
+
+def test_a_read_a_proof_submits_goes_out_at_the_walks_instant(monkeypatch):
+    """The tape players post the walk's counts only where the clock can
+    be read; a proof whose enqueue requests its cluster is such a point,
+    and so is every activation of a speculating XSchedule's run.  Every
+    read submitted on the cold ``deliveries/*`` and
+    ``delivery/speculative*`` rows goes out at the same page and
+    simulated instant under tapes as under the walk an armed budget
+    forces — and some of them go out from inside a player."""
+    submitted = []  # (page, clock.now) of every read, and whether a player submitted it
+    request = AsyncIOSystem.request
+
+    def spy(self, page):
+        submitted.append((page, self.clock.now.hex(), _from_a_player()))
+        return request(self, page)
+
+    monkeypatch.setattr(AsyncIOSystem, "request", spy)
+    held = golden.store(golden.ENTRY_DOC)[0]
+
+    def run(key, budget):
+        if key.startswith("delivery/"):
+            mode, k = key.removeprefix("delivery/").rsplit("/", 1)
+            golden.delivery_yields(held, int(k), mode, budget)
+        else:
+            golden.run(golden.row(key)["draw"], budget=budget)
+
+    off_tapes = 0
+    for key in [key for key, _ in golden.rows("deliveries")] + SPECULATING:
+        del submitted[:]
+        run(key, None)
+        taped = [(page, now) for page, now, _ in submitted]
+        off_tapes += sum(player for _, _, player in submitted)
+        del submitted[:]
+        run(key, INERT)
+        assert [(page, now) for page, now, _ in submitted] == taped, key
+    assert off_tapes, "no proof off a tape submitted a read"
 
 
 #: the golden rows of speculating XSchedule from contexts all over the document

@@ -163,27 +163,33 @@ def test_both_intakes_are_exercised(monkeypatch, replays):
     """Activated at intake where clusters follow their parents, parked
     by reference where they do not — and some of each on either layout,
     so neither half of the three-way test is vacuous."""
-    # set_ops per settlement: an activation's are odd (the parked entries'
-    # two each, and the R probe that hit); a cluster's end, a run handed
-    # back to the walk and a run taken in place under a sanitizer owe the
-    # parked entries' only
-    settled = []
-    settle = XAssembly._settle
+    tapes = []  # every tape a run was taken in from
+    activated = []  # every outcome the replay activated at intake
+    keep = XAssembly._kept
+    activate = XAssembly._activate
 
-    def spy(self, done, upto, sets):
-        settled.append(sets)
-        settle(self, done, upto, sets)
+    def keep_spy(self, view, records, step):
+        tape = keep(self, view, records, step)
+        if tape is not None:
+            tapes.append(tape)
+        return tape
 
-    monkeypatch.setattr(XAssembly, "_settle", spy)
+    def activate_spy(self, stored):
+        caller = sys._getframe(1)
+        if caller.f_code is XAssembly._replay.__code__ and caller.f_locals["outcome"] is stored:
+            activated.append(stored)
+        return activate(self, stored)
+
+    monkeypatch.setattr(XAssembly, "_kept", keep_spy)
+    monkeypatch.setattr(XAssembly, "_activate", activate_spy)
     at_intake = {}
     for fragmentation in (0.0, 1.0):
         db, _ = small_database(seed=3, page_size=512, fragmentation=fragmentation, n_top=25)
-        del replays[:], settled[:]
+        del replays[:], tapes[:], activated[:]
         _run(db.store, "/root/a/b/c", "xscan")
-        activated = sum(sets % 2 for sets in settled)
-        parked = (sum(settled) - activated) // 2
-        assert activated > 0 and parked > 0, fragmentation
-        at_intake[fragmentation] = activated / (activated + parked)
+        outcomes = sum(len(walked[1]) for tape in tapes for walked in tape.walked)
+        assert activated and outcomes > len(activated), fragmentation
+        at_intake[fragmentation] = len(activated) / outcomes
     assert at_intake[0.0] > at_intake[1.0]
 
 

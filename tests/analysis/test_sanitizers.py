@@ -23,7 +23,7 @@ import random
 import pytest
 
 from repro.algebra.context import EvalOptions
-from repro.algebra.xassembly import XAssembly
+from repro.algebra.xassembly import XAssembly, build_tape
 from repro.algebra.xscan import XScan
 from repro.analysis.sanitize import ALL_MODES, SanitizerError, modes
 from repro.model.tree import Kind
@@ -119,14 +119,16 @@ def test_double_charge_breaks_scalar_kernel_agreement(monkeypatch):
     holds."""
     key = "runs/xscan/0"
     golden.check(key)
-    post = XAssembly._post
 
-    def double_hops(self, hops, *rest):  # seeded bug: one logical
-        post(self, 2 * hops, *rest)  # event charged twice
+    def double_hops(*args):  # seeded bug: every hop of a run charged twice
+        tape = build_tape(*args)
+        hops, *rest = tape.totals
+        return tape._replace(totals=(2 * hops, *rest))
 
-    monkeypatch.setattr(XAssembly, "_post", double_hops)
+    monkeypatch.setattr("repro.algebra.xassembly.build_tape", double_hops)
+    held, _ = golden.imported(golden.row(key)["draw"]["doc"])  # views without tapes
     with pytest.raises(AssertionError, match=key):
-        golden.check(key)
+        golden.check(key, shared=held)
 
 
 def test_skipped_io_request_moves_a_golden_row(monkeypatch):

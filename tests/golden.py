@@ -7,10 +7,10 @@ hex ``total``/``cpu``/``io_wait`` times, every ``Stats`` field (in the
 order the header names them), ``partial`` when a budget cut the result
 and, for a traced draw, the per-operator ``(calls, out)`` roll-up.  A
 draw that raises pins the error and the books at the raise instead.
-Every run checked also prices its counters to its CPU seconds:
-``cpu == costs.price(stats)`` with ``==``
-(:meth:`repro.sim.costmodel.CostModel.price`), for the whole runtime and
-for the result's slice of it.
+Every run checked also prices the counters of its result's slice to
+that slice's CPU seconds: ``cpu == costs.price(stats)`` with ``==``
+(:meth:`repro.sim.costmodel.CostModel.price`); for the whole runtime
+the clock makes it true by definition (``tests/sim/test_clock.py``).
 
 The rows were generated while the record-at-a-time step chain (one
 ``XStep`` operator per step over ``storage/nav.py``) still existed, and
@@ -294,11 +294,6 @@ def run(d: dict, tracer=None, shared=None, **extra) -> Outcome:
     return Outcome(result, None, ctx, tracer)
 
 
-def priced(ctx) -> bool:
-    """The CPU identity: the clock's CPU seconds are the counters priced."""
-    return ctx.clock.cpu_time == ctx.costs.price(ctx.stats)
-
-
 def books(outcome: Outcome) -> dict:
     """What a row pins of one run."""
     if outcome.error is not None:
@@ -354,7 +349,6 @@ def digest(items) -> str:
 
 
 def ctx_books(ctx) -> tuple:
-    assert priced(ctx)
     return ctx.clock.now.hex(), ctx.clock.cpu_time.hex(), ctx.stats.as_dict()
 
 
@@ -378,19 +372,22 @@ DELIVERY_YIELDS = {
 }
 
 
-def delivery_yields(held, k_min_queue: int, mode: str = "") -> tuple[list, list, tuple]:
+def delivery_yields(
+    held, k_min_queue: int, mode: str = "", budget=None
+) -> tuple[list, list, tuple]:
     """A path of :data:`DELIVERY_YIELDS` under XSchedule from every ``a``
     element at once — a producer that is due again and again while Q
     drains, and (speculating) crossings proved into clusters a context
     of theirs visited before: every result tuple with the clock and
     counters it is handed on at (and the CPU counters at each), and the
-    books."""
+    books.  An ``ExecutionBudget`` given is armed on the run's context."""
     query, speculative = DELIVERY_YIELDS[mode]
     db = database(ENTRY_DOC, shared=held)
     contexts = db.execute("//a", doc="d", plan="simple").nodes
     options = EvalOptions(k_min_queue=k_min_queue, speculative=speculative)
     ((plan, _),) = db.prepare(query, "d", "xschedule", options).leaves
     ctx = db.make_context(options)
+    ctx.arm_budget(budget)
     # postings of every page: the synopsis alone prunes
     postings = PathPostings.uniform(plan.steps, plan.document.page_nos)
     schedule = XSchedule(ctx, ContextScan(ctx, contexts), plan.steps, plan.document, postings)
@@ -1034,8 +1031,8 @@ def pinned_books(r: dict) -> dict:
 
 def check(key: str, **run_options) -> Outcome:
     """Run the pinned draw ``key`` (``run_options`` as :func:`run`): its
-    books must be the row's, its CPU seconds its counters priced (the
-    result's slice too), a whole result the reference evaluator's.
+    books must be the row's, the CPU seconds of its result's slice that
+    slice's counters priced, a whole result the reference evaluator's.
     Returns the run for the caller's structural checks."""
     r = row(key)
     outcome = run(r["draw"], **run_options)
@@ -1046,12 +1043,11 @@ def check(key: str, **run_options) -> Outcome:
 
 
 def check_priced(key: str, outcome: Outcome) -> None:
-    """The CPU identity for the runtime and for the result's slice."""
-    ctx = outcome.ctx
-    assert priced(ctx), f"{key}: CPU identity broken for the runtime"
+    """The CPU identity for the result's slice: its CPU seconds are the
+    counters it books priced (the runtime's hold by definition)."""
     result = outcome.result
     if result is not None:
-        priced_result = ctx.costs.price(result.stats)
+        priced_result = outcome.ctx.costs.price(result.stats)
         assert result.cpu_time == priced_result, f"{key}: CPU identity broken for the result"
 
 

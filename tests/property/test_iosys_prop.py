@@ -4,11 +4,10 @@ For any scheduling policy, seeded fault profile (with or without a page
 that never reads), buffer capacity and sequence of asynchronous
 requests, fixes, unfixes and blocking retrievals, every call returns or
 raises a :class:`~repro.errors.ReproError`; the buffer never holds more
-than its capacity nor evicts a pinned frame; the disk serves one request
-at a time, none before it was submitted; and the clock's CPU seconds
-are the priced counters, ``cpu_time == costs.price(stats)``, after
-every call (the clock reads them off the counters: no component may
-book onto a ``Stats`` other than its clock's).
+than its capacity nor evicts a pinned frame; and the disk serves one
+request at a time, none before it was submitted.  (The books are the
+clock's: it prices the counters by definition, ``tests/sim/test_clock.py``,
+and ``AsyncIOSystem`` refuses a disk that books elsewhere.)
 """
 
 import dataclasses
@@ -71,7 +70,7 @@ def test_io_stack_keeps_physics_and_books(
         seed=seed,
         dead_pages=frozenset() if dead_page is None else frozenset({dead_page}),
     )
-    buffer, iosys, clock, costs, stats, tracer = _stack(policy, profile, capacity)
+    buffer, iosys, _, _, _, tracer = _stack(policy, profile, capacity)
     held = []  # pinned frames, one entry per pin
     submitted: dict[int, deque] = {}  # page -> submit times not yet served
     service_end = 0.0
@@ -105,4 +104,3 @@ def test_io_stack_keeps_physics_and_books(
                 service_end = event.ts + event.dur
         assert buffer.n_resident <= capacity
         assert all(buffer.is_resident(frame.page_no) for frame in held)
-        assert clock.cpu_time == costs.price(stats)

@@ -15,6 +15,13 @@ def make_iosys(policy=SchedulingPolicy.SSTF):
     return AsyncIOSystem(disk, clock), clock, disk
 
 
+def test_a_disk_booking_elsewhere_is_refused():
+    """A disk on its own Stats would book its reads where no Result looks."""
+    clock = SimClock(Stats(), CostModel())
+    with pytest.raises(ValueError, match="clock's Stats"):
+        AsyncIOSystem(DiskDevice(), clock)
+
+
 def test_sync_read_blocks_clock():
     iosys, clock, _ = make_iosys()
     iosys.read_sync(100)
