@@ -1,5 +1,8 @@
 """Tests for subtree clustering (the importer)."""
 
+import functools
+import hashlib
+
 import pytest
 
 from repro.errors import StorageError
@@ -7,8 +10,10 @@ from repro.model.builder import TreeBuilder, tree_from_nested
 from repro.model.tags import TagDictionary
 from repro.storage.importer import ClusterPolicy, ImportOptions, import_tree
 from repro.storage.nodeid import page_of, slot_of
+from repro.storage.persist import save_store
 from repro.storage.record import BorderRecord, CoreRecord
 from repro.storage.store import DocumentStore, check_document, export_tree
+from repro.xmark import generate_xmark
 from repro.xml.escape import serialize
 
 from tests.conftest import make_random_tree
@@ -150,3 +155,55 @@ def test_round_trip_across_page_sizes(page_size):
     doc = store.import_document(tree, "d", ImportOptions(page_size=page_size))
     check_document(store, doc)
     assert serialize(export_tree(store, doc)) == serialize(tree)
+
+
+@functools.cache
+def _xmark_tree() -> tuple[TagDictionary, object]:
+    tags = TagDictionary()
+    return tags, generate_xmark(scale=0.05, tags=tags, seed=3)
+
+
+def _layout_digest(store: DocumentStore, doc, path: str) -> str:
+    """sha256 over the store image, every page's booked bytes and version,
+    and the logical-to-physical node maps."""
+    save_store(store, path)
+    digest = hashlib.sha256()
+    with open(path, "rb") as image:
+        digest.update(image.read())
+    for page in store.segment.pages():
+        digest.update(b"%d %d %d;" % (page.page_no, page.used_bytes, page.version))
+    digest.update(doc.import_result.node_page.tobytes())
+    digest.update(doc.import_result.node_slot.tobytes())
+    return digest.hexdigest()
+
+
+#: digests of the XMark sf 0.05 (seed 3) layouts, computed before the
+#: packer booked whole subtrees at once: a packer change must leave every
+#: byte, every page's accounting and every node's place as it was
+_PINNED_LAYOUTS = {
+    "2048/best_fit/0.0/0": "7da0a97109a2823cd59fbb95219d67d911d03e8744d09c5339ead55dec685de4",
+    "2048/best_fit/0.3/5": "4d9932eb482de510e4f5eca7df1b0734eaad963d140a4fc460d372c50164bc2e",
+    "2048/best_fit/1.0/3": "800f2f0bee604c7fe888895c8def3b9d650b6a6a218e683549ade348b7966db7",
+    "2048/sequential/0.0/0": "8194d0e1b1608201b3159028ef1c627da9326359ca686c3bb8cac3630acdf78c",
+    "2048/sequential/0.3/5": "ec46deef5f524a5b7abeddf4c16cd77691d29535ba7b1d5278b9a73d4bd37498",
+    "2048/sequential/1.0/3": "1735a69e87451917a9374b054ada5b65af6ace92e20894260ef78ec39b078bdd",
+    "8192/best_fit/0.0/0": "6d062bc96123cb1c3954b20eb86ba4f0ef7c5da30bbd0fa58c3097658f16b414",
+    "8192/best_fit/0.3/5": "235c1026e4b9394a0ab4d89369860e411d52d525822a4a8525932ba7a17d3138",
+    "8192/best_fit/1.0/3": "66333cde7e66ccd613ec81717bfbb6a8122997534b65eabd0d61531a082d9e94",
+    "8192/sequential/0.0/0": "003be66632aea0946117143aeddced4fb37f1a53dc01fdfed21cef6ea042cfea",
+    "8192/sequential/0.3/5": "5778036953b7bc241280ed78ed2c001cddca055afa9005810d2d6d35e1312612",
+    "8192/sequential/1.0/3": "044119c1c78185c542be9884219a0f2ac38e00128e607e1f4c344d38d2587f75",
+}
+
+
+@pytest.mark.parametrize("page_size", [2048, 8192])
+@pytest.mark.parametrize("policy", [ClusterPolicy.BEST_FIT, ClusterPolicy.SEQUENTIAL])
+@pytest.mark.parametrize("fragmentation,seed", [(0.0, 0), (0.3, 5), (1.0, 3)])
+def test_layouts_are_pinned(tmp_path, page_size, policy, fragmentation, seed):
+    tags, tree = _xmark_tree()
+    store = DocumentStore(page_size=page_size, tags=tags)
+    options = ImportOptions(page_size, policy, fragmentation, seed)
+    doc = store.import_document(tree, "xmark", options)
+    check_document(store, doc)
+    key = f"{page_size}/{policy.value}/{fragmentation}/{seed}"
+    assert _layout_digest(store, doc, str(tmp_path / "store.rpro")) == _PINNED_LAYOUTS[key]
