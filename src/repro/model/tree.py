@@ -31,6 +31,10 @@ class Kind(enum.IntEnum):
     ATTRIBUTE = 3
 
 
+#: ``Kind`` members by value: ``KINDS[tree.kind[node]]`` without an enum call
+KINDS = tuple(Kind)
+
+
 class LogicalTree:
     """One document as parallel arrays; built via :class:`TreeBuilder`.
 
@@ -73,7 +77,7 @@ class LogicalTree:
         return len(self.kind)
 
     def kind_of(self, node: int) -> Kind:
-        return Kind(self.kind[node])
+        return KINDS[self.kind[node]]
 
     def tag_of(self, node: int) -> int:
         return self.tag[node]

@@ -33,7 +33,7 @@ from array import array
 from dataclasses import dataclass
 
 from repro.errors import StorageError, StoreCorruptError
-from repro.model.tree import Kind, LogicalTree
+from repro.model.tree import KINDS, NIL, Kind, LogicalTree
 from repro.storage.nodeid import NodeID, make_nodeid
 from repro.storage.ordpath import OrdPath
 from repro.storage.page import PAGE_HEADER, SLOT_ENTRY, Page
@@ -131,28 +131,22 @@ class _Importer:
         """Exact all-intra byte cost of each subtree (record + slot costs)."""
         tree = self.tree
         n = len(tree)
-        depth = array("i", [0] * n)
-        nchildren = array("i", [0] * n)
-        sizes = array("q", [0] * n)
+        depth = array("i", bytes(4 * n))
         parent = tree.parent
         for node in range(1, n):
             depth[node] = depth[parent[node]] + 1
-        for node in range(n):
-            value = tree.values.get(node)
-            base = (
-                SLOT_ENTRY
-                + CORE_RECORD_HEADER
-                + ordpath_stored_size(depth[node] + 1)
-                + (len(value) if value is not None else 0)
-            )
-            sizes[node] = base
+        # a record's bytes without its value and child links, by depth
+        base = [
+            SLOT_ENTRY + CORE_RECORD_HEADER + ordpath_stored_size(d + 1)
+            for d in range(max(depth) + 1)
+        ]
+        sizes = array("q", [base[d] for d in depth])
+        for node, value in tree.values.items():
+            sizes[node] += len(value)
         # children are appended after parents (document order), so a reverse
         # sweep accumulates subtree sizes bottom-up without recursion
         for node in range(n - 1, 0, -1):
-            p = parent[node]
-            nchildren[p] += 1
-            sizes[p] += sizes[node] + CHILD_LINK_SIZE
-        self._nchildren = nchildren
+            sizes[parent[node]] += sizes[node] + CHILD_LINK_SIZE
         self._depth = depth
         return sizes
 
@@ -317,11 +311,13 @@ class _Importer:
         # handle its children by the standard rules.  Attribute children
         # are budgeted with the record so they always stay co-located
         # with their owner (the export fragmentation logic relies on it).
-        attribute_bytes = sum(
-            self._sizes[child] + CHILD_LINK_SIZE
-            for child in self.tree.children(node)
-            if self.tree.kind_of(child) == Kind.ATTRIBUTE
-        )
+        # (attributes precede their owner's other children)
+        kinds, next_sibling = self.tree.kind, self.tree.next_sibling
+        attribute_bytes = 0
+        child = self.tree.first_child[node]
+        while child != NIL and kinds[child] == Kind.ATTRIBUTE:
+            attribute_bytes += self._sizes[child] + CHILD_LINK_SIZE
+            child = next_sibling[child]
         partial_need = (
             BORDER_RECORD_SIZE
             + SLOT_ENTRY
@@ -360,49 +356,67 @@ class _Importer:
     ) -> int:
         """Place the complete subtree of ``node`` into ``cluster``.
 
-        The caller has verified that the exact packed size fits.  Iterative
-        preorder so arbitrarily deep trees import without recursion.
+        The caller has verified that the exact packed size fits.  One
+        iterative preorder pass over ``first_child``/``next_sibling`` (so
+        arbitrarily deep trees import without recursion) appends the
+        records to ``page.records``; the page then books the subtree's
+        exact bytes, ``self._sizes[node]`` from the same byte model
+        ``CoreRecord.size`` prices, and its 2n - 1 mutations (n records,
+        n - 1 child links) at once, with one overflow check.  Pages are
+        fresh during an import, so there is no tombstone slot to reuse and
+        slots follow preorder.  ``Page.add``/``CoreRecord.size`` still
+        serve the records placed one at a time (borders, a partial
+        subtree's root, continuations, updates).  The layouts are pinned by
+        ``tests/storage/test_importer.py::test_layouts_are_pinned`` and by
+        CI's ``cmp`` of saved store images against the merge base's.
         """
         tree = self.tree
+        kinds, tags, value_of = tree.kind, tree.tag, tree.values.get
+        first_child, next_sibling = tree.first_child, tree.next_sibling
+        node_page, node_slot, index = self.node_page, self.node_slot, cluster.index
+        # a child's label is its parent's, checked, plus an odd ordinal:
+        # valid without OrdPath.__init__'s checks
+        new_label = OrdPath.__new__
         page = cluster.page
-        record = CoreRecord(
-            tree.kind_of(node),
-            tree.tag_of(node),
-            ord_label,
-            parent_slot=parent_slot,
-            value=tree.values.get(node),
-        )
-        slot = page.add(record)
-        self.node_page[node] = cluster.index
-        self.node_slot[node] = slot
-        # stack entries: (child-node, parent-record, parent-slot, child-ordpath)
-        stack: list[tuple[int, CoreRecord, int, OrdPath]] = []
-        child_index = 0
-        for child in tree.children(node):
-            stack.append((child, record, slot, ord_label.child(child_index)))
-            child_index += 1
-        # children were pushed in order; reverse for preorder pop
-        stack.reverse()
-        while stack:
-            n, parent_record, parent_record_slot, n_ord = stack.pop()
-            rec = CoreRecord(
-                tree.kind_of(n),
-                tree.tag_of(n),
-                n_ord,
-                parent_slot=parent_record_slot,
-                value=tree.values.get(n),
+        records = page.records
+        nbytes = self._sizes[node]
+        if page.used_bytes + nbytes > page.capacity:
+            raise StorageError(
+                f"page {page.page_no} overflow: {nbytes} bytes requested, "
+                f"{page.free_bytes()} free"
             )
-            s = page.add(rec)
-            parent_record.child_slots.append(s)
-            page.grow(CHILD_LINK_SIZE)
-            self.node_page[n] = cluster.index
-            self.node_slot[n] = s
-            grand = []
-            gi = 0
-            for c in tree.children(n):
-                grand.append((c, rec, s, n_ord.child(gi)))
-                gi += 1
-            stack.extend(reversed(grand))
+        slot = len(records)
+        root = CoreRecord(KINDS[kinds[node]], tags[node], ord_label, parent_slot, value_of(node))
+        records.append(root)
+        node_page[node] = index
+        node_slot[node] = slot
+        # (next child, its holder, the holder's slot and label components,
+        # the child's ordinal) for the root and each open node with children
+        stack = [(first_child[node], root, slot, ord_label.components, 1)]
+        while stack:
+            child, holder, holder_slot, prefix, ordinal = stack.pop()
+            while child != NIL:
+                label = new_label(OrdPath)
+                label.components = components = prefix + (ordinal,)
+                s = len(records)
+                record = CoreRecord(
+                    KINDS[kinds[child]], tags[child], label, holder_slot, value_of(child)
+                )
+                records.append(record)
+                holder.child_slots.append(s)
+                node_page[child] = index
+                node_slot[child] = s
+                grandchild = first_child[child]
+                if grandchild == NIL:
+                    child = next_sibling[child]
+                    ordinal += 2
+                else:
+                    stack.append((next_sibling[child], holder, holder_slot, prefix, ordinal + 2))
+                    holder, holder_slot, prefix = record, s, components
+                    child, ordinal = grandchild, 1
+        page.used_bytes += nbytes
+        page.version += 2 * (len(records) - slot) - 2
+        page.invalidate_colview()  # the last of the 2n - 1 mutations
         return slot
 
     # ------------------------------------------------------------- finalize
