@@ -26,6 +26,7 @@ class TreeBuilder:
         self.tags = tags if tags is not None else TagDictionary()
         self.tree = LogicalTree(self.tags)
         self._open: list[int] = [self.tree.root]
+        #: the last child and whether content started, of open elements only
         self._last_child: dict[int, int] = {}
         self._content_started: set[int] = set()
         self._finished = False
@@ -72,6 +73,9 @@ class TreeBuilder:
             raise ReproError(
                 f"mismatched end tag: expected {self.tree.tag_name(node)!r}, got {name!r}"
             )
+        # only open elements are read: a closed one takes no more children
+        self._last_child.pop(node, None)
+        self._content_started.discard(node)
 
     def finish(self) -> LogicalTree:
         """Close the document and return the finished tree."""
