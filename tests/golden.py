@@ -25,13 +25,20 @@ navigations are told apart, then adds predicates under ``simple``; the
 other families are the seams of the path kernel — XMark paper and
 predicate queries, fault profiles and seeds, ``memory_limit`` trips,
 ``max_seconds`` cuts, tracers, entry runs, run tapes, delivery runs and
-their tapes (warm, and across an update), the shared scan, full-tree
+their tapes (warm, and across an update), the tape players' in-place
+branches (``inplace``), the shared scan, full-tree
 walks, latency-SLO sidelining and the paper's unpruned configurations
 (``gates``: the synopsis, the path summary or both switched off).
 
     PYTHONPATH=src python -m tests.golden            # check every row
+    PYTHONPATH=src python -m tests.golden --only delivery/ warm/   # rows by key prefix
     PYTHONPATH=src python -m tests.golden --write    # regenerate
     PYTHONPATH=src python -m tests.golden --compare OLD.jsonl
+
+``--only PREFIX...`` checks only the rows whose keys start with one of
+the prefixes and reports them as "N of M rows as pinned", M the rows
+selected: a quick pass over the families a change touches, never a
+substitute for the full check.
 
 Only a declared physics change may move a value in the file.  A change
 that only adds rows or columns regenerates it and shows, with
@@ -59,7 +66,7 @@ from repro import (
 from repro.algebra.base import Operator
 from repro.algebra.context import EvalContext
 from repro.algebra.fullnav import full_step
-from repro.algebra.misc import ContextScan
+from repro.algebra.misc import ContextScan, order_results, result_nodeids
 from repro.algebra.pathinstance import EntryRun
 from repro.algebra.steps import CompiledNodeTest, CompiledStep
 from repro.algebra.xassembly import XAssembly, build_tape
@@ -614,6 +621,163 @@ def deliveries_across_updates() -> list:
     return seen
 
 
+#: a document the buffer holds whole (167 pages, 256 frames)
+RESIDENT_DOC = ("random", 3, 1.0, 25, 512, 256)
+
+
+def resident_deliveries() -> list:
+    """``TAPE_PATHS`` under XSchedule from every ``a`` element
+    (``k_min_queue`` 1 and 100, and speculating at 100), each on a fresh
+    runtime whose buffer first fixes every page of the document: per
+    leaf, the reads the run submitted, its results and the digest of its
+    books, the counters a proof off a delivery tape books (duplicates,
+    synopsis and postings refusals, proofs filed in Q) and the entries
+    XSchedule parked with a delivered entry's left end under a key that
+    no run of the target cluster parks in S."""
+    held, _ = imported(RESIDENT_DOC)
+    db = database(RESIDENT_DOC, shared=held)
+    document = db.document("d")
+    contexts = db.execute("//a", doc="d", plan="simple").nodes
+    seen = []
+    for query in TAPE_PATHS:
+        for k, speculative in ((1, False), (100, False), (100, True)):
+            options = EvalOptions(k_min_queue=k, speculative=speculative)
+            for plan, _ in db.prepare(query, "d", "xschedule", options).leaves:
+                ctx = db.make_context(options)
+                for page_no in document.page_nos:
+                    ctx.buffer.unfix(ctx.buffer.fix(page_no))
+                assert all(map(ctx.buffer.is_resident, document.page_nos))
+                before = ctx.stats.snapshot()
+                schedule = XSchedule(
+                    ctx, ContextScan(ctx, contexts), plan.steps, document, plan.postings
+                )
+                top = XAssembly(
+                    ctx, schedule, len(plan.steps), schedule=schedule, steps=plan.steps,
+                    document=document,
+                )  # fmt: skip
+                nodes = result_nodeids(top)
+                stats = ctx.stats.diff(before)
+                ctx.release()
+                in_place = 0
+                for s_r, _, n_l, _, target, _ in schedule._parked:
+                    page = db.store.segment.page(page_of(target))
+                    tape = build_tape(document, page.colview(), page.records, plan.steps, s_r)
+                    unparked = all(key != (s_r, target) for key, *_ in tape.walked)
+                    in_place += n_l is not None and unparked
+                seen.append({
+                    "query": query, "k": k, "speculative": speculative,
+                    "reads": stats.pages_requested, "nodes": [len(nodes), digest(sorted(nodes))],
+                    "books": digest([ctx.clock.now.hex(), stats.as_dict()]),
+                    "duplicates": stats.duplicates_suppressed,
+                    "synopsis": stats.synopsis_entries_pruned,
+                    "postings": stats.pathsummary_entries_pruned,
+                    "filed": stats.queue_ops // 2 - len(contexts),
+                    "parked_in_place": in_place,
+                })  # fmt: skip
+    return seen
+
+
+class Runs(Operator):
+    """Hands on the entry runs ``(page_no, step)`` of a path in turn,
+    each cluster pinned as it is handed on."""
+
+    def __init__(self, ctx, steps, runs):
+        super().__init__(ctx)
+        self.steps = steps
+        self.runs = runs
+
+    def _produce(self):
+        ctx = self.ctx
+        for page_no, step in self.runs:
+            ctx.set_current_frame(ctx.buffer.fix(page_no))
+            slots = ctx.current_frame.page.colview().entry_slots(self.steps[step].axis)
+            yield EntryRun(step, page_no, slots)
+
+
+def replayed_runs() -> dict:
+    """Entry runs of a path with a ``//`` prefix (every step-1 key
+    implied) handed to a scanning kernel in three orders, each on a fresh
+    runtime with R and S empty: a step-1 run of ``IMPLIED`` alone
+    (``implied``: its outcomes in all, and the merges and S size it
+    leaves); a step-1 run of ``/descendant-or-self::node()/parent::b``
+    twice (``duplicate``: its full-path outcomes, and the results); a run
+    of a later step of ``IMPLIED`` that parks under a junction, then a
+    step-1 run that proves it (``cascade``: the step-1 run's outcomes,
+    and the merges) — each with the digest of its books."""
+    held, _ = imported(TWICE_DOC)
+    db = database(TWICE_DOC, shared=held)
+    document = db.document("d")
+
+    def walked(steps, page_no, step):
+        page = db.store.segment.page(page_no)
+        return build_tape(document, page.colview(), page.records, steps, step).walked
+
+    def outcomes(steps, runs, full=False):
+        return sum(
+            full is False or not paused
+            for page_no, step in runs
+            for _, found, _, _ in walked(steps, page_no, step)
+            for _, _, paused in found
+        )
+
+    def drain(steps, runs):
+        ctx = db.make_context()
+        top = XAssembly(
+            ctx, Runs(ctx, steps, runs), len(steps), descendant_root_opt=True, steps=steps,
+            document=document,
+        )  # fmt: skip
+        top.open()
+        try:
+            results = 0
+            while top.next() is not None:
+                results += 1
+            s_size = top._s_size
+        finally:
+            top.close()
+            ctx.release()
+        return {"results": results, "merges": ctx.stats.merges, "s_size": s_size,
+                "books": digest(ctx_books(ctx))}  # fmt: skip
+
+    ((plan, _),) = db.prepare(IMPLIED, "d", "xscan").leaves
+    ((short, _),) = db.prepare("/descendant-or-self::node()/parent::b", "d", "xscan").leaves
+    pages = document.page_nos
+    implied = [(max(pages, key=lambda p: outcomes(plan.steps, [(p, 1)])), 1)]
+    twice = 2 * [(max(pages, key=lambda p: outcomes(short.steps, [(p, 1)], full=True)), 1)]
+    cascade = next(
+        [(page_of(right), s_r), (page_no, 1)]
+        for page_no in pages
+        for _, found, _, _ in walked(plan.steps, page_no, 1)
+        for s_r, right, paused in found
+        if paused
+        and s_r > 1
+        and any(key == (s_r, right) for key, *_ in walked(plan.steps, page_of(right), s_r))
+    )
+    return {
+        "implied": {"outcomes": outcomes(plan.steps, implied), **drain(plan.steps, implied)},
+        "duplicate": {"full": outcomes(short.steps, twice, full=True), **drain(short.steps, twice)},
+        "cascade": {"outcomes": outcomes(plan.steps, cascade[1:]), **drain(plan.steps, cascade)},
+    }
+
+
+def ordered_labels() -> dict:
+    """The slice ``order_results`` books over the results of ``//b``
+    under XSchedule on a runtime whose buffer holds fewer pages than the
+    results span: hits on the pages still resident, misses on the others."""
+    db = database(ENTRY_DOC)
+    ctx = db.make_context()
+    ((plan, _),) = db.prepare("//b", "d", "xschedule").leaves
+    nodes = result_nodeids(plan.build(ctx))
+    before = ctx.stats.snapshot()
+    ordered = order_results(ctx, nodes)
+    stats = ctx.stats.diff(before)
+    ctx.release()
+    return {
+        "nodes": [len(ordered), digest(ordered)],
+        "hits": stats.buffer_hits, "misses": stats.buffer_misses,
+        "books": digest([ctx.clock.now.hex(), stats.as_dict()]),
+    }  # fmt: skip
+
+
 def other(key: str) -> dict:
     """The books of the draw ``key`` that is not one execution, as the
     golden file holds them."""
@@ -645,6 +809,12 @@ def other(key: str) -> dict:
             kept = {"seen": update_storm() if arg == "storm" else update_then_query()}
     elif kind == "warm":
         kept = {"seen": warm_twice(arg)}
+    elif kind == "inplace":
+        kept = {
+            "deliveries": lambda: {"runs": resident_deliveries()},
+            "replay": replayed_runs,
+            "order": ordered_labels,
+        }[arg]()
     else:
         raise KeyError(key)
     return json.loads(json.dumps(kept))
@@ -672,6 +842,9 @@ OTHER_KEYS = [
     "updates/fresh-columns",
     "updates/deliveries",
     *(f"warm/{name}" for name in WARM_OPTIONS),
+    "inplace/deliveries",
+    "inplace/replay",
+    "inplace/order",
 ]
 
 
@@ -1071,8 +1244,15 @@ def main(argv: list[str]) -> int:
         write(rows_out)
         print(f"wrote {len(rows_out)} rows to {GOLDEN}")
         return 0
+    selected = pinned()
+    if "--only" in argv:
+        prefixes = tuple(argv[argv.index("--only") + 1 :])
+        if not prefixes:
+            print("--only takes one or more key prefixes")
+            return 2
+        selected = {key: r for key, r in selected.items() if key.startswith(prefixes)}
     failed = 0
-    for key, r in pinned().items():
+    for key, r in selected.items():
         if "draw" in r:
             try:
                 check(key)
@@ -1082,7 +1262,7 @@ def main(argv: list[str]) -> int:
         elif other(key) != r:
             failed += 1
             print(f"MOVED {key}")
-    print(f"{len(pinned()) - failed} of {len(pinned())} rows as pinned")
+    print(f"{len(selected) - failed} of {len(selected)} rows as pinned")
     return 1 if failed else 0
 
 
