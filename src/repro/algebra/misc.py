@@ -93,18 +93,44 @@ def order_results(ctx: EvalContext, nids: list[NodeID]) -> list[NodeID]:
 
     Fetching a label swizzles the node; pages evicted since the result
     was produced are re-read — a real cost of reordering navigation
-    (paper Sec. 5.5).
+    (paper Sec. 5.5).  Untraced, a resident page's label read is counted
+    in place as a hit (``BufferManager.count_hits``), posted with the
+    labels' ``set_op``s before a miss's read reads the clock and at the
+    end; only a miss calls ``fix``.
     """
     stats = ctx.stats
+    buffer = ctx.buffer
     slot_mask = (1 << SLOT_BITS) - 1
     keyed = []
-    for nid in nids:
-        frame = ctx.buffer.fix(nid >> SLOT_BITS)
-        record = frame.page.record(nid & slot_mask)
-        assert isinstance(record, CoreRecord)
-        stats.set_ops += 1
-        keyed.append((record.ordpath.components, nid))
-        ctx.buffer.unfix(frame)
+    if buffer.tracer is not None:  # a hit is an event at its own instant
+        for nid in nids:
+            frame = buffer.fix(nid >> SLOT_BITS)
+            record = frame.page.record(nid & slot_mask)
+            assert isinstance(record, CoreRecord)
+            stats.set_ops += 1
+            keyed.append((record.ordpath.components, nid))
+            buffer.unfix(frame)
+    else:
+        frames = buffer._frames
+        read = []  # the resident pages read since the last post, in turn
+        posted = 0  # the labels whose set_op is on Stats
+        for nid in nids:
+            page_no = nid >> SLOT_BITS
+            frame = frames.get(page_no)
+            if frame is None:
+                stats.set_ops += len(keyed) - posted
+                posted = len(keyed)
+                buffer.count_hits(read)
+                read = []
+                frame = buffer.fix(page_no)
+                buffer.unfix(frame)
+            else:
+                read.append(page_no)
+            record = frame.page.record(nid & slot_mask)
+            assert isinstance(record, CoreRecord)
+            keyed.append((record.ordpath.components, nid))
+        stats.set_ops += len(keyed) - posted
+        buffer.count_hits(read)
     # charge an n log n comparison cost for the sort itself
     n = len(keyed)
     if n > 1:

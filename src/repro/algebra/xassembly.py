@@ -36,6 +36,7 @@ R survives as the duplicate filter.
 from __future__ import annotations
 
 from array import array
+from bisect import insort
 from collections import deque
 from typing import Generator, Iterator, NamedTuple, Sequence
 
@@ -612,15 +613,16 @@ class XAssembly(Operator):
         An entry whose left junction is not in R waits in S as the
         tape's own outcome tuple: two ``set_op`` per outcome, as the
         walk charges.  An entry that is reachable (or implied by the
-        ``//`` prefix) has its outcomes activated one by one.  A run
-        taken in place owes the crossing of the pull it replaces: one
+        ``//`` prefix) has its outcomes activated one by one in place
+        (:meth:`_activate`, :meth:`_prove`, :meth:`_final`), what a proof
+        releases from S drained through ``_ready`` before the next.  A
+        run taken in place owes the crossing of the pull it replaces: one
         ``iterator_call``, audited by an attached sanitizer as
-        :meth:`Operator.next` would.  The walk's counts stay in locals
-        until the clock can be read (docs/algebra.md, "Flush points"):
-        up to an outcome's marks before its activation — under XSchedule
-        before every one, whose proof may submit a read, otherwise where
-        a yield may follow (a full path, or a crossing S holds entries
-        for) — before ``san.check()``, and once the cluster's runs are
+        :meth:`Operator.next` would.  All of it stays in locals until the
+        clock can be read (docs/algebra.md, "Flush points"): up to an
+        outcome's marks before a yield or a proof whose enqueue submits a
+        read (the tests :meth:`XSchedule._enqueue` makes), before
+        ``san.check()``, and once the cluster's runs are
         spent or one cannot come off a tape: that run is returned, for
         :meth:`_produce` to walk.
         """
@@ -631,47 +633,73 @@ class XAssembly(Operator):
         stats = ctx.stats
         san = ctx.san
         droot = self.descendant_root_opt
-        scheduled = self.schedule is not None  # a proof files a visit
+        path_len = self.path_len
+        schedule = self.schedule  # a proof files a visit
+        frames = ctx.buffer._frames
+        requested = ctx.iosys._requested
         take = self.producer.take_run
         page = ctx.current_frame.page
         view = page.colview()
         records = page.records
         # counted and not yet on Stats: the totals of the runs before the
-        # one being taken in, less what was posted at its marks
-        hops = tests = events = calls = deferred = entries = sets = 0
+        # one being taken in, less what was posted at its marks, and the
+        # activations' charges since the last post
+        hops = tests = events = calls = deferred = entries = sets = merges = dups = 0
         while True:
             implied = droot and run.step == 1
-            for key, outcomes, ordinal, marks in tape.walked:
-                if not implied and key not in r:
-                    parked = s.get(key)
-                    s[key] = outcomes if parked is None else [*parked, *outcomes]
+            for left, outcomes, ordinal, marks in tape.walked:
+                if not implied and left not in r:
+                    parked = s.get(left)
+                    s[left] = outcomes if parked is None else [*parked, *outcomes]
                     self._s_size += len(outcomes)
                     sets += 2 * len(outcomes)
                     continue
-                for i, outcome in enumerate(outcomes):
+                for i, (s_r, right, paused) in enumerate(outcomes):
                     sets += 1  # the R probe that hit
-                    s_r, right, paused = outcome
-                    if scheduled or not paused or (s_r, right) in s:
-                        # the walk's counters at this outcome's intake
-                        h, t, e, c, d = marks[5 * i : 5 * i + 5]
-                        stats.intra_hops += hops + h
-                        stats.node_tests += tests + t
-                        stats.instances_created += events + e + entries + ordinal
-                        stats.speculative_instances += entries + ordinal
-                        stats.border_crossings_deferred += deferred + d
-                        stats.iterator_calls += calls + c
-                        stats.set_ops += sets
-                        hops, tests, events, calls, deferred = -h, -t, -e, -c, -d
-                        entries, sets = -ordinal, 0
-                    stats.merges += 1
-                    result = self._activate(outcome)
+                    merges += 1
                     while True:
-                        if result is not None:
-                            ctx.charge_instance()  # the result tuple's
-                            yield result
+                        # the activation: a proof's or a full path's R probe
+                        sets += 1
+                        key = (s_r, right) if paused else (path_len, right)
+                        if key in r or (paused and droot and s_r == 1):
+                            dups += 1
+                        else:
+                            r.add(key)
+                            if not paused or (
+                                schedule is not None
+                                and right >> SLOT_BITS not in frames
+                                and right >> SLOT_BITS not in requested
+                            ):
+                                # a yield, or a read the proof's enqueue
+                                # submits: the walk's counters at this
+                                # outcome's intake (a second post adds none)
+                                h, t, e, c, d = marks[5 * i : 5 * i + 5]
+                                stats.intra_hops += hops + h
+                                stats.node_tests += tests + t
+                                stats.instances_created += events + e + entries + ordinal
+                                stats.speculative_instances += entries + ordinal
+                                stats.border_crossings_deferred += deferred + d
+                                stats.iterator_calls += calls + c
+                                stats.set_ops += sets
+                                stats.merges += merges
+                                stats.duplicates_suppressed += dups
+                                hops, tests, events, calls, deferred = -h, -t, -e, -c, -d
+                                entries, sets, merges, dups = -ordinal, 0, 0, 0
+                            if not paused:
+                                ctx.charge_instance()  # the result tuple's
+                                yield right
+                            else:
+                                if schedule is not None:
+                                    schedule._enqueue(s_r, 0, None, False, right, True)
+                                if s and key in s:
+                                    # the cascade: what S holds under the key
+                                    pending = s.pop(key)
+                                    merges += len(pending)
+                                    self._s_size -= len(pending)
+                                    ready.extend(pending)
                         if not ready:
                             break
-                        result = self._activate(ready.popleft())
+                        s_r, right, paused = ready.popleft()
             h, t, e, c, d, n = tape.totals
             hops += h
             tests += t
@@ -691,7 +719,9 @@ class XAssembly(Operator):
                 stats.border_crossings_deferred += deferred
                 stats.iterator_calls += calls
                 stats.set_ops += sets
-                hops = tests = events = calls = deferred = entries = sets = 0
+                stats.merges += merges
+                stats.duplicates_suppressed += dups
+                hops = tests = events = calls = deferred = entries = sets = merges = dups = 0
                 san.check()
             tape = self._kept(view, records, run.step)
             if tape is None:
@@ -703,6 +733,8 @@ class XAssembly(Operator):
         stats.border_crossings_deferred += deferred
         stats.iterator_calls += calls
         stats.set_ops += sets
+        stats.merges += merges
+        stats.duplicates_suppressed += dups
         return run
 
     def _book(self, view, step: int) -> DeliveryTapes:
@@ -721,25 +753,28 @@ class XAssembly(Operator):
     def _deliveries(self, entry: tuple) -> Generator[NodeID, None, tuple | None]:
         """Take in the held cluster's deliveries from their tapes
         (:func:`build_tape` given ``start``): ``entry``, which a pull
-        delivered, then every entry XSchedule hands over in place
-        (``take_in_place``).
+        delivered, then every entry the next pull would deliver with
+        nothing in between, taken off XSchedule's Q in place.
 
         Q's entries are left-complete, so what they produce never enters
         S: an outcome is a paused crossing or a full path, whose R probe
         (one ``set_op``) either drops it as a duplicate or admits a
-        result.  ``_ready`` is drained after each proof, as between two
-        pulls.  An entry taken in place owes what the pull it replaces
-        charges: its crossing, the ``queue_op``, the swizzle pair
-        (``BufferManager.refix``) and the ``instance_op``; an attached
-        sanitizer audits the books after each take, as
-        :meth:`Operator.next` would after the pull.  The walk's counts
-        stay in locals until the clock can be read (docs/algebra.md,
-        "Flush points"): up to an outcome's marks before it is yielded,
-        or proved when the proof submits a read (the tests
-        :meth:`XSchedule._enqueue` makes) or releases what S holds —
-        before ``san.check()``, and once the deliveries are spent or one
-        cannot come off a tape (a corrupt page): that entry, its pull
-        charged, is returned for :meth:`_produce` to walk.
+        result.  A proof that can submit no read and releases nothing —
+        its target cluster buffered or requested, its key not in S — is
+        :meth:`_prove` and :meth:`XSchedule._enqueue` in place; any other
+        calls :meth:`_prove`, and ``_ready`` is drained after it, as
+        between two pulls.  An entry taken in place (the test and pop of
+        :meth:`XSchedule.take_in_place`) owes what the pull it replaces
+        charges: its crossing, the ``queue_op``, what
+        :meth:`BufferManager.refix` books and the ``instance_op``; an
+        attached sanitizer audits the books after each take, as
+        :meth:`Operator.next` would after the pull.  All of it stays in
+        locals until the clock can be read (docs/algebra.md, "Flush
+        points"): up to an outcome's marks before it is yielded or
+        proved through :meth:`_prove`, before ``san.check()``, and once
+        the deliveries are spent or one cannot come off a tape (a corrupt
+        page): that entry, its pull charged, is returned for
+        :meth:`_produce` to walk.
         """
         ctx = self.ctx
         stats = ctx.stats
@@ -750,19 +785,25 @@ class XAssembly(Operator):
         steps = self.steps
         n = len(steps)
         path_len = self.path_len
-        take = self.schedule.take_in_place
-        refix = ctx.buffer.refix
+        droot = self.descendant_root_opt
+        schedule = self.schedule
+        q = schedule._q
+        held = schedule._current
+        k = schedule.k
+        exhausted = schedule.exhausted
+        visited = schedule._visited if schedule.speculative else ()
+        by_synopsis, by_postings = schedule._extend
         frames = ctx.buffer._frames
         requested = ctx.iosys._requested
-        frame = ctx.current_frame
-        page = frame.page
+        page = ctx.current_frame.page
         view = page.colview()
         records = page.records
         slot_mask = (1 << SLOT_BITS) - 1
         books: list = [None] * n
         # counted and not yet on Stats: the cluster's totals before the
-        # entry being taken in, less what was posted at its marks
-        hops = tests = instances = calls = deferred = sets = 0
+        # entry being taken in, less what was posted at its marks, and the
+        # charges of the takes and proofs made in place since the last post
+        hops = tests = instances = calls = deferred = sets = dups = queues = takes = 0
         while True:
             s_r, _, s_l, n_l, left_open, target, resumed = entry
             if left_open or s_r >= n:
@@ -785,15 +826,39 @@ class XAssembly(Operator):
                     sets += 1
                     key = (path_len, right)
                     if key in r:
-                        stats.duplicates_suppressed += 1
+                        dups += 1
                         continue
                     r.add(key)
-                elif (right >> SLOT_BITS in frames or right >> SLOT_BITS in requested) and not (
-                    s and (reached, right) in s
-                ):
-                    # a proof that submits no read and releases nothing
-                    self._prove(reached, right, s_l, n_l)
-                    continue
+                else:
+                    key = (reached, right)
+                    cluster = right >> SLOT_BITS
+                    if (cluster in frames or cluster in requested) and not (s and key in s):
+                        # a proof that submits no read and releases nothing
+                        sets += 1
+                        if key in r or (droot and reached == 1):
+                            dups += 1
+                        else:
+                            r.add(key)
+                            if by_synopsis[reached] >> cluster & 1:
+                                stats.synopsis_entries_pruned += 1
+                            elif by_postings[reached] >> cluster & 1:
+                                stats.pathsummary_entries_pruned += 1
+                            elif cluster in visited:
+                                schedule._parked.append((reached, s_l, n_l, False, right, True))
+                            else:
+                                queues += 1
+                                seq = schedule._seq
+                                schedule._seq = seq + 1
+                                schedule._qcount += 1
+                                filed = (reached, seq, s_l, n_l, False, right, True)
+                                entries = q.get(cluster)
+                                if entries is None:
+                                    q[cluster] = [filed]
+                                elif entries[-1][0] <= reached:
+                                    entries.append(filed)
+                                else:
+                                    insort(entries, filed)
+                        continue
                 # the walk's counters at this outcome's intake
                 h, t, e, c, d = marks[5 * i : 5 * i + 5]
                 stats.intra_hops += hops + h
@@ -802,7 +867,15 @@ class XAssembly(Operator):
                 stats.iterator_calls += calls + c
                 stats.border_crossings_deferred += deferred + d
                 stats.set_ops += sets
-                hops, tests, instances, calls, deferred, sets = -h, -t, -e, -c, -d, 0
+                stats.queue_ops += queues
+                stats.duplicates_suppressed += dups
+                if takes:  # refix's, and its LRU touch
+                    stats.swizzles += takes
+                    stats.buffer_hits += takes
+                    stats.unswizzles += takes
+                    frames[held] = frames.pop(held)
+                hops, tests, instances, calls, deferred = -h, -t, -e, -c, -d
+                sets = dups = queues = takes = 0
                 if not paused:
                     stats.instances_created += 1  # the result tuple's
                     yield right
@@ -820,15 +893,22 @@ class XAssembly(Operator):
             instances += e
             calls += c
             deferred += d
-            entry = take()
-            if entry is None:
+            # the pull's delivery, unless the producer is due: the held
+            # cluster's next entry
+            entries = q.get(held) if exhausted or schedule._qcount >= k else None
+            if entries is None:
+                entry = None
                 break
+            entry = entries.pop(0)
+            if not entries:
+                del q[held]
+            schedule._qcount -= 1
             # the pull it replaces: its crossing and the instance it hands
             # on, the queue_op, the swizzle of a hit and the unswizzle
             calls += 1
             instances += 1
-            stats.queue_ops += 1
-            refix(frame)
+            queues += 1
+            takes += 1
             if san is not None:
                 stats.intra_hops += hops
                 stats.node_tests += tests
@@ -836,7 +916,13 @@ class XAssembly(Operator):
                 stats.iterator_calls += calls
                 stats.border_crossings_deferred += deferred
                 stats.set_ops += sets
-                hops = tests = instances = calls = deferred = sets = 0
+                stats.queue_ops += queues
+                stats.duplicates_suppressed += dups
+                stats.swizzles += takes
+                stats.buffer_hits += takes
+                stats.unswizzles += takes
+                frames[held] = frames.pop(held)
+                hops = tests = instances = calls = deferred = sets = dups = queues = takes = 0
                 san.check()
         stats.intra_hops += hops
         stats.node_tests += tests
@@ -844,12 +930,22 @@ class XAssembly(Operator):
         stats.iterator_calls += calls
         stats.border_crossings_deferred += deferred
         stats.set_ops += sets
+        stats.queue_ops += queues
+        stats.duplicates_suppressed += dups
+        if takes:
+            stats.swizzles += takes
+            stats.buffer_hits += takes
+            stats.unswizzles += takes
+            frames[held] = frames.pop(held)
         return entry
 
     # ------------------------------------------------------------ activation
 
     def _activate(self, stored: _Stored) -> NodeID | None:
-        """Process an instance whose left end is known reachable."""
+        """Process an instance whose left end is known reachable.
+
+        :meth:`_replay` activates in place, and its intake and S cascade
+        must stay in step with this, :meth:`_prove` and :meth:`_final`."""
         s_r, right, incomplete = stored
         if incomplete:
             self._prove(s_r, right, 0, None)
@@ -862,7 +958,9 @@ class XAssembly(Operator):
 
     def _final(self, nid: NodeID) -> NodeID | None:
         """Deduplicate a full path's result node through R (one
-        ``set_op``, charged here): the node, or None for a duplicate."""
+        ``set_op``, charged here): the node, or None for a duplicate.
+        In place in :meth:`_replay` and :meth:`_deliveries` (a full path's
+        R probe): keep them in step."""
         ctx = self.ctx
         ctx.stats.set_ops += 1
         key = (self.path_len, nid)
@@ -880,6 +978,11 @@ class XAssembly(Operator):
         it, schedules a visit of the junction's cluster (XSchedule input
         only) and activates any S-instances waiting on the key.  Under
         the ``//`` prefix every step-1 key counts as present.
+
+        Two in-place twins must stay in step with this: the proof in
+        :meth:`_replay`, and :meth:`_deliveries`' proof of a crossing that
+        submits no read and releases nothing, which files it in Q as
+        :meth:`XSchedule._enqueue` does.
         """
         ctx = self.ctx
         ctx.stats.set_ops += 1

@@ -31,9 +31,10 @@ which hands Q's flat tuple on as it is: the path kernel calls it where
 it would pull, and ``_produce`` only wraps the tuples in
 :class:`PathInstance` objects for any other consumer.  The pull that
 takes the next entry of the cluster this operator holds is
-:meth:`XSchedule.take_in_place` plus its charges, which is how the
-kernel takes a held cluster's deliveries in whole (docs/algebra.md,
-"Delivery runs" and "Delivery tapes").
+:meth:`XSchedule.take_in_place` plus its charges; the kernel's replay
+of delivery tapes takes a held cluster's deliveries in whole by doing
+the same in place (docs/algebra.md, "Delivery runs" and "Delivery
+tapes").
 """
 
 from __future__ import annotations
@@ -158,7 +159,10 @@ class XSchedule(Operator):
     ) -> None:
         """File one instance in Q (or drop or park it), unswizzled: a
         context, or a junction XAssembly proved (``resumed``).  A cluster
-        neither buffered nor already requested is requested."""
+        neither buffered nor already requested is requested.
+        ``XAssembly._deliveries`` files a proof whose cluster is buffered
+        or requested in place — the refusals, the park and the sorted
+        insert: keep the two in step."""
         ctx = self.ctx
         cluster = target >> SLOT_BITS
         if resumed and not ctx.fallback and s_r < len(self.steps):
@@ -202,7 +206,8 @@ class XSchedule(Operator):
         producer is due.  None: the next pull has to run.  Only valid
         between two pulls that delivered an entry (docs/algebra.md,
         "Delivery runs"); the caller charges what the pull would, as
-        :meth:`deliver` does."""
+        :meth:`deliver` does.  ``XAssembly._deliveries`` takes the entry
+        off Q in place, the same test and pop: keep the two in step."""
         cluster = self._current
         if cluster is None or (self._qcount < self.k and not self.exhausted):
             return None

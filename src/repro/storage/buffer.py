@@ -149,7 +149,10 @@ class BufferManager:
         """:meth:`probe_fix` of the pinned ``frame``'s page (resident)
         followed by :meth:`unfix`, as one call: the swizzle (a hit), the
         LRU touch and the unswizzle, with the pin count as it was.  What
-        XSchedule pays to hand on another entry of the cluster it holds."""
+        XSchedule pays to hand on another entry of the cluster it holds.
+        ``XAssembly._deliveries`` books the same in place for each entry
+        it takes (the counts, and the touch before anything else can
+        reorder the frames): keep the two in step."""
         if frame.pins <= 0:
             raise BufferError_(f"refix of unpinned frame {frame.page_no}")
         stats = self.stats
@@ -160,6 +163,21 @@ class BufferManager:
             self.tracer.event(self.clock.now, "buffer", "hit", page=page_no)
         self._frames[page_no] = self._frames.pop(page_no)
         stats.unswizzles += 1  # the unfix: after the hit's stamp
+
+    def count_hits(self, pages: list[int]) -> None:
+        """Book a read of each resident page of ``pages`` (in the order
+        read) made without a call: what :meth:`fix` then :meth:`unfix`
+        book for a hit — the swizzle, the hit, the unswizzle — and the LRU
+        touch.  The caller posts it before anything can read the clock and
+        calls :meth:`fix` on a miss; untraced only (a traced hit is an
+        event at its instant).  Keep it in step with :meth:`fix`."""
+        stats = self.stats
+        stats.swizzles += len(pages)
+        stats.buffer_hits += len(pages)
+        stats.unswizzles += len(pages)
+        frames = self._frames
+        for page_no in pages:
+            frames[page_no] = frames.pop(page_no)
 
     def unfix(self, frame: Frame) -> None:
         """Release one pin; the frame becomes evictable at zero pins."""

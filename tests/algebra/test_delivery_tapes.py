@@ -176,48 +176,61 @@ def test_a_delivered_proof_activates_what_s_holds(key, monkeypatch):
 
 def test_the_held_cluster_is_taken_in_whole(request, store, monkeypatch):
     """At ``k_min_queue`` 1 the producer is never due while Q holds an
-    entry: the replay takes the held cluster's later entries in place."""
-    taken = []
-    take = XSchedule.take_in_place
+    entry: the replay takes the held cluster's later entries in place.
+    Every entry Q files is popped once, one ``queue_op`` each way, so Q
+    hands on more entries than the ``deliver()`` pulls deliver."""
+    pulled = []  # per run: the entries deliver() handed on
+    deliver = XSchedule.deliver
 
-    def spy(self):
-        entry = take(self)
-        if entry is not None and _in_replay():
-            taken.append(entry)
-        return entry
+    def counted(self):
+        item = deliver(self)
+        pulled[-1] += type(item) is tuple
+        return item
 
-    monkeypatch.setattr(XSchedule, "take_in_place", spy)
+    monkeypatch.setattr(XSchedule, "deliver", counted)
+    in_place = 0
     for key in _keys(request.node.callspec.id, k=1):
-        golden.check(key, shared=store)
-    assert taken, "no entry was taken in place off a tape"
+        pulled.append(0)
+        stats = golden.check(key, shared=store).result.stats
+        assert stats.queue_ops % 2 == 0, key
+        in_place += stats.queue_ops // 2 - pulled[-1]
+    assert in_place > 0, "no entry was taken in place off a tape"
 
 
 def test_a_dead_page_trips_fallback_between_two_entries_taken_in_place(monkeypatch):
     """A dead page under the mixed profile: the trip into fallback lands
     between two entries taken from a held cluster — before it off their
     tapes, after it on the walk, which extends them by full navigation —
-    and the books are the pinned ones up to the raise of the lost data."""
-    takes = []  # per entry taken in place: (in fallback, off a tape)
-    take = XSchedule.take_in_place
+    and the books are the pinned ones up to the raise of the lost data.
+    Seen at each ``deliver()`` pull, with ``ctx.fallback``: the entries
+    popped off Q since the pull before (what the replay took in place)
+    and whether the pull itself takes the held cluster's next entry."""
+    pulls = []  # per pull: (in fallback, taken in place before it, takes the held cluster's)
+    deliver = XSchedule.deliver
+    popped = {}  # per XSchedule: the entries popped off Q when its last pull returned
 
-    def spy(self):
-        entry = take(self)
-        if entry is not None:
-            takes.append((self.ctx.fallback, _in_replay()))
-        return entry
+    def seen(self):
+        gone = self._seq - self._qcount
+        held = self._held is None and self._current in self._q and (
+            self._qcount >= self.k or self.exhausted
+        )
+        pulls.append((self.ctx.fallback, gone - popped.get(self, gone), held))
+        item = deliver(self)
+        popped[self] = self._seq - self._qcount
+        return item
 
-    monkeypatch.setattr(XSchedule, "take_in_place", spy)
+    monkeypatch.setattr(XSchedule, "deliver", seen)
     keys = [key for key, _ in golden.rows("deliveries") if key.startswith("deliveries/dead/")]
     assert len(keys) == 8
     straddled = 0
     for key in keys:
-        del takes[:]
+        del pulls[:]
         outcome = golden.check(key)
         assert outcome.ctx.stats.fallbacks == 1, key
-        before = [tape for fallback, tape in takes if not fallback]
-        after = [tape for fallback, tape in takes if fallback]
-        assert not any(after), f"{key}: a tape was replayed in fallback mode"
-        straddled += any(before) and bool(after)
+        before = [taken for fallback, taken, _ in pulls if not fallback]
+        after = [(taken, held) for fallback, taken, held in pulls if fallback]
+        assert not any(taken for taken, _ in after), f"{key}: a tape was replayed in fallback mode"
+        straddled += any(before) and any(held for _, held in after)
     assert straddled, "no trip landed between two entries taken in place"
 
 

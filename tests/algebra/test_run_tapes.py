@@ -159,14 +159,28 @@ def test_every_yield_sees_the_level_stack_walks_clock_and_counters(store, plan, 
     assert tape == _yields(store, query, plan, budget=INERT)
 
 
+class _Parking(dict):
+    """S, counting the outcomes parked into it (an entry is grown by
+    replacing it, so every park is one assignment)."""
+
+    parked = 0
+
+    def __setitem__(self, key, outcomes):
+        self.parked += len(outcomes) - len(self.get(key, ()))
+        super().__setitem__(key, outcomes)
+
+
 def test_both_intakes_are_exercised(monkeypatch, replays):
     """Activated at intake where clusters follow their parents, parked
     by reference where they do not — and some of each on either layout,
-    so neither half of the three-way test is vacuous."""
+    so neither half of the three-way test is vacuous.  Every outcome of
+    a run taken off a tape is either parked in S or activated at intake
+    — a ``merges`` of its own — so the outcomes S did not take are the
+    ones activated, and the run's ``merges`` count at least those."""
     tapes = []  # every tape a run was taken in from
-    activated = []  # every outcome the replay activated at intake
+    kernels = []  # every kernel (the determinism sanitizer runs a cold query twice)
     keep = XAssembly._kept
-    activate = XAssembly._activate
+    open_ = XAssembly.open
 
     def keep_spy(self, view, records, step):
         tape = keep(self, view, records, step)
@@ -174,22 +188,23 @@ def test_both_intakes_are_exercised(monkeypatch, replays):
             tapes.append(tape)
         return tape
 
-    def activate_spy(self, stored):
-        caller = sys._getframe(1)
-        if caller.f_code is XAssembly._replay.__code__ and caller.f_locals["outcome"] is stored:
-            activated.append(stored)
-        return activate(self, stored)
+    def open_spy(self):
+        self._s = _Parking()
+        kernels.append(self)
+        open_(self)
 
     monkeypatch.setattr(XAssembly, "_kept", keep_spy)
-    monkeypatch.setattr(XAssembly, "_activate", activate_spy)
+    monkeypatch.setattr(XAssembly, "open", open_spy)
     at_intake = {}
     for fragmentation in (0.0, 1.0):
         db, _ = small_database(seed=3, page_size=512, fragmentation=fragmentation, n_top=25)
-        del replays[:], tapes[:], activated[:]
+        del replays[:], tapes[:], kernels[:]
         _run(db.store, "/root/a/b/c", "xscan")
         outcomes = sum(len(walked[1]) for tape in tapes for walked in tape.walked)
-        assert activated and outcomes > len(activated), fragmentation
-        at_intake[fragmentation] = len(activated) / outcomes
+        activated = outcomes - sum(kernel._s.parked for kernel in kernels)
+        assert 0 < activated < outcomes, fragmentation
+        assert sum(kernel.ctx.stats.merges for kernel in kernels) >= activated, fragmentation
+        at_intake[fragmentation] = activated / outcomes
     assert at_intake[0.0] > at_intake[1.0]
 
 
