@@ -99,8 +99,8 @@ class Stats:
 
     def merge(self, other: "Stats") -> None:
         """Add every counter of ``other`` into this bundle."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in _names(self):
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def snapshot(self) -> "Stats":
         """An independent copy of the current counter values."""
@@ -112,17 +112,23 @@ class Stats:
         Used by warm execution sessions to attribute per-run counters on a
         shared, long-lived runtime: snapshot before the run, diff after.
         """
-        return Stats(
-            **{
-                f.name: getattr(self, f.name) - getattr(earlier, f.name)
-                for f in fields(self)
-            }
-        )
+        names = _names(self)
+        return Stats(**{name: getattr(self, name) - getattr(earlier, name) for name in names})
 
     def as_dict(self) -> dict[str, float]:
         """Return a plain ``{name: value}`` dictionary of all counters."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _names(self)}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         nonzero = {k: v for k, v in self.as_dict().items() if v}
         return f"Stats({nonzero})"
+
+
+#: the counters' names in declaration order: what ``merge``, ``diff`` and
+#: ``as_dict`` iterate (``dataclasses.fields`` builds a tuple per call)
+FIELDS: tuple[str, ...] = tuple(f.name for f in fields(Stats))
+
+
+def _names(stats: Stats) -> tuple[str, ...]:
+    """:data:`FIELDS`, or the fields of a class extending :class:`Stats`."""
+    return FIELDS if type(stats) is Stats else tuple(f.name for f in fields(stats))
