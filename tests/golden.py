@@ -32,6 +32,7 @@ walks, latency-SLO sidelining and the paper's unpruned configurations
 
     PYTHONPATH=src python -m tests.golden            # check every row
     PYTHONPATH=src python -m tests.golden --only delivery/ warm/   # rows by key prefix
+    PYTHONPATH=src python -m tests.golden --replay   # every row twice, keys reversed
     PYTHONPATH=src python -m tests.golden --write    # regenerate
     PYTHONPATH=src python -m tests.golden --compare OLD.jsonl
 
@@ -39,6 +40,14 @@ walks, latency-SLO sidelining and the paper's unpruned configurations
 the prefixes and reports them as "N of M rows as pinned", M the rows
 selected: a quick pass over the families a change touches, never a
 substitute for the full check.
+
+``--replay`` is the determinism check: it takes the rows in reverse key
+order and runs each twice in one process, both runs equal to the row,
+and a traced draw's two event streams equal tick for tick
+(:func:`same_events`).  Run under another ``PYTHONHASHSEED`` than the
+plain check, it shows the books depend on neither the hash seed, nor
+the order the draws run in, nor how many runtimes the process built
+before.
 
 Only a declared physics change may move a value in the file.  A change
 that only adds rows or columns regenerates it and shows, with
@@ -1215,6 +1224,29 @@ def check(key: str, **run_options) -> Outcome:
     return outcome
 
 
+def replay(key: str) -> None:
+    """Check the pinned draw ``key`` twice in one process; a traced
+    draw's two runs must also emit the same events."""
+    first = check(key)
+    second = check(key)
+    if first.tracer is not None:
+        same_events(first.tracer, second.tracer)
+
+
+def same_events(first: Tracer, second: Tracer) -> None:
+    """Two runs' trace event streams agree tick for tick: as many events,
+    each the same on timestamp, category, name, page and duration."""
+    a, b = list(first.events), list(second.events)
+    assert first.events_recorded == second.events_recorded and len(a) == len(b), (
+        f"trace event streams differ in length: "
+        f"{first.events_recorded} vs {second.events_recorded}"
+    )
+    for index, (x, y) in enumerate(zip(a, b)):
+        assert (x.ts, x.cat, x.name, x.page, x.dur) == (y.ts, y.cat, y.name, y.page, y.dur), (
+            f"trace event {index} differs between runs: {x!r} vs {y!r}"
+        )
+
+
 def check_priced(key: str, outcome: Outcome) -> None:
     """The CPU identity for the result's slice: its CPU seconds are the
     counters it books priced (the runtime's hold by definition)."""
@@ -1246,22 +1278,30 @@ def main(argv: list[str]) -> int:
         return 0
     selected = pinned()
     if "--only" in argv:
-        prefixes = tuple(argv[argv.index("--only") + 1 :])
+        prefixes = tuple(a for a in argv[argv.index("--only") + 1 :] if a != "--replay")
         if not prefixes:
             print("--only takes one or more key prefixes")
             return 2
         selected = {key: r for key, r in selected.items() if key.startswith(prefixes)}
+    keys = list(selected)
+    runs = 1
+    if "--replay" in argv:
+        keys.sort(reverse=True)
+        runs = 2
     failed = 0
-    for key, r in selected.items():
-        if "draw" in r:
-            try:
+    for key in keys:
+        r = selected[key]
+        try:
+            if "draw" not in r:
+                for _ in range(runs):
+                    assert other(key) == r, key
+            elif runs == 2:
+                replay(key)
+            else:
                 check(key)
-            except AssertionError:
-                failed += 1
-                print(f"MOVED {key}")
-        elif other(key) != r:
+        except (AssertionError, ReproError) as err:
             failed += 1
-            print(f"MOVED {key}")
+            print(f"MOVED {key}" if type(err) is AssertionError else f"MOVED {key}: {err!r}")
     print(f"{len(selected) - failed} of {len(selected)} rows as pinned")
     return 1 if failed else 0
 
