@@ -38,6 +38,7 @@ from repro.errors import (
     ClockHorizonError,
     DiskProgressError,
     IOError_,
+    OffGridTimeError,
     PageReadError,
     PlanError,
     ReproError,
@@ -129,5 +130,6 @@ __all__ = [
     "DiskProgressError",
     "BudgetExceededError",
     "ClockHorizonError",
+    "OffGridTimeError",
     "__version__",
 ]

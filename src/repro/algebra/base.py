@@ -52,10 +52,6 @@ class Operator:
             produced = item is not None
             self._trace_out += produced
             tracer.op_call(type(self).__name__, produced)
-        if (san := self.ctx.san) is not None:
-            # the charge sanitizer audits the clock between result
-            # tuples, pinning a divergence to one operator call
-            san.check()
         return item
 
     def take_run(self):
@@ -86,15 +82,14 @@ class Operator:
 
         It inlines :meth:`next` — the same ``charge_call`` cost in the
         same order, the same budget check, one generator advance —
-        without the two extra call frames per item; with a tracer or a
-        sanitizer attached it defers to :meth:`next`, so ``op_call``
-        accounting stays exact and the charge sanitizer audits every
-        item.
+        without the two extra call frames per item; with a tracer
+        attached it defers to :meth:`next`, so ``op_call`` accounting
+        stays exact.
         """
         if self._iter is None:
             raise PlanError(f"{type(self).__name__}.next() before open()")
         ctx = self.ctx
-        if ctx.tracer is not None or ctx.san is not None:
+        if ctx.tracer is not None:
             while (item := self.next()) is not None:
                 yield item
             return

@@ -235,7 +235,6 @@ class EvalContext:
         "options",
         "tags",
         "tracer",
-        "san",
         "current_frame",
         "fallback",
         "degradation_events",
@@ -270,11 +269,6 @@ class EvalContext:
         #: instrumentation site guards on ``is not None`` (the same
         #: zero-overhead discipline as the budget check in charge_call)
         self.tracer = tracer
-        #: optional charge sanitizer (:mod:`repro.analysis.sanitize`),
-        #: installed by the environment when ``REPRO_SAN`` requests it
-        #: and checked at every operator yield; ``None`` keeps the hook
-        #: on its single-``is None``-test fast path
-        self.san = None
         #: The cluster currently being processed; maintained (pinned) by
         #: the plan's I/O-performing operator.  All swizzled slot
         #: references in flight between the path kernel's XStep levels

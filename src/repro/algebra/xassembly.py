@@ -303,7 +303,6 @@ class XAssembly(Operator):
         # deliveries may come off their tapes (_deliveries); what else
         # keeps them on the walk is checked per pull
         taping = schedule is not None and self._path is not None and tracer is None
-        san = ctx.san
         stack: list = []
         top = 0
         it = tail = page = p = entries = None
@@ -346,8 +345,6 @@ class XAssembly(Operator):
                                 if tracer is not None:
                                     schedule._trace_out += p is not None
                                     tracer.op_call(type(schedule).__name__, p is not None)
-                                if san is not None:
-                                    san.check()
                             if p is None:
                                 return
                             if type(p) is EntryRun:
@@ -617,21 +614,18 @@ class XAssembly(Operator):
         (:meth:`_activate`, :meth:`_prove`, :meth:`_final`), what a proof
         releases from S drained through ``_ready`` before the next.  A
         run taken in place owes the crossing of the pull it replaces: one
-        ``iterator_call``, audited by an attached sanitizer as
-        :meth:`Operator.next` would.  All of it stays in locals until the
-        clock can be read (docs/algebra.md, "Flush points"): up to an
-        outcome's marks before a yield or a proof whose enqueue submits a
-        read (the tests :meth:`XSchedule._enqueue` makes), before
-        ``san.check()``, and once the cluster's runs are
-        spent or one cannot come off a tape: that run is returned, for
-        :meth:`_produce` to walk.
+        ``iterator_call``.  All of it stays in locals until the clock can
+        be read (docs/algebra.md, "Flush points"): up to an outcome's
+        marks before a yield or a proof whose enqueue submits a read (the
+        tests :meth:`XSchedule._enqueue` makes), and once the cluster's
+        runs are spent or one cannot come off a tape: that run is
+        returned, for :meth:`_produce` to walk.
         """
         ctx = self.ctx
         r = self._r
         s = self._s
         ready = self._ready
         stats = ctx.stats
-        san = ctx.san
         droot = self.descendant_root_opt
         path_len = self.path_len
         schedule = self.schedule  # a proof files a visit
@@ -711,18 +705,6 @@ class XAssembly(Operator):
             if run is None:
                 break
             calls += 1  # the crossing of the pull it replaces
-            if san is not None:
-                stats.intra_hops += hops
-                stats.node_tests += tests
-                stats.instances_created += events + entries
-                stats.speculative_instances += entries
-                stats.border_crossings_deferred += deferred
-                stats.iterator_calls += calls
-                stats.set_ops += sets
-                stats.merges += merges
-                stats.duplicates_suppressed += dups
-                hops = tests = events = calls = deferred = entries = sets = merges = dups = 0
-                san.check()
             tape = self._kept(view, records, run.step)
             if tape is None:
                 break
@@ -766,19 +748,15 @@ class XAssembly(Operator):
         between two pulls.  An entry taken in place (the test and pop of
         :meth:`XSchedule.take_in_place`) owes what the pull it replaces
         charges: its crossing, the ``queue_op``, what
-        :meth:`BufferManager.refix` books and the ``instance_op``; an
-        attached sanitizer audits the books after each take, as
-        :meth:`Operator.next` would after the pull.  All of it stays in
-        locals until the clock can be read (docs/algebra.md, "Flush
-        points"): up to an outcome's marks before it is yielded or
-        proved through :meth:`_prove`, before ``san.check()``, and once
-        the deliveries are spent or one cannot come off a tape (a corrupt
-        page): that entry, its pull charged, is returned for
-        :meth:`_produce` to walk.
+        :meth:`BufferManager.refix` books and the ``instance_op``.  All of
+        it stays in locals until the clock can be read (docs/algebra.md,
+        "Flush points"): up to an outcome's marks before it is yielded or
+        proved through :meth:`_prove`, and once the deliveries are spent
+        or one cannot come off a tape (a corrupt page): that entry, its
+        pull charged, is returned for :meth:`_produce` to walk.
         """
         ctx = self.ctx
         stats = ctx.stats
-        san = ctx.san
         r = self._r
         s = self._s
         ready = self._ready
@@ -909,21 +887,6 @@ class XAssembly(Operator):
             instances += 1
             queues += 1
             takes += 1
-            if san is not None:
-                stats.intra_hops += hops
-                stats.node_tests += tests
-                stats.instances_created += instances
-                stats.iterator_calls += calls
-                stats.border_crossings_deferred += deferred
-                stats.set_ops += sets
-                stats.queue_ops += queues
-                stats.duplicates_suppressed += dups
-                stats.swizzles += takes
-                stats.buffer_hits += takes
-                stats.unswizzles += takes
-                frames[held] = frames.pop(held)
-                hops = tests = instances = calls = deferred = sets = dups = queues = takes = 0
-                san.check()
         stats.intra_hops += hops
         stats.node_tests += tests
         stats.instances_created += instances

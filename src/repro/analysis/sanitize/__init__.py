@@ -1,31 +1,26 @@
-"""reprosan: runtime sanitizers for the engine's accounting invariants.
+"""reprosan: the runtime sanitizer for incremental maintenance.
 
 Static analysis (:mod:`repro.analysis`) proves invariant *shapes* —
-gated state stays behind its gate, no hash order leaks through helpers.
-The sanitizers prove the *values* at runtime: they re-derive them
-from independent evidence while the engine runs and fail loudly on the
-first disagreement.  Three sanitizers:
+gated state stays behind its gate, hot classes declare ``__slots__``.
+The sanitizer proves *values* at runtime: it re-derives them from
+independent evidence while the engine runs and fails loudly on the
+first disagreement.  One sanitizer is left:
 
-* **charge** — at every operator yield the simulated clock must be
-  monotonic and on the time grid.  Catches a priced counter booked
-  backwards, or a duration created off the grid, at the exact yield
-  where it first shows.  (CPU seconds need no audit: the
-  clock reads them off the counters.)
-* **determinism** — double execution: every cold :meth:`Database.execute
-  <repro.engine.Database.execute>` is re-run on a private shadow runtime
-  and diffed — value, nodes, every counter, the clock, and the trace
-  event stream tick for tick.
 * **mutation** — coherence of incremental maintenance: after each update
   operation the incrementally repaired synopsis/path-summary snapshots
   are diffed against a full recollection, the synopsis's memoised
   cluster bitsets against a recompute from its rows, and cached columnar
   views against ones rebuilt from the records.
 
-Enable with the ``REPRO_SAN`` environment variable: ``1``/``all`` for
-everything, or a comma list (``REPRO_SAN=charge,mutation``).  Unset, the
-sanitizers cost nothing: no shadow structures are allocated, the hooks
-reduce to one ``is None`` (or one environment-dict lookup per
-execute/update), and simulated results and timings are bit-identical.
+The clock needs no sanitizer: it is monotone and on the time grid by
+construction (:mod:`repro.sim.clock`), and the same inputs giving the
+same books is what the golden draws check, twice per process under a
+second hash seed (``python -m tests.golden --replay``).
+
+Enable with the ``REPRO_SAN`` environment variable: ``1``/``all`` or
+``mutation``.  Unset, the sanitizer costs nothing: its hook is one
+environment-dict lookup per update, and simulated results and timings
+are bit-identical.
 
 ``REPRO_SAN_REPORT=<path>`` additionally appends one JSON line per
 failure to ``<path>`` before raising, which CI uploads as an artifact.
@@ -35,9 +30,9 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, NoReturn
+from typing import NoReturn
 
-ALL_MODES = frozenset({"charge", "determinism", "mutation"})
+ALL_MODES = frozenset({"mutation"})
 
 
 class SanitizerError(AssertionError):
@@ -70,37 +65,16 @@ def modes() -> frozenset[str]:
     return requested
 
 
-def enabled(mode: str) -> bool:
-    return mode in modes()
-
-
-def fail(sanitizer: str, message: str, details: dict[str, Any] | None = None) -> NoReturn:
+def fail(sanitizer: str, message: str) -> NoReturn:
     """Report one violation (to the artifact, if configured) and raise."""
     report = os.environ.get("REPRO_SAN_REPORT")
     if report:
-        record: dict[str, Any] = {"sanitizer": sanitizer, "message": message}
-        if details:
-            record["details"] = details
+        record = {"sanitizer": sanitizer, "message": message}
         try:
             with open(report, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(record, sort_keys=True, default=str))
+                handle.write(json.dumps(record, sort_keys=True))
                 handle.write("\n")
         except OSError:
             pass  # the artifact is best-effort; the raise below is not
     raise SanitizerError(f"[reprosan:{sanitizer}] {message}")
 
-
-def install(ctx: Any) -> None:
-    """Attach the per-context sanitizers to a freshly built runtime.
-
-    Called by :meth:`ExecutionEnvironment.fresh_context
-    <repro.exec.environment.ExecutionEnvironment.fresh_context>` when
-    ``REPRO_SAN`` requests any mode.  Only the charge sanitizer lives on
-    the context (``ctx.san``, checked at every operator yield); the
-    determinism and mutation sanitizers hook their own sites and consult
-    :func:`enabled` there.
-    """
-    if "charge" in modes():
-        from repro.analysis.sanitize.charge import ChargeSanitizer
-
-        ctx.san = ChargeSanitizer(ctx)

@@ -18,7 +18,6 @@ cold caches, Sec. 6.1).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.algebra.context import DegradationReport, EvalContext, EvalOptions
@@ -261,26 +260,7 @@ class Database:
         # a cold context's totals are the run's totals; a reused one is
         # reported as the delta since here
         before = ctx.stats.snapshot() if context is not None else None
-        tracer = ctx.tracer
-        events_start = tracer.events_recorded if tracer is not None else 0
         value, nodes = compiled.execute(ctx)
-        if context is None and os.environ.get("REPRO_SAN"):
-            from repro.analysis import sanitize
-
-            if "determinism" in sanitize.modes():
-                from repro.analysis.sanitize.determinism import recheck
-
-                recheck(
-                    self.env,
-                    compiled,
-                    options,
-                    value,
-                    nodes,
-                    ctx.stats,
-                    (ctx.clock.now, ctx.clock.cpu_time, ctx.clock.io_wait),
-                    tracer,
-                    events_start,
-                )
         return Result.from_context(
             ctx,
             mark,

@@ -154,6 +154,23 @@ class ClockHorizonError(ReproError):
         self.sim_time = sim_time
 
 
+class OffGridTimeError(ReproError):
+    """The clock was asked to wait until a time off the time grid.
+
+    Every duration is snapped to the grid (:func:`repro.sim.clock.on_grid`)
+    where it is created, so below :data:`repro.sim.clock.HORIZON` a time
+    the disk hands :meth:`repro.sim.clock.SimClock.wait_until` is a whole
+    number of ticks; one that is not was made without ``on_grid``.
+    """
+
+    def __init__(self, sim_time: float) -> None:
+        super().__init__(
+            f"simulated time t={sim_time!r} is off the time grid: some duration "
+            "was created without on_grid()"
+        )
+        self.sim_time = sim_time
+
+
 class BudgetExceededError(ReproError):
     """An execution budget limit was reached mid-query.
 

@@ -25,8 +25,6 @@ layered on top by :class:`repro.exec.session.QuerySession`.
 
 from __future__ import annotations
 
-import os
-
 from repro.algebra.context import EvalContext, EvalOptions
 from repro.errors import ReproError
 from repro.model.tags import TagDictionary
@@ -84,32 +82,10 @@ class ExecutionEnvironment:
     # ------------------------------------------------------------- contexts
 
     def fresh_context(self, options: EvalOptions | None = None) -> EvalContext:
-        """A cold runtime: new clock, parked disk head, empty buffer.
-
-        When ``REPRO_SAN`` requests runtime sanitizers
-        (:mod:`repro.analysis.sanitize`), they are installed here.  The
-        variable is consulted only when set, keeping the ordinary path
-        free of sanitizer work.
-        """
-        ctx = self._build_context(options or self.options, self.tracer)
+        """A cold runtime: new clock, parked disk head, empty buffer."""
+        opts = options or self.options
+        tracer = self.tracer
         self.contexts_built += 1
-        if os.environ.get("REPRO_SAN"):
-            from repro.analysis import sanitize
-
-            sanitize.install(ctx)
-        return ctx
-
-    def shadow_context(
-        self, options: EvalOptions | None = None, tracer=None
-    ) -> EvalContext:
-        """Sanitizer-internal: the same cold wiring as ``fresh_context``,
-        but uncounted (``contexts_built`` is unperturbed), sanitizer-free
-        (no recursion), and traced by the caller's private ``tracer``
-        instead of the environment's.  Used by the determinism sanitizer
-        for its re-execution."""
-        return self._build_context(options or self.options, tracer)
-
-    def _build_context(self, opts: EvalOptions, tracer) -> EvalContext:
         # the one Stats of the runtime, priced by its clock: every other
         # component books onto the clock's
         clock = SimClock(Stats(), self.costs)
@@ -131,13 +107,10 @@ class ExecutionEnvironment:
         reads can satisfy another's, and the controller queue sees every
         query's pending requests at once.
         """
-        ctx = EvalContext(
+        return EvalContext(
             shared.segment,
             shared.buffer,
             options or shared.options,
             tags=shared.tags,
             tracer=shared.tracer,
         )
-        # the charge sanitizer audits the *shared* clock
-        ctx.san = shared.san
-        return ctx

@@ -18,14 +18,17 @@ Simulated time lives on a grid: every duration is snapped to a whole
 number of ticks (:data:`TICK`) where it is created (:func:`on_grid`), and sums,
 maxima and differences of on-grid values below :data:`HORIZON` are exact
 in a double.  So ``now`` is the same ``==`` whatever order the counters
-were posted in (docs/simulation.md).
+were posted in (docs/simulation.md).  The clock is monotone and on the
+grid by construction: no counter is ever decremented, every cost
+constant is on the grid, and :meth:`SimClock.wait_until` refuses a time
+off it.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.errors import ClockHorizonError
+from repro.errors import ClockHorizonError, OffGridTimeError
 
 if TYPE_CHECKING:
     from repro.sim.costmodel import CostModel
@@ -68,10 +71,15 @@ class SimClock:
         then (a caller need not read the clock again).
 
         If ``t`` is in the past, this is a no-op: the event we waited for
-        already happened while the CPU was doing other work.
+        already happened while the CPU was doing other work.  A ``t`` below
+        :data:`HORIZON` that would move the clock must be on the grid
+        (:class:`~repro.errors.OffGridTimeError` otherwise): the disk's
+        times are the one input of the clock that no counter prices.
         """
         now = self.io_wait + self.costs.price(self.stats)
         if t > now:
+            if t < HORIZON and not (t / TICK).is_integer():
+                raise OffGridTimeError(t)
             self.io_wait += t - now
             return t
         return now

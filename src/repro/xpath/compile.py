@@ -280,12 +280,6 @@ class CompiledPathPlan:
         top = self.build(ctx)
         try:
             return drain(top)
-        except Exception:
-            # the books an error leaves behind are audited too: the next
-            # query on this runtime must not inherit a breach as its own
-            if (san := ctx.san) is not None:
-                san.check()
-            raise
         finally:
             if armed:
                 ctx.disarm_budget()

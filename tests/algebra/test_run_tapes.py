@@ -178,7 +178,7 @@ def test_both_intakes_are_exercised(monkeypatch, replays):
     — a ``merges`` of its own — so the outcomes S did not take are the
     ones activated, and the run's ``merges`` count at least those."""
     tapes = []  # every tape a run was taken in from
-    kernels = []  # every kernel (the determinism sanitizer runs a cold query twice)
+    kernels = []  # every kernel the run opens
     keep = XAssembly._kept
     open_ = XAssembly.open
 

@@ -1,18 +1,19 @@
-"""The reprosan runtime sanitizers: seeded-bug matrix and overhead contract.
+"""Seeded-bug matrix: each bug class and the oracle that catches it.
 
-Each sanitizer must demonstrably catch its bug class: we *seed* a
-deliberate bug (a duration created off the time grid, a
-run-count-dependent clock, a corrupted incremental repair (after a
-logged and after a bare update), a synopsis edited in place under its
-memo, a stale columnar cache, a stale junction in a run tape or a
-delivery tape) and assert the sanitizer trips on it.  Counters booked
-wrong (doubled, or a crossing left unbooked) move the clock with them,
-since it reads CPU seconds off the counters; the golden books catch
-those.  The flip side is
-the overhead contract: with ``REPRO_SAN`` unset no sanitizer state
-exists, and with it set the
-observable outcome — value, counters, simulated timings — is
-bit-identical to an unsanitized run.
+We *seed* a deliberate bug and assert its oracle trips on it.  Counters
+booked wrong (doubled, or a crossing left unbooked) move the clock with
+them, since it reads CPU seconds off the counters: the golden books
+catch those.  A duration created off the time grid is refused where the
+clock would wait for it (:class:`~repro.errors.OffGridTimeError`, one
+test per blocking read).  A run-count-dependent clock moves a golden
+draw run twice in one process (``python -m tests.golden --replay``).
+The mutation sanitizer catches a corrupted incremental repair (after a
+logged and after a bare update), a synopsis or summary edited in place
+under its memo, a stale columnar cache, and a stale junction in a run
+tape or a delivery tape.  Its overhead contract: with ``REPRO_SAN``
+unset no sanitizer state exists, and with it set the observable outcome
+— value, counters, simulated timings — is bit-identical to an
+unsanitized run.
 """
 
 from __future__ import annotations
@@ -26,11 +27,15 @@ from repro.algebra.context import EvalOptions
 from repro.algebra.xassembly import XAssembly, build_tape
 from repro.algebra.xscan import XScan
 from repro.analysis.sanitize import ALL_MODES, SanitizerError, modes
+from repro.errors import OffGridTimeError
 from repro.model.tree import Kind
 from repro.obs.tracer import Tracer
 from repro.sim.clock import SimClock
+from repro.sim.costmodel import CostModel
 from repro.sim.disk import DiskDevice
+from repro.sim.faults import FaultPlan, FaultProfile
 from repro.sim.iosys import AsyncIOSystem
+from repro.sim.stats import Stats
 from repro.storage.buffer import BufferManager
 from repro.storage.nodeid import page_of, slot_of
 from repro.storage.record import CoreRecord
@@ -67,10 +72,14 @@ def test_modes_parsing(monkeypatch):
     assert modes() == ALL_MODES
     monkeypatch.setenv("REPRO_SAN", "all")
     assert modes() == ALL_MODES
-    monkeypatch.setenv("REPRO_SAN", "charge, mutation")
-    assert modes() == frozenset({"charge", "mutation"})
-    monkeypatch.setenv("REPRO_SAN", "chrage")
+    monkeypatch.setenv("REPRO_SAN", " mutation ")
+    assert modes() == frozenset({"mutation"})
+    monkeypatch.setenv("REPRO_SAN", "mutaton")
     with pytest.raises(SanitizerError, match="unknown REPRO_SAN mode"):
+        modes()
+    # the clock and determinism checks are golden-oracle work now
+    monkeypatch.setenv("REPRO_SAN", "charge,determinism")
+    with pytest.raises(SanitizerError, match="charge, determinism"):
         modes()
 
 
@@ -80,7 +89,6 @@ def test_modes_parsing(monkeypatch):
 def test_off_allocates_no_shadow_structures():
     db, _ = small_database()
     ctx = db.make_context()
-    assert ctx.san is None
     assert ctx.tracer is None
     result = db.execute("count(/root/a)", doc="d")
     assert result.trace_summary is None
@@ -109,7 +117,7 @@ def test_user_tracer_still_surfaces_under_sanitizers(monkeypatch):
     assert result.trace_summary.counters == result.stats.as_dict()
 
 
-# --------------------------------------------------------- charge sanitizer
+# ------------------------------------------------------------ golden books
 
 
 def test_double_charge_breaks_scalar_kernel_agreement(monkeypatch):
@@ -175,11 +183,10 @@ def test_miss_without_a_read_moves_a_golden_row(monkeypatch):
         golden.check(key)
 
 
-def test_charge_sanitizer_catches_a_doubled_logical_read(monkeypatch):
+def test_a_doubled_logical_read_moves_a_golden_row(monkeypatch):
     """A read booked twice prices an extra ``io_submit`` onto the clock;
     the clock reads it off the counters, so only the golden books can
-    tell it from a real second read (once the charge sanitizer's CPU
-    identity, which holds by definition now)."""
+    tell it from a real second read."""
     key = "runs/xschedule/0"
     golden.check(key)
     request = AsyncIOSystem.request
@@ -195,11 +202,11 @@ def test_charge_sanitizer_catches_a_doubled_logical_read(monkeypatch):
         golden.check(key)
 
 
-def test_charge_sanitizer_audits_a_run_taken_in_place(monkeypatch):
+def test_an_unbooked_take_in_place_moves_a_golden_row(monkeypatch):
     """A run the path kernel takes in place stands for a pull and owes
     its crossing.  Seeded bug: the take's ``iterator_call`` is not
     booked, so neither the counter nor the clock sees the crossing; the
-    golden books do (once the charge sanitizer's CPU identity)."""
+    golden books do."""
     key = "runs/xscan/0"
     golden.check(key)
     take = XScan.take_run
@@ -218,11 +225,10 @@ def test_charge_sanitizer_audits_a_run_taken_in_place(monkeypatch):
     assert taken
 
 
-def test_charge_sanitizer_audits_delivery_tapes(monkeypatch):
+def test_unbooked_delivery_tape_crossings_move_a_golden_row(monkeypatch):
     """Deliveries taken in from their tapes book the level crossings of
     the first pull of a held cluster.  Seeded bug: those crossings are
-    not booked; the golden books catch it (once the charge sanitizer's
-    CPU identity)."""
+    not booked; the golden books catch it."""
     key = "deliveries/fragmented/0/k1"
     golden.check(key)
     deliveries = XAssembly._deliveries
@@ -240,36 +246,84 @@ def test_charge_sanitizer_audits_delivery_tapes(monkeypatch):
     assert dropped
 
 
+# ---------------------------------------------------- time off the grid
+
+
 def _off_grid_disk(monkeypatch) -> None:
     """Seeded bug: the disk's service durations skip ``on_grid()``."""
     monkeypatch.setattr("repro.sim.disk.on_grid", lambda seconds: seconds)
 
 
-def test_charge_sanitizer_catches_a_duration_created_off_the_grid(monkeypatch):
-    """A service duration that skipped the grid reaches the clock as a
-    wait on the disk: ``io_wait``, and so ``now``, is no longer a whole
-    number of ticks, and exact sums are forfeit."""
-    monkeypatch.setenv("REPRO_SAN", "charge")
+def _io_stack(faults=None):
+    clock = SimClock(Stats(), CostModel())
+    disk = DiskDevice(stats=clock.stats, faults=faults)
+    return AsyncIOSystem(disk, clock), clock
+
+
+def test_an_off_grid_read_served_in_the_call_is_refused(monkeypatch):
+    """An idle disk serves a synchronous read in the submitting call; a
+    done time off the grid is refused where the clock would wait for
+    it, before ``io_wait`` leaves the grid."""
     _off_grid_disk(monkeypatch)
-    db, _ = small_database()
-    with pytest.raises(SanitizerError, match="left the time grid"):
-        db.execute("//a/b", doc="d", plan="xscan")
+    iosys, clock = _io_stack()
+    with pytest.raises(OffGridTimeError, match="off the time grid"):
+        iosys.read_sync(100)
+    assert iosys.outstanding() == 0  # never filed: served in the call
+    assert clock.io_wait == 0.0
 
 
-# ---------------------------------------------------- determinism sanitizer
+def test_an_off_grid_completion_is_refused(monkeypatch):
+    _off_grid_disk(monkeypatch)
+    iosys, clock = _io_stack()
+    iosys.request(10)
+    with pytest.raises(OffGridTimeError):
+        iosys.get_completion()
+    assert clock.io_wait == 0.0
 
 
-def test_determinism_sanitizer_passes_clean_runs(monkeypatch):
-    monkeypatch.setenv("REPRO_SAN", "determinism")
-    db, _ = small_database()
-    result = db.execute("//a/b", doc="d")
-    assert result.nodes is not None
-    # the re-execution ran on an uncounted shadow runtime
-    assert db.env.contexts_built == 1
+def test_an_off_grid_completion_in_the_sync_drain_loop_is_refused(monkeypatch):
+    """A synchronous read behind an asynchronous one drains completions
+    until its own: the first it waits for is off the grid."""
+    _off_grid_disk(monkeypatch)
+    iosys, clock = _io_stack()
+    iosys.request(10)
+    with pytest.raises(OffGridTimeError):
+        iosys.read_sync(500)
+    assert iosys.outstanding() == 2  # filed for the drain loop
+    assert clock.io_wait == 0.0
 
 
-def test_determinism_sanitizer_catches_run_dependence(monkeypatch):
-    db, _ = small_database()
+def test_an_off_grid_blocking_backoff_is_refused(monkeypatch):
+    """The same bug in the retry policy: a backoff delay that skips
+    ``on_grid()`` is refused when a synchronous read blocks through it."""
+    monkeypatch.setattr("repro.sim.faults.on_grid", lambda seconds: seconds)
+    faults = FaultPlan(FaultProfile(dead_pages=frozenset({7}), dead_services=1))
+    iosys, clock = _io_stack(faults)
+    with pytest.raises(OffGridTimeError):
+        iosys.read_sync(7)
+    assert clock.stats.retries == 1  # the failed service was waited for
+    assert clock.io_wait > 0.0
+
+
+def test_an_off_grid_disk_moves_golden_rows(monkeypatch):
+    """Through the engine, the refusal is a raised draw: the row moves."""
+    _off_grid_disk(monkeypatch)
+    key = "runs/xscan/0"
+    with pytest.raises(AssertionError, match=key):
+        golden.check(key)
+    assert isinstance(golden.run(golden.row(key)["draw"]).error, OffGridTimeError)
+
+
+# ------------------------------------------------------------- replay
+
+
+def test_a_replayed_draw_is_its_row_twice():
+    """``--replay``'s check of one traced draw: both runs are the row,
+    and their event streams agree tick for tick."""
+    golden.replay("runs/xscan/2/traced")
+
+
+def test_a_run_count_dependent_clock_moves_a_replayed_draw(monkeypatch):
     built = {"n": 0}
     original = SimClock.__init__
 
@@ -280,25 +334,24 @@ def test_determinism_sanitizer_catches_run_dependence(monkeypatch):
             self.io_wait = 1e-9
 
     monkeypatch.setattr(SimClock, "__init__", skewed_init)
-    monkeypatch.setenv("REPRO_SAN", "determinism")
-    with pytest.raises(SanitizerError, match="clock differs|stats\\."):
-        db.execute("//a/b", doc="d")
+    key = "runs/xscan/2/traced"
+    golden.check(key)  # the first runtime of the process starts on time
+    with pytest.raises(AssertionError, match=key):
+        golden.replay(key)  # the second does not
 
 
 def test_determinism_trace_diff_is_tick_for_tick():
-    from repro.analysis.sanitize.determinism import _diff_events
-
     first, second = Tracer(), Tracer()
     first.event(0.5, "io", "read", page=3)
     second.event(0.5, "io", "read", page=3)
-    _diff_events(first, 0, second)  # identical streams: silent
+    golden.same_events(first, second)  # identical streams: silent
     first.event(0.7, "io", "read", page=4)
     second.event(0.7, "io", "read", page=5)
-    with pytest.raises(SanitizerError, match="trace event 1"):
-        _diff_events(first, 0, second)
+    with pytest.raises(AssertionError, match="trace event 1"):
+        golden.same_events(first, second)
     second.event(0.8, "io", "read", page=6)
-    with pytest.raises(SanitizerError, match="differ in length"):
-        _diff_events(first, 0, second)
+    with pytest.raises(AssertionError, match="differ in length"):
+        golden.same_events(first, second)
 
 
 # ------------------------------------------------------- mutation sanitizer
@@ -477,14 +530,16 @@ def test_mutation_sanitizer_catches_stale_junction_in_a_delivery_tape(monkeypatc
 
 def test_failures_land_in_the_report_artifact(monkeypatch, tmp_path):
     report = tmp_path / "reprosan.jsonl"
-    monkeypatch.setenv("REPRO_SAN", "charge")
-    monkeypatch.setenv("REPRO_SAN_REPORT", str(report))
-    _off_grid_disk(monkeypatch)
     db, _ = small_database()
+    nid = _find_text_node(db)
+    view = db.store.segment.page(page_of(nid)).colview()
+    view.tags[slot_of(nid)] += 1  # seeded bug: a cache gone stale
+    monkeypatch.setenv("REPRO_SAN", "mutation")
+    monkeypatch.setenv("REPRO_SAN_REPORT", str(report))
     with pytest.raises(SanitizerError):
-        db.execute("//a/b", doc="d", plan="xscan")
+        update_value(db.store, nid, "x")
     lines = report.read_text(encoding="utf-8").splitlines()
     assert lines
     record = json.loads(lines[0])
-    assert record["sanitizer"] == "charge"
-    assert "left the time grid" in record["message"]
+    assert record["sanitizer"] == "mutation"
+    assert "column view" in record["message"]
