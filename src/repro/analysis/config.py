@@ -15,10 +15,6 @@ from pathlib import Path
 #: relative to the ``repro`` package root.  An empty-string prefix means
 #: "everywhere" (used by the test fixtures).
 DEFAULT_SCOPES: dict[str, tuple[str, ...]] = {
-    # the deterministic core: simulated time, operators, storage, and the
-    # benchmark document generator must not consult wall clocks, global
-    # RNG state, or interpreter string hashing
-    "nondeterminism": ("sim/", "algebra/", "storage/", "xmark/"),
     # data-validation paths that must survive ``python -O``
     "runtime-assert": (
         "storage/persist.py",

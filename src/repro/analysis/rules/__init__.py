@@ -6,13 +6,11 @@ from repro.analysis.core import Rule
 from repro.analysis.rules.determinism_taint import DeterminismTaintRule
 from repro.analysis.rules.feature_gate import FeatureGateRule
 from repro.analysis.rules.gate_coherence import GateCoherenceRule
-from repro.analysis.rules.nondeterminism import NondeterminismRule
 from repro.analysis.rules.runtime_assert import RuntimeAssertRule
 from repro.analysis.rules.set_iteration import SetIterationRule
 from repro.analysis.rules.slots import SlotsRule
 
 _RULE_CLASSES: tuple[type[Rule], ...] = (
-    NondeterminismRule,
     RuntimeAssertRule,
     SlotsRule,
     FeatureGateRule,

@@ -16,7 +16,7 @@ This module closes the loop at the session level:
   one family has been observed, the store deterministically picks the
   *other* one once ("explore"), so the next resolution has both
   measurements.  No RNG — exploration is a function of store state,
-  keeping planning reproducible (replint's nondeterminism rule holds).
+  keeping planning reproducible.
 
 The store also carries the fitted :class:`~repro.sim.costmodel.ChooserCostModel`
 (see :func:`~repro.sim.costmodel.fit_chooser_model`): observations

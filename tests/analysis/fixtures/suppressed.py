@@ -1,16 +1,13 @@
 """Fixture: violations silenced by line and file-wide suppressions."""
 # replint: disable-file=slots
 
-import time
-
 
 class Frame:
     def __init__(self, page):
         self.page = page
 
-
-def stamp():
-    return time.time()  # replint: disable=nondeterminism
+    def emit(self):
+        self.tracer.cluster_read(1)  # replint: disable=feature-gate
 
 
 def read_record(records, slot):

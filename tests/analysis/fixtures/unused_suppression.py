@@ -1,14 +1,13 @@
 """Fixture: one live suppression, one stale, one for a rule not run."""
 
-import time
 
-
-def wall_clock():
-    return time.time()  # replint: disable=nondeterminism
+def read_record(records, slot):
+    assert records[slot] is not None  # replint: disable=runtime-assert
+    return records[slot]
 
 
 def pure():
-    return 42  # replint: disable=nondeterminism
+    return 42  # replint: disable=runtime-assert
 
 
 def other():

@@ -2,8 +2,8 @@
 
 Scope prefixes are package-relative (``sim/``, ``algebra/``), so the
 fixtures are staged into a miniature package layout: linting the staged
-directory resolves ``<dir>/sim/clocks.py`` to the scope path
-``sim/clocks.py`` exactly as ``src/repro`` resolves for CI.
+directory resolves ``<dir>/storage/persist.py`` to the scope path
+``storage/persist.py`` exactly as ``src/repro`` resolves for CI.
 """
 
 import json
@@ -20,25 +20,25 @@ FIXTURES = Path(__file__).parent / "fixtures"
 @pytest.fixture
 def staged_tree(tmp_path):
     """Fixture files placed where the default scopes apply to them."""
-    (tmp_path / "sim").mkdir()
+    (tmp_path / "storage").mkdir()
     (tmp_path / "algebra").mkdir()
-    shutil.copy(FIXTURES / "nondeterminism_bad.py", tmp_path / "sim" / "clocks.py")
+    shutil.copy(FIXTURES / "runtime_assert_bad.py", tmp_path / "storage" / "persist.py")
     shutil.copy(FIXTURES / "slots_bad.py", tmp_path / "algebra" / "tuples.py")
     return tmp_path
 
 
 def test_clean_file_exits_zero(capsys):
-    code = main([str(FIXTURES / "nondeterminism_good.py"), "--no-config"])
+    code = main([str(FIXTURES / "runtime_assert_good.py"), "--no-config"])
     assert code == 0
     assert "0 findings" in capsys.readouterr().out
 
 
 def test_findings_exit_one_with_location_lines(staged_tree, capsys):
-    code = main([str(staged_tree), "--no-config", "--rules", "nondeterminism"])
+    code = main([str(staged_tree), "--no-config", "--rules", "runtime-assert"])
     out = capsys.readouterr().out
     assert code == 1
-    assert "[nondeterminism]" in out
-    assert "clocks.py:" in out
+    assert "[runtime-assert]" in out
+    assert "persist.py:" in out
 
 
 def test_json_report_shape(staged_tree, capsys):
@@ -54,20 +54,22 @@ def test_json_report_shape(staged_tree, capsys):
 
 
 def test_scopes_keep_rules_off_unrelated_files(staged_tree, capsys):
-    # the slots fixture sits under algebra/, outside nondeterminism's scope,
-    # and the clocks fixture declares no classes: tuples.py stays silent here
-    code = main([str(staged_tree), "--no-config", "--rules", "nondeterminism"])
+    # the same asserts staged under algebra/, outside runtime-assert's
+    # scope, stay silent while the storage/ copy fires
+    shutil.copy(FIXTURES / "runtime_assert_bad.py", staged_tree / "algebra" / "cursor.py")
+    code = main([str(staged_tree), "--no-config", "--rules", "runtime-assert"])
     out = capsys.readouterr().out
     assert code == 1
-    assert "tuples.py" not in out
+    assert "persist.py:" in out
+    assert "cursor.py" not in out
 
 
 def test_warn_unused_suppressions_flag(tmp_path, capsys):
-    (tmp_path / "sim").mkdir()
-    shutil.copy(FIXTURES / "unused_suppression.py", tmp_path / "sim" / "helpers.py")
+    (tmp_path / "storage").mkdir()
+    shutil.copy(FIXTURES / "unused_suppression.py", tmp_path / "storage" / "persist.py")
     # without the flag the stale comment is invisible: the live one
     # silences the only finding and the run is clean
-    code = main([str(tmp_path), "--no-config", "--rules", "nondeterminism"])
+    code = main([str(tmp_path), "--no-config", "--rules", "runtime-assert"])
     assert code == 0
     capsys.readouterr()
     code = main(
@@ -75,7 +77,7 @@ def test_warn_unused_suppressions_flag(tmp_path, capsys):
             str(tmp_path),
             "--no-config",
             "--rules",
-            "nondeterminism",
+            "runtime-assert",
             "--warn-unused-suppressions",
         ]
     )
@@ -107,5 +109,5 @@ def test_list_rules(capsys):
     code = main(["--list-rules"])
     out = capsys.readouterr().out
     assert code == 0
-    for rule_id in ("nondeterminism", "runtime-assert", "determinism-taint"):
+    for rule_id in ("runtime-assert", "set-iteration", "determinism-taint"):
         assert rule_id in out

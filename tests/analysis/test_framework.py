@@ -26,27 +26,27 @@ def test_same_code_without_suppressions_fires():
         FIXTURES / "suppressed.py", "suppressed.py", stripped, ast.parse(stripped)
     )
     findings = lint_source(src, all_rules(), ReplintConfig.everywhere())
-    assert {f.rule for f in findings} == {"slots", "nondeterminism", "runtime-assert"}
+    assert {f.rule for f in findings} == {"slots", "feature-gate", "runtime-assert"}
 
 
 def test_unused_suppressions_are_reported_on_request():
-    rule = rules_by_id()["nondeterminism"]()
+    rule = rules_by_id()["runtime-assert"]()
     findings = lint_paths(
         [FIXTURES / "unused_suppression.py"],
         config=ReplintConfig.everywhere(),
         rules=[rule],
         warn_unused_suppressions=True,
     )
-    # the live suppression (wall_clock) silences its finding and is not
+    # the live suppression (read_record) silences its finding and is not
     # reported; the stale one (pure) is; the slots one is skipped because
     # the slots rule did not run, so there is no verdict on it
     assert [f.rule for f in findings] == ["unused-suppression"]
-    assert "disable=nondeterminism" in findings[0].message
-    assert findings[0].line == 11
+    assert "disable=runtime-assert" in findings[0].message
+    assert findings[0].line == 10
 
 
 def test_unused_suppressions_stay_quiet_by_default():
-    rule = rules_by_id()["nondeterminism"]()
+    rule = rules_by_id()["runtime-assert"]()
     findings = lint_paths(
         [FIXTURES / "unused_suppression.py"],
         config=ReplintConfig.everywhere(),
@@ -59,8 +59,8 @@ def test_default_scopes_keep_rules_off_unrelated_modules():
     config = ReplintConfig()
     assert config.in_scope("runtime-assert", "storage/persist.py")
     assert not config.in_scope("runtime-assert", "xpath/parser.py")
-    assert config.in_scope("nondeterminism", "sim/disk.py")
-    assert not config.in_scope("nondeterminism", "obs/tracer.py")
+    assert config.in_scope("slots", "sim/disk.py")
+    assert not config.in_scope("slots", "obs/tracer.py")
 
 
 def test_scope_relpath_strips_package_prefix():
@@ -82,7 +82,6 @@ def test_finding_format_and_dict_round_trip():
 def test_rule_catalogue_is_complete_and_described():
     catalogue = rules_by_id()
     assert set(catalogue) == {
-        "nondeterminism",
         "runtime-assert",
         "slots",
         "feature-gate",

@@ -14,25 +14,6 @@ def run_rule(rule_id: str, fixture: str):
     return lint_paths([FIXTURES / fixture], config=config, rules=[rule])
 
 
-# ------------------------------------------------------------ nondeterminism
-
-
-def test_nondeterminism_fires_on_bad_fixture():
-    findings = run_rule("nondeterminism", "nondeterminism_bad.py")
-    messages = [f.message for f in findings]
-    assert len(findings) == 6
-    assert any("time.time()" in m for m in messages)
-    assert any("time.perf_counter()" in m for m in messages)
-    assert any("os.urandom()" in m for m in messages)
-    assert any("global unseeded RNG" in m for m in messages)
-    assert any("without a seed" in m for m in messages)
-    assert any("PYTHONHASHSEED" in m for m in messages)
-
-
-def test_nondeterminism_passes_good_fixture():
-    assert run_rule("nondeterminism", "nondeterminism_good.py") == []
-
-
 # ------------------------------------------------------------ runtime-assert
 
 
