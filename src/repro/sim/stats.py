@@ -104,7 +104,7 @@ class Stats:
 
     def snapshot(self) -> "Stats":
         """An independent copy of the current counter values."""
-        return Stats(**self.as_dict())
+        return type(self)(**self.as_dict())
 
     def diff(self, earlier: "Stats") -> "Stats":
         """Counter-wise ``self - earlier`` (the activity since ``earlier``).
@@ -113,7 +113,9 @@ class Stats:
         shared, long-lived runtime: snapshot before the run, diff after.
         """
         names = _names(self)
-        return Stats(**{name: getattr(self, name) - getattr(earlier, name) for name in names})
+        return type(self)(
+            **{name: getattr(self, name) - getattr(earlier, name) for name in names}
+        )
 
     def as_dict(self) -> dict[str, float]:
         """Return a plain ``{name: value}`` dictionary of all counters."""

@@ -226,9 +226,14 @@ class ColumnView:
         kernel resolves it once per (cluster, step), the full-tree walker
         once per page visit (:meth:`extension_batch`): an int names the
         step, so no frozen node test or enum member is hashed, and equal
-        steps of any compilation share one memo."""
+        steps of any compilation share one memo.  At most
+        :data:`TAPE_LIMIT` steps keep a memo, as for :meth:`keep_tape`:
+        one more drops them all (a fill charges nothing, so a dropped memo
+        costs host time only)."""
         memo = self._flag_cache.get(key)
         if memo is None:
+            if len(self._flag_cache) >= TAPE_LIMIT:
+                self._flag_cache.clear()
             memo = self._flag_cache[key] = {}
         return memo
 

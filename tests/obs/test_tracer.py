@@ -43,6 +43,13 @@ def test_summary_counters_are_the_stats_slice_it_is_handed():
     assert summary.counters["shiny_new"] == 3
     stats.pages_read += 1  # later activity belongs to a later slice
     assert summary.counters["pages_read"] == 2
+    # a slice of the extended books is cut the way a warm run's is
+    before = stats.snapshot()
+    assert type(before) is ExtendedStats and before.as_dict() == stats.as_dict()
+    stats.shiny_new += 4
+    since = stats.diff(before)
+    assert type(since) is ExtendedStats
+    assert since.shiny_new == 4 and since.pages_read == 0
 
 
 def test_operator_rollups():

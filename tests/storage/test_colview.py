@@ -26,6 +26,7 @@ from repro.algebra.steps import (
 )
 from repro.axes import Axis
 from repro.model.tree import Kind
+from repro.storage import colview
 from repro.storage.colview import KIND_BORDER, KIND_TOMBSTONE, ColumnView
 from repro.storage.record import CoreRecord
 from repro.storage.update import delete_subtree, insert_node
@@ -235,6 +236,31 @@ def test_one_extension_memo_under_int_keys():
     views = [db.store.segment.page(p).colview() for p in db.document("d").page_nos]
     assert all(type(key) is int for view in views for key in view._flag_cache)
     assert sum(len(memo) for view in views for memo in view._flag_cache.values()) > 100
+
+
+def test_a_view_keeps_a_bounded_number_of_step_memos():
+    """A stream of distinct steps over one page cannot grow its view's
+    extension memos without bound: past ``TAPE_LIMIT`` steps one more
+    drops them all, and what a memo hands back is still the extension."""
+    db = build_db()
+    tags = [None, -1] + [db.tags.lookup(name) for name in "abc"]
+    steps = [
+        CompiledStep(axis, CompiledNodeTest.compile(kind, axis, tag))
+        for axis in AXES
+        for kind in ("name", "wildcard", "text", "node", "comment")
+        for tag in (tags if kind == "name" else [None])
+    ]
+    assert len({step.memo_key for step in steps}) > colview.TAPE_LIMIT
+    page = db.store.segment.page(db.document("d").page_nos[0])
+    view = page.colview()
+    slot = next(i for i, r in enumerate(page.records) if isinstance(r, CoreRecord))
+    most = 0
+    for _ in range(2):
+        for step in steps:
+            got = view.extension_batch(step.memo_key, step.match_batch, slot, step.axis, False)
+            assert got == view.extension(step.match_batch, slot, step.axis, False)
+            most = max(most, len(view._flag_cache))
+    assert most == colview.TAPE_LIMIT
 
 
 def test_tombstone_invalidates_view():
