@@ -1,7 +1,7 @@
 """reprosan: the runtime sanitizer for incremental maintenance.
 
 Static analysis (:mod:`repro.analysis`) proves invariant *shapes* —
-gated state stays behind its gate, hot classes declare ``__slots__``.
+gated state stays behind its gate, no hash order leaks through helpers.
 The sanitizer proves *values* at runtime: it re-derives them from
 independent evidence while the engine runs and fails loudly on the
 first disagreement.  One sanitizer is left:
