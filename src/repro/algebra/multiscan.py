@@ -11,7 +11,8 @@ consumes for a single path — skip planning over all paths, the
 ``scan_readahead`` window, current-cluster pinning, the stop on a
 fallback trip.  For every cluster it yields, each path is fed its
 context instance (in the root's cluster) and its speculative entry runs
-into that path's persistent XAssembly (its path kernel runs the XStep
+(memoised on the cluster's view per path and refusals, shared by every
+visit) into that path's persistent XAssembly (its path kernel runs the XStep
 chain), whose R and S state spans the whole scan — re-opening an
 XAssembly over a new feed preserves its execution state by design.  When a path's S outgrows
 ``memory_limit`` the pass stops and every path gets its context

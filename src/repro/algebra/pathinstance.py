@@ -88,12 +88,17 @@ class EntryRun:
     one cluster reach the kernel in step order, the first by a pull; the
     producer hands the others over in place (``take_run``) when the
     kernel asks right after a tape, each charged the ``iterator_call``
-    of the pull it replaces.
+    of the pull it replaces.  Memoised (:func:`repro.algebra.xscan.
+    speculation`) and shared, a run is never changed: the steps pruned
+    before it are booked as it is drawn; ``tape`` caches its tape.
     """
 
-    __slots__ = ("step", "page_no", "slots")
+    __slots__ = ("step", "page_no", "slots", "synopsis_pruned", "postings_pruned", "tape")
 
-    def __init__(self, step: int, page_no: int, slots: Sequence[int]) -> None:
+    def __init__(self, step: int, page_no: int, slots: Sequence[int], synopsis=0, postings=0):
         self.step = step
         self.page_no = page_no
         self.slots = slots
+        self.synopsis_pruned = synopsis
+        self.postings_pruned = postings
+        self.tape = None

@@ -578,25 +578,28 @@ class XAssembly(Operator):
         ):
             return None
         page = frame.page
-        return self._kept(page.colview(), page.records, run.step)
+        return self._kept(page.colview(), page.records, run)
 
-    def _kept(self, view, records: list, step: int) -> RunTape | None:
-        """The tape of the pinned cluster's run of ``step``, memoised on
-        its ``view`` — or None: the run is walked level by level.  That
-        is the case when a ``memory_limit`` S may not have room under for
-        the whole run, and when building the tape raises (a corrupt page):
-        the walk then trips or raises where it stands, and nothing is
-        memoised."""
-        key = (self._path, step)
-        tape = view.tapes.get(key)
+    def _kept(self, view, records: list, run: EntryRun) -> RunTape | None:
+        """The tape of the pinned cluster's ``run``, cached on the run and
+        memoised on its ``view`` — or None: the run is walked level by
+        level.  That is the case when a ``memory_limit`` S may not have
+        room under for the whole run, and when building the tape raises (a
+        corrupt page): the walk then trips or raises where it stands, and
+        nothing is memoised."""
+        tape = run.tape
         if tape is None or tape.owner is not self.document:
             # (path ids are per document, and an update can leave two
             # documents sharing a page)
-            try:
-                tape = build_tape(self.document, view, records, self.steps, step)
-            except Exception:  # whatever it is, the walk raises it again
-                return None
-            view.keep_tape(key, tape)
+            key = (self._path, run.step)
+            tape = view.tapes.get(key)
+            if tape is None or tape.owner is not self.document:
+                try:
+                    tape = build_tape(self.document, view, records, self.steps, run.step)
+                except Exception:  # whatever it is, the walk raises it again
+                    return None
+                view.keep_tape(key, tape)
+            run.tape = tape
         limit = self.ctx.options.memory_limit
         if limit is not None and self._s_size + tape.parked > limit:
             return None
@@ -619,7 +622,9 @@ class XAssembly(Operator):
         marks before a yield or a proof whose enqueue submits a read (the
         tests :meth:`XSchedule._enqueue` makes), and once the cluster's
         runs are spent or one cannot come off a tape: that run is
-        returned, for :meth:`_produce` to walk.
+        returned, for :meth:`_produce` to walk.  A run taken in place
+        brings its tape along; only under ``memory_limit``, or for a run
+        without one for this document, does it ask :meth:`_kept`.
         """
         ctx = self.ctx
         r = self._r
@@ -632,6 +637,7 @@ class XAssembly(Operator):
         frames = ctx.buffer._frames
         requested = ctx.iosys._requested
         take = self.producer.take_run
+        limit = ctx.options.memory_limit
         page = ctx.current_frame.page
         view = page.colview()
         records = page.records
@@ -705,9 +711,11 @@ class XAssembly(Operator):
             if run is None:
                 break
             calls += 1  # the crossing of the pull it replaces
-            tape = self._kept(view, records, run.step)
-            if tape is None:
-                break
+            tape = run.tape
+            if tape is None or tape.owner is not self.document or limit is not None:
+                tape = self._kept(view, records, run)
+                if tape is None:
+                    break
         stats.intra_hops += hops
         stats.node_tests += tests
         stats.instances_created += events + entries

@@ -20,6 +20,8 @@ speculation, the stop on a fallback trip) over :func:`scan_pages`
 sequential pass of the engine.  XScan is its one-path consumer, the
 shared scan (:mod:`repro.algebra.multiscan`) its N-path consumer, and
 document export runs the page loop alone.
+A cluster's speculation for a path is memoised on its ``ColumnView``
+(:func:`speculation`): a visit looks it up once and draws shared runs.
 """
 
 from __future__ import annotations
@@ -32,9 +34,8 @@ from repro.algebra.pathinstance import EntryRun, PathInstance
 from repro.algebra.steps import CompiledStep
 from repro.storage.buffer import Frame
 from repro.storage.nodeid import NodeID, page_of, slot_of
-from repro.storage.page import Page
 from repro.storage.pathsummary import PathPostings
-from repro.storage.store import StoredDocument
+from repro.storage.store import PATH_ID_LIMIT, StoredDocument
 from repro.storage.synopsis import ClusterSynopsis, cost_effective_skips
 
 #: what a scan knows of one location path: its steps and their postings
@@ -80,7 +81,7 @@ def plan_scan(
     Also returns, per path, its contribute :data:`Refusals` (all zero
     for a synopsis without rows: the postings refine the synopsis, never
     replace it — the transit residues live in its rows);
-    :func:`speculate` reads them when the scan gets to a cluster.
+    :func:`speculation` reads them when the scan gets to a cluster.
     """
     page_nos = document.page_nos
     synopsis, _ = ctx.options.snapshots(document)
@@ -110,35 +111,64 @@ def plan_scan(
     return [p for p in page_nos if p not in skips], refusals
 
 
-def speculate(
-    ctx: EvalContext,
-    page: Page,
-    steps: Sequence[CompiledStep],
-    refused: Refusals,
-) -> Iterator[EntryRun]:
-    """Left-incomplete instances for every entry border of ``page``: one
-    :class:`EntryRun` per step that is not pruned and has an entry.
+def speculation_id(segment, steps: Sequence[CompiledStep], refused: Refusals) -> int:
+    """What :func:`speculation` is memoised under on ``segment``'s views:
+    one int per scan, interned as ``StoredDocument.path_id`` interns."""
+    ids = segment.speculation_ids
+    key = (tuple(step.memo_key for step in steps), tuple(refused[0]), tuple(refused[1]))
+    found = ids.get(key)
+    if found is None:
+        if len(ids) >= PATH_ID_LIMIT:
+            ids.clear()
+        found = ids[key] = segment.next_speculation_id
+        segment.next_speculation_id += 1
+    return found
 
-    ``refused`` are the path's contribute :data:`Refusals`.  Enumeration
-    charges nothing: the columnar view's precomputed border lists replace
-    the record scan.
-    """
-    page_no = page.page_no
-    entries = page.colview().entries
-    for index, step in enumerate(steps):
-        # no entry of this cluster can extend this step — by the
-        # synopsis, or (it could not rule the cluster out) by the
-        # postings: no node of the step's path set lives here and no
-        # transit residue remains either
-        if refused[0][index] >> page_no & 1:
-            ctx.stats.synopsis_entries_pruned += 1
-            continue
-        if refused[1][index] >> page_no & 1:
-            ctx.stats.pathsummary_entries_pruned += 1
-            continue
-        slots = entries[step.entries]
-        if slots:
-            yield EntryRun(index, page_no, slots)
+
+def speculation(view, key: int, steps: Sequence[CompiledStep], refused: Refusals) -> tuple:
+    """Left-incomplete instances for every entry border of the cluster
+    ``view`` mirrors: one :class:`EntryRun` per step that is neither
+    pruned (by the contribute :data:`Refusals` ``refused``) nor without
+    an entry, with the steps pruned since the run before, and the steps
+    pruned after the last.  Memoised on the view under ``key``
+    (:func:`speculation_id`); charges nothing (:func:`draw` books)."""
+    memo = view.speculations.get(key)
+    if memo is None:
+        page_no = view.page_no
+        runs = []
+        synopsis = postings = 0
+        for index, step in enumerate(steps):
+            # no entry of this cluster can extend this step — by the
+            # synopsis, or (it could not rule the cluster out) by the
+            # postings: no node of the step's path set lives here and no
+            # transit residue remains either
+            if refused[0][index] >> page_no & 1:
+                synopsis += 1
+            elif refused[1][index] >> page_no & 1:
+                postings += 1
+            elif slots := view.entries[step.entries]:
+                runs.append(EntryRun(index, page_no, slots, synopsis, postings))
+                synopsis = postings = 0
+        memo = (tuple(runs), synopsis, postings)
+        view.keep_speculation(key, memo)
+    return memo
+
+
+def draw(ctx: EvalContext, memo: tuple, stop: bool = True) -> Iterator[EntryRun]:
+    """A :func:`speculation`'s runs as they are pulled, each booking the
+    steps pruned before it (the draw past the last, those after it); with
+    ``stop``, a fallback trip ends the draw between two runs."""
+    stats = ctx.stats
+    runs, synopsis, postings = memo
+    for run in runs:
+        if stop and ctx.fallback:
+            return
+        stats.synopsis_entries_pruned += run.synopsis_pruned
+        stats.pathsummary_entries_pruned += run.postings_pruned
+        yield run
+    if not (stop and ctx.fallback):
+        stats.synopsis_entries_pruned += synopsis
+        stats.pathsummary_entries_pruned += postings
 
 
 def scan_pages(ctx: EvalContext, page_nos: Sequence[int]) -> Iterator[Frame]:
@@ -174,12 +204,6 @@ def scan_pages(ctx: EvalContext, page_nos: Sequence[int]) -> Iterator[Frame]:
         yield frame
 
 
-def _until_fallback(ctx: EvalContext, runs: Iterator[EntryRun]) -> Iterator[EntryRun]:
-    # a trip stops the speculation between two steps, not inside a run
-    while not ctx.fallback and (run := next(runs, None)) is not None:
-        yield run
-
-
 def scan(
     ctx: EvalContext,
     document: StoredDocument,
@@ -188,8 +212,8 @@ def scan(
 ) -> Iterator[tuple[int, list[Iterator[EntryRun]]]]:
     """The one sequential pass: every cluster of ``document`` that
     :func:`plan_scan` keeps for ``paths``, pinned in physical order by
-    :func:`scan_pages`, with each path's speculation over it (lazy: a
-    path's pruning counters move as its runs are drawn).
+    :func:`scan_pages`, with each path's speculation over it: one memo
+    look-up per path, its runs drawn lazily (:func:`draw`).
 
     A trip into fallback mode (Sec. 5.4.6) ends the runs of the cluster
     between two steps and the pass before the next cluster; the consumer
@@ -197,12 +221,10 @@ def scan(
     re-evaluates in full while R filters the duplicates.
     """
     page_nos, refusals = plan_scan(ctx, document, paths, keep)
+    speculating = [(speculation_id(ctx.segment, s, r), s, r) for (s, _), r in zip(paths, refusals)]
     for frame in scan_pages(ctx, page_nos):
-        page = frame.page
-        yield page.page_no, [
-            _until_fallback(ctx, speculate(ctx, page, steps, refused))
-            for (steps, _), refused in zip(paths, refusals)
-        ]
+        view = frame.page.colview()
+        yield view.page_no, [draw(ctx, speculation(view, *path)) for path in speculating]
 
 
 class XScan(Operator):

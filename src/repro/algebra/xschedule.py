@@ -46,7 +46,7 @@ from repro.algebra.base import Operator
 from repro.algebra.context import EvalContext
 from repro.algebra.pathinstance import EntryRun, PathInstance
 from repro.algebra.steps import CompiledStep
-from repro.algebra.xscan import speculate, step_refusals
+from repro.algebra.xscan import draw, speculation, speculation_id, step_refusals
 from repro.errors import IOError_
 from repro.storage.nodeid import SLOT_BITS, NodeID, slot_of
 from repro.storage.pathsummary import PathPostings
@@ -68,6 +68,7 @@ class XSchedule(Operator):
         "_visited",
         "_parked",
         "_contribute",
+        "_key",
         "_extend",
         "_current",
         "_sidelined",
@@ -103,6 +104,8 @@ class XSchedule(Operator):
         #: synopsis (transit residues live in its rows), so a synopsis
         #: without rows refuses nothing, postings or not
         self._contribute, self._extend = step_refusals(synopsis, steps, postings)
+        #: what a first visit's speculation is memoised under
+        self._key = self.speculative and speculation_id(ctx.segment, steps, self._contribute)
         self.k = ctx.options.k_min_queue
         #: the producer has run dry: Q is never replenished again
         self.exhausted = False
@@ -294,7 +297,9 @@ class XSchedule(Operator):
             if cluster not in self._visited:
                 self._visited.add(cluster)
                 if self.speculative and not ctx.fallback:
-                    self._runs = speculate(ctx, frame.page, self.steps, self._contribute)
+                    view = frame.page.colview()
+                    memo = speculation(view, self._key, self.steps, self._contribute)
+                    self._runs = draw(ctx, memo, stop=False)  # a trip does not stop it
                     run = next(self._runs, None)
                     if run is not None:
                         self._held = entry

@@ -106,7 +106,8 @@ def check_colviews(segment: Any, page_nos: Iterable[int]) -> None:
     A cache the update path forgot to invalidate keeps serving the
     pre-update structure; rebuilding from the records and diffing the
     structural arrays catches that the moment it happens.  The view's
-    run and delivery tapes are rebuilt and diffed as well: they hold junction
+    run and delivery tapes (and those cached on its memoised speculation's
+    runs) are rebuilt and diffed as well: they hold junction
     NodeIDs, which no array of the view shows, so a ``companion`` patched
     without invalidating the page that holds the border is caught here.
     """
@@ -127,7 +128,8 @@ def check_colviews(segment: Any, page_nos: Iterable[int]) -> None:
                     f"{name!r} after an update (a mutation path is missing "
                     "its invalidate_colview call)",
                 )
-        for kept in cached.tapes.values():
+        cached_on_runs = [run.tape for runs, *_ in cached.speculations.values() for run in runs]
+        for kept in [*cached.tapes.values(), *filter(None, cached_on_runs)]:
             # a run tape, or a book of delivery tapes by their start
             tapes: list[tuple[str, int | None, object]] = [("run tape", None, kept)]
             if isinstance(kept, DeliveryTapes):

@@ -16,6 +16,7 @@ runtime's ``Stats`` only ever grow.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import add, attrgetter, sub
 
 
 @dataclass(slots=True)
@@ -99,12 +100,12 @@ class Stats:
 
     def merge(self, other: "Stats") -> None:
         """Add every counter of ``other`` into this bundle."""
-        for name in _names(self):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+        get = _getter(self)
+        type(self).__init__(self, *map(add, get(self), get(other)))  # stores every sum
 
     def snapshot(self) -> "Stats":
         """An independent copy of the current counter values."""
-        return type(self)(**self.as_dict())
+        return type(self)(*_getter(self)(self))
 
     def diff(self, earlier: "Stats") -> "Stats":
         """Counter-wise ``self - earlier`` (the activity since ``earlier``).
@@ -112,25 +113,28 @@ class Stats:
         Used by warm execution sessions to attribute per-run counters on a
         shared, long-lived runtime: snapshot before the run, diff after.
         """
-        names = _names(self)
-        return type(self)(
-            **{name: getattr(self, name) - getattr(earlier, name) for name in names}
-        )
+        get = _getter(self)
+        return type(self)(*map(sub, get(self), get(earlier)))
 
     def as_dict(self) -> dict[str, float]:
         """Return a plain ``{name: value}`` dictionary of all counters."""
-        return {name: getattr(self, name) for name in _names(self)}
+        return dict(zip(_names(self), _getter(self)(self)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         nonzero = {k: v for k, v in self.as_dict().items() if v}
         return f"Stats({nonzero})"
 
 
-#: the counters' names in declaration order: what ``merge``, ``diff`` and
-#: ``as_dict`` iterate (``dataclasses.fields`` builds a tuple per call)
+#: the counters' names in declaration order (``dataclasses.fields``
+#: builds a tuple per call), and the C-level read of them all
 FIELDS: tuple[str, ...] = tuple(f.name for f in fields(Stats))
+_FIELDS_OF = attrgetter(*FIELDS)
 
 
 def _names(stats: Stats) -> tuple[str, ...]:
     """:data:`FIELDS`, or the fields of a class extending :class:`Stats`."""
     return FIELDS if type(stats) is Stats else tuple(f.name for f in fields(stats))
+
+
+def _getter(stats: Stats) -> attrgetter:
+    return _FIELDS_OF if type(stats) is Stats else attrgetter(*_names(stats))

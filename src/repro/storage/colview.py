@@ -66,8 +66,8 @@ _NO_MEMO: dict = {}
 #: A candidate batch: (upfront_hops, free_head, candidate slots).
 CandidateBatch = tuple[int, int, "list[int]"]
 
-#: How many tape keys — (path, step) pairs — one view keeps; one more
-#: drops them all.
+#: How many tape keys — (path, step) pairs — one view keeps, and how many
+#: speculations; one more drops them all.
 TAPE_LIMIT = 64
 
 
@@ -103,6 +103,7 @@ class ColumnView:
         "_resume_cache",
         "_flag_cache",
         "tapes",
+        "speculations",
         "_pre",
         "_pre_index",
         "_pre_size",
@@ -173,6 +174,7 @@ class ColumnView:
         #: tapes (:meth:`keep_tape`): a run tape under ``(path id, step)``,
         #: the delivery tapes of one step's entries under one key beside it
         self.tapes: dict = {}
+        self.speculations: dict = _NO_MEMO  #: (:meth:`keep_speculation`)
         # preorder span table for descendant enumeration, built lazily on
         # the first descendant-axis batch (see _ensure_preorder)
         self._pre: list[int] | None = None
@@ -271,6 +273,13 @@ class ColumnView:
         if len(self.tapes) >= TAPE_LIMIT:
             self.tapes.clear()
         self.tapes[key] = tape
+
+    def keep_speculation(self, key: int, speculation) -> None:
+        """:meth:`keep_tape` for :func:`repro.algebra.xscan.speculation`
+        (until a scan reaches the view it holds the shared ``_NO_MEMO``)."""
+        if self.speculations is _NO_MEMO or len(self.speculations) >= TAPE_LIMIT:
+            self.speculations = {}
+        self.speculations[key] = speculation
 
     # ----------------------------------------------------------- axis batch
 

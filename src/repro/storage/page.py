@@ -166,6 +166,10 @@ class Segment:
         #: maintenance step last saw it (index = page number); a page
         #: joins with its version at that moment
         self.seen_versions: list[int] = []
+        #: (steps' ``memo_key``s, refusal bitsets) -> the int the pages'
+        #: views memoise a scan's speculation under (``xscan.speculation_id``)
+        self.speculation_ids: dict[tuple, int] = {}
+        self.next_speculation_id = 0
 
     def allocate(self) -> Page:
         """Append a fresh page and return it."""

@@ -26,6 +26,8 @@ import repro.algebra.xassembly as kernel
 from repro import Database, EvalOptions, ExecutionBudget, ImportOptions
 from repro.algebra.multiscan import _Replay
 from repro.algebra.xassembly import DeliveryTapes, XAssembly, build_tape
+from repro.algebra.xscan import XScan, speculation_id, step_refusals
+from repro.algebra.xschedule import XSchedule
 from repro.errors import StorageError
 from repro.storage import colview
 from repro.storage.nodeid import make_nodeid
@@ -40,6 +42,8 @@ PLANS = ["xscan", "xscan-shared", "xschedule"]
 IMPLIED = golden.IMPLIED
 #: downward, upward and sibling steps
 PATHS = golden.TAPE_PATHS
+#: the other paths run over the shared ``store``
+YIELDED = ["//a/b", "//c/ancestor::a/b"]
 #: an armed budget no run can exhaust: the kernel walks level by level
 INERT = ExecutionBudget(max_pages=10**9)
 
@@ -56,18 +60,34 @@ def store(request):
 @pytest.fixture
 def replays(monkeypatch):
     """Counts the runs taken in from a tape, one per run — a cluster's
-    runs after the first are taken in place, inside the one ``_replay``
-    of the cluster — and whether the ``//`` prefix implies each."""
+    first run, then each run its one ``_replay`` takes in place, but the
+    one it hands back to the walk (a run taken in place brings its tape
+    along, so ``_kept`` sees only the runs that do not) — and whether
+    the ``//`` prefix implies each."""
     taken = []
-    kept = XAssembly._kept
+    kernels = {}  # producer -> the kernel replaying its runs
+    replay = XAssembly._replay
 
-    def spy(self, view, records, step):
-        tape = kept(self, view, records, step)
-        if tape is not None:
-            taken.append(self.descendant_root_opt and step == 1)
-        return tape
+    def spy(self, tape, run):
+        kernels[self.producer] = self
+        taken.append(self.descendant_root_opt and run.step == 1)
+        back = yield from replay(self, tape, run)
+        if back is not None:
+            taken.pop()  # taken in place, then walked
+        return back
 
-    monkeypatch.setattr(XAssembly, "_kept", spy)
+    def spy_take(take):
+        def taking(producer):
+            run = take(producer)
+            if run is not None:
+                taken.append(kernels[producer].descendant_root_opt and run.step == 1)
+            return run
+
+        return taking
+
+    monkeypatch.setattr(XAssembly, "_replay", spy)
+    for producer in (XScan, XSchedule, _Replay):
+        monkeypatch.setattr(producer, "take_run", spy_take(producer.take_run))
     return taken
 
 
@@ -124,6 +144,50 @@ def test_tape_equals_level_stack_equals_scalar_chain(request, store, plan, query
         else:
             assert build_tape(tape.owner, view, page.records, tape.steps, tape.index) == tape
     assert delivered or plan != "xschedule"
+    assert _audited_speculations(store, [*PATHS, *YIELDED]) > 0
+
+
+def _audited_speculations(store, queries) -> int:
+    """Every speculation the views keep under a key a scan of ``queries``
+    can still look it up by, re-derived from the view's entry lists and
+    the path's refusals and compared, run by run — and the tape each run
+    caches rebuilt and compared.  Returns how many were audited."""
+    db = Database(page_size=store.segment.page_size, buffer_pages=48, store=store)
+    document = store.document("d")
+    synopsis, _ = EvalOptions().snapshots(document)
+    derivations = {}
+    for query in queries:
+        for plan, _ in db.prepare(query, "d", "xscan").leaves:
+            refused = step_refusals(synopsis, plan.steps, plan.postings)[0]
+            derivations[speculation_id(store.segment, plan.steps, refused)] = (plan.steps, refused)
+    live = set(store.segment.speculation_ids.values())
+    audited = 0
+    for page_no in document.page_nos:
+        page = store.segment.page(page_no)
+        view = page._colview
+        for key, (runs, *pruned) in view.speculations.items() if view else ():
+            if key not in live:
+                continue  # interned no more: no scan looks it up again
+            steps, refused = derivations[key]
+            want, synopsis_pruned, postings_pruned = [], 0, 0
+            for index, step in enumerate(steps):
+                if refused[0][index] >> page_no & 1:
+                    synopsis_pruned += 1
+                elif refused[1][index] >> page_no & 1:
+                    postings_pruned += 1
+                elif view.entries[step.entries]:
+                    want.append((index, page_no, view.entries[step.entries], synopsis_pruned,
+                                 postings_pruned))  # fmt: skip
+                    synopsis_pruned = postings_pruned = 0
+            got = [(r.step, r.page_no, r.slots, r.synopsis_pruned, r.postings_pruned) for r in runs]
+            assert (got, pruned) == (want, [synopsis_pruned, postings_pruned])
+            for run in runs:
+                tape = run.tape
+                if tape is not None:
+                    assert tape.index == run.step
+                    assert build_tape(tape.owner, view, page.records, tape.steps, run.step) == tape
+            audited += 1
+    return audited
 
 
 def _yields(store, query, plan, **options):
@@ -149,7 +213,7 @@ def _yields(store, query, plan, **options):
 
 
 @pytest.mark.parametrize("plan", ["xscan", "xschedule"])
-@pytest.mark.parametrize("query", ["//a/b", "//c/ancestor::a/b", IMPLIED])
+@pytest.mark.parametrize("query", [*YIELDED, IMPLIED])
 def test_every_yield_sees_the_level_stack_walks_clock_and_counters(store, plan, query, replays):
     """Results activated in the middle of a run taken in from its tape
     leave the kernel at the instant, and with the counters posted, that
@@ -368,6 +432,8 @@ def test_unpatched_companion_raises_where_the_walk_does(monkeypatch):
             break
     cold = _raising_run(store, query)
     assert page.colview().tapes == {}
+    assert not [run.tape for runs, *_ in page.colview().speculations.values() for run in runs
+                if run.tape is not None]  # fmt: skip
     kept = {p.page_no for p, _, _ in _cached_tapes(store)}
     assert kept and max(kept) < page.page_no
     assert _raising_run(store, query) == cold  # the clean clusters off their tapes
@@ -520,8 +586,9 @@ def test_a_view_keeps_a_bounded_number_of_tapes(monkeypatch, replays):
     queries = [f"count(//{x}/{y}/{z})" for x in "abc" for y in "ab" for z in "cd"]
     for query in queries:
         golden.check(f"bounded/{query}", shared=db.store)
-    sizes = [len(p.colview().tapes) for p in map(db.store.segment.page, db.document("d").page_nos)]
-    assert 0 < max(sizes) <= 4, "twelve paths of three steps ran over every cluster"
+    views = [p.colview() for p in map(db.store.segment.page, db.document("d").page_nos)]
+    assert 0 < max(len(view.tapes) for view in views) <= 4, "twelve paths of three steps ran"
+    assert 0 < max(len(view.speculations) for view in views) <= 4
     assert replays
     for query in queries:
         golden.check(f"bounded/{query}", shared=db.store)

@@ -787,6 +787,85 @@ def ordered_labels() -> dict:
     }  # fmt: skip
 
 
+#: the one path and the two paths of one shared scan the ``scanmemo``
+#: rows run over ``SCANMEMO_DOC``, and a ``memory_limit`` under which
+#: S overflows inside a cluster with runs of it still to come, once the
+#: ``scanmemo/ways`` insert is done (``tests/algebra/test_speculation_memo.py``)
+SCANMEMO_QUERIES = (("xscan", "count(//a/b)", 150), ("xscan-shared", ENTRY_PATHS[1], 100))
+SCANMEMO_DOC = random_doc(3, 0.7)
+
+
+def scanned_five_ways() -> list:
+    """One XScan path and one shared scan over one private import, in
+    five ways one after the other, each run twice: pruned; the synopsis
+    off; the path summary off; after an insert that patches the
+    synopsis row of a scanned page (a step refused there before is no
+    longer refused); under a ``memory_limit`` that trips inside a
+    cluster.  Every run after the first finds what the runs before it
+    left on the views (docs/algebra.md, "Run tapes"): ``(way, plan,
+    books)`` per run, every value the reference evaluator's."""
+    held, _ = imported(SCANMEMO_DOC)
+    db = database(SCANMEMO_DOC, shared=held)
+    doc = db.document("d")
+    seen = []
+
+    def scans(way, limited=False, **options):
+        logical = export_tree(db.store, doc)
+        for plan, query, limit in SCANMEMO_QUERIES:
+            if limited:
+                options["memory_limit"] = limit
+            for _ in range(2):
+                result = db.execute(query, doc="d", plan=plan, options=EvalOptions(**options))
+                assert result.value == evaluate_query(logical, query), (way, plan)
+                seen.append([way, plan, *executed(result)])
+
+    scans("pruned")
+    scans("no-synopsis", synopsis=False)
+    scans("no-pathsummary", pathsummary=False)
+    ((plan, _),) = db.prepare("count(//a/b)", "d", "xscan").leaves
+
+    def refused(page_no):
+        return [doc.synopsis.refusals(step)[0] >> page_no & 1 for step in plan.steps]
+
+    # an ``a`` under an element on a page where the synopsis refuses the
+    # step to ``a``: the insert patches that page's row, and no longer
+    # refuses the step there
+    # (one without an ``id``, which the new first child would follow)
+    with_id = set(db.execute("//*[@id]", doc="d", plan="simple").nodes)
+    elements = db.execute("//*", doc="d", plan="simple").nodes
+    under = [nid for nid in elements if refused(page_of(nid))[0] and nid not in with_id]
+    parent = under[len(under) // 2]
+    before = refused(page_of(parent))
+    insert_node(db.store, doc, parent, 0, "a")
+    assert refused(page_of(parent)) != before
+    scans("updated")
+    scans("memory-limit", limited=True)
+    return seen
+
+
+def two_documents() -> list:
+    """``SCANMEMO_QUERIES`` under every speculating plan over each of two
+    documents in one store, the second's pages numbered 167 to 356 (a
+    set of some of them, every fourth say, no longer iterates in
+    ascending order): ``(document, plan, query, books)``, every value
+    the reference evaluator's."""
+    db = Database(page_size=512, buffer_pages=48)
+    trees = {}
+    for name, seed in (("one", 3), ("two", 5)):
+        trees[name] = make_random_tree(db.tags, seed=seed, n_top=25)
+        db.add_tree(trees[name], name, ImportOptions(page_size=512, fragmentation=0.7, seed=seed))
+    assert max(db.document("one").page_nos) < 256 < max(db.document("two").page_nos)
+    seen = []
+    for plan in SPECULATING:
+        for name, tree in trees.items():
+            for _, query, _ in SCANMEMO_QUERIES:
+                options = EvalOptions(speculative=True)
+                result = db.execute(query, doc=name, plan=plan, options=options)
+                assert result.value == evaluate_query(tree, query), (name, plan, query)
+                seen.append([name, plan, query, *executed(result)])
+    return seen
+
+
 def other(key: str) -> dict:
     """The books of the draw ``key`` that is not one execution, as the
     golden file holds them."""
@@ -818,6 +897,8 @@ def other(key: str) -> dict:
             kept = {"seen": update_storm() if arg == "storm" else update_then_query()}
     elif kind == "warm":
         kept = {"seen": warm_twice(arg)}
+    elif kind == "scanmemo":
+        kept = {"seen": two_documents() if arg == "two-documents" else scanned_five_ways()}
     elif kind == "inplace":
         kept = {
             "deliveries": lambda: {"runs": resident_deliveries()},
@@ -854,6 +935,8 @@ OTHER_KEYS = [
     "inplace/deliveries",
     "inplace/replay",
     "inplace/order",
+    "scanmemo/ways",
+    "scanmemo/two-documents",
 ]
 
 
