@@ -36,7 +36,7 @@ from repro.storage.store import export_tree
 from repro.storage.update import delete_subtree, insert_node
 from repro.xpath.reference import evaluate_query
 from tests import golden
-from tests.conftest import make_random_tree, small_database
+from tests.conftest import make_random_tree, small_database, speculated
 
 PLANS = ["xscan", "xscan-shared", "xschedule"]
 IMPLIED = golden.IMPLIED
@@ -168,19 +168,9 @@ def _audited_speculations(store, queries) -> int:
         for key, (runs, *pruned) in view.speculations.items() if view else ():
             if key not in live:
                 continue  # interned no more: no scan looks it up again
-            steps, refused = derivations[key]
-            want, synopsis_pruned, postings_pruned = [], 0, 0
-            for index, step in enumerate(steps):
-                if refused[0][index] >> page_no & 1:
-                    synopsis_pruned += 1
-                elif refused[1][index] >> page_no & 1:
-                    postings_pruned += 1
-                elif view.entries[step.entries]:
-                    want.append((index, page_no, view.entries[step.entries], synopsis_pruned,
-                                 postings_pruned))  # fmt: skip
-                    synopsis_pruned = postings_pruned = 0
-            got = [(r.step, r.page_no, r.slots, r.synopsis_pruned, r.postings_pruned) for r in runs]
-            assert (got, pruned) == (want, [synopsis_pruned, postings_pruned])
+            got = [(r.step, r.slots, r.synopsis_pruned, r.postings_pruned) for r in runs]
+            assert got + [(None, None, *pruned)] == speculated(view, *derivations[key])
+            assert {run.page_no for run in runs} <= {page_no}
             for run in runs:
                 tape = run.tape
                 if tape is not None:

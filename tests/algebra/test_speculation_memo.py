@@ -19,28 +19,11 @@ from repro import Database, EvalOptions, ExecutionBudget
 from repro.algebra.xscan import scan, step_refusals
 from repro.storage.colview import ColumnView
 from tests import golden
+from tests.conftest import speculated
 
 SPECULATING = golden.SPECULATING
 #: an armed budget no run can exhaust: the kernel walks level by level
 INERT = ExecutionBudget(max_pages=10**9)
-
-
-def _expected(view, steps, refused) -> list:
-    """What drawing the cluster's runs books, draw by draw: per run its
-    step and the synopsis- and postings-pruned steps since the run
-    before, then ``None`` and the steps pruned after the last."""
-    page_no = view.page_no
-    out = []
-    synopsis = postings = 0
-    for index, step in enumerate(steps):
-        if refused[0][index] >> page_no & 1:
-            synopsis += 1
-        elif refused[1][index] >> page_no & 1:
-            postings += 1
-        elif view.entries[step.entries]:
-            out.append((index, synopsis, postings))
-            synopsis = postings = 0
-    return out + [(None, synopsis, postings)]
 
 
 def test_pruned_steps_are_booked_as_each_run_is_drawn():
@@ -63,13 +46,14 @@ def test_pruned_steps_are_booked_as_each_run_is_drawn():
             for page_no, (runs,) in scan(ctx, document, [(steps, postings)], ()):
                 view = ctx.current_frame.page.colview()
                 assert view.page_no == page_no
-                for step, synopsis_pruned, postings_pruned in _expected(view, steps, refused):
+                for step, slots, by_synopsis, by_postings in speculated(view, steps, refused):
                     pruned = (stats.synopsis_entries_pruned, stats.pathsummary_entries_pruned)
                     assert pruned == booked_so_far
                     run = next(runs, None)
-                    assert (None if run is None else run.step) == step
-                    booked_so_far = (pruned[0] + synopsis_pruned, pruned[1] + postings_pruned)
-                    seen.append((page_no, step, synopsis_pruned, postings_pruned))
+                    drawn = (None, None) if run is None else (run.step, run.slots)
+                    assert drawn == (step, slots)
+                    booked_so_far = (pruned[0] + by_synopsis, pruned[1] + by_postings)
+                    seen.append((page_no, step, by_synopsis, by_postings))
         finally:
             ctx.release()
         assert booked_so_far == (stats.synopsis_entries_pruned, stats.pathsummary_entries_pruned)

@@ -70,6 +70,26 @@ def books(ctx) -> tuple:
     return ctx.clock.now, ctx.clock.cpu_time, ctx.stats.as_dict()
 
 
+def speculated(view, steps, refused) -> list[tuple]:
+    """The reference of a scan's speculation of ``steps`` over the
+    cluster ``view`` mirrors, step by step: per run its step, entry slots
+    and the synopsis- and postings-pruned steps since the run before,
+    then ``(None, None, ...)`` and the steps pruned after the last.
+    ``refused`` are the path's contribute refusals (``xscan.step_refusals``)."""
+    page_no = view.page_no
+    out = []
+    synopsis = postings = 0
+    for index, step in enumerate(steps):
+        if refused[0][index] >> page_no & 1:
+            synopsis += 1
+        elif refused[1][index] >> page_no & 1:
+            postings += 1
+        elif view.entries[step.entries]:
+            out.append((index, view.entries[step.entries], synopsis, postings))
+            synopsis = postings = 0
+    return out + [(None, None, synopsis, postings)]
+
+
 def pinned_pages(ctx) -> list[int]:
     """Pages still pinned in ``ctx``'s buffer."""
     return sorted(page_no for page_no, frame in ctx.buffer._frames.items() if frame.pins)
