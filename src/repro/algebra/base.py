@@ -38,10 +38,9 @@ class Operator:
             self._trace_out = 0
 
     def next(self):
-        """Return the next item — a
-        :class:`~repro.algebra.pathinstance.PathInstance` or an
-        :class:`~repro.algebra.pathinstance.EntryRun` on its way into the
-        path kernel, a NodeID from a plan's top, from ``ContextScan`` and
+        """Return the next item — an instance as XSchedule's queue tuple
+        or an :class:`~repro.algebra.pathinstance.EntryRun` on its way
+        into the path kernel, a NodeID from a plan's top, from ``ContextScan`` and
         along the Simple chain — or None when exhausted."""
         if self._iter is None:
             raise PlanError(f"{type(self).__name__}.next() before open()")

@@ -6,10 +6,10 @@ swizzles and — on a buffer miss — performs synchronous I/O.  The
 cost-sensitive operators exist to avoid exactly this code path.
 
 It exists once: :func:`full_step` evaluates one location step, and
-Unnest-Map, the fallback levels of the cost-sensitive plans
-(:func:`~repro.algebra.xstep.extend_full`), predicate paths
-(:func:`exists_path`) and string values (:func:`string_value`) all run
-it.
+Unnest-Map, the fallback levels of the cost-sensitive plans' path kernel
+(:meth:`~repro.algebra.xassembly.XAssembly._produce` calls it with the
+right end in its locals), predicate paths (:func:`exists_path`) and
+string values (:func:`string_value`) all run it.
 """
 
 from __future__ import annotations

@@ -25,11 +25,11 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.algebra.base import Operator
 from repro.algebra.context import EvalContext
-from repro.algebra.pathinstance import EntryRun, PathInstance
+from repro.algebra.pathinstance import EntryRun
 from repro.algebra.xassembly import XAssembly
 from repro.algebra.xscan import scan
 from repro.errors import BudgetExceededError, PlanError
-from repro.storage.nodeid import NodeID, page_of, slot_of
+from repro.storage.nodeid import NodeID, page_of
 from repro.storage.store import StoredDocument
 
 if TYPE_CHECKING:  # compile.py imports this module lazily
@@ -44,7 +44,7 @@ class _Replay(Operator):
 
     def __init__(self, ctx: EvalContext) -> None:
         super().__init__(ctx)
-        self.context: PathInstance | None = None
+        self.context: tuple | None = None
         self.runs: Iterator[EntryRun] = iter(())
 
     def take_run(self) -> EntryRun | None:
@@ -53,7 +53,7 @@ class _Replay(Operator):
         "Run tapes")."""
         return next(self.runs, None)
 
-    def _produce(self) -> Iterator[PathInstance | EntryRun]:
+    def _produce(self) -> Iterator[tuple | EntryRun]:
         ctx = self.ctx
         if self.context is not None:
             ctx.charge_instance()
@@ -80,7 +80,7 @@ class _PathState:
         )
         self.results: list[NodeID] = []
 
-    def feed(self, context: PathInstance | None, runs: Iterable[EntryRun] = ()) -> None:
+    def feed(self, context: tuple | None, runs: Iterable[EntryRun] = ()) -> None:
         self.source.context = context
         self.source.runs = iter(runs)
         self.assembly.open()
@@ -104,24 +104,18 @@ def shared_scan(
         raise PlanError("shared_scan needs at least one path")
     states = [_PathState(ctx, plan) for plan in paths]
     root = document.root
-    context = PathInstance(
-        s_l=0,
-        n_l=root,
-        left_open=False,
-        s_r=0,
-        slot=slot_of(root),
-        is_border=False,
-        page_no=page_of(root),
-    )
+    root_page = page_of(root)
+    # the trivial complete instance at the root, as Q's tuple
+    context = (0, 0, 0, root, False, root, False)
     try:
         # the context cluster always stays in the scan
         for page_no, runs_by_path in scan(
             ctx,
             document,
             [(plan.steps, plan.postings) for plan in paths],
-            (context.page_no,),
+            (root_page,),
         ):
-            here = context if page_no == context.page_no else None
+            here = context if page_no == root_page else None
             for state, runs in zip(states, runs_by_path):
                 if ctx.fallback:
                     break  # tripped by the path before: all start over below

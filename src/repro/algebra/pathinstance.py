@@ -1,8 +1,9 @@
 """Partial path instances (paper Sec. 4).
 
 The paper represents a partial path instance by the 4-tuple
-``(S_L, N_L, S_R, N_R)``.  Our pipeline representation refines this with
-the bookkeeping the operators need:
+``(S_L, N_L, S_R, N_R)``.  The engine carries it as one flat tuple,
+XSchedule's queue entry ``(s_r, seq, s_l, n_l, left_open, target,
+resumed)``, wherever an instance travels between operators:
 
 * ``s_l`` / ``n_l`` — the left end.  For a *left-complete* instance,
   ``n_l`` is the NodeID of the originating context node (or ``None`` once
@@ -10,19 +11,21 @@ the bookkeeping the operators need:
   a *left-incomplete* instance (``left_open=True``), ``n_l`` is the
   junction: the NodeID of the entry border record the instance
   speculatively starts at.
-* ``s_r`` — number of completed steps, exactly the paper's ``S_R`` (a
-  right-incomplete instance paused inside step ``s_r + 1``).
-* right end — while an instance is extended by the path kernel's XStep
-  levels, its right end is *swizzled*: ``slot`` on the current cluster's
-  page (the frame pinned by the I/O-performing operator).  ``is_border``
-  marks a paused crossing.  In fallback mode (and in the Simple method)
-  ``page_no`` is set explicitly because navigation is no longer confined
-  to one cluster.
-* ``resumed`` — the right end is an entry border record just delivered by
-  the I/O operator; the level that extends it applies its *resume* axis.
+* ``s_r`` — number of completed steps, exactly the paper's ``S_R``.
+* ``target`` — the right end's NodeID, ``N_R``.
+* ``resumed`` — the right end is an entry border record a crossing was
+  proved into (a right-incomplete instance paused inside step
+  ``s_r + 1``); the level that extends it applies its *resume* axis.
+* ``seq`` — Q's tie-breaker among entries of one cluster; 0 elsewhere.
 
-Instances parked in the main-memory structures R, S and Q are stored
-unswizzled (plain NodeIDs), mirroring Sec. 3.6.
+A context is the trivial complete instance at it,
+``(0, 0, 0, nid, False, nid, False)``.  Inside the path kernel
+(:meth:`repro.algebra.xassembly.XAssembly._produce`) the same parts live
+in locals, the right end swizzled to a slot of the pinned cluster; in
+fallback mode (Sec. 5.4.6) a level walks from it with
+:func:`~repro.algebra.fullnav.full_step`.  Instances parked in the
+main-memory structures R, S and Q are stored unswizzled (plain NodeIDs),
+mirroring Sec. 3.6.
 
 An I/O operator that speculates (Sec. 5.4.3) does not build its
 left-incomplete instances one by one: it hands on one
@@ -34,44 +37,6 @@ first without a pull, handed over in place (``take_run``).
 from __future__ import annotations
 
 from typing import Sequence
-
-from repro.storage.nodeid import NodeID
-
-
-class PathInstance:
-    """One partial path instance flowing through the pipeline."""
-
-    __slots__ = ("s_l", "n_l", "left_open", "s_r", "slot", "is_border", "resumed", "page_no")
-
-    def __init__(
-        self,
-        s_l: int,
-        n_l: NodeID | None,
-        left_open: bool,
-        s_r: int,
-        slot: int,
-        is_border: bool,
-        resumed: bool = False,
-        page_no: int | None = None,
-    ) -> None:
-        self.s_l = s_l
-        self.n_l = n_l
-        self.left_open = left_open
-        self.s_r = s_r
-        self.slot = slot
-        self.is_border = is_border
-        self.resumed = resumed
-        self.page_no = page_no
-
-    @property
-    def right_complete(self) -> bool:
-        return not self.is_border
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        left = f"?{self.n_l}" if self.left_open else f"{self.n_l}"
-        right = f"{'page ' + str(self.page_no) + ' ' if self.page_no is not None else ''}slot {self.slot}"
-        flags = ("B" if self.is_border else "") + ("R" if self.resumed else "")
-        return f"PathInstance([{self.s_l}]{left} -> [{self.s_r}]{right}{flags})"
 
 
 class EntryRun:

@@ -42,17 +42,31 @@ from typing import Generator, Iterator, NamedTuple, Sequence
 
 from repro.algebra.base import Operator
 from repro.algebra.context import EvalContext
-from repro.algebra.pathinstance import EntryRun, PathInstance
+from repro.algebra.fullnav import full_step
+from repro.algebra.pathinstance import EntryRun
 from repro.algebra.steps import CompiledStep
-from repro.algebra.xstep import extend_full, pinned_page
 from repro.errors import PlanError
 from repro.storage.nodeid import SLOT_BITS, NodeID, make_nodeid, page_of, slot_of
+from repro.storage.store import StoredDocument
 
 
 #: An S-resident instance, right end normalized to NodeIDs:
 #: ``(s_r, right, incomplete)`` — ``right`` is the junction NodeID of an
 #: incomplete instance, the result node's NodeID of a complete one.
 _Stored = tuple[int, NodeID, bool]
+
+
+def pinned_page(ctx: EvalContext, step_index: int, page_no: int):
+    """The current cluster's page; the instance a level starts from, on
+    ``page_no``, must live on it."""
+    frame = ctx.current_frame
+    if frame is None or page_no != frame.page.page_no:
+        raise PlanError(
+            f"XStep {step_index}: instance references page {page_no}, "
+            f"current cluster is "
+            f"{frame.page.page_no if frame else None}"
+        )
+    return frame.page
 
 
 class RunTape(NamedTuple):
@@ -214,10 +228,10 @@ class XAssembly(Operator):
         ctx: EvalContext,
         producer: Operator,
         path_len: int,
+        document: StoredDocument,
         schedule=None,
         descendant_root_opt: bool = False,
         steps: Sequence[CompiledStep] = (),
-        document=None,
     ) -> None:
         super().__init__(ctx)
         if any(step.predicates for step in steps):
@@ -226,11 +240,10 @@ class XAssembly(Operator):
         #: the location steps the kernel runs over the I/O operator
         #: ``producer``, one XStep level each
         self.steps = steps
-        #: the :class:`~repro.storage.store.StoredDocument` the path runs
-        #: over and the integer it knows the path by: what run tapes are
-        #: kept under (None: every run is walked level by level)
+        #: the document the path runs over and the integer it knows the
+        #: path by: what run and delivery tapes are kept under
         self.document = document
-        self._path = document.path_id(steps) if document is not None and steps else None
+        self._path = document.path_id(steps)
         self.path_len = path_len
         #: the associated XSchedule, or None when the input is an XScan
         self.schedule = schedule
@@ -302,7 +315,7 @@ class XAssembly(Operator):
         source = iter(self.producer) if schedule is None else None
         # deliveries may come off their tapes (_deliveries); what else
         # keeps them on the walk is checked per pull
-        taping = schedule is not None and self._path is not None and tracer is None
+        taping = schedule is not None and tracer is None
         stack: list = []
         top = 0
         it = tail = page = p = entries = None
@@ -366,31 +379,21 @@ class XAssembly(Operator):
                                 page_no = p.page_no
                                 page_base = page_no << SLOT_BITS
                             else:
-                                if type(p) is tuple:
-                                    # one of Q's entries, as XSchedule delivered it
-                                    if taping and ctx._budget is None and not ctx.fallback:
-                                        # the held cluster's deliveries, this one
-                                        # and those taken in place after it; one
-                                        # that cannot come off a tape is handed back
-                                        p = yield from self._deliveries(p)
-                                        if p is None:
-                                            continue
-                                    s_r, _, s_l, n_l, left_open, target, resumed = p
-                                    page_no = page_of(target)
-                                    slot = slot_of(target)
-                                    paused = resumed  # a proved crossing, or a context
-                                else:
-                                    s_l = p.s_l
-                                    n_l = p.n_l
-                                    left_open = p.left_open
-                                    slot = p.slot
-                                    s_r = p.s_r
-                                    paused = p.is_border
-                                    resumed = p.resumed
-                                    page_no = p.page_no
+                                # one of Q's entries, or a context: Q's tuple
+                                if taping and ctx._budget is None and not ctx.fallback:
+                                    # the held cluster's deliveries, this one
+                                    # and those taken in place after it; one
+                                    # that cannot come off a tape is handed back
+                                    p = yield from self._deliveries(p)
+                                    if p is None:
+                                        continue
+                                s_r, _, s_l, n_l, left_open, target, resumed = p
+                                page_no = page_of(target)
+                                slot = slot_of(target)
+                                paused = resumed  # a proved crossing
                                 left_key = (s_l, n_l)
                                 implied = droot and s_l == 1
-                                if s_r >= n or (paused and not resumed):
+                                if s_r >= n:
                                     # no level applies: all n hand it up as it is
                                     d_out += n
                                     if paused:
@@ -420,13 +423,12 @@ class XAssembly(Operator):
                             starting = False
                             step = steps[top - 1]
                             if ctx.fallback:
-                                if type(p) is not PathInstance:
-                                    # a match found in place, or a run's entry
-                                    p = PathInstance(
-                                        s_l, n_l, left_open, top - 1, slot, resumed, resumed
-                                    )
-                                    p.page_no = page_no
-                                it = extend_full(ctx, step, top, p)
+                                # a fallback level (Sec. 5.4.6): an Unnest-Map's
+                                # walk from the right end; the left end stays
+                                # in the locals
+                                it = full_step(
+                                    ctx, step, page_no, slot, resumed=resumed, instances=True
+                                )
                                 tail = None
                             else:
                                 if p is not None and pinned_page(ctx, top, page_no) is not page:
@@ -455,20 +457,20 @@ class XAssembly(Operator):
                                 it = zip(ev_slots, ev_hops, ev_tests)
                             p = None
                         if tail is None:
-                            # a fallback level (Sec. 5.4.6): scalar full
-                            # navigation
-                            p = next(it, None)
-                            if p is not None:
+                            # a fallback level: its next match, pinned
+                            match = next(it, None)
+                            if match is not None:
                                 d_out += 1
                                 if top < n:
+                                    # the next level, a fallback level too,
+                                    # extends the match
                                     stack.append((it, tail))
                                     top += 1
-                                    starting = True
+                                    it = full_step(ctx, steps[top - 1], *match, instances=True)
                                     continue
                                 s_r = n
-                                right = make_nodeid(p.page_no, p.slot)
+                                right = make_nodeid(*match)
                                 paused = False
-                                p = None
                                 break
                             it = ()  # spent: pop below
                             tail = (0, 0)
@@ -561,16 +563,13 @@ class XAssembly(Operator):
         """The tape to take ``run``, the first run of a cluster, in from
         — or None: the cluster's runs are walked level by level.  That is
         the case whenever something could observe the clock between two
-        outcomes — a tracer, an armed budget, fallback mode — and for a
-        plan built without its document, which has no path id to keep a
-        tape under.  These hold for a whole cluster (:meth:`_replay`
-        takes its later runs in place); the run's own conditions are
-        :meth:`_kept`'s."""
+        outcomes: a tracer, an armed budget, fallback mode.  These hold
+        for a whole cluster (:meth:`_replay` takes its later runs in
+        place); the run's own conditions are :meth:`_kept`'s."""
         ctx = self.ctx
         frame = ctx.current_frame
         if (
-            self._path is None
-            or ctx.tracer is not None
+            ctx.tracer is not None
             or ctx._budget is not None
             or ctx.fallback
             or frame is None

@@ -30,10 +30,10 @@ from typing import Container, Iterator, Sequence
 
 from repro.algebra.base import Operator
 from repro.algebra.context import EvalContext
-from repro.algebra.pathinstance import EntryRun, PathInstance
+from repro.algebra.pathinstance import EntryRun
 from repro.algebra.steps import CompiledStep
 from repro.storage.buffer import Frame
-from repro.storage.nodeid import NodeID, page_of, slot_of
+from repro.storage.nodeid import NodeID, page_of
 from repro.storage.pathsummary import PathPostings
 from repro.storage.store import PATH_ID_LIMIT, StoredDocument
 from repro.storage.synopsis import ClusterSynopsis, cost_effective_skips
@@ -267,7 +267,10 @@ class XScan(Operator):
         (docs/algebra.md, "Run tapes")."""
         return next(self._runs, None)
 
-    def _produce(self) -> Iterator[PathInstance | EntryRun]:
+    def _produce(self) -> Iterator[tuple | EntryRun]:
+        """Every context as the trivial complete instance at it, in Q's
+        tuple ``(s_r, seq, s_l, n_l, left_open, target, resumed)``, and
+        every cluster's entry runs."""
         ctx = self.ctx
         # The paper requires the context input sorted by cluster id; we
         # group the (typically single) context nodes per cluster.
@@ -282,7 +285,7 @@ class XScan(Operator):
         for page_no, (runs,) in scan(ctx, self.document, paths, by_cluster):
             for nid in by_cluster.pop(page_no, ()):  # contexts first (paper)
                 ctx.charge_instance()
-                yield _context(nid)
+                yield (0, 0, 0, nid, False, nid, False)
             self._runs = runs
             yield from runs
 
@@ -292,9 +295,4 @@ class XScan(Operator):
             # trip itself was counted by ``EvalContext.trip_fallback``)
             for nid in contexts:
                 ctx.charge_instance()
-                yield _context(nid)
-
-
-def _context(nid: NodeID) -> PathInstance:
-    """The trivial complete path instance at the context node ``nid``."""
-    return PathInstance(0, nid, False, 0, slot_of(nid), False, page_no=page_of(nid))
+                yield (0, 0, 0, nid, False, nid, False)

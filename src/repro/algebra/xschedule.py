@@ -28,13 +28,12 @@ fetched once per execution off the synopsis's memo
 (:meth:`~repro.storage.synopsis.ClusterSynopsis.refusals`), which lasts
 as long as the synopsis does.  One pull is one :meth:`XSchedule.deliver`,
 which hands Q's flat tuple on as it is: the path kernel calls it where
-it would pull, and ``_produce`` only wraps the tuples in
-:class:`PathInstance` objects for any other consumer.  The pull that
-takes the next entry of the cluster this operator holds is
-:meth:`XSchedule.take_in_place` plus its charges; the kernel's replay
-of delivery tapes takes a held cluster's deliveries in whole by doing
-the same in place (docs/algebra.md, "Delivery runs" and "Delivery
-tapes").
+it would pull, and ``_produce`` yields its items unchanged for any
+other consumer.  The pull that takes the next entry of the cluster this
+operator holds is :meth:`XSchedule.take_in_place` plus its charges; the
+kernel's replay of delivery tapes takes a held cluster's deliveries in
+whole by doing the same in place (docs/algebra.md, "Delivery runs" and
+"Delivery tapes").
 """
 
 from __future__ import annotations
@@ -44,11 +43,11 @@ from typing import Iterator
 
 from repro.algebra.base import Operator
 from repro.algebra.context import EvalContext
-from repro.algebra.pathinstance import EntryRun, PathInstance
+from repro.algebra.pathinstance import EntryRun
 from repro.algebra.steps import CompiledStep
 from repro.algebra.xscan import draw, speculation, speculation_id, step_refusals
 from repro.errors import IOError_
-from repro.storage.nodeid import SLOT_BITS, NodeID, slot_of
+from repro.storage.nodeid import SLOT_BITS, NodeID
 from repro.storage.pathsummary import PathPostings
 from repro.storage.store import StoredDocument
 
@@ -307,17 +306,10 @@ class XSchedule(Operator):
             ctx.charge_instance()
             return entry
 
-    def _produce(self) -> Iterator[PathInstance | EntryRun]:
-        """:meth:`deliver`'s items, an entry as the :class:`PathInstance`
-        it stands for, swizzled to its slot on the pinned cluster."""
+    def _produce(self) -> Iterator[tuple | EntryRun]:
+        """:meth:`deliver`'s items, unchanged."""
         while (item := self.deliver()) is not None:
-            if type(item) is EntryRun:
-                yield item
-                continue
-            s_r, _, s_l, n_l, left_open, target, resumed = item
-            yield PathInstance(
-                s_l, n_l, left_open, s_r, slot_of(target), resumed, resumed, target >> SLOT_BITS
-            )
+            yield item
 
     def _pick_cluster(self) -> int:
         """Next cluster to process: prefer buffered, else await I/O.

@@ -27,11 +27,11 @@ Format (all integers little-endian)::
     document: str name | u64 root | u32 n_pages | page_nos
               | u64 n_nodes | u32 borders | u32 continuations
               | synopsis | pathsummary
-    synopsis: u8 present | (u32 n_rows | n_rows x row)?
+    synopsis: u8 present (1) | u32 n_rows | n_rows x row
     row:      u32 page_no | bitset tag_bits | bitset entry_bits
               | u8 flags | u32 occupancy
     bitset:   u16 n_bytes | n_bytes little-endian bytes
-    pathsummary: u8 present | (u32 n_pages | n_pages x pagerow)?
+    pathsummary: u8 present (1) | u32 n_pages | n_pages x pagerow
     pagerow:  u32 page_no | u32 n_paths | n_paths x path
     path:     u16 chain_len | chain_len x u32 tag | u8 kind | u32 count
 
@@ -44,8 +44,7 @@ short reads at any offset raise the same typed error with offset
 context, never a bare :class:`struct.error`.  The synopsis and the path
 summary are stored as their per-page rows (the summary's counts and
 cluster postings are re-aggregated at load).  The writer always marks
-both present; a block marked absent (an image written after an update
-had dropped the snapshot) is collected from the loaded pages.
+both present, and a block marked otherwise is corrupt.
 :func:`save_store` is atomic: the image is written to ``path + ".tmp"``,
 fsynced, then installed with :func:`os.replace`, so a crash mid-save
 leaves the previous checkpoint intact.
@@ -73,7 +72,7 @@ from repro.sim.faults import (
 )
 from repro.storage.nodeid import NodeID
 from repro.storage.ordpath import OrdPath
-from repro.storage.page import Page, Segment
+from repro.storage.page import Page
 from repro.storage.record import BorderRecord, CoreRecord
 from repro.storage.pathsummary import PathSummary
 from repro.storage.store import DocumentStore, StoredDocument
@@ -159,10 +158,18 @@ def _write_synopsis(out: BinaryIO, snapshot: ClusterSynopsis) -> None:
         out.write(struct.pack("<BI", flags, occupancy))
 
 
-def _read_synopsis(inp: BinaryIO, segment: Segment, page_nos: list[int]) -> ClusterSynopsis:
-    present = _read_exact(inp, 1, "synopsis marker")
-    if present == b"\x00":
-        return ClusterSynopsis.collect(segment.page(page_no) for page_no in page_nos)
+def _read_present(inp: BinaryIO, what: str) -> None:
+    """The marker every snapshot block starts with, which is always 1."""
+    marker = _read_exact(inp, 1, what)
+    if marker != b"\x01":
+        raise StoreCorruptError(
+            f"corrupt store file: {what} {marker!r} at offset {inp.tell() - 1}, "
+            "expected b'\\x01'"
+        )
+
+
+def _read_synopsis(inp: BinaryIO) -> ClusterSynopsis:
+    _read_present(inp, "synopsis marker")
     (n_rows,) = struct.unpack("<I", _read_exact(inp, 4, "synopsis row count"))
     rows: dict[int, tuple[int, int, int, int]] = {}
     for _ in range(n_rows):
@@ -188,10 +195,8 @@ def _write_pathsummary(out: BinaryIO, summary: PathSummary) -> None:
             out.write(struct.pack("<BI", kind, rows[(chain, kind)]))
 
 
-def _read_pathsummary(inp: BinaryIO, segment: Segment, page_nos: list[int]) -> PathSummary:
-    present = _read_exact(inp, 1, "path summary marker")
-    if present == b"\x00":
-        return PathSummary.collect(segment, page_nos)
+def _read_pathsummary(inp: BinaryIO) -> PathSummary:
+    _read_present(inp, "path summary marker")
     (n_pages,) = struct.unpack("<I", _read_exact(inp, 4, "path summary page count"))
     pages: dict[int, dict[tuple[tuple[int, ...], int], int]] = {}
     for _ in range(n_pages):
@@ -364,8 +369,8 @@ def _read_body(inp: BinaryIO, page_size: int) -> DocumentStore:
         n_nodes, borders, continuations = struct.unpack(
             "<QII", _read_exact(inp, 16, "document counters")
         )
-        synopsis = _read_synopsis(inp, store.segment, page_nos)
-        pathsummary = _read_pathsummary(inp, store.segment, page_nos)
+        synopsis = _read_synopsis(inp)
+        pathsummary = _read_pathsummary(inp)
         store.documents[name] = StoredDocument(
             name=name,
             root=NodeID(root),

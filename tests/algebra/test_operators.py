@@ -12,11 +12,10 @@ from repro.algebra.misc import (
     order_results,
     result_nodeids,
 )
-from repro.algebra.pathinstance import PathInstance
 from repro.errors import PlanError
 from repro.storage.ordpath import OrdPath
 
-from tests.paper_tree import PAGE_D, build_paper_tree
+from tests.paper_tree import build_paper_tree
 
 
 @pytest.fixture()
@@ -67,10 +66,7 @@ def test_duplicate_elimination(paper):
 
 def test_count_results(paper):
     ctx = paper.db.make_context()
-    items = [
-        PathInstance(0, None, False, 1, 1, False, page_no=0),
-        PathInstance(0, None, False, 1, 2, False, page_no=0),
-    ]
+    items = [(1, 0, 0, None, False, 1, False), (1, 0, 0, None, False, 2, False)]
     assert count_results(ListSource(ctx, items), ctx) == 2
 
 
@@ -103,7 +99,7 @@ def test_order_results_compares_label_components(paper, monkeypatch):
 
 def test_operator_iterator_protocol(paper):
     ctx = paper.db.make_context()
-    items = [PathInstance(0, None, False, 0, 0, False, page_no=PAGE_D)]
+    items = [(0, 0, 0, None, False, paper.nodes["d1"], False)]
     source = ListSource(ctx, items)
     source.open()
     drained = list(source)
@@ -115,7 +111,7 @@ def test_operator_iterator_protocol(paper):
 
 def test_iterator_call_costs_charged(paper):
     ctx = paper.db.make_context()
-    source = ListSource(ctx, [PathInstance(0, None, False, 0, 0, False, page_no=0)] * 10)
+    source = ListSource(ctx, [(0, 0, 0, None, False, 0, False)] * 10)
     cpu_before = ctx.clock.cpu_time
     count_results(source, ctx)
     assert ctx.clock.cpu_time > cpu_before

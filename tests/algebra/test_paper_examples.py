@@ -9,11 +9,10 @@
 
 import pytest
 
-from repro.algebra.pathinstance import PathInstance
 from repro.storage.nodeid import page_of
 from repro.xpath.compile import PlanKind
 
-from tests.paper_tree import PAGE_A, PAGE_B, PAGE_C, PAGE_D, build_paper_tree
+from tests.paper_tree import PAGE_B, build_paper_tree
 
 QUERY = "/A//B"
 
@@ -86,12 +85,16 @@ def test_xschedule_with_speculation_single_visit_guarantee(paper):
 # ----------------------------------------------------- Table 1 (Example 5)
 
 
-def classify(instance: PathInstance, path_len: int) -> str:
-    """Render the paper's F/L/R/C flags for a pipeline instance."""
-    left_complete = not instance.left_open
-    right_complete = not instance.is_border
+def classify(instance: tuple, path_len: int) -> str:
+    """Render the paper's F/L/R/C flags for a pipeline instance, Q's
+    tuple ``(s_r, seq, s_l, n_l, left_open, target, resumed)``: a
+    right-incomplete one is paused at a crossing, ``target`` its
+    junction."""
+    s_r, _, s_l, _, left_open, _, resumed = instance
+    left_complete = not left_open
+    right_complete = not resumed
     complete = left_complete and right_complete
-    full = complete and instance.s_l == 0 and instance.s_r == path_len
+    full = complete and s_l == 0 and s_r == path_len
     return "".join(
         flag if condition else "-"
         for flag, condition in (
@@ -107,16 +110,17 @@ def test_table1_classification_flags(paper):
     n = paper.nodes
     path_len = 2
     # row 1: context instance (d1, eps, eps)
-    row1 = PathInstance(0, n["d1"], False, 0, 0, False, page_no=PAGE_D)
+    row1 = (0, 0, 0, n["d1"], False, n["d1"], False)
     assert classify(row1, path_len) == "-LRC"
     # row 4: full instance d1 -> c2 -> c4
-    row4 = PathInstance(0, n["d1"], False, 2, 3, False, page_no=PAGE_C)
+    row4 = (2, 0, 0, n["d1"], False, n["c4"], False)
     assert classify(row4, path_len) == "FLRC"
-    # row 6: right-incomplete at border d2 while processing step 1
-    row6 = PathInstance(0, n["d1"], False, 0, 1, True, page_no=PAGE_D)
+    # row 6: right-incomplete at border d2 while processing step 1, its
+    # junction a1
+    row6 = (0, 0, 0, n["d1"], False, n["a1"], True)
     assert classify(row6, path_len) == "-L--"
     # row 9: left-incomplete starting at border a1, ending at core a3
-    row9 = PathInstance(0, n["a1"], True, 2, 2, False, page_no=PAGE_A)
+    row9 = (2, 0, 0, n["a1"], True, n["a3"], False)
     assert classify(row9, path_len) == "--R-"
 
 

@@ -1,7 +1,7 @@
 """Guard: the datapath's hot classes must stay ``__slots__``-only.
 
 Per-instance dicts on objects created thousands of times per query
-(path instances, records) or touched per navigation hop (operators,
+(entry runs, records) or touched per navigation hop (operators,
 pages, frames) cost both memory and attribute-lookup time.  (XSchedule's
 queue entries are flat tuples and have no class to guard.)
 This test pins the optimisation down so a refactor cannot silently
@@ -12,7 +12,7 @@ import repro.algebra.fullnav  # noqa: F401  (registers Operator subclasses)
 import repro.algebra.multiscan  # noqa: F401
 from repro.algebra.base import Operator
 from repro.algebra.misc import ContextScan, DuplicateElimination
-from repro.algebra.pathinstance import PathInstance
+from repro.algebra.pathinstance import EntryRun
 from repro.algebra.unnestmap import UnnestMap
 from repro.algebra.xassembly import XAssembly
 from repro.algebra.xscan import XScan
@@ -31,7 +31,7 @@ HOT_CLASSES = (
     UnnestMap,
     ContextScan,
     DuplicateElimination,
-    PathInstance,
+    EntryRun,
     CoreRecord,
     BorderRecord,
     Page,
@@ -55,7 +55,7 @@ def test_hot_classes_define_slots():
 
 def test_hot_instances_have_no_dict():
     """``__slots__`` only works if every class in the MRO plays along."""
-    for cls in (PathInstance, CoreRecord, BorderRecord, Page, Frame, SimClock):
+    for cls in (EntryRun, CoreRecord, BorderRecord, Page, Frame, SimClock):
         assert "__dict__" not in dir(cls) or not any(
             "__dict__" in vars(c) for c in cls.__mro__ if c is not object
         ), f"{cls.__name__} instances grew a __dict__"

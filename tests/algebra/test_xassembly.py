@@ -7,13 +7,11 @@ import pytest
 from repro.algebra.context import EvalOptions
 from repro.algebra.xassembly import XAssembly
 from repro.algebra.base import Operator
-from repro.algebra.pathinstance import PathInstance
 from repro.errors import StorageError
-from repro.storage.nodeid import page_of, slot_of
 
 from tests import golden
 from tests.conftest import fail_extension_at, small_xmark
-from tests.paper_tree import PAGE_A, PAGE_C, PAGE_D, build_paper_tree
+from tests.paper_tree import build_paper_tree
 
 
 class ListSource(Operator):
@@ -25,8 +23,20 @@ class ListSource(Operator):
         yield from self.items
 
 
+def entry(s_r, s_l, n_l, left_open, target, resumed=False):
+    """An instance as Q's tuple.  With no steps to run, ``resumed`` is
+    "paused at the border ``target``": its junction is the border's
+    target."""
+    return (s_r, 0, s_l, n_l, left_open, target, resumed)
+
+
 def full(nid, s_r=2, n_l=None):
-    return PathInstance(0, n_l, False, s_r, slot_of(nid), False, page_no=page_of(nid))
+    return entry(s_r, 0, n_l, False, nid)
+
+
+def assembly_over(paper, ctx, items, **kwargs):
+    """The path kernel with no steps over a hand-made feed."""
+    return XAssembly(ctx, ListSource(ctx, items), path_len=2, document=paper.doc, **kwargs)
 
 
 def drain(assembly):
@@ -40,7 +50,7 @@ def test_full_instances_pass_through(paper_tree=None):
     paper = build_paper_tree()
     ctx = paper.db.make_context()
     items = [full(paper.nodes["a3"]), full(paper.nodes["c4"])]
-    assembly = XAssembly(ctx, ListSource(ctx, items), path_len=2)
+    assembly = assembly_over(paper, ctx, items)
     assert drain(assembly) == [paper.nodes["a3"], paper.nodes["c4"]]
 
 
@@ -48,7 +58,7 @@ def test_final_duplicates_eliminated_via_r():
     paper = build_paper_tree()
     ctx = paper.db.make_context()
     items = [full(paper.nodes["a3"])] * 3
-    assembly = XAssembly(ctx, ListSource(ctx, items), path_len=2)
+    assembly = assembly_over(paper, ctx, items)
     assert drain(assembly) == [paper.nodes["a3"]]
     assert ctx.stats.duplicates_suppressed == 2
 
@@ -67,10 +77,8 @@ def test_right_incomplete_goes_to_schedule_queue():
 
     schedule = FakeSchedule()
     # paused at border d2 (cluster d) while processing step 1
-    paused = PathInstance(
-        0, paper.nodes["d1"], False, 0, slot_of(paper.nodes["d2"]), True, page_no=PAGE_D
-    )
-    assembly = XAssembly(ctx, ListSource(ctx, [paused]), path_len=2, schedule=schedule)
+    paused = entry(0, 0, paper.nodes["d1"], False, paper.nodes["d2"], True)
+    assembly = assembly_over(paper, ctx, [paused], schedule=schedule)
     assert drain(assembly) == []
     assert schedule.added == [(0, paper.nodes["d1"], 0, paper.nodes["a1"])]
 
@@ -88,13 +96,9 @@ def test_same_junction_not_scheduled_twice():
             self.added.append((s_l, n_l, s_r, target))
 
     schedule = FakeSchedule()
-    paused = PathInstance(
-        0, paper.nodes["d1"], False, 0, slot_of(paper.nodes["d2"]), True, page_no=PAGE_D
-    )
-    again = PathInstance(
-        0, paper.nodes["d1"], False, 0, slot_of(paper.nodes["d2"]), True, page_no=PAGE_D
-    )
-    assembly = XAssembly(ctx, ListSource(ctx, [paused, again]), path_len=2, schedule=schedule)
+    paused = entry(0, 0, paper.nodes["d1"], False, paper.nodes["d2"], True)
+    again = entry(0, 0, paper.nodes["d1"], False, paper.nodes["d2"], True)
+    assembly = assembly_over(paper, ctx, [paused, again], schedule=schedule)
     drain(assembly)
     assert len(schedule.added) == 1
     assert ctx.stats.duplicates_suppressed == 1
@@ -105,14 +109,10 @@ def test_left_incomplete_merges_when_junction_proven():
     paper = build_paper_tree()
     ctx = paper.db.make_context()
     # speculative: "if a1 is reachable at step 1, a3 is a result" (Table 1 row 9)
-    speculative = PathInstance(
-        1, paper.nodes["a1"], True, 2, slot_of(paper.nodes["a3"]), False, page_no=PAGE_A
-    )
+    speculative = entry(2, 1, paper.nodes["a1"], True, paper.nodes["a3"])
     # real paused instance proving (1, a1): d1 -> step 1 paused at d2
-    paused = PathInstance(
-        0, paper.nodes["d1"], False, 1, slot_of(paper.nodes["d2"]), True, page_no=PAGE_D
-    )
-    assembly = XAssembly(ctx, ListSource(ctx, [speculative, paused]), path_len=2)
+    paused = entry(1, 0, paper.nodes["d1"], False, paper.nodes["d2"], True)
+    assembly = assembly_over(paper, ctx, [speculative, paused])
     assert drain(assembly) == [paper.nodes["a3"]]
     assert ctx.stats.merges == 1
 
@@ -120,13 +120,9 @@ def test_left_incomplete_merges_when_junction_proven():
 def test_left_incomplete_activates_immediately_if_already_proven():
     paper = build_paper_tree()
     ctx = paper.db.make_context()
-    paused = PathInstance(
-        0, paper.nodes["d1"], False, 1, slot_of(paper.nodes["d2"]), True, page_no=PAGE_D
-    )
-    speculative = PathInstance(
-        1, paper.nodes["a1"], True, 2, slot_of(paper.nodes["a3"]), False, page_no=PAGE_A
-    )
-    assembly = XAssembly(ctx, ListSource(ctx, [paused, speculative]), path_len=2)
+    paused = entry(1, 0, paper.nodes["d1"], False, paper.nodes["d2"], True)
+    speculative = entry(2, 1, paper.nodes["a1"], True, paper.nodes["a3"])
+    assembly = assembly_over(paper, ctx, [paused, speculative])
     assert drain(assembly) == [paper.nodes["a3"]]
 
 
@@ -134,26 +130,14 @@ def test_cascading_activation_across_clusters():
     """A speculative fragment ending at another border cascades through R."""
     paper = build_paper_tree()
     ctx = paper.db.make_context()
-    # fragment 1: if d3 target (c1) reachable at step 0 -> paused again at
-    # step 1... modelled here: left-incomplete ending right-incomplete
-    frag = PathInstance(
-        0, paper.nodes["c1"], True, 1, slot_of(paper.nodes["d3"]), True, page_no=PAGE_D
-    )
-    # wait: frag's right border d3 targets c1; use a1 chain instead to keep
-    # junctions distinct: left end (0, a1), right end border d2 -> target a1?
-    # Simpler: fragment left (0, c1) right-incomplete at d2 -> junction a1
-    frag = PathInstance(
-        0, paper.nodes["c1"], True, 1, slot_of(paper.nodes["d2"]), True, page_no=PAGE_D
-    )
+    # fragment 1: if c1 is reachable at step 0, step 2 pauses at border
+    # d2, whose junction is a1
+    frag = entry(1, 0, paper.nodes["c1"], True, paper.nodes["d2"], True)
     # fragment 2: if a1 reachable at step 1 -> full result a3
-    frag2 = PathInstance(
-        1, paper.nodes["a1"], True, 2, slot_of(paper.nodes["a3"]), False, page_no=PAGE_A
-    )
-    # proof: (0, c1) is reachable
-    proof = PathInstance(
-        0, paper.nodes["d1"], False, 0, slot_of(paper.nodes["d3"]), True, page_no=PAGE_D
-    )
-    assembly = XAssembly(ctx, ListSource(ctx, [frag, frag2, proof]), path_len=2)
+    frag2 = entry(2, 1, paper.nodes["a1"], True, paper.nodes["a3"])
+    # proof: (0, c1) is reachable, through border d3
+    proof = entry(0, 0, paper.nodes["d1"], False, paper.nodes["d3"], True)
+    assembly = assembly_over(paper, ctx, [frag, frag2, proof])
     assert drain(assembly) == [paper.nodes["a3"]]
     assert ctx.stats.merges == 2
 
@@ -162,14 +146,10 @@ def test_memory_limit_triggers_fallback():
     paper = build_paper_tree()
     ctx = paper.db.make_context(EvalOptions(memory_limit=1))
     fragments = [
-        PathInstance(
-            1, paper.nodes["a1"], True, 2, slot_of(paper.nodes["a3"]), False, page_no=PAGE_A
-        ),
-        PathInstance(
-            1, paper.nodes["c1"], True, 2, slot_of(paper.nodes["c4"]), False, page_no=PAGE_C
-        ),
+        entry(2, 1, paper.nodes["a1"], True, paper.nodes["a3"]),
+        entry(2, 1, paper.nodes["c1"], True, paper.nodes["c4"]),
     ]
-    assembly = XAssembly(ctx, ListSource(ctx, fragments), path_len=2)
+    assembly = assembly_over(paper, ctx, fragments)
     drain(assembly)
     assert ctx.fallback
     assert ctx.stats.fallbacks == 1
@@ -179,12 +159,8 @@ def test_memory_limit_triggers_fallback():
 def test_descendant_root_opt_skips_step1_keys():
     paper = build_paper_tree()
     ctx = paper.db.make_context()
-    paused = PathInstance(
-        0, paper.nodes["d1"], False, 1, slot_of(paper.nodes["d2"]), True, page_no=PAGE_D
-    )
-    assembly = XAssembly(
-        ctx, ListSource(ctx, [paused]), path_len=2, descendant_root_opt=True
-    )
+    paused = entry(1, 0, paper.nodes["d1"], False, paper.nodes["d2"], True)
+    assembly = assembly_over(paper, ctx, [paused], descendant_root_opt=True)
     drain(assembly)
     # step-1 junction keys are implicit: nothing stored in R
     assert len(assembly._r) == 0

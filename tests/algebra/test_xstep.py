@@ -5,11 +5,10 @@ import pytest
 
 from repro.axes import Axis
 from repro.algebra.base import Operator
-from repro.algebra.pathinstance import PathInstance
 from repro.algebra.steps import CompiledNodeTest, CompiledPredicate, CompiledStep
 from repro.algebra.xassembly import XAssembly
 from repro.errors import PlanError
-from repro.storage.nodeid import make_nodeid, slot_of
+from repro.storage.nodeid import make_nodeid
 
 from tests.paper_tree import PAGE_A, PAGE_D, build_paper_tree
 
@@ -39,9 +38,13 @@ def pin(paper, page_no):
     return ctx
 
 
-def kernel(ctx, items, steps, path_len=None):
-    """The path kernel over a hand-made feed on the pinned cluster."""
-    return XAssembly(ctx, ListSource(ctx, items), path_len or len(steps), steps=steps)
+def kernel(paper, ctx, items, steps, path_len=None):
+    """The path kernel over a hand-made feed of Q's tuples
+    ``(s_r, seq, s_l, n_l, left_open, target, resumed)`` on the pinned
+    cluster."""
+    return XAssembly(
+        ctx, ListSource(ctx, items), path_len or len(steps), paper.doc, steps=steps
+    )
 
 
 def drain(op):
@@ -55,8 +58,8 @@ def test_applicable_instance_extended(paper):
     """Two deferred borders (a, c: tested later) and d4 matching C."""
     ctx = pin(paper, PAGE_D)
     d1 = paper.nodes["d1"]
-    context = PathInstance(0, d1, False, 0, slot_of(d1), False, page_no=PAGE_D)
-    top = kernel(ctx, [context], [make_step(paper, Axis.CHILD, "C")])
+    context = (0, 0, 0, d1, False, d1, False)
+    top = kernel(paper, ctx, [context], [make_step(paper, Axis.CHILD, "C")])
     assert drain(top) == [paper.nodes["d4"]]
     assert ctx.stats.border_crossings_deferred == 2
     # the paused crossings reached the intake: their junctions are proven
@@ -68,43 +71,25 @@ def test_non_applicable_passes_through(paper):
     """An instance no level applies to (every step done) is handed up as
     it is: a full result, no navigation."""
     ctx = pin(paper, PAGE_D)
-    done = PathInstance(0, None, False, 5, 0, False, page_no=PAGE_D)
-    top = kernel(ctx, [done], [make_step(paper, Axis.CHILD, "C")], path_len=5)
+    done = (5, 0, 0, None, False, make_nodeid(PAGE_D, 0), False)
+    top = kernel(paper, ctx, [done], [make_step(paper, Axis.CHILD, "C")], path_len=5)
     assert drain(top) == [make_nodeid(PAGE_D, 0)]
-    assert ctx.stats.intra_hops == ctx.stats.node_tests == 0
-    ctx.release()
-
-
-def test_paused_instance_not_reprocessed(paper):
-    """A border a step paused at is not extended by a later step until
-    the I/O operator re-delivers it resumed: it reaches the intake as it
-    is, and only its junction is proven."""
-    ctx = pin(paper, PAGE_D)
-    paused = PathInstance(0, None, False, 0, slot_of(paper.nodes["d2"]), True, page_no=PAGE_D)
-    steps = [make_step(paper, Axis.CHILD, "A"), make_step(paper, Axis.CHILD, "B")]
-    top = kernel(ctx, [paused], steps)
-    assert drain(top) == []
-    assert top._r == {(0, paper.nodes["a1"])}
     assert ctx.stats.intra_hops == ctx.stats.node_tests == 0
     ctx.release()
 
 
 def test_resumed_instance_processed(paper):
     ctx = pin(paper, PAGE_A)
-    resumed = PathInstance(
-        0, None, False, 0, slot_of(paper.nodes["a1"]), True, resumed=True, page_no=PAGE_A
-    )
-    top = kernel(ctx, [resumed], [make_step(paper, Axis.CHILD, "A")])
+    resumed = (0, 0, 0, None, False, paper.nodes["a1"], True)
+    top = kernel(paper, ctx, [resumed], [make_step(paper, Axis.CHILD, "A")])
     assert drain(top) == [paper.nodes["a2"]]
     ctx.release()
 
 
 def test_failed_node_test_kills_instance(paper):
     ctx = pin(paper, PAGE_A)
-    resumed = PathInstance(
-        0, None, False, 0, slot_of(paper.nodes["a1"]), True, resumed=True, page_no=PAGE_A
-    )
-    top = kernel(ctx, [resumed], [make_step(paper, Axis.CHILD, "Z")])  # unknown tag
+    resumed = (0, 0, 0, None, False, paper.nodes["a1"], True)
+    top = kernel(paper, ctx, [resumed], [make_step(paper, Axis.CHILD, "Z")])  # unknown tag
     assert drain(top) == []
     assert ctx.stats.node_tests == 1
     ctx.release()
@@ -115,9 +100,9 @@ def test_left_open_flag_propagates(paper):
     junction: unproven, it waits in S under it."""
     ctx = pin(paper, PAGE_A)
     a1 = paper.nodes["a1"]
-    speculative = PathInstance(1, a1, True, 1, slot_of(a1), True, resumed=True, page_no=PAGE_A)
+    speculative = (1, 0, 1, a1, True, a1, True)
     steps = [make_step(paper, Axis.CHILD, "A"), make_step(paper, Axis.CHILD, "A")]
-    top = kernel(ctx, [speculative], steps)
+    top = kernel(paper, ctx, [speculative], steps)
     assert drain(top) == []
     assert top._s == {(1, a1): [(2, paper.nodes["a2"], False)]}
     ctx.release()
@@ -128,13 +113,13 @@ def test_predicates_rejected(paper):
     step = make_step(paper, Axis.CHILD, "A")
     step.predicates.append(CompiledPredicate([]))
     with pytest.raises(PlanError):
-        kernel(ctx, [], [step])
+        kernel(paper, ctx, [], [step])
 
 
 def test_wrong_page_instance_raises(paper):
     ctx = pin(paper, PAGE_D)
-    wrong = PathInstance(0, None, False, 0, 0, False, page_no=PAGE_A)
-    top = kernel(ctx, [wrong], [make_step(paper, Axis.CHILD, "A")])
+    wrong = (0, 0, 0, None, False, make_nodeid(PAGE_A, 0), False)
+    top = kernel(paper, ctx, [wrong], [make_step(paper, Axis.CHILD, "A")])
     top.open()
     with pytest.raises(PlanError):
         top.next()

@@ -22,9 +22,9 @@ from hypothesis import strategies as st
 
 from repro import Database, EvalOptions, ImportOptions
 from repro.algebra.multiscan import _Replay
-from repro.algebra.pathinstance import EntryRun, PathInstance
+from repro.algebra.pathinstance import EntryRun
 from repro.algebra.xscan import scan
-from repro.storage.nodeid import page_of, slot_of
+from repro.storage.nodeid import page_of
 from repro.storage.record import BorderRecord
 from tests.conftest import make_random_tree
 
@@ -61,8 +61,8 @@ def _database(seed: int, fragmentation: float) -> Database:
 def _item(item) -> tuple:
     if type(item) is EntryRun:
         return ("run", item.step, item.page_no, tuple(item.slots))
-    assert type(item) is PathInstance
-    return ("instance", item.s_l, item.n_l, item.left_open, item.s_r, item.slot, item.resumed)
+    assert type(item) is tuple  # Q's (s_r, seq, s_l, n_l, left_open, target, resumed)
+    return ("instance", *item)
 
 
 class _Drive:
@@ -120,7 +120,7 @@ def _drive(db, query, kind, takes, trip_at, junctions) -> tuple:
             drive = _Drive(ctx, takes, trip_at, junctions)
             replay = _Replay(ctx)
             root = path.document.root
-            context = PathInstance(0, root, False, 0, slot_of(root), False, page_no=page_of(root))
+            context = (0, 0, 0, root, False, root, False)
             feeds = scan(ctx, path.document, [(path.steps, path.postings)], (page_of(root),))
             for page_no, (runs,) in feeds:
                 replay.context = context if page_no == page_of(root) else None

@@ -20,6 +20,16 @@ from repro.storage.persist import load_store, save_store
 from tests.conftest import small_database
 
 
+def written(tmp_path, name, data) -> str:
+    """``data`` in a new file ``name`` under ``tmp_path``: a sweep gives
+    every cut a file of its own, because truncating one file over and
+    over costs a filesystem truncation per cut."""
+    target = str(tmp_path / name)
+    with open(target, "xb") as out:
+        out.write(data)
+    return target
+
+
 @pytest.fixture
 def saved(tmp_path):
     db, _ = small_database(seed=91, n_top=25)
@@ -32,12 +42,11 @@ def test_truncation_at_every_boundary(saved, tmp_path):
     """Sweep truncation points across the whole file: header, checksum
     block, and (via the re-stamped variant below) every body section."""
     _, path, data = saved
-    target = str(tmp_path / "cut.rpro")
     # every header byte, then a stride through the body
     cuts = list(range(len(data) - 1, 0, -max(1, len(data) // 200)))
     cuts.extend(range(min(64, len(data))))
-    for cut in cuts:
-        open(target, "wb").write(data[:cut])
+    for i, cut in enumerate(cuts):
+        target = written(tmp_path, f"cut{i}.rpro", data[:cut])
         with pytest.raises((StoreCorruptError, StorageError)) as err:
             load_store(target)
         # offset context or a typed message, never a raw struct error
@@ -63,9 +72,8 @@ def test_truncation_inside_body_sections(saved, tmp_path):
     shortfall must raise the typed error."""
     _, _, data = saved
     body_len = len(data) - _HEAD - _SUMS.size
-    target = str(tmp_path / "cut.rpro")
     for cut in range(body_len - 1, -1, -max(1, body_len // 300)):
-        open(target, "wb").write(restamped(data, cut))
+        target = written(tmp_path, f"cut{cut}.rpro", restamped(data, cut))
         with pytest.raises(StoreCorruptError):
             load_store(target)
 
@@ -148,19 +156,25 @@ def test_v4_body_is_v3_body_plus_path_summaries(saved):
     assert data.endswith(synopsis + summary)
 
 
-def test_absent_snapshot_blocks_are_collected_on_load(saved, tmp_path):
-    """An image whose blocks are marked absent (written after an update
-    had dropped the snapshots) loads with both collected from its pages."""
+@pytest.mark.parametrize("marker", [b"\x00", b"\x02"], ids=["absent", "unknown"])
+def test_a_snapshot_block_marked_otherwise_is_refused(saved, tmp_path, marker):
+    """Every writer marks both snapshot blocks present (``\\x01``): an
+    image whose synopsis or path-summary block starts with any other
+    marker, behind a checksum that passes, is corrupt, and the error
+    names the block and its offset."""
     db, _, data = saved
     ((synopsis, summary),) = _blocks(db.store)
-    body = data[_HEAD + _SUMS.size : -len(synopsis + summary)] + b"\x00\x00"
+    body = data[_HEAD + _SUMS.size :]
     lsn = _SUMS.unpack_from(data, _HEAD)[0]
-    target = str(tmp_path / "absent.rpro")
-    open(target, "wb").write(data[:_HEAD] + _SUMS.pack(lsn, zlib.crc32(body), len(body)) + body)
-    (doc,) = load_store(target).documents.values()
-    want = db.document("d")
-    assert doc.synopsis == want.synopsis
-    assert doc.pathsummary == want.pathsummary
+    for what, at in (
+        ("synopsis", len(body) - len(synopsis + summary)),
+        ("path summary", len(body) - len(summary)),
+    ):
+        marked = body[:at] + marker + body[at + 1 :]
+        image = data[:_HEAD] + _SUMS.pack(lsn, zlib.crc32(marked), len(marked)) + marked
+        target = written(tmp_path, f"{what}-{marker.hex()}.rpro", image)
+        with pytest.raises(StoreCorruptError, match=f"{what} marker .* at offset {at},"):
+            load_store(target)
 
 
 def _summary_boundaries(summary):
@@ -187,16 +201,15 @@ def test_v4_path_summary_block_truncation_and_bit_rot(tmp_path):
     start = body_len - len(summary)
     cuts = {start + b + d for b in _summary_boundaries(db.document("d").pathsummary) for d in (0, 1)}
     cuts.update(range(start, body_len, max(1, len(summary) // 64)))
-    target = str(tmp_path / "cut4.rpro")
     for cut in sorted(c for c in cuts if c < body_len):
-        open(target, "wb").write(restamped(data, cut))
+        target = written(tmp_path, f"cut{cut}.rpro", restamped(data, cut))
         with pytest.raises(StoreCorruptError):
             load_store(target)
     # bit-rot anywhere in the summary region trips the body checksum
     for offset in range(len(data) - len(summary), len(data), max(1, len(summary) // 128)):
         corrupt = bytearray(data)
         corrupt[offset] ^= 0x40
-        open(target, "wb").write(bytes(corrupt))
+        target = written(tmp_path, f"rot{offset}.rpro", bytes(corrupt))
         with pytest.raises(StoreCorruptError, match="checksum"):
             load_store(target)
 
