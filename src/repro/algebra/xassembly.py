@@ -72,7 +72,10 @@ def pinned_page(ctx: EvalContext, step_index: int, page_no: int):
 class RunTape(NamedTuple):
     """What the kernel's walk of one entry run comes to (:func:`build_tape`)."""
 
-    owner: object  #: the document that numbered the path
+    #: the path-id table (:attr:`StoredDocument.path_ids`) that numbered
+    #: the path: a page's tapes name no document, so a dropped store is
+    #: no reference cycle
+    owner: dict
     steps: Sequence[CompiledStep]  #: the path, and
     index: int  #: the run's step: what the tape was built for
     #: the run's ``(hops, tests, events, crossings, deferred, entries)``:
@@ -107,7 +110,7 @@ class DeliveryTapes(dict):
 
     def __init__(self, owner, steps: Sequence[CompiledStep], index: int) -> None:
         super().__init__()
-        self.owner = owner  #: the document that numbered the path
+        self.owner = owner  #: the path-id table that numbered the path
         self.steps = steps
         self.index = index  #: the entries' ``s_r``
 
@@ -215,7 +218,7 @@ class XAssembly(Operator):
         "schedule",
         "descendant_root_opt",
         "steps",
-        "document",
+        "owner",
         "_path",
         "_r",
         "_s",
@@ -240,9 +243,10 @@ class XAssembly(Operator):
         #: the location steps the kernel runs over the I/O operator
         #: ``producer``, one XStep level each
         self.steps = steps
-        #: the document the path runs over and the integer it knows the
-        #: path by: what run and delivery tapes are kept under
-        self.document = document
+        #: the path-id table of the document the path runs over and the
+        #: integer it knows the path by: what run and delivery tapes are
+        #: kept under
+        self.owner = document.path_ids
         self._path = document.path_id(steps)
         self.path_len = path_len
         #: the associated XSchedule, or None when the input is an XScan
@@ -587,14 +591,14 @@ class XAssembly(Operator):
         corrupt page): the walk then trips or raises where it stands, and
         nothing is memoised."""
         tape = run.tape
-        if tape is None or tape.owner is not self.document:
+        if tape is None or tape.owner is not self.owner:
             # (path ids are per document, and an update can leave two
             # documents sharing a page)
             key = (self._path, run.step)
             tape = view.tapes.get(key)
-            if tape is None or tape.owner is not self.document:
+            if tape is None or tape.owner is not self.owner:
                 try:
-                    tape = build_tape(self.document, view, records, self.steps, run.step)
+                    tape = build_tape(self.owner, view, records, self.steps, run.step)
                 except Exception:  # whatever it is, the walk raises it again
                     return None
                 view.keep_tape(key, tape)
@@ -711,7 +715,7 @@ class XAssembly(Operator):
                 break
             calls += 1  # the crossing of the pull it replaces
             tape = run.tape
-            if tape is None or tape.owner is not self.document or limit is not None:
+            if tape is None or tape.owner is not self.owner or limit is not None:
                 tape = self._kept(view, records, run)
                 if tape is None:
                     break
@@ -732,10 +736,10 @@ class XAssembly(Operator):
         document."""
         key = (self._path, step, "delivered")  # beside the run tape's (path, step)
         book = view.tapes.get(key)
-        if book is None or book.owner is not self.document:
+        if book is None or book.owner is not self.owner:
             # (path ids are per document, and an update can leave two
             # documents sharing a page)
-            book = DeliveryTapes(self.document, self.steps, step)
+            book = DeliveryTapes(self.owner, self.steps, step)
             view.keep_tape(key, book)
         return book
 
@@ -800,7 +804,7 @@ class XAssembly(Operator):
             tape = book.get(start)
             if tape is None:
                 try:
-                    tape = build_tape(self.document, view, records, steps, s_r, start)
+                    tape = build_tape(self.owner, view, records, steps, s_r, start)
                 except Exception:  # whatever it is, the walk raises it again
                     break
                 book[start] = tape

@@ -14,6 +14,9 @@ from repro.errors import ReproError
 from repro.model.tags import TEXT_TAG, TagDictionary
 from repro.model.tree import NIL, Kind, LogicalTree
 
+#: the kinds as the tree stores them: plain ints
+_ELEMENT, _TEXT, _ATTRIBUTE = int(Kind.ELEMENT), int(Kind.TEXT), int(Kind.ATTRIBUTE)
+
 
 class TreeBuilder:
     """Incrementally build a document tree.
@@ -36,7 +39,7 @@ class TreeBuilder:
     def start_element(self, name: str, attributes: Sequence[tuple[str, str]] = ()) -> int:
         """Open an element; returns its node id."""
         self._check_open()
-        node = self._attach(Kind.ELEMENT, self.tags.intern(name))
+        node = self._attach(_ELEMENT, self.tags.intern(name))
         self._open.append(node)
         for attr_name, attr_value in attributes:
             self.attribute(attr_name, attr_value)
@@ -52,14 +55,14 @@ class TreeBuilder:
             raise ReproError(
                 f"attribute {name!r} added after content of its element started"
             )
-        node = self._attach(Kind.ATTRIBUTE, self.tags.intern(name), mark_content=False)
+        node = self._attach(_ATTRIBUTE, self.tags.intern(name), mark_content=False)
         self.tree.values[node] = value
         return node
 
     def text(self, content: str) -> int:
         """Attach a text node to the currently open element."""
         self._check_open()
-        node = self._attach(Kind.TEXT, TEXT_TAG)
+        node = self._attach(_TEXT, TEXT_TAG)
         self.tree.values[node] = content
         return node
 
@@ -92,14 +95,23 @@ class TreeBuilder:
         if self._finished:
             raise ReproError("builder already finished")
 
-    def _attach(self, kind: Kind, tag: int, mark_content: bool = True) -> int:
+    def _attach(self, kind: int, tag: int, mark_content: bool = True) -> int:
+        """Append a node under the open element to the tree's five arrays
+        (what :meth:`LogicalTree._append` does for the root) and link it
+        in after the element's last child."""
+        tree = self.tree
         parent = self._open[-1]
-        node = self.tree._append(kind, tag, parent)
+        node = len(tree.kind)
+        tree.kind.append(kind)
+        tree.tag.append(tag)
+        tree.parent.append(parent)
+        tree.first_child.append(NIL)
+        tree.next_sibling.append(NIL)
         prev = self._last_child.get(parent, NIL)
         if prev == NIL:
-            self.tree.first_child[parent] = node
+            tree.first_child[parent] = node
         else:
-            self.tree.next_sibling[prev] = node
+            tree.next_sibling[prev] = node
         self._last_child[parent] = node
         if mark_content:
             self._content_started.add(parent)

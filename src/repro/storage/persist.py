@@ -16,7 +16,7 @@ Format (all integers little-endian)::
     page:     u32 page_no | u32 used_bytes | u32 n_slots | n_slots x record
     record:   u8 kind_tag:
                 0 tombstone
-                1 core: u8 kind | u32 tag | ordpath | i32 parent
+                1 core: u8 kind | u32 tag | i32 parent | ordpath
                         | u32 n_children | children | value?
                 2 border: u64 companion+1 (0 = unpatched) | i32 local
                         | u8 flags (1=down, 2=continuation)
@@ -64,7 +64,7 @@ import zlib
 from typing import TYPE_CHECKING, BinaryIO
 
 from repro.errors import StorageError, StoreCorruptError
-from repro.model.tree import Kind
+from repro.model.tree import KINDS
 from repro.sim.faults import (
     CRASH_CHECKPOINT_RENAME,
     CRASH_CHECKPOINT_TEMP,
@@ -75,7 +75,7 @@ from repro.storage.ordpath import OrdPath
 from repro.storage.page import Page
 from repro.storage.record import BorderRecord, CoreRecord
 from repro.storage.pathsummary import PathSummary
-from repro.storage.store import DocumentStore, StoredDocument
+from repro.storage.store import DocumentStore, StoredDocument, collector_paused
 from repro.storage.synopsis import ClusterSynopsis
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -90,12 +90,9 @@ _HEADER_SUMS = struct.Struct("<QIQ")
 
 
 def _read_exact(inp: BinaryIO, n: int, what: str) -> bytes:
-    """Read exactly ``n`` bytes or raise a typed corruption error.
-
-    Every read in this module funnels through here so a truncated file
-    surfaces as :class:`StoreCorruptError` with offset context instead
-    of a bare :class:`struct.error` from an undersized buffer.
-    """
+    """Read exactly ``n`` bytes of the file header or body, or raise a
+    typed corruption error with offset context (the body itself is parsed
+    by :func:`_read_body`)."""
     data = inp.read(n)
     if len(data) != n:
         offset = inp.tell() - len(data)
@@ -112,11 +109,6 @@ def _write_str(out: BinaryIO, text: str) -> None:
     out.write(data)
 
 
-def _read_str(inp: BinaryIO, what: str) -> str:
-    (length,) = struct.unpack("<H", _read_exact(inp, 2, what))
-    return _read_exact(inp, length, what).decode("utf-8")
-
-
 def _write_value(out: BinaryIO, value: str | None) -> None:
     if value is None:
         out.write(b"\x00")
@@ -127,23 +119,10 @@ def _write_value(out: BinaryIO, value: str | None) -> None:
         out.write(data)
 
 
-def _read_value(inp: BinaryIO) -> str | None:
-    present = _read_exact(inp, 1, "value marker")
-    if present == b"\x00":
-        return None
-    (length,) = struct.unpack("<I", _read_exact(inp, 4, "value length"))
-    return _read_exact(inp, length, "value bytes").decode("utf-8")
-
-
 def _write_bitset(out: BinaryIO, bits: int) -> None:
     data = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
     out.write(struct.pack("<H", len(data)))
     out.write(data)
-
-
-def _read_bitset(inp: BinaryIO) -> int:
-    (length,) = struct.unpack("<H", _read_exact(inp, 2, "bitset length"))
-    return int.from_bytes(_read_exact(inp, length, "bitset bytes"), "little")
 
 
 def _write_synopsis(out: BinaryIO, snapshot: ClusterSynopsis) -> None:
@@ -158,29 +137,6 @@ def _write_synopsis(out: BinaryIO, snapshot: ClusterSynopsis) -> None:
         out.write(struct.pack("<BI", flags, occupancy))
 
 
-def _read_present(inp: BinaryIO, what: str) -> None:
-    """The marker every snapshot block starts with, which is always 1."""
-    marker = _read_exact(inp, 1, what)
-    if marker != b"\x01":
-        raise StoreCorruptError(
-            f"corrupt store file: {what} {marker!r} at offset {inp.tell() - 1}, "
-            "expected b'\\x01'"
-        )
-
-
-def _read_synopsis(inp: BinaryIO) -> ClusterSynopsis:
-    _read_present(inp, "synopsis marker")
-    (n_rows,) = struct.unpack("<I", _read_exact(inp, 4, "synopsis row count"))
-    rows: dict[int, tuple[int, int, int, int]] = {}
-    for _ in range(n_rows):
-        (page_no,) = struct.unpack("<I", _read_exact(inp, 4, "synopsis row header"))
-        tag_bits = _read_bitset(inp)
-        entry_bits = _read_bitset(inp)
-        flags, occupancy = struct.unpack("<BI", _read_exact(inp, 5, "synopsis row"))
-        rows[page_no] = (tag_bits, entry_bits, flags, occupancy)
-    return ClusterSynopsis.from_rows(rows)
-
-
 def _write_pathsummary(out: BinaryIO, summary: PathSummary) -> None:
     out.write(b"\x01")
     pages = summary.page_rows()
@@ -193,31 +149,6 @@ def _write_pathsummary(out: BinaryIO, summary: PathSummary) -> None:
             if chain:
                 out.write(struct.pack(f"<{len(chain)}I", *chain))
             out.write(struct.pack("<BI", kind, rows[(chain, kind)]))
-
-
-def _read_pathsummary(inp: BinaryIO) -> PathSummary:
-    _read_present(inp, "path summary marker")
-    (n_pages,) = struct.unpack("<I", _read_exact(inp, 4, "path summary page count"))
-    pages: dict[int, dict[tuple[tuple[int, ...], int], int]] = {}
-    for _ in range(n_pages):
-        page_no, n_paths = struct.unpack(
-            "<II", _read_exact(inp, 8, "path summary page header")
-        )
-        rows: dict[tuple[tuple[int, ...], int], int] = {}
-        for _ in range(n_paths):
-            (chain_len,) = struct.unpack(
-                "<H", _read_exact(inp, 2, "path chain length")
-            )
-            chain = struct.unpack(
-                f"<{chain_len}I",
-                _read_exact(inp, 4 * chain_len, "path chain tags"),
-            )
-            kind, count = struct.unpack(
-                "<BI", _read_exact(inp, 5, "path row")
-            )
-            rows[(chain, kind)] = count
-        pages[page_no] = rows
-    return PathSummary.from_page_rows(pages)
 
 
 def _write_record(out: BinaryIO, record) -> None:
@@ -251,60 +182,6 @@ def _write_record(out: BinaryIO, record) -> None:
             out.write(struct.pack(f"<{len(record.child_slots)}I", *record.child_slots))
 
 
-def _read_record(inp: BinaryIO):
-    kind_tag = _read_exact(inp, 1, "record tag")
-    if kind_tag == b"\x00":
-        return None
-    if kind_tag == b"\x01":
-        kind, tag, parent_slot = struct.unpack(
-            "<BIi", _read_exact(inp, 9, "core record header")
-        )
-        (n_components,) = struct.unpack(
-            "<H", _read_exact(inp, 2, "ordpath length")
-        )
-        components = struct.unpack(
-            f"<{n_components}i",
-            _read_exact(inp, 4 * n_components, "ordpath components"),
-        )
-        record = CoreRecord(Kind(kind), tag, OrdPath(components), parent_slot)
-        (n_children,) = struct.unpack(
-            "<I", _read_exact(inp, 4, "child-slot count")
-        )
-        if n_children:
-            record.child_slots = list(
-                struct.unpack(
-                    f"<{n_children}I",
-                    _read_exact(inp, 4 * n_children, "child slots"),
-                )
-            )
-        record.value = _read_value(inp)
-        return record
-    if kind_tag == b"\x02":
-        companion_raw, local_slot, flags = struct.unpack(
-            "<QiB", _read_exact(inp, 13, "border record header")
-        )
-        (n_children_raw,) = struct.unpack(
-            "<I", _read_exact(inp, 4, "border child-slot count")
-        )
-        child_slots = None
-        if n_children_raw:
-            n_children = n_children_raw - 1
-            child_slots = list(
-                struct.unpack(
-                    f"<{n_children}I",
-                    _read_exact(inp, 4 * n_children, "border child slots"),
-                )
-            )
-        return BorderRecord(
-            None if companion_raw == 0 else NodeID(companion_raw - 1),
-            local_slot,
-            down=bool(flags & 1),
-            continuation=bool(flags & 2),
-            child_slots=child_slots,
-        )
-    raise StoreCorruptError(f"corrupt store file: unknown record tag {kind_tag!r}")
-
-
 def _write_body(store: DocumentStore, out: BinaryIO) -> None:
     """Serialise tags, pages and catalog."""
     names = store.tags.names()
@@ -328,60 +205,231 @@ def _write_body(store: DocumentStore, out: BinaryIO) -> None:
         _write_pathsummary(out, doc.pathsummary)
 
 
-def _read_body(inp: BinaryIO, page_size: int) -> DocumentStore:
-    """Parse a serialised body into a fresh store."""
-    store = DocumentStore(page_size)
-    (n_tags,) = struct.unpack("<I", _read_exact(inp, 4, "tag count"))
-    for index in range(n_tags):
-        name = _read_str(inp, "tag name")
-        interned = store.tags.intern(name)
-        if interned != index:
-            raise StoreCorruptError(
-                f"corrupt store file: tag {name!r} maps to {interned}, expected {index}"
-            )
-    (n_pages,) = struct.unpack("<I", _read_exact(inp, 4, "page count"))
+# ----------------------------------------------------------------- reading
+#
+# The body is parsed at offsets into one memoryview: each reader takes
+# ``(buf, pos)`` and returns what it read with the offset after it.  A read
+# past the end raises ``struct.error`` or IndexError, which _read_body
+# turns into StoreCorruptError naming the item and the offset it starts at.
+
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+#: a core record after its tag byte: ``u8 kind | u32 tag | i32 parent |
+#: u16 n_components``
+_CORE_HEAD = struct.Struct("<BIiH")
+#: a border record after its tag byte: ``u64 companion+1 | i32 local |
+#: u8 flags | u32 n_children+1``
+_BORDER_HEAD = struct.Struct("<QiBI")
+_PAGE_HEAD = struct.Struct("<III")
+_DOC_HEAD = struct.Struct("<QI")
+_DOC_COUNTS = struct.Struct("<QII")
+_ROW_TAIL = struct.Struct("<BI")
+_SUMMARY_PAGE = struct.Struct("<II")
+#: ``<nI`` and ``<ni`` for the lengths most lists have; longer ones are
+#: compiled when met (:func:`_ints`)
+_PRECOMPILED = 64
+_U32S = tuple(struct.Struct(f"<{n}I") for n in range(_PRECOMPILED))
+_I32S = tuple(struct.Struct(f"<{n}i") for n in range(_PRECOMPILED))
+
+
+def _ints(n: int, signed: bool = False) -> struct.Struct:
+    """The struct of ``n`` little-endian 32-bit integers."""
+    if n < _PRECOMPILED:
+        return (_I32S if signed else _U32S)[n]
+    return struct.Struct(f"<{n}{'i' if signed else 'I'}")
+
+
+def _span(buf: memoryview, pos: int, n: int) -> memoryview:
+    end = pos + n
+    if end > len(buf):
+        raise IndexError(f"{n} byte(s) wanted at offset {pos}, {len(buf) - pos} left")
+    return buf[pos:end]
+
+
+def _read_str(buf: memoryview, pos: int) -> tuple[str, int]:
+    (length,) = _U16.unpack_from(buf, pos)
+    pos += 2
+    return str(_span(buf, pos, length), "utf-8"), pos + length
+
+
+def _read_bitset(buf: memoryview, pos: int) -> tuple[int, int]:
+    (length,) = _U16.unpack_from(buf, pos)
+    pos += 2
+    return int.from_bytes(_span(buf, pos, length), "little"), pos + length
+
+
+def _read_present(buf: memoryview, pos: int, what: str) -> int:
+    """The marker every snapshot block starts with, which is always 1."""
+    if buf[pos] != 1:
+        raise StoreCorruptError(
+            f"corrupt store file: {what} {bytes(buf[pos : pos + 1])!r} at offset {pos}, "
+            "expected b'\\x01'"
+        )
+    return pos + 1
+
+
+def _read_synopsis(buf: memoryview, pos: int) -> tuple[ClusterSynopsis, int]:
+    pos = _read_present(buf, pos, "synopsis marker")
+    (n_rows,) = _U32.unpack_from(buf, pos)
+    pos += 4
+    rows: dict[int, tuple[int, int, int, int]] = {}
+    for _ in range(n_rows):
+        (page_no,) = _U32.unpack_from(buf, pos)
+        tag_bits, pos = _read_bitset(buf, pos + 4)
+        entry_bits, pos = _read_bitset(buf, pos)
+        flags, occupancy = _ROW_TAIL.unpack_from(buf, pos)
+        pos += _ROW_TAIL.size
+        rows[page_no] = (tag_bits, entry_bits, flags, occupancy)
+    return ClusterSynopsis.from_rows(rows), pos
+
+
+def _read_pathsummary(buf: memoryview, pos: int) -> tuple[PathSummary, int]:
+    pos = _read_present(buf, pos, "path summary marker")
+    (n_pages,) = _U32.unpack_from(buf, pos)
+    pos += 4
+    pages: dict[int, dict[tuple[tuple[int, ...], int], int]] = {}
     for _ in range(n_pages):
-        page_no, used_bytes, n_slots = struct.unpack(
-            "<III", _read_exact(inp, 12, "page header")
-        )
-        page = Page(page_no, page_size)
-        for slot in range(n_slots):
-            record = _read_record(inp)
-            page.records.append(record)
-            if record is None:
-                # scanned ascending, so the rebuilt free list is already
-                # in the canonical (sorted) order Page maintains live
-                page.free_slots.append(slot)
-        page.used_bytes = used_bytes
-        store.segment.adopt(page)
-    (n_documents,) = struct.unpack("<I", _read_exact(inp, 4, "document count"))
-    for _ in range(n_documents):
-        name = _read_str(inp, "document name")
-        root, n_page_nos = struct.unpack(
-            "<QI", _read_exact(inp, 12, "document header")
-        )
-        page_nos = list(
-            struct.unpack(
-                f"<{n_page_nos}I",
-                _read_exact(inp, 4 * n_page_nos, "document page numbers"),
+        page_no, n_paths = _SUMMARY_PAGE.unpack_from(buf, pos)
+        pos += _SUMMARY_PAGE.size
+        rows: dict[tuple[tuple[int, ...], int], int] = {}
+        for _ in range(n_paths):
+            (chain_len,) = _U16.unpack_from(buf, pos)
+            pos += 2
+            chain = _ints(chain_len).unpack_from(buf, pos)
+            pos += 4 * chain_len
+            kind, count = _ROW_TAIL.unpack_from(buf, pos)
+            pos += _ROW_TAIL.size
+            rows[(chain, kind)] = count
+        pages[page_no] = rows
+    return PathSummary.from_page_rows(pages), pos
+
+
+def _read_record(buf: memoryview, pos: int):
+    """The record at ``pos`` and the offset after it: one unpack for a
+    record's fixed fields and one per list, each a precompiled struct
+    for the lists most records have (looked up here rather than through
+    :func:`_ints`, which would be two more calls per record)."""
+    marker = buf[pos]
+    if marker == 1:
+        kind, tag, parent_slot, n = _CORE_HEAD.unpack_from(buf, pos + 1)
+        pos += 1 + _CORE_HEAD.size
+        components = (_I32S[n] if n < _PRECOMPILED else _ints(n, True)).unpack_from(buf, pos)
+        pos += 4 * n
+        record = CoreRecord(KINDS[kind], tag, OrdPath(components), parent_slot)
+        (n,) = _U32.unpack_from(buf, pos)
+        pos += 4
+        if n:
+            record.child_slots = list(
+                (_U32S[n] if n < _PRECOMPILED else _ints(n)).unpack_from(buf, pos)
             )
+            pos += 4 * n
+        if not buf[pos]:
+            return record, pos + 1
+        (n,) = _U32.unpack_from(buf, pos + 1)
+        start = pos + 5
+        pos = start + n
+        if pos > len(buf):
+            raise IndexError(f"value of {n} byte(s) at offset {start} runs past the end")
+        record.value = str(buf[start:pos], "utf-8")
+        return record, pos
+    if marker == 2:
+        companion, local_slot, flags, n = _BORDER_HEAD.unpack_from(buf, pos + 1)
+        pos += 1 + _BORDER_HEAD.size
+        child_slots = None
+        if n:
+            n -= 1
+            child_slots = list(_ints(n).unpack_from(buf, pos))
+            pos += 4 * n
+        record = BorderRecord(
+            None if companion == 0 else NodeID(companion - 1),
+            local_slot,
+            down=bool(flags & 1),
+            continuation=bool(flags & 2),
+            child_slots=child_slots,
         )
-        n_nodes, borders, continuations = struct.unpack(
-            "<QII", _read_exact(inp, 16, "document counters")
-        )
-        synopsis = _read_synopsis(inp)
-        pathsummary = _read_pathsummary(inp)
-        store.documents[name] = StoredDocument(
-            name=name,
-            root=NodeID(root),
-            page_nos=page_nos,
-            n_nodes=n_nodes,
-            n_border_pairs=borders,
-            n_continuations=continuations,
-            import_result=None,  # type: ignore[arg-type]
-            synopsis=synopsis,
-            pathsummary=pathsummary,
-        )
+        return record, pos
+    if marker == 0:
+        return None, pos + 1
+    raise StoreCorruptError(
+        f"corrupt store file: unknown record tag {bytes([marker])!r} at offset {pos}"
+    )
+
+
+def _read_body(body: bytes, page_size: int) -> DocumentStore:
+    """Parse a serialised body into a fresh store.
+
+    ``pos`` moves past an item only once it is read whole, so a body cut
+    short (or damaged behind a matching checksum) raises
+    :class:`StoreCorruptError` naming the item it cuts and its offset.
+    """
+    buf = memoryview(body)
+    store = DocumentStore(page_size)
+    pos, what = 0, "tag count"
+    try:
+        (n_tags,) = _U32.unpack_from(buf, pos)
+        pos += 4
+        what = "tag name"
+        for index in range(n_tags):
+            name, pos = _read_str(buf, pos)
+            interned = store.tags.intern(name)
+            if interned != index:
+                raise StoreCorruptError(
+                    f"corrupt store file: tag {name!r} maps to {interned}, expected {index}"
+                )
+        what = "page count"
+        (n_pages,) = _U32.unpack_from(buf, pos)
+        pos += 4
+        for _ in range(n_pages):
+            what = "page header"
+            page_no, used_bytes, n_slots = _PAGE_HEAD.unpack_from(buf, pos)
+            pos += _PAGE_HEAD.size
+            what = f"record of page {page_no}"
+            page = Page(page_no, page_size)
+            records = page.records
+            for slot in range(n_slots):
+                record, pos = _read_record(buf, pos)
+                records.append(record)
+                if record is None:
+                    # scanned ascending, so the rebuilt free list is already
+                    # in the canonical (sorted) order Page maintains live
+                    page.free_slots.append(slot)
+            page.used_bytes = used_bytes
+            store.segment.adopt(page)
+        what = "document count"
+        (n_documents,) = _U32.unpack_from(buf, pos)
+        pos += 4
+        for _ in range(n_documents):
+            what = "document name"
+            name, pos = _read_str(buf, pos)
+            what = "document header"
+            root, n_page_nos = _DOC_HEAD.unpack_from(buf, pos)
+            pos += _DOC_HEAD.size
+            what = "document page numbers"
+            page_nos = list(_ints(n_page_nos).unpack_from(buf, pos))
+            pos += 4 * n_page_nos
+            what = "document counters"
+            n_nodes, borders, continuations = _DOC_COUNTS.unpack_from(buf, pos)
+            pos += _DOC_COUNTS.size
+            what = "synopsis"
+            synopsis, pos = _read_synopsis(buf, pos)
+            what = "path summary"
+            pathsummary, pos = _read_pathsummary(buf, pos)
+            store.documents[name] = StoredDocument(
+                name=name,
+                root=NodeID(root),
+                page_nos=page_nos,
+                n_nodes=n_nodes,
+                n_border_pairs=borders,
+                n_continuations=continuations,
+                import_result=None,  # type: ignore[arg-type]
+                synopsis=synopsis,
+                pathsummary=pathsummary,
+            )
+    except (struct.error, IndexError) as error:
+        raise StoreCorruptError(
+            f"truncated store data: {what} at offset {pos} of the "
+            f"{len(buf)}-byte body ({error})"
+        ) from None
     return store
 
 
@@ -452,6 +500,7 @@ def load_store(path: str) -> DocumentStore:
                 f"store body checksum mismatch in {path}: the checkpoint "
                 "image is torn or damaged"
             )
-        store = _read_body(io.BytesIO(body), page_size)
+        with collector_paused():
+            store = _read_body(body, page_size)
         store.checkpoint_lsn = checkpoint_lsn
         return store

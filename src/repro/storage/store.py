@@ -12,6 +12,8 @@ there is no statistics sweep of its own over tree or records.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.errors import StorageError, StoreCorruptError
@@ -28,6 +30,34 @@ from repro.storage.synopsis import ClusterSynopsis
 #: How many location paths one document keeps interned; one more drops
 #: them all (:meth:`StoredDocument.path_id`).
 PATH_ID_LIMIT = 256
+
+
+@contextmanager
+def collector_paused():
+    """Run the body with CPython's cyclic garbage collector disabled, and
+    enable it again afterwards if it was enabled before (also when the
+    body raises).
+
+    For the two bulk builders, :meth:`DocumentStore.import_document` and
+    :func:`repro.storage.persist.load_store`.  Each allocates a few
+    tracked objects per node (a record, its child-slot list, an ORDPATH
+    and its components), and that count alone sets off hundreds of
+    collections per document, full passes among them, while the builders
+    make no reference cycles: every one of those collections frees
+    nothing (``gc.callbacks`` report 0 collected).  Pausing the collector
+    only postpones collection, so nothing is lost; the program's own
+    structures leave no cyclic garbage behind either (a finished query
+    and a dropped store are freed by reference counting), so the pause
+    defers nothing else.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 @dataclass
@@ -171,10 +201,12 @@ class DocumentStore:
                 f"import page size {opts.page_size} differs from segment "
                 f"page size {self.segment.page_size}"
             )
-        result = import_tree(tree, opts, first_page_no=self.segment.n_pages)
-        for page in result.pages:
-            self.segment.adopt(page)
-        summary = PathSummary.collect_from_tree(tree, result.node_page)
+        with collector_paused():
+            result = import_tree(tree, opts, first_page_no=self.segment.n_pages)
+            for page in result.pages:
+                self.segment.adopt(page)
+            summary = PathSummary.collect_from_tree(tree, result.node_page)
+            synopsis = ClusterSynopsis.collect(result.pages)
         doc = StoredDocument(
             name=name,
             root=result.root,
@@ -184,7 +216,7 @@ class DocumentStore:
             n_continuations=result.n_continuations,
             import_result=result,
             statistics=DocumentStatistics.from_summary(summary),
-            synopsis=ClusterSynopsis.collect(result.pages),
+            synopsis=synopsis,
             pathsummary=summary,
         )
         self.documents[name] = doc

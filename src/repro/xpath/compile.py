@@ -374,9 +374,15 @@ class CompiledQuery:
                 return float(lv == rv if op == "=" else lv != rv)
             return lv + rv if op == "+" else lv - rv
 
-        if _is_node_set(self.expr):
-            return None, order_results(ctx, nodes(self.expr))
-        return value(self.expr), None
+        try:
+            if _is_node_set(self.expr):
+                return None, order_results(ctx, nodes(self.expr))
+            return value(self.expr), None
+        finally:
+            # ``value`` calls itself through its own cell, a cycle that
+            # would hold ``ctx`` (its frames, I/O system and clock) until
+            # the collector ran: emptying the cell frees them on return
+            del value
 
     # ----------------------------------------------------------- explain
 
@@ -599,7 +605,10 @@ def compile_query(
             return (node.op, left, right)
         raise UnsupportedQueryError(f"unsupported expression {node!r}")
 
-    compiled = walk(expr)
+    try:
+        compiled = walk(expr)
+    finally:
+        del walk  # the same cycle as ``CompiledQuery.evaluate``'s ``value``
     return CompiledQuery(
         expr=compiled,
         query=str(expr),

@@ -686,7 +686,7 @@ def test_an_s_entry_is_grown_by_replacing_it():
         limit = None if fallbacks == 0 else parked + parked // 2
         held, booked = golden.drain_twice(db, page, steps, limit)
         (tape,) = page.colview().tapes.values()
-        assert build_tape(doc, page.colview(), page.records, steps, 0) == tape
+        assert build_tape(doc.path_ids, page.colview(), page.records, steps, 0) == tape
         assert booked[2]["fallbacks"] == fallbacks
         assert fallbacks or sum(held) == 2 * parked
         assert golden.other(f"twice/{name}") == golden.row(f"twice/{name}")

@@ -448,9 +448,9 @@ def twice_setup(db):
     steps = db.prepare("/descendant::a/descendant::b", "d", "xscan").leaves[0][0].steps
     page = max(
         map(db.store.segment.page, doc.page_nos),
-        key=lambda p: build_tape(doc, p.colview(), p.records, steps, 0).parked,
+        key=lambda p: build_tape(doc.path_ids, p.colview(), p.records, steps, 0).parked,
     )
-    return page, steps, build_tape(doc, page.colview(), page.records, steps, 0).parked
+    return page, steps, build_tape(doc.path_ids, page.colview(), page.records, steps, 0).parked
 
 
 def drain_twice(db, page, steps, memory_limit) -> tuple:
@@ -670,7 +670,7 @@ def resident_deliveries() -> list:
                 in_place = 0
                 for s_r, _, n_l, _, target, _ in schedule._parked:
                     page = db.store.segment.page(page_of(target))
-                    tape = build_tape(document, page.colview(), page.records, plan.steps, s_r)
+                    tape = build_tape(document.path_ids, page.colview(), page.records, plan.steps, s_r)
                     unparked = all(key != (s_r, target) for key, *_ in tape.walked)
                     in_place += n_l is not None and unparked
                 seen.append({
@@ -719,7 +719,7 @@ def replayed_runs() -> dict:
 
     def walked(steps, page_no, step):
         page = db.store.segment.page(page_no)
-        return build_tape(document, page.colview(), page.records, steps, step).walked
+        return build_tape(document.path_ids, page.colview(), page.records, steps, step).walked
 
     def outcomes(steps, runs, full=False):
         return sum(
