@@ -73,8 +73,8 @@ class RunTape(NamedTuple):
     """What the kernel's walk of one entry run comes to (:func:`build_tape`)."""
 
     #: the path-id table (:attr:`StoredDocument.path_ids`) that numbered
-    #: the path: a page's tapes name no document, so a dropped store is
-    #: no reference cycle
+    #: the path; not the document, which lists its pages, so that no page
+    #: is on a reference cycle with it
     owner: dict
     steps: Sequence[CompiledStep]  #: the path, and
     index: int  #: the run's step: what the tape was built for
