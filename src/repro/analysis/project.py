@@ -314,11 +314,23 @@ def _callee_text(func: ast.expr) -> str:
         return "<call>"
 
 
+#: set algebra keeps its left operand's type: ``set(a) - b`` is a set
+_SET_OPERATORS = (ast.Sub, ast.BitOr, ast.BitAnd, ast.BitXor)
+_SET_METHODS = frozenset({"union", "difference", "intersection", "symmetric_difference"})
+
+
 def _is_set_expr(value: ast.expr) -> bool:
     if isinstance(value, (ast.Set, ast.SetComp)):
         return True
+    if isinstance(value, ast.BinOp):
+        return isinstance(value.op, _SET_OPERATORS) and _is_set_expr(value.left)
+    if not isinstance(value, ast.Call):
+        return False
+    func = value.func
+    if isinstance(func, ast.Name):
+        return func.id in ("set", "frozenset")
     return (
-        isinstance(value, ast.Call)
-        and isinstance(value.func, ast.Name)
-        and value.func.id in ("set", "frozenset")
+        isinstance(func, ast.Attribute)
+        and func.attr in _SET_METHODS
+        and _is_set_expr(func.value)
     )

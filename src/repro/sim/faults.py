@@ -179,8 +179,10 @@ class FaultPlan:
 #: leaving a torn write for recovery to detect.
 CRASH_WAL_APPEND = "wal-append"  #: appending one WAL entry
 CRASH_PAGE_WRITE = "page-write"  #: writing one page-sized checkpoint chunk
-CRASH_CHECKPOINT_TEMP = "checkpoint-temp"  #: temp image written + fsynced
-CRASH_CHECKPOINT_RENAME = "checkpoint-rename"  #: temp image installed (post-rename)
+#: staged image written + fsynced (a WAL checkpoint has also given the
+#: image it replaces a second link: see persist.save_checkpoint)
+CRASH_CHECKPOINT_TEMP = "checkpoint-temp"
+CRASH_CHECKPOINT_RENAME = "checkpoint-rename"  #: staged image installed (post-rename)
 CRASH_WAL_TRUNCATE = "wal-truncate"  #: resetting the log after a checkpoint
 CRASH_UPDATE_APPLY = "update-apply"  #: mid-flight inside a structural update
 

@@ -47,7 +47,14 @@ cluster postings are re-aggregated at load).  The writer always marks
 both present, and a block marked otherwise is corrupt.
 :func:`save_store` is atomic: the image is written to ``path + ".tmp"``,
 fsynced, then installed with :func:`os.replace`, so a crash mid-save
-leaves the previous checkpoint intact.
+leaves the previous checkpoint intact.  The WAL's checkpoint installs
+its image with :func:`save_checkpoint`, which is as atomic but frees no
+disk blocks: it stages the image in a spare file the WAL keeps beside
+the store (the image the previous checkpoint replaced, overwritten in
+place) and keeps the image it replaces, linked under a second name
+until it is renamed into the spare.  The price is one more image on
+disk.  The body is serialised in one pass, with precompiled structs
+shared with the reader.
 
 Statistics and import results are not persisted; use
 :func:`repro.storage.store.recollect_statistics` after loading if the
@@ -103,115 +110,12 @@ def _read_exact(inp: BinaryIO, n: int, what: str) -> bytes:
     return data
 
 
-def _write_str(out: BinaryIO, text: str) -> None:
-    data = text.encode("utf-8")
-    out.write(struct.pack("<H", len(data)))
-    out.write(data)
-
-
-def _write_value(out: BinaryIO, value: str | None) -> None:
-    if value is None:
-        out.write(b"\x00")
-    else:
-        data = value.encode("utf-8")
-        out.write(b"\x01")
-        out.write(struct.pack("<I", len(data)))
-        out.write(data)
-
-
-def _write_bitset(out: BinaryIO, bits: int) -> None:
-    data = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
-    out.write(struct.pack("<H", len(data)))
-    out.write(data)
-
-
-def _write_synopsis(out: BinaryIO, snapshot: ClusterSynopsis) -> None:
-    out.write(b"\x01")
-    rows = snapshot.rows()
-    out.write(struct.pack("<I", len(rows)))
-    for page_no in sorted(rows):
-        tag_bits, entry_bits, flags, occupancy = rows[page_no]
-        out.write(struct.pack("<I", page_no))
-        _write_bitset(out, tag_bits)
-        _write_bitset(out, entry_bits)
-        out.write(struct.pack("<BI", flags, occupancy))
-
-
-def _write_pathsummary(out: BinaryIO, summary: PathSummary) -> None:
-    out.write(b"\x01")
-    pages = summary.page_rows()
-    out.write(struct.pack("<I", len(pages)))
-    for page_no in sorted(pages):
-        rows = pages[page_no]
-        out.write(struct.pack("<II", page_no, len(rows)))
-        for chain, kind in sorted(rows):
-            out.write(struct.pack("<H", len(chain)))
-            if chain:
-                out.write(struct.pack(f"<{len(chain)}I", *chain))
-            out.write(struct.pack("<BI", kind, rows[(chain, kind)]))
-
-
-def _write_record(out: BinaryIO, record) -> None:
-    if record is None:
-        out.write(b"\x00")
-        return
-    if isinstance(record, CoreRecord):
-        out.write(b"\x01")
-        out.write(struct.pack("<BIi", int(record.kind), record.tag, record.parent_slot))
-        components = record.ordpath.components
-        out.write(struct.pack("<H", len(components)))
-        out.write(struct.pack(f"<{len(components)}i", *components))
-        out.write(struct.pack("<I", len(record.child_slots)))
-        if record.child_slots:
-            out.write(struct.pack(f"<{len(record.child_slots)}I", *record.child_slots))
-        _write_value(out, record.value)
-        return
-    if not isinstance(record, BorderRecord):
-        raise StoreCorruptError(
-            f"unserialisable record type {type(record).__name__} in segment"
-        )
-    out.write(b"\x02")
-    companion = 0 if record.companion is None else int(record.companion) + 1
-    flags = (1 if record.down else 0) | (2 if record.continuation else 0)
-    out.write(struct.pack("<QiB", companion, record.local_slot, flags))
-    if record.child_slots is None:
-        out.write(struct.pack("<I", 0))
-    else:
-        out.write(struct.pack("<I", len(record.child_slots) + 1))
-        if record.child_slots:
-            out.write(struct.pack(f"<{len(record.child_slots)}I", *record.child_slots))
-
-
-def _write_body(store: DocumentStore, out: BinaryIO) -> None:
-    """Serialise tags, pages and catalog."""
-    names = store.tags.names()
-    out.write(struct.pack("<I", len(names)))
-    for name in names:
-        _write_str(out, name)
-    out.write(struct.pack("<I", store.segment.n_pages))
-    for page in store.segment.pages():
-        out.write(struct.pack("<III", page.page_no, page.used_bytes, len(page.records)))
-        for record in page.records:
-            _write_record(out, record)
-    out.write(struct.pack("<I", len(store.documents)))
-    for doc in store.documents.values():
-        _write_str(out, doc.name)
-        out.write(struct.pack("<QI", int(doc.root), len(doc.page_nos)))
-        out.write(struct.pack(f"<{len(doc.page_nos)}I", *doc.page_nos))
-        out.write(
-            struct.pack("<QII", doc.n_nodes, doc.n_border_pairs, doc.n_continuations)
-        )
-        _write_synopsis(out, doc.synopsis)
-        _write_pathsummary(out, doc.pathsummary)
-
-
-# ----------------------------------------------------------------- reading
+# ------------------------------------------------------------------ formats
 #
-# The body is parsed at offsets into one memoryview: each reader takes
-# ``(buf, pos)`` and returns what it read with the offset after it.  A read
-# past the end raises ``struct.error`` or IndexError, which _read_body
-# turns into StoreCorruptError naming the item and the offset it starts at.
+# One struct per fixed run of fields, shared by the writer and the reader.
 
+#: after the magic: ``u16 version | u32 page_size``
+_HEADER_HEAD = struct.Struct("<HI")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 #: a core record after its tag byte: ``u8 kind | u32 tag | i32 parent |
@@ -225,11 +129,21 @@ _DOC_HEAD = struct.Struct("<QI")
 _DOC_COUNTS = struct.Struct("<QII")
 _ROW_TAIL = struct.Struct("<BI")
 _SUMMARY_PAGE = struct.Struct("<II")
+#: a present value's head: ``u8 1 | u32 len``
+_VALUE_HEAD = struct.Struct("<BI")
 #: ``<nI`` and ``<ni`` for the lengths most lists have; longer ones are
 #: compiled when met (:func:`_ints`)
 _PRECOMPILED = 64
 _U32S = tuple(struct.Struct(f"<{n}I") for n in range(_PRECOMPILED))
 _I32S = tuple(struct.Struct(f"<{n}i") for n in range(_PRECOMPILED))
+#: the writer packs a record's tag byte with its fixed fields (``B`` +
+#: ``_BORDER_HEAD``; ``B`` + ``_CORE_HEAD`` + the n ORDPATH components),
+#: and a child list with its count (``u32 n | n x u32``); the structs for
+#: the lengths met are compiled on first use (:func:`_core_record`,
+#: :func:`_counted`)
+_BORDER_RECORD = struct.Struct(f"<B{_BORDER_HEAD.format[1:]}")
+_CORE_RECORDS: dict[int, struct.Struct] = {}
+_COUNTED_U32S: dict[int, struct.Struct] = {}
 
 
 def _ints(n: int, signed: bool = False) -> struct.Struct:
@@ -237,6 +151,162 @@ def _ints(n: int, signed: bool = False) -> struct.Struct:
     if n < _PRECOMPILED:
         return (_I32S if signed else _U32S)[n]
     return struct.Struct(f"<{n}{'i' if signed else 'I'}")
+
+
+# ----------------------------------------------------------------- writing
+#
+# The body is serialised in one pass into one buffer: the header ahead of
+# it carries the body's CRC32 and length, so the image is written to its
+# file once the body is whole (:func:`_write_image`).
+
+
+def _write_str(out: BinaryIO, text: str) -> None:
+    data = text.encode("utf-8")
+    out.write(_U16.pack(len(data)))
+    out.write(data)
+
+
+def _write_bitset(out: BinaryIO, bits: int) -> None:
+    data = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+    out.write(_U16.pack(len(data)))
+    out.write(data)
+
+
+def _write_synopsis(out: BinaryIO, snapshot: ClusterSynopsis) -> None:
+    out.write(b"\x01")
+    rows = snapshot.rows()
+    out.write(_U32.pack(len(rows)))
+    for page_no in sorted(rows):
+        tag_bits, entry_bits, flags, occupancy = rows[page_no]
+        out.write(_U32.pack(page_no))
+        _write_bitset(out, tag_bits)
+        _write_bitset(out, entry_bits)
+        out.write(_ROW_TAIL.pack(flags, occupancy))
+
+
+def _write_pathsummary(out: BinaryIO, summary: PathSummary) -> None:
+    out.write(b"\x01")
+    pages = summary.page_rows()
+    out.write(_U32.pack(len(pages)))
+    for page_no in sorted(pages):
+        rows = pages[page_no]
+        out.write(_SUMMARY_PAGE.pack(page_no, len(rows)))
+        for chain, kind in sorted(rows):
+            out.write(_U16.pack(len(chain)))
+            out.write(_ints(len(chain)).pack(*chain))
+            out.write(_ROW_TAIL.pack(kind, rows[(chain, kind)]))
+
+
+def _write_records(out: BinaryIO, records: list) -> None:
+    """One page's records.  A core record is one pack for its fixed
+    fields and ORDPATH, one for its child list and one or two for its
+    value."""
+    write = out.write
+    core_record, counted = _CORE_RECORDS.get, _COUNTED_U32S.get
+    for record in records:
+        if record is None:
+            write(b"\x00")
+        elif isinstance(record, CoreRecord):
+            components = record.ordpath.components
+            n = len(components)
+            fixed = core_record(n) or _core_record(n)
+            write(fixed.pack(1, record.kind, record.tag, record.parent_slot, n, *components))
+            children = record.child_slots
+            n = len(children)
+            write((counted(n) or _counted(n)).pack(n, *children))
+            value = record.value
+            if value is None:
+                write(b"\x00")
+            else:
+                data = value.encode("utf-8")
+                write(_VALUE_HEAD.pack(1, len(data)))
+                write(data)
+        elif isinstance(record, BorderRecord):
+            companion = 0 if record.companion is None else record.companion + 1
+            flags = (1 if record.down else 0) | (2 if record.continuation else 0)
+            children = record.child_slots
+            if children is None:
+                write(_BORDER_RECORD.pack(2, companion, record.local_slot, flags, 0))
+            else:
+                n = len(children)
+                write(_BORDER_RECORD.pack(2, companion, record.local_slot, flags, n + 1))
+                write(_ints(n).pack(*children))
+        else:
+            raise StoreCorruptError(
+                f"unserialisable record type {type(record).__name__} in segment"
+            )
+
+
+def _core_record(n: int) -> struct.Struct:
+    packer = _CORE_RECORDS[n] = struct.Struct(f"<B{_CORE_HEAD.format[1:]}{n}i")
+    return packer
+
+
+def _counted(n: int) -> struct.Struct:
+    packer = _COUNTED_U32S[n] = struct.Struct(f"<I{n}I")
+    return packer
+
+
+def _write_body(store: DocumentStore, out: BinaryIO) -> None:
+    """Serialise tags, pages and catalog."""
+    names = store.tags.names()
+    out.write(_U32.pack(len(names)))
+    for name in names:
+        _write_str(out, name)
+    out.write(_U32.pack(store.segment.n_pages))
+    for page in store.segment.pages():
+        records = page.records
+        out.write(_PAGE_HEAD.pack(page.page_no, page.used_bytes, len(records)))
+        _write_records(out, records)
+    out.write(_U32.pack(len(store.documents)))
+    for doc in store.documents.values():
+        _write_str(out, doc.name)
+        out.write(_DOC_HEAD.pack(doc.root, len(doc.page_nos)))
+        out.write(_ints(len(doc.page_nos)).pack(*doc.page_nos))
+        out.write(_DOC_COUNTS.pack(doc.n_nodes, doc.n_border_pairs, doc.n_continuations))
+        _write_synopsis(out, doc.synopsis)
+        _write_pathsummary(out, doc.pathsummary)
+
+
+def _write_image(
+    store: DocumentStore, out: BinaryIO, crash: "CrashInjector | None"
+) -> None:
+    """Write the whole image from the start of ``out``, cut the file to
+    its length if it was longer, and fsync it.
+
+    Without an injector the body goes out in one write; with one it goes
+    in page-sized chunks through
+    :meth:`~repro.sim.faults.CrashInjector.write`, each a ``page-write``
+    crash point.
+    """
+    body_io = io.BytesIO()
+    _write_body(store, body_io)
+    body = body_io.getbuffer()
+    page_size = store.segment.page_size
+    out.write(
+        _MAGIC
+        + _HEADER_HEAD.pack(_VERSION, page_size)
+        + _HEADER_SUMS.pack(store.checkpoint_lsn, zlib.crc32(body), len(body))
+    )
+    if crash is None:
+        out.write(body)
+    else:
+        for start in range(0, len(body), page_size):
+            crash.write(CRASH_PAGE_WRITE, out, body[start : start + page_size])
+    if os.fstat(out.fileno()).st_size > out.tell():
+        out.truncate()
+    out.flush()
+    os.fsync(out.fileno())
+
+
+# ----------------------------------------------------------------- reading
+#
+# The body is parsed at offsets into one memoryview: each reader takes
+# ``(buf, pos)`` and returns what it read with the offset after it.  A read
+# past the end raises ``struct.error`` or IndexError, and a damaged item
+# ValueError (an ORDPATH that ends in an even component, bytes that are
+# not UTF-8); _read_body turns each into StoreCorruptError naming the item
+# and the offset it starts at.
 
 
 def _span(buf: memoryview, pos: int, n: int) -> memoryview:
@@ -430,50 +500,106 @@ def _read_body(body: bytes, page_size: int) -> DocumentStore:
             f"truncated store data: {what} at offset {pos} of the "
             f"{len(buf)}-byte body ({error})"
         ) from None
+    except ValueError as error:
+        raise StoreCorruptError(
+            f"damaged store data: {what} at offset {pos} of the "
+            f"{len(buf)}-byte body ({error})"
+        ) from None
     return store
 
 
-def save_store(
-    store: DocumentStore, path: str, *, crash: "CrashInjector | None" = None
-) -> None:
+def save_store(store: DocumentStore, path: str) -> None:
     """Atomically write the whole store (segment + catalog) to ``path``.
 
-    The image is staged at ``path + ".tmp"``, flushed and fsynced, then
-    installed over ``path`` with :func:`os.replace` — a crash at any
-    point leaves either the old file or the new file, never a torn mix.
-    The header's CRC32 additionally catches a torn *temp* file that a
-    later recovery might be pointed at.
+    The image is staged at ``path + ".tmp"``, fsynced, then installed
+    over ``path`` with :func:`os.replace` — a crash at any point leaves
+    either the old file or the new file, never a torn mix.  The header's
+    CRC32 additionally catches a torn *temp* file that a later recovery
+    might be pointed at.  The replace drops the old image's last link,
+    which frees its blocks.  The WAL writes its images with
+    :func:`save_checkpoint` instead, which keeps the image it replaces
+    as its next staging file, at the cost of one more image on disk.
+    """
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as out:
+        _write_image(store, out, None)
+    os.replace(tmp, path)
+
+
+def save_checkpoint(
+    store: DocumentStore,
+    path: str,
+    spare: str,
+    *,
+    crash: "CrashInjector | None" = None,
+) -> None:
+    """Atomically write the store to ``path`` through the staging file
+    ``spare``, and keep the image it replaces as the next ``spare``.
+
+    Dropping the last link of a file frees its blocks, which on a
+    filesystem that discards freed blocks costs tens of milliseconds
+    however small the file; this install drops none:
+
+    1. the image is written over ``spare`` in place (created if missing,
+       cut only if it was longer) and fsynced;
+    2. the image at ``path`` is linked as ``path + ".prev"``;
+    3. ``spare`` replaces ``path``, and the old image keeps its second
+       link;
+    4. ``path + ".prev"`` is renamed to ``spare``.
+
+    ``path`` names a complete, fsynced image at every instant, and
+    :func:`load_store` never reads ``spare``.  A crash leaves at most
+    ``path + ".prev"`` behind, which the next call settles first: a
+    second link of ``path`` is dropped (which frees nothing), the only
+    link of a replaced image becomes the spare.  Where the filesystem
+    refuses the link (or ``path`` does not exist yet), step 3 drops the
+    old image as :func:`save_store` does and the next call stages into a
+    new spare.
 
     ``crash`` is the deterministic kill switch for recovery tests: body
     chunks (one simulated page each) are routed through
-    :meth:`~repro.sim.faults.CrashInjector.write` and the
-    ``checkpoint-temp`` / ``checkpoint-rename`` steps are announced, so
-    a :class:`~repro.sim.faults.CrashPoint` can die at any stage of the
-    checkpoint.
+    :meth:`~repro.sim.faults.CrashInjector.write` (``page-write``), and
+    ``checkpoint-temp`` is announced after step 2 and
+    ``checkpoint-rename`` after step 3, so a
+    :class:`~repro.sim.faults.CrashPoint` can die at any stage.
     """
-    body_io = io.BytesIO()
-    _write_body(store, body_io)
-    body = body_io.getvalue()
-    page_size = store.segment.page_size
-    header = _MAGIC + struct.pack("<HI", _VERSION, page_size) + _HEADER_SUMS.pack(
-        store.checkpoint_lsn, zlib.crc32(body), len(body)
-    )
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as out:
-        out.write(header)
-        for start in range(0, len(body), page_size):
-            chunk = body[start : start + page_size]
-            if crash is not None:
-                crash.write(CRASH_PAGE_WRITE, out, chunk)
-            else:
-                out.write(chunk)
-        out.flush()
-        os.fsync(out.fileno())
+    previous = path + ".prev"
+    _settle_previous(path, previous, spare)
+    try:
+        out = open(spare, "r+b")
+    except FileNotFoundError:
+        out = open(spare, "wb")
+    with out:
+        _write_image(store, out, crash)
+    try:
+        os.link(path, previous)
+        linked = True
+    except OSError:
+        linked = False
     if crash is not None:
         crash.check(CRASH_CHECKPOINT_TEMP)
-    os.replace(tmp, path)
+    os.replace(spare, path)
     if crash is not None:
         crash.check(CRASH_CHECKPOINT_RENAME)
+    if linked:
+        os.replace(previous, spare)
+
+
+def _settle_previous(path: str, previous: str, spare: str) -> None:
+    """Drop or adopt the ``previous`` name an interrupted
+    :func:`save_checkpoint` left behind."""
+    try:
+        left = os.stat(previous)
+    except FileNotFoundError:
+        return
+    try:
+        second_link = os.path.samestat(left, os.stat(path))
+    except FileNotFoundError:
+        second_link = False
+    if second_link:
+        os.remove(previous)
+    else:
+        os.replace(previous, spare)
 
 
 def load_store(path: str) -> DocumentStore:
@@ -486,8 +612,8 @@ def load_store(path: str) -> DocumentStore:
     with open(path, "rb") as inp:
         if inp.read(4) != _MAGIC:
             raise StorageError(f"{path} is not a repro store file")
-        version, page_size = struct.unpack(
-            "<HI", _read_exact(inp, 6, "store header")
+        version, page_size = _HEADER_HEAD.unpack(
+            _read_exact(inp, _HEADER_HEAD.size, "store header")
         )
         if version != _VERSION:
             raise StorageError(f"unsupported store version {version}")

@@ -29,11 +29,22 @@ redo-only design, adapted to the repository's determinism rules:
 
 * **Checkpoint = atomic whole-image save.**  :meth:`WriteAheadLog.checkpoint`
   stamps the store's ``checkpoint_lsn`` and writes the image through the
-  atomic :func:`~repro.storage.persist.save_store` (temp file, fsync,
-  rename), then resets the log.  A crash anywhere in that sequence
-  leaves either the old image + full log, or the new image + a log whose
-  entries are all already covered (replay skips ``lsn <=
+  atomic :func:`~repro.storage.persist.save_checkpoint` (staging file,
+  fsync, rename), then resets the log.  A crash anywhere in that
+  sequence leaves either the old image + full log, or the new image + a
+  log whose entries are all already covered (replay skips ``lsn <=
   checkpoint_lsn``), or the new image + an empty log.
+
+* **A recycled staging file.**  The WAL owns a spare file beside the
+  store, ``store_path + ".spare"``, as it owns its log.  Every image it
+  writes (:meth:`WriteAheadLog.create` and each checkpoint) is
+  overwritten into the spare in place, and the image it replaces is
+  renamed into the spare rather than deleted: dropping a file's last
+  link frees its blocks, which on a filesystem that discards them costs
+  tens of milliseconds per checkpoint.  The disk holds one more image
+  for it.  Recovery never reads the spare; a second name a crash leaves
+  mid-install (``store_path + ".prev"``) is settled by the next
+  checkpoint.  The log reset still truncates the log file.
 
 * **Snapshots repaired by the update layer.**  Every update operation,
   logged or not, patches the document's cluster synopsis and path
@@ -79,7 +90,7 @@ from repro.errors import StorageError, StoreCorruptError, WalCorruptError
 from repro.model.tree import Kind
 from repro.sim.faults import CRASH_WAL_APPEND, CRASH_WAL_TRUNCATE
 from repro.storage.nodeid import NodeID
-from repro.storage.persist import load_store, save_store
+from repro.storage.persist import load_store, save_checkpoint
 from repro.storage.store import DocumentStore
 from repro.storage.update import _touched_pages, delete_subtree, insert_node, update_value
 
@@ -313,9 +324,12 @@ def recover_store(
 
     ``path`` is the checkpoint image; the log defaults to
     ``path + ".wal"``.  A leftover ``path + ".tmp"`` from an interrupted
-    checkpoint is deleted (it is never a source of truth — the rename
-    either happened, making it ``path``, or the old image is intact).  A
-    missing log file means no updates ran since the last checkpoint.
+    :func:`~repro.storage.persist.save_store` is deleted (it is never a
+    source of truth — the rename either happened, making it ``path``, or
+    the old image is intact).  The WAL's spare and a leftover
+    ``path + ".prev"`` are neither read nor removed here: the next
+    checkpoint recycles them.  A missing log file means no updates ran
+    since the last checkpoint.
 
     Returns the recovered store and a :class:`RecoveryReport`.  The
     recovered store matches the uncrashed store after its first
@@ -400,6 +414,7 @@ class WriteAheadLog:
         "store",
         "store_path",
         "wal_path",
+        "spare_path",
         "checkpoint_every",
         "crash",
         "_out",
@@ -426,6 +441,10 @@ class WriteAheadLog:
         self.store = store
         self.store_path = store_path
         self.wal_path = wal_path
+        #: the staging file every image goes through; between checkpoints
+        #: it holds the image the last one replaced (see
+        #: :func:`~repro.storage.persist.save_checkpoint`)
+        self.spare_path = store_path + ".spare"
         self.checkpoint_every = checkpoint_every
         self.crash = crash
         self._out = out
@@ -472,7 +491,7 @@ class WriteAheadLog:
             checkpoint_every=checkpoint_every,
             crash=crash,
         )
-        save_store(store, store_path)
+        save_checkpoint(store, store_path, manager.spare_path)
         return manager
 
     def close(self) -> None:
@@ -550,7 +569,7 @@ class WriteAheadLog:
         """Fold the log into a fresh atomic image and reset the log."""
         crash = self.crash
         self.store.checkpoint_lsn = self._lsn
-        save_store(self.store, self.store_path, crash=crash)
+        save_checkpoint(self.store, self.store_path, self.spare_path, crash=crash)
         # the image now covers every logged operation; a crash from here
         # on leaves a log whose entries replay as no-ops (lsn <=
         # checkpoint_lsn) or an empty log

@@ -52,6 +52,20 @@ def test_determinism_taint_passes_good_fixture():
     assert run_rule("determinism-taint", "determinism_taint_good.py") == []
 
 
+def test_determinism_taint_sees_set_algebra():
+    """``set(a) - b``, ``{*a} | b`` and ``.union``/``.intersection``/
+    ``.symmetric_difference`` on a set are sets too: iterating what a
+    helper returns from them leaks hash order."""
+    findings = run_rule("determinism-taint", "determinism_taint_set_algebra_bad.py")
+    assert sorted(f.message.split("'")[1] for f in findings) == [
+        "live_pages",
+        "moved",
+        "shared",
+        "touched",
+    ]
+    assert run_rule("determinism-taint", "determinism_taint_set_algebra_good.py") == []
+
+
 # ------------------------------------------------- scope pruning, suppressions
 
 

@@ -229,3 +229,49 @@ def test_save_leaves_no_temp_file(saved, tmp_path):
     path = str(tmp_path / "clean.rpro")
     save_store(db.store, path)
     assert not os.path.exists(path + ".tmp")
+
+
+def stamped(data, body):
+    """The image with ``body`` in place of its own, the header's CRC and
+    length re-stamped to match, so the damage reaches the body parser."""
+    lsn = _SUMS.unpack_from(data, _HEAD)[0]
+    return data[:_HEAD] + _SUMS.pack(lsn, zlib.crc32(body), len(body)) + body
+
+
+def _first_record(store):
+    """The body offset of the first page's first record: the tag block,
+    the page count and the page header come before it."""
+    tags = 4 + sum(2 + len(name.encode("utf-8")) for name in store.tags.names())
+    return tags + 4 + persist._PAGE_HEAD.size
+
+
+def test_an_even_last_ordpath_component_is_damage(saved, tmp_path):
+    """An ORDPATH ends in an odd component; one that ends in an even one
+    behind a matching checksum is a damaged record, not a bare
+    ValueError, and the error names the record and its offset."""
+    db, _, data = saved
+    body = bytearray(data[_HEAD + _SUMS.size :])
+    at = _first_record(db.store)
+    assert body[at] == 1  # a core record
+    n = persist._CORE_HEAD.unpack_from(body, at + 1)[-1]
+    last = at + 1 + persist._CORE_HEAD.size + 4 * (n - 1)
+    struct.pack_into("<i", body, last, 2)
+    target = written(tmp_path, "even.rpro", stamped(data, bytes(body)))
+    with pytest.raises(StoreCorruptError, match=rf"damaged .*record of page \d+ at offset {at} "):
+        load_store(target)
+
+
+def test_bytes_that_are_not_utf8_are_damage(saved, tmp_path):
+    """A tag name that does not decode, behind a matching checksum, is
+    a damaged item, not a bare UnicodeDecodeError."""
+    db, _, data = saved
+    body = bytearray(data[_HEAD + _SUMS.size :])
+    at = 4
+    for name in db.store.tags.names():
+        if name:
+            break
+        at += 2
+    body[at + 2] = 0xFF  # never a valid UTF-8 byte
+    target = written(tmp_path, "utf8.rpro", stamped(data, bytes(body)))
+    with pytest.raises(StoreCorruptError, match=f"damaged .*tag name at offset {at} "):
+        load_store(target)
