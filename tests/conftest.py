@@ -1,7 +1,21 @@
-"""Shared fixtures and helpers for the test suite."""
+"""Shared fixtures and helpers for the test suite.
+
+The heap is frozen after every test (:func:`pytest_runtest_protocol`).
+What the tests before left alive — the golden draws' cached stores and
+reference answers, session fixtures, imported modules — moves to the
+collector's permanent generation, so a full collection scans only what
+the running test allocated, not the suite's whole heap again.  Frozen
+objects are still freed by reference counting, and the program makes no
+reference cycles (``tests/storage/test_collector.py``); the collection
+just before each freeze frees the cycles the test itself left (a caught
+exception's traceback, say), which would otherwise stay frozen.  Nothing
+here calls ``gc.unfreeze()``: that would hand the whole heap back to the
+next collection.
+"""
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -14,6 +28,13 @@ from repro.model.tree import LogicalTree
 # the golden-row checks are asserts in a helper module: rewritten like a
 # test module's, they report a diff and survive ``python -O``
 pytest.register_assert_rewrite("tests.golden")
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    yield
+    gc.collect()
+    gc.freeze()
 
 
 def make_random_tree(

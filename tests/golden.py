@@ -27,8 +27,11 @@ predicate queries, fault profiles and seeds, ``memory_limit`` trips,
 ``max_seconds`` cuts, tracers, entry runs, run tapes, delivery runs and
 their tapes (warm, and across an update), the tape players' in-place
 branches (``inplace``), the shared scan, full-tree
-walks, latency-SLO sidelining and the paper's unpruned configurations
-(``gates``: the synopsis, the path summary or both switched off).
+walks, latency-SLO sidelining, the paper's unpruned configurations
+(``gates``: the synopsis, the path summary or both switched off), and
+the plan- and fault-equivalence points of tier-1 (``equivalence``,
+``fault-equivalence``: every plan's answer, also under faults and in
+fallback, the reference evaluator's).
 
     PYTHONPATH=src python -m tests.golden            # check every row
     PYTHONPATH=src python -m tests.golden --only delivery/ warm/   # rows by key prefix
@@ -82,6 +85,7 @@ from repro.algebra.xassembly import XAssembly, build_tape
 from repro.algebra.xschedule import XSchedule
 from repro.axes import Axis
 from repro.errors import ReproError
+from repro.model.builder import TreeBuilder
 from repro.sim.clock import TICK
 from repro.sim.disk import SchedulingPolicy
 from repro.sim.faults import FaultProfile
@@ -163,8 +167,9 @@ RECOVERED_BY = {
 }
 
 #: documents, by spec: ``("random", seed, fragmentation, n_top, page
-#: size, buffer pages)`` or ``("xmark", scale, seed, fragmentation, page
-#: size, buffer pages)``
+#: size, buffer pages)``, ``("exile", seed, fragmentation, None, page
+#: size, buffer pages)`` (:func:`exile_tree`) or ``("xmark", scale, seed,
+#: fragmentation, page size, buffer pages)``
 ENTRY_DOC = ("random", 3, 0.7, 25, 512, 48)
 PAPER_DOC = ("xmark", 0.05, 3, 1.0, 2048, 128)
 DEAD_PAGE_DOC = ("xmark", 0.03, 3, 1.0, 2048, 96)
@@ -186,8 +191,57 @@ GATES = {
 GATE_PLANS = [*PLANS, "auto"]
 
 
+#: the plan-equivalence points (the ``equivalence`` family): every axis,
+#: a ``//`` prefix, attributes and text
+EQUIVALENCE_PATHS = [
+    "/root/a",
+    "//b",
+    "/root//c/d",
+    "//a//b",
+    "/root/a/b/c",
+    "//e/text()",
+    "//c/ancestor::a",
+    "//d/parent::*",
+    "//b/following-sibling::c",
+    "//c/preceding-sibling::*",
+    "//a/@id",
+    "//b/descendant-or-self::d",
+    "/root/*/*",
+    "//a/..",
+    "//*/self::d",
+    "//b/ancestor-or-self::*",
+]
+#: ``//`` prefixes the logical rewrite cannot fold into the next step (an
+#: upward or attribute step follows): under a scan, the ones at the root
+#: leave their step-1 junctions to the R-check shortcut (Sec. 5.4.5.4)
+UNFOLDABLE = [
+    "/descendant-or-self::node()/parent::b/a/c",
+    "/descendant-or-self::node()/ancestor::a/b",
+    "/descendant-or-self::node()/parent::*",
+    "//@id",
+    "/*//../a",
+]
+#: sibling steps after a ``//`` prefix, over ``EXILE_DOC``
+EXILE_QUERIES = [
+    "/descendant-or-self::node()/following-sibling::a",
+    "/descendant-or-self::node()/preceding-sibling::b",
+]
+#: a layout that exiles several *first* children into their own clusters:
+#: the regression trigger for the ``//``-prefix optimisation (XScan
+#: speculates a sibling entry at every up-border, and an implicitly proven
+#: step-1 junction would emit an exiled first child as a following-sibling
+#: result though it has no preceding sibling at all)
+EXILE_DOC = ("exile", 0, 0.0, None, 512, 48)
+FAULTY_DOC = ("random", 11, 0.7, 40, 512, 48)
+FAULTY_QUERIES = ("//a", "count(//b//c)", "/root/a/b")
+
+
 def random_doc(seed: int, fragmentation: float) -> tuple:
     return ("random", seed, fragmentation, 25, 512, 48)
+
+
+def equivalence_doc(seed: int, fragmentation: float = 0.5) -> tuple:
+    return ("random", seed, fragmentation, 40, 512, 64)
 
 
 def xmark_doc(fragmentation: float) -> tuple:
@@ -211,16 +265,41 @@ def imported(doc) -> tuple:
     """A private import of the document ``doc``: ``(store, logical tree)``."""
     page_size = doc[4]
     db = Database(page_size=page_size, buffer_pages=64)
-    if doc[0] == "random":
-        _, seed, fragmentation, n_top, _, _ = doc
-        tree = make_random_tree(db.tags, seed=seed, n_top=n_top)
-    else:
+    if doc[0] == "xmark":
         _, scale, seed, fragmentation, _, _ = doc
         tree = generate_xmark(scale=scale, tags=db.tags, seed=seed)
+    elif doc[0] == "exile":
+        _, seed, fragmentation, _, _, _ = doc
+        tree = exile_tree(db.tags, seed)
+    else:
+        _, seed, fragmentation, n_top, _, _ = doc
+        tree = make_random_tree(db.tags, seed=seed, n_top=n_top)
     db.add_tree(
         tree, "d", ImportOptions(page_size=page_size, fragmentation=fragmentation, seed=seed)
     )
     return db.store, tree
+
+
+def exile_tree(tags, seed: int):
+    """A random document of short texts under ``a``, ``b`` and ``c``
+    elements at most six deep, 10 to 39 of them under the root."""
+    rng = random.Random(seed)
+    builder = TreeBuilder(tags)
+    builder.start_element("root")
+
+    def gen(depth):
+        builder.start_element(rng.choice("abc"))
+        for _ in range(rng.randrange(4) if depth < 5 else 0):
+            if rng.random() < 0.25:
+                builder.text("t" * rng.randrange(1, 10))
+            else:
+                gen(depth + 1)
+        builder.end_element()
+
+    for _ in range(rng.randrange(10, 40)):
+        gen(0)
+    builder.end_element()
+    return builder.finish()
 
 
 def database(doc, faults=None, tracer=None, shared=None, policy=None) -> Database:
@@ -339,18 +418,30 @@ def books(outcome: Outcome) -> dict:
     return out
 
 
+_REFERENCE: dict = {}
+
+
+def reference(doc, query: str):
+    """The reference evaluator's answer to ``query`` over the document
+    ``doc``: a value, or its nodes' NodeIDs in the cached store.  Memoised,
+    for a cached store's logical tree never changes."""
+    key = (tuple(doc), query)
+    if key not in _REFERENCE:
+        held, tree = store(doc)
+        want = evaluate_query(tree, query)
+        if isinstance(want, list):
+            want = list(map(held.documents["d"].import_result.nodeid_of, want))
+        _REFERENCE[key] = want
+    return _REFERENCE[key]
+
+
 def check_reference(d: dict, outcome: Outcome) -> None:
     """A whole result is the reference evaluator's."""
     result = outcome.result
     if result is None or result.partial:
         return
-    held, tree = store(d["doc"])
-    want = evaluate_query(tree, d["query"])
-    if isinstance(want, list):
-        ir = held.documents["d"].import_result
-        assert result.nodes == [ir.nodeid_of(n) for n in want], d
-    else:
-        assert result.value == want, d
+    want = reference(d["doc"], d["query"])
+    assert (result.nodes if isinstance(want, list) else result.value) == want, d
 
 
 # ----------------------------------------------------------- other kinds
@@ -1215,6 +1306,55 @@ def draws() -> dict:
                 query = _path(gates_rng, head)
                 doc = layout(gates_rng)
                 add(f"gates/path/{plan}/{gate}/{i}", "gates", doc, query, plan, **off)
+
+    # plan equivalence: the plans on random layouts, speculating, in
+    # fallback, with a one-entry queue, on a clean and a fragmented
+    # layout; the ``//`` prefixes the rewrite cannot fold under every plan
+    # and AUTO; sibling steps over a document that exiles first children
+    paths = EQUIVALENCE_PATHS
+    for seed in (0, 1, 2):
+        for plan in PLANS[:3]:
+            for query in paths:
+                key = f"equivalence/{seed}/{plan}/{query}"
+                add(key, "equivalence", equivalence_doc(seed), query, plan)
+    for query in paths[:8]:
+        key = f"equivalence/speculative/{query}"
+        options = {"speculative": True, "k_min_queue": 4}
+        add(key, "equivalence", equivalence_doc(4), query, "xschedule", **options)
+        for plan in ("xschedule", "xscan"):
+            options = {"speculative": True, "memory_limit": 2, "k_min_queue": 3}
+            key = f"equivalence/fallback/{plan}/{query}"
+            add(key, "equivalence", equivalence_doc(5), query, plan, **options)
+        for fragmentation in (0.0, 1.0):
+            doc = equivalence_doc(8, fragmentation)
+            add(f"equivalence/layout/{fragmentation}/{query}", "equivalence", doc, query, "xscan")
+    for query in paths[:6]:
+        key = f"equivalence/k1/{query}"
+        add(key, "equivalence", equivalence_doc(7), query, "xschedule", k_min_queue=1)
+    for plan in GATE_PLANS:
+        for query in UNFOLDABLE:
+            key = f"equivalence/unfoldable/{plan}/{query}"
+            add(key, "equivalence", equivalence_doc(6), query, plan)
+    for speculative in (False, True):
+        for plan in PLANS[:3]:
+            for query in EXILE_QUERIES:
+                key = f"equivalence/exile/{speculative}/{plan}/{query}"
+                options = {"speculative": speculative, "k_min_queue": 4}
+                add(key, "equivalence", EXILE_DOC, query, plan, **options)
+
+    # degraded, never wrong: every fault profile under every navigating
+    # plan, speculating or not, each query, fault seeds and memory limits
+    # (down to ones that force fallback) drawn
+    faults_rng = random.Random(11)
+    for profile in RECOVERED_BY:
+        for plan in PLANS[:3]:
+            for speculative in (False, True):
+                for query in FAULTY_QUERIES:
+                    faults = {"profile": profile, "seed": faults_rng.randrange(51)}
+                    limit = faults_rng.choice([None, *range(9)])
+                    key = f"fault-equivalence/{profile}/{plan}/{speculative}/{query}"
+                    options = {"speculative": speculative, "memory_limit": limit}
+                    add(key, "fault-equivalence", FAULTY_DOC, query, plan, faults, **options)
     return out
 
 

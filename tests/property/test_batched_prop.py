@@ -110,6 +110,19 @@ def test_every_recovery_duration_is_on_the_time_grid(profile_name, recovered_by)
     assert all(fired.values()), fired
 
 
+def test_faulty_runs_answer_as_fault_free_ones():
+    """Degraded, never wrong: under every fault profile, every navigating
+    plan, speculating or not, under memory limits down to ones that force
+    fallback, answers as the reference evaluator does; the faults and the
+    trips move only the books."""
+    fired = {"fallbacks": 0, "retries": 0, "slow_services": 0}
+    for key, _ in golden.rows("fault-equivalence"):
+        stats = golden.check(key).result.stats
+        for counter in fired:
+            fired[counter] += getattr(stats, counter)
+    assert all(fired.values()), fired
+
+
 def test_batched_trace_reconciles_and_does_not_perturb():
     """A tracer changes nothing: the traced run keeps the pinned books,
     including the roll-up of crossings per operator — the kernel reports

@@ -4,23 +4,13 @@ on random documents and random location paths (hypothesis)."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Database, EvalOptions, ImportOptions
-from repro.axes import Axis
-from repro.model.builder import TreeBuilder
+from repro import EvalOptions
 from repro.xpath.parser import parse_path
 from repro.xpath.reference import evaluate_path
 
-AXES = [
-    "child",
-    "descendant",
-    "descendant-or-self",
-    "self",
-    "parent",
-    "ancestor",
-    "ancestor-or-self",
-    "following-sibling",
-    "preceding-sibling",
-]
+from tests import golden
+from tests.golden import AXES
+
 TESTS = ["a", "b", "c", "*", "node()", "text()"]
 
 
@@ -37,34 +27,13 @@ def location_paths(draw):
 
 @st.composite
 def databases(draw):
+    """A private import of a golden ``exile`` document of a drawn seed and
+    fragmentation, and a cold database over it."""
     seed = draw(st.integers(min_value=0, max_value=10_000))
-    import random
-
-    rng = random.Random(seed)
-    db = Database(page_size=512, buffer_pages=48)
-    builder = TreeBuilder(db.tags)
-    builder.start_element("root")
-
-    def gen(depth):
-        builder.start_element(rng.choice("abc"))
-        for _ in range(rng.randrange(4) if depth < 5 else 0):
-            if rng.random() < 0.25:
-                builder.text("t" * rng.randrange(1, 10))
-            else:
-                gen(depth + 1)
-        builder.end_element()
-
-    for _ in range(rng.randrange(10, 40)):
-        gen(0)
-    builder.end_element()
-    tree = builder.finish()
     fragmentation = draw(st.floats(min_value=0.0, max_value=1.0))
-    db.add_tree(
-        tree,
-        "d",
-        ImportOptions(page_size=512, fragmentation=fragmentation, seed=seed),
-    )
-    return db, tree
+    doc = ("exile", seed, fragmentation, None, 512, 48)
+    held, tree = golden.imported(doc)
+    return golden.database(doc, shared=held), tree
 
 
 @given(databases(), location_paths(), st.booleans())

@@ -14,6 +14,8 @@ import zlib
 import pytest
 
 from repro import Database, ImportOptions
+from repro.algebra.base import Operator
+from repro.algebra.xassembly import XAssembly
 from repro.errors import StorageError, StoreCorruptError
 from repro.model.builder import tree_from_nested
 from repro.storage import DocumentStore, persist, store as store_module
@@ -28,7 +30,9 @@ QUERIES = ("count(//*)", "/*/*/*", "//*/..")
 @pytest.fixture
 def collector_off():
     """The collector disabled and every earlier cycle collected; its
-    state and debug flags are put back afterwards."""
+    state and debug flags are put back afterwards.  (What earlier tests
+    left is frozen, ``tests/conftest.py``: never ``gc.unfreeze()`` here,
+    or every collection scans the suite's whole heap again.)"""
     was = gc.isenabled()
     gc.disable()
     gc.collect()
@@ -90,6 +94,23 @@ def test_a_finished_query_leaves_no_cyclic_garbage(collector_off, plan):
     queries(db, plan)
     db.session(warm=True).execute("count(//*)", doc="d", plan=plan)
     assert cyclic_garbage() == []
+
+
+def test_a_leaked_fallback_hook_is_cyclic_garbage(collector_off, monkeypatch):
+    """The seeded bug: a kernel whose ``close`` leaves its fallback hook
+    on the context is on a cycle with it.  The collection finds it: the
+    heap frozen after each test (``tests/conftest.py``) hides only what
+    earlier tests left, not the cycles this one makes."""
+
+    def close(self):
+        Operator.close(self)
+        self.producer.close()
+
+    monkeypatch.setattr(XAssembly, "close", close)
+    db, _ = small_database(seed=7, n_top=30, buffer_pages=8)
+    cyclic_garbage()
+    queries(db, "xschedule")
+    assert "XAssembly" in cyclic_garbage()
 
 
 def test_a_dropped_store_is_freed_by_reference_counting(collector_off, tmp_path):
