@@ -211,6 +211,8 @@ EQUIVALENCE_PATHS = [
     "//*/self::d",
     "//b/ancestor-or-self::*",
 ]
+#: the one fallback path (the first eight) that ``equivalence_doc(5)``'s summary refutes
+REFUTED_PATH = "/root/a/b/c"
 #: ``//`` prefixes the logical rewrite cannot fold into the next step (an
 #: upward or attribute step follows): under a scan, the ones at the root
 #: leave their step-1 junctions to the R-check shortcut (Sec. 5.4.5.4)
@@ -1325,6 +1327,12 @@ def draws() -> dict:
             options = {"speculative": True, "memory_limit": 2, "k_min_queue": 3}
             key = f"equivalence/fallback/{plan}/{query}"
             add(key, "equivalence", equivalence_doc(5), query, plan, **options)
+            if query == REFUTED_PATH:
+                # the summary refutes it before a page is read: the point
+                # that enters fallback runs with the summary off
+                key = f"equivalence/fallback-unrefuted/{plan}/{query}"
+                doc = equivalence_doc(5)
+                add(key, "equivalence", doc, query, plan, pathsummary=False, **options)
         for fragmentation in (0.0, 1.0):
             doc = equivalence_doc(8, fragmentation)
             add(f"equivalence/layout/{fragmentation}/{query}", "equivalence", doc, query, "xscan")

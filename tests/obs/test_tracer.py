@@ -98,6 +98,7 @@ def test_chrome_export_shape(tmp_path):
     payload = json.loads(path.read_text(encoding="utf-8"))
     events = payload["traceEvents"]
     # one metadata row per category, then the events themselves
+    assert all({"ph", "pid", "tid", "name"} <= e.keys() for e in events)
     metas = [e for e in events if e["ph"] == "M"]
     assert {m["args"]["name"] for m in metas} == {"io", "disk"}
     span = next(e for e in events if e["ph"] == "X")

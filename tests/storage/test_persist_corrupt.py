@@ -8,6 +8,7 @@ with offset context, and non-store files raise
 """
 
 import io
+import os
 import struct
 import zlib
 
@@ -20,14 +21,54 @@ from repro.storage.persist import load_store, save_store
 from tests.conftest import small_database
 
 
+#: ``magic | version | page_size`` then ``lsn | crc | body length``
+_HEAD = 4 + 6
+_SUMS = struct.Struct("<QIQ")
+
+
 def written(tmp_path, name, data) -> str:
-    """``data`` in a new file ``name`` under ``tmp_path``: a sweep gives
-    every cut a file of its own, because truncating one file over and
-    over costs a filesystem truncation per cut."""
+    """``data`` in a new file ``name`` under ``tmp_path``."""
     target = str(tmp_path / name)
     with open(target, "xb") as out:
         out.write(data)
     return target
+
+
+def grown(tmp_path, data, cuts, restamp=False):
+    """Yield, for each cut in ascending order, the path of one file that
+    holds ``data[:cut]`` — or, with ``restamp``, the image with its body
+    cut at ``cut`` behind a header re-stamped to match, so that the
+    checksum passes and the cut lands inside the body read helpers.
+    The file only grows and its header is re-stamped in place, so a
+    sweep frees no block and leaves one file behind, where a file per
+    cut (or a truncation per cut) frees blocks at every cut."""
+    start = _HEAD + _SUMS.size if restamp else 0
+    target = written(tmp_path, "cut.rpro", data[:start])
+    lsn, body, crc, done = _SUMS.unpack_from(data, _HEAD)[0], data[start:], 0, 0
+    fd = os.open(target, os.O_WRONLY)
+    try:
+        for cut in sorted(cuts):
+            os.pwrite(fd, body[done:cut], start + done)
+            crc, done = zlib.crc32(body[done:cut], crc), cut
+            if restamp:
+                os.pwrite(fd, _SUMS.pack(lsn, crc, cut), _HEAD)
+            yield target
+    finally:
+        os.close(fd)
+
+
+def flipped(tmp_path, data, offsets, mask):
+    """Yield, for each offset, the path of one copy of ``data`` with the
+    byte there xor-ed with ``mask``; the byte is restored before the next."""
+    target = written(tmp_path, "rot.rpro", data)
+    fd = os.open(target, os.O_WRONLY)
+    try:
+        for offset in offsets:
+            os.pwrite(fd, bytes([data[offset] ^ mask]), offset)
+            yield target
+            os.pwrite(fd, data[offset : offset + 1], offset)
+    finally:
+        os.close(fd)
 
 
 @pytest.fixture
@@ -45,26 +86,11 @@ def test_truncation_at_every_boundary(saved, tmp_path):
     # every header byte, then a stride through the body
     cuts = list(range(len(data) - 1, 0, -max(1, len(data) // 200)))
     cuts.extend(range(min(64, len(data))))
-    for i, cut in enumerate(cuts):
-        target = written(tmp_path, f"cut{i}.rpro", data[:cut])
+    for target in grown(tmp_path, data, cuts):
         with pytest.raises((StoreCorruptError, StorageError)) as err:
             load_store(target)
         # offset context or a typed message, never a raw struct error
         assert "store" in str(err.value)
-
-
-#: ``magic | version | page_size`` then ``lsn | crc | body length``
-_HEAD = 4 + 6
-_SUMS = struct.Struct("<QIQ")
-
-
-def restamped(data, cut):
-    """The image with its body cut at ``cut`` bytes and the header's CRC
-    and length re-stamped to match: the checksum passes, so the cut
-    lands inside the body read helpers."""
-    body = data[_HEAD + _SUMS.size :][:cut]
-    lsn = _SUMS.unpack_from(data, _HEAD)[0]
-    return data[:_HEAD] + _SUMS.pack(lsn, zlib.crc32(body), len(body)) + body
 
 
 def test_truncation_inside_body_sections(saved, tmp_path):
@@ -72,8 +98,8 @@ def test_truncation_inside_body_sections(saved, tmp_path):
     shortfall must raise the typed error."""
     _, _, data = saved
     body_len = len(data) - _HEAD - _SUMS.size
-    for cut in range(body_len - 1, -1, -max(1, body_len // 300)):
-        target = written(tmp_path, f"cut{cut}.rpro", restamped(data, cut))
+    cuts = range(body_len - 1, -1, -max(1, body_len // 300))
+    for target in grown(tmp_path, data, cuts, restamp=True):
         with pytest.raises(StoreCorruptError):
             load_store(target)
 
@@ -201,15 +227,12 @@ def test_v4_path_summary_block_truncation_and_bit_rot(tmp_path):
     start = body_len - len(summary)
     cuts = {start + b + d for b in _summary_boundaries(db.document("d").pathsummary) for d in (0, 1)}
     cuts.update(range(start, body_len, max(1, len(summary) // 64)))
-    for cut in sorted(c for c in cuts if c < body_len):
-        target = written(tmp_path, f"cut{cut}.rpro", restamped(data, cut))
+    for target in grown(tmp_path, data, [c for c in cuts if c < body_len], restamp=True):
         with pytest.raises(StoreCorruptError):
             load_store(target)
     # bit-rot anywhere in the summary region trips the body checksum
-    for offset in range(len(data) - len(summary), len(data), max(1, len(summary) // 128)):
-        corrupt = bytearray(data)
-        corrupt[offset] ^= 0x40
-        target = written(tmp_path, f"rot{offset}.rpro", bytes(corrupt))
+    offsets = range(len(data) - len(summary), len(data), max(1, len(summary) // 128))
+    for target in flipped(tmp_path, data, offsets, 0x40):
         with pytest.raises(StoreCorruptError, match="checksum"):
             load_store(target)
 
