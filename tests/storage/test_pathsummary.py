@@ -253,8 +253,9 @@ def test_predicate_refutation_is_sound_and_clears_exact():
 
 def test_evaluations_are_memoised_on_the_summary(monkeypatch, tmp_path):
     """Rewrite, estimator and postings cap share one trie walk per
-    (summary, path): a recompile walks nothing and equal steps of two
-    compilations share one entry; a WAL insert builds a new summary whose
+    (summary, path): a recompile walks nothing, a re-execution off the
+    memo answers with the cold run's value and counters, and equal steps
+    of two compilations share one entry; a WAL insert builds a new summary whose
     memo starts empty; a predicate path, which the memo key cannot tell
     from its predicate-free twin, is evaluated afresh."""
     db, _ = small_database(seed=77, n_top=30, fragmentation=1.0)
@@ -269,7 +270,7 @@ def test_evaluations_are_memoised_on_the_summary(monkeypatch, tmp_path):
 
     monkeypatch.setattr(PathSummary, "_step_result", counted)
     query = "count(//a/b)"
-    first = db.execute(query, doc="d", plan="auto").value
+    first = db.execute(query, doc="d", plan="auto")
     summary = doc.pathsummary
     entries = dict(summary._memo)
     assert walks and entries
@@ -278,12 +279,15 @@ def test_evaluations_are_memoised_on_the_summary(monkeypatch, tmp_path):
     assert walks == []
     assert summary._memo.keys() == entries.keys()
     assert all(summary._memo[key] is entry for key, entry in entries.items())
+    again = db.execute(query, doc="d", plan="auto")
+    assert walks == []
+    assert (again.value, again.stats.as_dict()) == (first.value, first.stats.as_dict())
 
     parent = db.execute("//a", doc="d", plan="simple").nodes[0]
     db.wal.insert("d", parent, 0, "b")
     assert doc.pathsummary is not summary and not doc.pathsummary._memo
     after = db.execute(query, doc="d", plan="auto").value
-    assert after == evaluate_query(export_tree(db.store, doc), query) == first + 1
+    assert after == evaluate_query(export_tree(db.store, doc), query) == first.value + 1
 
     summary = doc.pathsummary
     plain = [step(db, Axis.DESCENDANT, "a"), step(db, Axis.CHILD, "b")]
