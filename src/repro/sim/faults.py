@@ -183,7 +183,9 @@ CRASH_PAGE_WRITE = "page-write"  #: writing one page-sized checkpoint chunk
 #: image it replaces a second link: see persist.save_checkpoint)
 CRASH_CHECKPOINT_TEMP = "checkpoint-temp"
 CRASH_CHECKPOINT_RENAME = "checkpoint-rename"  #: staged image installed (post-rename)
-CRASH_WAL_TRUNCATE = "wal-truncate"  #: resetting the log after a checkpoint
+#: log reset after a checkpoint: the epoch's bytes zeroed and fsynced,
+#: the header not yet naming the new base LSN
+CRASH_WAL_TRUNCATE = "wal-truncate"
 CRASH_UPDATE_APPLY = "update-apply"  #: mid-flight inside a structural update
 
 CRASH_STEPS = (

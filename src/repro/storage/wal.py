@@ -35,6 +35,13 @@ redo-only design, adapted to the repository's determinism rules:
   log whose entries are all already covered (replay skips ``lsn <=
   checkpoint_lsn``), or the new image + an empty log.
 
+* **A log reset in place.**  The reset keeps the log file and its open
+  handle: it zeroes the bytes the epoch wrote, fsyncs, overwrites the
+  header with the new base LSN, fsyncs, and appends on from the
+  header's end.  Nothing is truncated or removed, so no block is freed.
+  Every byte past the header that is not a live entry is zero: the log
+  starts header-only and each reset zeroes what its epoch wrote.
+
 * **A recycled staging file.**  The WAL owns a spare file beside the
   store, ``store_path + ".spare"``, as it owns its log.  Every image it
   writes (:meth:`WriteAheadLog.create` and each checkpoint) is
@@ -44,7 +51,7 @@ redo-only design, adapted to the repository's determinism rules:
   tens of milliseconds per checkpoint.  The disk holds one more image
   for it.  Recovery never reads the spare; a second name a crash leaves
   mid-install (``store_path + ".prev"``) is settled by the next
-  checkpoint.  The log reset still truncates the log file.
+  checkpoint.
 
 * **Snapshots repaired by the update layer.**  Every update operation,
   logged or not, patches the document's cluster synopsis and path
@@ -61,8 +68,11 @@ Log file format (all integers little-endian)::
             | u32 crc32(head + payload)
 
 ``base_lsn`` is the LSN already folded into the checkpoint when the log
-was created; entry LSNs continue from it without gaps.  A short read or
-CRC mismatch at the tail is the expected shape of a crash and ends the
+was created or last reset; entry LSNs continue from it without gaps.
+The entries may be followed by zeros up to the file's end (what earlier,
+longer epochs wrote): an entry head of zero bytes ends the log cleanly,
+as the file's end does, since no entry has LSN 0.  A short read or CRC
+mismatch at the tail is the expected shape of a crash and ends the
 scan; a bad magic number, unsupported version, or LSN discontinuity in
 the *body* is structural damage and raises
 :class:`~repro.errors.WalCorruptError`.
@@ -104,6 +114,8 @@ _WAL_HEADER = struct.Struct("<HQ")
 #: entry head: ``u64 lsn | u8 op | u32 payload_len``
 _ENTRY_HEAD = struct.Struct("<QBI")
 _CRC = struct.Struct("<I")
+#: offset of the first entry: the header's end
+_LOG_START = len(_WAL_MAGIC) + _WAL_HEADER.size
 
 OP_INSERT = 1
 OP_DELETE = 2
@@ -187,9 +199,8 @@ def _encode_set_value(doc_name: str, nid: NodeID, value: str) -> bytes:
 def _read_wal_header(inp: BinaryIO, wal_path: str) -> tuple[int, bool]:
     """Parse the log header; returns (base_lsn, torn).
 
-    A header shorter than its fixed size is the signature of a crash
-    during log reset — the log is then empty by construction (resets
-    happen only right after a checkpoint captured everything), so it is
+    A header shorter than its fixed size is what a crash leaves while
+    the header is first written — the log holds no entry yet, so it is
     reported as a torn, entry-less log rather than an error.
     """
     magic = inp.read(4)
@@ -209,9 +220,10 @@ def _read_wal_header(inp: BinaryIO, wal_path: str) -> tuple[int, bool]:
 def _scan_wal(wal_path: str) -> tuple[int, list[tuple[int, int, bytes]], bool]:
     """Scan the log into (base_lsn, [(lsn, op, payload)], torn_tail).
 
-    Stops cleanly at the first torn or checksum-failing entry (the tail
-    a crash leaves behind); raises :class:`WalCorruptError` for damage
-    that cannot be a tail — bad magic, bad version, an LSN that does not
+    Ends cleanly at the file's end or at an all-zero entry head (the
+    tail a log reset leaves), and stops at the first torn or
+    checksum-failing entry (the tail a crash leaves behind); raises
+    :class:`WalCorruptError` for damage that cannot be a tail — bad magic, bad version, an LSN that does not
     follow its predecessor, an unknown operation code on an entry whose
     checksum *passed*.
     """
@@ -223,8 +235,10 @@ def _scan_wal(wal_path: str) -> tuple[int, list[tuple[int, int, bytes]], bool]:
         expected = base_lsn
         while True:
             head = inp.read(_ENTRY_HEAD.size)
-            if not head:
-                return base_lsn, entries, False  # clean end
+            if not head.strip(b"\0"):
+                # clean end: the file's end, or the zeroed tail a log
+                # reset leaves (no entry has LSN 0)
+                return base_lsn, entries, False
             if len(head) < _ENTRY_HEAD.size:
                 return base_lsn, entries, True
             lsn, op, payload_len = _ENTRY_HEAD.unpack(head)
@@ -485,7 +499,7 @@ class WriteAheadLog:
         manager = cls(
             store,
             store_path,
-            out=_fresh_log(wal_path, store.checkpoint_lsn, crash=None),
+            out=_fresh_log(wal_path, store.checkpoint_lsn),
             lsn=store.checkpoint_lsn,
             wal_path=wal_path,
             checkpoint_every=checkpoint_every,
@@ -567,15 +581,42 @@ class WriteAheadLog:
 
     def checkpoint(self) -> None:
         """Fold the log into a fresh atomic image and reset the log."""
-        crash = self.crash
         self.store.checkpoint_lsn = self._lsn
-        save_checkpoint(self.store, self.store_path, self.spare_path, crash=crash)
+        save_checkpoint(self.store, self.store_path, self.spare_path, crash=self.crash)
         # the image now covers every logged operation; a crash from here
         # on leaves a log whose entries replay as no-ops (lsn <=
         # checkpoint_lsn) or an empty log
-        self._out.close()
-        self._out = _fresh_log(self.wal_path, self._lsn, crash=crash)
+        self._reset_log()
         self._since_checkpoint = 0
+
+    def _reset_log(self) -> None:
+        """Empty the log in place on its open handle, based at ``_lsn``.
+
+        Zero the bytes this epoch wrote (header end to ``tell()``) and
+        fsync, then overwrite the header with the new base LSN and fsync,
+        then seek back to the header's end.  The file keeps its inode and
+        its blocks: a truncation would free them, which on a filesystem
+        that discards freed blocks is the bulk of a checkpoint.  Every
+        byte past the header that is not a live entry stays zero, and
+        :func:`_scan_wal` reads a zero entry head as the log's end.
+
+        The ``wal-truncate`` crash point fires between the two fsyncs:
+        the old header over an all-zero body, beside an image that
+        covers every entry the body held, so recovery replays nothing.
+        """
+        out = self._out
+        end = out.tell()
+        out.seek(_LOG_START)
+        out.write(bytes(end - _LOG_START))
+        out.flush()
+        os.fsync(out.fileno())
+        if self.crash is not None:
+            self.crash.check(CRASH_WAL_TRUNCATE)
+        out.seek(0)
+        out.write(_log_header(self._lsn))
+        out.flush()
+        os.fsync(out.fileno())
+        out.seek(_LOG_START)
 
     def _append(self, op: int, payload: bytes) -> None:
         lsn = self._lsn + 1
@@ -597,22 +638,16 @@ class WriteAheadLog:
             self.checkpoint()
 
 
-def _fresh_log(
-    wal_path: str, base_lsn: int, *, crash: "CrashInjector | None"
-) -> BinaryIO:
-    """Create (or reset) the log file with a clean header.
+def _log_header(base_lsn: int) -> bytes:
+    return _WAL_MAGIC + _WAL_HEADER.pack(_WAL_VERSION, base_lsn)
 
-    The ``wal-truncate`` crash point fires after the file is truncated
-    but before the header lands — recovery treats the resulting
-    header-less file as an empty log, which is sound because resets only
-    happen right after a checkpoint captured every logged operation.
-    """
+
+def _fresh_log(wal_path: str, base_lsn: int) -> BinaryIO:
+    """Create the log file (or overwrite an existing one) holding only a
+    header: the empty log :meth:`WriteAheadLog.create` starts from."""
     out = open(wal_path, "wb")
     try:
-        if crash is not None:
-            crash.check(CRASH_WAL_TRUNCATE)
-        out.write(_WAL_MAGIC)
-        out.write(_WAL_HEADER.pack(_WAL_VERSION, base_lsn))
+        out.write(_log_header(base_lsn))
         out.flush()
         os.fsync(out.fileno())
     except BaseException:

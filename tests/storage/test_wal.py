@@ -7,7 +7,13 @@ import zlib
 import pytest
 
 from repro import Database
-from repro.errors import StorageError, StoreCorruptError, WalCorruptError
+from repro.errors import (
+    SimulatedCrashError,
+    StorageError,
+    StoreCorruptError,
+    WalCorruptError,
+)
+from repro.sim.faults import CrashInjector, CrashPoint
 from repro.storage import wal as wal_mod
 from repro.storage.store import check_document, export_tree
 from repro.storage.wal import WriteAheadLog, recover_store
@@ -124,7 +130,7 @@ def test_recover_missing_wal_file(tmp_path):
     assert_stores_identical(db.store, store)
 
 
-def test_checkpoint_truncates_log(tmp_path):
+def test_checkpoint_empties_log(tmp_path):
     db, path = durable_db(tmp_path)
     n = run_ops(db)
     db.wal.checkpoint()
@@ -132,12 +138,134 @@ def test_checkpoint_truncates_log(tmp_path):
     assert report.checkpoint_lsn == n
     assert report.replayed == 0
     assert_stores_identical(db.store, store)
-    # post-checkpoint operations land in the fresh log and replay alone
+    # post-checkpoint operations land in the emptied log and replay alone
     root = db.execute("/root", doc="d", plan="simple").nodes[0]
     db.wal.insert("d", root, 0, "post")
     store, report = recover_store(path)
     assert report.checkpoint_lsn == n
     assert report.replayed == 1 and report.last_lsn == n + 1
+    assert_stores_identical(db.store, store)
+
+
+def read(path):
+    with open(path, "rb") as inp:
+        return inp.read()
+
+
+def test_checkpoint_resets_the_log_in_place(tmp_path):
+    """Three checkpoints with appends between them: the log stays the
+    same file, and it never gives blocks back."""
+    db, path = durable_db(tmp_path)
+    wal_path = path + ".wal"
+    stats = [os.stat(wal_path)]
+    root = db.execute("/root", doc="d", plan="simple").nodes[0]
+    for n in (3, 1, 2):
+        for i in range(n):
+            db.wal.insert("d", root, 0, f"e{i}")
+        stats.append(os.stat(wal_path))
+        db.wal.checkpoint()
+        stats.append(os.stat(wal_path))
+    assert {stat.st_ino for stat in stats} == {stats[0].st_ino}
+    for before, after in zip(stats, stats[1:]):
+        assert after.st_size >= before.st_size
+        assert after.st_blocks >= before.st_blocks
+    store, report = recover_store(path)
+    assert report.replayed == 0
+    assert_stores_identical(db.store, store)
+
+
+def test_reset_leaves_zeros_past_the_live_end(tmp_path):
+    db, path = durable_db(tmp_path)
+    root = db.execute("/root", doc="d", plan="simple").nodes[0]
+    start = wal_mod._LOG_START
+    for n in (4, 1, 2):
+        for i in range(n):
+            db.wal.insert("d", root, 0, f"e{i}")
+        db.wal.checkpoint()
+        data = read(path + ".wal")
+        assert data[:start] == wal_mod._log_header(db.wal.lsn)
+        assert len(data) > start and not data[start:].strip(b"\0")
+
+
+def test_shorter_epoch_replays_alone(tmp_path):
+    """A long epoch, a checkpoint, then a shorter one: recovery replays
+    exactly the short epoch and finds a clean end in the zeroed tail."""
+    db, path = durable_db(tmp_path)
+    n = run_ops(db)
+    long_size = os.path.getsize(path + ".wal")
+    db.wal.checkpoint()
+    store, report = recover_store(path)
+    assert report.checkpoint_lsn == n
+    assert report.replayed == 0 and not report.torn_tail
+    assert_stores_identical(db.store, store)
+    root = db.execute("/root", doc="d", plan="simple").nodes[0]
+    db.wal.insert("d", root, 0, "post")
+    db.wal.set_value("d", db.execute("//item/text()", doc="d", plan="simple").nodes[0], "3")
+    assert os.path.getsize(path + ".wal") == long_size  # over the zeroed tail
+    store, report = recover_store(path)
+    assert report.checkpoint_lsn == n
+    assert report.replayed == 2 and report.last_lsn == n + 2
+    assert not report.torn_tail
+    assert_stores_identical(db.store, store)
+
+
+def test_zero_tail_shorter_than_an_entry_head_is_a_clean_end(tmp_path):
+    """A stale tail can end closer to the live end than one entry head."""
+    db, path = durable_db(tmp_path)
+    n = run_ops(db)
+    with open(path + ".wal", "ab") as out:
+        out.write(bytes(wal_mod._ENTRY_HEAD.size - 1))
+    store, report = recover_store(path)
+    assert report.replayed == n and not report.torn_tail
+    assert_stores_identical(db.store, store)
+
+
+def test_torn_entry_over_a_zeroed_tail(tmp_path):
+    """A torn append that lands on a reset's zeros is still a torn tail,
+    and recovery keeps the entries before it."""
+    db = Database(page_size=512, buffer_pages=32)
+    db.load_xml(XML, "d")
+    path = str(tmp_path / "store.rpro")
+    crash = CrashInjector(CrashPoint("wal-append", at=8, torn_fraction=0.5))
+    db.attach_wal(path, crash=crash)
+    n = run_ops(db)
+    long_size = os.path.getsize(path + ".wal")
+    db.wal.checkpoint()
+    root = db.execute("/root", doc="d", plan="simple").nodes[0]
+    db.wal.insert("d", root, 0, "kept")
+    before = serialize(export_tree(db.store, db.store.document("d")))
+    with pytest.raises(SimulatedCrashError):
+        db.wal.insert("d", root, 0, "torn")
+    assert crash.tripped
+    assert os.path.getsize(path + ".wal") == long_size
+    store, report = recover_store(path)
+    assert report.torn_tail
+    assert report.checkpoint_lsn == n
+    assert report.replayed == 1 and report.last_lsn == n + 1
+    doc = store.document("d")
+    check_document(store, doc)
+    assert serialize(export_tree(store, doc)) == before
+
+
+def test_crash_between_zeroed_body_and_new_header(tmp_path):
+    """``wal-truncate`` fires once the zeroed body is durable and before
+    the new header lands: the old header over an empty body, beside an
+    image that covers every entry the body held."""
+    db = Database(page_size=512, buffer_pages=32)
+    db.load_xml(XML, "d")
+    path = str(tmp_path / "store.rpro")
+    db.attach_wal(path, crash=CrashInjector(CrashPoint("wal-truncate", at=1)))
+    n = run_ops(db)
+    with pytest.raises(SimulatedCrashError):
+        db.wal.checkpoint()
+    data = read(path + ".wal")
+    start = wal_mod._LOG_START
+    assert data[:start] == wal_mod._log_header(0)
+    assert len(data) > start and not data[start:].strip(b"\0")
+    store, report = recover_store(path)
+    assert report.checkpoint_lsn == n and report.last_lsn == n
+    assert report.replayed == 0 and report.skipped == 0
+    assert not report.torn_tail
     assert_stores_identical(db.store, store)
 
 
