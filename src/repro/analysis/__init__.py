@@ -16,7 +16,7 @@ for the rule catalogue and the invariants behind it.
 
 from __future__ import annotations
 
-from repro.analysis.config import ReplintConfig, load_config
+from repro.analysis.config import ReplintConfig
 from repro.analysis.core import Finding, Rule, SourceFile, lint_paths, lint_source
 from repro.analysis.rules import all_rules
 
@@ -28,5 +28,4 @@ __all__ = [
     "all_rules",
     "lint_paths",
     "lint_source",
-    "load_config",
 ]

@@ -1,20 +1,17 @@
 """CLI for replint: ``python -m repro.analysis [paths...]``.
 
-Exit status: 0 clean, 1 findings, 2 usage/parse error.  ``--json``
-switches the report to a machine-readable document (the shape consumed
-by CI and the test suite); ``--self-check`` lints the installed
-``repro`` package's own source tree, which must come back clean.
+Exit status: 0 clean, 1 findings, 2 usage/parse error.  Every run also
+reports the suppression comments that silenced nothing (the
+``unused-suppression`` pseudo-rule).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from repro.analysis.config import ReplintConfig, load_config
-from repro.analysis.core import Finding, Rule, lint_paths
+from repro.analysis.core import lint_paths
 from repro.analysis.rules import all_rules, rules_by_id
 
 
@@ -27,9 +24,6 @@ def _parser() -> argparse.ArgumentParser:
         "paths", nargs="*", help="files or directories to lint (e.g. src/repro)"
     )
     parser.add_argument(
-        "--json", action="store_true", help="emit findings as a JSON document"
-    )
-    parser.add_argument(
         "--rules",
         metavar="IDS",
         default=None,
@@ -37,21 +31,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue and exit"
-    )
-    parser.add_argument(
-        "--self-check",
-        action="store_true",
-        help="lint the installed repro package's own source tree",
-    )
-    parser.add_argument(
-        "--no-config",
-        action="store_true",
-        help="ignore [tool.replint] in pyproject.toml; use built-in defaults",
-    )
-    parser.add_argument(
-        "--warn-unused-suppressions",
-        action="store_true",
-        help="report `# replint: disable` comments that silenced nothing",
     )
     return parser
 
@@ -72,49 +51,23 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         rules = [catalogue[rule_id]() for rule_id in wanted]
     paths = [Path(p) for p in args.paths]
-    if args.self_check:
-        import repro
-
-        package_root = Path(repro.__file__).resolve().parent
-        paths.append(package_root)
     if not paths:
-        print("no paths given (try src/repro, or --self-check)", file=sys.stderr)
+        print("no paths given (try src/repro)", file=sys.stderr)
         return 2
     for path in paths:
         if not path.exists():
             print(f"no such path: {path}", file=sys.stderr)
             return 2
-    config = ReplintConfig() if args.no_config else load_config(paths[0].resolve())
     try:
-        findings = lint_paths(
-            paths,
-            config=config,
-            rules=rules,
-            warn_unused_suppressions=args.warn_unused_suppressions,
-        )
+        findings = lint_paths(paths, rules=rules)
     except SyntaxError as error:
         print(f"parse error: {error}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(_report(findings, rules), indent=2, sort_keys=True))
-    else:
-        for finding in findings:
-            print(finding.format())
-        label = "finding" if len(findings) == 1 else "findings"
-        print(f"replint: {len(findings)} {label}")
-    return 1 if findings else 0
-
-
-def _report(findings: list[Finding], rules: list[Rule]) -> dict[str, object]:
-    counts: dict[str, int] = {}
     for finding in findings:
-        counts[finding.rule] = counts.get(finding.rule, 0) + 1
-    return {
-        "findings": [finding.as_dict() for finding in findings],
-        "counts": counts,
-        "total": len(findings),
-        "rules": [rule.id for rule in rules],
-    }
+        print(finding.format())
+    label = "finding" if len(findings) == 1 else "findings"
+    print(f"replint: {len(findings)} {label}")
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

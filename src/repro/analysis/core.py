@@ -53,9 +53,9 @@ class Suppressions:
     """Parsed ``# replint: disable[-file]=...`` comments of one file.
 
     Each declaration remembers whether it ever silenced a finding, so a
-    run can report the stale ones (``--warn-unused-suppressions``): a
-    disable comment that matches nothing is no longer documenting an
-    exception — it is hiding the next regression.
+    run can report the stale ones: a disable comment that matches nothing
+    is no longer documenting an exception — it is hiding the next
+    regression.
     """
 
     __slots__ = ("_by_line", "_file_wide", "_used")
@@ -210,15 +210,14 @@ def lint_paths(
     paths: Iterable[Path | str],
     config: "ReplintConfig" | None = None,
     rules: Iterable[Rule] | None = None,
-    warn_unused_suppressions: bool = False,
 ) -> list[Finding]:
     """Lint every python file under ``paths`` with every (or the given) rule.
 
     Per-file rules run file by file; :class:`ProjectRule` instances run
     once over a :class:`~repro.analysis.project.ProjectIndex` of the
-    whole tree.  With ``warn_unused_suppressions``, every suppression
-    comment that silenced nothing (for a rule this run actually ran) is
-    reported under the ``unused-suppression`` pseudo-rule.
+    whole tree.  Every suppression comment that silenced nothing (for a
+    rule this run actually ran) is reported under the
+    ``unused-suppression`` pseudo-rule.
     """
     from repro.analysis.config import ReplintConfig
     from repro.analysis.rules import all_rules
@@ -248,23 +247,22 @@ def lint_paths(
                 if src.suppressions.active(finding.rule, finding.line):
                     continue
                 findings.append(finding)
-    if warn_unused_suppressions:
-        run_ids = {rule.id for rule in active}
-        for src in sources:
-            for line, rule_id, file_wide in src.suppressions.unused():
-                if rule_id != "all" and rule_id not in run_ids:
-                    continue  # the suppressed rule did not run; no verdict
-                form = "disable-file" if file_wide else "disable"
-                findings.append(
-                    Finding(
-                        UNUSED_SUPPRESSION_RULE,
-                        str(src.path),
-                        line,
-                        1,
-                        f"suppression `# replint: {form}={rule_id}` silenced "
-                        "nothing in this run; remove it so it cannot hide a "
-                        "future regression",
-                    )
+    run_ids = {rule.id for rule in active}
+    for src in sources:
+        for line, rule_id, file_wide in src.suppressions.unused():
+            if rule_id != "all" and rule_id not in run_ids:
+                continue  # the suppressed rule did not run; no verdict
+            form = "disable-file" if file_wide else "disable"
+            findings.append(
+                Finding(
+                    UNUSED_SUPPRESSION_RULE,
+                    str(src.path),
+                    line,
+                    1,
+                    f"suppression `# replint: {form}={rule_id}` silenced "
+                    "nothing in this run; remove it so it cannot hide a "
+                    "future regression",
                 )
+            )
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings

@@ -8,11 +8,9 @@ from repro.analysis.rules.feature_gate import FeatureGateRule
 from repro.analysis.rules.gate_coherence import GateCoherenceRule
 from repro.analysis.rules.runtime_assert import RuntimeAssertRule
 from repro.analysis.rules.set_iteration import SetIterationRule
-from repro.analysis.rules.slots import SlotsRule
 
 _RULE_CLASSES: tuple[type[Rule], ...] = (
     RuntimeAssertRule,
-    SlotsRule,
     FeatureGateRule,
     SetIterationRule,
     # interprocedural rules (run once over the whole-tree ProjectIndex)

@@ -9,9 +9,8 @@ these paths raise typed errors from :mod:`repro.errors`
 (``StoreCorruptError``, ``DiskProgressError``, ``StorageError``)
 instead.
 
-Debug-only ``check()`` methods (invariant walks the engine never calls
-in production paths) are exempt by the configured allowlist; tests are
-out of scope entirely.
+No function in the rule's scope is exempt: an invariant walk that wants
+to check itself raises too.  Tests are out of scope entirely.
 """
 
 from __future__ import annotations
@@ -27,33 +26,14 @@ class RuntimeAssertRule(Rule):
     description = "no assert for data validation in -O-safe runtime paths"
 
     def check(self, src: SourceFile, config: ReplintConfig) -> list[Finding]:
-        findings: list[Finding] = []
-        exempt = config.assert_exempt_functions
-        self._walk(src.tree, src, exempt, in_exempt=False, findings=findings)
-        return findings
-
-    def _walk(
-        self,
-        node: ast.AST,
-        src: SourceFile,
-        exempt: frozenset[str],
-        in_exempt: bool,
-        findings: list[Finding],
-    ) -> None:
-        for child in ast.iter_child_nodes(node):
-            child_exempt = in_exempt
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                child_exempt = in_exempt or child.name in exempt or child.name.startswith(
-                    "_debug"
-                )
-            if isinstance(child, ast.Assert) and not in_exempt:
-                findings.append(
-                    self.finding(
-                        src,
-                        child,
-                        "assert is stripped under python -O; raise a typed "
-                        "error from repro.errors (StoreCorruptError, "
-                        "DiskProgressError, ...) for data validation",
-                    )
-                )
-            self._walk(child, src, exempt, child_exempt, findings)
+        return [
+            self.finding(
+                src,
+                node,
+                "assert is stripped under python -O; raise a typed "
+                "error from repro.errors (StoreCorruptError, "
+                "DiskProgressError, ...) for data validation",
+            )
+            for node in ast.walk(src.tree)
+            if isinstance(node, ast.Assert)
+        ]

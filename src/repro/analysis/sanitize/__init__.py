@@ -17,10 +17,9 @@ construction (:mod:`repro.sim.clock`), and the same inputs giving the
 same books is what the golden draws check, twice per process under a
 second hash seed (``python -m tests.golden --replay``).
 
-Enable with the ``REPRO_SAN`` environment variable: ``1``/``all`` or
-``mutation``.  Unset, the sanitizer costs nothing: its hook is one
-environment-dict lookup per update, and simulated results and timings
-are bit-identical.
+``REPRO_SAN`` set to any non-empty value (``1``, ``mutation``) arms it.
+Unset, the sanitizer costs nothing: its hook is one environment-dict
+lookup per update, and simulated results and timings are bit-identical.
 
 ``REPRO_SAN_REPORT=<path>`` additionally appends one JSON line per
 failure to ``<path>`` before raising, which CI uploads as an artifact.
@@ -32,8 +31,6 @@ import json
 import os
 from typing import NoReturn
 
-ALL_MODES = frozenset({"mutation"})
-
 
 class SanitizerError(AssertionError):
     """A runtime invariant policed by the sanitizers was violated.
@@ -42,27 +39,6 @@ class SanitizerError(AssertionError):
     engine catches it (engine error handling is scoped to
     :class:`~repro.errors.ReproError`), so a violation always surfaces.
     """
-
-
-def modes() -> frozenset[str]:
-    """The sanitizer modes requested by ``REPRO_SAN`` (empty when off).
-
-    Read per call rather than cached at import, so tests can flip the
-    variable with ``monkeypatch.setenv`` without reloading modules.
-    """
-    raw = os.environ.get("REPRO_SAN", "").strip().lower()
-    if not raw:
-        return frozenset()
-    if raw in ("1", "all", "on", "true"):
-        return ALL_MODES
-    requested = frozenset(part.strip() for part in raw.split(",") if part.strip())
-    unknown = requested - ALL_MODES
-    if unknown:
-        raise SanitizerError(
-            f"unknown REPRO_SAN mode(s): {', '.join(sorted(unknown))} "
-            f"(valid: {', '.join(sorted(ALL_MODES))}, or 1/all)"
-        )
-    return requested
 
 
 def fail(sanitizer: str, message: str) -> NoReturn:

@@ -40,8 +40,9 @@ Version 4 is the only format; an image of any other version raises
 LSN (see :mod:`repro.storage.wal`), a CRC32 over the body, and the body
 length — so a torn or bit-rotted checkpoint is *detected* at load time
 (:class:`~repro.errors.StoreCorruptError`) instead of silently parsed;
-short reads at any offset raise the same typed error with offset
-context, never a bare :class:`struct.error`.  The synopsis and the path
+short reads at any offset, and a body length past the file's end, raise
+the same typed error with offset context, never a bare
+:class:`struct.error` or :class:`MemoryError`.  The synopsis and the path
 summary are stored as their per-page rows (the summary's counts and
 cluster postings are re-aggregated at load).  The writer always marks
 both present, and a block marked otherwise is corrupt.
@@ -620,6 +621,14 @@ def load_store(path: str) -> DocumentStore:
         checkpoint_lsn, body_crc, body_len = _HEADER_SUMS.unpack(
             _read_exact(inp, _HEADER_SUMS.size, "store header checksum block")
         )
+        # checked before read() allocates body_len bytes
+        left = os.fstat(inp.fileno()).st_size - inp.tell()
+        if body_len > left:
+            field_at = inp.tell() - 8  # body_len is the header's last u64
+            raise StoreCorruptError(
+                f"store body length {body_len} at offset {field_at} "
+                f"exceeds the {left} byte(s) that follow the header"
+            )
         body = _read_exact(inp, body_len, "store body")
         if zlib.crc32(body) != body_crc:
             raise StoreCorruptError(

@@ -73,10 +73,7 @@ def _maintain(store: DocumentStore) -> None:
     touched = _touched_pages(store.segment, store.segment.seen_versions)
     check = None
     if os.environ.get("REPRO_SAN"):
-        from repro.analysis import sanitize
-
-        if "mutation" in sanitize.modes():
-            from repro.analysis.sanitize.mutation import check_maintenance as check
+        from repro.analysis.sanitize.mutation import check_maintenance as check
     for doc in store.documents.values():
         repair_synopsis(store, doc, touched)
         repair_pathsummary(store, doc, touched)
@@ -114,12 +111,9 @@ def _san_colviews(store: DocumentStore, page_nos) -> None:
     match one rebuilt from the records.  One environment-dict lookup when
     ``REPRO_SAN`` is unset."""
     if os.environ.get("REPRO_SAN"):
-        from repro.analysis import sanitize
+        from repro.analysis.sanitize.mutation import check_colviews
 
-        if "mutation" in sanitize.modes():
-            from repro.analysis.sanitize.mutation import check_colviews
-
-            check_colviews(store.segment, page_nos)
+        check_colviews(store.segment, page_nos)
 
 
 def _crash_check(store: DocumentStore) -> None:

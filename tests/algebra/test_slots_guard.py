@@ -5,41 +5,67 @@ Per-instance dicts on objects created thousands of times per query
 pages, frames) cost both memory and attribute-lookup time.  (XSchedule's
 queue entries are flat tuples and have no class to guard.)
 This test pins the optimisation down so a refactor cannot silently
-reintroduce ``__dict__`` on the hot path.
+reintroduce ``__dict__`` on the hot path: every class defined in the
+hot modules (``HOT_PACKAGES``, ``HOT_MODULES``) declares ``__slots__``
+(``@dataclass(slots=True)`` counts), apart from the shapes that are
+never per-tuple allocations, and no class re-declares a slot of a base.
 """
 
+import enum
+import importlib
+import pkgutil
+import typing
+
+import repro.algebra
 import repro.algebra.fullnav  # noqa: F401  (registers Operator subclasses)
 import repro.algebra.multiscan  # noqa: F401
+import repro.sim
 from repro.algebra.base import Operator
-from repro.algebra.misc import ContextScan, DuplicateElimination
-from repro.algebra.pathinstance import EntryRun
-from repro.algebra.unnestmap import UnnestMap
-from repro.algebra.xassembly import XAssembly
 from repro.algebra.xscan import XScan
-from repro.algebra.xschedule import XSchedule
 from repro.sim.clock import SimClock
 from repro.storage.buffer import BufferManager, Frame
+from repro.storage.colview import ColumnView
 from repro.storage.page import Page
-from repro.storage.record import BorderRecord, CoreRecord
+from repro.storage.record import CoreRecord
 from repro.storage.synopsis import ClusterSynopsis
 
-HOT_CLASSES = (
-    Operator,
-    XScan,
-    XSchedule,
-    XAssembly,
-    UnnestMap,
-    ContextScan,
-    DuplicateElimination,
-    EntryRun,
-    CoreRecord,
-    BorderRecord,
-    Page,
-    Frame,
-    BufferManager,
-    SimClock,
-    ClusterSynopsis,
-)
+HOT_PACKAGES = (repro.algebra, repro.sim)
+HOT_MODULES = ("repro.storage.record", "repro.storage.colview", "repro.storage.pathsummary")
+#: hot classes defined outside the hot modules
+HOT_CLASSES = (Page, Frame, BufferManager, ClusterSynopsis)
+
+
+def _exempt_by_shape(cls) -> bool:
+    """Enums, exceptions, NamedTuples, Protocols and TypedDicts."""
+    return (
+        issubclass(cls, (enum.Enum, BaseException))
+        or (issubclass(cls, tuple) and hasattr(cls, "_fields"))
+        or getattr(cls, "_is_protocol", False)
+        or typing.is_typeddict(cls)
+    )
+
+
+def _hot_module_classes():
+    names = [
+        info.name
+        for package in HOT_PACKAGES
+        for info in pkgutil.walk_packages(package.__path__, package.__name__ + ".")
+    ]
+    for name in (*names, *HOT_MODULES):
+        module = importlib.import_module(name)
+        for value in vars(module).values():
+            if isinstance(value, type) and value.__module__ == name:
+                if not _exempt_by_shape(value):
+                    yield value
+
+
+def _guarded_classes():
+    return {*HOT_CLASSES, *_hot_module_classes()}
+
+
+def _own_slots(cls) -> tuple[str, ...]:
+    slots = vars(cls).get("__slots__", ())
+    return (slots,) if isinstance(slots, str) else tuple(slots)
 
 
 def _all_subclasses(cls):
@@ -49,16 +75,32 @@ def _all_subclasses(cls):
 
 
 def test_hot_classes_define_slots():
-    for cls in HOT_CLASSES:
-        assert "__slots__" in vars(cls), f"{cls.__name__} lost its __slots__"
+    classes = _guarded_classes()
+    assert {XScan, SimClock, CoreRecord, ColumnView} <= classes  # not vacuous
+    for cls in classes:
+        assert "__slots__" in vars(cls), (
+            f"{cls.__module__}.{cls.__qualname__} lost its __slots__"
+        )
+
+
+def test_no_class_redeclares_a_base_slot():
+    """A slot declared again below its base wastes a descriptor and hides
+    the base's, so the two classes see different storage."""
+    for cls in _guarded_classes():
+        for base in cls.__mro__[1:]:
+            shared = set(_own_slots(cls)) & set(_own_slots(base))
+            assert not shared, (
+                f"{cls.__qualname__} re-declares slot(s) {sorted(shared)} "
+                f"of {base.__qualname__}"
+            )
 
 
 def test_hot_instances_have_no_dict():
     """``__slots__`` only works if every class in the MRO plays along."""
-    for cls in (EntryRun, CoreRecord, BorderRecord, Page, Frame, SimClock):
-        assert "__dict__" not in dir(cls) or not any(
+    for cls in _guarded_classes():
+        assert not any(
             "__dict__" in vars(c) for c in cls.__mro__ if c is not object
-        ), f"{cls.__name__} instances grew a __dict__"
+        ), f"{cls.__qualname__} instances grew a __dict__"
 
 
 def test_every_operator_subclass_defines_slots():

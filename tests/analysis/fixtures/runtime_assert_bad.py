@@ -11,3 +11,9 @@ class Cursor:
     def advance(self):
         assert self.position >= 0
         self.position += 1
+
+
+def check(records):
+    # an invariant walk is no exception
+    for record in records:
+        assert record is not None

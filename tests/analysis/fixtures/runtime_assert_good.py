@@ -1,4 +1,4 @@
-"""Fixture: typed raises plus the allowlisted debug-only shapes."""
+"""Fixture: data validation by typed raises."""
 
 
 def read_record(records, slot):
@@ -6,14 +6,3 @@ def read_record(records, slot):
     if record is None:
         raise ValueError(f"tombstone at slot {slot}")
     return record
-
-
-def check(records):
-    # invariant walk named on the exempt allowlist
-    for record in records:
-        assert record is not None
-
-
-def _debug_dump(records):
-    assert all(record is not None for record in records)
-    return list(records)

@@ -1,13 +1,10 @@
 """Fixture: violations silenced by line and file-wide suppressions."""
-# replint: disable-file=slots
+# replint: disable-file=feature-gate
 
 
 class Frame:
-    def __init__(self, page):
-        self.page = page
-
     def emit(self):
-        self.tracer.cluster_read(1)  # replint: disable=feature-gate
+        self.tracer.cluster_read(1)
 
 
 def read_record(records, slot):

@@ -26,7 +26,7 @@ import pytest
 from repro.algebra.context import EvalOptions
 from repro.algebra.xassembly import XAssembly, build_tape
 from repro.algebra.xscan import XScan
-from repro.analysis.sanitize import ALL_MODES, SanitizerError, modes
+from repro.analysis.sanitize import SanitizerError
 from repro.errors import OffGridTimeError
 from repro.model.tree import Kind
 from repro.obs.tracer import Tracer
@@ -67,20 +67,18 @@ def _find_text_node(db, doc_name="d"):
 
 
 def test_modes_parsing(monkeypatch):
-    assert modes() == frozenset()
-    monkeypatch.setenv("REPRO_SAN", "1")
-    assert modes() == ALL_MODES
-    monkeypatch.setenv("REPRO_SAN", "all")
-    assert modes() == ALL_MODES
-    monkeypatch.setenv("REPRO_SAN", " mutation ")
-    assert modes() == frozenset({"mutation"})
-    monkeypatch.setenv("REPRO_SAN", "mutaton")
-    with pytest.raises(SanitizerError, match="unknown REPRO_SAN mode"):
-        modes()
-    # the clock and determinism checks are golden-oracle work now
-    monkeypatch.setenv("REPRO_SAN", "charge,determinism")
-    with pytest.raises(SanitizerError, match="charge, determinism"):
-        modes()
+    """``REPRO_SAN`` arms the sanitizer when set (``1`` and ``mutation``
+    alike); unset, a stale columnar cache goes unchecked."""
+    for value in (None, "1", "mutation"):
+        db, _ = small_database()
+        nid = _find_text_node(db)
+        db.store.segment.page(page_of(nid)).colview().tags[slot_of(nid)] += 1
+        if value is None:
+            update_value(db.store, nid, "x")
+            continue
+        monkeypatch.setenv("REPRO_SAN", value)
+        with pytest.raises(SanitizerError, match="column view"):
+            update_value(db.store, nid, "x")
 
 
 # ------------------------------------------------------- overhead contract

@@ -134,6 +134,19 @@ def test_header_corruption_detected(saved, tmp_path):
         load_store(target)
 
 
+@pytest.mark.parametrize("body_len", (2**42, 2**64 - 1))
+def test_a_planted_body_length_is_refused_before_the_read(saved, tmp_path, body_len):
+    """A header claiming more body than the file holds is damage, named
+    with the length field's offset, before ``read()`` allocates a buffer
+    of the claimed size (a bare ``MemoryError`` or ``OverflowError``)."""
+    _, _, data = saved
+    corrupt = bytearray(data)
+    corrupt[_HEAD : _HEAD + _SUMS.size] = _SUMS.pack(0, 0, body_len)
+    target = written(tmp_path, "planted.rpro", bytes(corrupt))
+    with pytest.raises(StoreCorruptError, match=rf"length {body_len} at offset 22 exceeds"):
+        load_store(target)
+
+
 def test_not_a_store_file(tmp_path):
     target = str(tmp_path / "nope.rpro")
     open(target, "wb").write(b"<?xml version='1.0'?><root/>")
