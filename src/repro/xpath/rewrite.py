@@ -33,12 +33,7 @@ from typing import Sequence
 
 from repro.axes import Axis
 from repro.algebra.steps import CompiledNodeTest, CompiledStep, UNKNOWN_TAG
-from repro.storage.pathsummary import (
-    PathEvaluation,
-    PathPostings,
-    PathSummary,
-    _PARENT_KINDS,
-)
+from repro.storage.pathsummary import PathEvaluation, PathPostings, PathSummary, _PARENT_KINDS
 
 #: Expansion cost gate: the expanded chain must sweep at most this
 #: fraction of the descendant step's candidates.  Child steps enumerate
@@ -68,18 +63,10 @@ def rewrite_path(
     """Refute, expand, and post one compiled location path; without a
     summary (switched off), post it on every page of ``page_nos``."""
     if summary is None:
-        return RewriteOutcome(
-            list(steps), False, 0, None, PathPostings.uniform(steps, page_nos)
-        )
+        return RewriteOutcome(list(steps), False, 0, None, PathPostings.uniform(steps, page_nos))
     evaluation = summary.evaluate(steps)
     if evaluation.refuted:
-        return RewriteOutcome(
-            steps=list(steps),
-            refuted=True,
-            expanded=0,
-            evaluation=evaluation,
-            postings=PathPostings.uniform(steps, ()),
-        )
+        return RewriteOutcome(list(steps), True, 0, evaluation, PathPostings.uniform(steps, ()))
     steps = list(steps)
     expanded = 0
     changed = True
@@ -102,13 +89,8 @@ def rewrite_path(
                 expanded += 1
                 changed = True
                 break
-    return RewriteOutcome(
-        steps=steps,
-        refuted=False,
-        expanded=expanded,
-        evaluation=evaluation,
-        postings=PathPostings.for_steps(summary, steps),
-    )
+    postings = PathPostings.for_steps(summary, steps)
+    return RewriteOutcome(steps, False, expanded, evaluation, postings)
 
 
 def _expand_descendant(
@@ -132,18 +114,10 @@ def _expand_descendant(
         return None
     if step.test.tag is None or step.test.tag == UNKNOWN_TAG:
         return None
-    if index == 0:
-        context_keys = (summary.root_key(),)
-    else:
-        context_keys = tuple(sorted(evaluation.step_sets[index - 1]))
-    result_keys = tuple(sorted(evaluation.step_sets[index]))
-    if not result_keys:
-        return None
-    context_chains = [
-        chain for chain, kind in context_keys if kind in _PARENT_KINDS
-    ]
+    contexts = summary.keys_of(evaluation.step_sets[index - 1]) if index else [summary.root_key()]
+    context_chains = [chain for chain, kind in contexts if kind in _PARENT_KINDS]
     suffixes = set()
-    for rchain, _rkind in result_keys:
+    for rchain, _rkind in summary.keys_of(evaluation.step_sets[index]):
         for cchain in context_chains:
             if len(rchain) > len(cchain) and rchain[: len(cchain)] == cchain:
                 suffixes.add(rchain[len(cchain) :])
@@ -157,9 +131,7 @@ def _expand_descendant(
         # direct child — a plain child step with the original test
         return [CompiledStep(Axis.CHILD, step.test, step.predicates)]
     intermediate = [
-        CompiledStep(
-            Axis.CHILD, CompiledNodeTest.compile("name", Axis.CHILD, tag), []
-        )
+        CompiledStep(Axis.CHILD, CompiledNodeTest.compile("name", Axis.CHILD, tag), [])
         for tag in suffix[:-1]
     ]
     return intermediate + [CompiledStep(Axis.CHILD, step.test, step.predicates)]

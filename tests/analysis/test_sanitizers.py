@@ -434,8 +434,9 @@ def test_mutation_sanitizer_catches_a_summary_edited_in_place(monkeypatch, tmp_p
         rows = {p: PathSummary.collect_row(store.segment, store.segment.page(p))
                 for p in touched if p in document.page_nos}
         right = base.patched(rows)
-        for name in ("_pages", "_counts", "_postings", "_children", "_n_nodes"):
-            setattr(base, name, getattr(right, name))  # trie edited, memo kept
+        for name in PathSummary.__slots__:
+            if name != "_memo":
+                setattr(base, name, getattr(right, name))  # trie edited, memo kept
 
     monkeypatch.setattr(update, "repair_pathsummary", repair_in_place)
     if not diffed:

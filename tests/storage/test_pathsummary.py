@@ -7,6 +7,7 @@ from repro.axes import Axis
 from repro.algebra.steps import CompiledNodeTest, CompiledPredicate, CompiledStep
 from repro.model.builder import tree_from_nested
 from repro.model.tree import Kind
+from repro.storage.nodeid import page_of
 from repro.storage.pathsummary import EVALUATION_LIMIT, PathSummary
 from repro.storage.store import export_tree, repair_pathsummary
 from repro.xpath.reference import evaluate_query
@@ -142,6 +143,71 @@ def test_patched_adjusts_derived_tables_like_a_rebuild():
     assert restored.page_rows() == {**rows, max(rows) + 1: {}}
 
 
+def test_an_update_that_changes_no_row_keeps_the_summary(monkeypatch, tmp_path):
+    """A same-length set-value through the WAL leaves every recollected
+    row as it was, so repair keeps the summary object itself: its ids
+    and its memoised evaluations survive."""
+    db, _ = small_database(seed=11)
+    db.attach_wal(str(tmp_path / "wal.log"))
+    doc = db.document("d")
+    text = db.execute("//text()", doc="d", plan="simple").nodes[0]
+    db.execute("count(//a/b)", doc="d", plan="auto")
+    summary, memo = doc.pathsummary, dict(doc.pathsummary._memo)
+    assert memo
+    patches = []
+    patched = PathSummary.patched
+
+    def counted(self, fresh):
+        patches.append(set(fresh))
+        return patched(self, fresh)
+
+    monkeypatch.setattr(PathSummary, "patched", counted)
+    db.wal.set_value("d", text, "x" * len(db.node_info(text)[2]))
+    assert patches == [{page_of(text)}]  # the text's page was recollected
+    assert doc.pathsummary is summary and summary._memo == memo
+
+
+def test_a_new_key_renumbers_nothing_and_touches_only_its_ancestors(tmp_path):
+    """An insert under a new tag adds one path key.  It takes the next
+    free id, every other key keeps its id, and only its ancestors'
+    closures change: every other chain's closure is the very same
+    object.  Deleting the node clears the key's bits again, and adding
+    it back gives the key its old id."""
+    db, _ = small_database(seed=12)
+    db.attach_wal(str(tmp_path / "wal.log"))
+    doc = db.document("d")
+    (root_elem,) = db.execute("/root", doc="d", plan="simple").nodes
+    before = doc.pathsummary
+    nid = db.wal.insert("d", root_elem, 0, "fresh")
+    after = doc.pathsummary
+    t = db.tags.lookup
+    key = ((0, t("root"), t("fresh")), int(Kind.ELEMENT))
+    new_id = after._ids[key]
+    assert new_id == len(before._keys) and after.count(key) == 1
+    assert all(after._ids[k] == i for k, i in before._ids.items())
+    ancestors = {key[0][:depth] for depth in range(1, len(key[0]))}
+    assert after._below.keys() == before._below.keys()
+    for chain, closure in before._below.items():
+        if chain in ancestors:
+            assert after._below[chain] == closure | 1 << new_id
+            assert after._totals[chain] == before._totals[chain] + 1
+        else:
+            assert after._below[chain] is closure
+            assert after._totals[chain] is before._totals[chain]
+    db.wal.delete("d", nid)
+    gone = doc.pathsummary
+    assert gone.count(key) == 0 and gone._ids[key] == new_id
+    assert all(gone._ids[k] == i for k, i in after._ids.items())
+    for chain, closure in after._below.items():
+        if chain in ancestors:
+            assert gone._below[chain] == closure & ~(1 << new_id)
+        else:
+            assert gone._below[chain] is closure
+    assert gone._below == before._below and gone == PathSummary.from_page_rows(gone.page_rows())
+    db.wal.insert("d", root_elem, 0, "fresh")
+    assert doc.pathsummary._ids[key] == new_id and doc.pathsummary.count(key) == 1
+
+
 def test_repair_from_none_recollects_everything():
     """Repair from an empty summary over every page is a full collect."""
     db, _ = small_database(seed=2)
@@ -228,7 +294,7 @@ def test_evaluate_upward_axes_are_supersets_never_exact():
     assert not evaluation.exact
     assert evaluation.cardinality is None
     # the parent step's set covers both true parent paths (c and e)
-    tails = {chain[-1] for chain, _ in evaluation.step_sets[1]}
+    tails = {chain[-1] for chain, _ in summary.keys_of(evaluation.step_sets[1])}
     assert {db.tags.lookup("c"), db.tags.lookup("e")} <= tails
 
 
