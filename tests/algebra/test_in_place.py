@@ -9,6 +9,8 @@ branch can have booked what it counts (``tests/golden.py``, the
 ``inplace`` rows), read off its counters and ``XSchedule._parked``.
 """
 
+from repro.algebra.misc import order_results, result_nodeids
+from repro.storage.buffer import BufferManager
 from tests import golden
 
 
@@ -47,3 +49,23 @@ def test_every_in_place_branch_fires_off_a_tape():
     # order_results: both kinds of label read in one ordering's slice
     order = rows["inplace/order"]
     assert order["hits"] and order["misses"]
+
+
+def test_untraced_order_results_fixes_only_its_misses(monkeypatch):
+    """The ``inplace/order`` books are the same through ``fix``; what
+    shows the in-place branch firing is that, untraced, only a miss
+    calls ``fix`` (a resident label read goes to ``count_hits``)."""
+    fixed = []
+    fix = BufferManager.fix
+    monkeypatch.setattr(BufferManager, "fix", lambda self, page: fixed.append(page) or fix(self, page))
+    db = golden.database(golden.ENTRY_DOC)
+    ctx = db.make_context()
+    ((plan, _),) = db.prepare("//b", "d", "xschedule").leaves
+    nodes = result_nodeids(plan.build(ctx))
+    before = ctx.stats.snapshot()
+    fixed.clear()
+    order_results(ctx, nodes)
+    stats = ctx.stats.diff(before)
+    ctx.release()
+    assert stats.buffer_hits and stats.buffer_misses
+    assert len(fixed) == stats.buffer_misses

@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from repro import Database
+from repro.algebra.misc import ContextScan
 from repro.obs import TraceEvent, Tracer, format_metrics
 from repro.sim.stats import Stats
 
@@ -50,6 +52,21 @@ def test_summary_counters_are_the_stats_slice_it_is_handed():
     since = stats.diff(before)
     assert type(since) is ExtendedStats
     assert since.shiny_new == 4 and since.pages_read == 0
+
+
+def test_untraced_operators_keep_no_span_state():
+    """The open-time span stamp is the tracer's: untraced, ``open`` and
+    ``close`` leave an operator's span state untouched."""
+    db = Database(page_size=512, buffer_pages=8)
+    db.load_xml("<r><a/><a/></r>", "d")
+    ctx = db.make_context()
+    (root,) = db.execute("/r", doc="d", plan="simple").nodes
+    op = ContextScan(ctx, [root])
+    op.open()
+    assert op._trace_t0 is None
+    assert list(op) == [root]
+    op.close()
+    assert (op._trace_t0, op._trace_out) == (None, 0)
 
 
 def test_operator_rollups():

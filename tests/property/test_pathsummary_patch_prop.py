@@ -74,12 +74,15 @@ def updates(db, session, op, pick, tag):
                 pass
             yield
     elif op in ("insert", "cycle"):
-        parent = elements[pick % len(elements)]
-        nid = session.insert("d", parent, 0, tag)
+        at = pick % len(elements)
+        nid = session.insert("d", elements[at], 0, tag)
         yield
         if op == "cycle":
             session.delete("d", nid)
             yield
+            # the insert may have relocated the parent (a new NodeID);
+            # with its child gone it is again the ``at``-th element
+            parent = db.execute("//*", doc="d", plan="simple").nodes[at]
             session.insert("d", parent, 0, tag)
             yield
 
