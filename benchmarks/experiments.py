@@ -39,7 +39,6 @@ from repro import (
     SchedulingPolicy,
     Tracer,
 )
-from repro.algebra.concurrent import run_concurrent
 from repro.model.builder import TreeBuilder
 from repro.sim.stats import Stats
 from repro.storage.pathsummary import PathSummary
@@ -398,7 +397,7 @@ def run_pair(row, stores, scratch):
         runs = (db.execute(q, doc=d, plan=p, options=options(row)) for q, d, p in PAIR)
         total = math.fsum(result.total_time for result in runs)
     else:
-        total = run_concurrent(db, PAIR, options(row)).total_time
+        total = db.run_batch(PAIR, options=options(row)).total_time
     return {"total": total}
 
 

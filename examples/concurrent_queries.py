@@ -15,7 +15,6 @@ Run with::
 import sys
 
 from repro import Database, ImportOptions, SchedulingPolicy
-from repro.algebra.concurrent import run_concurrent
 from repro.xmark import Q7, generate_xmark
 
 PAIR = [
@@ -35,13 +34,13 @@ def main(scale: float = 0.25) -> None:
     for policy in (SchedulingPolicy.SSTF, SchedulingPolicy.FIFO):
         db = build(policy, scale)
         serial = sum(db.execute(q, doc=d, plan=p).total_time for q, d, p in PAIR)
-        outcome = run_concurrent(db, PAIR)
+        outcome = db.run_batch(PAIR)
         gain = (serial - outcome.total_time) / serial * 100
         print(f"{policy.value:>5s}: serial {serial:7.3f}s  "
               f"concurrent {outcome.total_time:7.3f}s  ({gain:+.1f}%)")
         for result in outcome.results:
             print(f"       {result.query}: {result.value:.0f} "
-                  f"(finished at {result.finished_at:.3f}s)")
+                  f"(finished at {result.total_time:.3f}s)")
 
     db = build(SchedulingPolicy.SSTF, scale)
     three_scans = db.execute(Q7, doc="xmark", plan="xscan")

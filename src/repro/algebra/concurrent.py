@@ -6,7 +6,9 @@ on more pending requests" — and conversely warns that scan-based plans
 suffer interference when several run at once (Sec. 2).
 
 This module interleaves several query plans round-robin over a *shared*
-clock, disk, buffer and asynchronous I/O subsystem:
+clock, disk, buffer and asynchronous I/O subsystem; it is the queue
+phase of :func:`repro.exec.batch.run_batch` (``Database.run_batch``),
+which runs every batch member that does not ride a shared scan here:
 
 * CPU work serialises (one simulated CPU), so total CPU is the sum;
 * disk requests from all queries share the controller queue — the
@@ -28,39 +30,10 @@ entry point uses — so a concurrent query may be any expression
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.algebra.context import EvalContext, EvalOptions
-from repro.errors import BudgetExceededError, PlanError
-from repro.sim.stats import Stats
+from repro.algebra.context import EvalContext
+from repro.errors import BudgetExceededError
 from repro.storage.nodeid import NodeID
-from repro.xpath.compile import CompiledPathPlan, CompiledQuery, PlanKind
-
-
-@dataclass(slots=True)
-class ConcurrentResult:
-    """Per-query outcome of a concurrent run."""
-
-    query: str
-    plan_kinds: list[PlanKind]
-    value: float | None
-    nodes: list[NodeID] | None
-    finished_at: float  #: simulated time when this query completed
-
-
-@dataclass(slots=True)
-class ConcurrentOutcome:
-    """Aggregate outcome of one concurrent execution."""
-
-    results: list[ConcurrentResult]
-    total_time: float
-    cpu_time: float
-    io_wait: float
-    stats: Stats
-
-    @property
-    def makespan(self) -> float:
-        return self.total_time
+from repro.xpath.compile import CompiledPathPlan, CompiledQuery
 
 
 def _drain(plan: CompiledPathPlan, ctx: EvalContext, counted: bool):
@@ -145,43 +118,3 @@ def interleave(
         for _, generator in drivers:
             generator.close()
     return outcomes  # type: ignore[return-value]
-
-
-def run_concurrent(
-    db,
-    requests: list[tuple[str, str, str]],
-    options: EvalOptions | None = None,
-) -> ConcurrentOutcome:
-    """Execute ``(query, doc, plan)`` requests concurrently.
-
-    All queries share one cold execution environment (clock, disk
-    controller queue, buffer pool); their operator trees are advanced
-    round-robin, one result tuple at a time.
-    """
-    if not requests:
-        raise PlanError("run_concurrent needs at least one request")
-    shared = db.env.fresh_context(options)
-    jobs = [
-        (db.prepare(query, doc, plan, options), db.env.view(shared, options))
-        for query, doc, plan in requests
-    ]
-    outcomes = interleave(jobs)
-    results = [
-        ConcurrentResult(
-            query=query,
-            plan_kinds=compiled.plan_kinds,
-            value=value,
-            nodes=nodes,
-            finished_at=checkpoint[0],
-        )
-        for (query, _, _), (compiled, _), (value, nodes, checkpoint) in zip(
-            requests, jobs, outcomes
-        )
-    ]
-    return ConcurrentOutcome(
-        results=results,
-        total_time=shared.clock.now,
-        cpu_time=shared.clock.cpu_time,
-        io_wait=shared.clock.io_wait,
-        stats=shared.stats,
-    )

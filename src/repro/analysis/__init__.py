@@ -1,9 +1,8 @@
 """replint: AST-based invariant checking for the repro engine.
 
-The engine's core guarantees — bit-identical simulated timings with
-tracing/faults on or off, deterministic replay under fault
-seeds, ``python -O`` safety of the storage layer — are mechanical
-properties of the *source*.  This package proves them statically on
+Two of the engine's guarantees — replay that no hash order can move,
+``python -O`` safety of the storage layer — are mechanical properties
+of the *source*.  This package proves them statically on
 every commit instead of waiting for an ablation benchmark to drift.
 
 Run it as ``python -m repro.analysis src/repro`` (see

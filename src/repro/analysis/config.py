@@ -1,4 +1,4 @@
-"""replint configuration: rule scopes and tracked feature slots.
+"""replint configuration: rule scopes.
 
 This module is the one source of configuration, so the checker runs
 identically everywhere; tests build their own :class:`ReplintConfig`.
@@ -23,13 +23,8 @@ DEFAULT_SCOPES: dict[str, tuple[str, ...]] = {
         "storage/wal.py",
         "sim/disk.py",
     ),
-    # optional subsystems stay behind `is not None` guards off-path
-    "feature-gate": ("sim/", "algebra/", "storage/"),
     # dedup sets must not leak their iteration order into results
     "set-iteration": ("algebra/", "sim/", "storage/"),
-    # interprocedural: possibly-None feature slots never cross into
-    # helpers that require them non-None (findings anchor at call sites)
-    "gate-coherence": ("sim/", "storage/", "algebra/", "exec/", "xpath/", "engine.py"),
     # interprocedural: unordered iteration order can't flow through calls
     "determinism-taint": ("sim/", "algebra/", "storage/", "xmark/"),
 }
@@ -43,9 +38,6 @@ class ReplintConfig:
     scopes: dict[str, tuple[str, ...]] = field(
         default_factory=lambda: dict(DEFAULT_SCOPES)
     )
-    #: attribute/parameter names treated as optional feature slots by the
-    #: feature-gate and gate-coherence rules
-    feature_names: frozenset[str] = frozenset({"tracer", "faults", "wal", "crash"})
 
     def in_scope(self, rule_id: str, relpath: str) -> bool:
         return any(relpath.startswith(prefix) for prefix in self.scopes.get(rule_id, ()))

@@ -36,15 +36,6 @@ class Finding:
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: [{self.rule}] {self.message}"
 
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
-
 
 _SUPPRESS_RE = re.compile(r"#\s*replint:\s*(disable(?:-file)?)\s*=\s*([A-Za-z0-9_,\s-]+)")
 
@@ -235,7 +226,7 @@ def lint_paths(
     if project_rules:
         from repro.analysis.project import ProjectIndex
 
-        index = ProjectIndex.build(sources, cfg)
+        index = ProjectIndex.build(sources)
         by_path = {str(src.path): src for src in sources}
         for rule in project_rules:
             for finding in rule.check_project(index, cfg):

@@ -1,12 +1,10 @@
 """Interprocedural index for replint: module graph and call graph.
 
-The per-file rules see one ``ast.Module`` at a time; the invariants
-added with the interprocedural rules — gate coherence across helper
-calls, taint that flows through return values — need to see *every*
+The per-file rules see one ``ast.Module`` at a time; an interprocedural
+rule — taint that flows through return values — needs to see *every*
 linted file at once.  :class:`ProjectIndex` is that view: every function
-definition in the linted tree, which feature-slot parameters it
-dereferences, whether it returns an unordered set, and which other
-indexed functions it calls.
+definition in the linted tree, whether it returns an unordered set, and
+which other indexed functions it calls.
 
 Call resolution is deliberately nominal, matching the engine's style
 rather than attempting type inference:
@@ -32,10 +30,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-from repro.analysis.guards import GuardIndex, terminal_name, walk_scope
-
 if TYPE_CHECKING:
-    from repro.analysis.config import ReplintConfig
     from repro.analysis.core import SourceFile
 
 #: The engine's attribute-name -> class-name bindings.  These names are
@@ -74,13 +69,6 @@ class FunctionInfo:
     node: ast.FunctionDef | ast.AsyncFunctionDef
     #: resolved + unresolved call sites, in source order
     calls: list[CallSite] = field(default_factory=list)
-    #: parameters named like feature slots that the body dereferences
-    #: *without* a local ``is not None`` guard (the function therefore
-    #: requires the argument non-None)
-    feature_params_required: set[str] = field(default_factory=set)
-    #: parameters named like feature slots, with optional annotation info:
-    #: name -> True when the annotation (or a None default) admits None
-    feature_params: dict[str, bool] = field(default_factory=dict)
     #: True when some ``return`` hands back an unordered set
     returns_unordered: bool = False
 
@@ -114,9 +102,7 @@ class ProjectIndex:
     # ------------------------------------------------------------- building
 
     @classmethod
-    def build(
-        cls, sources: Iterable["SourceFile"], config: "ReplintConfig"
-    ) -> "ProjectIndex":
+    def build(cls, sources: Iterable["SourceFile"]) -> "ProjectIndex":
         index = cls()
         for src in sources:
             index.sources.append(src)
@@ -126,7 +112,7 @@ class ProjectIndex:
             index._collect_declarations(src)
         # pass 2: per-function bodies (call sites, set returns)
         for src in index.sources:
-            index._collect_bodies(src, config)
+            index._collect_bodies(src)
         return index
 
     def _collect_declarations(self, src: "SourceFile") -> None:
@@ -154,7 +140,7 @@ class ProjectIndex:
         self._module_functions[src.relpath] = module_functions
         self._imports[src.relpath] = imports
 
-    def _collect_bodies(self, src: "SourceFile", config: "ReplintConfig") -> None:
+    def _collect_bodies(self, src: "SourceFile") -> None:
         for class_name, node in _iter_functions(src.tree):
             qualname = (
                 f"{src.relpath}::{class_name}.{node.name}"
@@ -164,12 +150,10 @@ class ProjectIndex:
             info = FunctionInfo(
                 qualname=qualname, name=node.name, cls=class_name, src=src, node=node
             )
-            self._scan_body(info, src, config)
+            self._scan_body(info, src)
             self.functions[qualname] = info
 
-    def _scan_body(
-        self, info: FunctionInfo, src: "SourceFile", config: "ReplintConfig"
-    ) -> None:
+    def _scan_body(self, info: FunctionInfo, src: "SourceFile") -> None:
         node = info.node
         set_locals: set[str] = set()
         for sub in walk_scope(node):
@@ -194,54 +178,6 @@ class ProjectIndex:
                     isinstance(value, ast.Name) and value.id in set_locals
                 ):
                     info.returns_unordered = True
-        self._scan_feature_params(info, config)
-
-    def _scan_feature_params(
-        self, info: FunctionInfo, config: "ReplintConfig"
-    ) -> None:
-        args = info.node.args
-        named = [*args.posonlyargs, *args.args, *args.kwonlyargs]
-        defaults: dict[str, ast.expr] = {}
-        positional = [*args.posonlyargs, *args.args]
-        for arg, default in zip(
-            positional[len(positional) - len(args.defaults):], args.defaults
-        ):
-            defaults[arg.arg] = default
-        for arg, kw_default in zip(args.kwonlyargs, args.kw_defaults):
-            if kw_default is not None:
-                defaults[arg.arg] = kw_default
-        feature_args = [a for a in named if a.arg in config.feature_names]
-        if not feature_args:
-            return
-        guards: GuardIndex | None = None
-        for arg in feature_args:
-            annotation = arg.annotation
-            default = defaults.get(arg.arg)
-            admits_none = (
-                annotation is None
-                or "None" in ast.unparse(annotation)
-                or (isinstance(default, ast.Constant) and default.value is None)
-            )
-            info.feature_params[arg.arg] = admits_none
-            if admits_none:
-                continue
-            # a non-optional feature parameter: does the body dereference
-            # it unguarded?  (it does, in every engine helper of this
-            # shape — the point is the *callers* must prove non-None)
-            for sub in walk_scope(info.node):
-                base: ast.expr | None = None
-                if isinstance(sub, (ast.Attribute, ast.Subscript)):
-                    base = sub.value
-                if (
-                    base is not None
-                    and isinstance(base, ast.Name)
-                    and base.id == arg.arg
-                ):
-                    if guards is None:
-                        guards = GuardIndex(info.node)
-                    if not guards.is_guarded(sub, arg.arg):
-                        info.feature_params_required.add(arg.arg)
-                        break
 
     # ----------------------------------------------------------- resolution
 
@@ -292,6 +228,32 @@ class ProjectIndex:
                 return resolved
             queue.extend(self._bases.get(current, ()))
         return None
+
+
+def terminal_name(node: ast.AST) -> str | None:
+    """The final identifier of a name/attribute chain (``ctx.buffer`` -> ``buffer``)."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+_SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def walk_scope(scope: ast.AST) -> Iterable[ast.AST]:
+    """Like :func:`ast.walk`, but do not descend into nested scopes: a
+    nested function is indexed (or not) on its own, and its calls and
+    returns are not its owner's."""
+    stack: list[ast.AST] = [scope]
+    while stack:
+        node = stack.pop()
+        yield node
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, _SCOPE_NODES) and child is not scope:
+                continue
+            stack.append(child)
 
 
 def _iter_functions(

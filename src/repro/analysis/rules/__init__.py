@@ -4,17 +4,13 @@ from __future__ import annotations
 
 from repro.analysis.core import Rule
 from repro.analysis.rules.determinism_taint import DeterminismTaintRule
-from repro.analysis.rules.feature_gate import FeatureGateRule
-from repro.analysis.rules.gate_coherence import GateCoherenceRule
 from repro.analysis.rules.runtime_assert import RuntimeAssertRule
 from repro.analysis.rules.set_iteration import SetIterationRule
 
 _RULE_CLASSES: tuple[type[Rule], ...] = (
     RuntimeAssertRule,
-    FeatureGateRule,
     SetIterationRule,
-    # interprocedural rules (run once over the whole-tree ProjectIndex)
-    GateCoherenceRule,
+    # interprocedural (runs once over the whole-tree ProjectIndex)
     DeterminismTaintRule,
 )
 

@@ -57,7 +57,12 @@ def test_untraced_order_results_fixes_only_its_misses(monkeypatch):
     calls ``fix`` (a resident label read goes to ``count_hits``)."""
     fixed = []
     fix = BufferManager.fix
-    monkeypatch.setattr(BufferManager, "fix", lambda self, page: fixed.append(page) or fix(self, page))
+
+    def counted(self, page_no):
+        fixed.append(page_no)
+        return fix(self, page_no)
+
+    monkeypatch.setattr(BufferManager, "fix", counted)
     db = golden.database(golden.ENTRY_DOC)
     ctx = db.make_context()
     ((plan, _),) = db.prepare("//b", "d", "xschedule").leaves

@@ -11,4 +11,4 @@ def pure():
 
 
 def other():
-    return None  # replint: disable=feature-gate
+    return None  # replint: disable=set-iteration

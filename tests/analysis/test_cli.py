@@ -19,10 +19,10 @@ FIXTURES = Path(__file__).parent / "fixtures"
 @pytest.fixture
 def staged_tree(tmp_path):
     """Fixture files placed where the default scopes apply to them."""
-    (tmp_path / "storage").mkdir()
-    (tmp_path / "algebra").mkdir()
+    for package in ("storage", "sim", "algebra"):
+        (tmp_path / package).mkdir()
     shutil.copy(FIXTURES / "runtime_assert_bad.py", tmp_path / "storage" / "persist.py")
-    shutil.copy(FIXTURES / "feature_gate_bad.py", tmp_path / "algebra" / "device.py")
+    shutil.copy(FIXTURES / "runtime_assert_bad.py", tmp_path / "sim" / "disk.py")
     return tmp_path
 
 
@@ -37,7 +37,7 @@ def test_findings_exit_one_with_location_lines(staged_tree, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "persist.py:6:5: [runtime-assert]" in out
-    assert "device.py:6:9: [feature-gate]" in out
+    assert "disk.py:12:9: [runtime-assert]" in out
 
 
 def test_scopes_keep_rules_off_unrelated_files(staged_tree, capsys):
@@ -86,8 +86,6 @@ def test_list_rules(capsys):
     assert code == 0
     assert [line.split()[0] for line in out.splitlines()] == [
         "runtime-assert",
-        "feature-gate",
         "set-iteration",
-        "gate-coherence",
         "determinism-taint",
     ]

@@ -1,6 +1,6 @@
-"""The interprocedural rules: fixtures, scope pruning, suppressions.
+"""The interprocedural rule: fixtures, scope pruning, suppressions.
 
-Each project rule gets the same treatment as the per-file rules — it
+``determinism-taint`` gets the same treatment as the per-file rules — it
 fires on its bad fixture and stays quiet on the good one — plus the
 properties unique to project rules: findings anchored in a file outside
 the rule's scope are pruned, and line suppressions at the anchor silence
@@ -19,22 +19,6 @@ def run_rule(rule_id: str, fixture: str, config: ReplintConfig | None = None):
     rule = rules_by_id()[rule_id]()
     cfg = config if config is not None else ReplintConfig.everywhere()
     return lint_paths([FIXTURES / fixture], config=cfg, rules=[rule])
-
-
-# ------------------------------------------------------------- gate-coherence
-
-
-def test_gate_coherence_fires_on_bad_fixture():
-    findings = run_rule("gate-coherence", "gate_coherence_bad.py")
-    assert len(findings) == 2
-    assert all("possibly-None" in f.message for f in findings)
-    keys = {f.message.split("'")[1] for f in findings}
-    assert keys == {"self.tracer", "tracer"}
-
-
-def test_gate_coherence_passes_good_fixture():
-    # guarded call sites, optional-parameter helpers, guarded locals
-    assert run_rule("gate-coherence", "gate_coherence_good.py") == []
 
 
 # ---------------------------------------------------------- determinism-taint

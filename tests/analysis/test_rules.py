@@ -29,37 +29,6 @@ def test_runtime_assert_passes_good_fixture():
     assert run_rule("runtime-assert", "runtime_assert_good.py") == []
 
 
-# -------------------------------------------------------------- feature-gate
-
-
-def test_feature_gate_fires_on_bad_fixture():
-    findings = run_rule("feature-gate", "feature_gate_bad.py")
-    keys = {f.message.split("'")[1] for f in findings}
-    assert len(findings) == 3
-    assert keys == {"self.tracer", "self.faults", "wal"}
-
-
-def test_feature_gate_passes_good_fixture():
-    # guard shapes: if-body, and-chain, early bail, conditional expression,
-    # plus a local proven non-optional at its binding
-    assert run_rule("feature-gate", "feature_gate_good.py") == []
-
-
-def test_feature_gate_recognises_walrus_and_while_guards():
-    # `if (tracer := self.tracer) is not None:` proves both the local and
-    # the slot; a while condition guards the loop body each iteration
-    assert run_rule("feature-gate", "feature_gate_walrus_good.py") == []
-
-
-def test_feature_gate_walrus_guards_do_not_overreach():
-    findings = run_rule("feature-gate", "feature_gate_walrus_bad.py")
-    keys = {f.message.split("'")[1] for f in findings}
-    assert len(findings) == 2
-    # a walrus on tracer proves nothing about faults, and the while
-    # guard expires at the loop exit
-    assert keys == {"self.faults", "tracer"}
-
-
 # ------------------------------------------------------------- set-iteration
 
 

@@ -2,8 +2,8 @@
 
 Every rule runs over the whole package, and every suppression comment
 that silences nothing is reported too: reintroducing a runtime assert in
-the storage layer, losing a tracer guard, iterating a dedup set or
-leaving a stale suppression behind fails here before CI.
+the storage layer, iterating a dedup set or leaving a stale suppression
+behind fails here before CI.
 """
 
 from pathlib import Path

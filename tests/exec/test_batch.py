@@ -6,6 +6,7 @@ from repro import BudgetExceededError, EvalOptions, ExecutionBudget, run_batch
 from repro.errors import PlanError
 from repro.xmark import Q6_PRIME, Q7
 
+from tests import golden
 from tests.conftest import small_database
 
 #: the location paths underneath the paper's Q6' and Q7
@@ -199,3 +200,61 @@ def test_scan_group_keeps_a_refuted_path_out_of_the_scan(xmark_small):
     assert outcome.stats.paths_refuted == 1
     assert outcome.stats.speculative_instances == without.stats.speculative_instances
     assert outcome.stats.pages_read == without.stats.pages_read
+
+
+# ------------------------------------- interleaved members share one runtime
+
+
+@pytest.fixture(scope="module")
+def shared_db():
+    return small_database(seed=21, n_top=60)[0]
+
+
+def test_single_query_matches_solo(shared_db):
+    solo = shared_db.execute("count(//a)", doc="d", plan="xschedule")
+    outcome = shared_db.run_batch([("count(//a)", "d", "xschedule")])
+    assert outcome.results[0].value == solo.value
+    assert outcome.total_time == pytest.approx(solo.total_time, rel=0.05)
+
+
+def test_mixed_plans(shared_db):
+    outcome = shared_db.run_batch(
+        [
+            ("count(//a)", "d", "simple"),
+            ("count(//a)", "d", "xschedule"),
+            ("count(//a)", "d", "xscan"),
+        ]
+    )
+    values = {r.value for r in outcome.results}
+    assert len(values) == 1
+
+
+def test_concurrency_beats_serial_cold_runs(shared_db):
+    """Shared buffer + deeper disk queue: running together is cheaper
+    than the sum of independent cold runs."""
+    queries = [("count(//a)", "d", "xschedule"), ("count(//b)", "d", "xschedule")]
+    serial = sum(shared_db.execute(q, doc=d, plan=p).total_time for q, d, p in queries)
+    outcome = shared_db.run_batch(queries)
+    assert outcome.interleaved == 2
+    assert outcome.total_time < serial
+
+
+def test_cpu_serialises(shared_db):
+    """One simulated CPU: interleaved CPU time is the sum of the parts."""
+    solo_cpu = shared_db.execute("count(//a)", doc="d", plan="xschedule").cpu_time
+    outcome = shared_db.run_batch(
+        [("count(//a)", "d", "xschedule"), ("count(//a)", "d", "xschedule")]
+    )
+    # second run shares buffered pages but repeats the navigation CPU
+    assert outcome.cpu_time > 1.5 * solo_cpu
+
+
+def test_batch_rows_are_pinned():
+    """The golden ``batch/*`` rows: the pair interleaved under SSTF and
+    FIFO, scans sharing one pass beside interleaved members, and an
+    insert between two query runs; every answer the reference
+    evaluator's."""
+    keys = [key for key in golden.OTHER_KEYS if key.startswith("batch/")]
+    assert len(keys) == 4
+    for key in keys:
+        assert golden.other(key) == golden.row(key), key

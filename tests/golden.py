@@ -26,7 +26,9 @@ other families are the seams of the path kernel — XMark paper and
 predicate queries, fault profiles and seeds, ``memory_limit`` trips,
 ``max_seconds`` cuts, tracers, entry runs, run tapes, delivery runs and
 their tapes (warm, and across an update), the tape players' in-place
-branches (``inplace``), the shared scan, full-tree
+branches (``inplace``), the shared scan, batches over one runtime
+(``batch``: ``Database.run_batch``'s interleaved queue, a shared scan
+beside it, an insert between two query runs), full-tree
 walks, latency-SLO sidelining, the paper's unpruned configurations
 (``gates``: the synopsis, the path summary or both switched off), and
 the plan- and fault-equivalence points of tier-1 (``equivalence``,
@@ -73,6 +75,7 @@ from repro import (
     EvalOptions,
     ExecutionBudget,
     ImportOptions,
+    InsertOp,
     Tracer,
 )
 from repro.algebra.base import Operator
@@ -959,6 +962,74 @@ def two_documents() -> list:
     return seen
 
 
+#: the requests of each ``batch`` row over ``PAPER_DOC``: the pair the
+#: concurrent-queries experiment runs, and a batch whose scans share one
+#: pass while the rest interleave over the disk queue beside it
+BATCHES = {
+    "pair": [(Q6_PRIME, "d", "xschedule"), ("count(/site//annotation)", "d", "xschedule")],
+    "shared-and-interleaved": [
+        ("/site/regions//item", "d", "xscan"),
+        ("count(/site//annotation)", "d", "xscan"),
+        (Q15, "d", "xschedule"),
+        ("/site/people/person/name", "d", "simple"),
+    ],
+}
+#: the queries before and after the ``batch/insert-between`` insert
+BATCH_QUERIES = ["count(//a)", "//b/c", ("count(//a/b)", "d", "xschedule")]
+
+
+def batch_books(outcome) -> dict:
+    """What a ``batch`` row pins of one ``run_batch``: per request its
+    value, node count and finished-at times, and the batch's books."""
+    return {
+        "results": [
+            [r.value, None if r.nodes is None else len(r.nodes),
+             [r.total_time.hex(), r.cpu_time.hex(), r.io_wait.hex()]]
+            for r in outcome.results
+        ],  # fmt: skip
+        "time": [outcome.total_time.hex(), outcome.cpu_time.hex(), outcome.io_wait.hex()],
+        "stats": outcome.stats.as_dict(),
+        "routed": [outcome.scan_shared, outcome.interleaved, outcome.updates],
+    }
+
+
+def batched(name: str) -> dict:
+    """One cold ``Database.run_batch`` over ``PAPER_DOC`` (``pair/<policy>``:
+    the pair under that disk policy), every whole answer the reference
+    evaluator's, its CPU seconds its counters priced."""
+    batch, _, policy = name.partition("/")
+    db = database(PAPER_DOC, policy=policy or None)
+    outcome = db.run_batch(BATCHES[batch])
+    assert outcome.cpu_time == db.env.costs.price(outcome.stats), name
+    for (query, _, _), result in zip(BATCHES[batch], outcome.results):
+        want = reference(PAPER_DOC, query)
+        assert (result.nodes if isinstance(want, list) else result.value) == want, query
+    return batch_books(outcome)
+
+
+def insert_between() -> dict:
+    """``BATCH_QUERIES``, an insert of an ``a`` as the root's first child,
+    ``BATCH_QUERIES`` again, in one ``run_batch`` on a private import of
+    ``SHARED_DOC``: the queries after the insert are compiled against the
+    updated document, and every answer is the reference evaluator's on
+    the document as it stood."""
+    held, tree = imported(SHARED_DOC)
+    db = database(SHARED_DOC, shared=held)
+    doc = db.document("d")
+    root = db.execute("/root", doc="d", plan="simple").nodes[0]
+    outcome = db.run_batch([*BATCH_QUERIES, InsertOp(root, 0, "a"), *BATCH_QUERIES], doc="d")
+    n = len(BATCH_QUERIES)
+    after = export_tree(held, doc)
+    for logical, results in ((tree, outcome.results[:n]), (after, outcome.results[n + 1 :])):
+        for request, result in zip(BATCH_QUERIES, results):
+            query = request if isinstance(request, str) else request[0]
+            got = result.value if result.nodes is None else len(result.nodes)
+            counted = query if query.startswith("count") else f"count({query})"
+            assert got == evaluate_query(logical, counted), query
+    assert outcome.results[n].nodes[0] == db.execute("/root/*", doc="d", plan="simple").nodes[0]
+    return batch_books(outcome)
+
+
 def other(key: str) -> dict:
     """The books of the draw ``key`` that is not one execution, as the
     golden file holds them."""
@@ -992,6 +1063,8 @@ def other(key: str) -> dict:
         kept = {"seen": warm_twice(arg)}
     elif kind == "scanmemo":
         kept = {"seen": two_documents() if arg == "two-documents" else scanned_five_ways()}
+    elif kind == "batch":
+        kept = insert_between() if arg == "insert-between" else batched(arg)
     elif kind == "inplace":
         kept = {
             "deliveries": lambda: {"runs": resident_deliveries()},
@@ -1030,6 +1103,10 @@ OTHER_KEYS = [
     "inplace/order",
     "scanmemo/ways",
     "scanmemo/two-documents",
+    "batch/pair/sstf",
+    "batch/pair/fifo",
+    "batch/shared-and-interleaved",
+    "batch/insert-between",
 ]
 
 
