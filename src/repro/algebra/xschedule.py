@@ -14,7 +14,7 @@ Per the paper's ``next`` method, each call:
 3. returns an instance from the *current cluster* if one remains,
    otherwise blocks on the next I/O completion and switches clusters.
 
-With ``speculative`` set (Sec. 5.4.4) the operator generates
+With ``EvalOptions.speculative`` set (Sec. 5.4.4) the operator generates
 left-incomplete path instances on the first visit of each cluster — the
 same speculation as XScan — so a cluster never needs to be visited twice:
 later crossings into a visited cluster are *parked* instead of enqueued,
@@ -89,14 +89,11 @@ class XSchedule(Operator):
         steps: list[CompiledStep],
         document: StoredDocument,
         postings: PathPostings,
-        speculative: bool | None = None,
     ) -> None:
         super().__init__(ctx)
         self.producer = producer
         self.steps = steps
-        self.speculative = (
-            ctx.options.speculative if speculative is None else speculative
-        )
+        self.speculative = ctx.options.speculative
         synopsis, _ = ctx.options.snapshots(document)
         #: the path's refusals of speculative / targeted resumes, fetched
         #: once per execution off the synopsis's memo; postings refine the

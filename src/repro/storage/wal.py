@@ -229,6 +229,7 @@ def _scan_wal(wal_path: str) -> tuple[int, list[tuple[int, int, bytes]], bool]:
     """
     entries: list[tuple[int, int, bytes]] = []
     with open(wal_path, "rb") as inp:
+        size = os.fstat(inp.fileno()).st_size
         base_lsn, torn = _read_wal_header(inp, wal_path)
         if torn:
             return base_lsn, entries, True
@@ -242,13 +243,12 @@ def _scan_wal(wal_path: str) -> tuple[int, list[tuple[int, int, bytes]], bool]:
             if len(head) < _ENTRY_HEAD.size:
                 return base_lsn, entries, True
             lsn, op, payload_len = _ENTRY_HEAD.unpack(head)
+            # checked before read() allocates payload_len bytes: an entry
+            # that runs past the file's end is a torn tail
+            if payload_len + _CRC.size > size - inp.tell():
+                return base_lsn, entries, True
             payload = inp.read(payload_len)
-            if len(payload) < payload_len:
-                return base_lsn, entries, True
-            crc_bytes = inp.read(_CRC.size)
-            if len(crc_bytes) < _CRC.size:
-                return base_lsn, entries, True
-            (crc,) = _CRC.unpack(crc_bytes)
+            (crc,) = _CRC.unpack(inp.read(_CRC.size))
             if zlib.crc32(head + payload) != crc:
                 return base_lsn, entries, True
             # from here on the entry is checksum-clean: anything odd is

@@ -30,10 +30,13 @@ branches (``inplace``), the shared scan, batches over one runtime
 (``batch``: ``Database.run_batch``'s interleaved queue, a shared scan
 beside it, an insert between two query runs), full-tree
 walks, latency-SLO sidelining, the paper's unpruned configurations
-(``gates``: the synopsis, the path summary or both switched off), and
-the plan- and fault-equivalence points of tier-1 (``equivalence``,
+(``gates``: the synopsis, the path summary or both switched off), the
+plan- and fault-equivalence points of tier-1 (``equivalence``,
 ``fault-equivalence``: every plan's answer, also under faults and in
-fallback, the reference evaluator's).
+fallback, the reference evaluator's), the fault matrix on XMark under
+fault seeds 1-3 (``faults-xmark``), kill-and-recover at every crash
+point (``crash``: the durability floor and the recovered state against
+a crash-free oracle) and update storms, logged and bare (``storm``).
 
     PYTHONPATH=src python -m tests.golden            # check every row
     PYTHONPATH=src python -m tests.golden --only delivery/ warm/   # rows by key prefix
@@ -64,9 +67,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import pathlib
 import random
 import sys
+import tempfile
 from contextlib import contextmanager
 
 from repro import (
@@ -87,16 +92,20 @@ from repro.algebra.steps import CompiledNodeTest, CompiledStep
 from repro.algebra.xassembly import XAssembly, build_tape
 from repro.algebra.xschedule import XSchedule
 from repro.axes import Axis
-from repro.errors import ReproError
+from repro.errors import ReproError, SimulatedCrashError, StorageError
 from repro.model.builder import TreeBuilder
+from repro.model.tree import Kind
 from repro.sim.clock import TICK
 from repro.sim.disk import SchedulingPolicy
-from repro.sim.faults import FaultProfile
+from repro.sim.faults import CRASH_STEPS, CrashInjector, CrashPoint, FaultProfile
 from repro.storage.nodeid import page_of, slot_of
-from repro.storage.pathsummary import PathPostings
-from repro.storage.store import export_tree
+from repro.storage.pathsummary import PathPostings, PathSummary
+from repro.storage.store import check_document, export_tree, recollect_statistics
+from repro.storage.synopsis import ClusterSynopsis
 from repro.storage.update import delete_subtree, insert_node
+from repro.storage.wal import recover_store
 from repro.xmark import PAPER_QUERIES, Q6_PRIME, Q7, Q15, generate_xmark
+from repro.xml.escape import serialize
 from repro.xpath.reference import evaluate_query
 from tests.conftest import make_random_tree
 
@@ -179,6 +188,15 @@ DEAD_PAGE_DOC = ("xmark", 0.03, 3, 1.0, 2048, 96)
 DEAD_PAGE_QUERIES = [
     "count(//item)",
     "count(/site/open_auctions/open_auction[bidder]/current)",
+]
+#: the fault matrix (the ``faults-xmark`` family): every recovering
+#: profile under each fault seed, every navigating plan, these queries,
+#: over ``DEAD_PAGE_DOC``
+FAULT_SEEDS = (1, 2, 3)
+FAULT_MATRIX_QUERIES = [
+    "count(/site/regions//item)",
+    "/site/people/person/name",
+    "count(//keyword)",
 ]
 SHARED_DOC = ("random", 31, 0.5, 60, 512, 64)
 WALK_DOC = ("random", 5, 1.0, 8, 256, 64)
@@ -1030,6 +1048,248 @@ def insert_between() -> dict:
     return batch_books(outcome)
 
 
+# ------------------------------------------------- crashes and storms
+#
+# The durability subsystem's draws, each on private stores under a
+# scratch directory: a fixed workload killed at every crash step it
+# announces and recovered (``crash``), and update storms through a
+# session, logged or bare (``storm``).
+
+#: the crash workload's document: 16 ``sec``, each over an ``a`` text
+#: and a ``b`` over a ``c`` text
+CRASH_XML = "<root>%s</root>" % "".join(
+    f"<sec><a>t{i}</a><b><c>x{i}</c></b></sec>" for i in range(16)
+)
+CRASH_QUERIES = ("count(//sec)", "count(//a)", "count(//c)")
+CHECKPOINT_EVERY = 5
+#: ``(layout, import seed)`` of every crash sweep: a document-order
+#: layout saves the same store under every seed, a dispersed one does not
+CRASH_SWEEPS = [(0.0, 1), (1.0, 1), (1.0, 2), (1.0, 3)]
+
+
+def crash_database(fragmentation: float, seed: int) -> Database:
+    db = Database(page_size=512, buffer_pages=64)
+    options = ImportOptions(page_size=512, fragmentation=fragmentation, seed=seed)
+    db.load_xml(CRASH_XML, "d", options)
+    return db
+
+
+def make_ops(db) -> list:
+    """The crash workload: 12 closures, each one logged operation.
+
+    Targets are resolved by *query at execution time*, not pre-resolved:
+    the space manager may relocate records when an insert lands on a
+    full page (documented NodeID invalidation), and a stale handle would
+    make the workload non-deterministic across acknowledged prefixes.
+    """
+    wal = db.wal
+
+    def node(query, index=0):
+        return db.execute(query, doc="d", plan="simple").nodes[index]
+
+    def text(value):
+        for nid in db.execute("//a/text()", doc="d", plan="simple").nodes:
+            if db.node_info(nid)[2] == value:
+                return nid
+        raise AssertionError(f"no text node with value {value!r}")
+
+    return [
+        lambda: wal.insert("d", node("/root"), 0, "w0"),
+        lambda: wal.set_value("d", text("t0"), "u0"),
+        lambda: wal.insert("d", node("/root/sec"), 0, "w1"),
+        lambda: wal.delete("d", node("/root/sec", 1)),
+        lambda: wal.insert("d", node("//w0"), 0, "ignored", kind=Kind.TEXT, value="tv"),
+        lambda: wal.set_value("d", text("t2"), "m2"),
+        lambda: wal.delete("d", node("/root/sec", 2)),
+        lambda: wal.insert("d", node("/root"), 0, "w3"),
+        lambda: wal.delete("d", node("//w1")),
+        lambda: wal.set_value("d", text("t4"), "z"),
+        lambda: wal.insert("d", node("/root/sec", 3), 1, "w4"),
+        lambda: wal.delete("d", node("/root/sec", 4)),
+    ]
+
+
+def snapshot(db) -> dict:
+    """What a recovery must restore of ``d``: digests of its XML and its
+    synopsis rows, the page count, the answers to ``CRASH_QUERIES``."""
+    doc = db.store.document("d")
+    return {
+        "xml": digest(serialize(export_tree(db.store, doc))),
+        "synopsis": digest(sorted(doc.synopsis.rows().items())),
+        "n_pages": db.store.segment.n_pages,
+        "answers": [db.execute(q, doc="d", plan="simple").value for q in CRASH_QUERIES],
+    }
+
+
+def crash_free(fragmentation: float, seed: int, crash=None) -> list:
+    """The crash workload run to its end (under the injector ``crash``):
+    the snapshot after every acknowledged prefix."""
+    with tempfile.TemporaryDirectory() as scratch:
+        db = crash_database(fragmentation, seed)
+        path = os.path.join(scratch, "store.rpro")
+        db.attach_wal(path, checkpoint_every=CHECKPOINT_EVERY, crash=crash)
+        snapshots = [snapshot(db)]
+        for op in make_ops(db):
+            op()
+            snapshots.append(snapshot(db))
+        db.wal.close()
+    return snapshots
+
+
+_ORACLES: dict = {}
+
+
+def crash_oracle(fragmentation: float, seed: int) -> list:
+    """:func:`crash_free` without an injector, memoised per sweep."""
+    if (fragmentation, seed) not in _ORACLES:
+        _ORACLES[fragmentation, seed] = crash_free(fragmentation, seed)
+    return _ORACLES[fragmentation, seed]
+
+
+def crash_occurrences(fragmentation: float, seed: int) -> dict:
+    """How often each crash step occurs in a full run, counted by an
+    injector armed out of reach."""
+    injector = CrashInjector(CrashPoint(step=CRASH_STEPS[0], at=10**9))
+    crash_free(fragmentation, seed, injector)
+    return {step: injector.occurrences(step) for step in CRASH_STEPS}
+
+
+def crash_schedule(occurrences: dict) -> list[tuple[str, int]]:
+    """``(step, at)`` to crash at: the first, second, middle and last
+    occurrence of every step that occurs."""
+    pairs = []
+    for step in CRASH_STEPS:
+        total = occurrences[step]
+        pairs += [(step, at) for at in sorted({1, 2, total // 2, total} & set(range(1, total + 1)))]
+    return pairs
+
+
+def crashed(fragmentation: float, seed: int, step: str, at: int) -> dict:
+    """The workload killed at the ``at``-th ``step`` (a write torn half
+    way), then recovered from its files: every acknowledged operation
+    survives, and the store is sound and the oracle's after the prefix
+    it reflects.  Pins the operations acknowledged, the recovery's
+    checkpoint and last LSN and torn tail, and the snapshot."""
+    label = f"{step}@{at} (layout {fragmentation}, seed {seed})"
+    point = CrashPoint(step=step, at=at, torn_fraction=0.5)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "store.rpro")
+        db = crash_database(fragmentation, seed)
+        db.attach_wal(path, checkpoint_every=CHECKPOINT_EVERY, crash=CrashInjector(point))
+        acked = 0
+        try:
+            for op in make_ops(db):
+                op()
+                acked += 1
+        except SimulatedCrashError:
+            pass
+        else:
+            raise AssertionError(f"{label}: the crash point never fired")
+        store, report = recover_store(path)
+    snapshots = crash_oracle(fragmentation, seed)
+    assert acked <= report.last_lsn < len(snapshots), f"{label}: lost acknowledged ops"
+    check_document(store, store.document("d"))
+    recovered = snapshot(Database(page_size=512, buffer_pages=64, store=store))
+    assert recovered == snapshots[report.last_lsn], label
+    lsns = [report.checkpoint_lsn, report.last_lsn, report.torn_tail]
+    return {"acked": acked, "recovered": lsns, **recovered}
+
+
+def crash_keys() -> list[str]:
+    """Every ``crash`` key: each sweep's schedule, then its crash points."""
+    keys = []
+    for fragmentation, seed in CRASH_SWEEPS:
+        prefix = f"crash/{fragmentation}/{seed}/"
+        points = crash_schedule(crash_occurrences(fragmentation, seed))
+        keys += [prefix + "schedule", *(f"{prefix}{step}@{at}" for step, at in points)]
+    return keys
+
+
+#: every update storm, ``storm/{page size}/{bare|logged}/{n}``, and the
+#: seed its steps are drawn from
+STORMS = dict(zip(
+    [f"storm/{size}/{mode}/{n}" for size in (256, 512, 1024) for mode in ("bare", "logged")
+     for n in (0, 1)],
+    random.Random(55).sample(range(5001), 12),
+))  # fmt: skip
+#: answered after every step of a storm under both scanning plans, pruned
+PRUNED_QUERIES = ("count(//w)", "count(//*/x)")
+#: answered at a storm's end under every navigating plan
+STORM_END_QUERIES = ("count(//*)", "count(//w)", "//x", "count(//text())")
+
+
+def storm(key: str) -> dict:
+    """50 inserts, value updates and subtree deletes drawn from the
+    storm's seed, through a session (and its log, when ``logged``).
+    After every step the snapshots equal a rebuild and the pruned
+    answers are the reference evaluator's; at the end the store is
+    sound, the navigating plans agree and so do the two exports.  Pins
+    each step's action and answers, and the end queries' answers and a
+    digest of their books."""
+    _, page_size, mode, _ = key.split("/")
+    rng = random.Random(STORMS[key])
+    db = Database(page_size=int(page_size), buffer_pages=64)
+    db.load_xml("<root><a>seed text</a><b/><c><d/></c></root>", "d")
+    doc = db.document("d")
+    with tempfile.TemporaryDirectory() as scratch:
+        if mode == "logged":
+            db.attach_wal(os.path.join(scratch, "store.rpro"))
+        session = db.session()  # updates go through the log when one is attached
+        steps = [[storm_step(db, session, rng), *pruned_answers(db, doc)] for _ in range(50)]
+        if db.wal is not None:
+            db.wal.close()
+    check_document(db.store, doc)
+    export_tree(db.store, doc).validate()
+    assert recollect_statistics(db.store, doc).n_nodes == doc.n_nodes, key
+    end = []
+    for query in STORM_END_QUERIES:
+        results = [db.execute(query, doc="d", plan=plan) for plan in PLANS[:3]]
+        assert len({r.value if r.nodes is None else tuple(r.nodes) for r in results}) == 1, query
+        end.append([executed(r) for r in results])
+    scanned, _ = db.export_xml(doc="d", method="scan")
+    navigated, _ = db.export_xml(doc="d", method="navigate")
+    assert scanned == navigated, key
+    return {"steps": steps, "end": [runs[0][:2] for runs in end], "books": digest(end)}
+
+
+def storm_step(db, session, rng: random.Random) -> str:
+    """One update of a storm, drawn from ``rng``: what it did."""
+    action = rng.random()
+    elements = db.execute("//*", doc="d", plan="simple").nodes
+    if action < 0.55 or len(elements) < 3:
+        parent = rng.choice(elements + [db.document("d").root])
+        if db.node_info(parent)[0] == "TEXT":
+            return "none"
+        value = None if rng.random() < 0.6 else "v" * rng.randrange(1, 30)
+        session.insert("d", parent, 0, rng.choice("wxyz"), value=value)
+        return "insert"
+    if action < 0.7:
+        texts = db.execute("//text()", doc="d", plan="simple").nodes
+        if not texts:
+            return "none"
+        try:
+            session.set_value("d", rng.choice(texts), "u" * rng.randrange(1, 8))
+        except StorageError:
+            return "refused"  # in-place growth on a full page is documented to raise
+        return "set-value"
+    session.delete("d", rng.choice(elements))
+    return "delete"
+
+
+def pruned_answers(db, doc) -> list:
+    """``PRUNED_QUERIES``' answers, the reference evaluator's under both
+    scanning plans, after the snapshots are checked against a rebuild."""
+    segment = db.store.segment
+    assert doc.synopsis == ClusterSynopsis.collect(segment.page(p) for p in doc.page_nos)
+    assert doc.pathsummary == PathSummary.collect(segment, doc.page_nos)
+    tree = export_tree(db.store, doc)
+    answers = [evaluate_query(tree, query) for query in PRUNED_QUERIES]
+    for query, want in zip(PRUNED_QUERIES, answers):
+        for plan in ("xscan", "xschedule"):
+            assert db.execute(query, doc="d", plan=plan).value == want, (query, plan)
+    return answers
+
+
 def other(key: str) -> dict:
     """The books of the draw ``key`` that is not one execution, as the
     golden file holds them."""
@@ -1065,6 +1325,15 @@ def other(key: str) -> dict:
         kept = {"seen": two_documents() if arg == "two-documents" else scanned_five_ways()}
     elif kind == "batch":
         kept = insert_between() if arg == "insert-between" else batched(arg)
+    elif kind == "crash":
+        layout, seed, point = arg.split("/")
+        if point == "schedule":
+            kept = {"occurrences": crash_occurrences(float(layout), int(seed))}
+        else:
+            step, _, at = point.partition("@")
+            kept = crashed(float(layout), int(seed), step, int(at))
+    elif kind == "storm":
+        kept = storm(key)
     elif kind == "inplace":
         kept = {
             "deliveries": lambda: {"runs": resident_deliveries()},
@@ -1440,6 +1709,16 @@ def draws() -> dict:
                     key = f"fault-equivalence/{profile}/{plan}/{speculative}/{query}"
                     options = {"speculative": speculative, "memory_limit": limit}
                     add(key, "fault-equivalence", FAULTY_DOC, query, plan, faults, **options)
+
+    # the fault matrix on XMark: every recovering profile under each
+    # fault seed, every navigating plan, each query
+    for seed in FAULT_SEEDS:
+        for profile in RECOVERED_BY:
+            for plan in PLANS[:3]:
+                for i, query in enumerate(FAULT_MATRIX_QUERIES):
+                    faults = {"profile": profile, "seed": seed}
+                    key = f"faults-xmark/{seed}/{profile}/{plan}/{i}"
+                    add(key, "faults-xmark", DEAD_PAGE_DOC, query, plan, faults)
     return out
 
 
@@ -1571,7 +1850,7 @@ def generate() -> dict:
         check_priced(key, outcome)
         check_reference(d, outcome)
         rows_out[key] = {"draw": d, **books(outcome)}
-    for key in OTHER_KEYS:
+    for key in [*OTHER_KEYS, *crash_keys(), *STORMS]:
         rows_out[key] = other(key)
     return rows_out
 

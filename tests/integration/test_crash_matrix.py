@@ -11,180 +11,52 @@ simulated death the store is recovered and must match the oracle's
 state after the same acknowledged prefix *exactly*: document bytes,
 synopsis rows, page count, and query answers.
 
-The CI crash-recovery job runs this module under several seeds
-(``REPRO_CRASH_SEED``); locally it runs with the shipped seed.
+Each sweep is a run of the golden file's ``crash`` family
+(``tests/golden.py``): ``crash/{layout}/{seed}/schedule`` pins how often
+each step occurs, and ``crash/{layout}/{seed}/{step}@{at}`` runs the
+workload to one crash, recovers and asserts the durability floor and
+the oracle equality.  The dispersed layout (1.0) is swept under import
+seeds 1-3; the document-order layout (0.0) saves the same store under
+every seed and is swept once.
 """
-
-import os
 
 import pytest
 
-from repro import Database, ImportOptions
+from repro import Database
 from repro.errors import SimulatedCrashError
-from repro.model.tree import Kind
-from repro.sim.faults import CRASH_STEPS, CrashInjector, CrashPoint
-from repro.storage.store import check_document, export_tree
+from repro.sim.faults import CrashInjector, CrashPoint
+from repro.storage.store import check_document
 from repro.storage.wal import recover_store
-from repro.xml.escape import serialize
+from tests import golden
+from tests.golden import CHECKPOINT_EVERY, crash_database, make_ops
 
-SEED = int(os.environ.get("REPRO_CRASH_SEED", "1"))
 LAYOUTS = (0.0, 1.0)  # document-order vs. fully dispersed clustering
-QUERIES = ("count(//sec)", "count(//a)", "count(//c)")
-CHECKPOINT_EVERY = 5
 
 
-def make_xml(n=16):
-    parts = ["<root>"]
-    for i in range(n):
-        parts.append(f"<sec><a>t{i}</a><b><c>x{i}</c></b></sec>")
-    parts.append("</root>")
-    return "".join(parts)
+@pytest.mark.parametrize("fragmentation", LAYOUTS, ids=lambda f: f"layout{f}")
+def test_every_crash_point_recovers(fragmentation):
+    sweeps = [seed for layout, seed in golden.CRASH_SWEEPS if layout == fragmentation]
+    assert sweeps
+    for seed in sweeps:
+        prefix = f"crash/{fragmentation}/{seed}/"
+        schedule = golden.row(prefix + "schedule")
+        assert golden.other(prefix + "schedule") == schedule
+        points = golden.crash_schedule(schedule["occurrences"])
+        keys = [f"{prefix}{step}@{at}" for step, at in points]
+        assert len(keys) >= 10  # the sweep is real, not degenerate
+        assert [key for key in golden.pinned() if key.startswith(prefix)] == [
+            prefix + "schedule",
+            *keys,
+        ]
+        for key in keys:
+            assert golden.other(key) == golden.row(key), key
 
 
-def build_db(fragmentation):
-    db = Database(page_size=512, buffer_pages=64)
-    db.load_xml(
-        make_xml(),
-        "d",
-        ImportOptions(page_size=512, fragmentation=fragmentation, seed=SEED),
-    )
-    return db
-
-
-def make_ops(db):
-    """The fixed workload: 12 closures, each one logged operation.
-
-    Targets are resolved by *query at execution time*, not pre-resolved:
-    the space manager may relocate records when an insert lands on a
-    full page (documented NodeID invalidation), and a stale handle would
-    make the workload non-deterministic across acknowledged prefixes.
-    """
-    wal = db.wal
-
-    def node(query, index=0):
-        return db.execute(query, doc="d", plan="simple").nodes[index]
-
-    def text(value):
-        for nid in db.execute("//a/text()", doc="d", plan="simple").nodes:
-            if db.node_info(nid)[2] == value:
-                return nid
-        raise AssertionError(f"no text node with value {value!r}")
-
-    return [
-        lambda: wal.insert("d", node("/root"), 0, "w0"),
-        lambda: wal.set_value("d", text("t0"), "u0"),
-        lambda: wal.insert("d", node("/root/sec"), 0, "w1"),
-        lambda: wal.delete("d", node("/root/sec", 1)),
-        lambda: wal.insert(
-            "d", node("//w0"), 0, "ignored", kind=Kind.TEXT, value="tv"
-        ),
-        lambda: wal.set_value("d", text("t2"), "m2"),
-        lambda: wal.delete("d", node("/root/sec", 2)),
-        lambda: wal.insert("d", node("/root"), 0, "w3"),
-        lambda: wal.delete("d", node("//w1")),
-        lambda: wal.set_value("d", text("t4"), "z"),
-        lambda: wal.insert("d", node("/root/sec", 3), 1, "w4"),
-        lambda: wal.delete("d", node("/root/sec", 4)),
-    ]
-
-
-def snapshot(db):
-    doc = db.store.document("d")
-    answers = tuple(
-        db.execute(query, doc="d", plan="simple").value for query in QUERIES
-    )
-    return {
-        "xml": serialize(export_tree(db.store, doc)),
-        "synopsis": doc.synopsis,
-        "n_pages": db.store.segment.n_pages,
-        "answers": answers,
-    }
-
-
-@pytest.fixture(scope="module", params=LAYOUTS, ids=lambda f: f"layout{f}")
-def oracle(request, tmp_path_factory):
-    """Per-layout ground truth: state after every acknowledged prefix."""
-    fragmentation = request.param
-    tmp = tmp_path_factory.mktemp(f"oracle{fragmentation}")
-    db = build_db(fragmentation)
-    db.attach_wal(str(tmp / "store.rpro"), checkpoint_every=CHECKPOINT_EVERY)
-    snapshots = [snapshot(db)]
-    for op in make_ops(db):
-        op()
-        snapshots.append(snapshot(db))
-    # count how often each crash step occurs in a full run, with a probe
-    # injector armed out of reach (its counters see every announcement)
-    probe = build_db(fragmentation)
-    injector = CrashInjector(CrashPoint(step=CRASH_STEPS[0], at=10**9))
-    probe.attach_wal(
-        str(tmp / "probe.rpro"),
-        checkpoint_every=CHECKPOINT_EVERY,
-        crash=injector,
-    )
-    for op in make_ops(probe):
-        op()
-    occurrences = {step: injector.occurrences(step) for step in CRASH_STEPS}
-    return fragmentation, snapshots, occurrences
-
-
-def crash_schedule(occurrences):
-    """(step, at) pairs to sweep: first, second, middle and last
-    occurrence of every step that fires at all."""
-    pairs = []
-    for step in CRASH_STEPS:
-        total = occurrences[step]
-        for at in sorted({1, 2, total // 2, total} & set(range(1, total + 1))):
-            pairs.append((step, at))
-    return pairs
-
-
-def test_every_crash_point_recovers(oracle, tmp_path):
-    fragmentation, snapshots, occurrences = oracle
-    schedule = crash_schedule(occurrences)
-    assert len(schedule) >= 10  # the sweep is real, not degenerate
-    for step, at in schedule:
-        label = f"{step}@{at} (layout {fragmentation}, seed {SEED})"
-        path = str(tmp_path / f"{step}-{at}.rpro")
-        db = build_db(fragmentation)
-        db.attach_wal(
-            path,
-            checkpoint_every=CHECKPOINT_EVERY,
-            crash=CrashInjector(CrashPoint(step=step, at=at, torn_fraction=0.5)),
-        )
-        acked = 0
-        try:
-            for op in make_ops(db):
-                op()
-                acked += 1
-        except SimulatedCrashError:
-            pass
-        else:
-            pytest.fail(f"{label}: crash point never fired")
-
-        store, report = recover_store(path)
-        # durability floor: every acknowledged operation survived
-        assert report.last_lsn >= acked, f"{label}: lost acknowledged ops"
-        assert report.last_lsn <= len(snapshots) - 1
-
-        doc = store.document("d")
-        check_document(store, doc)
-        want = snapshots[report.last_lsn]
-        assert serialize(export_tree(store, doc)) == want["xml"], label
-        assert doc.synopsis == want["synopsis"], label
-        assert store.segment.n_pages == want["n_pages"], label
-        recovered = Database(page_size=512, buffer_pages=64, store=store)
-        got = tuple(
-            recovered.execute(query, doc="d", plan="simple").value
-            for query in QUERIES
-        )
-        assert got == want["answers"], label
-
-
-def test_recovered_database_resumes_durable_operation(oracle, tmp_path):
+@pytest.mark.parametrize("fragmentation", LAYOUTS, ids=lambda f: f"layout{f}")
+def test_recovered_database_resumes_durable_operation(fragmentation, tmp_path):
     """Recover, re-attach, keep updating, crash again, recover again."""
-    fragmentation, snapshots, occurrences = oracle
     path = str(tmp_path / "resume.rpro")
-    db = build_db(fragmentation)
+    db = crash_database(fragmentation, 1)
     db.attach_wal(
         path,
         checkpoint_every=CHECKPOINT_EVERY,
@@ -206,16 +78,8 @@ def test_recovered_database_resumes_durable_operation(oracle, tmp_path):
     check_document(store, store.document("d"))
 
 
-def test_crash_free_run_with_injector_matches_oracle(oracle, tmp_path):
+@pytest.mark.parametrize("fragmentation", LAYOUTS, ids=lambda f: f"layout{f}")
+def test_crash_free_run_with_injector_matches_oracle(fragmentation):
     """An injector that never fires must not perturb the run at all."""
-    fragmentation, snapshots, occurrences = oracle
-    path = str(tmp_path / "inert.rpro")
-    db = build_db(fragmentation)
-    db.attach_wal(
-        path,
-        checkpoint_every=CHECKPOINT_EVERY,
-        crash=CrashInjector(CrashPoint(step="wal-append", at=10**9)),
-    )
-    for op in make_ops(db):
-        op()
-    assert snapshot(db) == snapshots[-1]
+    inert = CrashInjector(CrashPoint(step="wal-append", at=10**9))
+    assert golden.crash_free(fragmentation, 1, inert) == golden.crash_oracle(fragmentation, 1)

@@ -10,9 +10,6 @@ recycled images are the bytes a fresh :func:`save_store` writes, that no
 checkpoint drops an image's last link, that a filesystem without hard
 links still gets its checkpoint, and that a crash mid-install leaves a
 name the next checkpoint settles.
-
-The CI crash-recovery job runs this module beside the kill-and-recover
-matrix.
 """
 
 import errno

@@ -9,8 +9,8 @@ from repro.errors import StorageError
 from repro.model.tree import Kind
 from repro.storage.store import check_document, export_tree
 from repro.storage.update import delete_subtree, insert_node, update_value
-from repro.xml.escape import serialize
 
+from tests import golden
 from tests.conftest import make_random_tree
 
 
@@ -213,3 +213,13 @@ def test_randomized_update_storm_round_trips():
         results = [db.execute(query, doc="d", plan=p) for p in ("simple", "xschedule", "xscan")]
         values = {r.value if r.value is not None else tuple(r.nodes) for r in results}
         assert len(values) == 1, query
+
+
+def test_update_storm_soundness():
+    """Update storms, logged and bare, on three page sizes: the golden
+    file's ``storm`` rows (``tests/golden.py``).  After every operation
+    the planning snapshots equal a rebuild and pruned answers the
+    reference evaluator's; at the end the store is sound and every plan
+    and both exports agree."""
+    for key in golden.STORMS:
+        assert golden.other(key) == golden.row(key), key

@@ -1,5 +1,6 @@
 """Tests for the write-ahead log: logging, checkpointing, recovery."""
 
+import io
 import os
 import struct
 import zlib
@@ -16,7 +17,7 @@ from repro.errors import (
 from repro.sim.faults import CrashInjector, CrashPoint
 from repro.storage import wal as wal_mod
 from repro.storage.store import check_document, export_tree
-from repro.storage.wal import WriteAheadLog, recover_store
+from repro.storage.wal import recover_store
 from repro.xml.escape import serialize
 
 
@@ -324,6 +325,40 @@ def test_corrupt_crc_stops_scan(tmp_path):
     # is treated as torn; earlier entries still replay
     data[-3] ^= 0x40
     open(wal_path, "wb").write(bytes(data))
+    store, report = recover_store(path)
+    assert report.torn_tail
+    assert report.last_lsn == n - 1
+    check_document(store, store.document("d"))
+
+
+def test_a_payload_past_the_end_is_a_torn_tail(tmp_path, monkeypatch):
+    """A damaged entry head whose payload length runs past the file's
+    end is a torn tail, as a short read is, and it is found before the
+    payload is read: no read asks for more bytes than the file has left
+    (a u32 length could ask for 4 GiB)."""
+    db, path = durable_db(tmp_path)
+    n = run_ops(db)
+    db.wal.sync()
+    wal_path = path + ".wal"
+    data = bytearray(open(wal_path, "rb").read())
+    last = wal_mod._LOG_START
+    for _ in range(n - 1):
+        _, _, payload_len = wal_mod._ENTRY_HEAD.unpack_from(data, last)
+        last += wal_mod._ENTRY_HEAD.size + payload_len + wal_mod._CRC.size
+    lsn, op, _ = wal_mod._ENTRY_HEAD.unpack_from(data, last)
+    assert lsn == n
+    wal_mod._ENTRY_HEAD.pack_into(data, last, lsn, op, 2**32 - 1)
+    open(wal_path, "wb").write(bytes(data))
+
+    class Bounded(io.FileIO):
+        """A file whose reads may not ask past its end."""
+
+        def read(self, size):
+            left = os.fstat(self.fileno()).st_size - self.tell()
+            assert size <= left, f"read({size}) with {left} byte(s) left"
+            return super().read(size)
+
+    monkeypatch.setattr(wal_mod, "open", lambda path, mode: Bounded(path), raising=False)
     store, report = recover_store(path)
     assert report.torn_tail
     assert report.last_lsn == n - 1
